@@ -2,9 +2,9 @@
 tensor words, and explain axiom names.
 
 Exit codes: 0 all checks pass, 1 at least one violation, 2 inconclusive or
-budget exceeded, 3 usage/parse/structure error.  Defaults for --max-tuples,
---word-cap and --jobs can be overridden with the DBLKIT_MAX_TUPLES,
-DBLKIT_WORD_CAP and DBLKIT_JOBS environment variables.
+budget exceeded, 3 usage/parse/structure error.  Defaults for --max-tuples
+and --word-cap can be overridden with the DBLKIT_MAX_TUPLES and
+DBLKIT_WORD_CAP environment variables.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
     if decl.kind == "fincategory":
         return [decl.obj.check(budget)]
     if decl.kind == "category":
-        return [check_double_category(decl.obj, budget=budget, jobs=args.jobs)]
+        return [check_double_category(decl.obj, budget=budget)]
     if decl.kind == "twocategory":
         return [check_two_category(decl.obj, budget=budget)]
     if decl.kind == "bicategory":
@@ -422,19 +422,6 @@ def _as_strict(decl):
     return StrictDoubleFunctor(f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=decl.name)
 
 
-def _decl_pseudo_functor(name, f, dom_name, cod_name):
-    return Declaration("functor", name, f, meta={"strict": f.strict, "dom": dom_name, "cod": cod_name})
-
-
-def _decl_transformation(doc, name, obj, kind, from_name, to_name, dom_name, cod_name):
-    return Declaration(
-        "transformation",
-        name,
-        obj,
-        meta={"kind": kind, "from": from_name, "to": to_name, "dom": dom_name, "cod": cod_name},
-    )
-
-
 def _internal_bundle_decls(doc, name, data: InternalCategoryData, carrier_name):
     decls = []
     d0_name = f"{name}_obs"
@@ -593,7 +580,6 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--jobs", type=int, default=_int_env("DBLKIT_JOBS", 1))
         p.add_argument(
             "--max-tuples", type=int, default=_int_env("DBLKIT_MAX_TUPLES", 5_000_000)
         )

@@ -221,9 +221,12 @@ def _parse_fincategory_block(cur, doc, name, header_line):
         h = nt.get("mor", hn, line, hc)
         _expect(boundaries[f][1] == boundaries[g][0], f"{fn} and {gn} not composable", line, fc)
         comp[(f, g)] = h
+    # every unit entry first: an identity may be listed before a morphism
+    # it composes with
     for f, (a, b) in enumerate(boundaries):
         comp.setdefault((ids[a], f), f)
         comp.setdefault((f, ids[b]), f)
+    for f, (a, b) in enumerate(boundaries):
         for g, (a2, b2) in enumerate(boundaries):
             if b == a2 and (f, g) not in comp:
                 raise ParseError(
@@ -599,23 +602,6 @@ def _parse_twocategory_block(cur, doc, name, header_line, bicategory=False):
         return Declaration("bicategory", name, obj, names=nt.index)
     except StructureError as e:
         raise ParseError(str(e), header_line) from None
-
-
-_CATEGORY_CELL_KINDS = ("object", "hcell", "vcell", "square")
-
-
-def _category_namer(decl: Declaration):
-    names = decl.obj.names
-
-    def namer(ref):
-        if isinstance(ref, tuple) and len(ref) == 2 and ref[0] in _CATEGORY_CELL_KINDS:
-            kind, idx = ref
-            lst = names.get(kind)
-            if lst and 0 <= idx < len(lst):
-                return lst[idx]
-        return str(ref)
-
-    return namer
 
 
 def _parse_functor_block(cur, doc, name, sig, header_line):
@@ -1085,7 +1071,7 @@ def _serialize_decl(doc: Document, decl: Declaration) -> str:
     w = []
     if decl.kind == "fincategory":
         c = decl.obj
-        obs = c.names["objects"]
+        obs = c.names.get("objects") or [f"o{a}" for a in range(c.n_objects)]
         mors = c.names["mor"]
         w.append(f"fincategory {decl.name} {{")
         w.append("  objects " + " ".join(obs))

@@ -27,9 +27,10 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    _columns,
+    _triples,
     pullback_pairs,
     same_category,
-    transpose,
 )
 from .report import AxiomReport, Budget, Collector
 
@@ -345,19 +346,17 @@ def check_double_pseudo_functor(
             col.eq("invertibility", ((OBJECT, a),), cod.hpaste(inv, cell), cod.sq_hid[cod.right(cell)])
 
     if "hcell-assoc" in live:
-        for (x, y) in sorted(dom.hcomp1):
-            for z in range(nh):
-                if dom.ht(y) != dom.hs(z):
-                    continue
-                lhs = cod.vpaste(
-                    f.comp_h[(dom.hcomp(x, y), z)],
-                    cod.hpaste(f.comp_h[(x, y)], cod.sq_vid[f.h(z)]),
-                )
-                rhs = cod.vpaste(
-                    f.comp_h[(x, dom.hcomp(y, z))],
-                    cod.hpaste(cod.sq_vid[f.h(x)], f.comp_h[(y, z)]),
-                )
-                col.eq("hcell-assoc", ((HCELL, x), (HCELL, y), (HCELL, z)), lhs, rhs)
+        hs, ht = _columns(dom.hcells, 2)
+        for x, y, z in _triples(dom.hcomp1, ht, hs):
+            lhs = cod.vpaste(
+                f.comp_h[(dom.hcomp(x, y), z)],
+                cod.hpaste(f.comp_h[(x, y)], cod.sq_vid[f.h(z)]),
+            )
+            rhs = cod.vpaste(
+                f.comp_h[(x, dom.hcomp(y, z))],
+                cod.hpaste(cod.sq_vid[f.h(x)], f.comp_h[(y, z)]),
+            )
+            col.eq("hcell-assoc", ((HCELL, x), (HCELL, y), (HCELL, z)), lhs, rhs)
     if "hcell-unit-left" in live:
         for x in range(nh):
             a = dom.hs(x)
@@ -376,19 +375,17 @@ def check_double_pseudo_functor(
             col.eq("hcell-unit-right", ((HCELL, x),), lhs, cod.sq_vid[f.h(x)])
 
     if "vcell-assoc" in live:
-        for (u, v) in sorted(dom.vcomp1):
-            for w in range(nv):
-                if dom.vt(v) != dom.vs(w):
-                    continue
-                lhs = cod.hpaste(
-                    cod.vpaste(f.comp_v[(u, v)], cod.sq_hid[f.v(w)]),
-                    f.comp_v[(dom.vcomp(u, v), w)],
-                )
-                rhs = cod.hpaste(
-                    cod.vpaste(cod.sq_hid[f.v(u)], f.comp_v[(v, w)]),
-                    f.comp_v[(u, dom.vcomp(v, w))],
-                )
-                col.eq("vcell-assoc", ((VCELL, u), (VCELL, v), (VCELL, w)), lhs, rhs)
+        vs, vt = _columns(dom.vcells, 2)
+        for u, v, w in _triples(dom.vcomp1, vt, vs):
+            lhs = cod.hpaste(
+                cod.vpaste(f.comp_v[(u, v)], cod.sq_hid[f.v(w)]),
+                f.comp_v[(dom.vcomp(u, v), w)],
+            )
+            rhs = cod.hpaste(
+                cod.vpaste(cod.sq_hid[f.v(u)], f.comp_v[(v, w)]),
+                f.comp_v[(u, dom.vcomp(v, w))],
+            )
+            col.eq("vcell-assoc", ((VCELL, u), (VCELL, v), (VCELL, w)), lhs, rhs)
     if "vcell-unit-left" in live:
         for u in range(nv):
             a = dom.vs(u)
@@ -508,10 +505,6 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
     )
 
 
-def transpose_strict(f: StrictDoubleFunctor, dom_t: DoubleCategory, cod_t: DoubleCategory) -> StrictDoubleFunctor:
-    return StrictDoubleFunctor(dom_t, cod_t, f.ob_map, f.v_map, f.h_map, f.sq_map, name=f.name)
-
-
 def transpose_pseudo(f: DoublePseudoFunctor, dom_t: DoubleCategory, cod_t: DoubleCategory) -> DoublePseudoFunctor:
     """Transposed functor between pre-transposed categories.
 
@@ -586,29 +579,6 @@ def pullback_projections(f, g, pb: DoubleCategory):
         name="p2",
     )
     return p1, p2
-
-
-def pair_into_pullback(f, g, pb: DoubleCategory, left, right, name="") -> StrictDoubleFunctor:
-    """The functor X -> pullback(f, g) induced by strict functors
-    left: X -> dom(f), right: X -> dom(g) with f.left == g.right."""
-    pairs = pullback_pairs(f, g)
-    index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
-
-    def pick(kind, pair):
-        try:
-            return index[kind][pair]
-        except KeyError:
-            raise StructureError(f"pairing does not land in the pullback at {kind} {pair}") from None
-
-    return StrictDoubleFunctor(
-        left.dom,
-        pb,
-        [pick(OBJECT, (left.ob(a), right.ob(a))) for a in range(left.dom.n_objects)],
-        [pick(HCELL, (left.h(x), right.h(x))) for x in range(len(left.dom.hcells))],
-        [pick(VCELL, (left.v(x), right.v(x))) for x in range(len(left.dom.vcells))],
-        [pick(SQUARE, (left.sq(x), right.sq(x))) for x in range(len(left.dom.squares))],
-        name=name,
-    )
 
 
 # ---------------------------------------------------------------------------

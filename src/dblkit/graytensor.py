@@ -143,9 +143,6 @@ class TensorContext:
             raise WordCapExceeded(f"composite word length {len(out.letters)} exceeds cap {cap}")
         return out
 
-    def identity_word(self, start) -> GrayWord:
-        return GrayWord(tuple(start), ())
-
     def describe(self, word: GrayWord) -> str:
         if not word.letters:
             return f"1@{word.start}"
@@ -584,9 +581,6 @@ class GrayTensorSkeleton:
 
     def compose_h(self, w1, w2):
         return self.hctx.compose(w1, w2, cap=self.cap)
-
-    def compose_v(self, w1, w2):
-        return self.vctx.compose(w1, w2, cap=self.cap)
 
 
 def two_category_tensor_context(a: TwoCategory, b: TwoCategory) -> TensorContext:

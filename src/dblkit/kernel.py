@@ -25,8 +25,6 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .report import AxiomReport, Budget, Collector
 
 OBJECT, HCELL, VCELL, SQUARE = "object", "hcell", "vcell", "square"
@@ -43,6 +41,70 @@ class NonComposable(StructureError):
 def _check_index(value, limit, what):
     if not isinstance(value, int) or not 0 <= value < limit:
         raise StructureError(f"{what}: index {value!r} out of range 0..{limit - 1}")
+
+
+# ---------------------------------------------------------------------------
+# composition tables
+#
+# Every table is a dict keyed by pairs (x, y) of cell ids, left argument
+# first.  Which pairs compose is given by two boundary lists of the same
+# length: (x, y) is composable exactly when ends[x] == starts[y] (target and
+# source for 1-cells, right and left edge for horizontal pasting, ...).
+
+
+def _columns(rows, width):
+    """The positions of the boundary tuples ``rows``, one list each."""
+    return [[row[i] for row in rows] for i in range(width)]
+
+
+def _by(keys):
+    """Boundary index: ``key -> ascending list of the ids x with keys[x] == key``."""
+    index = {}
+    for x, key in enumerate(keys):
+        index.setdefault(key, []).append(x)
+    return index
+
+
+def _check_table(table, ends, starts, entry, wrong_keys):
+    """Raise StructureError unless the keys of ``table`` are exactly the
+    composable pairs and every value is a cell id below ``len(ends)``.
+
+    ``wrong_keys`` is the message for a wrong key set, formatted with the
+    sorted lists ``extra`` and ``missing`` and the first three ``bad`` keys;
+    ``entry`` is formatted with the key of an out-of-range value."""
+    by_start = _by(starts)
+    composable = {(x, y) for x, end in enumerate(ends) for y in by_start.get(end, ())}
+    if table.keys() != composable:
+        extra, missing = set(table) - composable, composable - set(table)
+        raise StructureError(
+            wrong_keys.format(extra=sorted(extra), missing=sorted(missing), bad=sorted(extra | missing)[:3])
+        )
+    n = len(ends)
+    for key, z in table.items():
+        if not isinstance(z, int) or not 0 <= z < n:
+            _check_index(z, n, entry.format(key))
+
+
+def _triples(table, ends, starts):
+    """The composable triples (x, y, z), lexicographically."""
+    by_start = _by(starts)
+    for x, y in sorted(table):
+        for z in by_start.get(ends[y], ()):
+            yield x, y, z
+
+
+def _associativity(col, law, kind, table, ends, starts):
+    """Record ``(x;y);z == x;(y;z)`` for every composable triple."""
+    for x, y, z in _triples(table, ends, starts):
+        col.eq(law, ((kind, x), (kind, y), (kind, z)), table[(table[(x, y)], z)], table[(x, table[(y, z)])])
+
+
+def _units(col, left_law, right_law, kind, table, ends, starts, unit):
+    """Record ``unit[starts[x]];x == x`` and ``x;unit[ends[x]] == x`` for
+    every cell x, the two laws of one cell together."""
+    for x, (end, start) in enumerate(zip(ends, starts)):
+        col.eq(left_law, ((kind, x),), table[(unit[start], x)], x)
+        col.eq(right_law, ((kind, x),), table[(x, unit[end])], x)
 
 
 # ---------------------------------------------------------------------------
@@ -86,39 +148,24 @@ class FiniteCategory:
             _check_index(i, len(self.mor), f"identity of object {a}")
             if self.mor[i] != (a, a):
                 raise StructureError(f"identity of object {a} has boundary {self.mor[i]}")
-        composable = {
-            (f, g)
-            for f in range(len(self.mor))
-            for g in range(len(self.mor))
-            if self.tgt(f) == self.src(g)
-        }
-        if set(self.comp) != composable:
-            extra = set(self.comp) - composable
-            missing = composable - set(self.comp)
-            raise StructureError(
-                f"composition table keys wrong; extra={sorted(extra)} missing={sorted(missing)}"
-            )
+        src, tgt = _columns(self.mor, 2)
+        _check_table(
+            self.comp,
+            tgt,
+            src,
+            "composite of {}",
+            "composition table keys wrong; extra={extra} missing={missing}",
+        )
         for (f, g), h in self.comp.items():
-            _check_index(h, len(self.mor), f"composite of {(f, g)}")
             if self.mor[h] != (self.src(f), self.tgt(g)):
                 raise StructureError(f"composite of {(f, g)} has wrong boundary")
 
     def check(self, budget=None) -> AxiomReport:
-        """Associativity and unit laws, by enumeration."""
+        """Unit and associativity laws, by enumeration."""
         col = Collector("finite-category", budget)
-        n = len(self.mor)
-        for f in range(n):
-            col.eq("left-unit", (("mor", f),), self.then(self.ids[self.src(f)], f), f)
-            col.eq("right-unit", (("mor", f),), self.then(f, self.ids[self.tgt(f)]), f)
-        for (f, g) in sorted(self.comp):
-            for h in range(n):
-                if self.tgt(g) == self.src(h):
-                    col.eq(
-                        "associativity",
-                        (("mor", f), ("mor", g), ("mor", h)),
-                        self.then(self.then(f, g), h),
-                        self.then(f, self.then(g, h)),
-                    )
+        src, tgt = _columns(self.mor, 2)
+        _units(col, "left-unit", "right-unit", "mor", self.comp, tgt, src, self.ids)
+        _associativity(col, "associativity", "mor", self.comp, tgt, src)
         return col.done()
 
 
@@ -144,7 +191,6 @@ class DoubleCategory:
         sq_vid,
         sq_hid,
         names=None,
-        validate=True,
     ):
         self.n_objects = int(n_objects)
         self.hcells = [tuple(x) for x in hcells]
@@ -161,8 +207,7 @@ class DoubleCategory:
         self.names = names or {}
         self._sq_by_top = None
         self._sq_by_tl = None
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- boundary accessors
 
@@ -234,43 +279,20 @@ class DoubleCategory:
             out = self.vpaste(out, s)
         return out
 
-    def hcomp_list(self, obj, cells):
-        """Composite of a possibly empty chain of hcells starting at obj."""
-        out = self.hid[obj]
-        for f in cells:
-            out = self.hcomp(out, f)
-        return out
-
-    def vcomp_list(self, obj, cells):
-        out = self.vid[obj]
-        for u in cells:
-            out = self.vcomp(out, u)
-        return out
-
     def is_vglobular(self, s):
         t, b, l, r = self.squares[s]
         return l == self.vid[self.hs(t)] and r == self.vid[self.ht(t)]
-
-    def is_hglobular(self, s):
-        t, b, l, r = self.squares[s]
-        return t == self.hid[self.vs(l)] and b == self.hid[self.vt(l)]
 
     # -- derived indexes
 
     def squares_by_top(self):
         if self._sq_by_top is None:
-            by = {}
-            for s, (t, _, _, _) in enumerate(self.squares):
-                by.setdefault(t, []).append(s)
-            self._sq_by_top = by
+            self._sq_by_top = _by([t for t, _, _, _ in self.squares])
         return self._sq_by_top
 
     def squares_by_top_left(self):
         if self._sq_by_tl is None:
-            by = {}
-            for s, (t, _, l, _) in enumerate(self.squares):
-                by.setdefault((t, l), []).append(s)
-            self._sq_by_tl = by
+            self._sq_by_tl = _by([(t, l) for t, _, l, _ in self.squares])
         return self._sq_by_tl
 
     def name_of(self, kind, index):
@@ -332,44 +354,21 @@ class DoubleCategory:
         # non-composable pair is a structural error naming the entry); value
         # boundary correctness, by contrast, is a checkable law so that a
         # flipped entry surfaces as a named violation, not a crash
-        composable_h1 = {
-            (f, g) for f in range(nh) for g in range(nh) if self.ht(f) == self.hs(g)
-        }
-        if set(self.hcomp1) != composable_h1:
-            bad = sorted(set(self.hcomp1) ^ composable_h1)
-            raise StructureError(f"hcomp1 keys must be the composable hcell pairs; first bad: {bad[:3]}")
-        for key, h in self.hcomp1.items():
-            _check_index(h, nh, f"hcomp1 entry {key}")
-        composable_v1 = {
-            (u, v) for u in range(nv) for v in range(nv) if self.vt(u) == self.vs(v)
-        }
-        if set(self.vcomp1) != composable_v1:
-            bad = sorted(set(self.vcomp1) ^ composable_v1)
-            raise StructureError(f"vcomp1 keys must be the composable vcell pairs; first bad: {bad[:3]}")
-        for key, w in self.vcomp1.items():
-            _check_index(w, nv, f"vcomp1 entry {key}")
-        composable_h2 = {
-            (a, b)
-            for a in range(ns)
-            for b in range(ns)
-            if self.right(a) == self.left(b)
-        }
-        if set(self.hcomp2) != composable_h2:
-            bad = sorted(set(self.hcomp2) ^ composable_h2)
-            raise StructureError(f"hcomp2 keys must be the pastable square pairs; first bad: {bad[:3]}")
-        for key, c in self.hcomp2.items():
-            _check_index(c, ns, f"hcomp2 entry {key}")
-        composable_v2 = {
-            (a, b)
-            for a in range(ns)
-            for b in range(ns)
-            if self.bottom(a) == self.top(b)
-        }
-        if set(self.vcomp2) != composable_v2:
-            bad = sorted(set(self.vcomp2) ^ composable_v2)
-            raise StructureError(f"vcomp2 keys must be the pastable square pairs; first bad: {bad[:3]}")
-        for key, c in self.vcomp2.items():
-            _check_index(c, ns, f"vcomp2 entry {key}")
+        hs, ht = _columns(self.hcells, 2)
+        vs, vt = _columns(self.vcells, 2)
+        top, bottom, left, right = _columns(self.squares, 4)
+        _check_table(
+            self.hcomp1, ht, hs, "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"
+        )
+        _check_table(
+            self.vcomp1, vt, vs, "vcomp1 entry {}", "vcomp1 keys must be the composable vcell pairs; first bad: {bad}"
+        )
+        _check_table(
+            self.hcomp2, right, left, "hcomp2 entry {}", "hcomp2 keys must be the pastable square pairs; first bad: {bad}"
+        )
+        _check_table(
+            self.vcomp2, bottom, top, "vcomp2 entry {}", "vcomp2 keys must be the pastable square pairs; first bad: {bad}"
+        )
 
     def table_boundary_violations(self, col) -> None:
         """Record a violation for every table entry whose value has the wrong
@@ -418,81 +417,31 @@ class DoubleCategory:
 # the exhaustive checker
 
 
-def _chunks(seq, n):
-    seq = list(seq)
-    if n <= 1 or len(seq) < 2 * n:
-        return [seq]
-    size = (len(seq) + n - 1) // n
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def check_double_category(d: DoubleCategory, budget: Budget | None = None, jobs: int = 1) -> AxiomReport:
+def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> AxiomReport:
     """Verify every strict double-category law by exhaustive enumeration.
 
     Violations carry the law name and a minimal witness tuple; enumeration is
-    lexicographic in cell ids so reports are deterministic.  With ``jobs > 1``
-    the interchange grid (the dominant cost) is partitioned across worker
-    threads and the partial reports are merged back in witness order.
+    lexicographic in cell ids so reports are deterministic.  Every instance,
+    the interchange grid included, is charged to the one ``budget``.
     """
     col = Collector("double-category", budget)
-    nh, nv = len(d.hcells), len(d.vcells)
     d.table_boundary_violations(col)
     if col.report.violations:
         # laws cannot be evaluated over boundary-incoherent tables
         col.assume("equational laws not evaluated: table entries have wrong boundaries")
         return col.done()
 
-    for (f, g) in sorted(d.hcomp1):
-        for h in range(nh):
-            if d.ht(g) == d.hs(h):
-                col.eq(
-                    "hcomp1-associativity",
-                    ((HCELL, f), (HCELL, g), (HCELL, h)),
-                    d.hcomp(d.hcomp(f, g), h),
-                    d.hcomp(f, d.hcomp(g, h)),
-                )
-    for f in range(nh):
-        col.eq("hcomp1-left-unit", ((HCELL, f),), d.hcomp(d.hid[d.hs(f)], f), f)
-        col.eq("hcomp1-right-unit", ((HCELL, f),), d.hcomp(f, d.hid[d.ht(f)]), f)
-    for (u, v) in sorted(d.vcomp1):
-        for w in range(nv):
-            if d.vt(v) == d.vs(w):
-                col.eq(
-                    "vcomp1-associativity",
-                    ((VCELL, u), (VCELL, v), (VCELL, w)),
-                    d.vcomp(d.vcomp(u, v), w),
-                    d.vcomp(u, d.vcomp(v, w)),
-                )
-    for u in range(nv):
-        col.eq("vcomp1-left-unit", ((VCELL, u),), d.vcomp(d.vid[d.vs(u)], u), u)
-        col.eq("vcomp1-right-unit", ((VCELL, u),), d.vcomp(u, d.vid[d.vt(u)]), u)
-
-    by_left = {}
-    for s, (_, _, l, _) in enumerate(d.squares):
-        by_left.setdefault(l, []).append(s)
-    for (a, b) in sorted(d.hcomp2):
-        for c in by_left.get(d.right(b), ()):
-            col.eq(
-                "hcomp2-associativity",
-                ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
-                d.hpaste(d.hpaste(a, b), c),
-                d.hpaste(a, d.hpaste(b, c)),
-            )
-    for s in range(len(d.squares)):
-        col.eq("hcomp2-unit", ((SQUARE, s),), d.hpaste(d.sq_hid[d.left(s)], s), s)
-        col.eq("hcomp2-unit", ((SQUARE, s),), d.hpaste(s, d.sq_hid[d.right(s)]), s)
-    by_top = d.squares_by_top()
-    for (a, b) in sorted(d.vcomp2):
-        for c in by_top.get(d.bottom(b), ()):
-            col.eq(
-                "vcomp2-associativity",
-                ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
-                d.vpaste(d.vpaste(a, b), c),
-                d.vpaste(a, d.vpaste(b, c)),
-            )
-    for s in range(len(d.squares)):
-        col.eq("vcomp2-unit", ((SQUARE, s),), d.vpaste(d.sq_vid[d.top(s)], s), s)
-        col.eq("vcomp2-unit", ((SQUARE, s),), d.vpaste(s, d.sq_vid[d.bottom(s)]), s)
+    hs, ht = _columns(d.hcells, 2)
+    vs, vt = _columns(d.vcells, 2)
+    top, bottom, left, right = _columns(d.squares, 4)
+    _associativity(col, "hcomp1-associativity", HCELL, d.hcomp1, ht, hs)
+    _units(col, "hcomp1-left-unit", "hcomp1-right-unit", HCELL, d.hcomp1, ht, hs, d.hid)
+    _associativity(col, "vcomp1-associativity", VCELL, d.vcomp1, vt, vs)
+    _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, d.vcomp1, vt, vs, d.vid)
+    _associativity(col, "hcomp2-associativity", SQUARE, d.hcomp2, right, left)
+    _units(col, "hcomp2-unit", "hcomp2-unit", SQUARE, d.hcomp2, right, left, d.sq_hid)
+    _associativity(col, "vcomp2-associativity", SQUARE, d.vcomp2, bottom, top)
+    _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, d.vcomp2, bottom, top, d.sq_vid)
 
     for (f, g) in sorted(d.hcomp1):
         col.eq(
@@ -515,32 +464,25 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None, jobs:
             d.sq_vid[d.hid[a]],
             d.sq_hid[d.vid[a]],
         )
-
-    # interchange: (a/c) | (b/d) == (a|b) / (c|d) over every 2x2 grid
-    by_tl = d.squares_by_top_left()
-
-    def interchange_chunk(pairs):
-        sub = Collector("double-category", Budget(col.budget.max_tuples))
-        for (a, b) in pairs:
-            for c in by_top.get(d.bottom(a), ()):
-                for one in by_tl.get((d.bottom(b), d.right(c)), ()):
-                    sub.eq(
-                        "interchange",
-                        ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, one)),
-                        d.hpaste(d.vpaste(a, c), d.vpaste(b, one)),
-                        d.vpaste(d.hpaste(a, b), d.hpaste(c, one)),
-                    )
-        return sub
-
-    pair_chunks = _chunks(sorted(d.hcomp2), jobs)
-    if len(pair_chunks) == 1:
-        subs = [interchange_chunk(pair_chunks[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=len(pair_chunks)) as pool:
-            subs = list(pool.map(interchange_chunk, pair_chunks))
-    for sub in subs:
-        col.report.absorb(sub.done())
+    _interchange(col, d)
     return col.done()
+
+
+def _interchange(col, d):
+    """Record ``(a/c) | (b/e) == (a|b) / (c|e)`` over every 2x2 grid of
+    squares; the tables must have passed the boundary laws."""
+    by_top = d.squares_by_top()
+    by_tl = d.squares_by_top_left()
+    h2, v2 = d.hcomp2, d.vcomp2
+    for (a, b) in sorted(h2):
+        for c in by_top.get(d.bottom(a), ()):
+            for e in by_tl.get((d.bottom(b), d.right(c)), ()):
+                col.eq(
+                    "interchange",
+                    ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, e)),
+                    h2[(v2[(a, c)], v2[(b, e)])],
+                    v2[(h2[(a, b)], h2[(c, e)])],
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -614,14 +556,18 @@ def quintet(c: FiniteCategory) -> DoubleCategory:
                     if (c.src(b), c.tgt(b)) == (c.tgt(l), c.tgt(r)) and c.then(l, b) == diag:
                         square_index[(t, b, l, r)] = len(square_list)
                         square_list.append((t, b, l, r))
-    hcomp2 = {}
-    vcomp2 = {}
-    for i, (t, b, l, r) in enumerate(square_list):
-        for j, (t2, b2, l2, r2) in enumerate(square_list):
-            if r == l2:
-                hcomp2[(i, j)] = square_index[(c.then(t, t2), c.then(b, b2), l, r2)]
-            if b == t2:
-                vcomp2[(i, j)] = square_index[(t, b2, c.then(l, l2), c.then(r, r2))]
+    top, bottom, left, right = _columns(square_list, 4)
+    by_left, by_top = _by(left), _by(top)
+    hcomp2 = {
+        (i, j): square_index[(c.then(t, top[j]), c.then(b, bottom[j]), l, right[j])]
+        for i, (t, b, l, r) in enumerate(square_list)
+        for j in by_left.get(r, ())
+    }
+    vcomp2 = {
+        (i, j): square_index[(t, bottom[j], c.then(l, left[j]), c.then(r, right[j]))]
+        for i, (t, b, l, r) in enumerate(square_list)
+        for j in by_top.get(b, ())
+    }
     mor_names = c.names.get("mor")
     names = None
     if mor_names:
@@ -737,48 +683,23 @@ def product(d1: DoubleCategory, d2: DoubleCategory) -> DoubleCategory:
     )
 
 
-def product_pair_index(d1: DoubleCategory, d2: DoubleCategory):
-    """Index maps for the product: kind -> ((i, j) -> paired index)."""
-    counts = {
-        OBJECT: d2.n_objects,
-        HCELL: len(d2.hcells),
-        VCELL: len(d2.vcells),
-        SQUARE: len(d2.squares),
-    }
-    return {kind: (lambda i, j, n=n: i * n + j) for kind, n in counts.items()}
-
-
 def pullback_pairs(f, g):
     """Matching cell pairs (per kind, lexicographic) of two functors into a
     common codomain; duck-typed over anything with ob/h/v/sq maps."""
     if not same_category(f.cod, g.cod):
         raise StructureError("pullback requires a common codomain")
-    pairs = {}
-    pairs[OBJECT] = [
-        (a, b)
-        for a in range(f.dom.n_objects)
-        for b in range(g.dom.n_objects)
-        if f.ob(a) == g.ob(b)
-    ]
-    pairs[HCELL] = [
-        (x, y)
-        for x in range(len(f.dom.hcells))
-        for y in range(len(g.dom.hcells))
-        if f.h(x) == g.h(y)
-    ]
-    pairs[VCELL] = [
-        (x, y)
-        for x in range(len(f.dom.vcells))
-        for y in range(len(g.dom.vcells))
-        if f.v(x) == g.v(y)
-    ]
-    pairs[SQUARE] = [
-        (x, y)
-        for x in range(len(f.dom.squares))
-        for y in range(len(g.dom.squares))
-        if f.sq(x) == g.sq(y)
-    ]
-    return pairs
+
+    def matching(n1, n2, map1, map2):
+        by_image = _by([map2(y) for y in range(n2)])
+        return [(x, y) for x in range(n1) for y in by_image.get(map1(x), ())]
+
+    d1, d2 = f.dom, g.dom
+    return {
+        OBJECT: matching(d1.n_objects, d2.n_objects, f.ob, g.ob),
+        HCELL: matching(len(d1.hcells), len(d2.hcells), f.h, g.h),
+        VCELL: matching(len(d1.vcells), len(d2.vcells), f.v, g.v),
+        SQUARE: matching(len(d1.squares), len(d2.squares), f.sq, g.sq),
+    }
 
 
 def pullback(f, g) -> DoubleCategory:
@@ -817,24 +738,22 @@ def pullback(f, g) -> DoubleCategory:
         )
         for (x, y) in pairs[SQUARE]
     ]
-    hcomp1 = {}
-    for i, (x1, y1) in enumerate(pairs[HCELL]):
-        for j, (x2, y2) in enumerate(pairs[HCELL]):
-            if d1.ht(x1) == d1.hs(x2) and d2.ht(y1) == d2.hs(y2):
-                hcomp1[(i, j)] = look(HCELL, (d1.hcomp(x1, x2), d2.hcomp(y1, y2)), "hcomp1")
-    vcomp1 = {}
-    for i, (x1, y1) in enumerate(pairs[VCELL]):
-        for j, (x2, y2) in enumerate(pairs[VCELL]):
-            if d1.vt(x1) == d1.vs(x2) and d2.vt(y1) == d2.vs(y2):
-                vcomp1[(i, j)] = look(VCELL, (d1.vcomp(x1, x2), d2.vcomp(y1, y2)), "vcomp1")
-    hcomp2 = {}
-    vcomp2 = {}
-    for i, (x1, y1) in enumerate(pairs[SQUARE]):
-        for j, (x2, y2) in enumerate(pairs[SQUARE]):
-            if d1.right(x1) == d1.left(x2) and d2.right(y1) == d2.left(y2):
-                hcomp2[(i, j)] = look(SQUARE, (d1.hpaste(x1, x2), d2.hpaste(y1, y2)), "hcomp2")
-            if d1.bottom(x1) == d1.top(x2) and d2.bottom(y1) == d2.top(y2):
-                vcomp2[(i, j)] = look(SQUARE, (d1.vpaste(x1, x2), d2.vpaste(y1, y2)), "vcomp2")
+
+    def joined(kind, end1, start1, end2, start2, table1, table2, what):
+        # pairs (i, j) of matching pairs that compose in both factors, by a
+        # join on the boundary index, in lexicographic order
+        ps = pairs[kind]
+        by_start = _by([(start1(x), start2(y)) for x, y in ps])
+        return {
+            (i, j): look(kind, (table1[(x, ps[j][0])], table2[(y, ps[j][1])]), what)
+            for i, (x, y) in enumerate(ps)
+            for j in by_start.get((end1(x), end2(y)), ())
+        }
+
+    hcomp1 = joined(HCELL, d1.ht, d1.hs, d2.ht, d2.hs, d1.hcomp1, d2.hcomp1, "hcomp1")
+    vcomp1 = joined(VCELL, d1.vt, d1.vs, d2.vt, d2.vs, d1.vcomp1, d2.vcomp1, "vcomp1")
+    hcomp2 = joined(SQUARE, d1.right, d1.left, d2.right, d2.left, d1.hcomp2, d2.hcomp2, "hcomp2")
+    vcomp2 = joined(SQUARE, d1.bottom, d1.top, d2.bottom, d2.top, d1.vcomp2, d2.vcomp2, "vcomp2")
     return DoubleCategory(
         len(pairs[OBJECT]),
         hcells,
@@ -941,7 +860,7 @@ class TwoCategory:
         return f"{kind}{index}"
 
     def _validate(self):
-        n1, n2 = len(self.onecells), len(self.twocells)
+        n1 = len(self.onecells)
         for f, (a, b) in enumerate(self.onecells):
             _check_index(a, self.n_objects, f"1-cell {f} source")
             _check_index(b, self.n_objects, f"1-cell {f} target")
@@ -958,26 +877,7 @@ class TwoCategory:
         for f, i in enumerate(self.id2):
             if self.twocells[i] != (f, f):
                 raise StructureError(f"identity 2-cell of 1-cell {f} has wrong boundary")
-        composable1 = {(f, g) for f in range(n1) for g in range(n1) if self.t1(f) == self.s1(g)}
-        if set(self.comp1) != composable1:
-            raise StructureError("comp1 must be keyed on exactly the composable 1-cell pairs")
-        for key, h in self.comp1.items():
-            _check_index(h, n1, f"comp1 entry {key}")
-        composable_v = {(a, b) for a in range(n2) for b in range(n2) if self.t2(a) == self.s2(b)}
-        if set(self.vcomp2) != composable_v:
-            raise StructureError("vcomp2 must be keyed on exactly the vertically composable pairs")
-        for key, c in self.vcomp2.items():
-            _check_index(c, n2, f"vcomp2 entry {key}")
-        composable_h = {
-            (a, b)
-            for a in range(n2)
-            for b in range(n2)
-            if self.t1(self.s2(a)) == self.s1(self.s2(b))
-        }
-        if set(self.hcomp2) != composable_h:
-            raise StructureError("hcomp2 must be keyed on exactly the horizontally composable pairs")
-        for key, c in self.hcomp2.items():
-            _check_index(c, n2, f"hcomp2 entry {key}")
+        _check_globular_tables(self)
 
     def table_boundary_violations(self, col) -> None:
         for (f, g), h in sorted(self.comp1.items()):
@@ -1003,59 +903,37 @@ class TwoCategory:
             )
 
 
+def _check_globular_tables(t):
+    """Key and value checks of ``comp1``, ``vcomp2`` and ``hcomp2`` of a
+    2-category or bicategory."""
+    s1, t1 = _columns(t.onecells, 2)
+    s2, t2 = _columns(t.twocells, 2)
+    _check_table(t.comp1, t1, s1, "comp1 entry {}", "comp1 must be keyed on exactly the composable 1-cell pairs")
+    _check_table(t.vcomp2, t2, s2, "vcomp2 entry {}", "vcomp2 must be keyed on exactly the vertically composable pairs")
+    _check_table(
+        t.hcomp2,
+        [t1[f] for f in s2],
+        [s1[f] for f in s2],
+        "hcomp2 entry {}",
+        "hcomp2 must be keyed on exactly the horizontally composable pairs",
+    )
+
+
 def check_two_category(t: TwoCategory, budget: Budget | None = None) -> AxiomReport:
     col = Collector("two-category", budget)
-    n1, n2 = len(t.onecells), len(t.twocells)
     t.table_boundary_violations(col)
     if col.report.violations:
         col.assume("equational laws not evaluated: table entries have wrong boundaries")
         return col.done()
-    for (f, g) in sorted(t.comp1):
-        for h in range(n1):
-            if t.t1(g) == t.s1(h):
-                col.eq(
-                    "comp1-associativity",
-                    (("onecell", f), ("onecell", g), ("onecell", h)),
-                    t.then1(t.then1(f, g), h),
-                    t.then1(f, t.then1(g, h)),
-                )
-    for f in range(n1):
-        col.eq("comp1-left-unit", (("onecell", f),), t.then1(t.id1[t.s1(f)], f), f)
-        col.eq("comp1-right-unit", (("onecell", f),), t.then1(f, t.id1[t.t1(f)]), f)
-    for (a, b) in sorted(t.vcomp2):
-        for c in range(n2):
-            if t.t2(b) == t.s2(c):
-                col.eq(
-                    "vcomp2-associativity",
-                    (("twocell", a), ("twocell", b), ("twocell", c)),
-                    t.vert(t.vert(a, b), c),
-                    t.vert(a, t.vert(b, c)),
-                )
-    for a in range(n2):
-        col.eq("vcomp2-unit", (("twocell", a),), t.vert(t.id2[t.s2(a)], a), a)
-        col.eq("vcomp2-unit", (("twocell", a),), t.vert(a, t.id2[t.t2(a)]), a)
-    for (a, b) in sorted(t.hcomp2):
-        for c in range(n2):
-            if t.t1(t.s2(b)) == t.s1(t.s2(c)):
-                col.eq(
-                    "hcomp2-associativity",
-                    (("twocell", a), ("twocell", b), ("twocell", c)),
-                    t.horiz(t.horiz(a, b), c),
-                    t.horiz(a, t.horiz(b, c)),
-                )
-    for a in range(n2):
-        col.eq(
-            "hcomp2-unit",
-            (("twocell", a),),
-            t.horiz(t.id2[t.id1[t.s1(t.s2(a))]], a),
-            a,
-        )
-        col.eq(
-            "hcomp2-unit",
-            (("twocell", a),),
-            t.horiz(a, t.id2[t.id1[t.t1(t.s2(a))]]),
-            a,
-        )
+    s1, t1 = _columns(t.onecells, 2)
+    s2, t2 = _columns(t.twocells, 2)
+    h_ends, h_starts = [t1[f] for f in s2], [s1[f] for f in s2]
+    _associativity(col, "comp1-associativity", "onecell", t.comp1, t1, s1)
+    _units(col, "comp1-left-unit", "comp1-right-unit", "onecell", t.comp1, t1, s1, t.id1)
+    _associativity(col, "vcomp2-associativity", "twocell", t.vcomp2, t2, s2)
+    _units(col, "vcomp2-unit", "vcomp2-unit", "twocell", t.vcomp2, t2, s2, t.id2)
+    _associativity(col, "hcomp2-associativity", "twocell", t.hcomp2, h_ends, h_starts)
+    _units(col, "hcomp2-unit", "hcomp2-unit", "twocell", t.hcomp2, h_ends, h_starts, [t.id2[f] for f in t.id1])
     for (f, g) in sorted(t.comp1):
         col.eq(
             "identity-2-functoriality",
@@ -1063,18 +941,16 @@ def check_two_category(t: TwoCategory, budget: Budget | None = None) -> AxiomRep
             t.id2[t.then1(f, g)],
             t.horiz(t.id2[f], t.id2[g]),
         )
+    by_s2 = _by(s2)
     for (a, b) in sorted(t.hcomp2):
-        for a2 in range(n2):
-            if t.t2(a) != t.s2(a2):
-                continue
-            for b2 in range(n2):
-                if t.t2(b) == t.s2(b2):
-                    col.eq(
-                        "interchange",
-                        (("twocell", a), ("twocell", b), ("twocell", a2), ("twocell", b2)),
-                        t.horiz(t.vert(a, a2), t.vert(b, b2)),
-                        t.vert(t.horiz(a, b), t.horiz(a2, b2)),
-                    )
+        for a2 in by_s2.get(t2[a], ()):
+            for b2 in by_s2.get(t2[b], ()):
+                col.eq(
+                    "interchange",
+                    (("twocell", a), ("twocell", b), ("twocell", a2), ("twocell", b2)),
+                    t.horiz(t.vert(a, a2), t.vert(b, b2)),
+                    t.vert(t.horiz(a, b), t.horiz(a2, b2)),
+                )
     return col.done()
 
 

@@ -154,9 +154,3 @@ class Collector:
     def done(self) -> AxiomReport:
         return self.report.finish()
 
-
-def combine(subject: str, parts: list[AxiomReport]) -> AxiomReport:
-    out = AxiomReport(subject)
-    for p in parts:
-        out.absorb(p, prefix=f"{p.subject}: " if p.subject else "")
-    return out.finish()

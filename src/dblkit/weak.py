@@ -22,7 +22,14 @@ from .kernel import (
     DoubleCategory,
     NonComposable,
     StructureError,
+    _associativity,
+    _by,
+    _check_globular_tables,
     _check_index,
+    _columns,
+    _interchange,
+    _triples,
+    _units,
 )
 from .report import AxiomReport, Budget, Collector
 
@@ -45,12 +52,8 @@ class PseudoDoubleCategory(DoubleCategory):
 
     def _validate_pseudo(self):
         nh = len(self.hcells)
-        triples = {
-            (f, g, h)
-            for (f, g) in self.hcomp1
-            for h in range(nh)
-            if self.ht(g) == self.hs(h)
-        }
+        hs, ht = _columns(self.hcells, 2)
+        triples = set(_triples(self.hcomp1, ht, hs))
         if set(self.assoc) != triples or set(self.assoc_inv) != triples:
             raise StructureError("associator must be keyed on exactly the composable hcell triples")
         for (f, g, h), s in self.assoc.items():
@@ -68,12 +71,8 @@ class PseudoDoubleCategory(DoubleCategory):
 
 def as_pseudo(d: DoubleCategory) -> PseudoDoubleCategory:
     """View a strict double category as a pseudo one with identity constraints."""
-    assoc = {
-        (f, g, h): d.sq_vid[d.hcomp(d.hcomp(f, g), h)]
-        for (f, g) in d.hcomp1
-        for h in range(len(d.hcells))
-        if d.ht(g) == d.hs(h)
-    }
+    hs, ht = _columns(d.hcells, 2)
+    assoc = {(f, g, h): d.sq_vid[d.hcomp(d.hcomp(f, g), h)] for f, g, h in _triples(d.hcomp1, ht, hs)}
     return PseudoDoubleCategory(
         d.n_objects,
         d.hcells,
@@ -107,36 +106,19 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
     """Pentagon, triangle, naturality of the constraints, functoriality of
     horizontal pasting, and the strict vertical laws, all by enumeration."""
     col = Collector("pseudo-double-category", budget)
-    nh, nv, ns = len(p.hcells), len(p.vcells), len(p.squares)
+    nh, ns = len(p.hcells), len(p.squares)
     p.table_boundary_violations(col)
     if col.report.violations:
         col.assume("equational laws not evaluated: table entries have wrong boundaries")
         return col.done()
 
-    for (u, v) in sorted(p.vcomp1):
-        for w in range(nv):
-            if p.vt(v) == p.vs(w):
-                col.eq(
-                    "vcomp1-associativity",
-                    ((VCELL, u), (VCELL, v), (VCELL, w)),
-                    p.vcomp(p.vcomp(u, v), w),
-                    p.vcomp(u, p.vcomp(v, w)),
-                )
-    for u in range(nv):
-        col.eq("vcomp1-left-unit", ((VCELL, u),), p.vcomp(p.vid[p.vs(u)], u), u)
-        col.eq("vcomp1-right-unit", ((VCELL, u),), p.vcomp(u, p.vid[p.vt(u)]), u)
-    by_top = p.squares_by_top()
-    for (a, b) in sorted(p.vcomp2):
-        for c in by_top.get(p.bottom(b), ()):
-            col.eq(
-                "vcomp2-associativity",
-                ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
-                p.vpaste(p.vpaste(a, b), c),
-                p.vpaste(a, p.vpaste(b, c)),
-            )
-    for s in range(ns):
-        col.eq("vcomp2-unit", ((SQUARE, s),), p.vpaste(p.sq_vid[p.top(s)], s), s)
-        col.eq("vcomp2-unit", ((SQUARE, s),), p.vpaste(s, p.sq_vid[p.bottom(s)]), s)
+    hs, ht = _columns(p.hcells, 2)
+    vs, vt = _columns(p.vcells, 2)
+    top, bottom, left, right = _columns(p.squares, 4)
+    _associativity(col, "vcomp1-associativity", VCELL, p.vcomp1, vt, vs)
+    _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, p.vcomp1, vt, vs, p.vid)
+    _associativity(col, "vcomp2-associativity", SQUARE, p.vcomp2, bottom, top)
+    _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, p.vcomp2, bottom, top, p.sq_vid)
 
     for (f, g) in sorted(p.hcomp1):
         col.eq(
@@ -145,16 +127,7 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
             p.sq_vid[p.hcomp(f, g)],
             p.hpaste(p.sq_vid[f], p.sq_vid[g]),
         )
-    by_tl = p.squares_by_top_left()
-    for (a, b) in sorted(p.hcomp2):
-        for c in by_top.get(p.bottom(a), ()):
-            for e in by_tl.get((p.bottom(b), p.right(c)), ()):
-                col.eq(
-                    "interchange",
-                    ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, e)),
-                    p.hpaste(p.vpaste(a, c), p.vpaste(b, e)),
-                    p.vpaste(p.hpaste(a, b), p.hpaste(c, e)),
-                )
+    _interchange(col, p)
 
     for key in sorted(p.assoc):
         _vertically_inverse(
@@ -165,18 +138,15 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
         _vertically_inverse(p, p.runit[f], p.runit_inv[f], col, "right-unitor-invertibility", ((HCELL, f),))
 
     # naturality of the three constraint families
-    for (a, b) in sorted(p.hcomp2):
-        for c in range(ns):
-            if p.right(b) != p.left(c):
-                continue
-            tri = (p.top(a), p.top(b), p.top(c))
-            bot = (p.bottom(a), p.bottom(b), p.bottom(c))
-            col.eq(
-                "associator-naturality",
-                ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
-                p.vpaste(p.assoc[tri], p.hpaste(a, p.hpaste(b, c))),
-                p.vpaste(p.hpaste(p.hpaste(a, b), c), p.assoc[bot]),
-            )
+    for a, b, c in _triples(p.hcomp2, right, left):
+        tri = (top[a], top[b], top[c])
+        bot = (bottom[a], bottom[b], bottom[c])
+        col.eq(
+            "associator-naturality",
+            ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
+            p.vpaste(p.assoc[tri], p.hpaste(a, p.hpaste(b, c))),
+            p.vpaste(p.hpaste(p.hpaste(a, b), c), p.assoc[bot]),
+        )
     for s in range(ns):
         t, b, l, r = p.squares[s]
         col.eq(
@@ -193,23 +163,19 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
         )
 
     # pentagon and triangle
-    for (f, g) in sorted(p.hcomp1):
-        for h in range(nh):
-            if p.ht(g) != p.hs(h):
-                continue
-            for k in range(nh):
-                if p.ht(h) != p.hs(k):
-                    continue
-                col.eq(
-                    "pentagon",
-                    ((HCELL, f), (HCELL, g), (HCELL, h), (HCELL, k)),
-                    p.vcol(p.assoc[(p.hcomp(f, g), h, k)], p.assoc[(f, g, p.hcomp(h, k))]),
-                    p.vcol(
-                        p.hpaste(p.assoc[(f, g, h)], p.sq_vid[k]),
-                        p.assoc[(f, p.hcomp(g, h), k)],
-                        p.hpaste(p.sq_vid[f], p.assoc[(g, h, k)]),
-                    ),
-                )
+    by_hs = _by(hs)
+    for f, g, h in _triples(p.hcomp1, ht, hs):
+        for k in by_hs.get(ht[h], ()):
+            col.eq(
+                "pentagon",
+                ((HCELL, f), (HCELL, g), (HCELL, h), (HCELL, k)),
+                p.vcol(p.assoc[(p.hcomp(f, g), h, k)], p.assoc[(f, g, p.hcomp(h, k))]),
+                p.vcol(
+                    p.hpaste(p.assoc[(f, g, h)], p.sq_vid[k]),
+                    p.assoc[(f, p.hcomp(g, h), k)],
+                    p.hpaste(p.sq_vid[f], p.assoc[(g, h, k)]),
+                ),
+            )
     for (f, g) in sorted(p.hcomp1):
         mid = p.ht(f)
         col.eq(
@@ -319,6 +285,7 @@ class Bicategory:
         for f, i in enumerate(self.id2):
             if self.twocells[i] != (f, f):
                 raise StructureError(f"identity 2-cell of 1-cell {f} has wrong boundary")
+        _check_globular_tables(self)
         for (f, g), h in self.comp1.items():
             if self.onecells[h] != (self.s1(f), self.t1(g)):
                 raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
@@ -342,12 +309,8 @@ class Bicategory:
 
 
 def bicategory_from_two_category(t) -> Bicategory:
-    id_assoc = {
-        (f, g, h): t.id2[t.then1(t.then1(f, g), h)]
-        for (f, g) in t.comp1
-        for h in range(len(t.onecells))
-        if t.t1(g) == t.s1(h)
-    }
+    s1, t1 = _columns(t.onecells, 2)
+    id_assoc = {(f, g, h): t.id2[t.then1(t.then1(f, g), h)] for f, g, h in _triples(t.comp1, t1, s1)}
     return Bicategory(
         t.n_objects,
         t.onecells,
@@ -370,19 +333,10 @@ def bicategory_from_two_category(t) -> Bicategory:
 def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport:
     col = Collector("bicategory", budget)
     n1, n2 = len(b.onecells), len(b.twocells)
-
-    for (x, y) in sorted(b.vcomp2):
-        for z in range(n2):
-            if b.t2(y) == b.s2(z):
-                col.eq(
-                    "hom-category-associativity",
-                    (("twocell", x), ("twocell", y), ("twocell", z)),
-                    b.vert(b.vert(x, y), z),
-                    b.vert(x, b.vert(y, z)),
-                )
-    for x in range(n2):
-        col.eq("hom-category-unit", (("twocell", x),), b.vert(b.id2[b.s2(x)], x), x)
-        col.eq("hom-category-unit", (("twocell", x),), b.vert(x, b.id2[b.t2(x)]), x)
+    s1, t1 = _columns(b.onecells, 2)
+    s2, t2 = _columns(b.twocells, 2)
+    _associativity(col, "hom-category-associativity", "twocell", b.vcomp2, t2, s2)
+    _units(col, "hom-category-unit", "hom-category-unit", "twocell", b.vcomp2, t2, s2, b.id2)
 
     for (f, g) in sorted(b.comp1):
         col.eq(
@@ -391,18 +345,16 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
             b.id2[b.then1(f, g)],
             b.horiz(b.id2[f], b.id2[g]),
         )
+    by_s2 = _by(s2)
     for (x, y) in sorted(b.hcomp2):
-        for x2 in range(n2):
-            if b.t2(x) != b.s2(x2):
-                continue
-            for y2 in range(n2):
-                if b.t2(y) == b.s2(y2):
-                    col.eq(
-                        "composition-interchange",
-                        (("twocell", x), ("twocell", y), ("twocell", x2), ("twocell", y2)),
-                        b.horiz(b.vert(x, x2), b.vert(y, y2)),
-                        b.vert(b.horiz(x, y), b.horiz(x2, y2)),
-                    )
+        for x2 in by_s2.get(t2[x], ()):
+            for y2 in by_s2.get(t2[y], ()):
+                col.eq(
+                    "composition-interchange",
+                    (("twocell", x), ("twocell", y), ("twocell", x2), ("twocell", y2)),
+                    b.horiz(b.vert(x, x2), b.vert(y, y2)),
+                    b.vert(b.horiz(x, y), b.horiz(x2, y2)),
+                )
 
     def invertible(axiom, witness, cell, inv):
         col.eq(axiom, witness, b.vert(cell, inv), b.id2[b.s2(cell)])
@@ -414,18 +366,15 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
         invertible("left-unitor-invertibility", (("onecell", f),), b.lunit[f], b.lunit_inv[f])
         invertible("right-unitor-invertibility", (("onecell", f),), b.runit[f], b.runit_inv[f])
 
-    for (x, y) in sorted(b.hcomp2):
-        for z in range(n2):
-            if b.t1(b.s2(y)) != b.s1(b.s2(z)):
-                continue
-            tri = (b.s2(x), b.s2(y), b.s2(z))
-            bot = (b.t2(x), b.t2(y), b.t2(z))
-            col.eq(
-                "associator-naturality",
-                (("twocell", x), ("twocell", y), ("twocell", z)),
-                b.vert(b.assoc[tri], b.horiz(x, b.horiz(y, z))),
-                b.vert(b.horiz(b.horiz(x, y), z), b.assoc[bot]),
-            )
+    for x, y, z in _triples(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2]):
+        tri = (s2[x], s2[y], s2[z])
+        bot = (t2[x], t2[y], t2[z])
+        col.eq(
+            "associator-naturality",
+            (("twocell", x), ("twocell", y), ("twocell", z)),
+            b.vert(b.assoc[tri], b.horiz(x, b.horiz(y, z))),
+            b.vert(b.horiz(b.horiz(x, y), z), b.assoc[bot]),
+        )
     for x in range(n2):
         f, g = b.twocells[x]
         col.eq(
@@ -441,26 +390,22 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
             b.vert(b.horiz(x, b.id2[b.id1[b.t1(f)]]), b.runit[g]),
         )
 
-    for (f, g) in sorted(b.comp1):
-        for h in range(n1):
-            if b.t1(g) != b.s1(h):
-                continue
-            for k in range(n1):
-                if b.t1(h) != b.s1(k):
-                    continue
-                col.eq(
-                    "pentagon",
-                    (("onecell", f), ("onecell", g), ("onecell", h), ("onecell", k)),
-                    b.vert(b.assoc[(b.then1(f, g), h, k)], b.assoc[(f, g, b.then1(h, k))]),
-                    b.vert_list(
-                        b.then1(b.then1(b.then1(f, g), h), k),
-                        [
-                            b.horiz(b.assoc[(f, g, h)], b.id2[k]),
-                            b.assoc[(f, b.then1(g, h), k)],
-                            b.horiz(b.id2[f], b.assoc[(g, h, k)]),
-                        ],
-                    ),
-                )
+    by_s1 = _by(s1)
+    for f, g, h in _triples(b.comp1, t1, s1):
+        for k in by_s1.get(t1[h], ()):
+            col.eq(
+                "pentagon",
+                (("onecell", f), ("onecell", g), ("onecell", h), ("onecell", k)),
+                b.vert(b.assoc[(b.then1(f, g), h, k)], b.assoc[(f, g, b.then1(h, k))]),
+                b.vert_list(
+                    b.then1(b.then1(b.then1(f, g), h), k),
+                    [
+                        b.horiz(b.assoc[(f, g, h)], b.id2[k]),
+                        b.assoc[(f, b.then1(g, h), k)],
+                        b.horiz(b.id2[f], b.assoc[(g, h, k)]),
+                    ],
+                ),
+            )
     for (f, g) in sorted(b.comp1):
         mid = b.t1(f)
         col.eq(

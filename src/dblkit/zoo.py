@@ -282,16 +282,6 @@ def braid_monoid_two_category() -> TwoCategory:
     )
 
 
-def two_category_catalog() -> list[tuple[str, TwoCategory]]:
-    return [
-        ("trivial", trivial_two_category()),
-        ("walking-arrow", walking_arrow_two_category()),
-        ("walking-2cell", walking_two_cell()),
-        ("walking-iso-2cell", walking_two_cell(invertible=True)),
-        ("braid-monoid", braid_monoid_two_category()),
-    ]
-
-
 def acyclic_two_category_catalog() -> list[tuple[str, TwoCategory]]:
     """2-categories with <= 2 objects whose nonidentity 1-cells form an
     acyclic graph; the tensor-word skeleta over these are finite."""

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -250,12 +251,58 @@ def test_budget_exceeded_is_explicit():
     assert not rep.violations
 
 
-def test_checker_jobs_merge_deterministically():
+def test_interchange_grid_spends_the_callers_budget():
     d = quintet(zoo.cyclic_group_cat(3))
-    r1 = check_double_category(d, jobs=1)
-    r4 = check_double_category(d, jobs=4)
-    assert r1.status == r4.status == "pass"
-    assert r1.checked == r4.checked
+    assert check_double_category(d).checked == 11632
+    rep = check_double_category(d, budget=Budget(max_tuples=11631))
+    assert rep.status == "budget-exceeded"
+    assert rep.checked == 11631
+
+
+def _quintet_arrow():
+    return quintet(zoo.walking_arrow())
+
+
+# every composition table: (structure, table, attribute holding its cells)
+TABLES = [
+    pytest.param(zoo.walking_iso, "comp", "mor", id="FiniteCategory.comp"),
+    pytest.param(_quintet_arrow, "hcomp1", "hcells", id="DoubleCategory.hcomp1"),
+    pytest.param(_quintet_arrow, "vcomp1", "vcells", id="DoubleCategory.vcomp1"),
+    pytest.param(_quintet_arrow, "hcomp2", "squares", id="DoubleCategory.hcomp2"),
+    pytest.param(_quintet_arrow, "vcomp2", "squares", id="DoubleCategory.vcomp2"),
+    pytest.param(zoo.walking_arrow_two_category, "comp1", "onecells", id="TwoCategory.comp1"),
+    pytest.param(zoo.walking_arrow_two_category, "vcomp2", "twocells", id="TwoCategory.vcomp2"),
+    pytest.param(zoo.walking_arrow_two_category, "hcomp2", "twocells", id="TwoCategory.hcomp2"),
+    pytest.param(zoo.two_object_bicategory, "comp1", "onecells", id="Bicategory.comp1"),
+    pytest.param(zoo.two_object_bicategory, "vcomp2", "twocells", id="Bicategory.vcomp2"),
+    pytest.param(zoo.two_object_bicategory, "hcomp2", "twocells", id="Bicategory.hcomp2"),
+]
+
+
+def _rebuild(obj, table_name, table):
+    """Call the constructor again on ``obj``'s own data, one table replaced."""
+    params = [p for p in inspect.signature(type(obj).__init__).parameters if p != "self"]
+    args = {p: getattr(obj, p) for p in params}
+    args[table_name] = table
+    return type(obj)(**args)
+
+
+@pytest.mark.parametrize("damage", ["drop", "non-composable", "out-of-range"])
+@pytest.mark.parametrize("make,table_name,cells", TABLES)
+def test_constructor_rejects_wrong_table_keys(make, table_name, cells, damage):
+    obj = make()
+    table = dict(getattr(obj, table_name))
+    n = len(getattr(obj, cells))
+    _rebuild(obj, table_name, table)  # the undamaged copy is accepted
+    if damage == "drop":
+        del table[min(table)]
+    elif damage == "non-composable":
+        key = next(k for k in itertools.product(range(n), repeat=2) if k not in table)
+        table[key] = 0
+    else:
+        table[(n, 0)] = 0
+    with pytest.raises(StructureError):
+        _rebuild(obj, table_name, table)
 
 
 def test_zero_object_category_is_vacuously_fine():
