@@ -162,11 +162,11 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
     if decl.kind == "bicategory":
         reports = [check_bicategory(decl.obj, budget=budget)]
         inner = internalize_bicategory(decl.obj)
-        rep = check_pseudo_double_category(inner, budget=Budget(args.max_tuples))
+        rep = check_pseudo_double_category(inner, budget=budget)
         rep.subject = "internalized-pseudo-double-category"
         reports.append(rep)
-        reports.append(check_coproduct_pullback(decl.obj, budget=Budget(args.max_tuples)))
-        reports.append(check_enriched_over_cat(decl.obj, budget=Budget(args.max_tuples)))
+        reports.append(check_coproduct_pullback(decl.obj, budget=budget))
+        reports.append(check_enriched_over_cat(decl.obj, budget=budget))
         return reports
     if decl.kind == "functor":
         if args.cubical:
@@ -201,7 +201,7 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
         reports = [check_monoid(decl.obj, budget=budget)]
         for flag, label in ((True, "first-factor-first"), (False, "second-factor-first")):
             f = derive_interleaved_functor(decl.obj, first_factor_first=flag)
-            rep = check_double_pseudo_functor(f, budget=Budget(args.max_tuples))
+            rep = check_double_pseudo_functor(f, budget=budget)
             rep.subject = f"interleaved-multiplication ({label})"
             reports.append(rep)
         return reports
@@ -209,7 +209,7 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
         left = doc.get(decl.obj.left, "twocategory")
         right = doc.get(decl.obj.right, "twocategory")
         cap = args.word_cap if args.word_cap is not None else decl.obj.cap
-        return [check_monoidal_embedding(left.obj, right.obj, cap=cap)]
+        return [check_monoidal_embedding(left.obj, right.obj, cap=cap, budget=budget)]
     if decl.kind == "internal":
         data = _resolve_internal(doc, decl)
         reports = [check_internal(data, registry=ComponentRegistry.of(), budget=budget)]

@@ -587,7 +587,9 @@ def two_category_tensor_context(a: TwoCategory, b: TwoCategory) -> TensorContext
     return TensorContext(SideSpec.onecells_of(a), SideSpec.onecells_of(b))
 
 
-def check_monoidal_embedding(a: TwoCategory, b: TwoCategory, cap: int = 4, max_moves: int = 2) -> AxiomReport:
+def check_monoidal_embedding(
+    a: TwoCategory, b: TwoCategory, cap: int = 4, max_moves: int = 2, budget: Budget | None = None
+) -> AxiomReport:
     """The identity comparison between 'tensor, then embed' and
     'embed, then tensor' is cell-for-cell the identity.
 
@@ -596,7 +598,7 @@ def check_monoidal_embedding(a: TwoCategory, b: TwoCategory, cap: int = 4, max_m
     forms, with any inconclusive comparison reported as such."""
     from .kernel import embed_two_category
 
-    col = Collector("monoidal-embedding", Budget(2_000_000))
+    col = Collector("monoidal-embedding", budget)
     ea, eb = embed_two_category(a), embed_two_category(b)
     ctx_two = two_category_tensor_context(a, b)
     skel = GrayTensorSkeleton(ea, eb, cap=cap)

@@ -114,7 +114,8 @@ class AxiomReport:
 
 
 class Collector:
-    """Accumulates law instances for one report, spending budget per instance."""
+    """Accumulates law instances for one report, spending budget per instance
+    (:meth:`eq`) or per row of instances (:meth:`take`)."""
 
     def __init__(self, subject: str, budget: Budget | None = None):
         self.report = AxiomReport(subject)
@@ -136,6 +137,31 @@ class Collector:
             self.report.violations.append(Violation(axiom, witness, lhs, rhs))
             return False
         return True
+
+    def take(self, n: int) -> int:
+        """Charge a row of ``n`` law instances to the budget at once and
+        count them as checked; return how many of them, from the first, the
+        caller may evaluate.
+
+        The cutoff is exact: ``take(n)`` leaves ``budget.used``,
+        ``report.checked`` and the status as ``n`` calls of :meth:`eq`
+        would.  On the row that crosses the cap it returns the remainder and
+        sets ``budget-exceeded``, and a budget no other collector exhausted
+        ends at ``used == max_tuples + 1``; after that it returns 0."""
+        if self._hit_budget or n <= 0:
+            return 0
+        budget = self.budget
+        room = budget.max_tuples - budget.used
+        if n <= room:
+            budget.used += n
+            self.report.checked += n
+            return n
+        room = max(room, 0)
+        budget.used += room + 1
+        self.report.checked += room
+        self._hit_budget = True
+        self.report.status = BUDGET_EXCEEDED
+        return room
 
     def check(self, axiom: str, witness: tuple, ok: bool) -> bool:
         return self.eq(axiom, witness, True, bool(ok))

@@ -24,9 +24,11 @@ from .kernel import (
     StructureError,
     _associativity,
     _by,
-    _check_globular_tables,
+    _check_globular,
     _check_index,
     _columns,
+    _globular_interchange,
+    _identity_functoriality,
     _interchange,
     _triples,
     _units,
@@ -120,13 +122,7 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
     _associativity(col, "vcomp2-associativity", SQUARE, p.vcomp2, bottom, top)
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, p.vcomp2, bottom, top, p.sq_vid)
 
-    for (f, g) in sorted(p.hcomp1):
-        col.eq(
-            "hpaste-identity-functoriality",
-            ((HCELL, f), (HCELL, g)),
-            p.sq_vid[p.hcomp(f, g)],
-            p.hpaste(p.sq_vid[f], p.sq_vid[g]),
-        )
+    _identity_functoriality(col, "hpaste-identity-functoriality", HCELL, p.hcomp1, p.hcomp2, p.sq_vid)
     _interchange(col, p)
 
     for key in sorted(p.assoc):
@@ -274,18 +270,20 @@ class Bicategory:
 
     def _validate(self):
         n1, n2 = len(self.onecells), len(self.twocells)
-        for x, (f, g) in enumerate(self.twocells):
-            _check_index(f, n1, f"2-cell {x} source")
-            _check_index(g, n1, f"2-cell {x} target")
-            if self.onecells[f] != self.onecells[g]:
-                raise StructureError(f"2-cell {x} is not globular")
-        for a, i in enumerate(self.id1):
-            if self.onecells[i] != (a, a):
-                raise StructureError(f"identity 1-cell of object {a} has wrong boundary")
-        for f, i in enumerate(self.id2):
-            if self.twocells[i] != (f, f):
-                raise StructureError(f"identity 2-cell of 1-cell {f} has wrong boundary")
-        _check_globular_tables(self)
+        _check_globular(self)
+        unitors = {"lunit": self.lunit, "lunit_inv": self.lunit_inv, "runit": self.runit, "runit_inv": self.runit_inv}
+        if any(len(cells) != n1 for cells in unitors.values()):
+            raise StructureError("left and right unitors and their inverses per 1-cell required")
+        for name, cells in unitors.items():
+            for f, x in enumerate(cells):
+                _check_index(x, n2, f"{name} of 1-cell {f}")
+        s1, t1 = _columns(self.onecells, 2)
+        triples = set(_triples(self.comp1, t1, s1))
+        if set(self.assoc) != triples or set(self.assoc_inv) != triples:
+            raise StructureError("associator must be keyed on exactly the composable 1-cell triples")
+        for key in sorted(triples):
+            _check_index(self.assoc[key], n2, f"associator at {key}")
+            _check_index(self.assoc_inv[key], n2, f"inverse associator at {key}")
         for (f, g), h in self.comp1.items():
             if self.onecells[h] != (self.s1(f), self.t1(g)):
                 raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
@@ -296,15 +294,17 @@ class Bicategory:
             expect = (self.then1(self.s2(a), self.s2(b)), self.then1(self.t2(a), self.t2(b)))
             if self.twocells[c] != expect:
                 raise StructureError(f"hcomp2 entry {(a, b)} has wrong boundary")
+        # the stored inverses run the other way round
         for (f, g, h), a in self.assoc.items():
             lhs = self.then1(self.then1(f, g), h)
             rhs = self.then1(f, self.then1(g, h))
-            if self.twocells[a] != (lhs, rhs):
+            if self.twocells[a] != (lhs, rhs) or self.twocells[self.assoc_inv[(f, g, h)]] != (rhs, lhs):
                 raise StructureError(f"associator at {(f, g, h)} has wrong boundary")
         for f in range(n1):
-            if self.twocells[self.lunit[f]] != (self.then1(self.id1[self.s1(f)], f), f):
+            left, right = self.then1(self.id1[self.s1(f)], f), self.then1(f, self.id1[self.t1(f)])
+            if self.twocells[self.lunit[f]] != (left, f) or self.twocells[self.lunit_inv[f]] != (f, left):
                 raise StructureError(f"left unitor at {f} has wrong boundary")
-            if self.twocells[self.runit[f]] != (self.then1(f, self.id1[self.t1(f)]), f):
+            if self.twocells[self.runit[f]] != (right, f) or self.twocells[self.runit_inv[f]] != (f, right):
                 raise StructureError(f"right unitor at {f} has wrong boundary")
 
 
@@ -338,23 +338,8 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
     _associativity(col, "hom-category-associativity", "twocell", b.vcomp2, t2, s2)
     _units(col, "hom-category-unit", "hom-category-unit", "twocell", b.vcomp2, t2, s2, b.id2)
 
-    for (f, g) in sorted(b.comp1):
-        col.eq(
-            "composition-identity-functoriality",
-            (("onecell", f), ("onecell", g)),
-            b.id2[b.then1(f, g)],
-            b.horiz(b.id2[f], b.id2[g]),
-        )
-    by_s2 = _by(s2)
-    for (x, y) in sorted(b.hcomp2):
-        for x2 in by_s2.get(t2[x], ()):
-            for y2 in by_s2.get(t2[y], ()):
-                col.eq(
-                    "composition-interchange",
-                    (("twocell", x), ("twocell", y), ("twocell", x2), ("twocell", y2)),
-                    b.horiz(b.vert(x, x2), b.vert(y, y2)),
-                    b.vert(b.horiz(x, y), b.horiz(x2, y2)),
-                )
+    _identity_functoriality(col, "composition-identity-functoriality", "onecell", b.comp1, b.hcomp2, b.id2)
+    _globular_interchange(col, "composition-interchange", b)
 
     def invertible(axiom, witness, cell, inv):
         col.eq(axiom, witness, b.vert(cell, inv), b.id2[b.s2(cell)])

@@ -141,6 +141,31 @@ def test_check_bicategory_runs_all_sub_reports(tmp_path):
     assert main(["check", str(path), "Sign"]) == 0
 
 
+def _statuses(capsys):
+    return [r["status"] for r in json.loads(capsys.readouterr().out)["reports"]]
+
+
+def test_tensor_check_honours_max_tuples(tmp_path, capsys):
+    doc_path = write_doc(tmp_path)
+    assert main(["check", doc_path, "AB", "--format", "tree"]) == 0
+    assert _statuses(capsys) == ["pass"]
+    assert main(["check", doc_path, "AB", "--max-tuples", "1", "--format", "tree"]) == 2
+    assert _statuses(capsys) == ["budget-exceeded"]
+
+
+def test_bicategory_sub_reports_share_one_budget(tmp_path, capsys):
+    doc = dsl.Document()
+    doc.add(Declaration("bicategory", "Sign", zoo.sign_bicategory()))
+    path = tmp_path / "b.dbl"
+    path.write_text(serialize(doc))
+    # the four sub-reports check 208, 240, 8 and 125 instances: each fits
+    # under 240 alone, but not after the first has spent its share
+    assert main(["check", str(path), "Sign", "--max-tuples", "240", "--format", "tree"]) == 2
+    assert _statuses(capsys)[:2] == ["pass", "budget-exceeded"]
+    assert main(["check", str(path), "Sign", "--max-tuples", "581", "--format", "tree"]) == 0
+    assert _statuses(capsys) == ["pass"] * 4
+
+
 def _meet_doc(tmp_path):
     # the monoid's tables index into its own carrier, so the carrier must be
     # declared from the same object

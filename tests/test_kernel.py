@@ -5,7 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dblkit.acceptance import _generators, _mutants
 from dblkit.kernel import (
+    HCELL,
+    OBJECT,
+    SQUARE,
+    VCELL,
     FiniteCategory,
     NonComposable,
     StructureError,
@@ -21,7 +26,7 @@ from dblkit.kernel import (
 )
 from dblkit.functors import identity_functor, product_projections, check_strict_functor
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
-from dblkit.report import Budget
+from dblkit.report import Budget, Collector
 from dblkit import zoo
 
 
@@ -305,6 +310,71 @@ def test_constructor_rejects_wrong_table_keys(make, table_name, cells, damage):
         _rebuild(obj, table_name, table)
 
 
+def out_of_range(cells):
+    return cells[:-1] + [99]
+
+
+def too_short(cells):
+    return cells[:-1]
+
+
+def doubled(cells):
+    return cells + cells
+
+
+def bad_boundary(cells):
+    return cells[:-1] + [(0, 5)]
+
+
+def misplaced(cells):
+    return [cells[-1]] * len(cells)
+
+
+def misplaced_value(table):
+    return {key: table[max(table)] for key in table}
+
+
+def dropped_key(table):
+    return {k: v for k, v in table.items() if k != min(table)}
+
+
+def value_out_of_range(table):
+    return {**table, min(table): 99}
+
+
+# (constructor, field, damage): each damaged field must be rejected with a
+# StructureError, never a bare IndexError or a silent accept
+DAMAGED = [
+    (zoo.sign_two_category, "onecells", bad_boundary),
+    (zoo.sign_two_category, "id1", out_of_range),
+    (zoo.sign_two_category, "id1", doubled),
+    (zoo.sign_two_category, "id2", out_of_range),
+    (zoo.sign_bicategory, "onecells", bad_boundary),
+    (zoo.sign_bicategory, "id1", out_of_range),
+    (zoo.sign_bicategory, "id1", doubled),
+    (zoo.sign_bicategory, "id2", out_of_range),
+    (zoo.sign_bicategory, "id2", too_short),
+    (zoo.sign_bicategory, "assoc", dropped_key),
+    (zoo.sign_bicategory, "assoc", value_out_of_range),
+    (zoo.sign_bicategory, "assoc_inv", value_out_of_range),
+    (zoo.sign_bicategory, "assoc_inv", misplaced_value),
+] + [
+    (zoo.sign_bicategory, field, damage)
+    for field in ("lunit", "lunit_inv", "runit", "runit_inv")
+    for damage in (out_of_range, too_short, misplaced)
+]
+
+
+@pytest.mark.parametrize(
+    "make,field,damage",
+    [pytest.param(make, field, damage, id=f"{make.__name__}.{field}:{damage.__name__}") for make, field, damage in DAMAGED],
+)
+def test_constructor_rejects_damaged_field(make, field, damage):
+    obj = make()
+    with pytest.raises(StructureError):
+        _rebuild(obj, field, damage(getattr(obj, field)))
+
+
 def test_zero_object_category_is_vacuously_fine():
     empty = zoo.FiniteCategory(0, [], {}, [])
     d = quintet(empty)
@@ -360,3 +430,132 @@ def test_law_level_mutation_names_a_law():
         assert not rep.passed
         law_names.update(v.axiom for v in rep.violations)
     assert any(not name.endswith("-boundary") for name in law_names), law_names
+
+
+# ---------------------------------------------------------------------------
+# the checker's row-at-a-time enumeration against an oracle that evaluates
+# and charges one law instance at a time through Collector.eq
+
+
+def _starting_at(starts):
+    out = {}
+    for z, start in enumerate(starts):
+        out.setdefault(start, []).append(z)
+    return out
+
+
+def _nested(table):
+    out = {}
+    for (x, y), z in table.items():
+        out.setdefault(x, {})[y] = z
+    return out
+
+
+def oracle_check_double_category(d, budget=None):
+    col = Collector("double-category", budget)
+    hs, ht = [f[0] for f in d.hcells], [f[1] for f in d.hcells]
+    vs, vt = [u[0] for u in d.vcells], [u[1] for u in d.vcells]
+    top, bottom, left, right = ([s[i] for s in d.squares] for i in range(4))
+    h1, v1, h2, v2 = d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2
+    boundaries = [
+        ("hcomp1-boundary", HCELL, h1, d.hcells, lambda f, g: (hs[f], ht[g])),
+        ("vcomp1-boundary", VCELL, v1, d.vcells, lambda u, v: (vs[u], vt[v])),
+        (
+            "hcomp2-boundary",
+            SQUARE,
+            h2,
+            d.squares,
+            lambda a, b: (h1[(top[a], top[b])], h1[(bottom[a], bottom[b])], left[a], right[b]),
+        ),
+        (
+            "vcomp2-boundary",
+            SQUARE,
+            v2,
+            d.squares,
+            lambda a, b: (top[a], bottom[b], v1[(left[a], left[b])], v1[(right[a], right[b])]),
+        ),
+    ]
+    for law, kind, table, cells, expect in boundaries:
+        for (x, y), z in sorted(table.items()):
+            col.eq(law, ((kind, x), (kind, y)), cells[z], expect(x, y))
+    if col.report.violations:
+        col.assume("equational laws not evaluated: table entries have wrong boundaries")
+        return col.done()
+    tables = [
+        ("hcomp1", "-left-unit", "-right-unit", HCELL, h1, ht, hs, d.hid),
+        ("vcomp1", "-left-unit", "-right-unit", VCELL, v1, vt, vs, d.vid),
+        ("hcomp2", "-unit", "-unit", SQUARE, h2, right, left, d.sq_hid),
+        ("vcomp2", "-unit", "-unit", SQUARE, v2, bottom, top, d.sq_vid),
+    ]
+    for name, left_unit, right_unit, kind, table, ends, starts, unit in tables:
+        after = _starting_at(starts)
+        for x, y in sorted(table):
+            for z in after.get(ends[y], ()):
+                lhs, rhs = table[(table[(x, y)], z)], table[(x, table[(y, z)])]
+                col.eq(name + "-associativity", ((kind, x), (kind, y), (kind, z)), lhs, rhs)
+        for x in range(len(ends)):
+            col.eq(name + left_unit, ((kind, x),), table[(unit[starts[x]], x)], x)
+            col.eq(name + right_unit, ((kind, x),), table[(x, unit[ends[x]])], x)
+    for law, kind, table, paste, ident in [
+        ("identity-functoriality-h", HCELL, h1, h2, d.sq_vid),
+        ("identity-functoriality-v", VCELL, v1, v2, d.sq_hid),
+    ]:
+        for (f, g), fg in sorted(table.items()):
+            col.eq(law, ((kind, f), (kind, g)), ident[fg], paste[(ident[f], ident[g])])
+    for a in range(d.n_objects):
+        col.eq("identity-coincidence", ((OBJECT, a),), d.sq_vid[d.hid[a]], d.sq_hid[d.vid[a]])
+    # the grid is most of the instances: look its composites up one row of
+    # a table at a time
+    below, beside = _starting_at(top), _starting_at(list(zip(top, left)))
+    ref, eq, hrow, vrow = [(SQUARE, s) for s in range(len(d.squares))], col.eq, _nested(h2), _nested(v2)
+    for (a, b), ab in sorted(h2.items()):
+        vb, vab = vrow[b], vrow[ab]
+        for c in below.get(bottom[a], ()):
+            ac, hc = hrow[v2[(a, c)]], hrow[c]
+            for e in beside.get((bottom[b], right[c]), ()):
+                eq("interchange", (ref[a], ref[b], ref[c], ref[e]), ac[vb[e]], vab[hc[e]])
+    return col.done()
+
+
+def _law_breaking_sign_mutants():
+    d = embed_two_category(zoo.sign_two_category())
+    return [m for _, m in sample_mutants(d, len(mutation_slots(d)))]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(d, id=name) for name, d in _generators()]
+    + [pytest.param(m, id=f"mutant {slot}") for slot, m in _mutants()]
+    + [pytest.param(m, id=f"sign mutant {i}") for i, m in enumerate(_law_breaking_sign_mutants())],
+)
+def test_checker_matches_per_instance_oracle(d):
+    assert check_double_category(d).to_dict() == oracle_check_double_category(d).to_dict()
+
+
+_C3 = quintet(zoo.cyclic_group_cat(3))
+_C3_TABLES = sum(len(t) for t in (_C3.hcomp1, _C3.vcomp1, _C3.hcomp2, _C3.vcomp2))
+# 11632 instances in all, the last 3**8 of them the interchange grid, in
+# rows of 3: the cuts fall before the first instance, after it, inside the
+# first associativity row, inside the first interchange row, and one short
+# of and exactly at the total
+_C3_CUTS = [0, 1, _C3_TABLES + 1, 11632 - 3**8 + 1, 11631, 11632]
+
+
+@pytest.mark.parametrize("cap", _C3_CUTS)
+def test_budget_cutoff_matches_per_instance_oracle(cap):
+    ours, theirs = Budget(cap), Budget(cap)
+    rep = check_double_category(_C3, budget=ours)
+    assert rep.to_dict() == oracle_check_double_category(_C3, budget=theirs).to_dict()
+    assert ours.used == theirs.used
+    assert rep.checked == min(cap, 11632)
+    assert (rep.status == "budget-exceeded") == (cap < 11632)
+
+
+def test_exhausted_shared_budget_matches_per_instance_oracle():
+    ours, theirs = Budget(100), Budget(100)
+    for _ in range(2):
+        rep = check_double_category(_C3, budget=ours)
+        assert rep.to_dict() == oracle_check_double_category(_C3, budget=theirs).to_dict()
+        assert ours.used == theirs.used
+    assert rep.checked == 0 and rep.status == "budget-exceeded"
+    assert ours.used == 102
