@@ -20,21 +20,43 @@ dense index on load; serialization regenerates canonical text, so parsing a
 serialized document is the identity up to whitespace.  Errors carry
 1-indexed line and column positions.
 
+Each block has one keyword table: keyword -> (shape, cell kinds, ...).  The
+parser checks every line against its keyword's shape and the serializer
+fills the same shape with names.
+
 Identity cells in category-like blocks are declared implicitly (named
-``1_A``, ``1^A``, ``I_f``, ``I^u``) and unit table entries are filled in
-automatically; only the non-unit entries need spelling out.
+``id_A``, ``1_A``, ``1^A``, ``I_f``, ``I^u``) unless an ``id...`` line names
+them.  A table entry may be left out when it is implied; one function per
+rule gives the implied entries, the parser fills them in and the serializer
+leaves them out:
+
+- unit entries ``1 ; x = x`` and ``x ; 1 = x`` of every 1-cell and vertical
+  2-cell table, and the identity whiskers of ``hcc``;
+- ``hcc`` of two identity 2-cells: the identity 2-cell of the composite;
+- ``hsq``/``vsq`` of two squares whose composite boundary is the boundary of
+  exactly one square: that square;
+- the associator and unitors of a bicategory: identity 2-cells.
+
+A missing composition entry, a missing table entry of a monoid, or a
+missing component of a functor, transformation or modification is a
+``ParseError`` at the block header.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from itertools import product
+from operator import getitem
 
 from .kernel import (
     DoubleCategory,
     FiniteCategory,
     StructureError,
     TwoCategory,
+    _by,
+    _columns,
 )
 from .weak import Bicategory
 from .functors import StrictDoubleFunctor, pseudo_from_strict
@@ -87,69 +109,34 @@ class Document:
         if name not in self.decls:
             raise ParseError(f"unresolved reference {name!r}", line, column)
         decl = self.decls[name]
-        if kind is not None and decl.kind != kind:
-            kinds = kind if isinstance(kind, str) else "/".join(kind)
-            if isinstance(kind, str):
-                ok = decl.kind == kind
-            else:
-                ok = decl.kind in kind
-            if not ok:
-                raise ParseError(
-                    f"{name!r} is a {decl.kind}, expected {kinds}", line, column
-                )
+        kinds = (kind,) if isinstance(kind, str) else kind
+        if kinds is not None and decl.kind not in kinds:
+            raise ParseError(f"{name!r} is a {decl.kind}, expected {'/'.join(kinds)}", line, column)
         return decl
 
     def __contains__(self, name):
         return name in self.decls
 
 
+# ---------------------------------------------------------------------------
+# grammar
+#
+# A shape spells the tokens after a keyword.  ``:``, ``->``, ``=>``, ``|``,
+# ``=`` and ``on`` are literal; ``a|b`` is a choice, ``N`` a number, ``...``
+# any number of tokens and every other word a placeholder.  The cell kinds
+# name what each placeholder refers to; in a mapping block the placeholders
+# before ``=`` are cells of the domain and those after it of the codomain.
+
+_LITERALS = frozenset({":", "->", "=>", "|", "=", "on"})
 _TOKEN = re.compile(r"\S+")
 
 
-def _tokens(raw_line):
-    text = raw_line.split("#", 1)[0]
-    return [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(text)]
-
-
-class _Cursor:
-    def __init__(self, text):
-        self.lines = text.splitlines()
-        self.i = 0
-
-    def next_tokens(self):
-        while self.i < len(self.lines):
-            toks = _tokens(self.lines[self.i])
-            self.i += 1
-            if toks:
-                return self.i, toks
-        return None, None
-
-
-class _NameTable:
-    """Per-kind symbolic names with dense indices, built incrementally."""
-
-    def __init__(self):
-        self.names = {}
-        self.index = {}
-
-    def kind(self, kind):
-        self.names.setdefault(kind, [])
-        self.index.setdefault(kind, {})
-        return self
-
-    def add(self, kind, name, line, column):
-        self.kind(kind)
-        if name in self.index[kind]:
-            raise ParseError(f"duplicate {kind} name {name!r}", line, column)
-        self.index[kind][name] = len(self.names[kind])
-        self.names[kind].append(name)
-        return self.index[kind][name]
-
-    def get(self, kind, name, line, column):
-        try:
-            return self.index[kind][name]
-        except KeyError:
-            raise ParseError(f"unknown {kind} {name!r}", line, column) from None
+def _token_lines(text):
+    """(1-indexed line, [(token, column)]) of every line that has tokens."""
+    for line, raw in enumerate(text.splitlines(), 1):
+        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
+        if toks:
+            yield line, toks
 
 
 def _expect(cond, message, line, column=1):
@@ -157,665 +144,733 @@ def _expect(cond, message, line, column=1):
         raise ParseError(message, line, column)
 
 
-# ---------------------------------------------------------------------------
-# block parsers
+@functools.lru_cache(maxsize=None)
+def _compiled(shape):
+    """``shape`` as (token count, literals, other checks, placeholder
+    positions); the count is None for ``...``."""
+    words = shape.split()
+    if words == ["..."]:
+        return None, (), (), ()
+    literals = tuple((i, w) for i, w in enumerate(words) if w in _LITERALS)
+    checks = tuple((i, frozenset(w.split("|")).__contains__) for i, w in enumerate(words) if "|" in w and w != "|")
+    checks += tuple((i, str.isdigit) for i, w in enumerate(words) if w == "N")
+    places = tuple(i for i, w in enumerate(words) if w not in _LITERALS)
+    return len(words), literals, checks, places
 
 
-def _parse_fincategory_block(cur, doc, name, header_line):
-    nt = _NameTable().kind("object").kind("mor")
-    mor_decl = []
-    comp_decl = []
-    id_decl = []
+def _fits(toks, shape):
+    """The tokens at the placeholders of ``shape``, or None if ``toks`` do
+    not fit it."""
+    count, literals, checks, places = _compiled(shape)
+    if count is None:
+        return toks
+    if len(toks) != count:
+        return None
+    for i, word in literals:
+        if toks[i][0] != word:
+            return None
+    for i, ok in checks:
+        if not ok(toks[i][0]):
+            return None
+    return [toks[i] for i in places]
+
+
+@functools.lru_cache(maxsize=None)
+def _template(kw, shape):
+    """The line of ``kw`` with a ``{}`` per placeholder of ``shape``, and
+    the number of placeholders before its ``=`` (all if it has none)."""
+    words = shape.split()
+    line = " ".join([f"  {kw}"] + [w if w in _LITERALS else "{}" for w in words])
+    return line, words.index("=") if "=" in words else len(words)
+
+
+def _render(shape, words):
+    """``shape`` with its placeholders replaced by ``words`` in order."""
+    words = iter(words)
+    return " ".join(w if w in _LITERALS else next(words) for w in shape.split())
+
+
+def _block(lines, header_line, spec, unknown):
+    """The lines of a block up to its ``}`` as (keyword, placeholder tokens,
+    line, column), each checked against the shape of its keyword in
+    ``spec``; ``unknown`` is the message for any other keyword."""
     while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
+        line, toks = next(lines, (None, None))
+        if toks is None:
+            raise ParseError("unterminated block", header_line)
         head, col = toks[0]
         if head == "}":
-            break
-        if head == "objects":
-            for t, c in toks[1:]:
-                nt.add("object", t, line, c)
-        elif head == "mor":
-            _expect(
-                len(toks) == 6 and toks[2][0] == ":" and toks[4][0] == "->",
-                "expected: mor f : A -> B",
-                line,
-                col,
-            )
-            nt.add("mor", toks[1][0], line, toks[1][1])
-            mor_decl.append((toks[1], toks[3], toks[5], line))
-        elif head == "comp":
-            _expect(
-                len(toks) == 5 and toks[3][0] == "=",
-                "expected: comp f g = h",
-                line,
-                col,
-            )
-            comp_decl.append((toks[1], toks[2], toks[4], line))
-        elif head == "idm":
-            _expect(len(toks) == 4 and toks[2][0] == "=", "expected: idm A = f", line, col)
-            id_decl.append((toks[1], toks[3], line))
-        else:
-            raise ParseError(f"unknown keyword {head!r} in fincategory", line, col)
+            return
+        if head not in spec:
+            raise ParseError(unknown.format(head), line, col)
+        shape = spec[head][0]
+        args = _fits(toks[1:], shape)
+        if args is None:
+            raise ParseError(f"expected: {head} {shape}", line, col)
+        yield head, args, line, col
+
+
+def _one(cells):
+    return cells[0] if len(cells) == 1 else tuple(cells)
+
+
+def _flat(cells):
+    return cells if isinstance(cells, tuple) else (cells,)
+
+
+def _lookups(spec, kw, dom, cod=None):
+    """Per placeholder of ``kw``: its kind and the table of that kind (name
+    -> index to parse, index -> name to write), in ``dom`` or, after an
+    ``=``, in ``cod`` when given."""
+    shape, kinds = spec[kw][:2]
+    n = _template(kw, shape)[1]
+    return [(k, (dom if i < n or cod is None else cod)[k]) for i, k in enumerate(kinds)]
+
+
+def _resolve(lookups, args, line, col=1, unresolved=None, first=0):
+    """The index of each token of ``args``, the tokens from ``first`` on
+    looked up first.  A miss is ``unknown KIND NAME`` at the token, or the
+    message ``unresolved`` at ``col`` when one is given."""
+    found = [None] * len(args)
+    for i in range(len(args)) if first == 0 else [*range(first, len(args)), *range(first)]:
+        (kind, index), (name, column) = lookups[i], args[i]
+        found[i] = index.get(name)
+        if found[i] is None and unresolved is None:
+            raise ParseError(f"unknown {kind} {name!r}", line, column)
+    if unresolved is not None and None in found:
+        raise ParseError(unresolved, line, col)
+    return found
+
+
+def _entry_reader(spec, dom, cod):
+    """``entry(kw, args, line, col, unresolved=None) -> (key, value)`` for
+    the lines of ``spec`` with an ``=``: the key cells before it, named in
+    ``dom``, and the value cells after it, named in ``cod``."""
+    split = {
+        kw: (_lookups(spec, kw, dom, cod), _template(kw, shape[0])[1])
+        for kw, shape in spec.items()
+        if "=" in shape[0].split()
+    }
+
+    def entry(kw, args, line, col, unresolved=None):
+        lookups, n = split[kw]
+        found = _resolve(lookups, args, line, col, unresolved)
+        return _one(found[:n]), _one(found[n:])
+
+    return entry
+
+
+def _line(spec, kw, *words):
+    return _template(kw, spec[kw][0])[0].format(*words)
+
+
+def _write(spec, kw, entries, dom, cod=None):
+    """The lines of ``kw`` for the (key, value) pairs ``entries``: cell
+    names from ``dom``, those after an ``=`` from ``cod`` when given."""
+    fmt = _template(kw, spec[kw][0])[0].format
+    names = [table for _, table in _lookups(spec, kw, dom, cod)]
+    if len(names) == 2:
+        a, b = names
+        return [fmt(a[k], b[v]) for k, v in entries]
+    return [fmt(*map(getitem, names, _flat(k) + _flat(v))) for k, v in entries]
+
+
+def _interleave(*columns):
+    return [line for row in zip(*columns) for line in row]
+
+
+def _count(d, kind):
+    """The number of cells of ``kind`` in the double category ``d``."""
+    return d.n_objects if kind == "object" else len(getattr(d, kind + "s"))
+
+
+def _total(entries, keys, missing, line):
+    """``[entries[k] for k in keys]``; the first absent key is the error
+    ``missing`` (formatted with the key) at ``line``."""
+    out = []
+    for k in keys:
+        if k not in entries:
+            raise ParseError(missing.format(*_flat(k)), line)
+        out.append(entries[k])
+    return out
+
+
+def _build(line, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, a StructureError reported at ``line``."""
+    try:
+        return make(*args, **kwargs)
+    except StructureError as e:
+        raise ParseError(str(e), line) from None
+
+
+# ---------------------------------------------------------------------------
+# implied table entries: one function per rule, filled in by the parser and
+# left out by the serializer
+
+
+def _fill_implied(table, *rules):
+    """Add the entries of ``rules`` that ``table`` lacks, the first rule
+    first."""
+    for rule in rules:
+        for key, value in rule:
+            table.setdefault(key, value)
+
+
+def _explicit(table, *rules):
+    """The entries of ``table`` that ``_fill_implied`` would not restore,
+    sorted."""
+    implied = {}
+    _fill_implied(implied, *rules)
+    return [(k, v) for k, v in sorted(table.items()) if implied.get(k) != v]
+
+
+def _unit_entries(ids, cells):
+    """``(ids[a], x) -> x`` and ``(x, ids[b]) -> x`` for each cell x with
+    boundary (a, b)."""
+    for x, (a, b) in enumerate(cells):
+        yield (ids[a], x), x
+        yield (x, ids[b]), x
+
+
+def _unique_composites(squares, comp):
+    """Side-by-side pastings (right edge of x = left edge of y) of squares
+    given as (top, bottom, left, right), to the one square with the
+    composite boundary if there is exactly one.  The transposed squares
+    and the vertical 1-cell table give the vertical pastings."""
+    unique = {}
+    for s, bnd in enumerate(squares):
+        unique[bnd] = None if bnd in unique else s
+    by_left = _by([s[2] for s in squares])
+    for x, (t, b, l, r) in enumerate(squares):
+        for y in by_left.get(r, ()):
+            t2, b2, _, r2 = squares[y]
+            z = unique.get((comp.get((t, t2)), comp.get((b, b2)), l, r2))
+            if z is not None:
+                yield (x, y), z
+
+
+def _transposed(squares):
+    return [(l, r, t, b) for t, b, l, r in squares]
+
+
+def _identity_composites(onecells, twocells, comp1, id2):
+    """``hcc`` of two composable identity 2-cells: the identity 2-cell of
+    the composite 1-cell.  Pairs come in the iteration order of
+    ``set(id2)``, which fixes the insertion order of the filled table."""
+    ids = set(id2)
+    by_start = {}
+    for y in ids:
+        by_start.setdefault(onecells[twocells[y][0]][0], []).append(y)
+    for x in ids:
+        f = twocells[x][0]
+        for y in by_start.get(onecells[f][1], ()):
+            yield (x, y), id2[comp1[(f, twocells[y][0])]]
+
+
+def _hcc_rules(onecells, twocells, comp1, id1, id2):
+    """The implied ``hcc`` entries: identity composites, then whiskers by
+    the identity 2-cells of identity 1-cells."""
+    whiskers = _unit_entries([id2[i] for i in id1], [onecells[f] for f, _ in twocells])
+    return _identity_composites(onecells, twocells, comp1, id2), whiskers
+
+
+def _identity_constraints(onecells, comp1, id1, id2):
+    """A bicategory's implied constraint cells: the identity 2-cell of
+    ``(f.g).h`` per composable triple, of ``1_A.f`` and of ``f.1_B`` per
+    1-cell f."""
+    by_source = _by([a for a, _ in onecells])
+    assoc = {
+        (f, g, h): id2[comp1[(fg, h)]]
+        for (f, g), fg in comp1.items()
+        for h in by_source.get(onecells[g][1], ())
+        if (fg, h) in comp1
+    }
+    lunit = [id2[comp1[(id1[a], f)]] for f, (a, _) in enumerate(onecells)]
+    runit = [id2[comp1[(f, id1[b])]] for f, (_, b) in enumerate(onecells)]
+    return assoc, lunit, runit
+
+
+def _complete(table, ends, starts, names, line):
+    """Report the first composable pair (``ends[x] == starts[y]``) that
+    ``table`` lacks."""
+    by_start = _by(starts)
+    for x, end in enumerate(ends):
+        for y in by_start.get(end, ()):
+            if (x, y) not in table:
+                raise ParseError(f"missing composition entry for {names[x]} {names[y]}", line)
+
+
+# ---------------------------------------------------------------------------
+# structure blocks: fincategory, category, twocategory, bicategory
+#
+# A line whose keyword is the kind of its first placeholder declares that
+# cell; every other line refers to cells and is resolved once all of them
+# are named.
+
+
+class _NameTable:
+    """Per-kind symbolic names with dense indices, built incrementally."""
+
+    def __init__(self, kinds):
+        self.names = {k: [] for k in kinds}
+        self.index = {k: {} for k in kinds}
+
+    def add(self, kind, name, line, column):
+        if name in self.index[kind]:
+            raise ParseError(f"duplicate {kind} name {name!r}", line, column)
+        self.index[kind][name] = len(self.names[kind])
+        self.names[kind].append(name)
+        return self.index[kind][name]
+
+
+def _read_cells(lines, header_line, spec, kinds, unknown):
+    """Read a structure block: objects and declared cells are named as they
+    are read, the other lines kept per keyword.  Returns the names, the kept
+    lines and ``entries(kw, first=-1)``, their resolution."""
+    nt = _NameTable(kinds)
+    kept = {kw: [] for kw in spec}
+    for kw, args, line, col in _block(lines, header_line, spec, unknown):
+        if kw == "objects":
+            for tok, c in args:
+                nt.add("object", tok, line, c)
+            continue
+        if spec[kw][1][0] == kw:
+            nt.add(kw, args[0][0], line, args[0][1])
+        kept[kw].append((args, line))
+    return nt, kept, functools.partial(_resolved, nt, spec, kept)
+
+
+def _resolved(nt, spec, kept, kw, first=-1):
+    """The indices of each kept ``kw`` line, in order.  Within a line the
+    tokens from ``first`` on are looked up first, by default the value
+    before the key: that decides which of two unknown names is reported."""
+    lookups = _lookups(spec, kw, nt.index)
+    for args, line in kept[kw]:
+        yield _resolve(lookups, args, line, first=first % len(args))
+
+
+def _assigned(pairs, count):
+    """``out[x] = y`` for each pair (x, y), None elsewhere."""
+    out = [None] * count
+    for x, y in pairs:
+        out[x] = y
+    return out
+
+
+def _boundaries(nt, entries, kind):
+    """The boundary of each ``kind`` cell declared so far; None for the
+    cells without a declaration line."""
+    return _assigned(((x, tuple(bnd)) for x, *bnd in entries(kind, 0)), len(nt.names[kind]))
+
+
+def _identities(nt, ids, of, kind, prefix, header_line, shared=()):
+    """Complete ``ids``, the identity ``kind`` cell of each ``of`` cell: from
+    ``shared``, else a new cell named prefix + name."""
+    for x, name in enumerate(nt.names[of]):
+        if ids[x] is None:
+            ids[x] = shared[x] if x in shared else nt.add(kind, prefix + name, header_line, 1)
+    return ids
+
+
+def _fill(nt, kind, cells, ids, identity):
+    """Extend the boundaries ``cells`` to every ``kind`` cell; an implicit
+    identity cell ``ids[x]`` gets ``identity(x)``."""
+    cells.extend([None] * (len(nt.names[kind]) - len(cells)))
+    for x, i in enumerate(ids):
+        if cells[i] is None:
+            cells[i] = identity(x)
+    return cells
+
+
+def _table(entries):
+    """``{key: value}`` of resolved entry lines, the value last."""
+    return {_one(cells[:-1]): cells[-1] for cells in entries}
+
+
+def _same(a):
+    return (a, a)
+
+
+_FINCATEGORY = {
+    "objects": ("...",),
+    "mor": ("f : A -> B", ("mor", "object", "object")),
+    "comp": ("f g = h", ("mor", "mor", "mor")),
+    "idm": ("A = f", ("object", "mor")),
+}
+
+
+def _parse_fincategory(lines, doc, name, sig, header_line):
+    nt, kept, entries = _read_cells(
+        lines, header_line, _FINCATEGORY, ("object", "mor"), "unknown keyword {!r} in fincategory"
+    )
     n = len(nt.names["object"])
-    # identities: explicitly assigned, otherwise created implicitly
-    ids = [None] * n
-    for (an, ac), (fn, fc), line in id_decl:
-        ids[nt.get("object", an, line, ac)] = nt.get("mor", fn, line, fc)
-    for a, obname in enumerate(nt.names["object"]):
-        if ids[a] is None:
-            ids[a] = nt.add("mor", f"id_{obname}", header_line, 1)
-    boundaries = [None] * len(nt.names["mor"])
-    for (mn, mc), (sn, sc), (tn, tc), line in mor_decl:
-        boundaries[nt.get("mor", mn, line, mc)] = (
-            nt.get("object", sn, line, sc),
-            nt.get("object", tn, line, tc),
-        )
-    for a, i in enumerate(ids):
-        if boundaries[i] is None:
-            boundaries[i] = (a, a)
+    ids = _identities(nt, _assigned(entries("idm"), n), "object", "mor", "id_", header_line)
+    mor = _fill(nt, "mor", _boundaries(nt, entries, "mor"), ids, _same)
     comp = {}
-    for (fn, fc), (gn, gc), (hn, hc), line in comp_decl:
-        f = nt.get("mor", fn, line, fc)
-        g = nt.get("mor", gn, line, gc)
-        h = nt.get("mor", hn, line, hc)
-        _expect(boundaries[f][1] == boundaries[g][0], f"{fn} and {gn} not composable", line, fc)
+    for (f, g, h), (args, line) in zip(entries("comp", 0), kept["comp"]):
+        _expect(mor[f][1] == mor[g][0], f"{args[0][0]} and {args[1][0]} not composable", line, args[0][1])
         comp[(f, g)] = h
     # every unit entry first: an identity may be listed before a morphism
     # it composes with
-    for f, (a, b) in enumerate(boundaries):
-        comp.setdefault((ids[a], f), f)
-        comp.setdefault((f, ids[b]), f)
-    for f, (a, b) in enumerate(boundaries):
-        for g, (a2, b2) in enumerate(boundaries):
-            if b == a2 and (f, g) not in comp:
-                raise ParseError(
-                    f"missing composition entry for {nt.names['mor'][f]} {nt.names['mor'][g]}",
-                    header_line,
-                )
-    cat = FiniteCategory(n, boundaries, comp, ids, names={"objects": nt.names["object"], "mor": nt.names["mor"]})
+    _fill_implied(comp, _unit_entries(ids, mor))
+    src, tgt = _columns(mor, 2)
+    _complete(comp, tgt, src, nt.names["mor"], header_line)
+    names = {"objects": nt.names["object"], "mor": nt.names["mor"]}
+    cat = _build(header_line, FiniteCategory, n, mor, comp, ids, names=names)
     return Declaration("fincategory", name, cat, names=nt.index)
 
 
-def _parse_category_block(cur, doc, name, header_line):
-    nt = _NameTable().kind("object").kind("hcell").kind("vcell").kind("square")
-    h_decl, v_decl, sq_decl = [], [], []
-    table_decl = {"hcomp": [], "vcomp": [], "hsq": [], "vsq": []}
-    id_decl = {"idh": [], "idv": [], "idsq": [], "idsqv": []}
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head == "objects":
-            for t, c in toks[1:]:
-                nt.add("object", t, line, c)
-        elif head in ("hcell", "vcell"):
-            _expect(
-                len(toks) == 6 and toks[2][0] == ":" and toks[4][0] == "->",
-                f"expected: {head} f : A -> B",
-                line,
-                col,
-            )
-            nt.add(head, toks[1][0], line, toks[1][1])
-            (h_decl if head == "hcell" else v_decl).append((toks[1], toks[3], toks[5], line))
-        elif head == "square":
-            # square s : top bottom | left right
-            _expect(
-                len(toks) == 8 and toks[2][0] == ":" and toks[5][0] == "|",
-                "expected: square s : top bottom | left right",
-                line,
-                col,
-            )
-            nt.add("square", toks[1][0], line, toks[1][1])
-            sq_decl.append((toks[1], toks[3], toks[4], toks[6], toks[7], line))
-        elif head in ("hcomp", "vcomp", "hsq", "vsq"):
-            _expect(len(toks) == 5 and toks[3][0] == "=", f"expected: {head} a b = c", line, col)
-            table_decl[head].append((toks[1], toks[2], toks[4], line))
-        elif head in ("idh", "idv", "idsq", "idsqv"):
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} x = y", line, col)
-            id_decl[head].append((toks[1], toks[3], line))
-        else:
-            raise ParseError(f"unknown keyword {head!r} in category", line, col)
+def _write_fincategory(doc, decl):
+    c = decl.obj
+    names = {"object": c.names.get("objects") or [f"o{a}" for a in range(c.n_objects)], "mor": c.names["mor"]}
+    w = [_line(_FINCATEGORY, "objects", " ".join(names["object"]))]
+    w += _write(_FINCATEGORY, "mor", enumerate(c.mor), names)
+    w += _write(_FINCATEGORY, "idm", enumerate(c.ids), names)
+    return w + _write(_FINCATEGORY, "comp", _explicit(c.comp, _unit_entries(c.ids, c.mor)), names)
 
+
+_CATEGORY = {
+    "objects": ("...",),
+    "hcell": ("f : A -> B", ("hcell", "object", "object")),
+    "vcell": ("f : A -> B", ("vcell", "object", "object")),
+    "square": ("s : top bottom | left right", ("square", "hcell", "hcell", "vcell", "vcell")),
+    "idh": ("x = y", ("object", "hcell")),
+    "idv": ("x = y", ("object", "vcell")),
+    "idsq": ("x = y", ("hcell", "square")),
+    "idsqv": ("x = y", ("vcell", "square")),
+    "hcomp": ("a b = c", ("hcell",) * 3),
+    "vcomp": ("a b = c", ("vcell",) * 3),
+    "hsq": ("a b = c", ("square",) * 3),
+    "vsq": ("a b = c", ("square",) * 3),
+}
+
+
+def _parse_category(lines, doc, name, sig, header_line):
+    nt, _, entries = _read_cells(
+        lines, header_line, _CATEGORY, ("object", "hcell", "vcell", "square"), "unknown keyword {!r} in category"
+    )
     n = len(nt.names["object"])
-    hid, vid = [None] * n, [None] * n
-    for (an, ac), (cn, cc), line in id_decl["idh"]:
-        hid[nt.get("object", an, line, ac)] = nt.get("hcell", cn, line, cc)
-    for (an, ac), (cn, cc), line in id_decl["idv"]:
-        vid[nt.get("object", an, line, ac)] = nt.get("vcell", cn, line, cc)
-    for a, obname in enumerate(nt.names["object"]):
-        if hid[a] is None:
-            hid[a] = nt.add("hcell", f"1_{obname}", header_line, 1)
-        if vid[a] is None:
-            vid[a] = nt.add("vcell", f"1^{obname}", header_line, 1)
-    hcells = [None] * len(nt.names["hcell"])
-    vcells = [None] * len(nt.names["vcell"])
-    for (cn, cc), (sn, sc), (tn, tc), line in h_decl:
-        hcells[nt.get("hcell", cn, line, cc)] = (
-            nt.get("object", sn, line, sc),
-            nt.get("object", tn, line, tc),
-        )
-    for (cn, cc), (sn, sc), (tn, tc), line in v_decl:
-        vcells[nt.get("vcell", cn, line, cc)] = (
-            nt.get("object", sn, line, sc),
-            nt.get("object", tn, line, tc),
-        )
-    for a in range(n):
-        if hcells[hid[a]] is None:
-            hcells[hid[a]] = (a, a)
-        if vcells[vid[a]] is None:
-            vcells[vid[a]] = (a, a)
-    squares = [None] * len(nt.names["square"])
-    for (qn, qc), t, b, l, r, line in sq_decl:
-        squares[nt.get("square", qn, line, qc)] = (
-            nt.get("hcell", t[0], line, t[1]),
-            nt.get("hcell", b[0], line, b[1]),
-            nt.get("vcell", l[0], line, l[1]),
-            nt.get("vcell", r[0], line, r[1]),
-        )
-    sq_vid = [None] * len(nt.names["hcell"])
-    for (fn, fc), (qn, qc), line in id_decl["idsq"]:
-        sq_vid[nt.get("hcell", fn, line, fc)] = nt.get("square", qn, line, qc)
-    sq_hid = [None] * len(nt.names["vcell"])
-    for (un, uc), (qn, qc), line in id_decl["idsqv"]:
-        sq_hid[nt.get("vcell", un, line, uc)] = nt.get("square", qn, line, qc)
-    vid_pos = {u: a for a, u in enumerate(vid)}
-    for f, fname in enumerate(nt.names["hcell"]):
-        if sq_vid[f] is None:
-            idx = nt.add("square", f"I_{fname}", header_line, 1)
-            squares.append((f, f, vid[hcells[f][0]], vid[hcells[f][1]]))
-            sq_vid[f] = idx
-    for u, uname in enumerate(nt.names["vcell"]):
-        if sq_hid[u] is not None:
-            continue
-        if u in vid_pos:
-            # shared identity square on the object
-            sq_hid[u] = sq_vid[hid[vid_pos[u]]]
-            continue
-        idx = nt.add("square", f"I^{uname}", header_line, 1)
-        squares.append((hid[vcells[u][0]], hid[vcells[u][1]], u, u))
-        sq_hid[u] = idx
-
-    hcomp1 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["hcomp"]:
-        hcomp1[(nt.get("hcell", an, line, ac), nt.get("hcell", bn, line, bc))] = nt.get(
-            "hcell", cn, line, cc
-        )
-    vcomp1 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["vcomp"]:
-        vcomp1[(nt.get("vcell", an, line, ac), nt.get("vcell", bn, line, bc))] = nt.get(
-            "vcell", cn, line, cc
-        )
-    for f, (a, b) in enumerate(hcells):
-        hcomp1.setdefault((hid[a], f), f)
-        hcomp1.setdefault((f, hid[b]), f)
-    for u, (a, b) in enumerate(vcells):
-        vcomp1.setdefault((vid[a], u), u)
-        vcomp1.setdefault((u, vid[b]), u)
-    hcomp2 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["hsq"]:
-        hcomp2[(nt.get("square", an, line, ac), nt.get("square", bn, line, bc))] = nt.get(
-            "square", cn, line, cc
-        )
-    vcomp2 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["vsq"]:
-        vcomp2[(nt.get("square", an, line, ac), nt.get("square", bn, line, bc))] = nt.get(
-            "square", cn, line, cc
-        )
-    counts = {}
-    for bnd in squares:
-        counts[bnd] = counts.get(bnd, 0) + 1
-    sq_index = {bnd: i for i, bnd in enumerate(squares) if counts[bnd] == 1}
-
-    def auto_fill(table, pastable, composite):
-        for x, bx in enumerate(squares):
-            for y, by in enumerate(squares):
-                if pastable(bx, by) and (x, y) not in table:
-                    bnd = composite(bx, by)
-                    if bnd in sq_index:
-                        table[(x, y)] = sq_index[bnd]
-
-    auto_fill(
+    hid, vid = _assigned(entries("idh"), n), _assigned(entries("idv"), n)
+    _identities(nt, hid, "object", "hcell", "1_", header_line)
+    _identities(nt, vid, "object", "vcell", "1^", header_line)
+    hcells = _fill(nt, "hcell", _boundaries(nt, entries, "hcell"), hid, _same)
+    vcells = _fill(nt, "vcell", _boundaries(nt, entries, "vcell"), vid, _same)
+    squares = _boundaries(nt, entries, "square")
+    sq_vid = _assigned(entries("idsq"), len(hcells))
+    sq_hid = _assigned(entries("idsqv"), len(vcells))
+    _identities(nt, sq_vid, "hcell", "square", "I_", header_line)
+    # an identity vcell shares the identity square of its object
+    shared = {u: sq_vid[hid[a]] for a, u in enumerate(vid)}
+    _identities(nt, sq_hid, "vcell", "square", "I^", header_line, shared)
+    _fill(nt, "square", squares, sq_vid, lambda f: (f, f, vid[hcells[f][0]], vid[hcells[f][1]]))
+    _fill(nt, "square", squares, sq_hid, lambda u: (hid[vcells[u][0]], hid[vcells[u][1]], u, u))
+    hcomp1, vcomp1 = _table(entries("hcomp")), _table(entries("vcomp"))
+    _fill_implied(hcomp1, _unit_entries(hid, hcells))
+    _fill_implied(vcomp1, _unit_entries(vid, vcells))
+    hcomp2, vcomp2 = _table(entries("hsq")), _table(entries("vsq"))
+    _fill_implied(hcomp2, _unique_composites(squares, hcomp1))
+    _fill_implied(vcomp2, _unique_composites(_transposed(squares), vcomp1))
+    cat = _build(
+        header_line,
+        DoubleCategory,
+        n,
+        hcells,
+        vcells,
+        squares,
+        hcomp1,
+        vcomp1,
         hcomp2,
-        lambda bx, by: bx[3] == by[2],
-        lambda bx, by: (
-            hcomp1.get((bx[0], by[0])),
-            hcomp1.get((bx[1], by[1])),
-            bx[2],
-            by[3],
-        ),
-    )
-    auto_fill(
         vcomp2,
-        lambda bx, by: bx[1] == by[0],
-        lambda bx, by: (
-            bx[0],
-            by[1],
-            vcomp1.get((bx[2], by[2])),
-            vcomp1.get((bx[3], by[3])),
-        ),
+        hid,
+        vid,
+        sq_vid,
+        sq_hid,
+        names=dict(nt.names),
     )
-    try:
-        cat = DoubleCategory(
-            n,
-            hcells,
-            vcells,
-            squares,
-            hcomp1,
-            vcomp1,
-            hcomp2,
-            vcomp2,
-            hid,
-            vid,
-            sq_vid,
-            sq_hid,
-            names={
-                "object": nt.names["object"],
-                "hcell": nt.names["hcell"],
-                "vcell": nt.names["vcell"],
-                "square": nt.names["square"],
-            },
-        )
-    except StructureError as e:
-        raise ParseError(str(e), header_line) from None
     return Declaration("category", name, cat, names=nt.index)
 
 
-def _parse_twocategory_block(cur, doc, name, header_line, bicategory=False):
-    nt = _NameTable().kind("object").kind("onecell").kind("twocell")
-    one_decl, two_decl = [], []
-    table_decl = {"comp": [], "vcc": [], "hcc": []}
-    id_decl = {"id1": [], "id2": []}
-    constraint_decl = {"assoc": [], "associnv": [], "lunit": [], "lunitinv": [], "runit": [], "runitinv": []}
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head == "objects":
-            for t, c in toks[1:]:
-                nt.add("object", t, line, c)
-        elif head == "onecell":
-            _expect(
-                len(toks) == 6 and toks[2][0] == ":" and toks[4][0] == "->",
-                "expected: onecell f : A -> B",
-                line,
-                col,
-            )
-            nt.add("onecell", toks[1][0], line, toks[1][1])
-            one_decl.append((toks[1], toks[3], toks[5], line))
-        elif head == "twocell":
-            _expect(
-                len(toks) == 6 and toks[2][0] == ":" and toks[4][0] == "=>",
-                "expected: twocell s : f => g",
-                line,
-                col,
-            )
-            nt.add("twocell", toks[1][0], line, toks[1][1])
-            two_decl.append((toks[1], toks[3], toks[5], line))
-        elif head in table_decl:
-            _expect(len(toks) == 5 and toks[3][0] == "=", f"expected: {head} a b = c", line, col)
-            table_decl[head].append((toks[1], toks[2], toks[4], line))
-        elif head in ("id1", "id2"):
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} x = y", line, col)
-            id_decl[head].append((toks[1], toks[3], line))
-        elif bicategory and head in ("assoc", "associnv"):
-            _expect(len(toks) == 6 and toks[4][0] == "=", f"expected: {head} f g h = s", line, col)
-            constraint_decl[head].append((toks[1], toks[2], toks[3], toks[5], line))
-        elif bicategory and head in ("lunit", "lunitinv", "runit", "runitinv"):
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} f = s", line, col)
-            constraint_decl[head].append((toks[1], toks[3], line))
-        else:
-            raise ParseError(f"unknown keyword {head!r}", line, col)
+def _write_category(doc, decl):
+    d = decl.obj
+    nm = d.names
+    w = [_line(_CATEGORY, "objects", " ".join(nm["object"]))]
+    for kw, cells in (("hcell", d.hcells), ("vcell", d.vcells), ("square", d.squares)):
+        w += _write(_CATEGORY, kw, enumerate(cells), nm)
+    w += _interleave(*(_write(_CATEGORY, kw, enumerate(ids), nm) for kw, ids in (("idh", d.hid), ("idv", d.vid))))
+    w += _write(_CATEGORY, "idsq", enumerate(d.sq_vid), nm)
+    w += _write(_CATEGORY, "idsqv", enumerate(d.sq_hid), nm)
+    for kw, table, rule in (
+        ("hcomp", d.hcomp1, _unit_entries(d.hid, d.hcells)),
+        ("vcomp", d.vcomp1, _unit_entries(d.vid, d.vcells)),
+        ("hsq", d.hcomp2, _unique_composites(d.squares, d.hcomp1)),
+        ("vsq", d.vcomp2, _unique_composites(_transposed(d.squares), d.vcomp1)),
+    ):
+        w += _write(_CATEGORY, kw, _explicit(table, rule), nm)
+    return w
+
+
+_TWOCATEGORY = {
+    "objects": ("...",),
+    "onecell": ("f : A -> B", ("onecell", "object", "object")),
+    "twocell": ("s : f => g", ("twocell", "onecell", "onecell")),
+    "id1": ("x = y", ("object", "onecell")),
+    "id2": ("x = y", ("onecell", "twocell")),
+    "comp": ("a b = c", ("onecell",) * 3),
+    "vcc": ("a b = c", ("twocell",) * 3),
+    "hcc": ("a b = c", ("twocell",) * 3),
+}
+_BICATEGORY = {
+    **_TWOCATEGORY,
+    "assoc": ("f g h = s", ("onecell",) * 3 + ("twocell",)),
+    "associnv": ("f g h = s", ("onecell",) * 3 + ("twocell",)),
+    **{kw: ("f = s", ("onecell", "twocell")) for kw in ("lunit", "lunitinv", "runit", "runitinv")},
+}
+
+
+def _parse_twocategory(lines, doc, name, sig, header_line, kind="twocategory"):
+    spec = _BICATEGORY if kind == "bicategory" else _TWOCATEGORY
+    nt, _, entries = _read_cells(lines, header_line, spec, ("object", "onecell", "twocell"), "unknown keyword {!r}")
     n = len(nt.names["object"])
-    id1 = [None] * n
-    for (an, ac), (cn, cc), line in id_decl["id1"]:
-        id1[nt.get("object", an, line, ac)] = nt.get("onecell", cn, line, cc)
-    for a, ob in enumerate(nt.names["object"]):
-        if id1[a] is None:
-            id1[a] = nt.add("onecell", f"1_{ob}", header_line, 1)
-    onecells = [None] * len(nt.names["onecell"])
-    for (cn, cc), (sn, sc), (tn, tc), line in one_decl:
-        onecells[nt.get("onecell", cn, line, cc)] = (
-            nt.get("object", sn, line, sc),
-            nt.get("object", tn, line, tc),
-        )
-    for a, i in enumerate(id1):
-        if onecells[i] is None:
-            onecells[i] = (a, a)
-    id2 = [None] * len(nt.names["onecell"])
-    for (fn, fc), (cn, cc), line in id_decl["id2"]:
-        id2[nt.get("onecell", fn, line, fc)] = nt.get("twocell", cn, line, cc)
-    for f, fname in enumerate(nt.names["onecell"]):
-        if id2[f] is None:
-            id2[f] = nt.add("twocell", f"I_{fname}", header_line, 1)
-    twocells = [None] * len(nt.names["twocell"])
-    for (cn, cc), (sn, sc), (tn, tc), line in two_decl:
-        twocells[nt.get("twocell", cn, line, cc)] = (
-            nt.get("onecell", sn, line, sc),
-            nt.get("onecell", tn, line, tc),
-        )
-    for f, i in enumerate(id2):
-        if twocells[i] is None:
-            twocells[i] = (f, f)
-    comp1 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["comp"]:
-        comp1[(nt.get("onecell", an, line, ac), nt.get("onecell", bn, line, bc))] = nt.get(
-            "onecell", cn, line, cc
-        )
-    for f, (a, b) in enumerate(onecells):
-        comp1.setdefault((id1[a], f), f)
-        comp1.setdefault((f, id1[b]), f)
-    vcomp2 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["vcc"]:
-        vcomp2[(nt.get("twocell", an, line, ac), nt.get("twocell", bn, line, bc))] = nt.get(
-            "twocell", cn, line, cc
-        )
-    for x, (f, g) in enumerate(twocells):
-        vcomp2.setdefault((id2[f], x), x)
-        vcomp2.setdefault((x, id2[g]), x)
-    hcomp2 = {}
-    for (an, ac), (bn, bc), (cn, cc), line in table_decl["hcc"]:
-        hcomp2[(nt.get("twocell", an, line, ac), nt.get("twocell", bn, line, bc))] = nt.get(
-            "twocell", cn, line, cc
-        )
-    id2_set = set(id2)
-    for x in id2_set:
-        for y in id2_set:
-            f, g = twocells[x][0], twocells[y][0]
-            if onecells[f][1] == onecells[g][0]:
-                hcomp2.setdefault((x, y), id2[comp1[(f, g)]])
-    for x, (f, g) in enumerate(twocells):
-        a, b = onecells[f]
-        hcomp2.setdefault((id2[id1[a]], x), x)
-        hcomp2.setdefault((x, id2[id1[b]]), x)
-    names = {
-        "objects": nt.names["object"],
-        "onecell": nt.names["onecell"],
-        "twocell": nt.names["twocell"],
-    }
-    try:
-        if not bicategory:
-            obj = TwoCategory(n, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=names)
-            return Declaration("twocategory", name, obj, names=nt.index)
-        assoc, assoc_inv = {}, {}
-        for key, target in (("assoc", assoc), ("associnv", assoc_inv)):
-            for (fn, fc), (gn, gc), (hn, hc), (sn, sc), line in constraint_decl[key]:
-                target[
-                    (
-                        nt.get("onecell", fn, line, fc),
-                        nt.get("onecell", gn, line, gc),
-                        nt.get("onecell", hn, line, hc),
-                    )
-                ] = nt.get("twocell", sn, line, sc)
-        n1 = len(onecells)
-        lunit = [None] * n1
-        lunit_inv = [None] * n1
-        runit = [None] * n1
-        runit_inv = [None] * n1
-        for key, target in (
-            ("lunit", lunit),
-            ("lunitinv", lunit_inv),
-            ("runit", runit),
-            ("runitinv", runit_inv),
-        ):
-            for (fn, fc), (sn, sc), line in constraint_decl[key]:
-                target[nt.get("onecell", fn, line, fc)] = nt.get("twocell", sn, line, sc)
-        # unspecified constraints default to identities
-        for f in range(n1):
-            a, b = onecells[f]
-            if lunit[f] is None:
-                lunit[f] = id2[comp1[(id1[a], f)]]
-            if lunit_inv[f] is None:
-                lunit_inv[f] = lunit[f] if twocells[lunit[f]][0] == twocells[lunit[f]][1] else None
-            if runit[f] is None:
-                runit[f] = id2[comp1[(f, id1[b])]]
-            if runit_inv[f] is None:
-                runit_inv[f] = runit[f] if twocells[runit[f]][0] == twocells[runit[f]][1] else None
-        for (f, g) in list(comp1):
-            for h in range(n1):
-                if onecells[g][1] == onecells[h][0]:
-                    key = (f, g, h)
-                    if key not in assoc:
-                        assoc[key] = id2[comp1[(comp1[(f, g)], h)]]
-                        assoc_inv.setdefault(key, assoc[key])
-        obj = Bicategory(
-            n,
-            onecells,
-            twocells,
-            comp1,
-            vcomp2,
-            hcomp2,
-            id1,
-            id2,
-            assoc,
-            assoc_inv,
-            lunit,
-            lunit_inv,
-            runit,
-            runit_inv,
-            names=names,
-        )
-        return Declaration("bicategory", name, obj, names=nt.index)
-    except StructureError as e:
-        raise ParseError(str(e), header_line) from None
+    id1 = _identities(nt, _assigned(entries("id1"), n), "object", "onecell", "1_", header_line)
+    onecells = _fill(nt, "onecell", _boundaries(nt, entries, "onecell"), id1, _same)
+    n1 = len(onecells)
+    id2 = _identities(nt, _assigned(entries("id2"), n1), "onecell", "twocell", "I_", header_line)
+    twocells = _fill(nt, "twocell", _boundaries(nt, entries, "twocell"), id2, _same)
+    comp1 = _table(entries("comp"))
+    _fill_implied(comp1, _unit_entries(id1, onecells))
+    vcomp2 = _table(entries("vcc"))
+    _fill_implied(vcomp2, _unit_entries(id2, twocells))
+    hcomp2 = _table(entries("hcc"))
+    src, tgt = _columns(onecells, 2)
+    _complete(comp1, tgt, src, nt.names["onecell"], header_line)
+    _fill_implied(hcomp2, *_hcc_rules(onecells, twocells, comp1, id1, id2))
+    names = {"objects": nt.names["object"], "onecell": nt.names["onecell"], "twocell": nt.names["twocell"]}
+    tables = (n, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2)
+    if kind == "twocategory":
+        return Declaration(kind, name, _build(header_line, TwoCategory, *tables, names=names), names=nt.index)
+    assoc, assoc_inv = _table(entries("assoc")), _table(entries("associnv"))
+    lunit, lunit_inv, runit, runit_inv = (
+        _assigned(entries(kw), n1) for kw in ("lunit", "lunitinv", "runit", "runitinv")
+    )
+    implied_assoc, implied_lunit, implied_runit = _identity_constraints(onecells, comp1, id1, id2)
+    for f in range(n1):
+        for units, inverse, implied in ((lunit, lunit_inv, implied_lunit), (runit, runit_inv, implied_runit)):
+            if units[f] is None:
+                units[f] = implied[f]
+            if inverse[f] is None and twocells[units[f]][0] == twocells[units[f]][1]:
+                inverse[f] = units[f]
+    for key, s in implied_assoc.items():
+        if key not in assoc:
+            assoc[key] = s
+            assoc_inv.setdefault(key, s)
+    obj = _build(header_line, Bicategory, *tables, assoc, assoc_inv, lunit, lunit_inv, runit, runit_inv, names=names)
+    return Declaration(kind, name, obj, names=nt.index)
 
 
-def _parse_functor_block(cur, doc, name, sig, header_line):
-    _expect(len(sig) == 3 and sig[1][0] == "->", "expected: functor F : C -> D {", header_line)
-    dom_decl = doc.get(sig[0][0], ("category",), header_line, sig[0][1])
-    cod_decl = doc.get(sig[2][0], ("category",), header_line, sig[2][1])
-    dom, cod = dom_decl.obj, cod_decl.obj
+def _write_twocategory(doc, decl):
+    t = decl.obj
+    nm = {"object": t.names["objects"], "onecell": t.names["onecell"], "twocell": t.names["twocell"]}
+
+    def write(kw, entries):
+        return _write(_BICATEGORY, kw, entries, nm)
+
+    w = [_line(_BICATEGORY, "objects", " ".join(nm["object"]))]
+    for kw, cells in (("onecell", t.onecells), ("twocell", t.twocells), ("id1", t.id1), ("id2", t.id2)):
+        w += write(kw, enumerate(cells))
+    for kw, table, rules in (
+        ("comp", t.comp1, [_unit_entries(t.id1, t.onecells)]),
+        ("vcc", t.vcomp2, [_unit_entries(t.id2, t.twocells)]),
+        ("hcc", t.hcomp2, _hcc_rules(t.onecells, t.twocells, t.comp1, t.id1, t.id2)),
+    ):
+        w += write(kw, _explicit(table, *rules))
+    if decl.kind == "bicategory":
+        assoc, lunit, runit = _identity_constraints(t.onecells, t.comp1, t.id1, t.id2)
+        keys = [key for key, s in sorted(t.assoc.items()) if s != assoc.get(key)]
+        w += _interleave(
+            write("assoc", [(k, t.assoc[k]) for k in keys]), write("associnv", [(k, t.assoc_inv[k]) for k in keys])
+        )
+        unitors = (("lunit", t.lunit, t.lunit_inv, lunit), ("runit", t.runit, t.runit_inv, runit))
+        for f in range(len(t.onecells)):
+            for kw, cells, inverse, implied in unitors:
+                if cells[f] != implied[f]:
+                    w += write(kw, [(f, cells[f])]) + write(kw + "inv", [(f, inverse[f])])
+    return w
+
+
+# ---------------------------------------------------------------------------
+# mapping blocks: functor, transformation, connection, modification, monoid
+
+
+def _names(doc, ref):
+    return doc.decls[ref].obj.names
+
+
+_FUNCTOR = {
+    "kind": ("strict|pseudo",),
+    "ob": ("x = y", ("object", "object"), "ob_map"),
+    "hcell": ("x = y", ("hcell", "hcell"), "h_map"),
+    "vcell": ("x = y", ("vcell", "vcell"), "v_map"),
+    "square": ("x = y", ("square", "square"), "sq_map"),
+    "comph": ("x y = s", ("hcell", "hcell", "square"), "comp_h"),
+    "comphinv": ("x y = s", ("hcell", "hcell", "square"), "comp_h_inv"),
+    "compv": ("x y = s", ("vcell", "vcell", "square"), "comp_v"),
+    "compvinv": ("x y = s", ("vcell", "vcell", "square"), "comp_v_inv"),
+    "unith": ("A = s", ("object", "square"), "unit_h"),
+    "unithinv": ("A = s", ("object", "square"), "unit_h_inv"),
+    "unitv": ("A = s", ("object", "square"), "unit_v"),
+    "unitvinv": ("A = s", ("object", "square"), "unit_v_inv"),
+}
+_FUNCTOR_MAPS = ("ob", "hcell", "vcell", "square")
+_FUNCTOR_CELLS = ("comph", "compv", "unith", "unitv")  # each with its inverse, kw + "inv"
+
+
+def _parse_functor(lines, doc, name, sig, header_line):
+    (dom_name, dom_col), (cod_name, cod_col) = sig
+    dom_decl = doc.get(dom_name, ("category",), header_line, dom_col)
+    cod_decl = doc.get(cod_name, ("category",), header_line, cod_col)
     kind = "strict"
-    maps = {"ob": {}, "hcell": {}, "vcell": {}, "square": {}}
-    cells = {k: {} for k in ("comph", "comphinv", "unith", "unithinv", "compv", "compvinv", "unitv", "unitvinv")}
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head == "kind":
-            _expect(len(toks) == 2 and toks[1][0] in ("strict", "pseudo"), "expected: kind strict|pseudo", line, col)
-            kind = toks[1][0]
-        elif head in ("ob", "hcell", "vcell", "square"):
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} x = y", line, col)
-            dk = "object" if head == "ob" else head
-            src = dom_decl.names[dk].get(toks[1][0])
-            _expect(src is not None, f"unknown {dk} {toks[1][0]!r}", line, toks[1][1])
-            tgt = cod_decl.names[dk].get(toks[3][0])
-            _expect(tgt is not None, f"unknown {dk} {toks[3][0]!r}", line, toks[3][1])
-            maps[head][src] = tgt
-        elif head in ("comph", "comphinv", "compv", "compvinv"):
-            _expect(len(toks) == 5 and toks[3][0] == "=", f"expected: {head} x y = s", line, col)
-            dk = "hcell" if head.startswith("comph") else "vcell"
-            a = dom_decl.names[dk].get(toks[1][0])
-            b = dom_decl.names[dk].get(toks[2][0])
-            s = cod_decl.names["square"].get(toks[4][0])
-            _expect(None not in (a, b, s), "unresolved cell in structure entry", line, col)
-            cells[head][(a, b)] = s
-        elif head in ("unith", "unithinv", "unitv", "unitvinv"):
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} A = s", line, col)
-            a = dom_decl.names["object"].get(toks[1][0])
-            s = cod_decl.names["square"].get(toks[3][0])
-            _expect(None not in (a, s), "unresolved cell in structure entry", line, col)
-            cells[head][a] = s
-        else:
-            raise ParseError(f"unknown keyword {head!r} in functor", line, col)
-
-    def total(mapping, count, what):
-        out = []
-        for i in range(count):
-            _expect(i in mapping, f"missing image for {what} {i}", header_line)
-            out.append(mapping[i])
-        return out
-
-    ob_map = total(maps["ob"], dom.n_objects, "object")
-    h_map = total(maps["hcell"], len(dom.hcells), "hcell")
-    v_map = total(maps["vcell"], len(dom.vcells), "vcell")
-    sq_map = total(maps["square"], len(dom.squares), "square")
-    try:
-        strict = StrictDoubleFunctor(dom, cod, ob_map, h_map, v_map, sq_map, name=name)
-        if kind == "strict":
-            return Declaration("functor", name, pseudo_from_strict(strict), meta={"strict": True, "dom": sig[0][0], "cod": sig[2][0]})
-        base = pseudo_from_strict(strict)
-        for key, table in (
-            ("comph", base.comp_h),
-            ("comphinv", base.comp_h_inv),
-            ("compv", base.comp_v),
-            ("compvinv", base.comp_v_inv),
-            ("unith", base.unit_h),
-            ("unithinv", base.unit_h_inv),
-            ("unitv", base.unit_v),
-            ("unitvinv", base.unit_v_inv),
-        ):
-            table.update(cells[key])
-        return Declaration("functor", name, base, meta={"strict": False, "dom": sig[0][0], "cod": sig[2][0]})
-    except StructureError as e:
-        raise ParseError(str(e), header_line) from None
+    entry = _entry_reader(_FUNCTOR, dom_decl.names, cod_decl.names)
+    entries = {kw: {} for kw in _FUNCTOR}
+    for kw, args, line, col in _block(lines, header_line, _FUNCTOR, "unknown keyword {!r} in functor"):
+        if kw == "kind":
+            kind = args[0][0]
+            continue
+        unresolved = None if kw in _FUNCTOR_MAPS else "unresolved cell in structure entry"
+        key, value = entry(kw, args, line, col, unresolved)
+        entries[kw][key] = value
+    maps = []
+    for kw in _FUNCTOR_MAPS:
+        what = _FUNCTOR[kw][1][0]
+        count = _count(dom_decl.obj, what)
+        maps.append(_total(entries[kw], range(count), f"missing image for {what} {{}}", header_line))
+    f = pseudo_from_strict(_build(header_line, StrictDoubleFunctor, dom_decl.obj, cod_decl.obj, *maps, name=name))
+    if kind == "pseudo":
+        for kw in _FUNCTOR_CELLS:
+            for k in (kw, kw + "inv"):
+                getattr(f, _FUNCTOR[k][2]).update(entries[k])
+    return Declaration("functor", name, f, meta={"strict": kind == "strict", "dom": dom_name, "cod": cod_name})
 
 
-def _parse_transformation_block(cur, doc, name, sig, header_line):
-    _expect(len(sig) == 3 and sig[1][0] == "=>", "expected: transformation a : F => G {", header_line)
-    f_decl = doc.get(sig[0][0], "functor", header_line, sig[0][1])
-    g_decl = doc.get(sig[2][0], "functor", header_line, sig[2][1])
+def _write_functor(doc, decl):
+    f = decl.obj
+    dn, cn = _names(doc, decl.meta["dom"]), _names(doc, decl.meta["cod"])
+    strict = decl.meta.get("strict")
+    w = [_line(_FUNCTOR, "kind", "strict" if strict else "pseudo")]
+    for kw in _FUNCTOR_MAPS:
+        w += _write(_FUNCTOR, kw, enumerate(getattr(f, _FUNCTOR[kw][2])), dn, cn)
+    if not strict:
+        for kw in _FUNCTOR_CELLS:
+            table, inverse = getattr(f, _FUNCTOR[kw][2]), getattr(f, _FUNCTOR[kw + "inv"][2])
+            keys = sorted(table)
+            w += _interleave(
+                _write(_FUNCTOR, kw, [(k, table[k]) for k in keys], dn, cn),
+                _write(_FUNCTOR, kw + "inv", [(k, inverse[k]) for k in keys], dn, cn),
+            )
+    return w
+
+
+# keyword -> (shape, kinds, leg, field): the field of the leg it fills; the
+# ``delta_inv`` fields are partial, every other field is total
+_TRANSFORMATION = {
+    "kind": ("horizontal|vertical|double|theta",),
+    "comp0": ("x = y", ("object", "vcell"), "v0", "comp"),
+    "nat0": ("x = y", ("hcell", "square"), "v0", "nat"),
+    "delta0": ("x = y", ("vcell", "square"), "v0", "delta"),
+    "delta0inv": ("x = y", ("vcell", "square"), "v0", "delta_inv"),
+    "comp1": ("x = y", ("object", "hcell"), "h1", "comp"),
+    "nat1": ("x = y", ("vcell", "square"), "h1", "nat"),
+    "delta1": ("x = y", ("hcell", "square"), "h1", "delta"),
+    "delta1inv": ("x = y", ("hcell", "square"), "h1", "delta_inv"),
+    "t": ("x = y", ("hcell", "square"), "double", "t"),
+    "r": ("x = y", ("vcell", "square"), "double", "r"),
+    "theta": ("x = y", ("object", "square"), "theta", "theta"),
+}
+
+
+def _parse_transformation(lines, doc, name, sig, header_line):
+    (from_name, from_col), (to_name, to_col) = sig
+    f_decl = doc.get(from_name, "functor", header_line, from_col)
+    g_decl = doc.get(to_name, "functor", header_line, to_col)
     F, G = f_decl.obj, g_decl.obj
     dom_decl = doc.get(f_decl.meta["dom"], None, header_line)
     cod_decl = doc.get(f_decl.meta["cod"], None, header_line)
     kind = None
-    slots = {
-        k: {}
-        for k in (
-            "comp0",
-            "nat0",
-            "delta0",
-            "delta0inv",
-            "comp1",
-            "nat1",
-            "delta1",
-            "delta1inv",
-            "t",
-            "r",
-            "theta",
-        )
-    }
-    keyspec = {
-        "comp0": ("object", "vcell"),
-        "nat0": ("hcell", "square"),
-        "delta0": ("vcell", "square"),
-        "delta0inv": ("vcell", "square"),
-        "comp1": ("object", "hcell"),
-        "nat1": ("vcell", "square"),
-        "delta1": ("hcell", "square"),
-        "delta1inv": ("hcell", "square"),
-        "t": ("hcell", "square"),
-        "r": ("vcell", "square"),
-        "theta": ("object", "square"),
-    }
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head == "kind":
-            _expect(
-                len(toks) == 2 and toks[1][0] in ("horizontal", "vertical", "double", "theta"),
-                "expected: kind horizontal|vertical|double|theta",
-                line,
-                col,
-            )
-            kind = toks[1][0]
-        elif head in slots:
-            _expect(len(toks) == 4 and toks[2][0] == "=", f"expected: {head} x = y", line, col)
-            dk, ck = keyspec[head]
-            key = dom_decl.names[dk].get(toks[1][0])
-            _expect(key is not None, f"unknown {dk} {toks[1][0]!r}", line, toks[1][1])
-            val = cod_decl.names[ck].get(toks[3][0])
-            _expect(val is not None, f"unknown {ck} {toks[3][0]!r}", line, toks[3][1])
-            slots[head][key] = val
-        else:
-            raise ParseError(f"unknown keyword {head!r} in transformation", line, col)
+    entry = _entry_reader(_TRANSFORMATION, dom_decl.names, cod_decl.names)
+    slots = {kw: {} for kw in _TRANSFORMATION}
+    for kw, args, line, col in _block(lines, header_line, _TRANSFORMATION, "unknown keyword {!r} in transformation"):
+        if kw == "kind":
+            kind = args[0][0]
+            continue
+        key, value = entry(kw, args, line, col)
+        slots[kw][key] = value
     _expect(kind is not None, "transformation block needs a kind line", header_line)
-    dom = F.dom
 
-    def full(slot, count, what):
-        data = slots[slot]
+    def fields(leg):
         out = []
-        for i in range(count):
-            _expect(i in data, f"missing {slot} entry for {what} {i}", header_line)
-            out.append(data[i])
-        return tuple(out)
+        for kw, (_, (what, _), kw_leg, attr) in list(_TRANSFORMATION.items())[1:]:
+            if kw_leg != leg:
+                continue
+            if attr == "delta_inv":
+                out.append(dict(slots[kw]))
+            else:
+                count = _count(F.dom, what)
+                out.append(tuple(_total(slots[kw], range(count), f"missing {kw} entry for {what} {{}}", header_line)))
+        return out
 
     try:
-        if kind in ("vertical", "double", "theta"):
-            v0 = VerticalPNT(
-                F,
-                G,
-                full("comp0", dom.n_objects, "object"),
-                full("nat0", len(dom.hcells), "hcell"),
-                full("delta0", len(dom.vcells), "vcell"),
-                dict(slots["delta0inv"]),
-            )
-        if kind in ("horizontal", "double", "theta"):
-            h1 = HorizontalPNT(
-                F,
-                G,
-                full("comp1", dom.n_objects, "object"),
-                full("nat1", len(dom.vcells), "vcell"),
-                full("delta1", len(dom.hcells), "hcell"),
-                dict(slots["delta1inv"]),
-            )
-        if kind == "vertical":
-            obj = v0
-        elif kind == "horizontal":
-            obj = h1
-        elif kind == "double":
-            obj = DoublePNT(v0, h1, full("t", len(dom.hcells), "hcell"), full("r", len(dom.vcells), "vcell"))
+        v0 = VerticalPNT(F, G, *fields("v0")) if kind != "horizontal" else None
+        h1 = HorizontalPNT(F, G, *fields("h1")) if kind != "vertical" else None
+        if kind == "double":
+            obj = DoublePNT(v0, h1, *fields("double"))
+        elif kind == "theta":
+            obj = ThetaPNT(v0, h1, *fields("theta"))
         else:
-            obj = ThetaPNT(v0, h1, full("theta", dom.n_objects, "object"))
+            obj = v0 or h1
     except StructureError as e:
         raise ParseError(str(e), header_line) from None
-    return Declaration(
-        "transformation",
-        name,
-        obj,
-        meta={"kind": kind, "from": sig[0][0], "to": sig[2][0], "dom": f_decl.meta["dom"], "cod": f_decl.meta["cod"]},
-    )
+    meta = {"kind": kind, "from": from_name, "to": to_name, "dom": f_decl.meta["dom"], "cod": f_decl.meta["cod"]}
+    return Declaration("transformation", name, obj, meta=meta)
 
 
-def _parse_connection_block(cur, doc, name, sig, header_line):
-    _expect(len(sig) == 2 and sig[0][0] == "on", "expected: connection k on D {", header_line)
-    cat_decl = doc.get(sig[1][0], "category", header_line, sig[1][1])
-    d = cat_decl.obj
+def _write_transformation(doc, decl):
+    obj, kind = decl.obj, decl.meta["kind"]
+    dn, cn = _names(doc, decl.meta["dom"]), _names(doc, decl.meta["cod"])
+    legs = {"vertical": {"v0": obj}, "horizontal": {"h1": obj}}.get(kind) or {"v0": obj.v0, "h1": obj.h1, kind: obj}
+    w = [_line(_TRANSFORMATION, "kind", kind)]
+    for kw, (_, _, leg, attr) in list(_TRANSFORMATION.items())[1:]:
+        if leg in legs:
+            cells = getattr(legs[leg], attr)
+            items = sorted(cells.items()) if isinstance(cells, dict) else enumerate(cells)
+            w += _write(_TRANSFORMATION, kw, items, dn, cn)
+    return w
+
+
+_CONNECTION = {"pair": ("u = ustar eps eta", ("vcell", "hcell", "square", "square"))}
+
+
+def _parse_connection(lines, doc, name, sig, header_line):
+    ((on, on_col),) = sig
+    cat_decl = doc.get(on, "category", header_line, on_col)
+    entry = _entry_reader(_CONNECTION, cat_decl.names, cat_decl.names)
     pairs = []
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        _expect(head == "pair" and len(toks) == 6 and toks[2][0] == "=", "expected: pair u = ustar eps eta", line, col)
-        u = cat_decl.names["vcell"].get(toks[1][0])
-        f = cat_decl.names["hcell"].get(toks[3][0])
-        eps = cat_decl.names["square"].get(toks[4][0])
-        eta = cat_decl.names["square"].get(toks[5][0])
-        _expect(None not in (u, f, eps, eta), "unresolved cell in pair", line, col)
+    for kw, args, line, col in _block(lines, header_line, _CONNECTION, "expected: pair u = ustar eps eta"):
+        u, (f, eps, eta) = entry(kw, args, line, col, "unresolved cell in pair")
         pairs.append(CompanionPair(u, f, eps, eta))
-    try:
-        conn = Connection(d, pairs)
-    except StructureError as e:
-        raise ParseError(str(e), header_line) from None
-    return Declaration("connection", name, conn, meta={"on": sig[1][0]})
+    return Declaration("connection", name, _build(header_line, Connection, cat_decl.obj, pairs), meta={"on": on})
 
 
-def _parse_modification_block(cur, doc, name, sig, header_line):
-    _expect(len(sig) == 3 and sig[1][0] == "=>", "expected: modification m : a => b {", header_line)
-    a_decl = doc.get(sig[0][0], "transformation", header_line, sig[0][1])
-    b_decl = doc.get(sig[2][0], "transformation", header_line, sig[2][1])
+def _write_connection(doc, decl):
+    nm = _names(doc, decl.meta["on"])
+    return _write(_CONNECTION, "pair", [(u, (p.hcell, p.eps, p.eta)) for u, p in decl.obj.items()], nm)
+
+
+_MODIFICATION = {"a0": ("A = s", ("object", "square")), "a1": ("A = s", ("object", "square"))}
+
+
+def _parse_modification(lines, doc, name, sig, header_line):
+    (from_name, from_col), (to_name, to_col) = sig
+    a_decl = doc.get(from_name, "transformation", header_line, from_col)
+    b_decl = doc.get(to_name, "transformation", header_line, to_col)
     _expect(
         a_decl.meta["kind"] == "double" and b_decl.meta["kind"] == "double",
         "modifications relate coupled (kind double) transformations",
@@ -823,514 +878,169 @@ def _parse_modification_block(cur, doc, name, sig, header_line):
     )
     dom_decl = doc.get(a_decl.meta["dom"], None, header_line)
     cod_decl = doc.get(a_decl.meta["cod"], None, header_line)
-    a0, a1 = {}, {}
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        _expect(head in ("a0", "a1") and len(toks) == 4 and toks[2][0] == "=", "expected: a0 A = s", line, col)
-        key = dom_decl.names["object"].get(toks[1][0])
-        val = cod_decl.names["square"].get(toks[3][0])
-        _expect(None not in (key, val), "unresolved cell in modification", line, col)
-        (a0 if head == "a0" else a1)[key] = val
-    n = a_decl.obj.F.dom.n_objects
-    try:
-        obj = DoubleModification(
-            a_decl.obj,
-            b_decl.obj,
-            [a0[i] for i in range(n)],
-            [a1[i] for i in range(n)],
-        )
-    except (StructureError, KeyError) as e:
-        raise ParseError(str(e), header_line) from None
-    return Declaration("modification", name, obj, meta={"from": sig[0][0], "to": sig[2][0]})
+    entry = _entry_reader(_MODIFICATION, dom_decl.names, cod_decl.names)
+    comps = {kw: {} for kw in _MODIFICATION}
+    for kw, args, line, col in _block(lines, header_line, _MODIFICATION, "expected: a0 A = s"):
+        key, value = entry(kw, args, line, col, "unresolved cell in modification")
+        comps[kw][key] = value
+    objects = range(a_decl.obj.F.dom.n_objects)
+    a0, a1 = (_total(comps[kw], objects, f"missing {kw} entry for object {{}}", header_line) for kw in _MODIFICATION)
+    obj = _build(header_line, DoubleModification, a_decl.obj, b_decl.obj, a0, a1)
+    return Declaration("modification", name, obj, meta={"from": from_name, "to": to_name})
 
 
-def _parse_monoid_block(cur, doc, name, sig, header_line):
-    _expect(len(sig) == 2 and sig[0][0] == "on", "expected: monoid M on D {", header_line)
-    cat_decl = doc.get(sig[1][0], "category", header_line, sig[1][1])
-    d = cat_decl.obj
-    nm = cat_decl.names
+def _write_modification(doc, decl):
+    from_decl = doc.decls[decl.meta["from"]]
+    dn, cn = _names(doc, from_decl.meta["dom"]), _names(doc, from_decl.meta["cod"])
+    m = decl.obj
+    return _write(_MODIFICATION, "a0", enumerate(m.a0), dn, cn) + _write(_MODIFICATION, "a1", enumerate(m.a1), dn, cn)
+
+
+# keyword -> (shape, kinds, MonoidInDbl field); every table is total on the
+# product of its two key kinds
+_MONOID = {
+    "unit": ("I", ("object",)),
+    "obmul": ("x y = z", ("object", "object", "object"), "mul_ob"),
+    "hleft": ("x y = z", ("hcell", "object", "hcell"), "mul_h_left"),
+    "hright": ("x y = z", ("object", "hcell", "hcell"), "mul_h_right"),
+    "vleft": ("x y = z", ("vcell", "object", "vcell"), "mul_v_left"),
+    "vright": ("x y = z", ("object", "vcell", "vcell"), "mul_v_right"),
+    "sqleft": ("x y = z", ("square", "object", "square"), "mul_sq_left"),
+    "sqright": ("x y = z", ("object", "square", "square"), "mul_sq_right"),
+    "fliph": ("x y = z", ("hcell", "hcell", "square"), "flip_hh"),
+    "fliphinv": ("x y = z", ("hcell", "hcell", "square"), "flip_hh_inv"),
+    "flipv": ("x y = z", ("vcell", "vcell", "square"), "flip_vv"),
+    "flipvinv": ("x y = z", ("vcell", "vcell", "square"), "flip_vv_inv"),
+    "mixhv": ("x y = z", ("hcell", "vcell", "square"), "mixed_hv"),
+    "mixvh": ("x y = z", ("vcell", "hcell", "square"), "mixed_vh"),
+}
+
+
+def _parse_monoid(lines, doc, name, sig, header_line):
+    ((on, on_col),) = sig
+    cat_decl = doc.get(on, "category", header_line, on_col)
+    d, nm = cat_decl.obj, cat_decl.names
     unit = None
-    tables = {
-        "obmul": {},
-        "hleft": {},
-        "hright": {},
-        "vleft": {},
-        "vright": {},
-        "sqleft": {},
-        "sqright": {},
-        "fliph": {},
-        "fliphinv": {},
-        "flipv": {},
-        "flipvinv": {},
-        "mixhv": {},
-        "mixvh": {},
-    }
-    spec = {
-        "obmul": ("object", "object", "object"),
-        "hleft": ("hcell", "object", "hcell"),
-        "hright": ("object", "hcell", "hcell"),
-        "vleft": ("vcell", "object", "vcell"),
-        "vright": ("object", "vcell", "vcell"),
-        "sqleft": ("square", "object", "square"),
-        "sqright": ("object", "square", "square"),
-        "fliph": ("hcell", "hcell", "square"),
-        "fliphinv": ("hcell", "hcell", "square"),
-        "flipv": ("vcell", "vcell", "square"),
-        "flipvinv": ("vcell", "vcell", "square"),
-        "mixhv": ("hcell", "vcell", "square"),
-        "mixvh": ("vcell", "hcell", "square"),
-    }
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head == "unit":
-            _expect(len(toks) == 2, "expected: unit I", line, col)
-            unit = nm["object"].get(toks[1][0])
-            _expect(unit is not None, f"unknown object {toks[1][0]!r}", line, toks[1][1])
-        elif head in tables:
-            _expect(len(toks) == 5 and toks[3][0] == "=", f"expected: {head} x y = z", line, col)
-            k1, k2, k3 = spec[head]
-            a = nm[k1].get(toks[1][0])
-            b = nm[k2].get(toks[2][0])
-            c = nm[k3].get(toks[4][0])
-            _expect(None not in (a, b, c), "unresolved cell in monoid entry", line, col)
-            tables[head][(a, b)] = c
-        else:
-            raise ParseError(f"unknown keyword {head!r} in monoid", line, col)
+    entry = _entry_reader(_MONOID, nm, nm)
+    tables = {kw: {} for kw in list(_MONOID)[1:]}
+    for kw, args, line, col in _block(lines, header_line, _MONOID, "unknown keyword {!r} in monoid"):
+        if kw == "unit":
+            (unit,) = _resolve(_lookups(_MONOID, kw, nm), args, line)
+            continue
+        key, value = entry(kw, args, line, col, "unresolved cell in monoid entry")
+        tables[kw][key] = value
     _expect(unit is not None, "monoid block needs a unit line", header_line)
-    obj = MonoidInDbl(
-        d,
-        unit,
-        tables["obmul"],
-        tables["hleft"],
-        tables["hright"],
-        tables["vleft"],
-        tables["vright"],
-        tables["sqleft"],
-        tables["sqright"],
-        tables["fliph"],
-        tables["fliphinv"],
-        tables["flipv"],
-        tables["flipvinv"],
-        tables["mixhv"],
-        tables["mixvh"],
-    )
-    return Declaration("monoid", name, obj, meta={"on": sig[1][0]})
+    for kw, table in tables.items():
+        k1, k2, _ = _MONOID[kw][1]
+        keys = product(range(_count(d, k1)), range(_count(d, k2)))
+        _total(table, keys, f"missing {kw} entry for {k1} {{}} {k2} {{}}", header_line)
+    obj = MonoidInDbl(d, unit, **{_MONOID[kw][2]: table for kw, table in tables.items()})
+    return Declaration("monoid", name, obj, meta={"on": on})
 
 
-def _parse_tensor_block(cur, doc, name, header_line):
-    left = right = None
-    cap = 4
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        if head in ("left", "right"):
-            _expect(len(toks) == 2, f"expected: {head} NAME", line, col)
-            doc.get(toks[1][0], "twocategory", line, toks[1][1])
-            if head == "left":
-                left = toks[1][0]
-            else:
-                right = toks[1][0]
-        elif head == "cap":
-            _expect(len(toks) == 2 and toks[1][0].isdigit(), "expected: cap N", line, col)
-            cap = int(toks[1][0])
+def _write_monoid(doc, decl):
+    mo, nm = decl.obj, _names(doc, decl.meta["on"])
+    w = [_line(_MONOID, "unit", nm["object"][mo.unit_ob])]
+    for kw, (_, _, attr) in list(_MONOID.items())[1:]:
+        w += _write(_MONOID, kw, sorted(getattr(mo, attr).items()), nm)
+    return w
+
+
+# ---------------------------------------------------------------------------
+# reference blocks: tensor, internal
+
+_TENSOR = {"left": ("NAME",), "right": ("NAME",), "cap": ("N",)}
+
+
+def _parse_tensor(lines, doc, name, sig, header_line):
+    refs, cap = {}, 4
+    for kw, ((tok, col),), line, _ in _block(lines, header_line, _TENSOR, "unknown keyword {!r} in tensor"):
+        if kw == "cap":
+            cap = int(tok)
         else:
-            raise ParseError(f"unknown keyword {head!r} in tensor", line, col)
-    _expect(left is not None and right is not None, "tensor block needs left and right", header_line)
-    return Declaration("tensor", name, TensorDecl(left, right, cap))
+            doc.get(tok, "twocategory", line, col)
+            refs[kw] = tok
+    _expect(len(refs) == 2, "tensor block needs left and right", header_line)
+    return Declaration("tensor", name, TensorDecl(refs["left"], refs["right"], cap))
 
 
-def _parse_internal_block(cur, doc, name, header_line):
+def _write_tensor(doc, decl):
+    t = decl.obj
+    return [_line(_TENSOR, "left", t.left), _line(_TENSOR, "right", t.right), _line(_TENSOR, "cap", str(t.cap))]
+
+
+_INTERNAL = {slot: ("= NAME",) for slot in ("d0", "d1", "s", "t", "u", "p", "p1", "p2", "m", "assoc", "lunit", "runit")}
+_INTERNAL_REQUIRED = list(_INTERNAL)[:9]
+
+
+def _parse_internal(lines, doc, name, sig, header_line):
     refs = {}
-    wanted = {"d0", "d1", "s", "t", "u", "p", "p1", "p2", "m", "assoc", "lunit", "runit"}
-    while True:
-        line, toks = cur.next_tokens()
-        _expect(toks is not None, "unterminated block", header_line)
-        head, col = toks[0]
-        if head == "}":
-            break
-        _expect(head in wanted and len(toks) == 3 and toks[1][0] == "=", "expected: <slot> = NAME", line, col)
-        doc.get(toks[2][0], None, line, toks[2][1])
-        refs[head] = toks[2][0]
-    for slot in ("d0", "d1", "s", "t", "u", "p", "p1", "p2", "m"):
+    for kw, ((tok, col),), line, _ in _block(lines, header_line, _INTERNAL, "expected: <slot> = NAME"):
+        doc.get(tok, None, line, col)
+        refs[kw] = tok
+    for slot in _INTERNAL_REQUIRED:
         _expect(slot in refs, f"internal block is missing slot {slot!r}", header_line)
     return Declaration("internal", name, InternalDecl(refs))
+
+
+def _write_internal(doc, decl):
+    return [_line(_INTERNAL, slot, ref) for slot, ref in decl.obj.refs.items()]
 
 
 # ---------------------------------------------------------------------------
 # entry points
 
-_BLOCK_KINDS = frozenset(
-    {
-        "fincategory",
-        "category",
-        "twocategory",
-        "bicategory",
-        "tensor",
-        "internal",
-        "functor",
-        "transformation",
-        "connection",
-        "modification",
-        "monoid",
-    }
-)
+# kind -> (parser, writer, header signature, meta keys it names).  The
+# signature starts with the block name; None: the header is not checked.
+_BLOCKS = {
+    "fincategory": (_parse_fincategory, _write_fincategory, "", ()),
+    "category": (_parse_category, _write_category, "", ()),
+    "twocategory": (_parse_twocategory, _write_twocategory, "", ()),
+    "bicategory": (functools.partial(_parse_twocategory, kind="bicategory"), _write_twocategory, "", ()),
+    "tensor": (_parse_tensor, _write_tensor, None, ()),
+    "internal": (_parse_internal, _write_internal, None, ()),
+    "functor": (_parse_functor, _write_functor, "F : C -> D", ("dom", "cod")),
+    "transformation": (_parse_transformation, _write_transformation, "a : F => G", ("from", "to")),
+    "connection": (_parse_connection, _write_connection, "k on D", ("on",)),
+    "modification": (_parse_modification, _write_modification, "m : a => b", ("from", "to")),
+    "monoid": (_parse_monoid, _write_monoid, "M on D", ("on",)),
+}
 
 
 def parse(text: str) -> Document:
     doc = Document()
-    cur = _Cursor(text)
-    while True:
-        line, toks = cur.next_tokens()
-        if toks is None:
-            return doc
+    lines = _token_lines(text)
+    for line, toks in lines:
         head, col = toks[0]
-        if head not in _BLOCK_KINDS:
+        if head not in _BLOCKS:
             raise ParseError(f"unknown block kind {head!r}", line, col)
         _expect(len(toks) >= 3 and toks[-1][0] == "{", "block header must end with '{'", line, col)
-        name = toks[1][0]
+        parser, _, signature, _ = _BLOCKS[head]
         sig = toks[2:-1]
-        if head == "fincategory":
-            _expect(not sig, "fincategory header takes no signature", line, col)
-            decl = _parse_fincategory_block(cur, doc, name, line)
-        elif head == "category":
-            _expect(not sig, "category header takes no signature", line, col)
-            decl = _parse_category_block(cur, doc, name, line)
-        elif head == "twocategory":
-            _expect(not sig, "twocategory header takes no signature", line, col)
-            decl = _parse_twocategory_block(cur, doc, name, line)
-        elif head == "bicategory":
-            _expect(not sig, "bicategory header takes no signature", line, col)
-            decl = _parse_twocategory_block(cur, doc, name, line, bicategory=True)
-        elif head == "tensor":
-            decl = _parse_tensor_block(cur, doc, name, line)
-        elif head == "internal":
-            decl = _parse_internal_block(cur, doc, name, line)
-        elif head == "functor":
-            _expect(sig and sig[0][0] == ":", "expected: functor F : C -> D {", line, col)
-            decl = _parse_functor_block(cur, doc, name, sig[1:], line)
-        elif head == "transformation":
-            _expect(sig and sig[0][0] == ":", "expected: transformation a : F => G {", line, col)
-            decl = _parse_transformation_block(cur, doc, name, sig[1:], line)
-        elif head == "connection":
-            decl = _parse_connection_block(cur, doc, name, sig, line)
-        elif head == "modification":
-            _expect(sig and sig[0][0] == ":", "expected: modification m : a => b {", line, col)
-            decl = _parse_modification_block(cur, doc, name, sig[1:], line)
-        elif head == "monoid":
-            decl = _parse_monoid_block(cur, doc, name, sig, line)
-        doc.add(decl, line)
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def canonical_cell_names(decl: Declaration) -> dict:
-    """The declaration's cell names; every cell is serialized explicitly so
-    the stored names are authoritative."""
-    obj = decl.obj
-    if decl.kind == "fincategory":
-        return {"object": obj.names["objects"], "mor": obj.names["mor"]}
-    if decl.kind == "category":
-        return {
-            "object": obj.names["object"],
-            "hcell": obj.names["hcell"],
-            "vcell": obj.names["vcell"],
-            "square": obj.names["square"],
-        }
-    if decl.kind in ("twocategory", "bicategory"):
-        return {
-            "objects": obj.names["objects"],
-            "object": obj.names["objects"],
-            "onecell": obj.names["onecell"],
-            "twocell": obj.names["twocell"],
-        }
-    raise StructureError(f"no cell names for declaration kind {decl.kind}")
+        if signature == "":
+            _expect(not sig, f"{head} header takes no signature", line, col)
+        elif signature:
+            message = f"expected: {head} {signature} {{"
+            shape = signature.split(" ", 1)[1]
+            # a missing ':' is reported at the keyword, any other misfit at
+            # the start of the line
+            if shape.startswith(":"):
+                _expect(sig and sig[0][0] == ":", message, line, col)
+            sig = _fits(sig, shape)
+            _expect(sig is not None, message, line)
+        doc.add(parser(lines, doc, toks[1][0], sig, line), line)
+    return doc
 
 
 def serialize(doc: Document) -> str:
-    out = []
-    for name in doc.order:
-        decl = doc.decls[name]
-        out.append(_serialize_decl(doc, decl))
-    return "\n".join(out)
+    return "\n".join(_serialize_decl(doc, doc.decls[name]) for name in doc.order)
 
 
 def _serialize_decl(doc: Document, decl: Declaration) -> str:
-    w = []
-    if decl.kind == "fincategory":
-        c = decl.obj
-        obs = c.names.get("objects") or [f"o{a}" for a in range(c.n_objects)]
-        mors = c.names["mor"]
-        w.append(f"fincategory {decl.name} {{")
-        w.append("  objects " + " ".join(obs))
-        for f, (a, b) in enumerate(c.mor):
-            w.append(f"  mor {mors[f]} : {obs[a]} -> {obs[b]}")
-        for a, i in enumerate(c.ids):
-            w.append(f"  idm {obs[a]} = {mors[i]}")
-        for (f, g), h in sorted(c.comp.items()):
-            if (f == c.ids[c.src(f)] and h == g) or (g == c.ids[c.tgt(f)] and h == f):
-                continue
-            w.append(f"  comp {mors[f]} {mors[g]} = {mors[h]}")
-        w.append("}")
-    elif decl.kind == "category":
-        d = decl.obj
-        obs = d.names["object"]
-        hs, vs, sq = d.names["hcell"], d.names["vcell"], d.names["square"]
-        w.append(f"category {decl.name} {{")
-        w.append("  objects " + " ".join(obs))
-        for f, (a, b) in enumerate(d.hcells):
-            w.append(f"  hcell {hs[f]} : {obs[a]} -> {obs[b]}")
-        for u, (a, b) in enumerate(d.vcells):
-            w.append(f"  vcell {vs[u]} : {obs[a]} -> {obs[b]}")
-        for s, (t, b, l, r) in enumerate(d.squares):
-            w.append(f"  square {sq[s]} : {hs[t]} {hs[b]} | {vs[l]} {vs[r]}")
-        for a in range(d.n_objects):
-            w.append(f"  idh {obs[a]} = {hs[d.hid[a]]}")
-            w.append(f"  idv {obs[a]} = {vs[d.vid[a]]}")
-        for f in range(len(d.hcells)):
-            w.append(f"  idsq {hs[f]} = {sq[d.sq_vid[f]]}")
-        for u in range(len(d.vcells)):
-            w.append(f"  idsqv {vs[u]} = {sq[d.sq_hid[u]]}")
-        for (f, g), h in sorted(d.hcomp1.items()):
-            if (f == d.hid[d.hs(f)] and h == g) or (g == d.hid[d.ht(f)] and h == f):
-                continue
-            w.append(f"  hcomp {hs[f]} {hs[g]} = {hs[h]}")
-        for (u, v), x in sorted(d.vcomp1.items()):
-            if (u == d.vid[d.vs(u)] and x == v) or (v == d.vid[d.vt(u)] and x == u):
-                continue
-            w.append(f"  vcomp {vs[u]} {vs[v]} = {vs[x]}")
-        # only entries the loader cannot rederive from unique boundaries
-        derivable = _derivable_square_entries(d)
-        for (a, b), c in sorted(d.hcomp2.items()):
-            if ("h", a, b) in derivable:
-                continue
-            w.append(f"  hsq {sq[a]} {sq[b]} = {sq[c]}")
-        for (a, b), c in sorted(d.vcomp2.items()):
-            if ("v", a, b) in derivable:
-                continue
-            w.append(f"  vsq {sq[a]} {sq[b]} = {sq[c]}")
-        w.append("}")
-    elif decl.kind in ("twocategory", "bicategory"):
-        t = decl.obj
-        obs = t.names["objects"]
-        ones, twos = t.names["onecell"], t.names["twocell"]
-        w.append(f"{decl.kind} {decl.name} {{")
-        w.append("  objects " + " ".join(obs))
-        for f, (a, b) in enumerate(t.onecells):
-            w.append(f"  onecell {ones[f]} : {obs[a]} -> {obs[b]}")
-        for x, (f, g) in enumerate(t.twocells):
-            w.append(f"  twocell {twos[x]} : {ones[f]} => {ones[g]}")
-        for a in range(t.n_objects):
-            w.append(f"  id1 {obs[a]} = {ones[t.id1[a]]}")
-        for f in range(len(t.onecells)):
-            w.append(f"  id2 {ones[f]} = {twos[t.id2[f]]}")
-        for (f, g), h in sorted(t.comp1.items()):
-            if (f == t.id1[t.s1(f)] and h == g) or (g == t.id1[t.t1(f)] and h == f):
-                continue
-            w.append(f"  comp {ones[f]} {ones[g]} = {ones[h]}")
-        for (x, y), z in sorted(t.vcomp2.items()):
-            if (x == t.id2[t.s2(x)] and z == y) or (y == t.id2[t.t2(x)] and z == x):
-                continue
-            w.append(f"  vcc {twos[x]} {twos[y]} = {twos[z]}")
-        id2_set = set(t.id2)
-        for (x, y), z in sorted(t.hcomp2.items()):
-            if x in id2_set and y in id2_set and z == t.id2[t.then1(t.s2(x), t.s2(y))]:
-                continue
-            if x == t.id2[t.id1[t.s1(t.s2(y))]] and z == y:
-                continue
-            if y == t.id2[t.id1[t.t1(t.s2(x))]] and z == x:
-                continue
-            w.append(f"  hcc {twos[x]} {twos[y]} = {twos[z]}")
-        if decl.kind == "bicategory":
-            for (f, g, h), s in sorted(t.assoc.items()):
-                if s != t.id2[t.then1(t.then1(f, g), h)]:
-                    w.append(f"  assoc {ones[f]} {ones[g]} {ones[h]} = {twos[s]}")
-                    w.append(f"  associnv {ones[f]} {ones[g]} {ones[h]} = {twos[t.assoc_inv[(f, g, h)]]}")
-            for f in range(len(t.onecells)):
-                if t.lunit[f] != t.id2[t.then1(t.id1[t.s1(f)], f)]:
-                    w.append(f"  lunit {ones[f]} = {twos[t.lunit[f]]}")
-                    w.append(f"  lunitinv {ones[f]} = {twos[t.lunit_inv[f]]}")
-                if t.runit[f] != t.id2[t.then1(f, t.id1[t.t1(f)])]:
-                    w.append(f"  runit {ones[f]} = {twos[t.runit[f]]}")
-                    w.append(f"  runitinv {ones[f]} = {twos[t.runit_inv[f]]}")
-        w.append("}")
-    elif decl.kind == "functor":
-        f = decl.obj
-        dom_decl = doc.decls[decl.meta["dom"]]
-        cod_decl = doc.decls[decl.meta["cod"]]
-        dn, cn = canonical_cell_names(dom_decl), canonical_cell_names(cod_decl)
-        w.append(f"functor {decl.name} : {decl.meta['dom']} -> {decl.meta['cod']} {{")
-        w.append("  kind " + ("strict" if decl.meta.get("strict") else "pseudo"))
-        for a in range(f.dom.n_objects):
-            w.append(f"  ob {dn['object'][a]} = {cn['object'][f.ob(a)]}")
-        for x in range(len(f.dom.hcells)):
-            w.append(f"  hcell {dn['hcell'][x]} = {cn['hcell'][f.h(x)]}")
-        for x in range(len(f.dom.vcells)):
-            w.append(f"  vcell {dn['vcell'][x]} = {cn['vcell'][f.v(x)]}")
-        for x in range(len(f.dom.squares)):
-            w.append(f"  square {dn['square'][x]} = {cn['square'][f.sq(x)]}")
-        if not decl.meta.get("strict"):
-            for (a, b), s in sorted(f.comp_h.items()):
-                w.append(f"  comph {dn['hcell'][a]} {dn['hcell'][b]} = {cn['square'][s]}")
-                w.append(f"  comphinv {dn['hcell'][a]} {dn['hcell'][b]} = {cn['square'][f.comp_h_inv[(a, b)]]}")
-            for (a, b), s in sorted(f.comp_v.items()):
-                w.append(f"  compv {dn['vcell'][a]} {dn['vcell'][b]} = {cn['square'][s]}")
-                w.append(f"  compvinv {dn['vcell'][a]} {dn['vcell'][b]} = {cn['square'][f.comp_v_inv[(a, b)]]}")
-            for a, s in sorted(f.unit_h.items()):
-                w.append(f"  unith {dn['object'][a]} = {cn['square'][s]}")
-                w.append(f"  unithinv {dn['object'][a]} = {cn['square'][f.unit_h_inv[a]]}")
-            for a, s in sorted(f.unit_v.items()):
-                w.append(f"  unitv {dn['object'][a]} = {cn['square'][s]}")
-                w.append(f"  unitvinv {dn['object'][a]} = {cn['square'][f.unit_v_inv[a]]}")
-        w.append("}")
-    elif decl.kind == "transformation":
-        obj = decl.obj
-        dom_decl = doc.decls[decl.meta["dom"]]
-        cod_decl = doc.decls[decl.meta["cod"]]
-        dn, cn = canonical_cell_names(dom_decl), canonical_cell_names(cod_decl)
-        w.append(
-            f"transformation {decl.name} : {decl.meta['from']} => {decl.meta['to']} {{"
-        )
-        kind = decl.meta["kind"]
-        w.append(f"  kind {kind}")
-
-        def dump_vertical(v0):
-            for o, c in enumerate(v0.comp):
-                w.append(f"  comp0 {dn['object'][o]} = {cn['vcell'][c]}")
-            for x, s in enumerate(v0.nat):
-                w.append(f"  nat0 {dn['hcell'][x]} = {cn['square'][s]}")
-            for x, s in enumerate(v0.delta):
-                w.append(f"  delta0 {dn['vcell'][x]} = {cn['square'][s]}")
-            for x, s in sorted(v0.delta_inv.items()):
-                w.append(f"  delta0inv {dn['vcell'][x]} = {cn['square'][s]}")
-
-        def dump_horizontal(h1):
-            for o, c in enumerate(h1.comp):
-                w.append(f"  comp1 {dn['object'][o]} = {cn['hcell'][c]}")
-            for x, s in enumerate(h1.nat):
-                w.append(f"  nat1 {dn['vcell'][x]} = {cn['square'][s]}")
-            for x, s in enumerate(h1.delta):
-                w.append(f"  delta1 {dn['hcell'][x]} = {cn['square'][s]}")
-            for x, s in sorted(h1.delta_inv.items()):
-                w.append(f"  delta1inv {dn['hcell'][x]} = {cn['square'][s]}")
-
-        if kind == "vertical":
-            dump_vertical(obj)
-        elif kind == "horizontal":
-            dump_horizontal(obj)
-        elif kind == "double":
-            dump_vertical(obj.v0)
-            dump_horizontal(obj.h1)
-            for x, s in enumerate(obj.t):
-                w.append(f"  t {dn['hcell'][x]} = {cn['square'][s]}")
-            for x, s in enumerate(obj.r):
-                w.append(f"  r {dn['vcell'][x]} = {cn['square'][s]}")
-        else:
-            dump_vertical(obj.v0)
-            dump_horizontal(obj.h1)
-            for o, s in enumerate(obj.theta):
-                w.append(f"  theta {dn['object'][o]} = {cn['square'][s]}")
-        w.append("}")
-    elif decl.kind == "connection":
-        conn = decl.obj
-        cat_decl = doc.decls[decl.meta["on"]]
-        nm = canonical_cell_names(cat_decl)
-        w.append(f"connection {decl.name} on {decl.meta['on']} {{")
-        for u, p in conn.items():
-            w.append(
-                f"  pair {nm['vcell'][u]} = {nm['hcell'][p.hcell]} {nm['square'][p.eps]} {nm['square'][p.eta]}"
-            )
-        w.append("}")
-    elif decl.kind == "modification":
-        m = decl.obj
-        from_decl = doc.decls[decl.meta["from"]]
-        dom_decl = doc.decls[from_decl.meta["dom"]]
-        cod_decl = doc.decls[from_decl.meta["cod"]]
-        dn, cn = canonical_cell_names(dom_decl), canonical_cell_names(cod_decl)
-        w.append(f"modification {decl.name} : {decl.meta['from']} => {decl.meta['to']} {{")
-        for o, s in enumerate(m.a0):
-            w.append(f"  a0 {dn['object'][o]} = {cn['square'][s]}")
-        for o, s in enumerate(m.a1):
-            w.append(f"  a1 {dn['object'][o]} = {cn['square'][s]}")
-        w.append("}")
-    elif decl.kind == "monoid":
-        mo = decl.obj
-        cat_decl = doc.decls[decl.meta["on"]]
-        nm = canonical_cell_names(cat_decl)
-        w.append(f"monoid {decl.name} on {decl.meta['on']} {{")
-        w.append(f"  unit {nm['object'][mo.unit_ob]}")
-        rows = [
-            ("obmul", mo.mul_ob, "object", "object", "object"),
-            ("hleft", mo.mul_h_left, "hcell", "object", "hcell"),
-            ("hright", mo.mul_h_right, "object", "hcell", "hcell"),
-            ("vleft", mo.mul_v_left, "vcell", "object", "vcell"),
-            ("vright", mo.mul_v_right, "object", "vcell", "vcell"),
-            ("sqleft", mo.mul_sq_left, "square", "object", "square"),
-            ("sqright", mo.mul_sq_right, "object", "square", "square"),
-            ("fliph", mo.flip_hh, "hcell", "hcell", "square"),
-            ("fliphinv", mo.flip_hh_inv, "hcell", "hcell", "square"),
-            ("flipv", mo.flip_vv, "vcell", "vcell", "square"),
-            ("flipvinv", mo.flip_vv_inv, "vcell", "vcell", "square"),
-            ("mixhv", mo.mixed_hv, "hcell", "vcell", "square"),
-            ("mixvh", mo.mixed_vh, "vcell", "hcell", "square"),
-        ]
-        for key, table, k1, k2, k3 in rows:
-            for (a, b), c in sorted(table.items()):
-                w.append(f"  {key} {nm[k1][a]} {nm[k2][b]} = {nm[k3][c]}")
-        w.append("}")
-    elif decl.kind == "tensor":
-        t = decl.obj
-        w.append(f"tensor {decl.name} {{")
-        w.append(f"  left {t.left}")
-        w.append(f"  right {t.right}")
-        w.append(f"  cap {t.cap}")
-        w.append("}")
-    elif decl.kind == "internal":
-        w.append(f"internal {decl.name} {{")
-        for slot, ref in decl.obj.refs.items():
-            w.append(f"  {slot} = {ref}")
-        w.append("}")
-    else:
+    if decl.kind not in _BLOCKS:
         raise StructureError(f"cannot serialize declaration kind {decl.kind}")
-    w.append("")
-    return "\n".join(w)
-
-
-def _derivable_square_entries(d: DoubleCategory):
-    """Entries the loader's unit auto-fill reconstructs from boundaries."""
-    out = set()
-    counts = {}
-    for bnd in d.squares:
-        counts[bnd] = counts.get(bnd, 0) + 1
-    sq_index = {bnd: i for i, bnd in enumerate(d.squares) if counts[bnd] == 1}
-    for (a, b), c in d.hcomp2.items():
-        bnd = (
-            d.hcomp1.get((d.top(a), d.top(b))),
-            d.hcomp1.get((d.bottom(a), d.bottom(b))),
-            d.left(a),
-            d.right(b),
-        )
-        if sq_index.get(bnd) == c:
-            out.add(("h", a, b))
-    for (a, b), c in d.vcomp2.items():
-        bnd = (
-            d.top(a),
-            d.bottom(b),
-            d.vcomp1.get((d.left(a), d.left(b))),
-            d.vcomp1.get((d.right(a), d.right(b))),
-        )
-        if sq_index.get(bnd) == c:
-            out.add(("v", a, b))
-    return out
+    _, writer, signature, meta_keys = _BLOCKS[decl.kind]
+    header = [decl.kind, decl.name]
+    if signature:
+        header.append(_render(signature.split(" ", 1)[1], [decl.meta[k] for k in meta_keys]))
+    return "\n".join([" ".join(header + ["{"]), *writer(doc, decl), "}", ""])

@@ -53,21 +53,34 @@ class PseudoDoubleCategory(DoubleCategory):
         self._validate_pseudo()
 
     def _validate_pseudo(self):
-        nh = len(self.hcells)
+        nh, ns = len(self.hcells), len(self.squares)
+        unitors = {"lunit": self.lunit, "lunit_inv": self.lunit_inv, "runit": self.runit, "runit_inv": self.runit_inv}
+        if any(len(cells) != nh for cells in unitors.values()):
+            raise StructureError("left and right unitors and their inverses per hcell required")
+        for name, cells in unitors.items():
+            for f, s in enumerate(cells):
+                _check_index(s, ns, f"{name} of hcell {f}")
         hs, ht = _columns(self.hcells, 2)
         triples = set(_triples(self.hcomp1, ht, hs))
         if set(self.assoc) != triples or set(self.assoc_inv) != triples:
             raise StructureError("associator must be keyed on exactly the composable hcell triples")
+        for key in sorted(triples):
+            _check_index(self.assoc[key], ns, f"associator at {key}")
+            _check_index(self.assoc_inv[key], ns, f"inverse associator at {key}")
+        # the stored inverses run the other way round
         for (f, g, h), s in self.assoc.items():
             lhs = self.hcomp(self.hcomp(f, g), h)
             rhs = self.hcomp(f, self.hcomp(g, h))
-            if self.squares[s] != (lhs, rhs, self.vid[self.hs(f)], self.vid[self.ht(h)]):
+            sides = (self.vid[self.hs(f)], self.vid[self.ht(h)])
+            if self.squares[s] != (lhs, rhs, *sides) or self.squares[self.assoc_inv[(f, g, h)]] != (rhs, lhs, *sides):
                 raise StructureError(f"associator at {(f, g, h)} has wrong boundary")
         for f in range(nh):
             a, b = self.hcells[f]
-            if self.squares[self.lunit[f]] != (self.hcomp(self.hid[a], f), f, self.vid[a], self.vid[b]):
+            sides = (self.vid[a], self.vid[b])
+            left, right = self.hcomp(self.hid[a], f), self.hcomp(f, self.hid[b])
+            if self.squares[self.lunit[f]] != (left, f, *sides) or self.squares[self.lunit_inv[f]] != (f, left, *sides):
                 raise StructureError(f"left unitor at {f} has wrong boundary")
-            if self.squares[self.runit[f]] != (self.hcomp(f, self.hid[b]), f, self.vid[a], self.vid[b]):
+            if self.squares[self.runit[f]] != (right, f, *sides) or self.squares[self.runit_inv[f]] != (f, right, *sides):
                 raise StructureError(f"right unitor at {f} has wrong boundary")
 
 
@@ -271,6 +284,9 @@ class Bicategory:
     def _validate(self):
         n1, n2 = len(self.onecells), len(self.twocells)
         _check_globular(self)
+        for (f, g), h in self.comp1.items():
+            if self.onecells[h] != (self.s1(f), self.t1(g)):
+                raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
         unitors = {"lunit": self.lunit, "lunit_inv": self.lunit_inv, "runit": self.runit, "runit_inv": self.runit_inv}
         if any(len(cells) != n1 for cells in unitors.values()):
             raise StructureError("left and right unitors and their inverses per 1-cell required")
@@ -284,9 +300,6 @@ class Bicategory:
         for key in sorted(triples):
             _check_index(self.assoc[key], n2, f"associator at {key}")
             _check_index(self.assoc_inv[key], n2, f"inverse associator at {key}")
-        for (f, g), h in self.comp1.items():
-            if self.onecells[h] != (self.s1(f), self.t1(g)):
-                raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
         for (a, b), c in self.vcomp2.items():
             if self.twocells[c] != (self.s2(a), self.t2(b)):
                 raise StructureError(f"vcomp2 entry {(a, b)} has wrong boundary")

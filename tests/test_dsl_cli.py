@@ -1,13 +1,20 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dblkit import dsl, zoo
-from dblkit.cli import main
-from dblkit.dsl import Declaration, ParseError, parse, serialize
-from dblkit.kernel import check_double_category
+from dblkit.cli import _decl_category, main
+from dblkit.companion import find_connection
+from dblkit.dsl import Declaration, InternalDecl, ParseError, parse, serialize
+from dblkit.functors import identity_functor, pseudo_from_strict
+from dblkit.kernel import StructureError, check_double_category, quintet
+from dblkit.modif import identity_modification
+from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
 
 BASE_DOC = """
 fincategory Walk {
@@ -48,7 +55,7 @@ def test_empty_document():
 
 
 def test_parse_serialize_fixpoint(tmp_path):
-    docs = [parse(BASE_DOC)]
+    docs = [parse(BASE_DOC), parse(_zoo_document())]
     # finite categories declared as zoo builds them: no object names, and
     # identities listed before the morphisms they compose with
     for name, cat in zoo.small_category_catalog():
@@ -317,3 +324,115 @@ def test_cli_entrypoint_subprocess(tmp_path):
     )
     assert proc.returncode == 0
     assert "pass" in proc.stdout
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo_document():
+    """Serialized text with a block of every kind: zoo structures, a strict
+    functor with transformations of all four kinds, a modification, a
+    connection, the meet monoid, a tensor and an internal bundle."""
+    doc = parse(BASE_DOC)
+    doc.add(Declaration("twocategory", "Sign", zoo.sign_two_category()))
+    doc.add(Declaration("bicategory", "SignB", zoo.sign_bicategory()))
+    q = quintet(doc.decls["Walk"].obj)
+    doc.add(_decl_category("Q", q))
+    F = pseudo_from_strict(identity_functor(q))
+    doc.add(Declaration("functor", "IdQ", F, meta={"strict": True, "dom": "Q", "cod": "Q"}))
+    meta = {"from": "IdQ", "to": "IdQ", "dom": "Q", "cod": "Q"}
+    double = identity_double(F)
+    for kind, a in (
+        ("vertical", identity_vertical(F)),
+        ("horizontal", identity_horizontal(F)),
+        ("double", double),
+        ("theta", identity_theta(F)),
+    ):
+        doc.add(Declaration("transformation", f"T{kind}", a, meta={"kind": kind, **meta}))
+    doc.add(Declaration("modification", "M", identity_modification(double), meta={"from": "Tdouble", "to": "Tdouble"}))
+    doc.add(Declaration("connection", "K", find_connection(q), meta={"on": "Q"}))
+    monoid = zoo.min_monoid_in_dbl()
+    doc.add(_decl_category("WalkSq", monoid.carrier))
+    doc.add(Declaration("monoid", "Meet", monoid, meta={"on": "WalkSq"}))
+    # parsing only resolves the names of an internal bundle
+    refs = dict(d0="Q", d1="Q", s="IdQ", t="IdQ", u="IdQ", p="Q", p1="IdQ", p2="IdQ", m="IdQ")
+    doc.add(Declaration("internal", "I", InternalDecl(refs)))
+    return serialize(doc)
+
+
+def _without(text, prefix):
+    """``text`` without its first line starting with ``prefix`` (after the
+    indent), and the line number of the header of the block it was in."""
+    lines = text.splitlines()
+    i = next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+    header = max(j for j in range(i) if lines[j].endswith("{")) + 1
+    return "\n".join(lines[:i] + lines[i + 1 :]) + "\n", header
+
+
+@pytest.mark.parametrize("kind", ["twocategory", "bicategory"])
+def test_missing_comp_entry_is_a_positioned_error(tmp_path, capsys, kind):
+    text = f"{kind} T {{\n  objects A B C\n  onecell f : A -> B\n  onecell g : B -> C\n}}\n"
+    assert main(["check", write_doc(tmp_path, text), "T"]) == 3
+    assert "line 1, column 1: missing composition entry for f g" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("fincategory W {\n  objects X Y\n  mor f : X -> Y\n  idm X = f\n}\n", "identity of object 0 has boundary (0, 1)"),
+        (
+            "bicategory T {\n  objects A B\n  onecell f : A -> B\n  onecell g : B -> A\n"
+            "  comp f g = f\n  comp g f = 1_B\n}\n",
+            "comp1 entry (0, 1) has wrong boundary",
+        ),
+    ],
+    ids=["fincategory", "bicategory"],
+)
+def test_constructor_errors_are_positioned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line 1, column 1: {message}"
+
+
+def test_incomplete_monoid_block_rejected(tmp_path, capsys):
+    text, header = _without(open(_meet_doc(tmp_path)).read(), "obmul")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == header
+    assert "missing obmul entry for object" in str(err.value)
+    assert main(["check", write_doc(tmp_path, text), "Meet"]) == 3
+
+
+def test_modification_missing_component_message():
+    text, header = _without(_zoo_document(), "a0")
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"line {header}, column 1: missing a0 entry for object 0"
+
+
+@st.composite
+def line_mutants(draw):
+    """The zoo document with one line deleted, one token replaced (by a
+    token of the document or a stray one) or one line duplicated."""
+    lines = _zoo_document().splitlines()
+    i = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+    if op == "delete":
+        lines[i : i + 1] = []
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        words = lines[i].split() or ["}"]
+        vocabulary = sorted(set(_zoo_document().split())) + ["zzz", "0", "=", "->", "{", "}"]
+        words[draw(st.integers(0, len(words) - 1))] = draw(st.sampled_from(vocabulary))
+        lines[i] = "  " + " ".join(words)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(line_mutants())
+def test_parse_of_mutants_fails_cleanly_or_round_trips(text):
+    try:
+        doc = parse(text)
+    except (ParseError, StructureError):
+        return
+    once = serialize(doc)
+    assert serialize(parse(once)) == once

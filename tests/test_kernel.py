@@ -27,6 +27,7 @@ from dblkit.kernel import (
 from dblkit.functors import identity_functor, product_projections, check_strict_functor
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
+from dblkit.weak import as_pseudo
 from dblkit import zoo
 
 
@@ -285,8 +286,15 @@ TABLES = [
 
 
 def _rebuild(obj, table_name, table):
-    """Call the constructor again on ``obj``'s own data, one table replaced."""
-    params = [p for p in inspect.signature(type(obj).__init__).parameters if p != "self"]
+    """Call the constructor again on ``obj``'s own data, one table replaced
+    (the parameters of every constructor up the class hierarchy)."""
+    named = (inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.KEYWORD_ONLY)
+    params = [
+        p.name
+        for cls in type(obj).__mro__[:-1]
+        for p in inspect.signature(cls.__init__).parameters.values()
+        if p.kind in named and p.name != "self"
+    ]
     args = {p: getattr(obj, p) for p in params}
     args[table_name] = table
     return type(obj)(**args)
@@ -308,6 +316,10 @@ def test_constructor_rejects_wrong_table_keys(make, table_name, cells, damage):
         table[(n, 0)] = 0
     with pytest.raises(StructureError):
         _rebuild(obj, table_name, table)
+
+
+def _pseudo_arrow():
+    return as_pseudo(quintet(zoo.walking_arrow()))
 
 
 def out_of_range(cells):
@@ -359,9 +371,14 @@ DAMAGED = [
     (zoo.sign_bicategory, "assoc_inv", value_out_of_range),
     (zoo.sign_bicategory, "assoc_inv", misplaced_value),
 ] + [
-    (zoo.sign_bicategory, field, damage)
+    (make, field, damage)
+    for make in (zoo.sign_bicategory, _pseudo_arrow)
     for field in ("lunit", "lunit_inv", "runit", "runit_inv")
     for damage in (out_of_range, too_short, misplaced)
+] + [
+    (_pseudo_arrow, "assoc", value_out_of_range),
+    (_pseudo_arrow, "assoc_inv", value_out_of_range),
+    (_pseudo_arrow, "assoc", dropped_key),
 ]
 
 
