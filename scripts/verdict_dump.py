@@ -21,7 +21,19 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   mutants of the first document (a line deleted, a token replaced or a line
   duplicated).  Each entry is ``serialize(parse(text))`` with every parsed
   table in insertion order (a digest of both for the mutants), or the
-  exception's type, line, column and message.
+  exception's type, line, column and message;
+- transformations and modifications: ``to_dict()`` of the vertical,
+  horizontal, coupled and theta checkers, ``check_modification`` and both
+  side checkers (all laws and a subset) on the bz3 setting (identity functor
+  on ``quintet(C3)``), the sign setting (``embed(sign)``, with the identity
+  and the cocycle functor), the collapse-monoid theta pair and criterion 4's
+  seeded theta instances; a digest of every vertical, coupled, theta and
+  modification composite (components, naturality and comparison squares,
+  stored inverses, coupling squares, generating squares, modification
+  components and both endpoint functors' cell maps and structure cells, in
+  insertion order); and every single-square mutant of a naturality,
+  comparison, inverse, coupling or modification family that keeps the
+  boundary.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -30,15 +42,23 @@ a change that must not alter any verdict leaves them byte-identical.
 """
 
 import hashlib
+import itertools
 import json
 import random
 import sys
 
-from dblkit import dsl, zoo
+from dblkit import dsl, modif, transform, zoo
 from dblkit.acceptance import _generators
+from dblkit.builders import (
+    enumerate_plain_verticals,
+    quintet_functor,
+    random_theta_instance,
+    registry_for,
+    theta_from_plain_vertical,
+)
 from dblkit.cli import _decl_category, _internal_bundle_decls
 from dblkit.companion import find_connection
-from dblkit.functors import identity_functor, pseudo_from_strict
+from dblkit.functors import identity_functor, identity_pseudo, pseudo_from_strict
 from dblkit.graytensor import derive_interleaved_functor
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
@@ -288,6 +308,278 @@ def dsl_section(out):
         out[f"dsl mutant {slot}"] = entry
 
 
+FUNCTOR_FIELDS = (
+    "ob_map", "h_map", "v_map", "sq_map", "comp_h", "comp_h_inv", "unit_h", "unit_h_inv",
+    "comp_v", "comp_v_inv", "unit_v", "unit_v_inv", "name",
+)
+CELL_FIELDS = ("comp", "nat", "delta", "delta_inv", "t", "r", "theta", "a0", "a1")
+
+
+def _cells(x):
+    """JSON of a transformation, a pair or a modification: its square
+    families and, for each endpoint functor, its maps and structure cells
+    (dicts as lists of pairs, in insertion order)."""
+    if isinstance(x, (list, tuple)):
+        return [_cells(y) for y in x]
+    if not hasattr(x, "__dict__"):
+        return _data(x, {}, set())
+    if hasattr(x, "sq_map"):
+        return {k: _data(getattr(x, k), {}, set()) for k in FUNCTOR_FIELDS}
+    out = {"type": type(x).__name__}
+    for k in CELL_FIELDS:
+        if hasattr(x, k):
+            out[k] = _data(getattr(x, k), {}, set())
+    for k in ("F", "G", "v0", "h1", "src", "tgt"):
+        if k in vars(x):
+            out[k] = _cells(vars(x)[k])
+    return out
+
+
+def _digest(make):
+    try:
+        value = make()
+    except Exception as e:  # the exception's type is part of the record
+        return {"error": type(e).__name__, "message": str(e)}
+    blob = json.dumps(_cells(value), sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _report(check):
+    try:
+        return check().to_dict()
+    except Exception as e:
+        return {"error": type(e).__name__, "message": str(e)}
+
+
+def _bz3():
+    c = zoo.cyclic_group_cat(3)
+    d = quintet(c)
+    F = pseudo_from_strict(identity_functor(d))
+    conn = find_connection(d)
+    thetas = [theta_from_plain_vertical(a0, conn, dom_conn=conn) for a0 in enumerate_plain_verticals(F, F)]
+    inv_map = tuple((3 - m) % 3 for m in range(3))
+    H = pseudo_from_strict(quintet_functor(c, c, d, d, (0,), inv_map))
+    return d, F, H, thetas
+
+
+def _sign_pairs(F):
+    d = F.cod
+    return {
+        (c, r): transform.DoublePNT(
+            identity_vertical(F), identity_horizontal(F), [2 * f + c for f in range(len(d.hcells))], [r]
+        )
+        for c in (0, 1)
+        for r in (0, 1)
+    }
+
+
+def _collapse_theta():
+    d = embed_two_category(zoo.collapse_monoid_two_category())
+    F = pseudo_from_strict(identity_functor(d))
+    X, K = 1, 2  # the 1-cell x as an hcell, the collapse cell k : x => 1
+    h1 = transform.HorizontalPNT(F, F, [X], [d.sq_vid[X]], [d.sq_vid[X], d.sq_vid[X]], {0: d.sq_vid[X], 1: d.sq_vid[X]})
+    alpha = transform.ThetaPNT(identity_vertical(F), h1, [K])
+    ident = transform.ThetaPNT(identity_vertical(F), identity_horizontal(F), [d.sq_vid[d.hid[0]]])
+    reg = transform.ComponentRegistry.of(hcells={X}, vcells={d.vid[0]})
+    return d, F, alpha, ident, reg
+
+
+def _pnt_reports(out, key, a, reg):
+    """Every transformation checker on the coupled pair ``a`` and its legs."""
+    out[f"{key} v0"] = _report(lambda: transform.check_vertical_pnt(a.v0))
+    out[f"{key} h1"] = _report(lambda: transform.check_horizontal_pnt(a.h1))
+    out[f"{key} v0 subset"] = _report(lambda: transform.check_vertical_pnt(a.v0, axioms=("pnt-naturality", "pnt-hcomp-delta", "delta-invertibility")))
+    out[f"{key} h1 subset"] = _report(lambda: transform.check_horizontal_pnt(a.h1, axioms=("pnt-vcomp", "pnt-hunit-delta")))
+    if isinstance(a, transform.ThetaPNT):
+        out[f"{key} theta"] = _report(lambda: transform.check_theta(a, reg))
+        out[f"{key} theta unregistered"] = _report(lambda: transform.check_theta(a))
+        a = transform.theta_to_double(a)
+        out[f"{key} expansion"] = _digest(lambda: a)
+    out[f"{key} double"] = _report(lambda: transform.check_double_pnt(a, reg))
+    out[f"{key} double unregistered"] = _report(lambda: transform.check_double_pnt(a))
+    out[f"{key} candidates"] = _digest(lambda: transform.theta_candidates_from_double(a))
+    out[f"{key} transpose"] = _digest(lambda: transform.transpose_double(a))
+    out[f"{key} transpose twice"] = _digest(lambda: transform.transpose_double(transform.transpose_double(a)))
+
+
+def _modification_reports(out, key, m):
+    subset = ("slide-v-delta", "slide-h-nat", "coupling-r")
+    out[f"{key} modification"] = _report(lambda: modif.check_modification(m))
+    out[f"{key} modification subset"] = _report(lambda: modif.check_modification(m, axioms=subset))
+    for axioms, tag in ((None, ""), (subset, " subset")):
+        out[f"{key} vertical side{tag}"] = _report(lambda: modif.check_vertical_side(m.src.v0, m.tgt.v0, m.a0, axioms=axioms))
+        out[f"{key} horizontal side{tag}"] = _report(lambda: modif.check_horizontal_side(m.src.h1, m.tgt.h1, m.a1, axioms=axioms))
+
+
+def _composites(out, key, pairs, modifications=()):
+    """Digests of every composite of the coupled pairs (and of their legs)
+    and of the modifications, including the failures."""
+    for (i, a), (j, b) in itertools.product(enumerate(pairs), repeat=2):
+        for name, make in (
+            ("vcomp vertical", lambda: transform.vcomp_vertical(a.v0, b.v0)),
+            ("hcomp vertical", lambda: transform.hcomp_vertical(b.v0, a.v0)),
+            ("vcomp horizontal", lambda: transform.vcomp_horizontal(a.h1, b.h1)),
+            ("hcomp horizontal", lambda: transform.hcomp_horizontal(b.h1, a.h1)),
+        ):
+            out[f"{key} {name} {i} {j}"] = _digest(make)
+        if isinstance(a, transform.ThetaPNT):
+            out[f"{key} vcomp theta {i} {j}"] = _digest(lambda: transform.vcomp_theta(a, b))
+            out[f"{key} hcomp theta {i} {j}"] = _digest(lambda: transform.hcomp_theta(b, a))
+            a, b = transform.theta_to_double(a), transform.theta_to_double(b)
+        out[f"{key} vcomp double {i} {j}"] = _digest(lambda: transform.vcomp_double(a, b))
+        out[f"{key} hcomp double {i} {j}"] = _digest(lambda: transform.hcomp_double(b, a))
+    for (i, m), (j, n) in itertools.product(enumerate(modifications), repeat=2):
+        out[f"{key} vcomp modification {i} {j}"] = _digest(lambda: modif.vcomp_modif(m, n))
+        out[f"{key} hcomp modification {i} {j}"] = _digest(lambda: modif.hcomp_modif(n, m))
+        out[f"{key} tcomp modification {i} {j}"] = _digest(lambda: modif.tcomp_modif(n, m))
+
+
+def _replace(seq, i, s):
+    seq = list(seq)
+    seq[i] = s
+    return seq
+
+
+def _square_mutants(d, a):
+    """Each coupled pair (or theta pair) that differs from ``a`` in one
+    square of one family, the new square on the same boundary."""
+    v0, h1 = a.v0, a.h1
+    theta = isinstance(a, transform.ThetaPNT)
+    rest = (a.theta,) if theta else (a.t, a.r)
+
+    def leg(x, family, i, s):
+        fields = {"nat": x.nat, "delta": x.delta, "delta_inv": x.delta_inv}
+        fields[family] = {**x.delta_inv, i: s} if family == "delta_inv" else _replace(fields[family], i, s)
+        return type(x)(x.F, x.G, x.comp, fields["nat"], fields["delta"], fields["delta_inv"])
+
+    slots = []
+    for family in ("nat", "delta", "delta_inv"):
+        slots.append((f"v0.{family}", getattr(v0, family), lambda i, s, f=family: (leg(v0, f, i, s), h1, *rest)))
+        slots.append((f"h1.{family}", getattr(h1, family), lambda i, s, f=family: (v0, leg(h1, f, i, s), *rest)))
+    if theta:
+        slots.append(("theta", a.theta, lambda i, s: (v0, h1, _replace(a.theta, i, s))))
+    else:
+        slots.append(("t", a.t, lambda i, s: (v0, h1, _replace(a.t, i, s), a.r)))
+        slots.append(("r", a.r, lambda i, s: (v0, h1, a.t, _replace(a.r, i, s))))
+    out = []
+    for family, cells, make in slots:
+        items = sorted(cells.items()) if isinstance(cells, dict) else enumerate(cells)
+        for i, cell in items:
+            for s, bnd in enumerate(d.squares):
+                if s != cell and bnd == d.squares[cell]:
+                    out.append((f"{family}[{i}]={s}", type(a)(*make(i, s))))
+    return out
+
+
+def _modification_mutants(d, m):
+    out = []
+    for family in ("a0", "a1"):
+        cells = getattr(m, family)
+        for i, cell in enumerate(cells):
+            for s, bnd in enumerate(d.squares):
+                if s != cell and bnd == d.squares[cell]:
+                    a0, a1 = (_replace(m.a0, i, s), m.a1) if family == "a0" else (m.a0, _replace(m.a1, i, s))
+                    out.append((f"{family}[{i}]={s}", type(m)(m.src, m.tgt, a0, a1)))
+    return out
+
+
+def _mutant_reports(out, key, d, a, reg):
+    for slot, mutant in _square_mutants(d, a):
+        _pnt_reports(out, f"{key} mutant {slot}", mutant, reg)
+
+
+THETA_INSTANCES = 40
+
+
+def transformations(out):
+    # bz3: three theta pairs on the identity of quintet(C3), the inversion
+    # endofunctor for whiskering, identity modifications
+    d, F, H, thetas = _bz3()
+    reg = registry_for(*[th.v0 for th in thetas], *[th.h1 for th in thetas])
+    doubles = [transform.theta_to_double(th) for th in thetas]
+    for i, th in enumerate(thetas):
+        _pnt_reports(out, f"bz3 {i}", th, reg)
+        for name, G in (("F", F), ("inversion", H)):
+            out[f"bz3 {i} whisker vertical {name}"] = _digest(lambda: transform.whisker_functor_vertical(G, th.v0))
+            out[f"bz3 {i} whisker horizontal {name}"] = _digest(lambda: transform.whisker_functor(G, th.h1))
+        m = identity_modification(doubles[i])
+        _modification_reports(out, f"bz3 {i} identity", m)
+        theta_m = modif.ThetaModification(th, th, m.a0, m.a1)
+        out[f"bz3 {i} theta modification"] = _report(lambda: modif.check_theta_modification(theta_m))
+        out[f"bz3 {i} right unit"] = _digest(lambda: transform.right_unit_constraint(th.h1)[:2])
+        out[f"bz3 {i} right unit report"] = _report(lambda: transform.right_unit_constraint(th.h1)[2])
+    _pnt_reports(out, "bz3 identity", transform.identity_theta(F), reg)
+    mods = [identity_modification(dd) for dd in doubles] + [identity_modification(identity_double(F))]
+    _composites(out, "bz3", thetas + [transform.identity_theta(F)], mods)
+    # sign setting: four signed coupled pairs, on the identity functor and
+    # on the cocycle functor, with every signed modification between them
+    sign = embed_two_category(zoo.sign_two_category())
+    cocycle = zoo.sign_cocycle_pseudofunctor()
+    for fname, G in (("identity", pseudo_from_strict(identity_functor(sign))), ("cocycle", cocycle)):
+        dd = G.cod
+        sreg = transform.ComponentRegistry.of(hcells={dd.hid[0]}, vcells={dd.vid[0]})
+        pairs = _sign_pairs(G)
+        smods = []
+        for key, a in sorted(pairs.items()):
+            _pnt_reports(out, f"sign {fname} {key}", a, sreg)
+            _mutant_reports(out, f"sign {fname} {key}", dd, a, sreg)
+        for (k1, a), (k2, b) in itertools.product(sorted(pairs.items()), repeat=2):
+            for s0, s1 in itertools.product((0, 1), repeat=2):
+                try:
+                    m = modif.DoubleModification(a, b, [s0], [s1])
+                except StructureError:
+                    continue
+                tag = f"sign {fname} {k1}->{k2} {s0}{s1}"
+                _modification_reports(out, tag, m)
+                for slot, mutant in _modification_mutants(dd, m):
+                    out[f"{tag} mutant {slot}"] = _report(lambda: modif.check_modification(mutant))
+                if k1 == k2 == (0, 0):
+                    smods.append(m)
+        _composites(out, f"sign {fname}", [pairs[k] for k in sorted(pairs)], smods)
+        out[f"sign {fname} whisker vertical"] = _digest(lambda: transform.whisker_functor_vertical(cocycle, identity_vertical(G)))
+        out[f"sign {fname} whisker horizontal"] = _digest(lambda: transform.whisker_functor(cocycle, identity_horizontal(G)))
+        out[f"sign {fname} right unit"] = _digest(lambda: transform.right_unit_constraint(identity_horizontal(G))[:2])
+        out[f"sign {fname} right unit report"] = _report(lambda: transform.right_unit_constraint(identity_horizontal(G))[2])
+        ident = transform.identity_theta(G)
+        _pnt_reports(out, f"sign {fname} identity theta", ident, sreg)
+        _mutant_reports(out, f"sign {fname} identity theta", dd, ident, sreg)
+    # the collapse monoid: a nonidentity generating square
+    dc, Fc, alpha, ident, creg = _collapse_theta()
+    for name, th in (("alpha", alpha), ("identity", ident)):
+        _pnt_reports(out, f"collapse {name}", th, creg)
+        _mutant_reports(out, f"collapse {name}", dc, th, creg)
+    _composites(out, "collapse", [alpha, ident])
+    theta_m = modif.ThetaModification(alpha, ident, [dc.sq_hid[dc.vid[0]]], [2])
+    out["collapse theta modification"] = _report(lambda: modif.check_theta_modification(theta_m))
+    _modification_reports(out, "collapse theta modification", theta_m._shadow)
+    # criterion 4's seeded instances
+    rng = random.Random(20240817)
+    cats = zoo.small_category_catalog()
+    done = 0
+    while done < THETA_INSTANCES:
+        inst = random_theta_instance(rng, cats)
+        if inst is None:
+            continue
+        th, conn, ireg = inst
+        key = f"theta instance {done}"
+        _pnt_reports(out, key, th, ireg)
+        dd = transform.theta_to_double(th)
+        Fi, Gi, cod = th.v0.F, th.v0.G, th.v0.F.cod
+        out[f"{key} vcomp vertical"] = _digest(lambda: transform.vcomp_vertical(th.v0, identity_vertical(Gi)))
+        out[f"{key} vcomp vertical left"] = _digest(lambda: transform.vcomp_vertical(identity_vertical(Fi), th.v0))
+        out[f"{key} hcomp vertical"] = _digest(lambda: transform.hcomp_vertical(identity_vertical(identity_pseudo(cod)), th.v0))
+        out[f"{key} whisker vertical"] = _digest(lambda: transform.whisker_functor_vertical(identity_pseudo(cod), th.v0))
+        out[f"{key} vcomp double"] = _digest(lambda: transform.vcomp_double(dd, identity_double(Gi)))
+        out[f"{key} hcomp double"] = _digest(lambda: transform.hcomp_double(identity_double(identity_pseudo(cod)), dd))
+        out[f"{key} vcomp theta"] = _digest(lambda: transform.vcomp_theta(th, transform.identity_theta(Gi)))
+        out[f"{key} hcomp theta"] = _digest(lambda: transform.hcomp_theta(transform.identity_theta(identity_pseudo(cod)), th))
+        m = identity_modification(dd)
+        _modification_reports(out, key, m)
+        out[f"{key} hcomp modification"] = _digest(lambda: modif.hcomp_modif(identity_modification(identity_double(identity_pseudo(cod))), m))
+        out[f"{key} vcomp modification"] = _digest(lambda: modif.vcomp_modif(m, identity_modification(identity_double(Gi))))
+        done += 1
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -297,11 +589,14 @@ def main(argv) -> int:
     small_structures(out)
     cutoffs(out)
     dsl_section(out)
+    transformations(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    reports = sum(1 for k, v in out.items() if isinstance(v, dict) and not k.startswith("dsl "))
-    print(f"{reports} reports and {sum(1 for k in out if k.startswith('dsl '))} dsl entries written to {argv[1]}")
+    reports = sum(1 for k, v in out.items() if isinstance(v, dict) and "subject" in v)
+    digests = sum(1 for k, v in out.items() if isinstance(v, str) and not k.startswith("dsl "))
+    dsl_entries = sum(1 for k in out if k.startswith("dsl "))
+    print(f"{reports} reports, {digests} digests and {dsl_entries} dsl entries written to {argv[1]}")
     return 0
 
 

@@ -39,7 +39,8 @@ leaves them out:
 
 A missing composition entry, a missing table entry of a monoid, or a
 missing component of a functor, transformation or modification is a
-``ParseError`` at the block header.
+``ParseError`` at the block header; a table key given by two lines is one
+at the second line.
 """
 
 from __future__ import annotations
@@ -252,12 +253,24 @@ def _entry_reader(spec, dom, cod):
         if "=" in shape[0].split()
     }
 
+    seen = {kw: set() for kw in split}
+
     def entry(kw, args, line, col, unresolved=None):
         lookups, n = split[kw]
         found = _resolve(lookups, args, line, col, unresolved)
-        return _one(found[:n]), _one(found[n:])
+        key = _one(found[:n])
+        if key in seen[kw]:
+            raise _repeated(kw, args[:n], line)
+        seen[kw].add(key)
+        return key, _one(found[n:])
 
     return entry
+
+
+def _repeated(kw, args, line):
+    """The error for a ``kw`` line whose key, the tokens ``args``, an
+    earlier line gave: at the key's first token."""
+    return ParseError(f"duplicate {kw} entry for {' '.join(tok for tok, _ in args)}", line, args[0][1])
 
 
 def _line(spec, kw, *words):
@@ -443,10 +456,20 @@ def _read_cells(lines, header_line, spec, kinds, unknown):
 def _resolved(nt, spec, kept, kw, first=-1):
     """The indices of each kept ``kw`` line, in order.  Within a line the
     tokens from ``first`` on are looked up first, by default the value
-    before the key: that decides which of two unknown names is reported."""
+    before the key: that decides which of two unknown names is reported.
+    A key (the cells before the ``=``) given by two lines is an error; a
+    line without ``=`` declares a cell, whose name is already unique."""
     lookups = _lookups(spec, kw, nt.index)
+    n = _template(kw, spec[kw][0])[1]
+    seen = set() if n < len(lookups) else None
     for args, line in kept[kw]:
-        yield _resolve(lookups, args, line, first=first % len(args))
+        found = _resolve(lookups, args, line, first=first % len(args))
+        if seen is not None:
+            key = _one(found[:n])
+            if key in seen:
+                raise _repeated(kw, args[:n], line)
+            seen.add(key)
+        yield found
 
 
 def _assigned(pairs, count):

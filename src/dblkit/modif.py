@@ -6,17 +6,24 @@ vertically globular square a1[A] : alpha1(A) => beta1(A) per object,
 compatible with the naturality and comparison data of both sides and with
 the coupling squares.  Equality of modifications is componentwise square
 equality after pasting; there is no weaker comparison at this layer.
+
+Transposition (see :mod:`dblkit.transform`) swaps the two legs of a coupled
+pair, its t- and r-squares and the a0 and a1 components, so the vertical
+side and the ``coupling-r`` law are checked as the horizontal side and
+``coupling-t`` on the transposed modification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, StructureError
+from .kernel import HCELL, OBJECT, VCELL, StructureError, same_category
 from .report import AxiomReport, Budget, Collector
 from .transform import (
     DoublePNT,
     ThetaPNT,
+    _on_transpose,
+    _TransposedContext,
     hcomp_double,
     theta_to_double,
     vcomp_double,
@@ -102,79 +109,64 @@ MODIFICATION_AXIOMS = (
 )
 
 
-def check_vertical_side(src, tgt, a0, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    """The two equations of a modification between vertical transformations."""
-    live = set(MODIFICATION_AXIOMS if axioms is None else axioms)
-    col = Collector("vertical-modification", budget)
+def _check_side(col, src, tgt, a1, live, law: str):
+    """The two equations, ``law``-nat and ``law``-delta, of a modification
+    between horizontal transformations."""
     F, G = src.F, src.G
     dom, cod = F.dom, F.cod
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        if "slide-v-nat" in live:
-            col.eq(
-                "slide-v-nat",
-                ((HCELL, f),),
-                cod.hpaste(a0[A], tgt.nat[f]),
-                cod.hpaste(src.nat[f], a0[B]),
-            )
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        if "slide-v-delta" in live:
-            lhs = cod.hpaste(cod.vpaste(cod.sq_hid[F.v(u)], a0[B]), tgt.delta[u])
-            rhs = cod.hpaste(src.delta[u], cod.vpaste(a0[A], cod.sq_hid[G.v(u)]))
-            col.eq("slide-v-delta", ((VCELL, u),), lhs, rhs)
+    if f"{law}-nat" in live:
+        for u in range(len(dom.vcells)):
+            A, B = dom.vs(u), dom.vt(u)
+            col.eq(f"{law}-nat", ((VCELL, u),), cod.vpaste(a1[A], tgt.nat[u]), cod.vpaste(src.nat[u], a1[B]))
+    if f"{law}-delta" in live:
+        for f in range(len(dom.hcells)):
+            A, B = dom.hs(f), dom.ht(f)
+            lhs = cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], a1[B]), tgt.delta[f])
+            rhs = cod.vpaste(src.delta[f], cod.hpaste(a1[A], cod.sq_vid[G.h(f)]))
+            col.eq(f"{law}-delta", ((HCELL, f),), lhs, rhs)
+
+
+def _live(axioms):
+    return set(MODIFICATION_AXIOMS if axioms is None else axioms)
+
+
+def check_vertical_side(src, tgt, a0, budget: Budget | None = None, axioms=None) -> AxiomReport:
+    """The two equations of a modification between vertical transformations."""
+    col = Collector("vertical-modification", budget)
+    tr = _TransposedContext()
+    _on_transpose(col, _check_side, tr(src), tr(tgt), a0, _live(axioms), "slide-v")
     return col.done()
 
 
 def check_horizontal_side(src, tgt, a1, budget: Budget | None = None, axioms=None) -> AxiomReport:
     """The two equations of a modification between horizontal transformations."""
-    live = set(MODIFICATION_AXIOMS if axioms is None else axioms)
     col = Collector("horizontal-modification", budget)
-    F, G = src.F, src.G
-    dom, cod = F.dom, F.cod
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        if "slide-h-nat" in live:
-            col.eq(
-                "slide-h-nat",
-                ((VCELL, u),),
-                cod.vpaste(a1[A], tgt.nat[u]),
-                cod.vpaste(src.nat[u], a1[B]),
-            )
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        if "slide-h-delta" in live:
-            lhs = cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], a1[B]), tgt.delta[f])
-            rhs = cod.vpaste(src.delta[f], cod.hpaste(a1[A], cod.sq_vid[G.h(f)]))
-            col.eq("slide-h-delta", ((HCELL, f),), lhs, rhs)
+    _check_side(col, src, tgt, a1, _live(axioms), "slide-h")
     return col.done()
 
 
-def check_modification(m: DoubleModification, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    live = set(MODIFICATION_AXIOMS if axioms is None else axioms)
-    col = Collector("modification", budget)
-    F, G = m.F, m.G
+def _coupling(col, m: DoubleModification, law: str):
+    """The compatibility of the components with the t-squares; with the
+    r-squares it is this on the transpose."""
+    F = m.F
     dom, cod = F.dom, F.cod
-    al, be = m.src, m.tgt
-    col.report.absorb(check_vertical_side(al.v0, be.v0, m.a0, budget=col.budget, axioms=live))
-    col.report.absorb(check_horizontal_side(al.h1, be.h1, m.a1, budget=col.budget, axioms=live))
-
     for f in range(len(dom.hcells)):
         A, B = dom.hs(f), dom.ht(f)
-        if "coupling-t" in live:
-            lhs = cod.hpaste(
-                m.a0[A],
-                cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], m.a1[B]), be.t[f]),
-            )
-            col.eq("coupling-t", ((HCELL, f),), lhs, al.t[f])
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        if "coupling-r" in live:
-            lhs = cod.vpaste(
-                m.a1[A],
-                cod.hpaste(cod.vpaste(cod.sq_hid[F.v(u)], m.a0[B]), be.r[u]),
-            )
-            col.eq("coupling-r", ((VCELL, u),), lhs, al.r[u])
+        lhs = cod.hpaste(m.a0[A], cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], m.a1[B]), m.tgt.t[f]))
+        col.eq(law, ((HCELL, f),), lhs, m.src.t[f])
+
+
+def check_modification(m: DoubleModification, budget: Budget | None = None, axioms=None) -> AxiomReport:
+    live = _live(axioms)
+    col = Collector("modification", budget)
+    tr = _TransposedContext()
+    mt = DoubleModification(tr(m.src), tr(m.tgt), m.a1, m.a0)
+    _on_transpose(col, _check_side, mt.src.h1, mt.tgt.h1, mt.a1, live, "slide-v")
+    _check_side(col, m.src.h1, m.tgt.h1, m.a1, live, "slide-h")
+    if "coupling-t" in live:
+        _coupling(col, m, "coupling-t")
+    if "coupling-r" in live:
+        _on_transpose(col, _coupling, mt, "coupling-r")
     return col.done()
 
 
@@ -212,7 +204,7 @@ def hcomp_modif(b: DoubleModification, a: DoubleModification) -> DoubleModificat
     """Side-by-side composite along horizontally composable transformations."""
     Fp = b.F
     G = a.G
-    if a.F.cod is not Fp.dom:
+    if not same_category(a.F.cod, Fp.dom):
         raise StructureError("modifications not horizontally composable")
     dom = a.F.dom
     cod = Fp.cod

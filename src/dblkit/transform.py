@@ -5,17 +5,25 @@ and, per hcell f of the domain, an invertible comparison square
 
     delta[f] : F(f).alpha(B)  =>  alpha(A).G(f)        (vertically globular)
 
-next to the naturality square ``nat[u]`` at each vcell.  Vertical
-transformations are the transpose notion and every vertical-side check or
-construction here literally transposes and reuses the horizontal one.  A
+next to the naturality square ``nat[u]`` at each vcell.  A vertical
+transformation is a horizontal one between the transposed functors.
+Transposition (``kernel.transpose``, ``functors.transpose_pseudo``) trades
+hcells for vcells and ``hpaste`` for ``vpaste``, and swaps each structure-cell
+family of a functor with the inverse of its mirror: ``comp_h`` with
+``comp_v_inv``, ``comp_h_inv`` with ``comp_v``, ``unit_h`` with ``unit_v_inv``
+and ``unit_h_inv`` with ``unit_v``.  So the horizontal formulas hold on the
+transpose on the nose, and every vertical check and construction here is the
+horizontal one run on the transposed data, its result transposed back.  A
 coupled transformation glues one of each along two extra square families
 
     t[f] : (F(f).alpha1(B)  =>  G(f))   with left side alpha0(A)
     r[u] : (alpha1(A) => 1)             with left side F(u);alpha0(A')
 
-and a theta transformation generates t and r from a single square per
-object.  All composites below are eager pastings into the codomain's tables;
-they fail loudly on any boundary mismatch.
+and transposition swaps the two legs and t with r, so the r-side of every
+coupled check and construction is its t-side on the transpose.  A theta
+transformation generates t and r from a single square per object.  All
+composites below are eager pastings into the codomain's tables; they fail
+loudly on any boundary mismatch.
 """
 
 from __future__ import annotations
@@ -23,26 +31,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, same_category, transpose
-from .functors import DoublePseudoFunctor, conj_v, pseudo_equal, transpose_pseudo
-from .report import AxiomReport, Budget, Collector
+from .functors import DoublePseudoFunctor, compose_pseudo, conj_v, identity_pseudo, pseudo_equal, transpose_pseudo
+from .report import AxiomReport, Budget, Collector, Violation
 
 
 @dataclass
-class HorizontalPNT:
-    """Horizontal pseudonatural transformation F => G."""
-
+class _PNT:
     F: DoublePseudoFunctor
     G: DoublePseudoFunctor
-    comp: tuple  # per object: hcell F(A) -> G(A)
-    nat: tuple  # per vcell u: square (top comp[A], bottom comp[A'], left F(u), right G(u))
-    delta: tuple  # per hcell f: globular square F(f).comp[B] => comp[A].G(f)
+    comp: tuple  # per object: a component cell F(A) -> G(A)
+    nat: tuple  # per cell of the other direction: a naturality square
+    delta: tuple  # per cell of the components' direction: a globular comparison square
     delta_inv: dict = field(default_factory=dict)  # optional stored inverses
 
     def __post_init__(self):
         self.comp = tuple(self.comp)
         self.nat = tuple(self.nat)
         self.delta = tuple(self.delta)
-        _check_pnt_boundaries(self, horizontal=True)
+        _check_pnt_boundaries(self, horizontal=isinstance(self, HorizontalPNT))
 
     @property
     def strong(self) -> bool:
@@ -50,25 +56,19 @@ class HorizontalPNT:
 
 
 @dataclass
-class VerticalPNT:
-    """Vertical pseudonatural transformation F => G (transpose flavour)."""
+class HorizontalPNT(_PNT):
+    """Horizontal pseudonatural transformation F => G: an hcell ``comp[A]``
+    per object, a square ``nat[u]`` (top comp[A], bottom comp[A'], left
+    F(u), right G(u)) per vcell u, and a vertically globular square
+    ``delta[f]`` : F(f).comp[B] => comp[A].G(f) per hcell f."""
 
-    F: DoublePseudoFunctor
-    G: DoublePseudoFunctor
-    comp: tuple  # per object: vcell F(A) -> G(A)
-    nat: tuple  # per hcell f: square (top F(f), bottom G(f), left comp[A], right comp[B])
-    delta: tuple  # per vcell u: globular square F(u);comp[A'] => comp[A];G(u)
-    delta_inv: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        self.comp = tuple(self.comp)
-        self.nat = tuple(self.nat)
-        self.delta = tuple(self.delta)
-        _check_pnt_boundaries(self, horizontal=False)
-
-    @property
-    def strong(self) -> bool:
-        return set(self.delta_inv) == set(range(len(self.delta)))
+@dataclass
+class VerticalPNT(_PNT):
+    """Vertical pseudonatural transformation F => G, the transpose flavour:
+    a vcell ``comp[A]`` per object, a square ``nat[f]`` (top F(f), bottom
+    G(f), left comp[A], right comp[B]) per hcell f, and a horizontally
+    globular square ``delta[u]`` : F(u);comp[A'] => comp[A];G(u) per vcell u."""
 
 
 def _check_pnt_boundaries(a, horizontal: bool):
@@ -154,31 +154,64 @@ def identity_vertical(F: DoublePseudoFunctor) -> VerticalPNT:
     )
 
 
-@dataclass
 class _TransposedContext:
-    """Caches the transposed categories so repeated transposition of pieces
-    of one structure stays consistent (dom/cod identity matters)."""
+    """The transposes of the pieces of one call: categories, functors,
+    transformations and coupled or theta pairs.  Each piece is transposed
+    at most once and mapped both ways, so transposing a result back lands on
+    the caller's own objects."""
 
-    dom_t: DoubleCategory
-    cod_t: DoubleCategory
+    def __init__(self):
+        self._seen = {}
 
-    @classmethod
-    def of(cls, F: DoublePseudoFunctor):
-        return cls(transpose(F.dom), transpose(F.cod))
+    def __call__(self, x):
+        t = self._seen.get(id(x))
+        if t is None:
+            t = self._transpose(x)
+            self._seen[id(x)] = t
+            self._seen[id(t)] = x
+        return t
+
+    def _transpose(self, x):
+        if isinstance(x, DoubleCategory):
+            return transpose(x)
+        if isinstance(x, DoublePseudoFunctor):
+            return transpose_pseudo(x, self(x.dom), self(x.cod))
+        if isinstance(x, _PNT):
+            flavour = VerticalPNT if isinstance(x, HorizontalPNT) else HorizontalPNT
+            return flavour(self(x.F), self(x.G), x.comp, x.nat, x.delta, dict(x.delta_inv))
+        if isinstance(x, ThetaPNT):
+            return ThetaPNT(self(x.h1), self(x.v0), x.theta)
+        return DoublePNT(self(x.h1), self(x.v0), x.r, x.t)
 
 
-def transpose_horizontal(a: HorizontalPNT, ctx: _TransposedContext | None = None) -> VerticalPNT:
-    ctx = ctx or _TransposedContext.of(a.F)
-    Ft = transpose_pseudo(a.F, ctx.dom_t, ctx.cod_t)
-    Gt = transpose_pseudo(a.G, ctx.dom_t, ctx.cod_t)
-    return VerticalPNT(Ft, Gt, a.comp, a.nat, a.delta, dict(a.delta_inv))
+def _mirror(op, *args):
+    """``op``, written for horizontal transformations, on vertical ones: run
+    on the transposed arguments, its result transposed back."""
+    tr = _TransposedContext()
+    return tr(op(*map(tr, args)))
 
 
-def transpose_vertical(a: VerticalPNT, ctx: _TransposedContext | None = None) -> HorizontalPNT:
-    ctx = ctx or _TransposedContext.of(a.F)
-    Ft = transpose_pseudo(a.F, ctx.dom_t, ctx.cod_t)
-    Gt = transpose_pseudo(a.G, ctx.dom_t, ctx.cod_t)
-    return HorizontalPNT(Ft, Gt, a.comp, a.nat, a.delta, dict(a.delta_inv))
+def _remap_transposed_witness(report: AxiomReport, start: int = 0) -> AxiomReport:
+    """Name the witnesses of the violations from ``start`` on, found on the
+    transpose, in the caller's directions: hcells and vcells trade kinds."""
+    swap = {HCELL: VCELL, VCELL: HCELL}
+    for i in range(start, len(report.violations)):
+        v = report.violations[i]
+        witness = []
+        for w in v.witness:
+            if isinstance(w, tuple) and len(w) == 2:
+                w = (swap.get(w[0], w[0]), w[1])
+            witness.append(w)
+        report.violations[i] = Violation(v.axiom, tuple(witness), v.lhs, v.rhs)
+    return report
+
+
+def _on_transpose(col, check, *args):
+    """``check(col, *args)`` on transposed data, naming its witnesses in the
+    caller's directions."""
+    start = len(col.report.violations)
+    check(col, *args)
+    _remap_transposed_witness(col.report, start)
 
 
 # ---------------------------------------------------------------------------
@@ -237,30 +270,27 @@ def check_horizontal_pnt(a: HorizontalPNT, budget: Budget | None = None, axioms=
             )
             col.eq("pnt-hunit-delta", ((OBJECT, o),), lhs, cod.sq_vid[a.comp[o]])
     if "delta-invertibility" in live:
-        for f, inv in sorted(a.delta_inv.items()):
-            cell = a.delta[f]
-            col.eq("delta-invertibility", ((HCELL, f),), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-            col.eq("delta-invertibility", ((HCELL, f),), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
+        _invertibility(col, a, sorted(a.delta_inv), "delta-invertibility")
     return col.done()
 
 
-def _remap_transposed_witness(report: AxiomReport) -> AxiomReport:
-    """Rename cell kinds in witnesses coming from a transposed run."""
-    swap = {HCELL: VCELL, VCELL: HCELL}
-    for i, v in enumerate(report.violations):
-        wit = tuple(
-            (swap.get(kind, kind), idx) if isinstance(w, tuple) and len(w) == 2 else w
-            for w in v.witness
-            for kind, idx in [w if isinstance(w, tuple) and len(w) == 2 else (None, None)]
-        )
-        report.violations[i] = type(v)(v.axiom, wit, v.lhs, v.rhs)
-    return report
+def _invertibility(col, a: HorizontalPNT, hcells, law: str):
+    """The comparison square of ``a`` at each of ``hcells`` has its stored
+    inverse on both sides; a missing inverse is a violation."""
+    cod = a.F.cod
+    for f in hcells:
+        inv = a.delta_inv.get(f)
+        if inv is None:
+            col.fail(law, ((HCELL, f),))
+            continue
+        cell = a.delta[f]
+        col.eq(law, ((HCELL, f),), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
+        col.eq(law, ((HCELL, f),), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
 
 
 def check_vertical_pnt(a: VerticalPNT, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    """The transposed axioms, obtained by literally transposing the data and
-    rerunning the horizontal checker."""
-    rep = check_horizontal_pnt(transpose_vertical(a), budget=budget, axioms=axioms)
+    """The horizontal checker on the transpose."""
+    rep = check_horizontal_pnt(_TransposedContext()(a), budget=budget, axioms=axioms)
     rep.subject = "vertical-transformation"
     return _remap_transposed_witness(rep)
 
@@ -300,52 +330,12 @@ def whisker_functor(H: DoublePseudoFunctor, a: HorizontalPNT) -> HorizontalPNT:
                 conj_v(H, inv),
                 H.comp_h[(F.h(f), a.comp[B])],
             )
-    HF = _compose_for(H, F)
-    HG = _compose_for(H, G)
-    return HorizontalPNT(HF, HG, comp, nat, delta, delta_inv)
-
-
-def _compose_for(H, F):
-    from .functors import compose_pseudo
-
-    return compose_pseudo(H, F)
+    return HorizontalPNT(compose_pseudo(H, F), compose_pseudo(H, G), comp, nat, delta, delta_inv)
 
 
 def whisker_functor_vertical(H: DoublePseudoFunctor, a: VerticalPNT) -> VerticalPNT:
     """Transpose flavour of :func:`whisker_functor`."""
-    if not same_category(a.F.cod, H.dom):
-        raise StructureError("whiskering functor does not start at the transformation's codomain")
-    F, G = a.F, a.G
-    dom = F.dom
-    cod = H.cod
-    comp = [H.v(a.comp[o]) for o in range(dom.n_objects)]
-    nat = [H.sq(a.nat[f]) for f in range(len(dom.hcells))]
-    delta = []
-    delta_inv = {}
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        middle = _conj_h(H, a.delta[u])
-        delta.append(
-            cod.hrow(
-                H.comp_v[(F.v(u), a.comp[B])],
-                middle,
-                H.comp_v_inv[(a.comp[A], G.v(u))],
-            )
-        )
-        inv = a.delta_inv.get(u)
-        if inv is not None:
-            delta_inv[u] = cod.hrow(
-                H.comp_v[(a.comp[A], G.v(u))],
-                _conj_h(H, inv),
-                H.comp_v_inv[(F.v(u), a.comp[B])],
-            )
-    return VerticalPNT(_compose_for(H, F), _compose_for(H, G), comp, nat, delta, delta_inv)
-
-
-def _conj_h(H, s):
-    from .functors import conj_h
-
-    return conj_h(H, s)
+    return _mirror(whisker_functor, H, a)
 
 
 def hcomp_horizontal(b: HorizontalPNT, a: HorizontalPNT) -> HorizontalPNT:
@@ -376,33 +366,12 @@ def hcomp_horizontal(b: HorizontalPNT, a: HorizontalPNT) -> HorizontalPNT:
                 cod.hpaste(cod.sq_vid[wa.comp[A]], inv_b),
                 cod.hpaste(inv_a, cod.sq_vid[b.comp[G.ob(B)]]),
             )
-    return HorizontalPNT(_compose_for(Fp, F), _compose_for(Gp, G), comp, nat, delta, delta_inv)
+    return HorizontalPNT(compose_pseudo(Fp, F), compose_pseudo(Gp, G), comp, nat, delta, delta_inv)
 
 
 def hcomp_vertical(b: VerticalPNT, a: VerticalPNT) -> VerticalPNT:
-    if not same_category(a.F.cod, b.F.dom):
-        raise StructureError("transformations not horizontally composable")
-    F, G, Fp, Gp = a.F, a.G, b.F, b.G
-    dom = F.dom
-    cod = Fp.cod
-    wa = whisker_functor_vertical(Fp, a)
-    comp = [cod.vcomp(wa.comp[o], b.comp[G.ob(o)]) for o in range(dom.n_objects)]
-    nat = [cod.vpaste(wa.nat[f], b.nat[G.h(f)]) for f in range(len(dom.hcells))]
-    delta = []
-    delta_inv = {}
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        c1 = cod.vpaste(wa.delta[u], cod.sq_hid[b.comp[G.ob(B)]])
-        c2 = cod.vpaste(cod.sq_hid[wa.comp[A]], b.delta[G.v(u)])
-        delta.append(cod.hpaste(c1, c2))
-        inv_a = wa.delta_inv.get(u)
-        inv_b = b.delta_inv.get(G.v(u))
-        if inv_a is not None and inv_b is not None:
-            delta_inv[u] = cod.hpaste(
-                cod.vpaste(cod.sq_hid[wa.comp[A]], inv_b),
-                cod.vpaste(inv_a, cod.sq_hid[b.comp[G.ob(B)]]),
-            )
-    return VerticalPNT(_compose_for(Fp, F), _compose_for(Gp, G), comp, nat, delta, delta_inv)
+    """Transpose flavour of :func:`hcomp_horizontal`."""
+    return _mirror(hcomp_horizontal, b, a)
 
 
 def vcomp_horizontal(a: HorizontalPNT, b: HorizontalPNT) -> HorizontalPNT:
@@ -434,29 +403,8 @@ def vcomp_horizontal(a: HorizontalPNT, b: HorizontalPNT) -> HorizontalPNT:
 
 
 def vcomp_vertical(a: VerticalPNT, b: VerticalPNT) -> VerticalPNT:
-    if not pseudo_equal(a.G, b.F):
-        raise StructureError("transformations not vertically composable")
-    F, H = a.F, b.G
-    dom, cod = F.dom, F.cod
-    comp = [cod.vcomp(a.comp[o], b.comp[o]) for o in range(dom.n_objects)]
-    nat = [cod.vpaste(a.nat[f], b.nat[f]) for f in range(len(dom.hcells))]
-    delta = []
-    delta_inv = {}
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        delta.append(
-            cod.hpaste(
-                cod.vpaste(a.delta[u], cod.sq_hid[b.comp[B]]),
-                cod.vpaste(cod.sq_hid[a.comp[A]], b.delta[u]),
-            )
-        )
-        inv_a, inv_b = a.delta_inv.get(u), b.delta_inv.get(u)
-        if inv_a is not None and inv_b is not None:
-            delta_inv[u] = cod.hpaste(
-                cod.vpaste(cod.sq_hid[a.comp[A]], inv_b),
-                cod.vpaste(inv_a, cod.sq_hid[b.comp[B]]),
-            )
-    return VerticalPNT(F, H, comp, nat, delta, delta_inv)
+    """Transpose flavour of :func:`vcomp_horizontal`."""
+    return _mirror(vcomp_horizontal, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +520,10 @@ def identity_double(F: DoublePseudoFunctor) -> DoublePNT:
     )
 
 
-def transpose_double(a: DoublePNT, ctx: _TransposedContext | None = None) -> DoublePNT:
-    ctx = ctx or _TransposedContext.of(a.F)
-    return DoublePNT(
-        transpose_horizontal(a.h1, ctx),
-        transpose_vertical(a.v0, ctx),
-        tuple(a.r),
-        tuple(a.t),
-    )
+def transpose_double(a, ctx: _TransposedContext | None = None):
+    """The transpose of a coupled or theta pair: its legs trade places and
+    transpose, and so do t and r."""
+    return (ctx or _TransposedContext())(a)
 
 
 DOUBLE_PNT_AXIOMS = (
@@ -595,8 +539,27 @@ DOUBLE_PNT_AXIOMS = (
 )
 
 
-def _check_t_side(a: DoublePNT, col, suffix: str):
-    """The t-side coupling axioms; the r-side is this after transposition."""
+def _check_legs(col, a, at):
+    """The leg checks of a coupled or theta pair ``a``; its transpose ``at``
+    carries the v0 leg as a horizontal one."""
+    col.report.absorb(_remap_transposed_witness(check_horizontal_pnt(at.h1, budget=col.budget)), prefix="v0: ")
+    col.report.absorb(check_horizontal_pnt(a.h1, budget=col.budget), prefix="h1: ")
+
+
+def _t_composite(a: DoublePNT, f, g):
+    """The t-square of f.g pasted from v0's naturality square at f, t[g] and
+    the functors' composition cells."""
+    F, G = a.F, a.G
+    cod = F.cod
+    return cod.vcol(
+        cod.hpaste(F.comp_h[(f, g)], cod.sq_vid[a.h1.comp[F.dom.ht(g)]]),
+        cod.hpaste(a.v0.nat[f], a.t[g]),
+        G.comp_h_inv[(f, g)],
+    )
+
+
+def _check_t_side(col, a: DoublePNT, suffix: str):
+    """The t-side coupling axioms; the r-side is this on the transpose."""
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
     v0, h1 = a.v0, a.h1
@@ -613,13 +576,7 @@ def _check_t_side(a: DoublePNT, col, suffix: str):
         rhs = cod.hpaste(v0.nat[f], a.t[g])
         col.eq(f"coupling-hcomp-{suffix}", ((HCELL, f), (HCELL, g)), lhs, rhs)
     for (f, g) in sorted(dom.hcomp1):
-        C = dom.ht(g)
-        rhs = cod.vcol(
-            cod.hpaste(F.comp_h[(f, g)], cod.sq_vid[h1.comp[C]]),
-            cod.hpaste(v0.nat[f], a.t[g]),
-            G.comp_h_inv[(f, g)],
-        )
-        col.eq(f"coupling-composite-{suffix}", ((HCELL, f), (HCELL, g)), a.t[dom.hcomp(f, g)], rhs)
+        col.eq(f"coupling-composite-{suffix}", ((HCELL, f), (HCELL, g)), a.t[dom.hcomp(f, g)], _t_composite(a, f, g))
 
 
 def check_double_pnt(
@@ -633,56 +590,26 @@ def check_double_pnt(
     evaluated; the report then carries a recorded assumption and the
     ``inconclusive`` status rather than passing silently."""
     col = Collector("double-transformation", budget)
-    col.report.absorb(check_vertical_pnt(a.v0, budget=col.budget), prefix="v0: ")
-    col.report.absorb(check_horizontal_pnt(a.h1, budget=col.budget), prefix="h1: ")
-
-    cod = a.F.cod
+    at = transpose_double(a)
+    _check_legs(col, a, at)
     if registry is None:
         col.assume("component-invertibility skipped: no component registry supplied")
         col.inconclusive()
     else:
-        for f in sorted(registry.hcells):
-            inv = a.h1.delta_inv.get(f)
-            if inv is None:
-                col.fail("component-invertibility", ((HCELL, f),))
-            else:
-                cell = a.h1.delta[f]
-                col.eq("component-invertibility", ((HCELL, f),), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-                col.eq("component-invertibility", ((HCELL, f),), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
-        for u in sorted(registry.vcells):
-            inv = a.v0.delta_inv.get(u)
-            if inv is None:
-                col.fail("component-invertibility", ((VCELL, u),))
-            else:
-                cell = a.v0.delta[u]
-                col.eq("component-invertibility", ((VCELL, u),), cod.hpaste(cell, inv), cod.sq_hid[cod.left(cell)])
-                col.eq("component-invertibility", ((VCELL, u),), cod.hpaste(inv, cell), cod.sq_hid[cod.right(cell)])
-
-    _check_t_side(a, col, "t")
-    sub = Collector("double-transformation", col.budget)
-    _check_t_side(transpose_double(a), sub, "r")
-    col.report.absorb(_remap_transposed_witness(sub.done()))
+        _invertibility(col, a.h1, sorted(registry.hcells), "component-invertibility")
+        _on_transpose(col, _invertibility, at.h1, sorted(registry.vcells), "component-invertibility")
+    _check_t_side(col, a, "t")
+    _on_transpose(col, _check_t_side, at, "r")
 
     # pasting the composite coupling square over either bracketing of a
     # triple agrees (consequence of functor coherence, asserted)
     dom = a.F.dom
-    cod = a.F.cod
-    F, G = a.F, a.G
-
-    def expand_t(f, g):
-        C = dom.ht(g)
-        return cod.vcol(
-            cod.hpaste(F.comp_h[(f, g)], cod.sq_vid[a.h1.comp[C]]),
-            cod.hpaste(a.v0.nat[f], a.t[g]),
-            G.comp_h_inv[(f, g)],
-        )
-
     for (f, g) in sorted(dom.hcomp1):
         for h in range(len(dom.hcells)):
             if dom.ht(g) != dom.hs(h):
                 continue
-            one = expand_t(dom.hcomp(f, g), h)
-            two = expand_t(f, dom.hcomp(g, h))
+            one = _t_composite(a, dom.hcomp(f, g), h)
+            two = _t_composite(a, f, dom.hcomp(g, h))
             col.eq("coupling-assoc", ((HCELL, f), (HCELL, g), (HCELL, h)), one, two)
     return col.done()
 
@@ -691,53 +618,48 @@ def check_double_pnt(
 # theta-generated transformations
 
 
-def check_theta(
-    th: ThetaPNT,
-    registry: ComponentRegistry | None = None,
-    budget: Budget | None = None,
-) -> AxiomReport:
-    col = Collector("theta-transformation", budget)
-    col.report.absorb(check_vertical_pnt(th.v0, budget=col.budget), prefix="v0: ")
-    col.report.absorb(check_horizontal_pnt(th.h1, budget=col.budget), prefix="h1: ")
-    if registry is None:
-        col.assume("component-invertibility skipped: no component registry supplied")
-        col.inconclusive()
-    else:
-        cod = th.v0.F.cod
-        for f in sorted(registry.hcells):
-            if th.h1.delta_inv.get(f) is None:
-                col.fail("component-invertibility", ((HCELL, f),))
-        for u in sorted(registry.vcells):
-            if th.v0.delta_inv.get(u) is None:
-                col.fail("component-invertibility", ((VCELL, u),))
+def _theta_slide(col, th: ThetaPNT, law: str):
+    """The generating squares slide along every hcell; the slide along the
+    vcells is this on the transpose."""
     F, G = th.v0.F, th.v0.G
     dom, cod = F.dom, F.cod
     for f in range(len(dom.hcells)):
         A, B = dom.hs(f), dom.ht(f)
         lhs = cod.hpaste(th.v0.nat[f], th.theta[B])
         rhs = cod.vpaste(th.h1.delta[f], cod.hpaste(th.theta[A], cod.sq_vid[G.h(f)]))
-        col.eq("theta-slide-h", ((HCELL, f),), lhs, rhs)
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        lhs = cod.vpaste(th.h1.nat[u], th.theta[B])
-        rhs = cod.hpaste(th.v0.delta[u], cod.vpaste(th.theta[A], cod.sq_hid[G.v(u)]))
-        col.eq("theta-slide-v", ((VCELL, u),), lhs, rhs)
+        col.eq(law, ((HCELL, f),), lhs, rhs)
+
+
+def check_theta(
+    th: ThetaPNT,
+    registry: ComponentRegistry | None = None,
+    budget: Budget | None = None,
+) -> AxiomReport:
+    col = Collector("theta-transformation", budget)
+    tht = transpose_double(th)
+    _check_legs(col, th, tht)
+    if registry is None:
+        col.assume("component-invertibility skipped: no component registry supplied")
+        col.inconclusive()
+    else:
+        for leg, cells, kind in ((th.h1, registry.hcells, HCELL), (th.v0, registry.vcells, VCELL)):
+            for x in sorted(cells):
+                if leg.delta_inv.get(x) is None:
+                    col.fail("component-invertibility", ((kind, x),))
+    _theta_slide(col, th, "theta-slide-h")
+    _on_transpose(col, _theta_slide, tht, "theta-slide-v")
     return col.done()
+
+
+def _theta_t(th: ThetaPNT):
+    """The t-squares generated by the theta squares."""
+    dom, cod = th.v0.F.dom, th.v0.F.cod
+    return [cod.hpaste(th.v0.nat[f], th.theta[dom.ht(f)]) for f in range(len(dom.hcells))]
 
 
 def theta_to_double(th: ThetaPNT) -> DoublePNT:
     """Expand the generating squares into the two coupling families."""
-    F, G = th.v0.F, th.v0.G
-    dom, cod = F.dom, F.cod
-    t = [
-        cod.hpaste(th.v0.nat[f], th.theta[dom.ht(f)])
-        for f in range(len(dom.hcells))
-    ]
-    r = [
-        cod.vpaste(th.h1.nat[u], th.theta[dom.vt(u)])
-        for u in range(len(dom.vcells))
-    ]
-    return DoublePNT(th.v0, th.h1, t, r)
+    return DoublePNT(th.v0, th.h1, _theta_t(th), _theta_t(transpose_double(th)))
 
 
 def identity_theta(F: DoublePseudoFunctor) -> ThetaPNT:
@@ -754,26 +676,17 @@ def theta_candidates_from_double(a: DoublePNT):
     coupling squares at identity cells.  They satisfy the two slide laws but
     need not agree with each other, which is exactly why not every coupled
     pair is theta-generated."""
+    return _theta_candidate(a), _theta_candidate(transpose_double(a))
+
+
+def _theta_candidate(a: DoublePNT):
+    """The generating squares pasted from the t-squares at identity hcells."""
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
-    t_theta = []
-    r_theta = []
-    for o in range(dom.n_objects):
-        t_theta.append(
-            cod.vcol(
-                cod.hpaste(F.unit_h_inv[o], cod.sq_vid[a.h1.comp[o]]),
-                a.t[dom.hid[o]],
-                G.unit_h[o],
-            )
-        )
-        r_theta.append(
-            cod.hrow(
-                cod.vpaste(F.unit_v[o], cod.sq_hid[a.v0.comp[o]]),
-                a.r[dom.vid[o]],
-                G.unit_v_inv[o],
-            )
-        )
-    return t_theta, r_theta
+    return [
+        cod.vcol(cod.hpaste(F.unit_h_inv[o], cod.sq_vid[a.h1.comp[o]]), a.t[dom.hid[o]], G.unit_h[o])
+        for o in range(dom.n_objects)
+    ]
 
 
 def hcomp_theta(b: ThetaPNT, a: ThetaPNT) -> ThetaPNT:
@@ -821,54 +734,48 @@ def vcomp_theta(a: ThetaPNT, b: ThetaPNT) -> ThetaPNT:
 # compositions of coupled pairs
 
 
-def hcomp_double(b: DoublePNT, a: DoublePNT) -> DoublePNT:
-    """Side-by-side composite; the coupling squares thread the second
-    transformation's comparison cells through the images of the first."""
-    if not same_category(a.F.cod, b.F.dom):
-        raise StructureError("transformations not horizontally composable")
-    F, G, Fp, Gp = a.F, a.G, b.F, b.G
-    dom = F.dom
-    cod = Fp.cod
+def _coupled(side, *pairs):
+    """The coupled pair whose h1 leg and t-squares ``side`` builds from
+    ``pairs``; its v0 leg and r-squares are ``side`` on the transposes."""
+    tr = _TransposedContext()
+    h1, t = side(*pairs)
+    v0, r = side(*map(tr, pairs))
+    return DoublePNT(tr(v0), h1, t, r)
+
+
+def _hcomp_t(b: DoublePNT, a: DoublePNT):
+    """The h1 leg and the t-squares of :func:`hcomp_double`."""
     h1 = hcomp_horizontal(b.h1, a.h1)
-    v0 = hcomp_vertical(b.v0, a.v0)
+    F, G, Gp = a.F, a.G, b.G
+    dom = F.dom
+    cod = Gp.cod
     t = []
     for f in range(len(dom.hcells)):
         A, B = dom.hs(f), dom.ht(f)
-        gb = G.ob(B)
         row1 = cod.hpaste(b.v0.nat[F.h(f)], b.t[a.h1.comp[B]])
         row2 = Gp.comp_h_inv[(F.h(f), a.h1.comp[B])]
-        row3 = cod.hpaste(Gp.sq(a.t[f]), Gp.unit_v_inv[gb])
+        row3 = cod.hpaste(Gp.sq(a.t[f]), Gp.unit_v_inv[G.ob(B)])
         t.append(cod.hpaste(b.v0.delta[a.v0.comp[A]], cod.vcol(row1, row2, row3)))
-    r = []
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        gb = G.ob(B)
-        col1 = cod.vpaste(b.h1.nat[F.v(u)], b.r[a.v0.comp[B]])
-        col2 = Gp.comp_v[(F.v(u), a.v0.comp[B])]
-        col3 = cod.vpaste(Gp.sq(a.r[u]), Gp.unit_h[gb])
-        r.append(cod.vpaste(b.h1.delta[a.h1.comp[A]], cod.hrow(col1, col2, col3)))
-    return DoublePNT(v0, h1, t, r)
+    return h1, t
+
+
+def hcomp_double(b: DoublePNT, a: DoublePNT) -> DoublePNT:
+    """Side-by-side composite; the coupling squares thread the second
+    transformation's comparison cells through the images of the first."""
+    return _coupled(_hcomp_t, b, a)
+
+
+def _vcomp_t(a: DoublePNT, b: DoublePNT):
+    """The h1 leg and the t-squares of :func:`vcomp_double`."""
+    h1 = vcomp_horizontal(a.h1, b.h1)
+    dom, cod = a.F.dom, a.F.cod
+    t = [cod.vpaste(cod.hpaste(a.t[f], cod.sq_vid[b.h1.comp[dom.ht(f)]]), b.t[f]) for f in range(len(dom.hcells))]
+    return h1, t
 
 
 def vcomp_double(a: DoublePNT, b: DoublePNT) -> DoublePNT:
     """Stacked composite a then b; strictly associative and unital."""
-    if not pseudo_equal(a.G, b.F):
-        raise StructureError("transformations not vertically composable")
-    dom = a.F.dom
-    cod = a.F.cod
-    h1 = vcomp_horizontal(a.h1, b.h1)
-    v0 = vcomp_vertical(a.v0, b.v0)
-    t = []
-    for f in range(len(dom.hcells)):
-        B = dom.ht(f)
-        row1 = cod.hpaste(a.t[f], cod.sq_vid[b.h1.comp[B]])
-        t.append(cod.vpaste(row1, b.t[f]))
-    r = []
-    for u in range(len(dom.vcells)):
-        B = dom.vt(u)
-        col1 = cod.vpaste(a.r[u], cod.sq_hid[b.v0.comp[B]])
-        r.append(cod.hpaste(col1, b.r[u]))
-    return DoublePNT(v0, h1, t, r)
+    return _coupled(_vcomp_t, a, b)
 
 
 def right_unit_constraint(a: HorizontalPNT):
@@ -881,9 +788,6 @@ def right_unit_constraint(a: HorizontalPNT):
     components, and the report verifies they form a modification from the
     composite back to ``a`` (the normalization applied).  Both collapse to
     identities when the functor is normalized."""
-    from .functors import identity_pseudo
-    from .report import Collector
-
     F = a.F
     dom, cod = F.dom, F.cod
     ident = identity_horizontal(identity_pseudo(dom))

@@ -436,3 +436,39 @@ def test_parse_of_mutants_fails_cleanly_or_round_trips(text):
         return
     once = serialize(doc)
     assert serialize(parse(once)) == once
+
+
+@pytest.mark.parametrize(
+    "text,position,message",
+    [
+        (
+            "fincategory Z {\n  objects O\n  mor g : O -> O\n  comp g g = id_O\n  comp g g = g\n}\n",
+            (5, 8),
+            "duplicate comp entry for g g",
+        ),
+        ("fincategory W {\n  objects X\n  mor e : X -> X\n  idm X = e\n  idm X = e\n}\n", (5, 7), "duplicate idm entry for X"),
+        (
+            "twocategory T {\n  objects A\n  onecell e : A -> A\n  comp e e = e\n  comp e e = 1_A\n}\n",
+            (5, 8),
+            "duplicate comp entry for e e",
+        ),
+    ],
+    ids=["fincategory", "identity", "twocategory"],
+)
+def test_repeated_table_key_is_a_positioned_error(text, position, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value).endswith(message)
+
+
+def test_repeated_mapping_entry_is_a_positioned_error():
+    text = _zoo_document()
+    lines = text.splitlines()
+    for prefix in ("a0 ", "ob ", "obmul ", "comp1 "):
+        i = next(i for i, line in enumerate(lines) if line.strip().startswith(prefix))
+        twice = "\n".join(lines[: i + 1] + lines[i:]) + "\n"
+        with pytest.raises(ParseError) as err:
+            parse(twice)
+        assert err.value.line == i + 2
+        assert f"duplicate {prefix.strip()} entry for" in str(err.value)

@@ -2,7 +2,7 @@ import itertools
 
 
 from dblkit import zoo
-from dblkit.kernel import embed_two_category
+from dblkit.kernel import embed_two_category, quintet
 from dblkit.functors import identity_functor, pseudo_from_strict
 from dblkit.builders import theta_from_plain_vertical
 from dblkit.companion import CompanionPair
@@ -211,3 +211,13 @@ def test_vertical_modif_to_horizontal(sign_setting):
     for o in range(d.n_objects):
         assert d.vpaste(m.a1[o], a1_inv[o]) == d.sq_vid[d.top(m.a1[o])]
         assert d.vpaste(a1_inv[o], m.a1[o]) == d.sq_vid[d.bottom(m.a1[o])]
+
+
+def test_hcomp_modif_accepts_equal_categories_built_apart():
+    # two construction calls give two equal category objects
+    mods = []
+    for _ in range(2):
+        F = pseudo_from_strict(identity_functor(quintet(zoo.cyclic_group_cat(3))))
+        mods.append(identity_modification(identity_double(F)))
+    rep = check_modification(hcomp_modif(mods[1], mods[0]))
+    assert rep.passed, rep.summary()

@@ -340,3 +340,28 @@ def test_stacked_composition_of_sides_associative(bz3):
         lhs = vcomp_vertical(vcomp_vertical(a, b), c)
         rhs = vcomp_vertical(a, vcomp_vertical(b, c))
         assert lhs.comp == rhs.comp and lhs.nat == rhs.nat and lhs.delta == rhs.delta
+
+
+def test_vertical_composites_stay_on_the_callers_categories(bz3):
+    from dblkit.modif import check_modification, hcomp_modif, identity_modification, vcomp_modif
+    from dblkit.transform import _TransposedContext, whisker_functor_vertical
+
+    _, _, F, _, _ = bz3
+    a, b = all_doubles(bz3)[:2]
+    # one context maps each category to its transpose and back
+    ctx = _TransposedContext()
+    twice = transpose_double(transpose_double(a, ctx), ctx)
+    for made in (
+        vcomp_vertical(a.v0, b.v0),
+        hcomp_vertical(b.v0, a.v0),
+        whisker_functor_vertical(F, a.v0),
+        vcomp_double(a, b),
+        hcomp_double(b, a),
+        twice,
+    ):
+        assert made.F.dom is a.F.dom and made.F.cod is a.F.cod
+        assert made.G.dom is a.F.dom and made.G.cod is a.F.cod
+    stacked = vcomp_modif(identity_modification(a), identity_modification(b))
+    chain = hcomp_modif(stacked, identity_modification(twice))
+    rep = check_modification(chain)
+    assert rep.passed, rep.summary()
