@@ -33,7 +33,14 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   components and both endpoint functors' cell maps and structure cells, in
   insertion order); and every single-square mutant of a naturality,
   comparison, inverse, coupling or modification family that keeps the
-  boundary.
+  boundary;
+- internal bundles: ``check_internal`` reports, deep and shallow, of the
+  bundles of the four zoo tensor-monoids and of the pseudomonoid bundle of
+  acceptance criterion 8, shallow reports of criterion 8's compatibility
+  mutations and of seeded single-entry mutants of a diagonal bundle's
+  pullback, and digests of every bundle's nested and unit-sided composites
+  (cell maps, structure cells and the triple pullback's tables), taken
+  after the check.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -46,6 +53,7 @@ import itertools
 import json
 import random
 import sys
+from dataclasses import replace
 
 from dblkit import dsl, modif, transform, zoo
 from dblkit.acceptance import _generators
@@ -58,11 +66,19 @@ from dblkit.builders import (
 )
 from dblkit.cli import _decl_category, _internal_bundle_decls
 from dblkit.companion import find_connection
-from dblkit.functors import identity_functor, identity_pseudo, pseudo_from_strict
+from dblkit.functors import StrictDoubleFunctor, identity_functor, identity_pseudo, pseudo_from_strict
 from dblkit.graytensor import derive_interleaved_functor
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
-from dblkit.internal import internalize_bicategory, monoid_to_internal
+from dblkit.internal import (
+    check_internal,
+    diagonal_internal,
+    internalize_bicategory,
+    monoid_to_internal,
+    nested_composition_functors,
+    pseudomonoid_to_internal,
+    unit_sided_functors,
+)
 from dblkit.kernel import StructureError, check_double_category, check_two_category, embed_two_category, product, quintet
 from dblkit.mutate import sample_mutants
 from dblkit.report import Budget
@@ -580,6 +596,78 @@ def transformations(out):
         done += 1
 
 
+INTERNAL_MONOIDS = (
+    ("braid", zoo.braid_monoid_in_dbl),
+    ("cyclic2", zoo.commutative_monoid_in_dbl),
+    ("min", zoo.min_monoid_in_dbl),
+    ("trivial", zoo.trivial_monoid_in_dbl),
+)
+PULLBACK_MUTANTS = 40
+
+
+def _category(d):
+    """The cells and tables of a double category, for a digest."""
+    fields = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
+    return {k: getattr(d, k) for k in fields}
+
+
+def _bundle(out, key, data, empty, deep=(True, False)):
+    """The reports of ``check_internal`` on ``data`` and, after them, the
+    digests of its nested and unit-sided composites."""
+    for flag in deep:
+        tag = "deep" if flag else "shallow"
+        out[f"{key} {tag}"] = _report(lambda: check_internal(data, registry=empty, deep=flag))
+
+    def nested():
+        left, right, p3l = nested_composition_functors(data)
+        return left, right, _category(p3l)
+
+    out[f"{key} nested"] = _digest(nested)
+    out[f"{key} unit-sided"] = _digest(lambda: unit_sided_functors(data))
+
+
+def internal(out):
+    empty = transform.ComponentRegistry.of()
+    bundles = {}
+    for name, make in INTERNAL_MONOIDS:
+        monoid = make()
+        bundles[name] = (monoid, monoid_to_internal(monoid))
+        _bundle(out, f"internal {name}", bundles[name][1], empty)
+    # acceptance criterion 8's pseudomonoid bundle, written out rather than
+    # taken from the acceptance module so that the script runs on older
+    # checkouts
+    monoid, base = bundles["cyclic2"]
+    d = monoid.carrier
+    left, right, p3l = nested_composition_functors(base)
+    nonid = [v for v in enumerate_plain_verticals(right, left) if any(v.comp[o] != d.vid[0] for o in range(d.n_objects))]
+    pseudo = pseudomonoid_to_internal(monoid, nonid[0], find_connection(d), dom_conn=find_connection(p3l))
+    _bundle(out, "internal pseudomonoid", pseudo, empty)
+    # criterion 8's compatibility mutations
+    dq = quintet(zoo.walking_arrow())
+    good = diagonal_internal(dq)
+    constant = StrictDoubleFunctor(
+        dq, dq, [0] * dq.n_objects, [dq.hid[0]] * len(dq.hcells), [dq.vid[0]] * len(dq.vcells),
+        [dq.sq_vid[dq.hid[0]]] * len(dq.squares), name="const",
+    )
+    ds = embed_two_category(zoo.sign_two_category())
+    diag_s = diagonal_internal(ds)
+    minus_lunit = transform.DoublePNT(
+        identity_vertical(diag_s.lunit.F), identity_horizontal(diag_s.lunit.F), [2 * f + 1 for f in range(len(ds.hcells))], [1]
+    )
+    mutations = (
+        ("diagonal", good),
+        ("unit-section", replace(good, u=pseudo_from_strict(constant))),
+        ("composite-sources", replace(good, m=pseudo_from_strict(constant), lunit=None, runit=None)),
+        ("pullback", replace(good, p=product(dq, dq))),
+        ("whisker", replace(diag_s, lunit=minus_lunit)),
+    )
+    for name, data in mutations:
+        _bundle(out, f"internal mutation {name}", data, empty, deep=(False,))
+    host = diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    for slot, bad_p in sample_mutants(host.p, PULLBACK_MUTANTS, seed=6):
+        out[f"internal pullback mutant {slot}"] = _report(lambda: check_internal(replace(host, p=bad_p), registry=empty, deep=False))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -590,6 +678,7 @@ def main(argv) -> int:
     cutoffs(out)
     dsl_section(out)
     transformations(out)
+    internal(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -191,10 +191,12 @@ def _render(shape, words):
     return " ".join(w if w in _LITERALS else next(words) for w in shape.split())
 
 
-def _block(lines, header_line, spec, unknown):
+def _block(lines, header_line, spec, unknown, once=()):
     """The lines of a block up to its ``}`` as (keyword, placeholder tokens,
     line, column), each checked against the shape of its keyword in
-    ``spec``; ``unknown`` is the message for any other keyword."""
+    ``spec``; ``unknown`` is the message for any other keyword.  A keyword
+    in ``once`` names a single value: a second line of it is an error."""
+    seen = set()
     while True:
         line, toks = next(lines, (None, None))
         if toks is None:
@@ -204,6 +206,10 @@ def _block(lines, header_line, spec, unknown):
             return
         if head not in spec:
             raise ParseError(unknown.format(head), line, col)
+        if head in once:
+            if head in seen:
+                raise ParseError(f"duplicate {head} line", line, col)
+            seen.add(head)
         shape = spec[head][0]
         args = _fits(toks[1:], shape)
         if args is None:
@@ -754,7 +760,7 @@ def _parse_functor(lines, doc, name, sig, header_line):
     kind = "strict"
     entry = _entry_reader(_FUNCTOR, dom_decl.names, cod_decl.names)
     entries = {kw: {} for kw in _FUNCTOR}
-    for kw, args, line, col in _block(lines, header_line, _FUNCTOR, "unknown keyword {!r} in functor"):
+    for kw, args, line, col in _block(lines, header_line, _FUNCTOR, "unknown keyword {!r} in functor", once=("kind",)):
         if kw == "kind":
             kind = args[0][0]
             continue
@@ -820,7 +826,9 @@ def _parse_transformation(lines, doc, name, sig, header_line):
     kind = None
     entry = _entry_reader(_TRANSFORMATION, dom_decl.names, cod_decl.names)
     slots = {kw: {} for kw in _TRANSFORMATION}
-    for kw, args, line, col in _block(lines, header_line, _TRANSFORMATION, "unknown keyword {!r} in transformation"):
+    for kw, args, line, col in _block(
+        lines, header_line, _TRANSFORMATION, "unknown keyword {!r} in transformation", once=("kind",)
+    ):
         if kw == "kind":
             kind = args[0][0]
             continue
@@ -946,7 +954,7 @@ def _parse_monoid(lines, doc, name, sig, header_line):
     unit = None
     entry = _entry_reader(_MONOID, nm, nm)
     tables = {kw: {} for kw in list(_MONOID)[1:]}
-    for kw, args, line, col in _block(lines, header_line, _MONOID, "unknown keyword {!r} in monoid"):
+    for kw, args, line, col in _block(lines, header_line, _MONOID, "unknown keyword {!r} in monoid", once=("unit",)):
         if kw == "unit":
             (unit,) = _resolve(_lookups(_MONOID, kw, nm), args, line)
             continue
@@ -977,7 +985,7 @@ _TENSOR = {"left": ("NAME",), "right": ("NAME",), "cap": ("N",)}
 
 def _parse_tensor(lines, doc, name, sig, header_line):
     refs, cap = {}, 4
-    for kw, ((tok, col),), line, _ in _block(lines, header_line, _TENSOR, "unknown keyword {!r} in tensor"):
+    for kw, ((tok, col),), line, _ in _block(lines, header_line, _TENSOR, "unknown keyword {!r} in tensor", _TENSOR):
         if kw == "cap":
             cap = int(tok)
         else:
@@ -998,7 +1006,7 @@ _INTERNAL_REQUIRED = list(_INTERNAL)[:9]
 
 def _parse_internal(lines, doc, name, sig, header_line):
     refs = {}
-    for kw, ((tok, col),), line, _ in _block(lines, header_line, _INTERNAL, "expected: <slot> = NAME"):
+    for kw, ((tok, col),), line, _ in _block(lines, header_line, _INTERNAL, "expected: <slot> = NAME", _INTERNAL):
         doc.get(tok, None, line, col)
         refs[kw] = tok
     for slot in _INTERNAL_REQUIRED:

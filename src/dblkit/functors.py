@@ -457,9 +457,28 @@ def conj_h(g: DoublePseudoFunctor, s: int) -> int:
     return cod.vcol(g.unit_h_inv[a], g.sq(s), g.unit_h[b])
 
 
+def _tabulated(fn):
+    """``fn`` with its results kept by argument tuple."""
+    table = {}
+
+    def look(*key):
+        try:
+            return table[key]
+        except KeyError:
+            table[key] = value = fn(*key)
+            return value
+
+    return look
+
+
 def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
     """Composite double pseudofunctor; structure cells are the standard
-    pastings of g's cells with the g-images of f's cells."""
+    pastings of g's cells with the g-images of f's cells.
+
+    The structure cells of f take few distinct values (on the braid bundle's
+    triple pullback, some 900,000 conjugations cover 511 squares), so each
+    conjugation, and each pasting keyed by f's cell and the images of the
+    pair, is built once per call."""
     if not same_category(f.cod, g.dom):
         raise StructureError("pseudofunctors not composable")
     cod = g.cod
@@ -467,25 +486,29 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
     h_map = [g.h(x) for x in f.h_map]
     v_map = [g.v(x) for x in f.v_map]
     sq_map = [g.sq(x) for x in f.sq_map]
+    cv = _tabulated(lambda s: conj_v(g, s))
+    ch = _tabulated(lambda s: conj_h(g, s))
+    h_cell = _tabulated(lambda s, x, y: cod.vpaste(cv(s), g.comp_h[(x, y)]))
+    h_inv = _tabulated(lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], cv(s)))
+    v_cell = _tabulated(lambda s, u, v: cod.hpaste(g.comp_v[(u, v)], ch(s)))
+    v_inv = _tabulated(lambda s, u, v: cod.hpaste(ch(s), g.comp_v_inv[(u, v)]))
     comp_h, comp_h_inv, comp_v, comp_v_inv = {}, {}, {}, {}
     unit_h, unit_h_inv, unit_v, unit_v_inv = {}, {}, {}, {}
-    for (x, y) in f.dom.hcomp1:
-        comp_h[(x, y)] = cod.vpaste(conj_v(g, f.comp_h[(x, y)]), g.comp_h[(f.h(x), f.h(y))])
-        comp_h_inv[(x, y)] = cod.vpaste(
-            g.comp_h_inv[(f.h(x), f.h(y))], conj_v(g, f.comp_h_inv[(x, y)])
-        )
+    for key in f.dom.hcomp1:
+        x, y = key
+        comp_h[key] = h_cell(f.comp_h[key], f.h(x), f.h(y))
+        comp_h_inv[key] = h_inv(f.comp_h_inv[key], f.h(x), f.h(y))
     for a in range(f.dom.n_objects):
         comp_unit = g.unit_h[f.ob(a)]
-        unit_h[a] = cod.vpaste(conj_v(g, f.unit_h[a]), comp_unit)
-        unit_h_inv[a] = cod.vpaste(g.unit_h_inv[f.ob(a)], conj_v(g, f.unit_h_inv[a]))
-    for (u, v) in f.dom.vcomp1:
-        comp_v[(u, v)] = cod.hpaste(g.comp_v[(f.v(u), f.v(v))], conj_h(g, f.comp_v[(u, v)]))
-        comp_v_inv[(u, v)] = cod.hpaste(
-            conj_h(g, f.comp_v_inv[(u, v)]), g.comp_v_inv[(f.v(u), f.v(v))]
-        )
+        unit_h[a] = cod.vpaste(cv(f.unit_h[a]), comp_unit)
+        unit_h_inv[a] = cod.vpaste(g.unit_h_inv[f.ob(a)], cv(f.unit_h_inv[a]))
+    for key in f.dom.vcomp1:
+        u, v = key
+        comp_v[key] = v_cell(f.comp_v[key], f.v(u), f.v(v))
+        comp_v_inv[key] = v_inv(f.comp_v_inv[key], f.v(u), f.v(v))
     for a in range(f.dom.n_objects):
-        unit_v[a] = cod.hpaste(g.unit_v[f.ob(a)], conj_h(g, f.unit_v[a]))
-        unit_v_inv[a] = cod.hpaste(conj_h(g, f.unit_v_inv[a]), g.unit_v_inv[f.ob(a)])
+        unit_v[a] = cod.hpaste(g.unit_v[f.ob(a)], ch(f.unit_v[a]))
+        unit_v_inv[a] = cod.hpaste(ch(f.unit_v_inv[a]), g.unit_v_inv[f.ob(a)])
     return DoublePseudoFunctor(
         f.dom,
         g.cod,

@@ -20,7 +20,7 @@ violation rather than attempting equivalence search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .kernel import (
     HCELL,
@@ -54,6 +54,16 @@ from .weak import Bicategory, PseudoDoubleCategory
 
 @dataclass
 class InternalCategoryData:
+    """The data of a category internal to double categories.
+
+    The nested and unit-sided composites are built once per bundle and kept
+    with the fields they were built from; a later call rebuilds only when one
+    of those fields was reassigned.  So change a bundle by reassigning its
+    fields (or through ``dataclasses.replace``, which starts with no
+    composites), never by editing a functor's or a category's tables in
+    place.
+    """
+
     d0: DoubleCategory
     d1: DoubleCategory
     s: StrictDoubleFunctor
@@ -72,6 +82,19 @@ class InternalCategoryData:
     rgt: DoubleModification | None = None
     unit_compat: DoubleModification | None = None
     extra_threecell_equations: tuple = ()  # pluggable additional checks
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+def _memoized(data: InternalCategoryData, key, reads, build):
+    """``build()``, kept on ``data`` with the field objects it read and
+    reused while every one of them is still the field itself."""
+    current = tuple(getattr(data, name) for name in reads)
+    kept = data._memo.get(key)
+    if kept is not None and all(a is b for a, b in zip(kept[0], current)):
+        return kept[1]
+    value = build()
+    data._memo[key] = (current, value)
+    return value
 
 
 def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
@@ -165,23 +188,38 @@ def reindex_triples(data, p3l, t_after_p2, p3r, s_after_p1) -> StrictDoubleFunct
 
 def nested_composition_functors(data: InternalCategoryData):
     """(left-nested, right-nested) composites of the composition with itself,
-    both with domain the left-bracketed triple pullback."""
-    p3l, p3r, m_x_id, id_x_m, rebracket = triple_pullbacks(data)
-    left_nested = compose_pseudo(data.m, m_x_id)
-    right_nested = compose_pseudo(
-        data.m, compose_pseudo(id_x_m, pseudo_from_strict(rebracket))
-    )
-    return left_nested, right_nested, p3l
+    both with domain the left-bracketed triple pullback.
+
+    Built once per bundle: the result is kept on ``data`` and returned again
+    while ``d1``, ``s``, ``t``, ``p``, ``p1``, ``p2`` and ``m`` are the same
+    objects.  Reassign a field to change it; a functor's tables edited in
+    place would leave the kept composites stale."""
+
+    def build():
+        p3l, p3r, m_x_id, id_x_m, rebracket = triple_pullbacks(data)
+        left_nested = compose_pseudo(data.m, m_x_id)
+        right_nested = compose_pseudo(
+            data.m, compose_pseudo(id_x_m, pseudo_from_strict(rebracket))
+        )
+        return left_nested, right_nested, p3l
+
+    return _memoized(data, "nested", ("d1", "s", "t", "p", "p1", "p2", "m"), build)
 
 
 def unit_sided_functors(data: InternalCategoryData):
-    """(u x 1).c and (1 x u).c as endofunctors of the arrow category."""
-    u_s = compose_pseudo(data.u, pseudo_from_strict(data.s))
-    u_t = compose_pseudo(data.u, pseudo_from_strict(data.t))
-    ident = identity_pseudo(data.d1)
-    left_arm = pair_pseudo_into_pullback(data.t, data.s, data.p, u_t, ident, name="u-x-id")
-    right_arm = pair_pseudo_into_pullback(data.t, data.s, data.p, ident, u_s, name="id-x-u")
-    return compose_pseudo(data.m, left_arm), compose_pseudo(data.m, right_arm)
+    """(u x 1).c and (1 x u).c as endofunctors of the arrow category; kept
+    on ``data`` like :func:`nested_composition_functors`, while ``d1``,
+    ``s``, ``t``, ``p``, ``u`` and ``m`` are the same objects."""
+
+    def build():
+        u_s = compose_pseudo(data.u, pseudo_from_strict(data.s))
+        u_t = compose_pseudo(data.u, pseudo_from_strict(data.t))
+        ident = identity_pseudo(data.d1)
+        left_arm = pair_pseudo_into_pullback(data.t, data.s, data.p, u_t, ident, name="u-x-id")
+        right_arm = pair_pseudo_into_pullback(data.t, data.s, data.p, ident, u_s, name="id-x-u")
+        return compose_pseudo(data.m, left_arm), compose_pseudo(data.m, right_arm)
+
+    return _memoized(data, "unit-sided", ("d1", "s", "t", "p", "u", "m"), build)
 
 
 def _whisker_cells_identity(col, prefix, s: StrictDoubleFunctor, a: DoublePNT):

@@ -239,6 +239,18 @@ class DoubleCategory:
         sq_hid,
         names=None,
     ):
+        self._set(n_objects, hcells, vcells, squares, hcomp1, vcomp1, hcomp2, vcomp2, hid, vid, sq_vid, sq_hid, names)
+        self._validate()
+
+    @classmethod
+    def _unvalidated(cls, *tables, names=None):
+        """The category on ``tables`` without ``_validate``: only for a
+        construction that keeps an already validated category valid."""
+        d = cls.__new__(cls)
+        d._set(*tables, names)
+        return d
+
+    def _set(self, n_objects, hcells, vcells, squares, hcomp1, vcomp1, hcomp2, vcomp2, hid, vid, sq_vid, sq_hid, names):
         self.n_objects = int(n_objects)
         self.hcells = [tuple(x) for x in hcells]
         self.vcells = [tuple(x) for x in vcells]
@@ -254,7 +266,6 @@ class DoubleCategory:
         self.names = names or {}
         self._sq_by_top = None
         self._sq_by_tl = None
-        self._validate()
 
     # -- boundary accessors
 
@@ -795,7 +806,8 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
 
     Hcells and vcells trade places, square boundaries are reindexed
     (top, bottom, left, right) -> (left, right, top, bottom), and the two
-    square compositions swap.  Involutive on the nose.
+    square compositions swap.  Involutive on the nose.  The transpose of a
+    valid category is valid, so it is not validated again.
     """
     squares = [(l, r, t, b) for (t, b, l, r) in d.squares]
     names = None
@@ -803,19 +815,19 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
         names = dict(d.names)
         names[HCELL], names[VCELL] = d.names.get(VCELL), d.names.get(HCELL)
         names = {k: v for k, v in names.items() if v is not None}
-    return DoubleCategory(
+    return DoubleCategory._unvalidated(
         d.n_objects,
-        list(d.vcells),
-        list(d.hcells),
+        d.vcells,
+        d.hcells,
         squares,
-        dict(d.vcomp1),
-        dict(d.hcomp1),
-        dict(d.vcomp2),
-        dict(d.hcomp2),
-        list(d.vid),
-        list(d.hid),
-        list(d.sq_hid),
-        list(d.sq_vid),
+        d.vcomp1,
+        d.hcomp1,
+        d.vcomp2,
+        d.hcomp2,
+        d.vid,
+        d.hid,
+        d.sq_hid,
+        d.sq_vid,
         names=names,
     )
 

@@ -526,17 +526,18 @@ def transpose_double(a, ctx: _TransposedContext | None = None):
     return (ctx or _TransposedContext())(a)
 
 
+# every law name a check_double_pnt report can carry: the coupling laws,
+# their r-side twins (the t-side laws on the transpose) and the leg laws
 DOUBLE_PNT_AXIOMS = (
-    "legs",
     "component-invertibility",
     "coupling-naturality-t",
     "coupling-naturality-r",
     "coupling-hcomp-t",
-    "coupling-vcomp-r",
+    "coupling-hcomp-r",
     "coupling-composite-t",
     "coupling-composite-r",
     "coupling-assoc",
-)
+) + tuple(f"{leg}: {law}" for leg in ("v0", "h1") for law in HORIZONTAL_PNT_AXIOMS)
 
 
 def _check_legs(col, a, at):

@@ -472,3 +472,18 @@ def test_repeated_mapping_entry_is_a_positioned_error():
             parse(twice)
         assert err.value.line == i + 2
         assert f"duplicate {prefix.strip()} entry for" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "block,keyword",
+    [("internal", "m"), ("tensor", "left"), ("tensor", "cap"), ("functor", "kind"), ("transformation", "kind"), ("monoid", "unit")],
+)
+def test_repeated_single_valued_line_is_a_positioned_error(block, keyword):
+    lines = _zoo_document().splitlines()
+    header = next(i for i, line in enumerate(lines) if line.startswith(f"{block} "))
+    i = next(i for i in range(header, len(lines)) if lines[i].split()[0] == keyword)
+    twice = "\n".join(lines[: i + 1] + lines[i:]) + "\n"
+    with pytest.raises(ParseError) as err:
+        parse(twice)
+    assert (err.value.line, err.value.column) == (i + 2, 3)
+    assert str(err.value).endswith(f"duplicate {keyword} line")

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import pytest
 
 from dblkit import zoo
-from dblkit.kernel import StructureError, embed_two_category
+from dblkit import internal
+from dblkit.kernel import StructureError, embed_two_category, pullback
 from dblkit.functors import (
     StrictDoubleFunctor,
     check_double_pseudo_functor,
+    pseudo_equal,
     pseudo_from_strict,
 )
 from dblkit.builders import enumerate_plain_verticals
@@ -19,6 +23,7 @@ from dblkit.internal import (
     monoid_to_internal,
     nested_composition_functors,
     pseudomonoid_to_internal,
+    unit_sided_functors,
 )
 from dblkit.transform import ComponentRegistry
 from dblkit.weak import (
@@ -301,3 +306,67 @@ def test_braid_monoid_internalizes():
     data = monoid_to_internal(zoo.braid_monoid_in_dbl())
     rep = check_internal(data, registry=EMPTY, deep=False)
     assert rep.passed, rep.summary()
+
+
+# ---------------------------------------------------------------------------
+# composites built once per bundle
+
+ZOO_MONOIDS = (
+    zoo.braid_monoid_in_dbl,
+    zoo.commutative_monoid_in_dbl,
+    zoo.min_monoid_in_dbl,
+    zoo.trivial_monoid_in_dbl,
+)
+
+
+def test_kept_composites_equal_a_fresh_build():
+    for make in ZOO_MONOIDS:
+        data = monoid_to_internal(make())
+        fresh = replace(data)  # same fields, nothing kept
+        kept_nested, fresh_nested = nested_composition_functors(data), nested_composition_functors(fresh)
+        assert kept_nested is not fresh_nested
+        assert all(pseudo_equal(a, b) for a, b in zip(kept_nested[:2], fresh_nested[:2]))
+        kept_units, fresh_units = unit_sided_functors(data), unit_sided_functors(fresh)
+        assert all(pseudo_equal(a, b) for a, b in zip(kept_units, fresh_units))
+
+
+def test_reassigned_field_forces_a_rebuild():
+    data = monoid_to_internal(zoo.min_monoid_in_dbl())
+    nested, units = nested_composition_functors(data), unit_sided_functors(data)
+    assert nested_composition_functors(data) is nested and unit_sided_functors(data) is units
+    data.m = replace(data.m)
+    rebuilt = nested_composition_functors(data)
+    assert rebuilt is not nested and pseudo_equal(rebuilt[0], nested[0])
+    assert unit_sided_functors(data) is not units
+    nested, units = rebuilt, unit_sided_functors(data)
+    data.p = pullback(data.t, data.s)
+    assert nested_composition_functors(data) is not nested
+    assert unit_sided_functors(data) is not units
+    nested, units = nested_composition_functors(data), unit_sided_functors(data)
+    data.u = replace(data.u)
+    assert nested_composition_functors(data) is nested  # does not read u
+    assert unit_sided_functors(data) is not units
+
+
+def test_replaced_bundle_starts_with_nothing_kept():
+    data = monoid_to_internal(zoo.min_monoid_in_dbl())
+    assert data._memo
+    mutant = replace(data, p=pullback(data.t, data.s))
+    assert mutant._memo == {}
+    assert nested_composition_functors(mutant) is not nested_composition_functors(data)
+
+
+def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
+    calls = []
+    original = internal.triple_pullbacks
+
+    def counted(data):
+        calls.append(data)
+        return original(data)
+
+    monkeypatch.setattr(internal, "triple_pullbacks", counted)
+    data = monoid_to_internal(zoo.commutative_monoid_in_dbl())
+    assert check_internal(data, registry=EMPTY).passed
+    assert check_internal(data, registry=EMPTY, deep=False).passed
+    derive_globular(data)
+    assert len(calls) == 1

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dblkit.acceptance import _generators, _mutants
 from dblkit.kernel import (
+    DoubleCategory,
     HCELL,
     OBJECT,
     SQUARE,
@@ -16,6 +17,7 @@ from dblkit.kernel import (
     StructureError,
     check_double_category,
     embed_two_category,
+    same_category,
     check_two_category,
     horizontal_two_category,
     product,
@@ -238,6 +240,17 @@ def test_transpose_involution_and_checker_agreement():
     assert check_double_category(t).passed
     mutant = apply_mutation(d, mutation_slots(d)[0])
     assert not check_double_category(transpose(mutant)).passed
+
+
+def test_transpose_skips_validation_but_matches_the_validating_constructor():
+    for name, d in _generators():
+        t = transpose(d)
+        tables = (
+            t.n_objects, t.hcells, t.vcells, t.squares, t.hcomp1, t.vcomp1,
+            t.hcomp2, t.vcomp2, t.hid, t.vid, t.sq_vid, t.sq_hid,
+        )
+        assert same_category(t, DoubleCategory(*tables, names=t.names)), name
+        assert same_category(transpose(t), d), name
 
 
 def test_transpose_of_quintet_is_quintet_via_symmetry():

@@ -13,6 +13,7 @@ from dblkit.builders import (
     theta_from_plain_vertical,
 )
 from dblkit.transform import (
+    DOUBLE_PNT_AXIOMS,
     ComponentRegistry,
     DoublePNT,
     ThetaPNT,
@@ -365,3 +366,39 @@ def test_vertical_composites_stay_on_the_callers_categories(bz3):
     chain = hcomp_modif(stacked, identity_modification(twice))
     rep = check_modification(chain)
     assert rep.passed, rep.summary()
+
+
+def _one_square_mutants(d, a):
+    """Coupled pairs that differ from ``a`` in one square of one family
+    (t, r, or a leg's naturality or comparison squares), the new square on
+    the same boundary."""
+
+    def swaps(cells):
+        for i, cell in enumerate(cells):
+            for s, bnd in enumerate(d.squares):
+                if s != cell and bnd == d.squares[cell]:
+                    yield [*cells[:i], s, *cells[i + 1:]]
+
+    def legs(x):
+        for cells in swaps(list(x.nat)):
+            yield type(x)(x.F, x.G, x.comp, cells, x.delta, x.delta_inv)
+        for cells in swaps(list(x.delta)):
+            yield type(x)(x.F, x.G, x.comp, x.nat, cells, x.delta_inv)
+
+    yield from (DoublePNT(a.v0, a.h1, t, a.r) for t in swaps(list(a.t)))
+    yield from (DoublePNT(a.v0, a.h1, a.t, r) for r in swaps(list(a.r)))
+    yield from (DoublePNT(v0, a.h1, a.t, a.r) for v0 in legs(a.v0))
+    yield from (DoublePNT(a.v0, h1, a.t, a.r) for h1 in legs(a.h1))
+
+
+def test_double_pnt_axioms_name_every_reported_law(sign_setting):
+    t, d, F = sign_setting
+    reg = ComponentRegistry.of(hcells={d.hid[0]}, vcells={d.vid[0]})
+    seen = set()
+    for a in sign_doubles(sign_setting).values():
+        for mutant in _one_square_mutants(d, a):
+            seen |= {v.axiom for v in check_double_pnt(mutant, reg).violations}
+    assert seen <= set(DOUBLE_PNT_AXIOMS), sorted(seen - set(DOUBLE_PNT_AXIOMS))
+    # both coupling sides and both legs were reached
+    assert {"coupling-hcomp-t", "coupling-hcomp-r"} <= seen
+    assert any(x.startswith("v0: ") for x in seen) and any(x.startswith("h1: ") for x in seen)
