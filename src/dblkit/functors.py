@@ -236,14 +236,11 @@ def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
 
 def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
     dom, cod = f.dom, f.cod
-    comp_h = {
-        (x, y): cod.sq_vid[f.h(dom.hcomp(x, y))] for (x, y) in dom.hcomp1
-    }
-    comp_v = {
-        (u, v): cod.sq_hid[f.v(dom.vcomp(u, v))] for (u, v) in dom.vcomp1
-    }
-    unit_h = {a: cod.sq_vid[f.h(dom.hid[a])] for a in range(dom.n_objects)}
-    unit_v = {a: cod.sq_hid[f.v(dom.vid[a])] for a in range(dom.n_objects)}
+    sq_vid, sq_hid, h_map, v_map = cod.sq_vid, cod.sq_hid, f.h_map, f.v_map
+    comp_h = {key: sq_vid[h_map[z]] for key, z in dom.hcomp1.items()}
+    comp_v = {key: sq_hid[v_map[z]] for key, z in dom.vcomp1.items()}
+    unit_h = {a: sq_vid[h_map[z]] for a, z in enumerate(dom.hid)}
+    unit_v = {a: sq_hid[v_map[z]] for a, z in enumerate(dom.vid)}
     return DoublePseudoFunctor(
         dom,
         cod,

@@ -735,6 +735,14 @@ def pullback(f, g) -> DoubleCategory:
     Cells are matching pairs, composed componentwise.  Raises StructureError
     when the matching pairs are not closed under composition (which happens
     exactly when one of the inputs fails strictness).
+
+    The result is valid by construction, so it is built without
+    ``_validate``: every cell boundary, identity and table value is the
+    index of a matching pair (``look``), hence in range; square corners and
+    the boundaries of the identity cells hold componentwise in the two
+    validated domains; and a table's keys are, by the join, exactly the
+    pairs that compose in both domains, which are the composable pairs of
+    the pullback.
     """
     pairs = pullback_pairs(f, g)
     index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
@@ -766,22 +774,30 @@ def pullback(f, g) -> DoubleCategory:
         for (x, y) in pairs[SQUARE]
     ]
 
-    def joined(kind, end1, start1, end2, start2, table1, table2, what):
+    def joined(kind, cells1, cells2, end, start, table1, table2, what):
         # pairs (i, j) of matching pairs that compose in both factors, by a
-        # join on the boundary index, in lexicographic order
-        ps = pairs[kind]
-        by_start = _by([(start1(x), start2(y)) for x, y in ps])
-        return {
-            (i, j): look(kind, (table1[(x, ps[j][0])], table2[(y, ps[j][1])]), what)
-            for i, (x, y) in enumerate(ps)
-            for j in by_start.get((end1(x), end2(y)), ())
-        }
+        # join on the boundary index, in lexicographic order; the composite
+        # is read off the factors' rows, and ``look`` reruns only on a miss
+        ps, at = pairs[kind], index[kind]
+        rows1, rows2 = _rows(table1), _rows(table2)
+        by_start = _by([(cells1[x][start], cells2[y][start]) for x, y in ps])
+        table = {}
+        for i, (x, y) in enumerate(ps):
+            later = by_start.get((cells1[x][end], cells2[y][end]))
+            if later:
+                row1, row2 = rows1[x], rows2[y]
+                for j in later:
+                    x2, y2 = ps[j]
+                    p = (row1[x2], row2[y2])
+                    k = at.get(p)
+                    table[(i, j)] = look(kind, p, what) if k is None else k
+        return table
 
-    hcomp1 = joined(HCELL, d1.ht, d1.hs, d2.ht, d2.hs, d1.hcomp1, d2.hcomp1, "hcomp1")
-    vcomp1 = joined(VCELL, d1.vt, d1.vs, d2.vt, d2.vs, d1.vcomp1, d2.vcomp1, "vcomp1")
-    hcomp2 = joined(SQUARE, d1.right, d1.left, d2.right, d2.left, d1.hcomp2, d2.hcomp2, "hcomp2")
-    vcomp2 = joined(SQUARE, d1.bottom, d1.top, d2.bottom, d2.top, d1.vcomp2, d2.vcomp2, "vcomp2")
-    return DoubleCategory(
+    hcomp1 = joined(HCELL, d1.hcells, d2.hcells, 1, 0, d1.hcomp1, d2.hcomp1, "hcomp1")
+    vcomp1 = joined(VCELL, d1.vcells, d2.vcells, 1, 0, d1.vcomp1, d2.vcomp1, "vcomp1")
+    hcomp2 = joined(SQUARE, d1.squares, d2.squares, 3, 2, d1.hcomp2, d2.hcomp2, "hcomp2")
+    vcomp2 = joined(SQUARE, d1.squares, d2.squares, 1, 0, d1.vcomp2, d2.vcomp2, "vcomp2")
+    return DoubleCategory._unvalidated(
         len(pairs[OBJECT]),
         hcells,
         vcells,

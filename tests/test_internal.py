@@ -370,3 +370,32 @@ def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
     assert check_internal(data, registry=EMPTY, deep=False).passed
     derive_globular(data)
     assert len(calls) == 1
+
+
+def _revalidated(d):
+    """``d`` passed back through the validating constructor."""
+    from dblkit.kernel import DoubleCategory
+
+    fields = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
+    return DoubleCategory(*(getattr(d, k) for k in fields), names=d.names)
+
+
+def test_pullbacks_are_valid_by_construction():
+    from dblkit.functors import product_projections
+    from dblkit.kernel import product, quintet, same_category, transpose
+
+    built = []
+    bundles = [monoid_to_internal(make()) for make in (
+        zoo.braid_monoid_in_dbl, zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl, zoo.trivial_monoid_in_dbl,
+    )]
+    bundles += [internal.diagonal_internal(quintet(c)) for c in (zoo.cyclic_group_cat(2), zoo.walking_iso())]
+    for data in bundles:
+        p3l, p3r = internal.triple_pullbacks(data)[:2]
+        built += [data.p, p3l, p3r]
+    d1, d2 = quintet(zoo.walking_arrow()), quintet(zoo.cyclic_group_cat(2))
+    first = product_projections(d1, d2, product(d1, d2))[0]
+    built.append(pullback(first, first))
+    for d in built + [transpose(d) for d in built]:
+        assert same_category(d, _revalidated(d))
+        for table in (d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2):
+            assert list(table) == sorted(table)

@@ -589,3 +589,33 @@ def test_exhausted_shared_budget_matches_per_instance_oracle():
         assert ours.used == theirs.used
     assert rep.checked == 0 and rep.status == "budget-exceeded"
     assert ours.used == 102
+
+
+def _pullback_of_unequal_maps(d, h_map, sq_map):
+    """The pullback of the identity of ``d`` and a cell map of ``d`` that
+    agrees with it on objects and need not preserve composition."""
+    from dblkit.functors import StrictDoubleFunctor
+
+    g = StrictDoubleFunctor(d, d, range(d.n_objects), h_map, range(len(d.vcells)), sq_map, name="g")
+    return pullback(identity_functor(d), g)
+
+
+def test_pullback_not_closed_names_the_first_unmatched_pair():
+    # a square map that breaks a square's top: the cells do not close
+    d = quintet(zoo.cyclic_group_cat(3))
+    swapped = [9, 1, 2, 3, 4, 5, 6, 7, 8, 0] + list(range(10, 27))
+    with pytest.raises(StructureError) as e:
+        _pullback_of_unequal_maps(d, range(3), swapped)
+    assert str(e.value) == "pullback not closed at square top: pair (0, 1) does not match; are both functors strict?"
+    # g2 -> g1 keeps the identity and every square boundary, not hcomp1
+    collapse = (0, 1, 1)
+    at = {s: i for i, s in enumerate(d.squares)}
+    onto = [at.get((collapse[t], collapse[b], l, r), -1 - i) for i, (t, b, l, r) in enumerate(d.squares)]
+    with pytest.raises(StructureError) as e:
+        _pullback_of_unequal_maps(d, collapse, onto)
+    assert str(e.value) == "pullback not closed at hcomp1: pair (2, 2) does not match; are both functors strict?"
+    # the two 2-cells on `a` of the sign 2-category swapped: not vcomp2
+    ds = embed_two_category(zoo.sign_two_category())
+    with pytest.raises(StructureError) as e:
+        _pullback_of_unequal_maps(ds, range(2), [0, 1, 3, 2])
+    assert str(e.value) == "pullback not closed at vcomp2: pair (2, 2) does not match; are both functors strict?"
