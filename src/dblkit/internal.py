@@ -315,13 +315,14 @@ def check_internal(
         left_nested, right_nested, p3l = nested_composition_functors(data)
         lunit_f, runit_f = unit_sided_functors(data)
     except StructureError as e:
-        col.fail("comparison-construction", (str(e),))
+        if col.take(1):
+            col.fail("comparison-construction", (str(e),))
         col.assume("comparison endpoints not evaluated: construction failed")
         return col.done()
     if data.assoc is None:
         if pseudo_equal(left_nested, right_nested):
             col.assume("associativity comparison defaulted to the identity")
-        else:
+        elif col.take(1):
             col.fail("assoc-default", ("assoc",))
     else:
         col.check("assoc-endpoints", ("source",), pseudo_equal(data.assoc.F, right_nested))
@@ -338,7 +339,7 @@ def check_internal(
         if alpha is None:
             if pseudo_equal(func, identity_pseudo(data.d1)):
                 col.assume(f"{name} comparison defaulted to the identity")
-            else:
+            elif col.take(1):
                 col.fail(f"{name}-default", (name,))
             continue
         col.check(f"{name}-endpoints", ("source",), pseudo_equal(alpha.F, func))

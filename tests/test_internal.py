@@ -399,3 +399,45 @@ def test_pullbacks_are_valid_by_construction():
         assert same_category(d, _revalidated(d))
         for table in (d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2):
             assert list(table) == sorted(table)
+
+
+def test_default_and_construction_violations_are_charged(monkeypatch):
+    from dblkit.kernel import quintet
+    from dblkit.report import BUDGET_EXCEEDED, Budget
+
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    data = replace(data, assoc=None, lunit=None, runit=None)
+    clean = check_internal(data, registry=EMPTY, deep=False)
+    assert clean.passed and clean.checked > 0
+    # unequal comparison endpoints: the three defaulted comparisons fail
+    d = data.d1
+    collapse = pseudo_from_strict(StrictDoubleFunctor(
+        d, d, [0] * d.n_objects, [d.hid[0]] * len(d.hcells), [d.vid[0]] * len(d.vcells),
+        [d.sq_vid[d.hid[0]]] * len(d.squares), name="collapse",
+    ))
+    left, _, p3l = nested_composition_functors(data)
+    monkeypatch.setattr(internal, "nested_composition_functors", lambda _: (left, internal.compose_pseudo(collapse, left), p3l))
+    monkeypatch.setattr(internal, "unit_sided_functors", lambda _: (collapse, collapse))
+    defaults = ["assoc-default", "lunit-default", "runit-default"]
+    rep = check_internal(data, registry=EMPTY, deep=False)
+    assert [v.axiom for v in rep.violations] == defaults
+    assert rep.checked == clean.checked + 3
+    for k in range(4):
+        capped = check_internal(data, registry=EMPTY, budget=Budget(max_tuples=clean.checked + k), deep=False)
+        assert [v.axiom for v in capped.violations] == defaults[:k]
+        assert capped.checked == clean.checked + k
+        assert (capped.status == BUDGET_EXCEEDED) == (k < 3)
+    # a comparison functor that fails to construct
+    before = []
+
+    def broken(_):
+        before.append(budget.used)
+        raise StructureError("no composite")
+
+    monkeypatch.setattr(internal, "nested_composition_functors", broken)
+    budget = Budget()
+    rep = check_internal(data, registry=EMPTY, budget=budget, deep=False)
+    assert [v.axiom for v in rep.violations] == ["comparison-construction"]
+    assert rep.checked == before[0] + 1
+    capped = check_internal(data, registry=EMPTY, budget=Budget(max_tuples=before[0]), deep=False)
+    assert capped.violations == [] and capped.status == BUDGET_EXCEEDED
