@@ -4,10 +4,20 @@ import pytest
 
 from dblkit import zoo
 from dblkit import internal
-from dblkit.kernel import StructureError, embed_two_category, pullback
+from dblkit.kernel import (
+    DoubleCategory,
+    StructureError,
+    embed_two_category,
+    product,
+    pullback,
+    quintet,
+    same_category,
+    transpose,
+)
 from dblkit.functors import (
     StrictDoubleFunctor,
     check_double_pseudo_functor,
+    product_projections,
     pseudo_equal,
     pseudo_from_strict,
 )
@@ -25,6 +35,7 @@ from dblkit.internal import (
     pseudomonoid_to_internal,
     unit_sided_functors,
 )
+from dblkit.report import BUDGET_EXCEEDED, Budget
 from dblkit.transform import ComponentRegistry
 from dblkit.weak import (
     as_pseudo,
@@ -374,16 +385,11 @@ def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
 
 def _revalidated(d):
     """``d`` passed back through the validating constructor."""
-    from dblkit.kernel import DoubleCategory
-
     fields = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
     return DoubleCategory(*(getattr(d, k) for k in fields), names=d.names)
 
 
 def test_pullbacks_are_valid_by_construction():
-    from dblkit.functors import product_projections
-    from dblkit.kernel import product, quintet, same_category, transpose
-
     built = []
     bundles = [monoid_to_internal(make()) for make in (
         zoo.braid_monoid_in_dbl, zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl, zoo.trivial_monoid_in_dbl,
@@ -402,9 +408,6 @@ def test_pullbacks_are_valid_by_construction():
 
 
 def test_default_and_construction_violations_are_charged(monkeypatch):
-    from dblkit.kernel import quintet
-    from dblkit.report import BUDGET_EXCEEDED, Budget
-
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     data = replace(data, assoc=None, lunit=None, runit=None)
     clean = check_internal(data, registry=EMPTY, deep=False)

@@ -26,7 +26,7 @@ from dblkit.kernel import (
     terminal_double_category,
     transpose,
 )
-from dblkit.functors import identity_functor, product_projections, check_strict_functor
+from dblkit.functors import StrictDoubleFunctor, identity_functor, product_projections, check_strict_functor
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
 from dblkit.weak import as_pseudo
@@ -594,8 +594,6 @@ def test_exhausted_shared_budget_matches_per_instance_oracle():
 def _pullback_of_unequal_maps(d, h_map, sq_map):
     """The pullback of the identity of ``d`` and a cell map of ``d`` that
     agrees with it on objects and need not preserve composition."""
-    from dblkit.functors import StrictDoubleFunctor
-
     g = StrictDoubleFunctor(d, d, range(d.n_objects), h_map, range(len(d.vcells)), sq_map, name="g")
     return pullback(identity_functor(d), g)
 
@@ -607,7 +605,8 @@ def test_pullback_not_closed_names_the_first_unmatched_pair():
     with pytest.raises(StructureError) as e:
         _pullback_of_unequal_maps(d, range(3), swapped)
     assert str(e.value) == "pullback not closed at square top: pair (0, 1) does not match; are both functors strict?"
-    # g2 -> g1 keeps the identity and every square boundary, not hcomp1
+    # g2 -> g1 on hcells keeps the identity, not hcomp1; a square goes to
+    # the square on its image boundary, or to no cell
     collapse = (0, 1, 1)
     at = {s: i for i, s in enumerate(d.squares)}
     onto = [at.get((collapse[t], collapse[b], l, r), -1 - i) for i, (t, b, l, r) in enumerate(d.squares)]
