@@ -40,12 +40,24 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   mutations and of seeded single-entry mutants of a diagonal bundle's
   pullback, and digests of every bundle's nested and unit-sided composites
   (cell maps, structure cells and the triple pullback's tables), taken
-  after the check.
+  after the check;
+- square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
+  invertible 2-cell, every square word of at most 3 moves on every top
+  word of at most 3 letters, with its ``rewrite`` normal form, the
+  ``compare`` verdict against that normal form and its first ``len(moves)``
+  one-step rewrites in the normalizer's priority order (the step
+  ``rewrite`` takes, then the alternatives ``critical_pairs_join`` joins
+  with it); ``critical_pairs_join`` of every top word; and the
+  ``check_monoidal_embedding`` reports of acceptance criterion 6's factor
+  pairs.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
 ``PYTHONPATH`` at each ``src``) and the two files compared with ``diff``:
-a change that must not alter any verdict leaves them byte-identical.
+a change that must not alter any verdict leaves them byte-identical.  The
+one exception is the one-step rewrites, which are private: they are read
+from ``SquareCalculus._steps`` where it exists and from the older
+``_simplify_nth`` otherwise.
 """
 
 import hashlib
@@ -67,7 +79,12 @@ from dblkit.builders import (
 from dblkit.cli import _decl_category, _internal_bundle_decls
 from dblkit.companion import find_connection
 from dblkit.functors import StrictDoubleFunctor, identity_functor, identity_pseudo, pseudo_from_strict
-from dblkit.graytensor import derive_interleaved_functor
+from dblkit.graytensor import (
+    SquareCalculus,
+    check_monoidal_embedding,
+    derive_interleaved_functor,
+    two_category_tensor_context,
+)
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
 from dblkit.internal import (
@@ -668,6 +685,53 @@ def internal(out):
         out[f"internal pullback mutant {slot}"] = _report(lambda: check_internal(replace(host, p=bad_p), registry=empty, deep=False))
 
 
+REWRITING_SETTINGS = (
+    ("arrow x 2-cell", zoo.walking_arrow_two_category, zoo.walking_two_cell),
+    ("sign x sign", zoo.sign_two_category, zoo.sign_two_category),
+    ("2-cell x iso-2-cell", zoo.walking_two_cell, lambda: zoo.walking_two_cell(invertible=True)),
+)
+
+
+def _moves(moves):
+    return " ".join(f"{m.kind}@{m.pos}" if m.cell is None else f"{m.kind}@{m.pos}:{m.cell}" for m in moves)
+
+
+def _one_step_rewrites(calc, e):
+    """The first ``len(e.moves)`` one-step rewrites of ``e`` in the
+    normalizer's priority order."""
+    if hasattr(calc, "_steps"):
+        return list(itertools.islice(calc._steps(e), len(e.moves)))
+    out = []
+    for skip in range(len(e.moves)):
+        step = calc._simplify_nth(e, skip)
+        if step is None:
+            break
+        out.append(step)
+    return out
+
+
+def rewriting(out):
+    for setting, make_a, make_b in REWRITING_SETTINGS:
+        a, b = make_a(), make_b()
+        ctx = two_category_tensor_context(a, b)
+        calc = SquareCalculus(ctx, a, b)
+        for top in ctx.enumerate_words(3):
+            key = f"rewriting {setting} {top.start} {ctx.describe(top)}"
+            for e in calc.enumerate_square_words(top, 3):
+                normal = calc.rewrite(e)
+                out[f"{key} [{_moves(e.moves)}]"] = {
+                    "normal": _moves(normal.moves),
+                    "compare": calc.compare(e, normal),
+                    "steps": [_moves(s.moves) for s in _one_step_rewrites(calc, e)],
+                }
+            out[f"{key} critical-pairs"] = [
+                [_moves(x.moves) for x in failure] for failure in calc.critical_pairs_join(top, 3)
+            ]
+    cats = zoo.acyclic_two_category_catalog()
+    for (n1, a), (n2, b) in itertools.product(cats, repeat=2):
+        out[f"rewriting embedding {n1} x {n2}"] = _report(lambda: check_monoidal_embedding(a, b, cap=4))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -679,13 +743,15 @@ def main(argv) -> int:
     dsl_section(out)
     transformations(out)
     internal(out)
+    rewriting(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
     reports = sum(1 for k, v in out.items() if isinstance(v, dict) and "subject" in v)
     digests = sum(1 for k, v in out.items() if isinstance(v, str) and not k.startswith("dsl "))
     dsl_entries = sum(1 for k in out if k.startswith("dsl "))
-    print(f"{reports} reports, {digests} digests and {dsl_entries} dsl entries written to {argv[1]}")
+    words = sum(1 for k, v in out.items() if k.startswith("rewriting ") and "subject" not in v)
+    print(f"{reports} reports, {digests} digests, {dsl_entries} dsl entries and {words} rewriting entries written to {argv[1]}")
     return 0
 
 
