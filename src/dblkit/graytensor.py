@@ -10,10 +10,14 @@ Cartesian product collapses them).
 
 2-cells between words are move sequences: per-letter cell rewrites and
 adjacent-pair interchanges.  Move sequences normalize by an oriented
-rewriting system (cancel, merge, then push rewrites before interchanges and
-sort independent moves by position) whose measure strictly decreases per
-step.  The system is tested for local confluence on bounded words rather
-than proven complete, so equality queries may return ``inconclusive``.
+rewriting system (drop identity rewrites, cancel, merge, then push rewrites
+before interchanges and sort independent moves by position) whose measure
+strictly decreases per step.  Its rules are written once, in
+``SquareCalculus._steps``, which yields every one-step rewrite in priority
+order: normalization takes the first, and the local confluence test joins
+it with the others.  The system is tested for local confluence on bounded
+words rather than proven complete, so equality queries may return
+``inconclusive``.
 """
 
 from __future__ import annotations
@@ -309,68 +313,60 @@ class SquareCalculus:
 
         return (len(moves), phi, inversions(apps), inversions(flips))
 
-    def _simplify_once(self, e: SquareWord):
-        """One rewrite step; returns the new word or None at a fixpoint."""
+    def _steps(self, e: SquareWord):
+        """Every one-step rewrite of ``e``, in the normalizer's priority
+        order: drop an identity rewrite; cancel an interchange pair or merge
+        same-position rewrites; put rewrites before interchanges
+        (naturality) or sort independent moves by position.  ``rewrite``
+        takes the first; the boundary words are built only past the drops."""
         moves = list(e.moves)
-        word = e.top
-        # drop identity rewrites
+
+        def replaced(i, n, repl):
+            return SquareWord(e.top, tuple(moves[:i] + repl + moves[i + n :]))
+
         for i, m in enumerate(moves):
             if self._is_app(m):
                 two = self.two[L if m.kind == "appL" else R]
                 if m.cell == two.id2[two.s2(m.cell)]:
-                    return SquareWord(e.top, tuple(moves[:i] + moves[i + 1 :]))
-        # cancel interchange pairs and merge same-position rewrites
-        w = word
-        boundaries = [w]
+                    yield replaced(i, 1, [])
+        lengths = [len(e.top.letters)]
+        w = e.top
         for m in moves:
             w = self._apply_one(w, m)
-            boundaries.append(w)
+            lengths.append(len(w.letters))
         for i in range(len(moves) - 1):
             m1, m2 = moves[i], moves[i + 1]
+            if lengths[i] != lengths[i + 1]:
+                continue
             if (
                 m1.kind in ("flip", "unflip")
                 and m2.kind in ("flip", "unflip")
                 and m1.kind != m2.kind
                 and m1.pos == m2.pos
-                and len(boundaries[i].letters) == len(boundaries[i + 1].letters)
             ):
-                return SquareWord(e.top, tuple(moves[:i] + moves[i + 2 :]))
-            if (
-                self._is_app(m1)
-                and m1.kind == m2.kind
-                and m1.pos == m2.pos
-                and len(boundaries[i].letters) == len(boundaries[i + 1].letters)
-            ):
+                yield replaced(i, 2, [])
+            if self._is_app(m1) and m1.kind == m2.kind and m1.pos == m2.pos:
                 two = self.two[L if m1.kind == "appL" else R]
-                merged = two.vert(m1.cell, m2.cell)
-                return SquareWord(
-                    e.top, tuple(moves[:i] + [Move(m1.kind, m1.pos, merged)] + moves[i + 2 :])
-                )
-        # orient: rewrites before interchanges (naturality), then sort
-        # independent moves by position
+                yield replaced(i, 2, [Move(m1.kind, m1.pos, two.vert(m1.cell, m2.cell))])
         for i in range(len(moves) - 1):
             m1, m2 = moves[i], moves[i + 1]
-            if not self._length_stable(boundaries[i], (m1, m2)):
+            if not lengths[i] == lengths[i + 1] == lengths[i + 2]:
                 continue
             if m1.kind in ("flip", "unflip") and self._is_app(m2):
                 if m2.pos == m1.pos + 1:
-                    repl = [Move(m2.kind, m1.pos, m2.cell), m1]
+                    yield replaced(i, 2, [Move(m2.kind, m1.pos, m2.cell), m1])
                 elif m2.pos == m1.pos:
-                    repl = [Move(m2.kind, m1.pos + 1, m2.cell), m1]
+                    yield replaced(i, 2, [Move(m2.kind, m1.pos + 1, m2.cell), m1])
                 elif abs(m2.pos - m1.pos) >= 2:
-                    repl = [m2, m1]
-                else:
-                    continue
-                return SquareWord(e.top, tuple(moves[:i] + repl + moves[i + 2 :]))
+                    yield replaced(i, 2, [m2, m1])
             if self._is_app(m1) and self._is_app(m2) and m1.pos > m2.pos:
-                return SquareWord(e.top, tuple(moves[:i] + [m2, m1] + moves[i + 2 :]))
+                yield replaced(i, 2, [m2, m1])
             if (
                 m1.kind in ("flip", "unflip")
                 and m2.kind in ("flip", "unflip")
                 and m1.pos > m2.pos + 1
             ):
-                return SquareWord(e.top, tuple(moves[:i] + [m2, m1] + moves[i + 2 :]))
-        return None
+                yield replaced(i, 2, [m2, m1])
 
     def rewrite(self, e: SquareWord, assert_measure: bool = True) -> SquareWord:
         """Normalize; the measure strictly decreases at every step."""
@@ -378,7 +374,7 @@ class SquareCalculus:
         current = e
         m = self.measure(current)
         while True:
-            nxt = self._simplify_once(current)
+            nxt = next(self._steps(current), None)
             if nxt is None:
                 return current
             m2 = self.measure(nxt)
@@ -448,12 +444,14 @@ class SquareCalculus:
             base = e
             seen = set()
             while True:
-                step = self._simplify_once(base)
-                if step is None:
+                steps = list(itertools.islice(self._steps(base), len(base.moves)))
+                if not steps:
                     break
-                alt = self._alternative_steps(base)
+                step = steps[0]
                 norm0 = self.rewrite(step, assert_measure=False)
-                for other in alt:
+                for other in steps[1:]:
+                    if other.moves == step.moves:
+                        continue
                     normo = self.rewrite(other, assert_measure=False)
                     if (norm0.moves, self.bottom(norm0)) != (normo.moves, self.bottom(normo)):
                         failures.append((e, base, step, other))
@@ -462,94 +460,6 @@ class SquareCalculus:
                 seen.add(base.moves)
                 base = step
         return failures
-
-    def _alternative_steps(self, e: SquareWord):
-        """All single-rule reducts (the normalizer takes the first)."""
-        outs = []
-        first = self._simplify_once(e)
-        if first is None:
-            return outs
-        # brute force: try removing/cancelling/merging/commuting at every
-        # index by re-running the single-step engine on rotated priorities
-        moves = list(e.moves)
-        for i in range(len(moves)):
-            rotated = SquareWord(e.top, tuple(moves))
-            # apply the engine but skipping the first i opportunities
-            skipped = self._simplify_nth(rotated, i)
-            if skipped is not None and skipped.moves != first.moves:
-                outs.append(skipped)
-        return outs
-
-    def _simplify_nth(self, e: SquareWord, skip: int):
-        """Like _simplify_once but applies the (skip+1)-th opportunity."""
-        count = 0
-        moves = list(e.moves)
-        w = e.top
-        boundaries = [w]
-        for m in moves:
-            w = self._apply_one(w, m)
-            boundaries.append(w)
-        for i, m in enumerate(moves):
-            if self._is_app(m):
-                two = self.two[L if m.kind == "appL" else R]
-                if m.cell == two.id2[two.s2(m.cell)]:
-                    if count == skip:
-                        return SquareWord(e.top, tuple(moves[:i] + moves[i + 1 :]))
-                    count += 1
-        for i in range(len(moves) - 1):
-            m1, m2 = moves[i], moves[i + 1]
-            if (
-                m1.kind in ("flip", "unflip")
-                and m2.kind in ("flip", "unflip")
-                and m1.kind != m2.kind
-                and m1.pos == m2.pos
-                and len(boundaries[i].letters) == len(boundaries[i + 1].letters)
-            ):
-                if count == skip:
-                    return SquareWord(e.top, tuple(moves[:i] + moves[i + 2 :]))
-                count += 1
-            if (
-                self._is_app(m1)
-                and m1.kind == m2.kind
-                and m1.pos == m2.pos
-                and len(boundaries[i].letters) == len(boundaries[i + 1].letters)
-            ):
-                two = self.two[L if m1.kind == "appL" else R]
-                merged = two.vert(m1.cell, m2.cell)
-                if count == skip:
-                    return SquareWord(
-                        e.top, tuple(moves[:i] + [Move(m1.kind, m1.pos, merged)] + moves[i + 2 :])
-                    )
-                count += 1
-        for i in range(len(moves) - 1):
-            m1, m2 = moves[i], moves[i + 1]
-            if not self._length_stable(boundaries[i], (m1, m2)):
-                continue
-            if m1.kind in ("flip", "unflip") and self._is_app(m2):
-                if m2.pos == m1.pos + 1:
-                    repl = [Move(m2.kind, m1.pos, m2.cell), m1]
-                elif m2.pos == m1.pos:
-                    repl = [Move(m2.kind, m1.pos + 1, m2.cell), m1]
-                elif abs(m2.pos - m1.pos) >= 2:
-                    repl = [m2, m1]
-                else:
-                    continue
-                if count == skip:
-                    return SquareWord(e.top, tuple(moves[:i] + repl + moves[i + 2 :]))
-                count += 1
-            if self._is_app(m1) and self._is_app(m2) and m1.pos > m2.pos:
-                if count == skip:
-                    return SquareWord(e.top, tuple(moves[:i] + [m2, m1] + moves[i + 2 :]))
-                count += 1
-            if (
-                m1.kind in ("flip", "unflip")
-                and m2.kind in ("flip", "unflip")
-                and m1.pos > m2.pos + 1
-            ):
-                if count == skip:
-                    return SquareWord(e.top, tuple(moves[:i] + [m2, m1] + moves[i + 2 :]))
-                count += 1
-        return None
 
 
 # ---------------------------------------------------------------------------
