@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError
 from .functors import DoublePseudoFunctor
-from .report import AxiomReport, Budget, Collector
+from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     HorizontalPNT,
     ThetaPNT,
@@ -279,7 +279,7 @@ FOUR_IDENTITIES = ("slide-nat-h", "bind-nat-h", "slide-nat-v", "bind-nat-v")
 def four_identities(a0: VerticalPNT, conn: Connection, budget: Budget | None = None, axioms=None) -> AxiomReport:
     """The four exchange laws tying the constructed horizontal data to the
     binding cells; each is individually toggleable for mutation tests."""
-    live = set(FOUR_IDENTITIES if axioms is None else axioms)
+    live = live_axioms(FOUR_IDENTITIES, axioms)
     col = Collector("companion-identities", budget)
     F, G = a0.F, a0.G
     dom, cod = F.dom, F.cod

@@ -32,7 +32,7 @@ from .kernel import (
     pullback_pairs,
     same_category,
 )
-from .report import AxiomReport, Budget, Collector
+from .report import AxiomReport, Budget, Collector, live_axioms
 
 PSEUDO_FUNCTOR_AXIOMS = (
     "hcell-assoc",
@@ -315,10 +315,7 @@ def check_double_pseudo_functor(
     """Verify the named coherence catalog plus invertibility of all four
     structure-cell families.  ``axioms`` restricts the run to a subset of
     :data:`PSEUDO_FUNCTOR_AXIOMS`; the default runs everything."""
-    live = set(PSEUDO_FUNCTOR_AXIOMS if axioms is None else axioms)
-    unknown = live - set(PSEUDO_FUNCTOR_AXIOMS)
-    if unknown:
-        raise ValueError(f"unknown axiom names: {sorted(unknown)}")
+    live = live_axioms(PSEUDO_FUNCTOR_AXIOMS, axioms)
     col = Collector("double-pseudo-functor", budget)
     _structure_boundaries(f)
     dom, cod = f.dom, f.cod
@@ -652,7 +649,7 @@ CUBICAL_AXIOMS = ("corner-agreement", "partial-strictness", "a11", "a21", "a12",
 
 
 def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    live = set(CUBICAL_AXIOMS if axioms is None else axioms)
+    live = live_axioms(CUBICAL_AXIOMS, axioms)
     col = Collector("cubical-functor", budget)
     d1, d2, cod = h.dom1, h.dom2, h.cod
 

@@ -25,14 +25,9 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 
 from __future__ import annotations
 
-from .report import AxiomReport, Budget, Collector
+from .report import AxiomReport, Budget, Collector, StructureError
 
 OBJECT, HCELL, VCELL, SQUARE = "object", "hcell", "vcell", "square"
-
-
-class StructureError(ValueError):
-    """Malformed finite presentation (bad boundary, bad table key, ...)."""
-
 
 class NonComposable(StructureError):
     """A pasting was attempted on cells whose boundaries do not match."""

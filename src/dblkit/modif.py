@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .kernel import HCELL, OBJECT, VCELL, StructureError, same_category
-from .report import AxiomReport, Budget, Collector
+from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     DoublePNT,
     ThetaPNT,
@@ -126,22 +126,18 @@ def _check_side(col, src, tgt, a1, live, law: str):
             col.eq(f"{law}-delta", ((HCELL, f),), lhs, rhs)
 
 
-def _live(axioms):
-    return set(MODIFICATION_AXIOMS if axioms is None else axioms)
-
-
 def check_vertical_side(src, tgt, a0, budget: Budget | None = None, axioms=None) -> AxiomReport:
     """The two equations of a modification between vertical transformations."""
     col = Collector("vertical-modification", budget)
     tr = _TransposedContext()
-    _on_transpose(col, _check_side, tr(src), tr(tgt), a0, _live(axioms), "slide-v")
+    _on_transpose(col, _check_side, tr(src), tr(tgt), a0, live_axioms(MODIFICATION_AXIOMS, axioms), "slide-v")
     return col.done()
 
 
 def check_horizontal_side(src, tgt, a1, budget: Budget | None = None, axioms=None) -> AxiomReport:
     """The two equations of a modification between horizontal transformations."""
     col = Collector("horizontal-modification", budget)
-    _check_side(col, src, tgt, a1, _live(axioms), "slide-h")
+    _check_side(col, src, tgt, a1, live_axioms(MODIFICATION_AXIOMS, axioms), "slide-h")
     return col.done()
 
 
@@ -157,7 +153,7 @@ def _coupling(col, m: DoubleModification, law: str):
 
 
 def check_modification(m: DoubleModification, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    live = _live(axioms)
+    live = live_axioms(MODIFICATION_AXIOMS, axioms)
     col = Collector("modification", budget)
     tr = _TransposedContext()
     mt = DoubleModification(tr(m.src), tr(m.tgt), m.a1, m.a0)

@@ -19,6 +19,21 @@ BUDGET_EXCEEDED = "budget-exceeded"
 DEFAULT_MAX_TUPLES = 5_000_000
 
 
+class StructureError(ValueError):
+    """Malformed finite presentation (bad boundary, bad table key, ...) or
+    a law name outside a checker's catalogue."""
+
+
+def live_axioms(catalogue, axioms) -> set:
+    """The laws a checker runs: its whole ``catalogue`` when ``axioms`` is
+    None, else ``axioms``, every one of which must name a law of it."""
+    live = set(catalogue if axioms is None else axioms)
+    unknown = live - set(catalogue)
+    if unknown:
+        raise StructureError(f"unknown axiom names: {sorted(unknown)}")
+    return live
+
+
 class BudgetExceeded(Exception):
     """Raised internally when an enumeration cap is hit."""
 

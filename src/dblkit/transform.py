@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, same_category, transpose
 from .functors import DoublePseudoFunctor, compose_pseudo, conj_v, identity_pseudo, pseudo_equal, transpose_pseudo
-from .report import AxiomReport, Budget, Collector, Violation
+from .report import AxiomReport, Budget, Collector, Violation, live_axioms
 
 
 @dataclass
@@ -228,7 +228,7 @@ HORIZONTAL_PNT_AXIOMS = (
 
 
 def check_horizontal_pnt(a: HorizontalPNT, budget: Budget | None = None, axioms=None) -> AxiomReport:
-    live = set(HORIZONTAL_PNT_AXIOMS if axioms is None else axioms)
+    live = live_axioms(HORIZONTAL_PNT_AXIOMS, axioms)
     col = Collector("horizontal-transformation", budget)
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod

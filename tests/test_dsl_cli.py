@@ -295,6 +295,26 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["explain", "definitely-not-an-axiom"]) == 3
 
 
+@pytest.mark.parametrize(
+    "target,law,typo",
+    [("IdQ", "hcell-assoc", "hcell-asoc"), ("Th", "pnt-naturality", "pnt-naturalty"), ("Tv", "pnt-naturality", "pnt-naturalty")],
+)
+def test_unknown_axiom_names_exit_3(tmp_path, capsys, target, law, typo):
+    q = quintet(zoo.walking_arrow())
+    f = pseudo_from_strict(identity_functor(q))
+    doc = dsl.Document()
+    doc.add(Declaration("category", "Q", q))
+    doc.add(Declaration("functor", "IdQ", f, meta={"strict": False, "dom": "Q", "cod": "Q"}))
+    ends = {"from": "IdQ", "to": "IdQ", "dom": "Q", "cod": "Q"}
+    doc.add(Declaration("transformation", "Th", identity_horizontal(f), meta={"kind": "horizontal", **ends}))
+    doc.add(Declaration("transformation", "Tv", identity_vertical(f), meta={"kind": "vertical", **ends}))
+    path = write_doc(tmp_path, serialize(doc))
+    assert main(["check", path, target, "--axioms", law]) == 0
+    capsys.readouterr()
+    assert main(["check", path, target, "--axioms", f"{law},{typo}"]) == 3
+    assert f"unknown axiom names: ['{typo}']" in capsys.readouterr().err
+
+
 def test_violations_carry_symbolic_names(tmp_path, capsys):
     doc_path = write_doc(tmp_path)
     out = str(tmp_path / "out.dbl")

@@ -109,6 +109,30 @@ def test_axioms_individually_toggleable(setting):
         check_double_pseudo_functor(f, axioms={"no-such-axiom"})
 
 
+def test_unknown_axiom_names_are_rejected_by_every_selecting_checker(setting):
+    from dblkit.companion import find_connection, four_identities
+    from dblkit.modif import check_horizontal_side, check_modification, check_vertical_side, identity_modification
+    from dblkit.transform import check_horizontal_pnt, check_vertical_pnt, identity_double, identity_horizontal, identity_vertical
+
+    d1, d2, p = setting
+    f = identity_pseudo(d1)
+    m = identity_modification(identity_double(f))
+    checks = {
+        "pseudofunctor": lambda axioms: check_double_pseudo_functor(f, axioms=axioms),
+        "cubical": lambda axioms: check_cubical(cubical_from_product_functor(d1, d2, p, identity_functor(p)), axioms=axioms),
+        "horizontal": lambda axioms: check_horizontal_pnt(identity_horizontal(f), axioms=axioms),
+        "vertical": lambda axioms: check_vertical_pnt(identity_vertical(f), axioms=axioms),
+        "four-identities": lambda axioms: four_identities(identity_vertical(f), find_connection(d1), axioms=axioms),
+        "modification": lambda axioms: check_modification(m, axioms=axioms),
+        "vertical-side": lambda axioms: check_vertical_side(m.src.v0, m.tgt.v0, m.a0, axioms=axioms),
+        "horizontal-side": lambda axioms: check_horizontal_side(m.src.h1, m.tgt.h1, m.a1, axioms=axioms),
+    }
+    for name, check in checks.items():
+        assert check(set()).passed, name
+        with pytest.raises(StructureError, match="unknown axiom names"):
+            check({"hcell-asoc"})
+
+
 def test_structure_cell_mutation_fails_invertibility():
     # the embedded sign 2-category has two parallel squares per boundary,
     # so a comp_h cell can be swapped for a non-inverse one
