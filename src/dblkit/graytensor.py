@@ -545,21 +545,17 @@ def check_monoidal_embedding(
     # verify the normal forms coincide move-for-move and nothing comes back
     # inconclusive on this set
     calc = SquareCalculus(ctx_two, a, b)
-    inconclusive = 0
-    compared = 0
     for top in words_two:
         if len(top.letters) > 3:
             continue
         for e in calc.enumerate_square_words(top, max_moves):
-            n = calc.rewrite(e)
-            verdict = calc.compare(e, n)
-            compared += 1
+            if not col.take(1):
+                return col.done()
+            verdict = calc.compare(e, calc.rewrite(e))
             if verdict == "inconclusive":
-                inconclusive += 1
                 col.fail("square-word-inconclusive", (ctx_two.describe(top), tuple(e.moves)))
             elif verdict != "equal":
                 col.fail("square-word-normalization", (ctx_two.describe(top), tuple(e.moves)))
-    col.report.checked += compared
     return col.done()
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dblkit import zoo
 from dblkit.kernel import StructureError, quintet
+from dblkit.report import Budget
 from dblkit.functors import check_double_pseudo_functor
 from dblkit.graytensor import (
     GrayTensorSkeleton,
@@ -207,6 +208,16 @@ def test_monoidal_embedding_all_acyclic_pairs():
         assert not any(v.axiom == "square-word-inconclusive" for v in rep.violations)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 5, 20, 40])
+def test_monoidal_embedding_charges_every_square_word_comparison(cap):
+    a, b = zoo.walking_arrow_two_category(), zoo.walking_two_cell()
+    assert check_monoidal_embedding(a, b, cap=4).checked == 63
+    budget = Budget(cap)
+    rep = check_monoidal_embedding(a, b, cap=4, budget=budget)
+    assert rep.status == "budget-exceeded"
+    assert (rep.checked, budget.used) == (cap, cap + 1)
+
+
 def test_square_word_rewriting_basics(arrow_pair_ctx):
     a, b, ctx = arrow_pair_ctx
     calc = SquareCalculus(ctx, a, b)
@@ -232,9 +243,17 @@ def test_rewrites_commute_past_interchanges():
     assert calc.bottom(n) == calc.bottom(e)
 
 
-def test_rewrite_measure_strictly_decreases():
-    a = zoo.walking_two_cell()
-    b = zoo.walking_two_cell()
+REWRITING_PAIRS = {
+    "2-cell x 2-cell": (zoo.walking_two_cell, zoo.walking_two_cell),
+    "arrow x 2-cell": (zoo.walking_arrow_two_category, zoo.walking_two_cell),
+    "sign x sign": (zoo.sign_two_category, zoo.sign_two_category),
+    "iso-2-cell x iso-2-cell": (lambda: zoo.walking_two_cell(True), lambda: zoo.walking_two_cell(True)),
+}
+
+
+@pytest.mark.parametrize("pair", ["2-cell x 2-cell", "sign x sign", "iso-2-cell x iso-2-cell"])
+def test_rewrite_measure_strictly_decreases(pair):
+    a, b = (make() for make in REWRITING_PAIRS[pair])
     ctx = two_category_tensor_context(a, b)
     calc = SquareCalculus(ctx, a, b)
     tops = [w for w in ctx.enumerate_words(3)]
@@ -246,9 +265,9 @@ def test_rewrite_measure_strictly_decreases():
     assert count > 100
 
 
-def test_critical_pairs_join_up_to_three_moves():
-    a = zoo.walking_arrow_two_category()
-    b = zoo.walking_two_cell()
+@pytest.mark.parametrize("pair", ["arrow x 2-cell", "sign x sign", "iso-2-cell x iso-2-cell"])
+def test_critical_pairs_join_up_to_three_moves(pair):
+    a, b = (make() for make in REWRITING_PAIRS[pair])
     ctx = two_category_tensor_context(a, b)
     calc = SquareCalculus(ctx, a, b)
     for top in ctx.enumerate_words(3):
