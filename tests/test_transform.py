@@ -6,6 +6,7 @@ import pytest
 from dblkit import zoo
 from dblkit.kernel import quintet
 from dblkit.functors import pseudo_from_strict
+from dblkit.report import Budget
 from dblkit.builders import (
     quintet_functor,
     random_theta_instance,
@@ -16,6 +17,7 @@ from dblkit.transform import (
     DOUBLE_PNT_AXIOMS,
     ComponentRegistry,
     DoublePNT,
+    HorizontalPNT,
     ThetaPNT,
     check_double_pnt,
     check_horizontal_pnt,
@@ -125,6 +127,27 @@ def test_randomized_theta_instances_pass():
         rep = check_double_pnt(dd, reg)
         assert rep.passed, rep.summary()
         seen += 1
+
+
+def test_missing_inverses_are_charged_instances(bz3):
+    # a registered component with no stored inverse is one violated
+    # instance: a capped run charges it before recording it
+    _, d, F, _, _ = bz3
+    h = identity_horizontal(F)
+    h1 = HorizontalPNT(h.F, h.G, h.comp, h.nat, h.delta, {f: s for f, s in h.delta_inv.items() if f != 0})
+    dd, th = identity_double(F), identity_theta(F)
+    reg = ComponentRegistry.of(hcells={0})
+    checks = {
+        "double": lambda budget: check_double_pnt(DoublePNT(dd.v0, h1, dd.t, dd.r), reg, budget=budget),
+        "theta": lambda budget: check_theta(ThetaPNT(th.v0, h1, th.theta), reg, budget=budget),
+    }
+    for name, check in checks.items():
+        full = check(None)
+        assert [v.axiom for v in full.violations] == ["component-invertibility"], name
+        for cap in range(full.checked + 1):
+            rep = check(Budget(cap))
+            assert rep.checked == cap, (name, cap)
+            assert len(rep.violations) <= rep.checked, (name, cap)
 
 
 def test_breaking_t_breaks_coupling(sign_setting):
