@@ -29,6 +29,7 @@ from .report import AxiomReport, Budget, Collector, StructureError
 
 OBJECT, HCELL, VCELL, SQUARE = "object", "hcell", "vcell", "square"
 
+
 class NonComposable(StructureError):
     """A pasting was attempted on cells whose boundaries do not match."""
 
