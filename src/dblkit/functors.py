@@ -451,20 +451,6 @@ def conj_h(g: DoublePseudoFunctor, s: int) -> int:
     return cod.vcol(g.unit_h_inv[a], g.sq(s), g.unit_h[b])
 
 
-def _tabulated(fn):
-    """``fn`` with its results kept by argument tuple."""
-    table = {}
-
-    def look(*key):
-        try:
-            return table[key]
-        except KeyError:
-            table[key] = value = fn(*key)
-            return value
-
-    return look
-
-
 def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
     """Composite double pseudofunctor; structure cells are the standard
     pastings of g's cells with the g-images of f's cells.
@@ -480,27 +466,45 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
     h_map = [g.h(x) for x in f.h_map]
     v_map = [g.v(x) for x in f.v_map]
     sq_map = [g.sq(x) for x in f.sq_map]
-    cv = _tabulated(lambda s: conj_v(g, s))
-    ch = _tabulated(lambda s: conj_h(g, s))
-    h_cell = _tabulated(lambda s, x, y: cod.vpaste(cv(s), g.comp_h[(x, y)]))
-    h_inv = _tabulated(lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], cv(s)))
-    v_cell = _tabulated(lambda s, u, v: cod.hpaste(g.comp_v[(u, v)], ch(s)))
-    v_inv = _tabulated(lambda s, u, v: cod.hpaste(ch(s), g.comp_v_inv[(u, v)]))
-    comp_h, comp_h_inv, comp_v, comp_v_inv = {}, {}, {}, {}
+    conj_vs, conj_hs = {}, {}
+
+    def cv(s):
+        cell = conj_vs.get(s)
+        if cell is None:
+            cell = conj_vs[s] = conj_v(g, s)
+        return cell
+
+    def ch(s):
+        cell = conj_hs.get(s)
+        if cell is None:
+            cell = conj_hs[s] = conj_h(g, s)
+        return cell
+
+    def family(table, cells, images, paste):
+        """``paste(cell, x', y')`` for each key (x, y) of ``table``, with
+        ``cell`` f's structure cell at the key and x', y' the images of x
+        and y; each distinct triple is pasted once."""
+        made = {}
+        get = made.get
+        out = {}
+        for key in table:
+            x, y = key
+            k = (cells[key], images[x], images[y])
+            cell = get(k)
+            if cell is None:
+                cell = made[k] = paste(*k)
+            out[key] = cell
+        return out
+
+    hcomp1, vcomp1 = f.dom.hcomp1, f.dom.vcomp1
+    comp_h = family(hcomp1, f.comp_h, f.h_map, lambda s, x, y: cod.vpaste(cv(s), g.comp_h[(x, y)]))
+    comp_h_inv = family(hcomp1, f.comp_h_inv, f.h_map, lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], cv(s)))
+    comp_v = family(vcomp1, f.comp_v, f.v_map, lambda s, u, v: cod.hpaste(g.comp_v[(u, v)], ch(s)))
+    comp_v_inv = family(vcomp1, f.comp_v_inv, f.v_map, lambda s, u, v: cod.hpaste(ch(s), g.comp_v_inv[(u, v)]))
     unit_h, unit_h_inv, unit_v, unit_v_inv = {}, {}, {}, {}
-    for key in f.dom.hcomp1:
-        x, y = key
-        comp_h[key] = h_cell(f.comp_h[key], f.h(x), f.h(y))
-        comp_h_inv[key] = h_inv(f.comp_h_inv[key], f.h(x), f.h(y))
     for a in range(f.dom.n_objects):
-        comp_unit = g.unit_h[f.ob(a)]
-        unit_h[a] = cod.vpaste(cv(f.unit_h[a]), comp_unit)
+        unit_h[a] = cod.vpaste(cv(f.unit_h[a]), g.unit_h[f.ob(a)])
         unit_h_inv[a] = cod.vpaste(g.unit_h_inv[f.ob(a)], cv(f.unit_h_inv[a]))
-    for key in f.dom.vcomp1:
-        u, v = key
-        comp_v[key] = v_cell(f.comp_v[key], f.v(u), f.v(v))
-        comp_v_inv[key] = v_inv(f.comp_v_inv[key], f.v(u), f.v(v))
-    for a in range(f.dom.n_objects):
         unit_v[a] = cod.hpaste(g.unit_v[f.ob(a)], ch(f.unit_v[a]))
         unit_v_inv[a] = cod.hpaste(ch(f.unit_v_inv[a]), g.unit_v_inv[f.ob(a)])
     return DoublePseudoFunctor(
