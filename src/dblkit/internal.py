@@ -115,8 +115,15 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     v_map = [pick(VCELL, (left.v(x), right.v(x)), "vcell") for x in range(len(dom.vcells))]
     sq_map = [pick(SQUARE, (left.sq(x), right.sq(x)), "square") for x in range(len(dom.squares))]
 
+    squares = index[SQUARE]
+
     def pair_cells(table_l, table_r):
-        return {k: pick(SQUARE, (table_l[k], table_r[k]), "structure cell") for k in table_l}
+        try:
+            return {k: squares[table_l[k], table_r[k]] for k in table_l}
+        except KeyError:
+            for k in table_l:  # name the first pair that misses
+                pick(SQUARE, (table_l[k], table_r[k]), "structure cell")
+            raise
 
     return DoublePseudoFunctor(
         dom,
@@ -137,15 +144,12 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     )
 
 
-def triple_pullbacks(data: InternalCategoryData):
-    """The two bracketings of the arrow category composed with itself twice,
-    with the inner-composition functors into the binary pullback."""
+def _left_bracketed(data: InternalCategoryData):
+    """The left-bracketed triple pullback ((x, y), z), its two projections
+    and the inner composite m x 1 into the binary pullback."""
     t_after_p2 = compose_strict(data.t, data.p2)
-    s_after_p1 = compose_strict(data.s, data.p1)
-    p3l = pullback(t_after_p2, data.s)  # ((x, y), z)
+    p3l = pullback(t_after_p2, data.s)
     p3l_1, p3l_2 = pullback_projections(t_after_p2, data.s, p3l)
-    p3r = pullback(data.t, s_after_p1)  # (x, (y, z))
-    p3r_1, p3r_2 = pullback_projections(data.t, s_after_p1, p3r)
     m_x_id = pair_pseudo_into_pullback(
         data.t,
         data.s,
@@ -154,6 +158,18 @@ def triple_pullbacks(data: InternalCategoryData):
         pseudo_from_strict(p3l_2),
         name="m-x-id",
     )
+    return p3l, p3l_1, p3l_2, m_x_id
+
+
+def triple_pullbacks(data: InternalCategoryData):
+    """The two bracketings of the arrow category composed with itself twice,
+    with the inner-composition functors into the binary pullback and the
+    rebracketing isomorphism between them."""
+    p3l, _, _, m_x_id = _left_bracketed(data)
+    t_after_p2 = compose_strict(data.t, data.p2)
+    s_after_p1 = compose_strict(data.s, data.p1)
+    p3r = pullback(data.t, s_after_p1)  # (x, (y, z))
+    p3r_1, p3r_2 = pullback_projections(data.t, s_after_p1, p3r)
     id_x_m = pair_pseudo_into_pullback(
         data.t,
         data.s,
@@ -186,9 +202,31 @@ def reindex_triples(data, p3l, t_after_p2, p3r, s_after_p1) -> StrictDoubleFunct
     )
 
 
+def _last_two(data: InternalCategoryData, p3l, p3l_1, p3l_2) -> StrictDoubleFunctor:
+    """The strict functor ((x, y), z) |-> (y, z) from the left-bracketed
+    triple pullback to the binary one."""
+    middle = compose_strict(data.p2, p3l_1)
+    pairs = pullback_pairs(data.t, data.s)
+    maps = []
+    for kind, ys, zs in (
+        (OBJECT, middle.ob_map, p3l_2.ob_map),
+        (HCELL, middle.h_map, p3l_2.h_map),
+        (VCELL, middle.v_map, p3l_2.v_map),
+        (SQUARE, middle.sq_map, p3l_2.sq_map),
+    ):
+        index = {pair: i for i, pair in enumerate(pairs[kind])}
+        try:
+            maps.append([index[pair] for pair in zip(ys, zs)])
+        except KeyError as e:
+            raise StructureError(f"the last two factors miss the pullback at {e.args[0]}") from None
+    return StrictDoubleFunctor(p3l, data.p, *maps, name="q")
+
+
 def nested_composition_functors(data: InternalCategoryData):
     """(left-nested, right-nested) composites of the composition with itself,
-    both with domain the left-bracketed triple pullback.
+    both with domain the left-bracketed triple pullback ((x, y), z):
+    m.(m x 1), and m.(x, m(y, z)) through the functor ((x, y), z) |-> (y, z),
+    so the right-bracketed pullback is never built.
 
     Built once per bundle: the result is kept on ``data`` and returned again
     while ``d1``, ``s``, ``t``, ``p``, ``p1``, ``p2`` and ``m`` are the same
@@ -196,12 +234,17 @@ def nested_composition_functors(data: InternalCategoryData):
     place would leave the kept composites stale."""
 
     def build():
-        p3l, p3r, m_x_id, id_x_m, rebracket = triple_pullbacks(data)
+        p3l, p3l_1, p3l_2, m_x_id = _left_bracketed(data)
         left_nested = compose_pseudo(data.m, m_x_id)
-        right_nested = compose_pseudo(
-            data.m, compose_pseudo(id_x_m, pseudo_from_strict(rebracket))
+        id_x_m = pair_pseudo_into_pullback(
+            data.t,
+            data.s,
+            data.p,
+            pseudo_from_strict(compose_strict(data.p1, p3l_1)),
+            compose_pseudo(data.m, pseudo_from_strict(_last_two(data, p3l, p3l_1, p3l_2))),
+            name="id-x-m.rebracket",  # the name the rebracketing construction gave it
         )
-        return left_nested, right_nested, p3l
+        return left_nested, compose_pseudo(data.m, id_x_m), p3l
 
     return _memoized(data, "nested", ("d1", "s", "t", "p", "p1", "p2", "m"), build)
 

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -15,6 +15,7 @@ from dblkit.kernel import (
     transpose,
 )
 from dblkit.functors import (
+    DoublePseudoFunctor,
     StrictDoubleFunctor,
     check_double_pseudo_functor,
     product_projections,
@@ -368,19 +369,49 @@ def test_replaced_bundle_starts_with_nothing_kept():
 
 
 def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
+    """The nested composites live on one triple pullback, the left-bracketed
+    ((x, y), z), built once however often the bundle is checked."""
     calls = []
-    original = internal.triple_pullbacks
+    original = internal.pullback
 
-    def counted(data):
-        calls.append(data)
-        return original(data)
+    def counted(f, g):
+        calls.append((f, g))
+        return original(f, g)
 
-    monkeypatch.setattr(internal, "triple_pullbacks", counted)
+    monkeypatch.setattr(internal, "pullback", counted)
     data = monoid_to_internal(zoo.commutative_monoid_in_dbl())
     assert check_internal(data, registry=EMPTY).passed
     assert check_internal(data, registry=EMPTY, deep=False).passed
     derive_globular(data)
-    assert len(calls) == 1
+    threefold = [(f, g) for f, g in calls if f.dom is data.p or g.dom is data.p]
+    assert len(threefold) == 1
+    f, g = threefold[0]
+    assert f.dom is data.p and g is data.s
+
+
+def _rebracketed_right_nested(data):
+    """The right-nested composite built through the right-bracketed triple
+    pullback (x, (y, z)) and the rebracketing isomorphism."""
+    _, _, _, id_x_m, rebracket = internal.triple_pullbacks(data)
+    return internal.compose_pseudo(data.m, internal.compose_pseudo(id_x_m, pseudo_from_strict(rebracket)))
+
+
+def test_right_nested_equals_the_rebracketed_construction():
+    bundles = [monoid_to_internal(make()) for make in ZOO_MONOIDS]
+    bundles += [
+        internal.diagonal_internal(d)
+        for d in (quintet(zoo.cyclic_group_cat(2)), quintet(zoo.walking_iso()), embed_two_category(zoo.sign_two_category()))
+    ]
+    names = [f.name for f in fields(DoublePseudoFunctor) if f.name not in ("dom", "cod")]
+    assert len(names) == 13
+    for data in bundles:
+        built, rebracketed = nested_composition_functors(data)[1], _rebracketed_right_nested(data)
+        assert same_category(built.dom, rebracketed.dom) and same_category(built.cod, rebracketed.cod)
+        for name in names:
+            a, b = getattr(built, name), getattr(rebracketed, name)
+            assert a == b, name
+            if isinstance(a, dict):
+                assert list(a) == list(b), name
 
 
 def _revalidated(d):
