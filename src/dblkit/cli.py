@@ -151,7 +151,21 @@ def _registry_for_target(doc: Document, decl: Declaration) -> ComponentRegistry:
     return ComponentRegistry.of(hcells, vcells)
 
 
+def _takes_axioms(decl: Declaration, args) -> bool:
+    """Whether the checker run for ``decl`` selects its laws by name."""
+    if decl.kind == "functor":
+        return bool(args.cubical) or not decl.meta.get("strict")
+    if decl.kind == "transformation":
+        return decl.meta["kind"] in ("horizontal", "vertical")
+    return decl.kind == "modification"
+
+
 def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomReport]:
+    if args.axioms is not None and not _takes_axioms(decl, args):
+        raise StructureError(
+            f"--axioms does not apply to {decl.kind} {decl.name}: only pseudofunctors, the --cubical view, "
+            "horizontal and vertical transformations and modifications select laws by name"
+        )
     budget = _budget(args)
     if decl.kind == "fincategory":
         return [decl.obj.check(budget)]
@@ -196,7 +210,7 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
     if decl.kind == "connection":
         return [check_connection(decl.obj, budget=budget)]
     if decl.kind == "modification":
-        return [check_modification(decl.obj, budget=budget)]
+        return [check_modification(decl.obj, budget=budget, axioms=args.axioms)]
     if decl.kind == "monoid":
         reports = [check_monoid(decl.obj, budget=budget)]
         for flag, label in ((True, "first-factor-first"), (False, "second-factor-first")):
@@ -242,7 +256,7 @@ def _check_cubical_view(doc: Document, decl: Declaration, args):
         f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=decl.name
     )
     h = cubical_from_product_functor(d1, d2, f.dom, strict)
-    rep = check_cubical(h, budget=_budget(args))
+    rep = check_cubical(h, budget=_budget(args), axioms=args.axioms)
     c = curry(h)
     h2 = uncurry(c, d1, d2, f.cod)
     from .report import Violation

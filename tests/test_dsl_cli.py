@@ -12,7 +12,7 @@ from dblkit.cli import _decl_category, main
 from dblkit.companion import find_connection
 from dblkit.dsl import Declaration, InternalDecl, ParseError, parse, serialize
 from dblkit.functors import identity_functor, pseudo_from_strict
-from dblkit.kernel import StructureError, check_double_category, quintet
+from dblkit.kernel import StructureError, check_double_category, product, quintet
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
 
@@ -313,6 +313,46 @@ def test_unknown_axiom_names_exit_3(tmp_path, capsys, target, law, typo):
     capsys.readouterr()
     assert main(["check", path, target, "--axioms", f"{law},{typo}"]) == 3
     assert f"unknown axiom names: ['{typo}']" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def every_kind_path(tmp_path_factory):
+    """The zoo document with a pseudofunctor and a functor off a product
+    added, so that every checker the CLI runs has a target."""
+    doc = parse(_zoo_document())
+    q = doc.decls["Q"].obj
+    doc.add(Declaration("functor", "PsQ", pseudo_from_strict(identity_functor(q)), meta={"strict": False, "dom": "Q", "cod": "Q"}))
+    doc.add(_decl_category("P", product(q, q)))
+    doc.add(Declaration("functor", "IdP", pseudo_from_strict(identity_functor(doc.decls["P"].obj)), meta={"strict": True, "dom": "P", "cod": "P"}))
+    path = tmp_path_factory.mktemp("axioms") / "every.dbl"
+    path.write_text(serialize(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "target,extra,law",
+    [
+        ("PsQ", [], "hcell-assoc"),
+        ("IdP", ["--cubical", "Q", "Q"], "a11"),
+        ("Thorizontal", [], "pnt-naturality"),
+        ("Tvertical", [], "pnt-naturality"),
+        ("M", [], "coupling-t"),
+    ],
+)
+def test_axioms_select_laws_where_the_checker_names_them(every_kind_path, capsys, target, extra, law):
+    checked = []
+    for selection in ([], ["--axioms", law]):
+        assert main(["check", every_kind_path, target, *extra, *selection, "--format", "tree"]) == 0
+        checked.append(json.loads(capsys.readouterr().out)["reports"][0]["checked"])
+    assert 0 < checked[1] < checked[0]
+    assert main(["check", every_kind_path, target, *extra, "--axioms", "no-such-law"]) == 3
+    assert "unknown axiom names: ['no-such-law']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["Walk", "Q", "Sign", "SignB", "IdQ", "Tdouble", "Ttheta", "K", "Meet", "AB", "I"])
+def test_axioms_refused_where_the_checker_names_no_laws(every_kind_path, capsys, target):
+    assert main(["check", every_kind_path, target, "--axioms", "no-such-law"]) == 3
+    assert "--axioms does not apply" in capsys.readouterr().err
 
 
 def test_violations_carry_symbolic_names(tmp_path, capsys):
