@@ -215,10 +215,7 @@ def _last_two(data: InternalCategoryData, p3l, p3l_1, p3l_2) -> StrictDoubleFunc
         (SQUARE, middle.sq_map, p3l_2.sq_map),
     ):
         index = {pair: i for i, pair in enumerate(pairs[kind])}
-        try:
-            maps.append([index[pair] for pair in zip(ys, zs)])
-        except KeyError as e:
-            raise StructureError(f"the last two factors miss the pullback at {e.args[0]}") from None
+        maps.append([index[pair] for pair in zip(ys, zs)])
     return StrictDoubleFunctor(p3l, data.p, *maps, name="q")
 
 
