@@ -90,8 +90,9 @@ def _triples(table, ends, starts):
 
 
 # The law enumerators below evaluate the laws straight from the tables: each
-# charges the budget once per row of instances (``Collector.take``) and
-# builds a Violation only where the two sides differ.  They assume complete
+# charges the budget once per row of instances (``Collector.take``), the
+# interchange grid once per pair of squares (a, b), all its rows together,
+# and builds a Violation only where the two sides differ.  They assume complete
 # tables with correct boundaries, which the constructors and the boundary
 # laws establish.
 
@@ -460,9 +461,10 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     Violations carry the law name and a minimal witness tuple; enumeration is
     lexicographic in cell ids so reports are deterministic.  The budget is
     charged once per row of instances rather than per instance, and the
-    cutoff is still exact: with ``budget`` the report checks and records
-    exactly the instances, the interchange grid included, that fit under
-    its cap, in enumeration order.
+    interchange grid once per pair of squares ``(a, b)``; the cutoff is
+    still exact: with ``budget`` the report checks and records exactly the
+    instances, the interchange grid included, that fit under its cap, in
+    enumeration order.
     """
     col = Collector("double-category", budget)
     d.table_boundary_violations(col)
@@ -494,18 +496,43 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
 
 def _interchange(col, d):
     """Record ``(a/c) | (b/e) == (a|b) / (c|e)`` over every 2x2 grid of
-    squares, one row ``(a, b, c, *)`` at a time."""
+    squares.  The rows ``(a, b, c, *)`` of a pair ``(a, b)`` depend only on
+    the bottoms of ``a`` and ``b``, so they are listed once per pair of
+    bottoms.  Each pair is charged once for all its rows; where the budget
+    runs out inside them, only the first instances that fit are evaluated,
+    so the cutoff is as exact as one charge per instance."""
     by_top, by_tl = d.squares_by_top(), d.squares_by_top_left()
     sq, h2 = d.squares, d.hcomp2
     hrows, vrows = _rows(h2), _rows(d.vcomp2)
+    grids = {}
     for (a, b), ab in sorted(h2.items()):
-        va, vb, vab, bottom_b = vrows[a], vrows[b], vrows[ab], sq[b][1]
-        for c in by_top.get(sq[a][1], ()):
+        bottoms = sq[a][1], sq[b][1]
+        grid = grids.get(bottoms)
+        if grid is None:
+            rows = [(c, by_tl.get((bottoms[1], sq[c][3]), ())) for c in by_top.get(bottoms[0], ())]
+            grid = grids[bottoms] = rows, sum(len(row) for _, row in rows)
+        rows, n = grid
+        k = col.take(n)
+        if k < n:
+            rows = _cut(rows, k)
+        va, vb, vab = vrows[a], vrows[b], vrows[ab]
+        for c, row in rows:
             hac, hc = hrows[va[c]], hrows[c]
-            for e in _charged(col, by_tl.get((bottom_b, sq[c][3]), ())):
+            for e in row:
                 if hac[vb[e]] != vab[hc[e]]:
                     witness = ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, e))
                     col.fail("interchange", witness, hac[vb[e]], vab[hc[e]])
+
+
+def _cut(rows, k):
+    """The first ``k`` instances of the grid ``rows``, in order."""
+    out = []
+    for c, row in rows:
+        if k <= 0:
+            break
+        out.append((c, row[:k]))
+        k -= len(row)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -565,10 +565,13 @@ def test_checker_matches_per_instance_oracle(d):
 _C3 = quintet(zoo.cyclic_group_cat(3))
 _C3_TABLES = sum(len(t) for t in (_C3.hcomp1, _C3.vcomp1, _C3.hcomp2, _C3.vcomp2))
 # 11632 instances in all, the last 3**8 of them the interchange grid, in
-# rows of 3: the cuts fall before the first instance, after it, inside the
-# first associativity row, inside the first interchange row, and one short
-# of and exactly at the total
-_C3_CUTS = [0, 1, _C3_TABLES + 1, 11632 - 3**8 + 1, 11631, 11632]
+# blocks of 27 per pair of squares (a, b), each 9 rows of 3: the cuts fall
+# before the first instance, after it, inside the first associativity row,
+# inside the first and the second interchange row, exactly at the end of
+# the first interchange block and one past it, and one short of and exactly
+# at the total
+_INTERCHANGE = 11632 - 3**8
+_C3_CUTS = [0, 1, _C3_TABLES + 1, _INTERCHANGE + 1, _INTERCHANGE + 4, _INTERCHANGE + 27, _INTERCHANGE + 28, 11631, 11632]
 
 
 @pytest.mark.parametrize("cap", _C3_CUTS)
@@ -579,6 +582,21 @@ def test_budget_cutoff_matches_per_instance_oracle(cap):
     assert ours.used == theirs.used
     assert rep.checked == min(cap, 11632)
     assert (rep.status == "budget-exceeded") == (cap < 11632)
+
+
+def test_cutoff_inside_a_violated_interchange_block_matches_oracle():
+    # this sign mutant breaks interchange first at instances 152 and 153 of
+    # 210, the second row of the block 150..153 of one pair (a, b): every
+    # cap, 153 between the two included, checks and records as the oracle
+    m = _law_breaking_sign_mutants()[7]
+    for cap in range(212):
+        ours, theirs = Budget(cap), Budget(cap)
+        rep = check_double_category(m, budget=ours)
+        assert rep.to_dict() == oracle_check_double_category(m, budget=theirs).to_dict()
+        assert ours.used == theirs.used
+    capped = [v.axiom for v in check_double_category(m, budget=Budget(153)).violations]
+    assert capped.count("interchange") == 1
+    assert [v.axiom for v in check_double_category(m, budget=Budget(154)).violations].count("interchange") == 2
 
 
 def test_exhausted_shared_budget_matches_per_instance_oracle():
