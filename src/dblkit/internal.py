@@ -297,7 +297,8 @@ def check_internal(
     """The compatibility block, the whiskering conditions, and the delegated
     checks on every constituent."""
     col = Collector("internal-category", budget)
-    if not (check_strict_functor(data.s).passed and check_strict_functor(data.t).passed):
+    legs = (data.s,) if data.t is data.s else (data.s, data.t)
+    if not all(check_strict_functor(leg).passed for leg in legs):
         raise StructureError("span legs must be strict; pullback construction unsupported otherwise")
 
     if deep:

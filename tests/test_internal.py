@@ -389,6 +389,28 @@ def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
     assert f.dom is data.p and g is data.s
 
 
+def test_span_leg_checked_once_when_both_legs_are_one(monkeypatch):
+    """A bundle whose source and target legs are one functor, as on every
+    diagonal and monoid bundle, checks it once; two equal legs that are
+    distinct objects are checked once each."""
+    calls = []
+    original = internal.check_strict_functor
+
+    def counted(f, **kwargs):
+        calls.append(f)
+        return original(f, **kwargs)
+
+    monkeypatch.setattr(internal, "check_strict_functor", counted)
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    assert data.s is data.t
+    assert check_internal(data, registry=EMPTY).passed
+    assert calls == [data.s]
+    calls.clear()
+    data = replace(data, t=replace(data.s))
+    assert check_internal(data, registry=EMPTY).passed
+    assert calls == [data.s, data.t] and data.s is not data.t
+
+
 def _rebracketed_right_nested(data):
     """The right-nested composite built through the right-bracketed triple
     pullback (x, (y, z)) and the rebracketing isomorphism."""
