@@ -2,9 +2,9 @@
 (ok, detail).  ``run_all`` executes them in order and prints one pass/fail
 line per criterion; the pytest wrapper asserts each one.
 
-Criteria with time bounds assert wall-clock limits; everything else is
-exact (tolerances are zero throughout, all comparisons are cell-id
-equality)."""
+Criteria 1, 2 and 9 must also finish within their bound in ``TIME_BOUNDS``,
+timed on a monotonic clock; everything else is exact (tolerances are zero
+throughout, all comparisons are cell-id equality)."""
 
 from __future__ import annotations
 
@@ -134,8 +134,21 @@ def _mutants():
     return out
 
 
+# seconds each time-bounded criterion may take, keyed by its name in CRITERIA
+TIME_BOUNDS = {"1 kernel soundness": 10.0, "2 companion bijection": 30.0, "9 weak internalization": 5.0}
+
+
+def _elapsed(name, start):
+    """The seconds since ``start`` (a ``time.perf_counter()`` reading) and
+    the failure detail when they reach the bound of criterion ``name``,
+    else None."""
+    elapsed = time.perf_counter() - start
+    bound = TIME_BOUNDS[name]
+    return elapsed, (f"took {elapsed:.1f}s (budget {bound:g}s)" if elapsed >= bound else None)
+
+
 def criterion_1_kernel_soundness():
-    start = time.time()
+    start = time.perf_counter()
     gens = _generators()
     for name, d in gens:
         rep = check_double_category(d)
@@ -149,9 +162,9 @@ def criterion_1_kernel_soundness():
         if not all(v.axiom for v in rep.violations):
             return False, "violation without a law name"
         tested += 1
-    elapsed = time.time() - start
-    if elapsed >= 10.0:
-        return False, f"took {elapsed:.1f}s (budget 10s)"
+    elapsed, late = _elapsed("1 kernel soundness", start)
+    if late:
+        return False, late
     return True, f"{len(gens)} generators, {tested} mutations detected, {elapsed:.1f}s"
 
 
@@ -179,7 +192,7 @@ def _correspondence_settings():
 
 
 def criterion_2_companion_bijection():
-    start = time.time()
+    start = time.perf_counter()
     total = 0
     for name, F, G, conn, dom_conn in _correspondence_settings():
         verts = enumerate_plain_verticals(F, G)
@@ -194,9 +207,9 @@ def criterion_2_companion_bijection():
             if (again.comp, again.nat, again.delta) != (a1.comp, a1.nat, a1.delta):
                 return False, f"{name}: reverse round trip moved a horizontal transformation"
             total += 1
-    elapsed = time.time() - start
-    if elapsed >= 30.0:
-        return False, f"took {elapsed:.1f}s (budget 30s)"
+    elapsed, late = _elapsed("2 companion bijection", start)
+    if late:
+        return False, late
     if total == 0:
         return False, "no transformations enumerated"
     return True, f"{total} transformations round-tripped exactly, {elapsed:.1f}s"
@@ -501,7 +514,7 @@ def criterion_8_internalization():
 
 
 def criterion_9_weak_internalization():
-    start = time.time()
+    start = time.perf_counter()
     b = zoo.sign_bicategory()
     p = internalize_bicategory(b)
     rep = check_pseudo_double_category(p)
@@ -513,9 +526,9 @@ def criterion_9_weak_internalization():
         rep = check_coproduct_pullback(bb)
         if not rep.passed:
             return False, f"{name}: {rep.summary()}"
-    elapsed = time.time() - start
-    if elapsed >= 5.0:
-        return False, f"took {elapsed:.1f}s (budget 5s)"
+    elapsed, late = _elapsed("9 weak internalization", start)
+    if late:
+        return False, late
     return True, f"nonidentity associator preserved; pair and triple counts exact; {elapsed:.1f}s"
 
 
@@ -533,15 +546,20 @@ CRITERIA = (
 
 
 def run_all(verbose=True):
+    """Run every criterion in order; return its ``(name, ok, detail,
+    elapsed)`` tuples, with ``elapsed`` in seconds.  The verbose line of a
+    time-bounded criterion also gives its bound and the margin left."""
     results = []
     for name, fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         ok, detail = fn()
-        elapsed = time.time() - t0
+        elapsed = time.perf_counter() - t0
         results.append((name, ok, detail, elapsed))
         if verbose:
             status = "PASS" if ok else "FAIL"
-            print(f"[{status}] criterion {name}: {detail} ({elapsed:.1f}s)")
+            bound = TIME_BOUNDS.get(name)
+            timing = f"{elapsed:.1f}s" if bound is None else f"{elapsed:.1f}s of {bound:g}s, margin {bound - elapsed:.1f}s"
+            print(f"[{status}] criterion {name}: {detail} ({timing})")
     return results
 
 

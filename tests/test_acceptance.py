@@ -10,3 +10,34 @@ def test_criterion(name, fn):
     ok, detail = fn()
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {name}: {detail}")
     assert ok, detail
+
+
+def test_time_bounds_are_one_table_keyed_by_criterion():
+    assert acceptance.TIME_BOUNDS == {"1 kernel soundness": 10.0, "2 companion bijection": 30.0, "9 weak internalization": 5.0}
+    assert set(acceptance.TIME_BOUNDS) <= {name for name, _ in acceptance.CRITERIA}
+
+
+def test_time_bound_read_from_the_table_on_a_monotonic_clock(monkeypatch):
+    name, fn = "9 weak internalization", acceptance.criterion_9_weak_internalization
+    # a wall clock that jumps an hour per reading moves no bound
+    wall = iter(range(0, 10**9, 3600))
+    monkeypatch.setattr(acceptance.time, "time", lambda: next(wall))
+    assert fn()[0]
+    monkeypatch.setitem(acceptance.TIME_BOUNDS, name, 0.0)
+    ok, detail = fn()
+    assert not ok and detail.startswith("took ") and detail.endswith("s (budget 0s)")
+
+
+def test_run_all_prints_bound_and_margin(monkeypatch, capsys):
+    criteria = [c for c in acceptance.CRITERIA if c[0] in ("6 monoidal embedding", "9 weak internalization")]
+    monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
+    results = acceptance.run_all(verbose=True)
+    assert [(r[0], r[1], len(r)) for r in results] == [
+        ("6 monoidal embedding", True, 4),
+        ("9 weak internalization", True, 4),
+    ]
+    unbounded, bounded = capsys.readouterr().out.splitlines()
+    elapsed = results[1][3]
+    assert unbounded.startswith("[PASS] criterion 6 monoidal embedding: ") and unbounded.endswith("s)")
+    assert "margin" not in unbounded
+    assert bounded.endswith(f"({elapsed:.1f}s of 5s, margin {5 - elapsed:.1f}s)")
