@@ -52,7 +52,22 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   at different positions both keep the length; ``critical_pairs_join`` of
   every top word; and the
   ``check_monoidal_embedding`` reports of acceptance criterion 6's factor
-  pairs.
+  pairs;
+- functors: ``check_double_pseudo_functor`` on all laws and on each law
+  alone, on the identity pseudofunctors of ``embed(sign) x
+  transpose(embed(sign))`` and of ``embed(sign) x transpose(embed(walking
+  2-cell))`` (whose squares have distinct sides), on their
+  ``transpose_pseudo`` and on every
+  boundary-keeping single-entry mutant of either in one of the eight
+  structure-cell families or in ``sq_map``; ``check_strict_functor`` on the
+  ``sq_map`` mutants; ``check_cubical`` the same way on the cubical functor
+  of the identity on each of the four products of ``embed(sign)`` and its
+  transpose and on ``embed(sign) x embed(walking 2-cell)``, its transpose
+  and their swaps (where single-entry mutants break c11 and c22), and on every boundary-keeping single-entry mutant of its six
+  mixed families and of a row functor's ``sq_map`` (with
+  ``check_strict_functor`` on the mutated row functor); and each of the
+  three checkers on its first failing mutant under the ``BUDGETS`` caps and
+  every cap up to one past its instance count, with ``budget.used``.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -81,7 +96,19 @@ from dblkit.builders import (
 )
 from dblkit.cli import _decl_category, _internal_bundle_decls
 from dblkit.companion import find_connection
-from dblkit.functors import StrictDoubleFunctor, identity_functor, identity_pseudo, pseudo_from_strict
+from dblkit.functors import (
+    CUBICAL_AXIOMS,
+    PSEUDO_FUNCTOR_AXIOMS,
+    StrictDoubleFunctor,
+    check_cubical,
+    check_double_pseudo_functor,
+    check_strict_functor,
+    cubical_from_product_functor,
+    identity_functor,
+    identity_pseudo,
+    pseudo_from_strict,
+    transpose_pseudo,
+)
 from dblkit.graytensor import (
     L,
     R,
@@ -103,7 +130,15 @@ from dblkit.internal import (
     pseudomonoid_to_internal,
     unit_sided_functors,
 )
-from dblkit.kernel import StructureError, check_double_category, check_two_category, embed_two_category, product, quintet
+from dblkit.kernel import (
+    StructureError,
+    check_double_category,
+    check_two_category,
+    embed_two_category,
+    product,
+    quintet,
+    transpose,
+)
 from dblkit.mutate import sample_mutants
 from dblkit.report import Budget
 from dblkit.weak import Bicategory, check_bicategory, check_pseudo_double_category
@@ -776,6 +811,100 @@ def rewriting(out):
         out[f"rewriting embedding {n1} x {n2}"] = _report(lambda: check_monoidal_embedding(a, b, cap=4))
 
 
+STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+MIXED_FAMILIES = ("hh", "hh_inv", "vv", "vv_inv", "hv", "vh")
+
+
+def _cell_mutants(cod, cells):
+    """``(key, square)`` for every entry of ``cells`` (a dict, or a sequence
+    indexed by position) and every other square of ``cod`` on its boundary."""
+    items = sorted(cells.items()) if isinstance(cells, dict) else enumerate(cells)
+    return [(key, s) for key, cell in items for s, bnd in enumerate(cod.squares) if s != cell and bnd == cod.squares[cell]]
+
+
+def _pseudo_mutants(f):
+    """Every mutant of ``f`` in one entry of one structure family or of
+    ``sq_map`` that keeps the boundary."""
+    out = []
+    for family in STRUCTURE_FAMILIES:
+        for key, s in _cell_mutants(f.cod, getattr(f, family)):
+            out.append((f"{family}[{key}]={s}", replace(f, **{family: {**getattr(f, family), key: s}})))
+    for i, s in _cell_mutants(f.cod, f.sq_map):
+        out.append((f"sq_map[{i}]={s}", replace(f, sq_map=_replace(f.sq_map, i, s))))
+    return out
+
+
+def _cubical_mutants(h):
+    """Every mutant of ``h`` in one entry of one mixed family or of one row
+    functor's ``sq_map`` that keeps the boundary."""
+    out = []
+    for family in MIXED_FAMILIES:
+        for key, s in _cell_mutants(h.cod, getattr(h, family)):
+            out.append((f"{family}[{key}]={s}", replace(h, **{family: {**getattr(h, family), key: s}})))
+    for a, row in enumerate(h.row_functors):
+        for i, s in _cell_mutants(h.cod, row.sq_map):
+            rows = _replace(h.row_functors, a, replace(row, sq_map=_replace(row.sq_map, i, s)))
+            out.append((f"row[{a}].sq_map[{i}]={s}", replace(h, row_functors=tuple(rows))))
+    return out
+
+
+def _law_reports(out, key, check, laws):
+    """``check`` on all laws, then on each law alone."""
+    out[f"{key} all"] = _report(lambda: check(None))
+    for law in laws:
+        out[f"{key} {law}"] = _report(lambda: check({law}))
+
+
+def _capped(out, key, check):
+    """``check(budget)`` and the budget used under every cap in ``BUDGETS``
+    and every cap up to one past the uncapped instance count."""
+    total = check(Budget()).checked
+    for k in sorted(set(BUDGETS) | set(range(total + 2))):
+        budget = Budget(k)
+        out[f"{key} {k}"] = _report(lambda: check(budget))
+        out[f"{key} {k} used"] = budget.used
+
+
+def functors(out):
+    es = embed_two_category(zoo.sign_two_category())
+    wtc = embed_two_category(zoo.walking_two_cell())
+    et, wt = transpose(es), transpose(wtc)
+    hosts = []
+    for name, d in (("sign x sign^T", product(es, et)), ("sign x 2-cell^T", product(es, wt))):
+        f, dt = identity_pseudo(d), transpose(d)
+        hosts += [(name, f), (f"transposed {name}", transpose_pseudo(f, dt, dt))]
+    failing = {}
+    for name, host in hosts:
+        for slot, mutant in [("unmutated", host)] + _pseudo_mutants(host):
+            key = f"functors pseudo {name} {slot}"
+            _law_reports(out, key, lambda axioms: check_double_pseudo_functor(mutant, axioms=axioms), PSEUDO_FUNCTOR_AXIOMS)
+            if slot.startswith("sq_map"):
+                strict = StrictDoubleFunctor(mutant.dom, mutant.cod, mutant.ob_map, mutant.h_map, mutant.v_map, mutant.sq_map)
+                out[f"functors strict {name} {slot}"] = _report(lambda: check_strict_functor(strict))
+                if out[f"functors strict {name} {slot}"].get("status") == "fail":
+                    failing.setdefault("strict", strict)
+            if out[f"{key} all"].get("status") == "fail":
+                failing.setdefault("pseudo", mutant)
+    signs = (("sign", es), ("sign^T", et))
+    factors = [(x, y) for x in signs for y in signs]
+    factors += [(("sign", es), ("2-cell", wtc)), (("2-cell", wtc), ("sign", es))]
+    factors += [(("sign^T", et), ("2-cell^T", wt)), (("2-cell^T", wt), ("sign^T", et))]
+    for (n1, d1), (n2, d2) in factors:
+        d = product(d1, d2)
+        h = cubical_from_product_functor(d1, d2, d, identity_functor(d))
+        for slot, mutant in [("unmutated", h)] + _cubical_mutants(h):
+            key = f"functors cubical {n1} x {n2} {slot}"
+            _law_reports(out, key, lambda axioms: check_cubical(mutant, axioms=axioms), CUBICAL_AXIOMS)
+            for a, row in enumerate(mutant.row_functors):
+                if row is not h.row_functors[a]:
+                    out[f"functors strict {n1} x {n2} {slot}"] = _report(lambda: check_strict_functor(row))
+            if out[f"{key} all"].get("status") == "fail":
+                failing.setdefault("cubical", mutant)
+    _capped(out, "functors cutoff strict", lambda budget: check_strict_functor(failing["strict"], budget=budget))
+    _capped(out, "functors cutoff pseudo", lambda budget: check_double_pseudo_functor(failing["pseudo"], budget=budget))
+    _capped(out, "functors cutoff cubical", lambda budget: check_cubical(failing["cubical"], budget=budget))
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -788,6 +917,7 @@ def main(argv) -> int:
     transformations(out)
     internal(out)
     rewriting(out)
+    functors(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
