@@ -56,7 +56,7 @@ from .internal import (
     monoid_to_internal,
 )
 from .modif import check_modification
-from .report import BUDGET_EXCEEDED, FAIL, INCONCLUSIVE, PASS, AxiomReport, Budget
+from .report import BUDGET_EXCEEDED, FAIL, INCONCLUSIVE, PASS, AxiomReport, Budget, Violation
 from .transform import (
     ComponentRegistry,
     HorizontalPNT,
@@ -259,8 +259,6 @@ def _check_cubical_view(doc: Document, decl: Declaration, args):
     rep = check_cubical(h, budget=_budget(args), axioms=args.axioms)
     c = curry(h)
     h2 = uncurry(c, d1, d2, f.cod)
-    from .report import Violation
-
     if h2.hh != h.hh or h2.vv != h.vv or h2.hv != h.hv or h2.vh != h.vh:
         rep.violations.append(Violation("curry-roundtrip", ("curry",)))
     return rep.finish()

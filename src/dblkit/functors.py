@@ -14,6 +14,11 @@ squares, one family per direction:
 used in pasting formulas).  Inverses are stored, never solved for, and the
 checker verifies them.  The coherence catalog is named per axiom and each
 axiom can be toggled individually, which is what the mutation tests lean on.
+
+Every law is stated once, as index rows and two sides for the shared
+enumerator ``kernel._laws``.  The vertical half of a pseudofunctor's
+coherence and the mirrored half of the cubical interchange laws are the
+horizontal statements run on the transpose.
 """
 
 from __future__ import annotations
@@ -28,9 +33,13 @@ from .kernel import (
     DoubleCategory,
     StructureError,
     _columns,
+    _entries,
+    _laws,
     _triples,
+    product,
     pullback_pairs,
     same_category,
+    transpose,
 )
 from .report import AxiomReport, Budget, Collector, live_axioms
 
@@ -49,29 +58,11 @@ PSEUDO_FUNCTOR_AXIOMS = (
 )
 
 
-@dataclass
-class StrictDoubleFunctor:
-    dom: DoubleCategory
-    cod: DoubleCategory
-    ob_map: tuple
-    h_map: tuple
-    v_map: tuple
-    sq_map: tuple
-    name: str = ""
+class _CellMaps:
+    """The four cell maps of a functor, stored as tuples."""
 
     def __post_init__(self):
-        self.ob_map = tuple(self.ob_map)
-        self.h_map = tuple(self.h_map)
-        self.v_map = tuple(self.v_map)
-        self.sq_map = tuple(self.sq_map)
-        if len(self.ob_map) != self.dom.n_objects:
-            raise StructureError("object map has wrong length")
-        if (
-            len(self.h_map) != len(self.dom.hcells)
-            or len(self.v_map) != len(self.dom.vcells)
-            or len(self.sq_map) != len(self.dom.squares)
-        ):
-            raise StructureError("cell map has wrong length")
+        self.ob_map, self.h_map, self.v_map, self.sq_map = map(tuple, (self.ob_map, self.h_map, self.v_map, self.sq_map))
 
     def ob(self, a):
         return self.ob_map[a]
@@ -84,6 +75,28 @@ class StrictDoubleFunctor:
 
     def sq(self, s):
         return self.sq_map[s]
+
+
+@dataclass
+class StrictDoubleFunctor(_CellMaps):
+    dom: DoubleCategory
+    cod: DoubleCategory
+    ob_map: tuple
+    h_map: tuple
+    v_map: tuple
+    sq_map: tuple
+    name: str = ""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if len(self.ob_map) != self.dom.n_objects:
+            raise StructureError("object map has wrong length")
+        if (
+            len(self.h_map) != len(self.dom.hcells)
+            or len(self.v_map) != len(self.dom.vcells)
+            or len(self.sq_map) != len(self.dom.squares)
+        ):
+            raise StructureError("cell map has wrong length")
 
 
 def identity_functor(d: DoubleCategory) -> StrictDoubleFunctor:
@@ -143,21 +156,23 @@ def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -
     col = Collector("strict-functor", budget)
     _boundary_violations(f)
     dom, cod = f.dom, f.cod
-    for (x, y) in sorted(dom.hcomp1):
-        col.eq("hcomp1-preserved", ((HCELL, x), (HCELL, y)), f.h(dom.hcomp(x, y)), cod.hcomp(f.h(x), f.h(y)))
-    for (x, y) in sorted(dom.vcomp1):
-        col.eq("vcomp1-preserved", ((VCELL, x), (VCELL, y)), f.v(dom.vcomp(x, y)), cod.vcomp(f.v(x), f.v(y)))
-    for (x, y) in sorted(dom.hcomp2):
-        col.eq("hcomp2-preserved", ((SQUARE, x), (SQUARE, y)), f.sq(dom.hpaste(x, y)), cod.hpaste(f.sq(x), f.sq(y)))
-    for (x, y) in sorted(dom.vcomp2):
-        col.eq("vcomp2-preserved", ((SQUARE, x), (SQUARE, y)), f.sq(dom.vpaste(x, y)), cod.vpaste(f.sq(x), f.sq(y)))
-    for a in range(dom.n_objects):
-        col.eq("hid-preserved", ((OBJECT, a),), f.h(dom.hid[a]), cod.hid[f.ob(a)])
-        col.eq("vid-preserved", ((OBJECT, a),), f.v(dom.vid[a]), cod.vid[f.ob(a)])
-    for x in range(len(dom.hcells)):
-        col.eq("sq-vid-preserved", ((HCELL, x),), f.sq(dom.sq_vid[x]), cod.sq_vid[f.h(x)])
-    for u in range(len(dom.vcells)):
-        col.eq("sq-hid-preserved", ((VCELL, u),), f.sq(dom.sq_hid[u]), cod.sq_hid[f.v(u)])
+    ob, h, v, sq = f.ob_map, f.h_map, f.v_map, f.sq_map
+    for law, kind, table, cell in (
+        ("hcomp1-preserved", HCELL, "hcomp1", h),
+        ("vcomp1-preserved", VCELL, "vcomp1", v),
+        ("hcomp2-preserved", SQUARE, "hcomp2", sq),
+        ("vcomp2-preserved", SQUARE, "vcomp2", sq),
+    ):
+        image = getattr(cod, table)
+        _laws(col, (kind, kind), _entries(getattr(dom, table)),
+              (law, lambda x, y, xy: cell[xy], lambda x, y, xy: image[(cell[x], cell[y])]))
+    _laws(col, (OBJECT,), [(a,) for a in range(dom.n_objects)],
+          ("hid-preserved", lambda a: h[dom.hid[a]], lambda a: cod.hid[ob[a]]),
+          ("vid-preserved", lambda a: v[dom.vid[a]], lambda a: cod.vid[ob[a]]))
+    _laws(col, (HCELL,), [(x,) for x in range(len(dom.hcells))],
+          ("sq-vid-preserved", lambda x: sq[dom.sq_vid[x]], lambda x: cod.sq_vid[h[x]]))
+    _laws(col, (VCELL,), [(u,) for u in range(len(dom.vcells))],
+          ("sq-hid-preserved", lambda u: sq[dom.sq_hid[u]], lambda u: cod.sq_hid[v[u]]))
     return col.done()
 
 
@@ -166,7 +181,7 @@ def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -
 
 
 @dataclass
-class DoublePseudoFunctor:
+class DoublePseudoFunctor(_CellMaps):
     dom: DoubleCategory
     cod: DoubleCategory
     ob_map: tuple
@@ -182,24 +197,6 @@ class DoublePseudoFunctor:
     unit_v: dict
     unit_v_inv: dict
     name: str = ""
-
-    def __post_init__(self):
-        self.ob_map = tuple(self.ob_map)
-        self.h_map = tuple(self.h_map)
-        self.v_map = tuple(self.v_map)
-        self.sq_map = tuple(self.sq_map)
-
-    def ob(self, a):
-        return self.ob_map[a]
-
-    def h(self, f):
-        return self.h_map[f]
-
-    def v(self, u):
-        return self.v_map[u]
-
-    def sq(self, s):
-        return self.sq_map[s]
 
     @property
     def normalized(self) -> bool:
@@ -221,12 +218,7 @@ class DoublePseudoFunctor:
 
 def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
     return (
-        same_category(f.dom, g.dom)
-        and same_category(f.cod, g.cod)
-        and f.ob_map == g.ob_map
-        and f.h_map == g.h_map
-        and f.v_map == g.v_map
-        and f.sq_map == g.sq_map
+        strict_equal(f, g)
         and f.comp_h == g.comp_h
         and f.unit_h == g.unit_h
         and f.comp_v == g.comp_v
@@ -277,34 +269,94 @@ def _structure_boundaries(f: DoublePseudoFunctor):
         raise StructureError("comp_v must be keyed on exactly the composable vcell pairs")
     if set(f.unit_h) != objs or set(f.unit_h_inv) != objs or set(f.unit_v) != objs or set(f.unit_v_inv) != objs:
         raise StructureError("unit cells must be keyed on exactly the objects")
-    for (x, y), s in f.comp_h.items():
-        a, b = f.ob(dom.hs(x)), f.ob(dom.ht(y))
-        expect = (f.h(dom.hcomp(x, y)), cod.hcomp(f.h(x), f.h(y)), cod.vid[a], cod.vid[b])
-        if cod.squares[s] != expect:
-            raise StructureError(f"comp_h cell at {(x, y)} has wrong boundary")
-        if cod.squares[f.comp_h_inv[(x, y)]] != (expect[1], expect[0], expect[2], expect[3]):
-            raise StructureError(f"comp_h inverse at {(x, y)} has wrong boundary")
-    for (u, v), s in f.comp_v.items():
-        a, b = f.ob(dom.vs(u)), f.ob(dom.vt(v))
-        expect = (cod.hid[a], cod.hid[b], cod.vcomp(f.v(u), f.v(v)), f.v(dom.vcomp(u, v)))
-        if cod.squares[s] != expect:
-            raise StructureError(f"comp_v cell at {(u, v)} has wrong boundary")
-        if cod.squares[f.comp_v_inv[(u, v)]] != (expect[0], expect[1], expect[3], expect[2]):
-            raise StructureError(f"comp_v inverse at {(u, v)} has wrong boundary")
-    for a, s in f.unit_h.items():
-        fa = f.ob(a)
-        expect = (f.h(dom.hid[a]), cod.hid[fa], cod.vid[fa], cod.vid[fa])
-        if cod.squares[s] != expect:
-            raise StructureError(f"unit_h cell at {a} has wrong boundary")
-        if cod.squares[f.unit_h_inv[a]] != (expect[1], expect[0], expect[2], expect[3]):
-            raise StructureError(f"unit_h inverse at {a} has wrong boundary")
-    for a, s in f.unit_v.items():
-        fa = f.ob(a)
-        expect = (cod.hid[fa], cod.hid[fa], cod.vid[fa], f.v(dom.vid[a]))
-        if cod.squares[s] != expect:
-            raise StructureError(f"unit_v cell at {a} has wrong boundary")
-        if cod.squares[f.unit_v_inv[a]] != (expect[0], expect[1], expect[3], expect[2]):
-            raise StructureError(f"unit_v inverse at {a} has wrong boundary")
+    ob, h, v, hid, vid = f.ob_map, f.h_map, f.v_map, cod.hid, cod.vid
+    # family, its inverses, the boundary of its cell at a key, and where the
+    # inverse's boundary takes each side from
+    for name, cells, invs, boundary, flip in (
+        ("comp_h", f.comp_h, f.comp_h_inv, lambda x, y: (
+            h[dom.hcomp(x, y)], cod.hcomp(h[x], h[y]), vid[ob[dom.hs(x)]], vid[ob[dom.ht(y)]]), (1, 0, 2, 3)),
+        ("comp_v", f.comp_v, f.comp_v_inv, lambda x, y: (
+            hid[ob[dom.vs(x)]], hid[ob[dom.vt(y)]], cod.vcomp(v[x], v[y]), v[dom.vcomp(x, y)]), (0, 1, 3, 2)),
+        ("unit_h", f.unit_h, f.unit_h_inv, lambda a: (h[dom.hid[a]], hid[ob[a]], vid[ob[a]], vid[ob[a]]), (1, 0, 2, 3)),
+        ("unit_v", f.unit_v, f.unit_v_inv, lambda a: (hid[ob[a]], hid[ob[a]], vid[ob[a]], v[dom.vid[a]]), (0, 1, 3, 2)),
+    ):
+        for key, s in cells.items():
+            expect = boundary(*key) if isinstance(key, tuple) else boundary(key)
+            if cod.squares[s] != expect:
+                raise StructureError(f"{name} cell at {key} has wrong boundary")
+            if cod.squares[invs[key]] != tuple(expect[i] for i in flip):
+                raise StructureError(f"{name} inverse at {key} has wrong boundary")
+
+
+def _invertibility(col, kinds, cells, invs, cod):
+    """Record ``cell / inv`` == the identity square on the top of ``cell``,
+    then ``inv / cell`` == the one on its bottom, for each key of ``cells``
+    in order: the cells are vertically invertible in ``cod``.  Horizontal
+    invertibility is the same check on the transpose of ``cod``."""
+    rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
+    _laws(col, kinds, rows,
+          ("invertibility", lambda *r: cod.vpaste(r[-2], r[-1]), lambda *r: cod.sq_vid[cod.top(r[-2])]),
+          ("invertibility", lambda *r: cod.vpaste(r[-1], r[-2]), lambda *r: cod.sq_vid[cod.bottom(r[-2])]))
+
+
+# The coherence laws are stated once, for the vertically globular cells of a
+# functor g.  The horizontal half of f reads them downwards on g = f, where
+# comp_h : F(x.y) => F(x).F(y) sits above what it is pasted to.  The vertical
+# half reads them upwards on g = transpose_pseudo(f): there comp_v, which runs
+# the other way, is comp_h_inv, so each vertical pasting takes its two
+# squares in the opposite order and tops and bottoms trade roles.
+
+
+def _coherence(col, live, names, kind, g, up):
+    """Associativity and the two unit laws of g's composition cells."""
+    dom, cod = g.dom, g.cod
+    comp, unit = (g.comp_h_inv, g.unit_h_inv) if up else (g.comp_h, g.unit_h)
+    vp = (lambda a, b: cod.vpaste(b, a)) if up else cod.vpaste
+    h, hp, sq_vid, hcomp, hid = g.h_map, cod.hpaste, cod.sq_vid, dom.hcomp1, dom.hid
+    hs, ht = _columns(dom.hcells, 2)
+    assoc, left, right = names
+    if assoc in live:
+        _laws(col, (kind,) * 3, list(_triples(hcomp, ht, hs)), (
+            assoc,
+            lambda x, y, z: vp(comp[(hcomp[(x, y)], z)], hp(comp[(x, y)], sq_vid[h[z]])),
+            lambda x, y, z: vp(comp[(x, hcomp[(y, z)])], hp(sq_vid[h[x]], comp[(y, z)])),
+        ))
+    cells = [(x,) for x in range(len(hs))]
+    if left in live:
+        _laws(col, (kind,), cells, (
+            left, lambda x: vp(comp[(hid[hs[x]], x)], hp(unit[hs[x]], sq_vid[h[x]])), lambda x: sq_vid[h[x]],
+        ))
+    if right in live:
+        _laws(col, (kind,), cells, (
+            right, lambda x: vp(comp[(x, hid[ht[x]])], hp(sq_vid[h[x]], unit[ht[x]])), lambda x: sq_vid[h[x]],
+        ))
+
+
+def _naturality(col, live, names, kind, g, up):
+    """g's composition cells commute with the images of pasted squares, and
+    its unit cells conjugate the images of identity squares.  The second
+    law reads the same upwards: unit and inverse, source and target and the
+    order of pasting all trade places."""
+    dom, cod = g.dom, g.cod
+    comp = g.comp_h_inv if up else g.comp_h
+    vp = (lambda a, b: cod.vpaste(b, a)) if up else cod.vpaste
+    sq = g.sq_map
+    top, bottom = _columns(dom.squares, 2)
+    if up:
+        top, bottom = bottom, top
+    comp_law, unit_law = names
+    if comp_law in live:
+        _laws(col, (SQUARE, SQUARE), _entries(dom.hcomp2), (
+            comp_law,
+            lambda s, t, st: vp(comp[(top[s], top[t])], cod.hpaste(sq[s], sq[t])),
+            lambda s, t, st: vp(sq[st], comp[(bottom[s], bottom[t])]),
+        ))
+    if unit_law in live:
+        _laws(col, (kind,), [(u,) for u in range(len(dom.vcells))], (
+            unit_law,
+            lambda u: sq[dom.sq_hid[u]],
+            lambda u: cod.vcol(g.unit_h[dom.vs(u)], cod.sq_hid[g.v_map[u]], g.unit_h_inv[dom.vt(u)]),
+        ))
 
 
 def check_double_pseudo_functor(
@@ -318,117 +370,17 @@ def check_double_pseudo_functor(
     live = live_axioms(PSEUDO_FUNCTOR_AXIOMS, axioms)
     col = Collector("double-pseudo-functor", budget)
     _structure_boundaries(f)
-    dom, cod = f.dom, f.cod
-    nh, nv = len(dom.hcells), len(dom.vcells)
-
+    g = transpose_pseudo(f, transpose(f.dom), transpose(f.cod))
     if "invertibility" in live:
-        for (x, y) in sorted(f.comp_h):
-            cell, inv = f.comp_h[(x, y)], f.comp_h_inv[(x, y)]
-            col.eq("invertibility", ((HCELL, x), (HCELL, y)), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-            col.eq("invertibility", ((HCELL, x), (HCELL, y)), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
-        for (u, v) in sorted(f.comp_v):
-            cell, inv = f.comp_v[(u, v)], f.comp_v_inv[(u, v)]
-            col.eq("invertibility", ((VCELL, u), (VCELL, v)), cod.hpaste(cell, inv), cod.sq_hid[cod.left(cell)])
-            col.eq("invertibility", ((VCELL, u), (VCELL, v)), cod.hpaste(inv, cell), cod.sq_hid[cod.right(cell)])
-        for a in sorted(f.unit_h):
-            cell, inv = f.unit_h[a], f.unit_h_inv[a]
-            col.eq("invertibility", ((OBJECT, a),), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-            col.eq("invertibility", ((OBJECT, a),), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
-        for a in sorted(f.unit_v):
-            cell, inv = f.unit_v[a], f.unit_v_inv[a]
-            col.eq("invertibility", ((OBJECT, a),), cod.hpaste(cell, inv), cod.sq_hid[cod.left(cell)])
-            col.eq("invertibility", ((OBJECT, a),), cod.hpaste(inv, cell), cod.sq_hid[cod.right(cell)])
-
-    if "hcell-assoc" in live:
-        hs, ht = _columns(dom.hcells, 2)
-        for x, y, z in _triples(dom.hcomp1, ht, hs):
-            lhs = cod.vpaste(
-                f.comp_h[(dom.hcomp(x, y), z)],
-                cod.hpaste(f.comp_h[(x, y)], cod.sq_vid[f.h(z)]),
-            )
-            rhs = cod.vpaste(
-                f.comp_h[(x, dom.hcomp(y, z))],
-                cod.hpaste(cod.sq_vid[f.h(x)], f.comp_h[(y, z)]),
-            )
-            col.eq("hcell-assoc", ((HCELL, x), (HCELL, y), (HCELL, z)), lhs, rhs)
-    if "hcell-unit-left" in live:
-        for x in range(nh):
-            a = dom.hs(x)
-            lhs = cod.vpaste(
-                f.comp_h[(dom.hid[a], x)],
-                cod.hpaste(f.unit_h[a], cod.sq_vid[f.h(x)]),
-            )
-            col.eq("hcell-unit-left", ((HCELL, x),), lhs, cod.sq_vid[f.h(x)])
-    if "hcell-unit-right" in live:
-        for x in range(nh):
-            b = dom.ht(x)
-            lhs = cod.vpaste(
-                f.comp_h[(x, dom.hid[b])],
-                cod.hpaste(cod.sq_vid[f.h(x)], f.unit_h[b]),
-            )
-            col.eq("hcell-unit-right", ((HCELL, x),), lhs, cod.sq_vid[f.h(x)])
-
-    if "vcell-assoc" in live:
-        vs, vt = _columns(dom.vcells, 2)
-        for u, v, w in _triples(dom.vcomp1, vt, vs):
-            lhs = cod.hpaste(
-                cod.vpaste(f.comp_v[(u, v)], cod.sq_hid[f.v(w)]),
-                f.comp_v[(dom.vcomp(u, v), w)],
-            )
-            rhs = cod.hpaste(
-                cod.vpaste(cod.sq_hid[f.v(u)], f.comp_v[(v, w)]),
-                f.comp_v[(u, dom.vcomp(v, w))],
-            )
-            col.eq("vcell-assoc", ((VCELL, u), (VCELL, v), (VCELL, w)), lhs, rhs)
-    if "vcell-unit-left" in live:
-        for u in range(nv):
-            a = dom.vs(u)
-            lhs = cod.hpaste(
-                cod.vpaste(f.unit_v[a], cod.sq_hid[f.v(u)]),
-                f.comp_v[(dom.vid[a], u)],
-            )
-            col.eq("vcell-unit-left", ((VCELL, u),), lhs, cod.sq_hid[f.v(u)])
-    if "vcell-unit-right" in live:
-        for u in range(nv):
-            b = dom.vt(u)
-            lhs = cod.hpaste(
-                cod.vpaste(cod.sq_hid[f.v(u)], f.unit_v[b]),
-                f.comp_v[(u, dom.vid[b])],
-            )
-            col.eq("vcell-unit-right", ((VCELL, u),), lhs, cod.sq_hid[f.v(u)])
-
-    if "square-hcomp-naturality" in live:
-        for (s, t) in sorted(dom.hcomp2):
-            lhs = cod.vpaste(
-                f.comp_h[(dom.top(s), dom.top(t))],
-                cod.hpaste(f.sq(s), f.sq(t)),
-            )
-            rhs = cod.vpaste(
-                f.sq(dom.hpaste(s, t)),
-                f.comp_h[(dom.bottom(s), dom.bottom(t))],
-            )
-            col.eq("square-hcomp-naturality", ((SQUARE, s), (SQUARE, t)), lhs, rhs)
-    if "square-hunit-naturality" in live:
-        for u in range(nv):
-            a, b = dom.vs(u), dom.vt(u)
-            rhs = cod.vcol(f.unit_h[a], cod.sq_hid[f.v(u)], f.unit_h_inv[b])
-            col.eq("square-hunit-naturality", ((VCELL, u),), f.sq(dom.sq_hid[u]), rhs)
-    if "square-vcomp-naturality" in live:
-        for (s, t) in sorted(dom.vcomp2):
-            lhs = cod.hpaste(
-                cod.vpaste(f.sq(s), f.sq(t)),
-                f.comp_v[(dom.right(s), dom.right(t))],
-            )
-            rhs = cod.hpaste(
-                f.comp_v[(dom.left(s), dom.left(t))],
-                f.sq(dom.vpaste(s, t)),
-            )
-            col.eq("square-vcomp-naturality", ((SQUARE, s), (SQUARE, t)), lhs, rhs)
-    if "square-vunit-naturality" in live:
-        for x in range(nh):
-            a, b = dom.hs(x), dom.ht(x)
-            rhs = cod.hrow(f.unit_v_inv[a], cod.sq_vid[f.h(x)], f.unit_v[b])
-            col.eq("square-vunit-naturality", ((HCELL, x),), f.sq(dom.sq_vid[x]), rhs)
+        _invertibility(col, (HCELL, HCELL), f.comp_h, f.comp_h_inv, f.cod)
+        _invertibility(col, (VCELL, VCELL), f.comp_v, f.comp_v_inv, g.cod)
+        _invertibility(col, (OBJECT,), f.unit_h, f.unit_h_inv, f.cod)
+        _invertibility(col, (OBJECT,), f.unit_v, f.unit_v_inv, g.cod)
+    names = PSEUDO_FUNCTOR_AXIOMS
+    _coherence(col, live, names[0:3], HCELL, f, False)
+    _coherence(col, live, names[3:6], VCELL, g, True)
+    _naturality(col, live, names[6:8], VCELL, f, False)
+    _naturality(col, live, names[8:10], HCELL, g, True)
     return col.done()
 
 
@@ -556,50 +508,30 @@ def transpose_pseudo(f: DoublePseudoFunctor, dom_t: DoubleCategory, cod_t: Doubl
 # projections for products and pullbacks
 
 
+def _projections(dom, d1, d2, pairs):
+    """The strict functors from ``dom`` to ``d1`` and to ``d2`` taking each
+    cell to the first, resp. second, entry of its pair; ``pairs`` lists the
+    pairs of the objects, hcells, vcells and squares of ``dom``."""
+    return tuple(
+        StrictDoubleFunctor(dom, d, *([pair[i] for pair in cells] for cells in pairs), name=f"p{i + 1}")
+        for i, d in enumerate((d1, d2))
+    )
+
+
 def product_projections(d1: DoubleCategory, d2: DoubleCategory, prod: DoubleCategory):
-    no, nh, nv, ns = d2.n_objects, len(d2.hcells), len(d2.vcells), len(d2.squares)
-    p1 = StrictDoubleFunctor(
-        prod,
-        d1,
-        [i // no for i in range(prod.n_objects)],
-        [i // nh for i in range(len(prod.hcells))],
-        [i // nv for i in range(len(prod.vcells))],
-        [i // ns for i in range(len(prod.squares))],
-        name="p1",
-    )
-    p2 = StrictDoubleFunctor(
-        prod,
-        d2,
-        [i % no for i in range(prod.n_objects)],
-        [i % nh for i in range(len(prod.hcells))],
-        [i % nv for i in range(len(prod.vcells))],
-        [i % ns for i in range(len(prod.squares))],
-        name="p2",
-    )
-    return p1, p2
+    """Cell i of ``prod`` is the pair ``divmod(i, n)``, n the number of such
+    cells of ``d2``."""
+    counts = zip(_counts(prod), _counts(d2))
+    return _projections(prod, d1, d2, [[divmod(i, n) for i in range(m)] for m, n in counts])
 
 
 def pullback_projections(f, g, pb: DoubleCategory):
     pairs = pullback_pairs(f, g)
-    p1 = StrictDoubleFunctor(
-        pb,
-        f.dom,
-        [a for (a, _) in pairs[OBJECT]],
-        [x for (x, _) in pairs[HCELL]],
-        [x for (x, _) in pairs[VCELL]],
-        [x for (x, _) in pairs[SQUARE]],
-        name="p1",
-    )
-    p2 = StrictDoubleFunctor(
-        pb,
-        g.dom,
-        [b for (_, b) in pairs[OBJECT]],
-        [y for (_, y) in pairs[HCELL]],
-        [y for (_, y) in pairs[VCELL]],
-        [y for (_, y) in pairs[SQUARE]],
-        name="p2",
-    )
-    return p1, p2
+    return _projections(pb, f.dom, g.dom, [pairs[kind] for kind in (OBJECT, HCELL, VCELL, SQUARE)])
+
+
+def _counts(d: DoubleCategory):
+    return d.n_objects, len(d.hcells), len(d.vcells), len(d.squares)
 
 
 # ---------------------------------------------------------------------------
@@ -651,6 +583,77 @@ class CubicalDoubleFunctor:
 CUBICAL_AXIOMS = ("corner-agreement", "partial-strictness", "a11", "a21", "a12", "a22",
                   "b11", "b21", "b12", "b22", "c11", "c22", "invertibility")
 
+# The interchange laws a11, a21, b11, b21 and c11 are stated in _halves.  Each
+# other one is the mirror of one of them: the same statement on the transposed
+# functor, hcells and vcells trading places in its witnesses, with its two
+# halves run in the order given.
+_MIRRORS = {"a12": ("a21", (1, 0)), "a22": ("a11", (0, 1)), "b12": ("b21", (0, 1)),
+            "b22": ("b11", (1, 0)), "c22": ("c11", (0, 1))}
+_SWAP = {HCELL: VCELL, VCELL: HCELL}
+
+
+def _transpose_cubical(h: CubicalDoubleFunctor) -> CubicalDoubleFunctor:
+    """``h`` between the transposed categories: hh and vv, hv and vh trade
+    places, and so do the h and v maps of the partial functors."""
+    d1, d2, cod = transpose(h.dom1), transpose(h.dom2), transpose(h.cod)
+
+    def flip(fs, dom):
+        return tuple(StrictDoubleFunctor(dom, cod, p.ob_map, p.v_map, p.h_map, p.sq_map, p.name) for p in fs)
+
+    return CubicalDoubleFunctor(
+        d1, d2, cod, flip(h.row_functors, d2), flip(h.col_functors, d1), h.vv, h.vv_inv, h.hh, h.hh_inv, h.vh, h.hv
+    )
+
+
+def _halves(h: CubicalDoubleFunctor, law):
+    """The two halves of ``law`` (a11, a21, b11, b21 or c11) on ``h``, each
+    its witness kinds, index rows and two sides."""
+    d1, d2, cod = h.dom1, h.dom2, h.cod
+    hh, hv, vh, vpaste, hpaste, sq_vid = h.hh, h.hv, h.vh, cod.vpaste, cod.hpaste, cod.sq_vid
+    hcells1, hcells2 = range(len(d1.hcells)), range(len(d2.hcells))
+
+    def units(cells, ids2, kind2, cells2, ident2, image2):
+        """``cells`` at an identity in either variable is an identity square."""
+        return (
+            ((HCELL, OBJECT), [(F, b) for F in hcells1 for b in range(d2.n_objects)],
+             lambda F, b: cells[(F, ids2[b])], lambda F, b: sq_vid[h.h1(F, b)]),
+            ((OBJECT, kind2), [(a, y) for y in cells2 for a in range(d1.n_objects)],
+             lambda a, y: cells[(d1.hid[a], y)], lambda a, y: ident2[image2(a, y)]),
+        )
+
+    if law == "a11":
+        return units(hh, d2.hid, HCELL, hcells2, sq_vid, h.h2)
+    if law == "a21":
+        return units(hv, d2.vid, VCELL, range(len(d2.vcells)), cod.sq_hid, h.v2)
+    if law == "b11":
+        return (
+            ((HCELL,) * 3, [(F, *e) for F in hcells1 for e in _entries(d2.hcomp1)],
+             lambda F, f, f2, ff2: hh[(F, ff2)],
+             lambda F, f, f2, ff2: vpaste(
+                 hpaste(hh[(F, f)], sq_vid[h.h2(d1.ht(F), f2)]), hpaste(sq_vid[h.h2(d1.hs(F), f)], hh[(F, f2)])
+             )),
+            ((HCELL,) * 3, [(*e[:2], f, e[2]) for e in _entries(d1.hcomp1) for f in hcells2],
+             lambda F, F2, f, FF2: hh[(FF2, f)],
+             lambda F, F2, f, FF2: vpaste(
+                 hpaste(sq_vid[h.h1(F, d2.hs(f))], hh[(F2, f)]), hpaste(hh[(F, f)], sq_vid[h.h1(F2, d2.ht(f))])
+             )),
+        )
+    if law == "b21":
+        return (
+            ((HCELL, VCELL, VCELL), [(F, *e) for F in hcells1 for e in _entries(d2.vcomp1)],
+             lambda F, u, u2, uu2: hv[(F, uu2)], lambda F, u, u2, uu2: vpaste(hv[(F, u)], hv[(F, u2)])),
+            ((HCELL, HCELL, VCELL), [(*e[:2], u, e[2]) for e in _entries(d1.hcomp1) for u in range(len(d2.vcells))],
+             lambda F, F2, u, FF2: hv[(FF2, u)], lambda F, F2, u, FF2: hpaste(hv[(F, u)], hv[(F2, u)])),
+        )
+    return (  # c11
+        ((HCELL, SQUARE), [(F, w, *d2.squares[w]) for F in hcells1 for w in range(len(d2.squares))],
+         lambda F, w, t, b, l, r: vpaste(hh[(F, t)], hpaste(h.sq2(d1.hs(F), w), hv[(F, r)])),
+         lambda F, w, t, b, l, r: vpaste(hpaste(hv[(F, l)], h.sq2(d1.ht(F), w)), hh[(F, b)])),
+        ((SQUARE, HCELL), [(z, f, *d1.squares[z]) for f in hcells2 for z in range(len(d1.squares))],
+         lambda z, f, t, b, l, r: vpaste(hh[(t, f)], hpaste(vh[(l, f)], h.sq1(z, d2.ht(f)))),
+         lambda z, f, t, b, l, r: vpaste(hpaste(h.sq1(z, d2.hs(f)), vh[(r, f)]), hh[(b, f)])),
+    )
+
 
 def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=None) -> AxiomReport:
     live = live_axioms(CUBICAL_AXIOMS, axioms)
@@ -658,209 +661,53 @@ def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=
     d1, d2, cod = h.dom1, h.dom2, h.cod
 
     if "corner-agreement" in live:
-        for a in range(d1.n_objects):
-            for b in range(d2.n_objects):
-                col.eq(
-                    "corner-agreement",
-                    ((OBJECT, a), (OBJECT, b)),
-                    h.row_functors[a].ob(b),
-                    h.col_functors[b].ob(a),
-                )
+        _laws(col, (OBJECT, OBJECT), [(a, b) for a in range(d1.n_objects) for b in range(d2.n_objects)],
+              ("corner-agreement", lambda a, b: h.row_functors[a].ob(b), lambda a, b: h.col_functors[b].ob(a)))
     if "partial-strictness" in live:
         for a, rf in enumerate(h.row_functors):
             col.report.absorb(check_strict_functor(rf, budget=col.budget), prefix=f"row[{a}]: ")
         for b, cf in enumerate(h.col_functors):
             col.report.absorb(check_strict_functor(cf, budget=col.budget), prefix=f"col[{b}]: ")
-    for (F, f), cell in sorted(h.hh.items()):
-        A, A2 = d1.hs(F), d1.ht(F)
-        B, B2 = d2.hs(f), d2.ht(f)
-        expect = (
-            cod.hcomp(h.h1(F, B), h.h2(A2, f)),
-            cod.hcomp(h.h2(A, f), h.h1(F, B2)),
-            cod.vid[h.ob(A, B)],
-            cod.vid[h.ob(A2, B2)],
-        )
-        col.eq("hh-boundary", ((HCELL, F), (HCELL, f)), cod.squares[cell], expect)
-    for (U, u), cell in sorted(h.vv.items()):
-        A, A2 = d1.vs(U), d1.vt(U)
-        B, B2 = d2.vs(u), d2.vt(u)
-        expect = (
-            cod.hid[h.ob(A, B)],
-            cod.hid[h.ob(A2, B2)],
-            cod.vcomp(h.v1(U, B), h.v2(A2, u)),
-            cod.vcomp(h.v2(A, u), h.v1(U, B2)),
-        )
-        col.eq("vv-boundary", ((VCELL, U), (VCELL, u)), cod.squares[cell], expect)
-    for (F, u), cell in sorted(h.hv.items()):
-        A, A2 = d1.hs(F), d1.ht(F)
-        expect = (h.h1(F, d2.vs(u)), h.h1(F, d2.vt(u)), h.v2(A, u), h.v2(A2, u))
-        col.eq("hv-boundary", ((HCELL, F), (VCELL, u)), cod.squares[cell], expect)
-    for (U, f), cell in sorted(h.vh.items()):
-        B, B2 = d2.hs(f), d2.ht(f)
-        expect = (h.h2(d1.vs(U), f), h.h2(d1.vt(U), f), h.v1(U, B), h.v1(U, B2))
-        col.eq("vh-boundary", ((VCELL, U), (HCELL, f)), cod.squares[cell], expect)
+    for law, kinds, cells, expect in (
+        ("hh-boundary", (HCELL, HCELL), h.hh, lambda F, f: (
+            cod.hcomp(h.h1(F, d2.hs(f)), h.h2(d1.ht(F), f)),
+            cod.hcomp(h.h2(d1.hs(F), f), h.h1(F, d2.ht(f))),
+            cod.vid[h.ob(d1.hs(F), d2.hs(f))],
+            cod.vid[h.ob(d1.ht(F), d2.ht(f))],
+        )),
+        ("vv-boundary", (VCELL, VCELL), h.vv, lambda U, u: (
+            cod.hid[h.ob(d1.vs(U), d2.vs(u))],
+            cod.hid[h.ob(d1.vt(U), d2.vt(u))],
+            cod.vcomp(h.v1(U, d2.vs(u)), h.v2(d1.vt(U), u)),
+            cod.vcomp(h.v2(d1.vs(U), u), h.v1(U, d2.vt(u))),
+        )),
+        ("hv-boundary", (HCELL, VCELL), h.hv, lambda F, u: (
+            h.h1(F, d2.vs(u)), h.h1(F, d2.vt(u)), h.v2(d1.hs(F), u), h.v2(d1.ht(F), u)
+        )),
+        ("vh-boundary", (VCELL, HCELL), h.vh, lambda U, f: (
+            h.h2(d1.vs(U), f), h.h2(d1.vt(U), f), h.v1(U, d2.hs(f)), h.v1(U, d2.ht(f))
+        )),
+    ):
+        _laws(col, kinds, _entries(cells), (law, lambda x, y, cell: cod.squares[cell], lambda x, y, cell: expect(x, y)))
     if col.report.violations:
         col.assume("interchange laws not evaluated: structural violations present")
         return col.done()
 
-    def hh(F, f):
-        return h.hh[(F, f)]
-
-    def vv(U, u):
-        return h.vv[(U, u)]
-
-    def hv(F, u):
-        return h.hv[(F, u)]
-
-    def vh(U, f):
-        return h.vh[(U, f)]
-
+    t = _transpose_cubical(h)
     if "invertibility" in live:
-        for (F, f), cell in sorted(h.hh.items()):
-            inv = h.hh_inv[(F, f)]
-            col.eq("invertibility", ((HCELL, F), (HCELL, f)), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-            col.eq("invertibility", ((HCELL, F), (HCELL, f)), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
-        for (U, u), cell in sorted(h.vv.items()):
-            inv = h.vv_inv[(U, u)]
-            col.eq("invertibility", ((VCELL, U), (VCELL, u)), cod.hpaste(cell, inv), cod.sq_hid[cod.left(cell)])
-            col.eq("invertibility", ((VCELL, U), (VCELL, u)), cod.hpaste(inv, cell), cod.sq_hid[cod.right(cell)])
-
-    n1h, n1v, n2h, n2v = len(d1.hcells), len(d1.vcells), len(d2.hcells), len(d2.vcells)
-
-    if "a11" in live:
-        for F in range(n1h):
-            for b in range(d2.n_objects):
-                col.eq("a11", ((HCELL, F), (OBJECT, b)), hh(F, d2.hid[b]), cod.sq_vid[h.h1(F, b)])
-        for f in range(n2h):
-            for a in range(d1.n_objects):
-                col.eq("a11", ((OBJECT, a), (HCELL, f)), hh(d1.hid[a], f), cod.sq_vid[h.h2(a, f)])
-    if "a21" in live:
-        for F in range(n1h):
-            for b in range(d2.n_objects):
-                col.eq("a21", ((HCELL, F), (OBJECT, b)), hv(F, d2.vid[b]), cod.sq_vid[h.h1(F, b)])
-        for u in range(n2v):
-            for a in range(d1.n_objects):
-                col.eq("a21", ((OBJECT, a), (VCELL, u)), hv(d1.hid[a], u), cod.sq_hid[h.v2(a, u)])
-    if "a12" in live:
-        for f in range(n2h):
-            for a in range(d1.n_objects):
-                col.eq("a12", ((OBJECT, a), (HCELL, f)), vh(d1.vid[a], f), cod.sq_vid[h.h2(a, f)])
-        for U in range(n1v):
-            for b in range(d2.n_objects):
-                col.eq("a12", ((VCELL, U), (OBJECT, b)), vh(U, d2.hid[b]), cod.sq_hid[h.v1(U, b)])
-    if "a22" in live:
-        for U in range(n1v):
-            for b in range(d2.n_objects):
-                col.eq("a22", ((VCELL, U), (OBJECT, b)), vv(U, d2.vid[b]), cod.sq_hid[h.v1(U, b)])
-        for u in range(n2v):
-            for a in range(d1.n_objects):
-                col.eq("a22", ((OBJECT, a), (VCELL, u)), vv(d1.vid[a], u), cod.sq_hid[h.v2(a, u)])
-
-    if "b11" in live:
-        for F in range(n1h):
-            A, A2 = d1.hs(F), d1.ht(F)
-            for (f, f2) in sorted(d2.hcomp1):
-                B, B2, B3 = d2.hs(f), d2.ht(f), d2.ht(f2)
-                lhs = hh(F, d2.hcomp(f, f2))
-                rhs = cod.vpaste(
-                    cod.hpaste(hh(F, f), cod.sq_vid[h.h2(A2, f2)]),
-                    cod.hpaste(cod.sq_vid[h.h2(A, f)], hh(F, f2)),
-                )
-                col.eq("b11", ((HCELL, F), (HCELL, f), (HCELL, f2)), lhs, rhs)
-        for (F, F2) in sorted(d1.hcomp1):
-            for f in range(n2h):
-                B, B2 = d2.hs(f), d2.ht(f)
-                lhs = hh(d1.hcomp(F, F2), f)
-                rhs = cod.vpaste(
-                    cod.hpaste(cod.sq_vid[h.h1(F, B)], hh(F2, f)),
-                    cod.hpaste(hh(F, f), cod.sq_vid[h.h1(F2, B2)]),
-                )
-                col.eq("b11", ((HCELL, F), (HCELL, F2), (HCELL, f)), lhs, rhs)
-    if "b21" in live:
-        for F in range(n1h):
-            for (u, u2) in sorted(d2.vcomp1):
-                col.eq(
-                    "b21",
-                    ((HCELL, F), (VCELL, u), (VCELL, u2)),
-                    hv(F, d2.vcomp(u, u2)),
-                    cod.vpaste(hv(F, u), hv(F, u2)),
-                )
-        for (F, F2) in sorted(d1.hcomp1):
-            for u in range(n2v):
-                col.eq(
-                    "b21",
-                    ((HCELL, F), (HCELL, F2), (VCELL, u)),
-                    hv(d1.hcomp(F, F2), u),
-                    cod.hpaste(hv(F, u), hv(F2, u)),
-                )
-    if "b12" in live:
-        for U in range(n1v):
-            for (f, f2) in sorted(d2.hcomp1):
-                col.eq(
-                    "b12",
-                    ((VCELL, U), (HCELL, f), (HCELL, f2)),
-                    vh(U, d2.hcomp(f, f2)),
-                    cod.hpaste(vh(U, f), vh(U, f2)),
-                )
-        for (U, U2) in sorted(d1.vcomp1):
-            for f in range(n2h):
-                col.eq(
-                    "b12",
-                    ((VCELL, U), (VCELL, U2), (HCELL, f)),
-                    vh(d1.vcomp(U, U2), f),
-                    cod.vpaste(vh(U, f), vh(U2, f)),
-                )
-    if "b22" in live:
-        for (U, U2) in sorted(d1.vcomp1):
-            B = None
-            for u in range(n2v):
-                b, b2 = d2.vs(u), d2.vt(u)
-                lhs = vv(d1.vcomp(U, U2), u)
-                rhs = cod.hpaste(
-                    cod.vpaste(cod.sq_hid[h.v1(U, b)], vv(U2, u)),
-                    cod.vpaste(vv(U, u), cod.sq_hid[h.v1(U2, b2)]),
-                )
-                col.eq("b22", ((VCELL, U), (VCELL, U2), (VCELL, u)), lhs, rhs)
-        for U in range(n1v):
-            A, A2 = d1.vs(U), d1.vt(U)
-            for (u, u2) in sorted(d2.vcomp1):
-                lhs = vv(U, d2.vcomp(u, u2))
-                rhs = cod.hpaste(
-                    cod.vpaste(vv(U, u), cod.sq_hid[h.v2(A2, u2)]),
-                    cod.vpaste(cod.sq_hid[h.v2(A, u)], vv(U, u2)),
-                )
-                col.eq("b22", ((VCELL, U), (VCELL, u), (VCELL, u2)), lhs, rhs)
-
-    if "c11" in live:
-        for F in range(n1h):
-            A, A2 = d1.hs(F), d1.ht(F)
-            for w in range(len(d2.squares)):
-                t, b, l, r = d2.squares[w]
-                lhs = cod.vpaste(hh(F, t), cod.hpaste(h.sq2(A, w), hv(F, r)))
-                rhs = cod.vpaste(cod.hpaste(hv(F, l), h.sq2(A2, w)), hh(F, b))
-                col.eq("c11", ((HCELL, F), (SQUARE, w)), lhs, rhs)
-        for f in range(n2h):
-            B, B2 = d2.hs(f), d2.ht(f)
-            for z in range(len(d1.squares)):
-                T, Bo, L, R = d1.squares[z]
-                lhs = cod.vpaste(hh(T, f), cod.hpaste(vh(L, f), h.sq1(z, B2)))
-                rhs = cod.vpaste(cod.hpaste(h.sq1(z, B), vh(R, f)), hh(Bo, f))
-                col.eq("c11", ((SQUARE, z), (HCELL, f)), lhs, rhs)
-    if "c22" in live:
-        for U in range(n1v):
-            A, A2 = d1.vs(U), d1.vt(U)
-            for w in range(len(d2.squares)):
-                t, b, l, r = d2.squares[w]
-                lhs = cod.hpaste(vv(U, l), cod.vpaste(h.sq2(A, w), vh(U, b)))
-                rhs = cod.hpaste(cod.vpaste(vh(U, t), h.sq2(A2, w)), vv(U, r))
-                col.eq("c22", ((VCELL, U), (SQUARE, w)), lhs, rhs)
-        for u in range(n2v):
-            B, B2 = d2.vs(u), d2.vt(u)
-            for z in range(len(d1.squares)):
-                T, Bo, L, R = d1.squares[z]
-                lhs = cod.hpaste(vv(L, u), cod.vpaste(hv(T, u), h.sq1(z, B2)))
-                rhs = cod.hpaste(cod.vpaste(h.sq1(z, B), hv(Bo, u)), vv(R, u))
-                col.eq("c22", ((SQUARE, z), (VCELL, u)), lhs, rhs)
+        _invertibility(col, (HCELL, HCELL), h.hh, h.hh_inv, cod)
+        _invertibility(col, (VCELL, VCELL), h.vv, h.vv_inv, t.cod)
+    for law in CUBICAL_AXIOMS[2:-1]:
+        if law not in live:
+            continue
+        if law in _MIRRORS:
+            stated, order = _MIRRORS[law]
+            halves = [(tuple(_SWAP.get(k, k) for k in kinds), *rest) for kinds, *rest in _halves(t, stated)]
+        else:
+            halves, order = _halves(h, law), (0, 1)
+        for i in order:
+            kinds, rows, lhs, rhs = halves[i]
+            _laws(col, kinds, rows, (law, lhs, rhs))
     return col.done()
 
 
@@ -944,59 +791,36 @@ def uncurry(c: CurriedFunctor, dom1: DoubleCategory, dom2: DoubleCategory, cod: 
 def cubical_from_product_functor(d1: DoubleCategory, d2: DoubleCategory, prod, f: StrictDoubleFunctor) -> CubicalDoubleFunctor:
     """Cubical functor induced by a strict functor off the product, with all
     four mixed families the evident identity squares."""
-    no, nh, nv, ns = d2.n_objects, len(d2.hcells), len(d2.vcells), len(d2.squares)
-    cod = f.cod
-
-    def pair_ob(a, b):
-        return a * no + b
-
-    rows = tuple(
-        StrictDoubleFunctor(
-            d2,
-            cod,
-            [f.ob(pair_ob(a, b)) for b in range(no)],
-            [f.h(d1.hid[a] * nh + x) for x in range(nh)],
-            [f.v(d1.vid[a] * nv + x) for x in range(nv)],
-            [f.sq(d1.sq_vid[d1.hid[a]] * ns + x) for x in range(ns)],
-            name=f"row{a}",
+    if not same_category(f.dom, product(d1, d2)):
+        counts = "{} objects, {} hcells, {} vcells and {} squares".format
+        raise StructureError(
+            f"functor domain is not the product of the two factors: it has {counts(*_counts(f.dom))}, "
+            f"the product has {counts(*(m * n for m, n in zip(_counts(d1), _counts(d2))))}"
         )
-        for a in range(d1.n_objects)
-    )
-    cols = tuple(
-        StrictDoubleFunctor(
-            d1,
-            cod,
-            [f.ob(pair_ob(a, b)) for a in range(d1.n_objects)],
-            [f.h(x * nh + d2.hid[b]) for x in range(len(d1.hcells))],
-            [f.v(x * nv + d2.vid[b]) for x in range(len(d1.vcells))],
-            [f.sq(x * ns + d2.sq_vid[d2.hid[b]]) for x in range(len(d1.squares))],
-            name=f"col{b}",
-        )
-        for b in range(d2.n_objects)
-    )
-    hh = {}
-    hh_inv = {}
-    for F in range(len(d1.hcells)):
-        for x in range(nh):
-            # image of the pair square (sq_vid on F, sq_vid on x)
-            cell = f.sq(d1.sq_vid[F] * ns + d2.sq_vid[x])
-            hh[(F, x)] = cell
-            hh_inv[(F, x)] = cell
-    vv = {}
-    vv_inv = {}
-    for U in range(len(d1.vcells)):
-        for u in range(nv):
-            cell = f.sq(d1.sq_hid[U] * ns + d2.sq_hid[u])
-            vv[(U, u)] = cell
-            vv_inv[(U, u)] = cell
-    hv = {
-        (F, u): f.sq(d1.sq_vid[F] * ns + d2.sq_hid[u])
-        for F in range(len(d1.hcells))
-        for u in range(nv)
-    }
-    vh = {
-        (U, x): f.sq(d1.sq_hid[U] * ns + d2.sq_vid[x])
-        for U in range(len(d1.vcells))
-        for x in range(nh)
-    }
-    return CubicalDoubleFunctor(d1, d2, cod, rows, cols, hh, hh_inv, vv, vv_inv, hv, vh)
+    counts, maps, cod = _counts(d2), (f.ob_map, f.h_map, f.v_map, f.sq_map), f.cod
+    ns = counts[3]
+
+    def ids(d, a):
+        """Object a of d and its identity hcell, vcell and square."""
+        return a, d.hid[a], d.vid[a], d.sq_vid[d.hid[a]]
+
+    def restrict(dom, fixed, pair, name):
+        """f on the cells of ``dom`` paired with ``fixed``, an object and its
+        identities; ``pair(k, x, n)`` is the product's id of the pair of k
+        and x, n the count of such cells of d2."""
+        cells = ([m[pair(k, x, n)] for x in range(size)] for m, k, n, size in zip(maps, fixed, counts, _counts(dom)))
+        return StrictDoubleFunctor(dom, cod, *cells, name=name)
+
+    rows = tuple(restrict(d2, ids(d1, a), lambda k, x, n: k * n + x, f"row{a}") for a in range(d1.n_objects))
+    cols = tuple(restrict(d1, ids(d2, b), lambda k, x, n: x * n + k, f"col{b}") for b in range(d2.n_objects))
+
+    def pairs(ids1, n1, ids2, n2):
+        """The image of the pair square (ids1[x], ids2[y]) at each (x, y)."""
+        return {(x, y): f.sq(ids1[x] * ns + ids2[y]) for x in range(n1) for y in range(n2)}
+
+    (_, n1h, n1v, _), (_, nh, nv, _) = _counts(d1), counts
+    hh = pairs(d1.sq_vid, n1h, d2.sq_vid, nh)
+    vv = pairs(d1.sq_hid, n1v, d2.sq_hid, nv)
+    hv = pairs(d1.sq_vid, n1h, d2.sq_hid, nv)
+    vh = pairs(d1.sq_hid, n1v, d2.sq_vid, nh)
+    return CubicalDoubleFunctor(d1, d2, cod, rows, cols, hh, dict(hh), vv, dict(vv), hv, vh)

@@ -92,9 +92,11 @@ def _triples(table, ends, starts):
 # The law enumerators below evaluate the laws straight from the tables: each
 # charges the budget once per row of instances (``Collector.take``), the
 # interchange grid once per pair of squares (a, b), all its rows together,
-# and builds a Violation only where the two sides differ.  They assume complete
-# tables with correct boundaries, which the constructors and the boundary
-# laws establish.
+# and builds a Violation only where the two sides differ.  ``_laws`` is the
+# general one, for laws given as a list of index rows and two sides; the
+# functor checkers state every law through it.  They assume complete tables
+# with correct boundaries, which the constructors and the boundary laws
+# establish.
 
 
 def _rows(table):
@@ -110,6 +112,28 @@ def _charged(col, row):
     evaluate, the whole row charged at once."""
     k = col.take(len(row))
     return row if k == len(row) else row[:k]
+
+
+def _laws(col, kinds, rows, *laws):
+    """Record ``lhs(*row) == rhs(*row)`` for each index row in order and,
+    within a row, for each ``(law, lhs, rhs)`` of ``laws`` in order, one
+    instance each.  The witness pairs ``kinds`` with the leading entries of
+    the row; a row may carry further entries for the sides.  All instances
+    are charged at once; past a budget cut none is evaluated."""
+    n = col.take(len(rows) * len(laws))
+    for row in rows:
+        for law, lhs, rhs in laws:
+            if not n:
+                return
+            n -= 1
+            left, right = lhs(*row), rhs(*row)
+            if left != right:
+                col.fail(law, tuple(zip(kinds, row)), left, right)
+
+
+def _entries(table):
+    """The rows ``(x, y, table[(x, y)])`` of ``table``, in key order."""
+    return sorted((x, y, z) for (x, y), z in table.items())
 
 
 def _boundaries(col, law, kind, table, cells, expect):
@@ -132,23 +156,17 @@ def _associativity(col, law, kind, table, ends, starts):
 def _units(col, left_law, right_law, kind, table, ends, starts, unit):
     """Record ``unit[starts[x]];x == x`` and ``x;unit[ends[x]] == x`` for
     every cell x, the two laws of one cell together."""
-    sides = [
-        (law, x, table[key])
-        for x, (end, start) in enumerate(zip(ends, starts))
-        for law, key in ((left_law, (unit[start], x)), (right_law, (x, unit[end])))
-    ]
-    for law, x, lhs in _charged(col, sides):
-        if lhs != x:
-            col.fail(law, ((kind, x),), lhs, x)
+    _laws(col, (kind,), [(x,) for x in range(len(ends))],
+          (left_law, lambda x: table[(unit[starts[x]], x)], lambda x: x),
+          (right_law, lambda x: table[(x, unit[ends[x]])], lambda x: x))
 
 
 def _identity_functoriality(col, law, kind, table, paste, ident):
     """Record ``ident[f;g] == paste(ident[f], ident[g])`` for every
     composable pair: the identity cells on a composite are the composite of
     the identity cells."""
-    for (f, g), fg in _charged(col, sorted(table.items())):
-        if ident[fg] != paste[(ident[f], ident[g])]:
-            col.fail(law, ((kind, f), (kind, g)), ident[fg], paste[(ident[f], ident[g])])
+    _laws(col, (kind, kind), _entries(table),
+          (law, lambda f, g, fg: ident[fg], lambda f, g, fg: paste[(ident[f], ident[g])]))
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +504,8 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, d.vcomp2, bottom, top, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-h", HCELL, d.hcomp1, d.hcomp2, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-v", VCELL, d.vcomp1, d.vcomp2, d.sq_hid)
-    coincide = [(a, d.sq_vid[d.hid[a]], d.sq_hid[d.vid[a]]) for a in range(d.n_objects)]
-    for a, lhs, rhs in _charged(col, coincide):
-        if lhs != rhs:
-            col.fail("identity-coincidence", ((OBJECT, a),), lhs, rhs)
+    _laws(col, (OBJECT,), [(a,) for a in range(d.n_objects)],
+          ("identity-coincidence", lambda a: d.sq_vid[d.hid[a]], lambda a: d.sq_hid[d.vid[a]]))
     _interchange(col, d)
     return col.done()
 

@@ -247,7 +247,9 @@ def test_transformation_block_roundtrip(tmp_path):
     assert main(["check", out, "K"]) == 0
 
 
-def test_cubical_view_through_cli(tmp_path):
+def _identity_on(tmp_path, on):
+    """A document with the quintet Q of Walk, its square P = Q x Q and the
+    identity functor on the category ``on`` declared as ``Id{on}``."""
     doc_path = write_doc(tmp_path)
     out = str(tmp_path / "out.dbl")
     assert main(["construct", doc_path, "quintet", "Walk", "--as", "Q", "-o", out]) == 0
@@ -258,13 +260,27 @@ def test_cubical_view_through_cli(tmp_path):
     doc.add(
         Declaration(
             "functor",
-            "IdP",
-            pseudo_from_strict(identity_functor(doc.decls["P"].obj)),
-            meta={"strict": True, "dom": "P", "cod": "P"},
+            f"Id{on}",
+            pseudo_from_strict(identity_functor(doc.decls[on].obj)),
+            meta={"strict": True, "dom": on, "cod": on},
         )
     )
     open(out, "w").write(serialize(doc))
+    return out
+
+
+def test_cubical_view_through_cli(tmp_path):
+    out = _identity_on(tmp_path, "P")
     assert main(["check", out, "IdP", "--cubical", "Q", "Q"]) == 0
+
+
+def test_cubical_view_off_a_non_product_domain_exits_3(tmp_path, capsys):
+    out = _identity_on(tmp_path, "Q")
+    capsys.readouterr()
+    assert main(["check", out, "IdQ", "--cubical", "Q", "Q"]) == 3
+    err = capsys.readouterr().err
+    assert "not the product of the two factors" in err
+    assert "Traceback" not in err
 
 
 def test_reports_deterministic(tmp_path, capsys):

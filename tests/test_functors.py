@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import pytest
 
-from dblkit import zoo
-from dblkit.kernel import StructureError, product, pullback, quintet
+from dblkit import functors, zoo
+from dblkit.kernel import StructureError, embed_two_category, product, pullback, quintet, transpose
 from dblkit.functors import (
     PSEUDO_FUNCTOR_AXIOMS,
+    StrictDoubleFunctor,
     check_cubical,
     check_double_pseudo_functor,
     check_strict_functor,
@@ -20,6 +23,7 @@ from dblkit.functors import (
     pseudo_equal,
     uncurry,
 )
+from dblkit.report import BUDGET_EXCEEDED, FAIL, Budget
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +271,153 @@ def test_curry_of_identity_mixed_squares_is_constant(setting):
     for U, data in c.on_vcells.items():
         for u, s in data["vv"].items():
             assert s == p.sq_hid[p.left(s)]
+
+
+# ---------------------------------------------------------------------------
+# mutants of the functor checkers' hosts: every single entry of a structure or
+# mixed family, or of a square map, swapped for another square on its boundary
+
+STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+MIXED_FAMILIES = ("hh", "hh_inv", "vv", "vv_inv", "hv", "vh")
+
+
+def _swaps(cod, cells):
+    """``(key, s)`` for each entry of ``cells`` and each other square s of
+    ``cod`` on its boundary."""
+    items = sorted(cells.items()) if isinstance(cells, dict) else enumerate(cells)
+    return [
+        (key, s) for key, cell in items for s, bnd in enumerate(cod.squares) if s != cell and bnd == cod.squares[cell]
+    ]
+
+
+def _with(seq, i, s):
+    seq = list(seq)
+    seq[i] = s
+    return seq
+
+
+def _family_mutants(x, families):
+    return [
+        replace(x, **{fam: {**getattr(x, fam), key: s}}) for fam in families for key, s in _swaps(x.cod, getattr(x, fam))
+    ]
+
+
+def _pseudo_mutants(f):
+    return _family_mutants(f, STRUCTURE_FAMILIES) + [
+        replace(f, sq_map=_with(f.sq_map, i, s)) for i, s in _swaps(f.cod, f.sq_map)
+    ]
+
+
+def _cubical_mutants(h):
+    out = _family_mutants(h, MIXED_FAMILIES)
+    for a, row in enumerate(h.row_functors):
+        for i, s in _swaps(h.cod, row.sq_map):
+            rows = _with(h.row_functors, a, replace(row, sq_map=_with(row.sq_map, i, s)))
+            out.append(replace(h, row_functors=tuple(rows)))
+    return out
+
+
+def _sign():
+    return embed_two_category(zoo.sign_two_category())
+
+
+def _walking_two_cell():
+    return embed_two_category(zoo.walking_two_cell())
+
+
+def _pseudo_host():
+    """The identity pseudofunctor of sign x transposed sign: both directions
+    have parallel squares, so every structure family has mutants."""
+    return identity_pseudo(product(_sign(), transpose(_sign())))
+
+
+def _cubical_host(d1, d2):
+    p = product(d1, d2)
+    return cubical_from_product_functor(d1, d2, p, identity_functor(p))
+
+
+def _violates(rep, law):
+    if law == "partial-strictness":
+        return any(v.axiom.startswith(("row[", "col[")) for v in rep.violations)
+    return any(v.axiom == law for v in rep.violations)
+
+
+def test_every_pseudofunctor_law_is_caught_by_a_single_entry_mutant():
+    mutants = _pseudo_mutants(_pseudo_host())
+    for law in PSEUDO_FUNCTOR_AXIOMS:
+        assert any(_violates(check_double_pseudo_functor(m, axioms={law}), law) for m in mutants), law
+
+
+def test_cubical_laws_caught_by_single_entry_mutants_of_sign_squared():
+    mutants = _cubical_mutants(_cubical_host(_sign(), _sign()))
+    for law in ("a11", "a21", "a12", "a22", "b11", "b21", "b12", "b22", "invertibility", "partial-strictness"):
+        assert any(_violates(check_cubical(m, axioms={law}), law) for m in mutants), law
+    # sign has one object and only endomorphic 2-cells, which commute: a
+    # single swapped entry enters both sides of c11 and c22 alike
+    for law in ("c11", "c22", "corner-agreement"):
+        assert not any(_violates(check_cubical(m, axioms={law}), law) for m in mutants), law
+
+
+def test_c11_and_c22_caught_where_a_factor_has_a_nonidentity_square():
+    mutants = _cubical_mutants(_cubical_host(_sign(), _walking_two_cell()))
+    for law in ("c11", "c22"):
+        assert any(_violates(check_cubical(m, axioms={law}), law) for m in mutants), law
+
+
+def test_corner_agreement_caught_by_a_row_object_mutant(setting):
+    d1, d2, p = setting
+    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    row = h.row_functors[0]
+    moved = replace(row, ob_map=_with(row.ob_map, 0, (row.ob_map[0] + 1) % p.n_objects))
+    rep = check_cubical(replace(h, row_functors=(moved, *h.row_functors[1:])), axioms={"corner-agreement"})
+    assert _violates(rep, "corner-agreement")
+
+
+# ---------------------------------------------------------------------------
+# budget cutoffs
+
+
+def _one_instance_at_a_time(col, kinds, rows, *laws):
+    """The laws charged through ``Collector.eq``, one instance at a time."""
+    for row in rows:
+        for law, lhs, rhs in laws:
+            col.eq(law, tuple(zip(kinds, row)), lhs(*row), rhs(*row))
+
+
+def _failing(name):
+    """A check on a failing mutant, as a function of the budget."""
+    if name == "strict":
+        f = _pseudo_host()
+        i, s = _swaps(f.cod, f.sq_map)[0]
+        strict = StrictDoubleFunctor(f.dom, f.cod, f.ob_map, f.h_map, f.v_map, _with(f.sq_map, i, s))
+        return lambda budget: check_strict_functor(strict, budget=budget)
+    if name == "pseudo":
+        f = _pseudo_host()
+        key, s = _swaps(f.cod, f.comp_h)[0]
+        mutant = replace(f, comp_h={**f.comp_h, key: s}, unit_v={**f.unit_v, 0: _swaps(f.cod, f.unit_v)[0][1]})
+        return lambda budget: check_double_pseudo_functor(mutant, budget=budget)
+    h = _cubical_host(_sign(), _walking_two_cell())
+    row = h.row_functors[0]
+    i, s = _swaps(h.cod, row.sq_map)[0]
+    key, t = _swaps(h.cod, h.hh)[0]
+    mutant = replace(h, row_functors=(replace(row, sq_map=_with(row.sq_map, i, s)),), hh={**h.hh, key: t})
+    return lambda budget: check_cubical(mutant, budget=budget)
+
+
+@pytest.mark.parametrize("name", ["strict", "pseudo", "cubical"])
+def test_every_cap_cuts_like_one_charge_per_instance(name, monkeypatch):
+    check = _failing(name)
+    full = check(Budget())
+    assert full.status == FAIL and len(full.violations) > 1
+    total = full.checked
+    for cap in range(total + 2):
+        budget = Budget(cap)
+        rep = check(budget)
+        assert rep.checked == min(cap, total)
+        assert rep.status == (BUDGET_EXCEEDED if cap < total else FAIL)
+        assert rep.violations == full.violations[: len(rep.violations)]
+        with monkeypatch.context() as m:
+            m.setattr(functors, "_laws", _one_instance_at_a_time)
+            one_by_one = Budget(cap)
+            ref = check(one_by_one)
+        assert (rep.to_dict(), budget.used) == (ref.to_dict(), one_by_one.used)
