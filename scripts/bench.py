@@ -9,8 +9,9 @@ The record holds, measured on this checkout:
 - the last output line (the JSON result) of ``dblbench/run.py`` for each
   workload, at seed 1 and 20 seconds per run, untraced;
 - the wall time and the summary line of the Tier-1 suite;
-- the ``(name, ok, detail, elapsed)`` tuples of the acceptance battery's
-  ``run_all()``;
+- the records of the acceptance battery's ``run_all()``: each
+  criterion's name, verdict, detail, elapsed seconds, time bound and
+  margin (the last two null for a criterion without a bound);
 - the core count, the Python version and the commit (``git rev-parse
   HEAD``, and whether tracked files differ from it).
 
@@ -65,7 +66,7 @@ def acceptance():
     sys.path.insert(0, str(ROOT / "src"))
     from dblkit.acceptance import run_all
 
-    return [list(r) for r in run_all(verbose=False)]
+    return run_all(verbose=False)
 
 
 def commit():

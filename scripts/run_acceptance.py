@@ -12,8 +12,8 @@ from dblkit.acceptance import run_all
 
 def main() -> int:
     results = run_all(verbose=True)
-    failed = [name for name, ok, _, _ in results if not ok]
-    total = sum(elapsed for _, _, _, elapsed in results)
+    failed = [r["name"] for r in results if not r["ok"]]
+    total = sum(r["elapsed_s"] for r in results)
     print(f"\n{len(results) - len(failed)}/{len(results)} criteria passed in {total:.1f}s")
     return 1 if failed else 0
 

@@ -891,7 +891,7 @@ def functors(out):
     factors += [(("sign^T", et), ("2-cell^T", wt)), (("2-cell^T", wt), ("sign^T", et))]
     for (n1, d1), (n2, d2) in factors:
         d = product(d1, d2)
-        h = cubical_from_product_functor(d1, d2, d, identity_functor(d))
+        h = cubical_from_product_functor(d1, d2, identity_functor(d))
         for slot, mutant in [("unmutated", h)] + _cubical_mutants(h):
             key = f"functors cubical {n1} x {n2} {slot}"
             _law_reports(out, key, lambda axioms: check_cubical(mutant, axioms=axioms), CUBICAL_AXIOMS)

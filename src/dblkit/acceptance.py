@@ -546,23 +546,28 @@ CRITERIA = (
 
 
 def run_all(verbose=True):
-    """Run every criterion in order; return its ``(name, ok, detail,
-    elapsed)`` tuples, with ``elapsed`` in seconds.  The verbose line of a
-    time-bounded criterion also gives its bound and the margin left."""
+    """Run every criterion in order; return one JSON-ready record per
+    criterion: ``name``, ``ok``, ``detail``, ``elapsed_s`` (seconds), and
+    ``bound_s`` and ``margin_s`` (``bound_s - elapsed_s``), both None where
+    ``TIME_BOUNDS`` has no entry.  The verbose line of a time-bounded
+    criterion also gives its bound and the margin left."""
     results = []
     for name, fn in CRITERIA:
         t0 = time.perf_counter()
         ok, detail = fn()
         elapsed = time.perf_counter() - t0
-        results.append((name, ok, detail, elapsed))
+        bound = TIME_BOUNDS.get(name)
+        margin = None if bound is None else bound - elapsed
+        results.append(
+            {"name": name, "ok": ok, "detail": detail, "elapsed_s": elapsed, "bound_s": bound, "margin_s": margin}
+        )
         if verbose:
             status = "PASS" if ok else "FAIL"
-            bound = TIME_BOUNDS.get(name)
-            timing = f"{elapsed:.1f}s" if bound is None else f"{elapsed:.1f}s of {bound:g}s, margin {bound - elapsed:.1f}s"
+            timing = f"{elapsed:.1f}s" if bound is None else f"{elapsed:.1f}s of {bound:g}s, margin {margin:.1f}s"
             print(f"[{status}] criterion {name}: {detail} ({timing})")
     return results
 
 
 if __name__ == "__main__":
-    bad = [r for r in run_all() if not r[1]]
+    bad = [r for r in run_all() if not r["ok"]]
     raise SystemExit(1 if bad else 0)

@@ -255,7 +255,7 @@ def _check_cubical_view(doc: Document, decl: Declaration, args):
     strict = StrictDoubleFunctor(
         f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=decl.name
     )
-    h = cubical_from_product_functor(d1, d2, f.dom, strict)
+    h = cubical_from_product_functor(d1, d2, strict)
     rep = check_cubical(h, budget=_budget(args), axioms=args.axioms)
     c = curry(h)
     h2 = uncurry(c, d1, d2, f.cod)

@@ -788,7 +788,7 @@ def uncurry(c: CurriedFunctor, dom1: DoubleCategory, dom2: DoubleCategory, cod: 
     )
 
 
-def cubical_from_product_functor(d1: DoubleCategory, d2: DoubleCategory, prod, f: StrictDoubleFunctor) -> CubicalDoubleFunctor:
+def cubical_from_product_functor(d1: DoubleCategory, d2: DoubleCategory, f: StrictDoubleFunctor) -> CubicalDoubleFunctor:
     """Cubical functor induced by a strict functor off the product, with all
     four mixed families the evident identity squares."""
     if not same_category(f.dom, product(d1, d2)):

@@ -91,8 +91,12 @@ def _triples(table, ends, starts):
 
 # The law enumerators below evaluate the laws straight from the tables: each
 # charges the budget once per row of instances (``Collector.take``), the
-# interchange grid once per pair of squares (a, b), all its rows together,
-# and builds a Violation only where the two sides differ.  ``_laws`` is the
+# associativity of a left cell x once for its whole block of rows (which
+# depends only on the end of x), the interchange grid once per pair of
+# squares (a, b), all its rows together, and builds a Violation only where
+# the two sides differ.  ``_associativity`` and ``_interchange`` read dense
+# rows (``_dense_rows``: one list per left cell, indexed by cell id), which
+# a checker builds once per table and shares between them.  ``_laws`` is the
 # general one, for laws given as a list of index rows and two sides; the
 # functor checkers state every law through it.  They assume complete tables
 # with correct boundaries, which the constructors and the boundary laws
@@ -107,11 +111,32 @@ def _rows(table):
     return rows
 
 
+def _dense_rows(table, n):
+    """``table`` over ``n`` cells as one list per left cell, indexed by cell
+    id: ``rows[x][y] == table[(x, y)]``, None where (x, y) does not compose."""
+    rows = [[None] * n for _ in range(n)]
+    for (x, y), z in table.items():
+        rows[x][y] = z
+    return rows
+
+
 def _charged(col, row):
     """The leading part of ``row`` that the budget of ``col`` lets it
     evaluate, the whole row charged at once."""
     k = col.take(len(row))
     return row if k == len(row) else row[:k]
+
+
+def _cut(rows, k):
+    """The first ``k`` instances of ``rows``, a list of pairs ``(c, row)``
+    (a block or a grid), in order."""
+    out = []
+    for c, row in rows:
+        if k <= 0:
+            break
+        out.append((c, row[:k]))
+        k -= len(row)
+    return out
 
 
 def _laws(col, kinds, rows, *laws):
@@ -143,14 +168,27 @@ def _boundaries(col, law, kind, table, cells, expect):
             col.fail(law, ((kind, x), (kind, y)), cells[z], expect(x, y))
 
 
-def _associativity(col, law, kind, table, ends, starts):
-    """Record ``(x;y);z == x;(y;z)`` for every composable triple."""
-    by_start, rows = _by(starts), _rows(table)
-    for (x, y), xy in sorted(table.items()):
-        rx, ry, rxy = rows[x], rows[y], rows[xy]
-        for z in _charged(col, by_start.get(ends[y], ())):
-            if rxy[z] != rx[ry[z]]:
-                col.fail(law, ((kind, x), (kind, y), (kind, z)), rxy[z], rx[ry[z]])
+def _associativity(col, law, kind, rows, ends, starts):
+    """Record ``(x;y);z == x;(y;z)`` for every composable triple, ``rows``
+    the dense rows of the table.  The rows ``(y, *)`` of a left cell x
+    depend only on ``ends[x]``, so they are listed once per end and charged
+    together; where the budget runs out inside them, only the first
+    instances that fit are evaluated."""
+    by_start, blocks = _by(starts), {}
+    for x, end in enumerate(ends):
+        if end not in blocks:
+            block = [(y, by_start.get(ends[y], ())) for y in by_start.get(end, ())]
+            blocks[end] = block, sum(len(zs) for _, zs in block)
+        block, n = blocks[end]
+        k = col.take(n)
+        if k < n:
+            block = _cut(block, k)
+        rx = rows[x]
+        for y, zs in block:
+            ry, rxy = rows[y], rows[rx[y]]
+            for z in zs:
+                if rxy[z] != rx[ry[z]]:
+                    col.fail(law, ((kind, x), (kind, y), (kind, z)), rxy[z], rx[ry[z]])
 
 
 def _units(col, left_law, right_law, kind, table, ends, starts, unit):
@@ -227,7 +265,7 @@ class FiniteCategory:
         col = Collector("finite-category", budget)
         src, tgt = _columns(self.mor, 2)
         _units(col, "left-unit", "right-unit", "mor", self.comp, tgt, src, self.ids)
-        _associativity(col, "associativity", "mor", self.comp, tgt, src)
+        _associativity(col, "associativity", "mor", _dense_rows(self.comp, len(self.mor)), tgt, src)
         return col.done()
 
 
@@ -477,12 +515,14 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     """Verify every strict double-category law by exhaustive enumeration.
 
     Violations carry the law name and a minimal witness tuple; enumeration is
-    lexicographic in cell ids so reports are deterministic.  The budget is
-    charged once per row of instances rather than per instance, and the
-    interchange grid once per pair of squares ``(a, b)``; the cutoff is
-    still exact: with ``budget`` the report checks and records exactly the
-    instances, the interchange grid included, that fit under its cap, in
-    enumeration order.
+    lexicographic in cell ids so reports are deterministic.  The laws read
+    each table's dense rows, those of ``hcomp2`` and ``vcomp2`` built once
+    and shared by associativity and interchange.  The budget is charged once
+    per row of instances rather than per instance, associativity once per
+    block of a left cell, and the interchange grid once per pair of squares
+    ``(a, b)``; the cutoff is still exact: with ``budget`` the report checks
+    and records exactly the instances, the interchange grid included, that
+    fit under its cap, in enumeration order.
     """
     col = Collector("double-category", budget)
     d.table_boundary_violations(col)
@@ -494,34 +534,36 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     hs, ht = _columns(d.hcells, 2)
     vs, vt = _columns(d.vcells, 2)
     top, bottom, left, right = _columns(d.squares, 4)
-    _associativity(col, "hcomp1-associativity", HCELL, d.hcomp1, ht, hs)
+    ns = len(d.squares)
+    hrows, vrows = _dense_rows(d.hcomp2, ns), _dense_rows(d.vcomp2, ns)
+    _associativity(col, "hcomp1-associativity", HCELL, _dense_rows(d.hcomp1, len(ht)), ht, hs)
     _units(col, "hcomp1-left-unit", "hcomp1-right-unit", HCELL, d.hcomp1, ht, hs, d.hid)
-    _associativity(col, "vcomp1-associativity", VCELL, d.vcomp1, vt, vs)
+    _associativity(col, "vcomp1-associativity", VCELL, _dense_rows(d.vcomp1, len(vt)), vt, vs)
     _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, d.vcomp1, vt, vs, d.vid)
-    _associativity(col, "hcomp2-associativity", SQUARE, d.hcomp2, right, left)
+    _associativity(col, "hcomp2-associativity", SQUARE, hrows, right, left)
     _units(col, "hcomp2-unit", "hcomp2-unit", SQUARE, d.hcomp2, right, left, d.sq_hid)
-    _associativity(col, "vcomp2-associativity", SQUARE, d.vcomp2, bottom, top)
+    _associativity(col, "vcomp2-associativity", SQUARE, vrows, bottom, top)
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, d.vcomp2, bottom, top, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-h", HCELL, d.hcomp1, d.hcomp2, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-v", VCELL, d.vcomp1, d.vcomp2, d.sq_hid)
     _laws(col, (OBJECT,), [(a,) for a in range(d.n_objects)],
           ("identity-coincidence", lambda a: d.sq_vid[d.hid[a]], lambda a: d.sq_hid[d.vid[a]]))
-    _interchange(col, d)
+    _interchange(col, d, hrows, vrows)
     return col.done()
 
 
-def _interchange(col, d):
+def _interchange(col, d, hrows, vrows):
     """Record ``(a/c) | (b/e) == (a|b) / (c|e)`` over every 2x2 grid of
-    squares.  The rows ``(a, b, c, *)`` of a pair ``(a, b)`` depend only on
-    the bottoms of ``a`` and ``b``, so they are listed once per pair of
+    squares, ``hrows`` and ``vrows`` the dense rows of ``hcomp2`` and
+    ``vcomp2``.  The rows ``(a, b, c, *)`` of a pair ``(a, b)`` depend only
+    on the bottoms of ``a`` and ``b``, so they are listed once per pair of
     bottoms.  Each pair is charged once for all its rows; where the budget
     runs out inside them, only the first instances that fit are evaluated,
     so the cutoff is as exact as one charge per instance."""
     by_top, by_tl = d.squares_by_top(), d.squares_by_top_left()
-    sq, h2 = d.squares, d.hcomp2
-    hrows, vrows = _rows(h2), _rows(d.vcomp2)
+    sq = d.squares
     grids = {}
-    for (a, b), ab in sorted(h2.items()):
+    for (a, b), ab in sorted(d.hcomp2.items()):
         bottoms = sq[a][1], sq[b][1]
         grid = grids.get(bottoms)
         if grid is None:
@@ -538,17 +580,6 @@ def _interchange(col, d):
                 if hac[vb[e]] != vab[hc[e]]:
                     witness = ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, e))
                     col.fail("interchange", witness, hac[vb[e]], vab[hc[e]])
-
-
-def _cut(rows, k):
-    """The first ``k`` instances of the grid ``rows``, in order."""
-    out = []
-    for c, row in rows:
-        if k <= 0:
-            break
-        out.append((c, row[:k]))
-        k -= len(row)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1005,11 +1036,11 @@ def check_two_category(t: TwoCategory, budget: Budget | None = None) -> AxiomRep
     s1, t1 = _columns(t.onecells, 2)
     s2, t2 = _columns(t.twocells, 2)
     h_ends, h_starts = [t1[f] for f in s2], [s1[f] for f in s2]
-    _associativity(col, "comp1-associativity", "onecell", t.comp1, t1, s1)
+    _associativity(col, "comp1-associativity", "onecell", _dense_rows(t.comp1, len(t1)), t1, s1)
     _units(col, "comp1-left-unit", "comp1-right-unit", "onecell", t.comp1, t1, s1, t.id1)
-    _associativity(col, "vcomp2-associativity", "twocell", t.vcomp2, t2, s2)
+    _associativity(col, "vcomp2-associativity", "twocell", _dense_rows(t.vcomp2, len(t2)), t2, s2)
     _units(col, "vcomp2-unit", "vcomp2-unit", "twocell", t.vcomp2, t2, s2, t.id2)
-    _associativity(col, "hcomp2-associativity", "twocell", t.hcomp2, h_ends, h_starts)
+    _associativity(col, "hcomp2-associativity", "twocell", _dense_rows(t.hcomp2, len(t2)), h_ends, h_starts)
     _units(col, "hcomp2-unit", "hcomp2-unit", "twocell", t.hcomp2, h_ends, h_starts, [t.id2[f] for f in t.id1])
     _identity_functoriality(col, "identity-2-functoriality", "onecell", t.comp1, t.hcomp2, t.id2)
     _globular_interchange(col, "interchange", t)

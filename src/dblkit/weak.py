@@ -27,6 +27,7 @@ from .kernel import (
     _check_globular,
     _check_index,
     _columns,
+    _dense_rows,
     _globular_interchange,
     _identity_functoriality,
     _interchange,
@@ -130,13 +131,14 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
     hs, ht = _columns(p.hcells, 2)
     vs, vt = _columns(p.vcells, 2)
     top, bottom, left, right = _columns(p.squares, 4)
-    _associativity(col, "vcomp1-associativity", VCELL, p.vcomp1, vt, vs)
+    vrows = _dense_rows(p.vcomp2, ns)
+    _associativity(col, "vcomp1-associativity", VCELL, _dense_rows(p.vcomp1, len(vt)), vt, vs)
     _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, p.vcomp1, vt, vs, p.vid)
-    _associativity(col, "vcomp2-associativity", SQUARE, p.vcomp2, bottom, top)
+    _associativity(col, "vcomp2-associativity", SQUARE, vrows, bottom, top)
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, p.vcomp2, bottom, top, p.sq_vid)
 
     _identity_functoriality(col, "hpaste-identity-functoriality", HCELL, p.hcomp1, p.hcomp2, p.sq_vid)
-    _interchange(col, p)
+    _interchange(col, p, _dense_rows(p.hcomp2, ns), vrows)
 
     for key in sorted(p.assoc):
         _vertically_inverse(
@@ -348,7 +350,7 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
     n1, n2 = len(b.onecells), len(b.twocells)
     s1, t1 = _columns(b.onecells, 2)
     s2, t2 = _columns(b.twocells, 2)
-    _associativity(col, "hom-category-associativity", "twocell", b.vcomp2, t2, s2)
+    _associativity(col, "hom-category-associativity", "twocell", _dense_rows(b.vcomp2, n2), t2, s2)
     _units(col, "hom-category-unit", "hom-category-unit", "twocell", b.vcomp2, t2, s2, b.id2)
 
     _identity_functoriality(col, "composition-identity-functoriality", "onecell", b.comp1, b.hcomp2, b.id2)

@@ -1,5 +1,7 @@
 """One test per exit criterion; each prints its pass/fail line."""
 
+import json
+
 import pytest
 
 from dblkit import acceptance
@@ -32,12 +34,20 @@ def test_run_all_prints_bound_and_margin(monkeypatch, capsys):
     criteria = [c for c in acceptance.CRITERIA if c[0] in ("6 monoidal embedding", "9 weak internalization")]
     monkeypatch.setattr(acceptance, "CRITERIA", tuple(criteria))
     results = acceptance.run_all(verbose=True)
-    assert [(r[0], r[1], len(r)) for r in results] == [
-        ("6 monoidal embedding", True, 4),
-        ("9 weak internalization", True, 4),
-    ]
-    unbounded, bounded = capsys.readouterr().out.splitlines()
-    elapsed = results[1][3]
-    assert unbounded.startswith("[PASS] criterion 6 monoidal embedding: ") and unbounded.endswith("s)")
-    assert "margin" not in unbounded
-    assert bounded.endswith(f"({elapsed:.1f}s of 5s, margin {5 - elapsed:.1f}s)")
+    assert json.loads(json.dumps(results)) == results
+    keys = ["name", "ok", "detail", "elapsed_s", "bound_s", "margin_s"]
+    assert [list(r) for r in results] == [keys, keys]
+    unbounded, bounded = results
+    assert (unbounded["name"], unbounded["ok"], unbounded["bound_s"], unbounded["margin_s"]) == (
+        "6 monoidal embedding",
+        True,
+        None,
+        None,
+    )
+    elapsed = bounded["elapsed_s"]
+    assert (bounded["name"], bounded["ok"], bounded["bound_s"]) == ("9 weak internalization", True, 5.0)
+    assert bounded["margin_s"] == 5.0 - elapsed
+    line6, line9 = capsys.readouterr().out.splitlines()
+    assert line6.startswith("[PASS] criterion 6 monoidal embedding: ") and line6.endswith("s)")
+    assert "margin" not in line6
+    assert line9.endswith(f"({elapsed:.1f}s of 5s, margin {5 - elapsed:.1f}s)")

@@ -123,7 +123,7 @@ def test_unknown_axiom_names_are_rejected_by_every_selecting_checker(setting):
     m = identity_modification(identity_double(f))
     checks = {
         "pseudofunctor": lambda axioms: check_double_pseudo_functor(f, axioms=axioms),
-        "cubical": lambda axioms: check_cubical(cubical_from_product_functor(d1, d2, p, identity_functor(p)), axioms=axioms),
+        "cubical": lambda axioms: check_cubical(cubical_from_product_functor(d1, d2, identity_functor(p)), axioms=axioms),
         "horizontal": lambda axioms: check_horizontal_pnt(identity_horizontal(f), axioms=axioms),
         "vertical": lambda axioms: check_vertical_pnt(identity_vertical(f), axioms=axioms),
         "four-identities": lambda axioms: four_identities(identity_vertical(f), find_connection(d1), axioms=axioms),
@@ -196,14 +196,14 @@ def test_pullback_projections_strict(setting):
 
 def test_cubical_from_diagonal_passes(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     rep = check_cubical(h)
     assert rep.passed, rep.summary()
 
 
 def test_cubical_unit_law_example(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     # the mixed square at (identity hcell, any hcell) is the identity square
     for f in range(len(d2.hcells)):
         for a in range(d1.n_objects):
@@ -217,7 +217,7 @@ def test_cubical_mutation_detected():
 
     d = embed_two_category(zoo.sign_two_category())
     p = product(d, d)
-    h = cubical_from_product_functor(d, d, p, identity_functor(p))
+    h = cubical_from_product_functor(d, d, identity_functor(p))
     mutated = False
     for key in sorted(h.hh):
         cell = h.hh[key]
@@ -236,7 +236,7 @@ def test_cubical_mutation_detected():
 
 def test_curry_uncurry_roundtrip(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     c = curry(h)
     h2 = uncurry(c, d1, d2, p)
     assert h2.hh == h.hh and h2.vv == h.vv and h2.hv == h.hv and h2.vh == h.vh
@@ -246,7 +246,7 @@ def test_curry_uncurry_roundtrip(setting):
 
 def test_curry_boundary_shapes(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     c = curry(h)
     cod = p
     for F, data in c.on_hcells.items():
@@ -262,7 +262,7 @@ def test_curry_boundary_shapes(setting):
 
 def test_curry_of_identity_mixed_squares_is_constant(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     c = curry(h)
     # identity mixed squares curry to identity transformation data
     for F, data in c.on_hcells.items():
@@ -333,7 +333,7 @@ def _pseudo_host():
 
 def _cubical_host(d1, d2):
     p = product(d1, d2)
-    return cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    return cubical_from_product_functor(d1, d2, identity_functor(p))
 
 
 def _violates(rep, law):
@@ -366,7 +366,7 @@ def test_c11_and_c22_caught_where_a_factor_has_a_nonidentity_square():
 
 def test_corner_agreement_caught_by_a_row_object_mutant(setting):
     d1, d2, p = setting
-    h = cubical_from_product_functor(d1, d2, p, identity_functor(p))
+    h = cubical_from_product_functor(d1, d2, identity_functor(p))
     row = h.row_functors[0]
     moved = replace(row, ob_map=_with(row.ob_map, 0, (row.ob_map[0] + 1) % p.n_objects))
     rep = check_cubical(replace(h, row_functors=(moved, *h.row_functors[1:])), axioms={"corner-agreement"})

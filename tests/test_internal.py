@@ -255,6 +255,30 @@ def test_internalize_nonstrict_bicategory():
     assert nonid, "the associator must stay nonidentity"
 
 
+def _sign_vcomp2_mutant():
+    # one vcomp2 entry of the sign bicategory moved to the other 2-cell on
+    # the same boundary: the pseudo double category of it breaks vcomp2
+    # associativity, interchange and the naturality of its constraints
+    b = zoo.sign_bicategory()
+    b.vcomp2[(0, 1)] = 0
+    return b
+
+
+@pytest.mark.parametrize("make", [zoo.sign_bicategory, _sign_vcomp2_mutant])
+def test_pseudo_double_budget_cutoff_is_exact(make):
+    p = internalize_bicategory(make())
+    full = check_pseudo_double_category(p)
+    total = full.checked
+    for cap in range(total + 2):
+        budget = Budget(cap)
+        rep = check_pseudo_double_category(p, budget=budget)
+        assert rep.checked == min(cap, total)
+        assert rep.status == ("budget-exceeded" if cap < total else full.status)
+        assert budget.used == (cap + 1 if cap < total else total)
+        assert rep.violations == full.violations[: len(rep.violations)]
+    assert full.status == ("pass" if make is zoo.sign_bicategory else "fail")
+
+
 def test_internalize_trivial_bicategory_is_terminal_shaped():
     b = bicategory_from_two_category(zoo.trivial_two_category())
     p = internalize_bicategory(b)

@@ -565,13 +565,33 @@ def test_checker_matches_per_instance_oracle(d):
 _C3 = quintet(zoo.cyclic_group_cat(3))
 _C3_TABLES = sum(len(t) for t in (_C3.hcomp1, _C3.vcomp1, _C3.hcomp2, _C3.vcomp2))
 # 11632 instances in all, the last 3**8 of them the interchange grid, in
-# blocks of 27 per pair of squares (a, b), each 9 rows of 3: the cuts fall
-# before the first instance, after it, inside the first associativity row,
-# inside the first and the second interchange row, exactly at the end of
-# the first interchange block and one past it, and one short of and exactly
-# at the total
+# blocks of 27 per pair of squares (a, b), each 9 rows of 3.  Associativity
+# comes in one block per left cell: 9 instances (3 rows of 3) for hcomp1,
+# which starts right after the boundary laws, and 81 (9 rows of 9) for
+# hcomp2, which starts after hcomp1's and vcomp1's 27 associativity and 6
+# unit instances each.  The cuts fall before the first instance, after it,
+# inside the first associativity row, exactly at the end of the first
+# associativity block of hcomp1 and of hcomp2 and one past each, inside the
+# first and the second interchange row, exactly at the end of the first
+# interchange block and one past it, and one short of and exactly at the
+# total
+_HCOMP2_ASSOCIATIVITY = _C3_TABLES + 2 * (27 + 6)
 _INTERCHANGE = 11632 - 3**8
-_C3_CUTS = [0, 1, _C3_TABLES + 1, _INTERCHANGE + 1, _INTERCHANGE + 4, _INTERCHANGE + 27, _INTERCHANGE + 28, 11631, 11632]
+_C3_CUTS = [
+    0,
+    1,
+    _C3_TABLES + 1,
+    _C3_TABLES + 9,
+    _C3_TABLES + 10,
+    _HCOMP2_ASSOCIATIVITY + 81,
+    _HCOMP2_ASSOCIATIVITY + 82,
+    _INTERCHANGE + 1,
+    _INTERCHANGE + 4,
+    _INTERCHANGE + 27,
+    _INTERCHANGE + 28,
+    11631,
+    11632,
+]
 
 
 @pytest.mark.parametrize("cap", _C3_CUTS)
@@ -597,6 +617,21 @@ def test_cutoff_inside_a_violated_interchange_block_matches_oracle():
     capped = [v.axiom for v in check_double_category(m, budget=Budget(153)).violations]
     assert capped.count("interchange") == 1
     assert [v.axiom for v in check_double_category(m, budget=Budget(154)).violations].count("interchange") == 2
+
+
+def test_cutoff_inside_a_violated_associativity_block_matches_oracle():
+    # this sign mutant breaks vcomp2 associativity at instances 122 and 124
+    # of 210, the last of each of the two rows of the block 121..124 of one
+    # left square: every cap, both included, checks and records as the oracle
+    m = _law_breaking_sign_mutants()[55]
+    for cap in range(212):
+        ours, theirs = Budget(cap), Budget(cap)
+        rep = check_double_category(m, budget=ours)
+        assert rep.to_dict() == oracle_check_double_category(m, budget=theirs).to_dict()
+        assert ours.used == theirs.used
+    for cap, count in ((121, 0), (122, 1), (123, 1), (124, 2)):
+        capped = [v.axiom for v in check_double_category(m, budget=Budget(cap)).violations]
+        assert capped.count("vcomp2-associativity") == count
 
 
 def test_exhausted_shared_budget_matches_per_instance_oracle():
