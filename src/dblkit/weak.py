@@ -131,9 +131,9 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
     hs, ht = _columns(p.hcells, 2)
     vs, vt = _columns(p.vcells, 2)
     top, bottom, left, right = _columns(p.squares, 4)
-    vrows = _dense_rows(p.vcomp2, ns)
     _associativity(col, "vcomp1-associativity", VCELL, _dense_rows(p.vcomp1, len(vt)), vt, vs)
     _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, p.vcomp1, vt, vs, p.vid)
+    vrows = _dense_rows(p.vcomp2, ns)
     _associativity(col, "vcomp2-associativity", SQUARE, vrows, bottom, top)
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, p.vcomp2, bottom, top, p.sq_vid)
 
