@@ -37,10 +37,16 @@ both sides, ``checked`` and status) under a stable key.  The runs:
 - internal bundles: ``check_internal`` reports, deep and shallow, of the
   bundles of the four zoo tensor-monoids and of the pseudomonoid bundle of
   acceptance criterion 8, shallow reports of criterion 8's compatibility
-  mutations and of seeded single-entry mutants of a diagonal bundle's
-  pullback, and digests of every bundle's nested and unit-sided composites
-  (cell maps, structure cells and the triple pullback's tables), taken
-  after the check;
+  mutations and of seeded single-entry mutants of the pullbacks of the
+  diagonal bundles of ``quintet(C2)`` and ``quintet(walking iso)``, and
+  digests of every bundle's nested and unit-sided composites (cell maps,
+  structure cells and the triple pullback's tables), taken after the
+  check; and, on the diagonal bundles of ``quintet(C2)`` and
+  ``embed(sign)``, shallow reports of single-entry mutants of the
+  projections' cell maps, of the unit's and the composition's cell maps
+  and boundary-keeping structure cells (with the comparisons given and
+  defaulted), and of the endpoint functor of each comparison
+  transformation;
 - square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
   invertible 2-cell, every square word of at most 3 moves on every top
   word of at most 3 letters, with its ``rewrite`` normal form, the
@@ -662,6 +668,8 @@ INTERNAL_MONOIDS = (
     ("trivial", zoo.trivial_monoid_in_dbl),
 )
 PULLBACK_MUTANTS = 40
+ISO_PULLBACK_MUTANTS = 20
+MAPS = ("ob_map", "h_map", "v_map", "sq_map")
 
 
 def _category(d):
@@ -725,6 +733,64 @@ def internal(out):
     host = diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     for slot, bad_p in sample_mutants(host.p, PULLBACK_MUTANTS, seed=6):
         out[f"internal pullback mutant {slot}"] = _report(lambda: check_internal(replace(host, p=bad_p), registry=empty, deep=False))
+    iso = diagonal_internal(quintet(zoo.walking_iso()))
+    for slot, bad_p in sample_mutants(iso.p, ISO_PULLBACK_MUTANTS, seed=7):
+        out[f"internal iso pullback mutant {slot}"] = _report(lambda: check_internal(replace(iso, p=bad_p), registry=empty, deep=False))
+    _bundle_mutants(out, host, empty)
+    _bundle_mutants(out, diag_s, empty)
+
+
+def _map_mutants(f, maps=MAPS):
+    """Single-entry mutants of the cell maps of ``f``: in each map of
+    ``maps``, its first and its middle entry moved to the next cell of the
+    codomain, as ``(label, mutant)``."""
+    cod = f.cod
+    counts = {"ob_map": cod.n_objects, "h_map": len(cod.hcells), "v_map": len(cod.vcells), "sq_map": len(cod.squares)}
+    for name in maps:
+        values, n = getattr(f, name), counts[name]
+        if n < 2:
+            continue
+        for i in sorted({0, len(values) // 2}):
+            yield f"{name} {i}", replace(f, **{name: _replace(values, i, (values[i] + 1) % n)})
+
+
+def _structure_mutants(f):
+    """Single-entry mutants of the structure cells of ``f`` that keep the
+    boundary: in each of the four families its first entry that has a
+    parallel square, moved to the first such square."""
+    cod = f.cod
+    for name in ("comp_h", "unit_h", "comp_v", "unit_v"):
+        cells = getattr(f, name)
+        for key in sorted(cells):
+            s = cells[key]
+            alts = [x for x in range(len(cod.squares)) if x != s and cod.squares[x] == cod.squares[s]]
+            if alts:
+                yield f"{name} {key}", replace(f, **{name: {**cells, key: alts[0]}})
+                break
+
+
+def _bundle_mutants(out, data, empty):
+    """Shallow reports of single-entry mutants of a diagonal bundle's
+    projections, unit and composition, and of its comparison
+    transformations' endpoints (the identity transformation on a mutated
+    endpoint functor), defaulted or not."""
+    key = f"internal {len(data.d1.squares)}-square"
+
+    def check(label, bundle):
+        out[f"{key} {label}"] = _report(lambda: check_internal(bundle, registry=empty, deep=False))
+
+    for side in ("p1", "p2"):
+        for label, f in _map_mutants(getattr(data, side)):
+            check(f"{side} mutant {label}", replace(data, **{side: f}))
+    for side in ("u", "m"):
+        f = getattr(data, side)
+        for label, g in itertools.chain(_map_mutants(f, ("h_map", "sq_map")), _structure_mutants(f)):
+            check(f"{side} mutant {label}", replace(data, **{side: g}))
+            check(f"{side} mutant {label} defaulted", replace(data, **{side: g}, assoc=None, lunit=None, runit=None))
+    for side in ("assoc", "lunit", "runit"):
+        F = getattr(data, side).F
+        for label, g in _map_mutants(F, ("sq_map",)):
+            check(f"{side} endpoint mutant {label}", replace(data, **{side: identity_double(g)}))
 
 
 REWRITING_SETTINGS = (
