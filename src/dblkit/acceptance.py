@@ -67,6 +67,7 @@ from .kernel import (
 )
 from .modif import identity_modification, tcomp_modif, vcomp_modif, check_modification, DoubleModification
 from .mutate import sample_mutants
+from .report import FAIL
 from .transform import (
     ComponentRegistry,
     DoublePNT,
@@ -157,7 +158,7 @@ def criterion_1_kernel_soundness():
     tested = 0
     for slot, mutant in _mutants():
         rep = check_double_category(mutant)
-        if rep.passed:
+        if rep.status != FAIL:
             return False, f"undetected mutation {slot}"
         if not all(v.axiom for v in rep.violations):
             return False, "violation without a law name"
@@ -242,11 +243,11 @@ def criterion_3_four_identities():
         CompanionPair(d.vid[0], d.hid[0], 1, 0),  # eps flipped
     ]
     for pair in broken_pairs:
-        if check_companion(d, pair).passed:
+        if check_companion(d, pair).status != FAIL:
             return False, "corrupted binding cells passed the snake laws"
         bad = Connection(d, [pair])
         rep = four_identities(verts[0], bad)
-        if rep.passed:
+        if rep.status != FAIL:
             return False, "corrupted binding cells passed the four identities"
     return True, f"four identities and both inverse laws on {checked} companions; mutations detected"
 
@@ -421,6 +422,50 @@ def criterion_7_rewriting_sanity(n_words=10_000, seed=7):
     return True, f"{n_words} random words idempotent; {rewritten} square words terminate; all critical pairs join"
 
 
+def internal_mutations():
+    """Criterion 8's compatibility mutations: the diagonal bundle of the
+    walking arrow's squares, and a dict of bundles that each break one
+    compatibility: its unit section, its composite's sources and its
+    pullback (a product in its place), and, over the diagonal bundle of
+    ``embed(sign)``, a unit comparison that whiskers to a nonidentity."""
+    dq = quintet(zoo.walking_arrow())
+    good = diagonal_internal(dq)
+    constant = StrictDoubleFunctor(
+        dq,
+        dq,
+        [0] * dq.n_objects,
+        [dq.hid[0]] * len(dq.hcells),
+        [dq.vid[0]] * len(dq.vcells),
+        [dq.sq_vid[dq.hid[0]]] * len(dq.squares),
+        name="const",
+    )
+    diag_s = diagonal_internal(embed_two_category(sign_two_category()))
+    minus_lunit = DoublePNT(
+        identity_vertical(diag_s.lunit.F),
+        identity_horizontal(diag_s.lunit.F),
+        [2 * f + 1 for f in range(len(diag_s.d1.hcells))],
+        [1],
+    )
+    return good, {
+        "unit-section": InternalCategoryData(
+            good.d0, good.d1, good.s, good.t, pseudo_from_strict(constant), good.p,
+            good.p1, good.p2, good.m, assoc=good.assoc, lunit=good.lunit, runit=good.runit,
+        ),
+        "composite-sources": InternalCategoryData(
+            good.d0, good.d1, good.s, good.t, good.u, good.p,
+            good.p1, good.p2, pseudo_from_strict(constant), assoc=good.assoc,
+        ),
+        "pullback": InternalCategoryData(
+            good.d0, good.d1, good.s, good.t, good.u, product(dq, dq),
+            good.p1, good.p2, good.m, assoc=good.assoc, lunit=good.lunit, runit=good.runit,
+        ),
+        "whisker": InternalCategoryData(
+            diag_s.d0, diag_s.d1, diag_s.s, diag_s.t, diag_s.u, diag_s.p,
+            diag_s.p1, diag_s.p2, diag_s.m, assoc=diag_s.assoc, lunit=minus_lunit, runit=diag_s.runit,
+        ),
+    }
+
+
 def criterion_8_internalization():
     empty = ComponentRegistry.of()
     for name, mk in (
@@ -454,61 +499,24 @@ def criterion_8_internalization():
 
     # compatibility equations, one mutation each, over a bundle with a
     # nontrivial object part
-    dq = quintet(zoo.walking_arrow())
-    good = diagonal_internal(dq)
+    good, mutations = internal_mutations()
     if not check_internal(good, registry=empty, deep=False).passed:
         return False, "diagonal bundle rejected"
-    constant = StrictDoubleFunctor(
-        dq,
-        dq,
-        [0] * dq.n_objects,
-        [dq.hid[0]] * len(dq.hcells),
-        [dq.vid[0]] * len(dq.vcells),
-        [dq.sq_vid[dq.hid[0]]] * len(dq.squares),
-        name="const",
-    )
-    mutations = {
-        "unit-section": InternalCategoryData(
-            good.d0, good.d1, good.s, good.t, pseudo_from_strict(constant), good.p,
-            good.p1, good.p2, good.m, assoc=good.assoc, lunit=good.lunit, runit=good.runit,
-        ),
-        "composite-sources": InternalCategoryData(
-            good.d0, good.d1, good.s, good.t, good.u, good.p,
-            good.p1, good.p2, pseudo_from_strict(constant), assoc=good.assoc,
-        ),
-        "pullback": InternalCategoryData(
-            good.d0, good.d1, good.s, good.t, good.u, product(dq, dq),
-            good.p1, good.p2, good.m, assoc=good.assoc, lunit=good.lunit, runit=good.runit,
-        ),
-    }
     expected = {
         "unit-section": {"unit-section-s", "unit-section-t"},
         "composite-sources": {"src-of-composite", "tgt-of-composite", "comparison-construction"},
         "pullback": {"pullback-canonical"},
     }
-    for label, bad in mutations.items():
-        rep = check_internal(bad, registry=empty, deep=False)
-        if rep.passed:
+    for label, laws in expected.items():
+        rep = check_internal(mutations[label], registry=empty, deep=False)
+        if rep.status != FAIL:
             return False, f"mutation {label} went undetected"
         hit = {v.axiom for v in rep.violations}
-        if not (hit & expected[label]):
-            return False, f"mutation {label} flagged {sorted(hit)} instead of {sorted(expected[label])}"
+        if not (hit & laws):
+            return False, f"mutation {label} flagged {sorted(hit)} instead of {sorted(laws)}"
     # whiskering of a corrupted unit comparison
-    t = sign_two_category()
-    ds = embed_two_category(t)
-    diag_s = diagonal_internal(ds)
-    minus_lunit = DoublePNT(
-        identity_vertical(diag_s.lunit.F),
-        identity_horizontal(diag_s.lunit.F),
-        [2 * f + 1 for f in range(len(ds.hcells))],
-        [1],
-    )
-    bad = InternalCategoryData(
-        diag_s.d0, diag_s.d1, diag_s.s, diag_s.t, diag_s.u, diag_s.p,
-        diag_s.p1, diag_s.p2, diag_s.m, assoc=diag_s.assoc, lunit=minus_lunit, runit=diag_s.runit,
-    )
-    rep = check_internal(bad, registry=empty, deep=False)
-    if rep.passed or not any(v.axiom.startswith("whisker") for v in rep.violations):
+    rep = check_internal(mutations["whisker"], registry=empty, deep=False)
+    if rep.status != FAIL or not any(v.axiom.startswith("whisker") for v in rep.violations):
         return False, "corrupted unit comparison not caught by whiskering"
     return True, "three multiplications and one pseudo instance pass; all compatibility mutations detected"
 

@@ -90,9 +90,9 @@ EXPLANATIONS = {
     "coupling-t": "modification components are compatible with the t-family",
     "embedding-identity": "tensor of embedded structures equals the embedded tensor, cell for cell",
     "square-word-normalization": "rewriting a square word to its normal form preserves its value",
-    "pullback-canonical": "the bundled pullback is the canonical cellwise one",
-    "unit-section-s": "the source functor retracts the unit functor",
-    "src-of-composite": "the source of a composite is the source of the first factor",
+    "pullback-canonical": "the bundled pullback is the canonical cellwise one; the witness is its first cell or table entry that differs",
+    "unit-section-s": "the source functor retracts the unit functor; the witness is the first cell or structure cell where they differ",
+    "src-of-composite": "the source of a composite is the source of the first factor; the witness is the first cell or structure cell where they differ",
     "pair-object-bijection": "hom pairs and the pullback are in canonical bijection",
 }
 

@@ -254,7 +254,7 @@ def roundtrip_check(a0: VerticalPNT, conn: Connection, budget: Budget | None = N
         col.eq("roundtrip-naturality", ((HCELL, f),), back.nat[f], a0.nat[f])
     for u in range(len(a0.F.dom.vcells)):
         col.eq("roundtrip-comparison", ((VCELL, u),), back.delta[u], a0.delta[u])
-    if not col.report.passed:
+    if col.report.violations:
         # say which snake law broke, if one did
         for o, p in enumerate(ps):
             sub = check_companion(a0.F.cod, p)

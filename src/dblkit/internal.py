@@ -29,6 +29,10 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    cell_map_sections,
+    compare_entries,
+    fiber_product_sections,
+    first_difference,
     pullback,
     pullback_pairs,
     terminal_double_category,
@@ -36,6 +40,7 @@ from .kernel import (
 from .functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
+    _projections,
     check_double_pseudo_functor,
     check_strict_functor,
     compose_pseudo,
@@ -44,10 +49,9 @@ from .functors import (
     pseudo_equal,
     pseudo_from_strict,
     pullback_projections,
-    strict_equal,
 )
 from .modif import DoubleModification, check_modification
-from .report import AxiomReport, Budget, Collector
+from .report import BUDGET_EXCEEDED, AxiomReport, Budget, Collector
 from .transform import ComponentRegistry, DoublePNT, check_double_pnt, identity_double
 from .weak import Bicategory, PseudoDoubleCategory
 
@@ -103,26 +107,29 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     pairs = pullback_pairs(f, g)
     index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
 
-    def pick(kind, pair, what):
+    def pick(kind, pair, what, at):
+        # ``at``: the cells of the domain whose images make ``pair``
         try:
             return index[kind][pair]
         except KeyError:
-            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}") from None
+            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *at)) from None
 
     dom = left.dom
-    ob_map = [pick(OBJECT, (left.ob(a), right.ob(a)), "object") for a in range(dom.n_objects)]
-    h_map = [pick(HCELL, (left.h(x), right.h(x)), "hcell") for x in range(len(dom.hcells))]
-    v_map = [pick(VCELL, (left.v(x), right.v(x)), "vcell") for x in range(len(dom.vcells))]
-    sq_map = [pick(SQUARE, (left.sq(x), right.sq(x)), "square") for x in range(len(dom.squares))]
+    ob_map = [pick(OBJECT, (left.ob(a), right.ob(a)), "object", [(OBJECT, a)]) for a in range(dom.n_objects)]
+    h_map = [pick(HCELL, (left.h(x), right.h(x)), "hcell", [(HCELL, x)]) for x in range(len(dom.hcells))]
+    v_map = [pick(VCELL, (left.v(x), right.v(x)), "vcell", [(VCELL, x)]) for x in range(len(dom.vcells))]
+    sq_map = [pick(SQUARE, (left.sq(x), right.sq(x)), "square", [(SQUARE, x)]) for x in range(len(dom.squares))]
 
     squares = index[SQUARE]
 
-    def pair_cells(table_l, table_r):
+    def pair_cells(family, kind):
+        table_l, table_r = getattr(left, family), getattr(right, family)
         try:
             return {k: squares[table_l[k], table_r[k]] for k in table_l}
         except KeyError:
             for k in table_l:  # name the first pair that misses
-                pick(SQUARE, (table_l[k], table_r[k]), "structure cell")
+                at = [(kind, c) for c in (k if isinstance(k, tuple) else (k,))]
+                pick(SQUARE, (table_l[k], table_r[k]), "structure cell", [family, *at])
             raise
 
     return DoublePseudoFunctor(
@@ -132,14 +139,10 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
         h_map,
         v_map,
         sq_map,
-        pair_cells(left.comp_h, right.comp_h),
-        pair_cells(left.comp_h_inv, right.comp_h_inv),
-        pair_cells(left.unit_h, right.unit_h),
-        pair_cells(left.unit_h_inv, right.unit_h_inv),
-        pair_cells(left.comp_v, right.comp_v),
-        pair_cells(left.comp_v_inv, right.comp_v_inv),
-        pair_cells(left.unit_v, right.unit_v),
-        pair_cells(left.unit_v_inv, right.unit_v_inv),
+        *(pair_cells(family, kind) for family, kind in (
+            ("comp_h", HCELL), ("comp_h_inv", HCELL), ("unit_h", OBJECT), ("unit_h_inv", OBJECT),
+            ("comp_v", VCELL), ("comp_v_inv", VCELL), ("unit_v", OBJECT), ("unit_v_inv", OBJECT),
+        )),
         name=name,
     )
 
@@ -288,6 +291,17 @@ def _whisker_modification_identity(col, prefix, s: StrictDoubleFunctor, m: Doubl
         col.eq(f"{prefix}-3cells", ((OBJECT, o),), img1, cod.sq_vid[cod.top(img1)])
 
 
+def _default(col, name, what, f, g):
+    """A comparison left out of the bundle is the identity, which needs its
+    two endpoint functors ``f`` and ``g`` to agree: recorded as an
+    assumption when they do, else one violation at their first difference."""
+    _, witness, lhs, rhs = first_difference(cell_map_sections(f, g))
+    if witness is None:
+        col.assume(f"{what} comparison defaulted to the identity")
+    elif col.take(1):
+        col.fail(f"{name}-default", witness, lhs, rhs)
+
+
 def check_internal(
     data: InternalCategoryData,
     registry: ComponentRegistry | None = None,
@@ -295,7 +309,17 @@ def check_internal(
     deep: bool = True,
 ) -> AxiomReport:
     """The compatibility block, the whiskering conditions, and the delegated
-    checks on every constituent."""
+    checks on every constituent.
+
+    Every law that compares whole structures compares them entry by entry
+    (``kernel.compare_entries``) and names its first difference: a cell
+    ``(kind, id)``, or a table or structure-cell entry after the name of
+    its table, with both values.  The bundled pullback is compared with the
+    fiber product of the span read off ``pullback_pairs(t, s)``, never
+    rebuilt, and the projections are read off the same pairs.  Each
+    comparison is charged once, for the entries up to and including its
+    first difference (every entry when it agrees), so under a budget cut
+    only the entries that fit are compared."""
     col = Collector("internal-category", budget)
     legs = (data.s,) if data.t is data.s else (data.s, data.t)
     if not all(check_strict_functor(leg).passed for leg in legs):
@@ -312,42 +336,34 @@ def check_internal(
 
     # the pullback must be the canonical one; everything later is built on
     # top of it, so stop here when it is not
-    rebuilt = pullback(data.t, data.s)
-    from .kernel import same_category
-
-    col.check("pullback-canonical", ("pullback",), same_category(data.p, rebuilt))
+    pairs = pullback_pairs(data.t, data.s)
+    compare_entries(col, "pullback-canonical", fiber_product_sections(data.p, data.t, data.s, pairs))
     if col.report.violations:
         col.assume("remaining compatibilities not evaluated over a non-canonical pullback")
         return col.done()
-    q1, q2 = pullback_projections(data.t, data.s, data.p)
-    col.check("pullback-projections", ("p1",), strict_equal(data.p1, q1))
-    col.check("pullback-projections", ("p2",), strict_equal(data.p2, q2))
+    if col.report.status == BUDGET_EXCEEDED:
+        # nothing later is evaluated, and its constructions need the pullback
+        col.assume("remaining compatibilities not evaluated: the budget ran out before the pullback was verified")
+        return col.done()
+    q1, q2 = _projections(data.p, data.t.dom, data.s.dom, [pairs[kind] for kind in (OBJECT, HCELL, VCELL, SQUARE)])
+    compare_entries(col, "pullback-projections", cell_map_sections(data.p1, q1, ("p1",)))
+    compare_entries(col, "pullback-projections", cell_map_sections(data.p2, q2, ("p2",)))
     if col.report.violations:
         col.assume("remaining compatibilities not evaluated over non-canonical projections")
         return col.done()
 
     # span compatibilities
-    col.check(
+    compare_entries(
+        col,
         "src-of-second-is-tgt-of-first",
-        ("s.p2", "t.p1"),
-        strict_equal(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
+        cell_map_sections(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
     )
-    su = compose_pseudo(pseudo_from_strict(data.s), data.u)
-    tu = compose_pseudo(pseudo_from_strict(data.t), data.u)
-    col.check("unit-section-s", ("s.u",), pseudo_equal(su, identity_pseudo(data.d0)))
-    col.check("unit-section-t", ("t.u",), pseudo_equal(tu, identity_pseudo(data.d0)))
-    sc = compose_pseudo(pseudo_from_strict(data.s), data.m)
-    tc = compose_pseudo(pseudo_from_strict(data.t), data.m)
-    col.check(
-        "src-of-composite",
-        ("s.c", "s.p1"),
-        pseudo_equal(sc, pseudo_from_strict(compose_strict(data.s, data.p1))),
-    )
-    col.check(
-        "tgt-of-composite",
-        ("t.c", "t.p2"),
-        pseudo_equal(tc, pseudo_from_strict(compose_strict(data.t, data.p2))),
-    )
+    ident0 = identity_pseudo(data.d0)
+    for leg, law in ((data.s, "unit-section-s"), (data.t, "unit-section-t")):
+        compare_entries(col, law, cell_map_sections(compose_pseudo(pseudo_from_strict(leg), data.u), ident0))
+    for leg, proj, law in ((data.s, data.p1, "src-of-composite"), (data.t, data.p2, "tgt-of-composite")):
+        composite = compose_pseudo(pseudo_from_strict(leg), data.m)
+        compare_entries(col, law, cell_map_sections(composite, pseudo_from_strict(compose_strict(leg, proj))))
 
     # comparison transformations: endpoints and the whiskering conditions;
     # over damaged data the comparison functors may fail to construct at
@@ -357,17 +373,14 @@ def check_internal(
         lunit_f, runit_f = unit_sided_functors(data)
     except StructureError as e:
         if col.take(1):
-            col.fail("comparison-construction", (str(e),))
+            col.fail("comparison-construction", (str(e), *e.witness))
         col.assume("comparison endpoints not evaluated: construction failed")
         return col.done()
     if data.assoc is None:
-        if pseudo_equal(left_nested, right_nested):
-            col.assume("associativity comparison defaulted to the identity")
-        elif col.take(1):
-            col.fail("assoc-default", ("assoc",))
+        _default(col, "assoc", "associativity", left_nested, right_nested)
     else:
-        col.check("assoc-endpoints", ("source",), pseudo_equal(data.assoc.F, right_nested))
-        col.check("assoc-endpoints", ("target",), pseudo_equal(data.assoc.G, left_nested))
+        compare_entries(col, "assoc-endpoints", cell_map_sections(data.assoc.F, right_nested, ("source",)))
+        compare_entries(col, "assoc-endpoints", cell_map_sections(data.assoc.G, left_nested, ("target",)))
         if deep:
             col.report.absorb(
                 check_double_pnt(data.assoc, registry=registry, budget=col.budget),
@@ -376,17 +389,13 @@ def check_internal(
         _whisker_cells_identity(col, "whisker-s-assoc", data.s, data.assoc)
         _whisker_cells_identity(col, "whisker-t-assoc", data.t, data.assoc)
 
+    ident1 = identity_pseudo(data.d1)
     for name, alpha, func in (("lunit", data.lunit, lunit_f), ("runit", data.runit, runit_f)):
         if alpha is None:
-            if pseudo_equal(func, identity_pseudo(data.d1)):
-                col.assume(f"{name} comparison defaulted to the identity")
-            elif col.take(1):
-                col.fail(f"{name}-default", (name,))
+            _default(col, name, name, func, ident1)
             continue
-        col.check(f"{name}-endpoints", ("source",), pseudo_equal(alpha.F, func))
-        col.check(
-            f"{name}-endpoints", ("target",), pseudo_equal(alpha.G, identity_pseudo(data.d1))
-        )
+        compare_entries(col, f"{name}-endpoints", cell_map_sections(alpha.F, func, ("source",)))
+        compare_entries(col, f"{name}-endpoints", cell_map_sections(alpha.G, ident1, ("target",)))
         if deep:
             col.report.absorb(
                 check_double_pnt(alpha, registry=registry, budget=col.budget), prefix=f"{name}: "

@@ -25,6 +25,8 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 
 from __future__ import annotations
 
+import math
+
 from .report import AxiomReport, Budget, Collector, StructureError
 
 OBJECT, HCELL, VCELL, SQUARE = "object", "hcell", "vcell", "square"
@@ -162,10 +164,20 @@ def _entries(table):
 
 
 def _boundaries(col, law, kind, table, cells, expect):
-    """Record ``cells[table[(x, y)]] == expect(x, y)`` for every entry."""
-    for (x, y), z in _charged(col, sorted(table.items())):
-        if cells[z] != expect(x, y):
-            col.fail(law, ((kind, x), (kind, y)), cells[z], expect(x, y))
+    """Record ``cells[table[(x, y)]] == b`` for every entry in key order,
+    ``expect(keys)`` the list of the expected boundaries b of the sorted
+    ``keys``.  The two lists are compared whole; they are walked entry by
+    entry only where they differ, and only as far as the budget reaches."""
+    keys = sorted(table)
+    n = col.take(len(keys))
+    if n < len(keys):
+        keys = keys[:n]
+    actual, expected = [cells[table[key]] for key in keys], expect(keys)
+    if actual == expected:
+        return
+    for (x, y), got, want in zip(keys, actual, expected):
+        if got != want:
+            col.fail(law, ((kind, x), (kind, y)), got, want)
 
 
 def _associativity(col, law, kind, rows, ends, starts):
@@ -352,20 +364,21 @@ class DoubleCategory:
         try:
             return self.hcomp1[(f, g)]
         except KeyError:
-            raise NonComposable(f"hcells {f}:{self.hcells[f]} then {g}:{self.hcells[g]}") from None
+            raise NonComposable(f"hcells {f}:{self.hcells[f]} then {g}:{self.hcells[g]}", ((HCELL, f), (HCELL, g))) from None
 
     def vcomp(self, u, v):
         try:
             return self.vcomp1[(u, v)]
         except KeyError:
-            raise NonComposable(f"vcells {u}:{self.vcells[u]} then {v}:{self.vcells[v]}") from None
+            raise NonComposable(f"vcells {u}:{self.vcells[u]} then {v}:{self.vcells[v]}", ((VCELL, u), (VCELL, v))) from None
 
     def hpaste(self, a, b):
         try:
             return self.hcomp2[(a, b)]
         except KeyError:
             raise NonComposable(
-                f"squares {a}:{self.squares[a]} | {b}:{self.squares[b]} do not paste horizontally"
+                f"squares {a}:{self.squares[a]} | {b}:{self.squares[b]} do not paste horizontally",
+                ((SQUARE, a), (SQUARE, b)),
             ) from None
 
     def vpaste(self, a, b):
@@ -373,7 +386,8 @@ class DoubleCategory:
             return self.vcomp2[(a, b)]
         except KeyError:
             raise NonComposable(
-                f"squares {a}:{self.squares[a]} / {b}:{self.squares[b]} do not paste vertically"
+                f"squares {a}:{self.squares[a]} / {b}:{self.squares[b]} do not paste vertically",
+                ((SQUARE, a), (SQUARE, b)),
             ) from None
 
     def hrow(self, *squares):
@@ -487,15 +501,15 @@ class DoubleCategory:
         hs, ht = _columns(self.hcells, 2)
         vs, vt = _columns(self.vcells, 2)
         sq, h1, v1 = self.squares, self.hcomp1, self.vcomp1
-        _boundaries(col, "hcomp1-boundary", HCELL, h1, self.hcells, lambda f, g: (hs[f], ht[g]))
-        _boundaries(col, "vcomp1-boundary", VCELL, v1, self.vcells, lambda u, v: (vs[u], vt[v]))
+        _boundaries(col, "hcomp1-boundary", HCELL, h1, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys])
+        _boundaries(col, "vcomp1-boundary", VCELL, v1, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys])
         _boundaries(
             col,
             "hcomp2-boundary",
             SQUARE,
             self.hcomp2,
             sq,
-            lambda a, b: (h1[(sq[a][0], sq[b][0])], h1[(sq[a][1], sq[b][1])], sq[a][2], sq[b][3]),
+            lambda keys: [(h1[sq[a][0], sq[b][0]], h1[sq[a][1], sq[b][1]], sq[a][2], sq[b][3]) for a, b in keys],
         )
         _boundaries(
             col,
@@ -503,7 +517,7 @@ class DoubleCategory:
             SQUARE,
             self.vcomp2,
             sq,
-            lambda a, b: (sq[a][0], sq[b][1], v1[(sq[a][2], sq[b][2])], v1[(sq[a][3], sq[b][3])]),
+            lambda keys: [(sq[a][0], sq[b][1], v1[sq[a][2], sq[b][2]], v1[sq[a][3], sq[b][3]]) for a, b in keys],
         )
 
 
@@ -782,20 +796,21 @@ def product(d1: DoubleCategory, d2: DoubleCategory) -> DoubleCategory:
 
 def pullback_pairs(f, g):
     """Matching cell pairs (per kind, lexicographic) of two functors into a
-    common codomain; duck-typed over anything with ob/h/v/sq maps."""
+    common codomain; duck-typed over anything with the cell maps
+    ``ob_map``, ``h_map``, ``v_map`` and ``sq_map`` (one image per cell of
+    the domain)."""
     if not same_category(f.cod, g.cod):
         raise StructureError("pullback requires a common codomain")
 
-    def matching(n1, n2, map1, map2):
-        by_image = _by([map2(y) for y in range(n2)])
-        return [(x, y) for x in range(n1) for y in by_image.get(map1(x), ())]
+    def matching(map1, map2):
+        by_image = _by(map2)
+        return [(x, y) for x, image in enumerate(map1) for y in by_image.get(image, ())]
 
-    d1, d2 = f.dom, g.dom
     return {
-        OBJECT: matching(d1.n_objects, d2.n_objects, f.ob, g.ob),
-        HCELL: matching(len(d1.hcells), len(d2.hcells), f.h, g.h),
-        VCELL: matching(len(d1.vcells), len(d2.vcells), f.v, g.v),
-        SQUARE: matching(len(d1.squares), len(d2.squares), f.sq, g.sq),
+        OBJECT: matching(f.ob_map, g.ob_map),
+        HCELL: matching(f.h_map, g.h_map),
+        VCELL: matching(f.v_map, g.v_map),
+        SQUARE: matching(f.sq_map, g.sq_map),
     }
 
 
@@ -885,6 +900,117 @@ def pullback(f, g) -> DoubleCategory:
             for kind, ps in pairs.items()
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# entry-by-entry comparison with the canonical structure
+#
+# A comparison walks *sections* in a fixed order: ``(head, kind, left,
+# right)``, two sequences indexed by cell id or two dicts keyed by a cell id
+# or a pair of them, read in key order.  The witness of an entry is ``head``
+# followed by ``(kind, c)`` for each cell c of its key; an entry present on
+# one side only differs there, with None on the missing side.
+
+
+def _mismatch(left, right, stop):
+    """The first index below ``stop`` at which ``left`` and ``right``
+    differ, an entry present on one side only included; None if none."""
+    common = min(len(left), len(right), stop)
+    for i in range(common):
+        if left[i] != right[i]:
+            return i
+    return common if common < stop and common < max(len(left), len(right)) else None
+
+
+def first_difference(sections, room=math.inf):
+    """``(n, witness, lhs, rhs)`` for the first entry of ``sections`` that
+    differs, n the number of entries up to and including it; only the first
+    ``room`` entries (all by default) are compared.  Without a difference
+    among them the witness and both sides are None and n is the number of
+    entries, or ``room + 1`` when entries were left over.  A section that
+    agrees is compared as a whole; it is walked entry by entry only where it
+    differs or ``room`` cuts it."""
+    n = 0
+    for head, kind, left, right in sections:
+        cut = room - n
+        if left == right and len(left) <= cut:
+            n += len(left)
+            continue
+        keys = sorted(left.keys() | right.keys()) if isinstance(left, dict) else None
+        if keys is not None:
+            left, right = [left.get(k) for k in keys], [right.get(k) for k in keys]
+        i = _mismatch(left, right, cut)
+        if i is None:
+            size = max(len(left), len(right))
+            if size > cut:
+                return room + 1, None, None, None
+            n += size
+            continue
+        key = i if keys is None else keys[i]
+        cells = tuple((kind, c) for c in (key if isinstance(key, tuple) else (key,)))
+        lhs = left[i] if i < len(left) else None
+        rhs = right[i] if i < len(right) else None
+        return n + i + 1, (*head, *cells), lhs, rhs
+    return n, None, None, None
+
+
+def compare_entries(col, law, sections) -> None:
+    """Record the first difference of ``sections`` as a violation of
+    ``law``, charged with one ``Collector.take`` for the entries up to and
+    including it (all of them when none differs); under a budget cut only
+    the entries that fit are compared."""
+    n, witness, lhs, rhs = first_difference(sections, col.room())
+    col.take(n)
+    if witness is not None:
+        col.fail(law, witness, lhs, rhs)
+
+
+def cell_map_sections(f, g, head=()):
+    """The sections comparing two cell-map families ``f`` and ``g`` (strict
+    functors, or pseudofunctors with their structure cells): the four cell
+    maps, then ``comp_h``, ``unit_h``, ``comp_v`` and ``unit_v`` by key."""
+    yield head, OBJECT, f.ob_map, g.ob_map
+    yield head, HCELL, f.h_map, g.h_map
+    yield head, VCELL, f.v_map, g.v_map
+    yield head, SQUARE, f.sq_map, g.sq_map
+    if hasattr(f, "comp_h"):
+        for name, kind in (("comp_h", HCELL), ("unit_h", OBJECT), ("comp_v", VCELL), ("unit_v", OBJECT)):
+            yield (*head, name), kind, getattr(f, name), getattr(g, name)
+
+
+def fiber_product_sections(p, f, g, pairs):
+    """The sections comparing the category ``p`` with the fiber product of
+    the functors ``f`` and ``g``, ``pairs`` their :func:`pullback_pairs`,
+    whose cells are numbered as in :func:`pullback`: the objects; the
+    boundaries of hcells, vcells and squares, as indices of pairs; every
+    entry of ``p``'s four tables against the index of the pair of the
+    factors' composites; and ``hid``, ``vid``, ``sq_vid``, ``sq_hid``.  A
+    boundary or composite that is no matching pair is None.
+
+    The table entries are read only after the cells agree, so the key
+    sets, the composable pairs of both, agree too and the canonical side is
+    read at ``p``'s keys."""
+    at = {kind: dict(zip(ps, range(len(ps)))) for kind, ps in pairs.items()}
+    ob, hc, vc, sq = at[OBJECT].get, at[HCELL].get, at[VCELL].get, at[SQUARE].get
+    d1, d2 = f.dom, g.dom
+    yield (), OBJECT, range(p.n_objects), range(len(pairs[OBJECT]))
+    c1, c2 = d1.hcells, d2.hcells
+    yield (), HCELL, p.hcells, [(ob((c1[x][0], c2[y][0])), ob((c1[x][1], c2[y][1]))) for x, y in pairs[HCELL]]
+    c1, c2 = d1.vcells, d2.vcells
+    yield (), VCELL, p.vcells, [(ob((c1[x][0], c2[y][0])), ob((c1[x][1], c2[y][1]))) for x, y in pairs[VCELL]]
+    c1, c2 = d1.squares, d2.squares
+    yield (), SQUARE, p.squares, [
+        (hc((c1[x][0], c2[y][0])), hc((c1[x][1], c2[y][1])), vc((c1[x][2], c2[y][2])), vc((c1[x][3], c2[y][3])))
+        for x, y in pairs[SQUARE]
+    ]
+    for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE)):
+        xs, ys = _columns(pairs[kind], 2)
+        t1, t2, look, table = getattr(d1, name), getattr(d2, name), at[kind].get, getattr(p, name)
+        yield (name,), kind, table, {(i, j): look((t1[xs[i], xs[j]], t2[ys[i], ys[j]])) for i, j in table}
+    yield ("hid",), OBJECT, p.hid, [hc((d1.hid[x], d2.hid[y])) for x, y in pairs[OBJECT]]
+    yield ("vid",), OBJECT, p.vid, [vc((d1.vid[x], d2.vid[y])) for x, y in pairs[OBJECT]]
+    yield ("sq_vid",), HCELL, p.sq_vid, [sq((d1.sq_vid[x], d2.sq_vid[y])) for x, y in pairs[HCELL]]
+    yield ("sq_hid",), VCELL, p.sq_hid, [sq((d1.sq_hid[x], d2.sq_hid[y])) for x, y in pairs[VCELL]]
 
 
 def transpose(d: DoubleCategory) -> DoubleCategory:
@@ -980,15 +1106,17 @@ class TwoCategory:
         s1, t1 = _columns(self.onecells, 2)
         s2, t2 = _columns(self.twocells, 2)
         c1 = self.comp1
-        _boundaries(col, "comp1-boundary", "onecell", c1, self.onecells, lambda f, g: (s1[f], t1[g]))
-        _boundaries(col, "vcomp2-boundary", "twocell", self.vcomp2, self.twocells, lambda a, b: (s2[a], t2[b]))
+        _boundaries(col, "comp1-boundary", "onecell", c1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys])
+        _boundaries(
+            col, "vcomp2-boundary", "twocell", self.vcomp2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys]
+        )
         _boundaries(
             col,
             "hcomp2-boundary",
             "twocell",
             self.hcomp2,
             self.twocells,
-            lambda a, b: (c1[(s2[a], s2[b])], c1[(t2[a], t2[b])]),
+            lambda keys: [(c1[s2[a], s2[b]], c1[t2[a], t2[b]]) for a, b in keys],
         )
 
 

@@ -21,7 +21,12 @@ DEFAULT_MAX_TUPLES = 5_000_000
 
 class StructureError(ValueError):
     """Malformed finite presentation (bad boundary, bad table key, ...) or
-    a law name outside a checker's catalogue."""
+    a law name outside a checker's catalogue.  ``witness`` names the cells
+    at fault, ``(kind, id)`` pairs, where the raiser knows them."""
+
+    def __init__(self, message: str = "", witness: tuple = ()):
+        super().__init__(message)
+        self.witness = tuple(witness)
 
 
 def live_axioms(catalogue, axioms) -> set:
@@ -78,7 +83,10 @@ class AxiomReport:
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        """True exactly when the status is ``pass``: the checker ran to
+        completion within its budget and found nothing.  A report cut by its
+        budget or left ``inconclusive`` has not passed, whatever it found."""
+        return self.status == PASS and not self.violations
 
     def finish(self) -> "AxiomReport":
         if self.violations and self.status == PASS:
@@ -177,6 +185,11 @@ class Collector:
         self._hit_budget = True
         self.report.status = BUDGET_EXCEEDED
         return room
+
+    def room(self) -> int:
+        """How many more law instances the budget lets this collector
+        evaluate."""
+        return 0 if self._hit_budget else max(self.budget.max_tuples - self.budget.used, 0)
 
     def check(self, axiom: str, witness: tuple, ok: bool) -> bool:
         return self.eq(axiom, witness, True, bool(ok))

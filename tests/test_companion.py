@@ -328,3 +328,27 @@ def test_delta_mutation_breaks_comparison_axioms(sign_setting):
     rep = check_horizontal_pnt(mutated)
     assert not rep.passed
     assert any(v.axiom in ("pnt-hcomp-delta", "pnt-hunit-delta") for v in rep.violations)
+
+
+# a report cut by its budget passes no guard
+
+
+def test_find_connection_rejects_capped_snake_reports(monkeypatch):
+    from dblkit import companion
+    from dblkit.report import Budget
+
+    original = companion.check_companion
+    monkeypatch.setattr(companion, "check_companion", lambda d, p, budget=None: original(d, p, budget=Budget(0)))
+    with pytest.raises(StructureError, match="admits no companion"):
+        find_connection(quintet(zoo.cyclic_group_cat(2)))
+
+
+def test_roundtrip_cut_by_its_budget_adds_no_diagnosis(bz3_setting):
+    from dblkit.report import Budget
+
+    c, d, F, verts, conn = bz3_setting
+    for cap in (0, 1, 5):
+        budget = Budget(cap)
+        rep = roundtrip_check(verts[0], conn, budget=budget)
+        assert rep.status == "budget-exceeded" and not rep.violations
+        assert rep.checked == cap and budget.used == cap + 1

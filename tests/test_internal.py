@@ -2,9 +2,13 @@ from dataclasses import fields, replace
 
 import pytest
 
-from dblkit import zoo
-from dblkit import internal
+from dblkit import functors, internal, kernel, zoo
+from dblkit.acceptance import internal_mutations
 from dblkit.kernel import (
+    HCELL,
+    OBJECT,
+    SQUARE,
+    VCELL,
     DoubleCategory,
     StructureError,
     embed_two_category,
@@ -36,6 +40,7 @@ from dblkit.internal import (
     pseudomonoid_to_internal,
     unit_sided_functors,
 )
+from dblkit.mutate import sample_mutants
 from dblkit.report import BUDGET_EXCEEDED, Budget
 from dblkit.transform import ComponentRegistry
 from dblkit.weak import (
@@ -521,3 +526,170 @@ def test_default_and_construction_violations_are_charged(monkeypatch):
     assert rep.checked == before[0] + 1
     capped = check_internal(data, registry=EMPTY, budget=Budget(max_tuples=before[0]), deep=False)
     assert capped.violations == [] and capped.status == BUDGET_EXCEEDED
+
+
+# ---------------------------------------------------------------------------
+# the bundled pullback and the whole-functor laws, entry by entry
+
+CELL_KINDS = (OBJECT, HCELL, VCELL, SQUARE)
+
+
+def _names_a_cell(v):
+    return any(isinstance(w, tuple) and len(w) == 2 and w[0] in CELL_KINDS and isinstance(w[1], int) for w in v.witness)
+
+
+def _pullback_mutants(make, count, seed):
+    host = internal.diagonal_internal(quintet(make()))
+    return [(slot, replace(host, p=bad_p)) for slot, bad_p in sample_mutants(host.p, count, seed=seed)]
+
+
+def test_check_internal_builds_neither_pullback_nor_projections(monkeypatch):
+    bundles = [
+        monoid_to_internal(zoo.commutative_monoid_in_dbl()),
+        internal.diagonal_internal(quintet(zoo.walking_iso())),
+        internal.diagonal_internal(embed_two_category(zoo.sign_two_category())),
+    ]
+    bundles += [data for _, data in _pullback_mutants(zoo.walking_iso, 3, seed=2)]
+    calls = []
+    for module in (internal, kernel, functors):
+        for name in ("pullback", "pullback_projections"):
+            if hasattr(module, name):
+                original = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
+    for data in bundles:
+        for deep in (True, False):
+            check_internal(data, registry=EMPTY, deep=deep)
+    assert calls == []
+    # the wrappers count: the triple pullback of a fresh bundle is built
+    check_internal(replace(bundles[0]), registry=EMPTY, deep=False)
+    assert "pullback" in calls and "pullback_projections" in calls
+
+
+def test_every_internal_violation_names_a_cell():
+    _, mutations = internal_mutations()
+    reports = [check_internal(data, registry=EMPTY, deep=False) for data in mutations.values()]
+    for make, seed in ((lambda: zoo.cyclic_group_cat(2), 3), (zoo.walking_iso, 4)):
+        reports += [check_internal(data, registry=EMPTY, deep=False) for _, data in _pullback_mutants(make, 20, seed)]
+    for rep in reports:
+        assert rep.status == "fail"
+        for v in rep.violations:
+            assert _names_a_cell(v), v
+
+
+def test_pullback_witness_is_the_mutated_table_entry():
+    for (table, key, alt), data in _pullback_mutants(lambda: zoo.cyclic_group_cat(2), 20, seed=5):
+        rep = check_internal(data, registry=EMPTY, deep=False)
+        kind = {"hcomp1": HCELL, "vcomp1": VCELL}.get(table, SQUARE)
+        [v] = rep.violations
+        assert v.axiom == "pullback-canonical"
+        assert v.witness == (table, (kind, key[0]), (kind, key[1]))
+        assert (v.lhs, v.rhs) == (alt, getattr(pullback(data.t, data.s), table)[key])
+
+
+def test_pullback_difference_recorded_exactly_when_it_fits():
+    # a vcomp2 entry: the last table, after every cell and three tables
+    (slot, data), = [m for m in _pullback_mutants(zoo.walking_iso, 40, seed=1) if m[0][0] == "vcomp2"][:1]
+    full = check_internal(data, registry=EMPTY, deep=False)
+    [v] = full.violations
+    assert v.witness[0] == "vcomp2" and full.status == "fail"
+    n = full.checked
+    assert n > len(data.p.squares)
+    for cap in range(n + 2):
+        budget = Budget(cap)
+        rep = check_internal(data, registry=EMPTY, budget=budget, deep=False)
+        if cap >= n:
+            assert rep.violations == full.violations and rep.status == "fail"
+            assert rep.checked == n and budget.used == n
+        else:
+            assert rep.violations == [] and rep.status == BUDGET_EXCEEDED
+            assert rep.checked == cap and budget.used == cap + 1
+
+
+def test_cell_map_difference_names_the_first_cell_in_order():
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    sq = list(data.p1.sq_map)
+    sq[3], sq[5] = (sq[3] + 1) % len(data.d1.squares), (sq[5] + 1) % len(data.d1.squares)
+    rep = check_internal(replace(data, p1=replace(data.p1, sq_map=sq)), registry=EMPTY, deep=False)
+    [v] = rep.violations
+    assert v.axiom == "pullback-projections" and v.witness == ("p1", (SQUARE, 3))
+    assert (v.lhs, v.rhs) == (sq[3], data.p1.sq_map[3])
+    # charged: every entry of the pullback, p1 up to square 3, all of p2
+    p = data.p
+    cells = p.n_objects + len(p.hcells) + len(p.vcells)
+    assert rep.checked == _fiber_product_entries(p) + cells + 4 + cells + len(p.squares)
+
+
+def _fiber_product_entries(p):
+    return (
+        p.n_objects + len(p.hcells) + len(p.vcells) + len(p.squares)
+        + sum(len(t) for t in (p.hcomp1, p.vcomp1, p.hcomp2, p.vcomp2))
+        + len(p.hid) + len(p.vid) + len(p.sq_vid) + len(p.sq_hid)
+    )
+
+
+def test_default_comparison_names_its_first_difference(monkeypatch):
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    data = replace(data, assoc=None, lunit=None, runit=None)
+    left, right, p3l = nested_composition_functors(data)
+    sq = list(right.sq_map)
+    sq[2] = (sq[2] + 1) % len(data.d1.squares)
+    monkeypatch.setattr(internal, "nested_composition_functors", lambda _: (left, replace(right, sq_map=sq), p3l))
+    rep = check_internal(data, registry=EMPTY, deep=False)
+    [v] = rep.violations
+    assert v.axiom == "assoc-default" and v.witness == ((SQUARE, 2),) and (v.lhs, v.rhs) == (left.sq_map[2], sq[2])
+
+
+def test_pseudo_double_cutoff_adds_at_most_one_violation_per_instance():
+    # vcomp2[(0, 0)] moved to the other 2-cell: rows of the vcomp2
+    # associativity block and of the interchange grid hold two violations
+    # each, so a cutoff that evaluated whole rows past the cap would record
+    # two at once
+    b = zoo.sign_bicategory()
+    b.vcomp2[(0, 0)] = 1
+    p = internalize_bicategory(b)
+    full = check_pseudo_double_category(p)
+    assert full.status == "fail" and len(full.violations) > 2
+    before = 0
+    for cap in range(full.checked + 2):
+        rep = check_pseudo_double_category(p, budget=Budget(cap))
+        assert len(rep.violations) - before <= 1, cap
+        assert rep.violations == full.violations[: len(rep.violations)]
+        before = len(rep.violations)
+    assert before == len(full.violations)
+
+
+# ---------------------------------------------------------------------------
+# reports cut by their budget pass no guard
+
+
+def _capped(check):
+    """``check`` with a budget of no instances: its report is cut before
+    its first law instance and records nothing."""
+    return lambda *args, **kwargs: check(*args, **{**kwargs, "budget": Budget(0)})
+
+
+def test_span_leg_guard_rejects_a_capped_leg_report(monkeypatch):
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    monkeypatch.setattr(internal, "check_strict_functor", _capped(internal.check_strict_functor))
+    with pytest.raises(StructureError, match="span legs must be strict"):
+        check_internal(data, registry=EMPTY, deep=False)
+
+
+def test_pseudomonoid_rejects_a_capped_correspondence_report(monkeypatch):
+    from dblkit import companion
+    from dblkit.kernel import check_double_category, terminal_double_category
+
+    m = zoo.commutative_monoid_in_dbl()
+    base = monoid_to_internal(m)
+    left_nested, right_nested, p3l = nested_composition_functors(base)
+    verts = enumerate_plain_verticals(right_nested, left_nested)
+    original = companion.vertical_transformation_to_double
+
+    def capped(*args, **kwargs):
+        dd, th, corr = original(*args, **kwargs)
+        assert corr.passed
+        return dd, th, check_double_category(terminal_double_category(), budget=Budget(0))
+
+    monkeypatch.setattr(companion, "vertical_transformation_to_double", capped)
+    with pytest.raises(StructureError, match="companion correspondences failed"):
+        pseudomonoid_to_internal(m, verts[0], find_connection(m.carrier), dom_conn=find_connection(p3l))

@@ -634,6 +634,22 @@ def test_cutoff_inside_a_violated_associativity_block_matches_oracle():
         assert capped.count("vcomp2-associativity") == count
 
 
+def test_cutoff_inside_the_boundary_tables_matches_oracle():
+    # this mutant of quintet(C2) moves one hcomp1 entry: 14 of the 64
+    # hcomp2 entries get the wrong boundary, several of them in a row, and
+    # no law past the boundary tables is evaluated; every cap checks and
+    # records as the oracle
+    d = quintet(zoo.cyclic_group_cat(2))
+    m = apply_mutation(d, ("hcomp1", (0, 0), 1))
+    full = check_double_category(m)
+    assert len(full.violations) == 14 and full.checked == 72
+    for cap in range(full.checked + 2):
+        ours, theirs = Budget(cap), Budget(cap)
+        rep = check_double_category(m, budget=ours)
+        assert rep.to_dict() == oracle_check_double_category(m, budget=theirs).to_dict()
+        assert ours.used == theirs.used
+
+
 def test_exhausted_shared_budget_matches_per_instance_oracle():
     ours, theirs = Budget(100), Budget(100)
     for _ in range(2):
@@ -671,3 +687,34 @@ def test_pullback_not_closed_names_the_first_unmatched_pair():
     with pytest.raises(StructureError) as e:
         _pullback_of_unequal_maps(ds, range(2), [0, 1, 3, 2])
     assert str(e.value) == "pullback not closed at vcomp2: pair (2, 2) does not match; are both functors strict?"
+
+
+# a report cut by its budget passes no guard
+
+
+def test_quintet_rejects_a_capped_category_check(monkeypatch):
+    original = FiniteCategory.check
+    monkeypatch.setattr(FiniteCategory, "check", lambda self, budget=None: original(self, budget=Budget(0)))
+    with pytest.raises(StructureError, match="quintet input is not a category"):
+        quintet(zoo.walking_arrow())
+
+
+def test_embedding_rejects_a_capped_two_category_check(monkeypatch):
+    from dblkit import kernel
+
+    original = kernel.check_two_category
+    monkeypatch.setattr(kernel, "check_two_category", lambda t, budget=None: original(t, budget=Budget(0)))
+    with pytest.raises(StructureError, match="embedding input is not a strict 2-category"):
+        embed_two_category(zoo.sign_two_category())
+
+
+def test_passed_means_status_pass():
+    d = quintet(zoo.cyclic_group_cat(3))
+    full = check_double_category(d)
+    assert full.passed and full.status == "pass"
+    capped = check_double_category(d, budget=Budget(10))
+    assert capped.status == "budget-exceeded" and not capped.violations and not capped.passed
+    assert capped.to_dict()["passed"] is False
+    col = Collector("open")
+    col.fail("law", ())
+    assert col.report.status == "pass" and not col.report.passed  # not yet finished as fail
