@@ -29,10 +29,10 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
-    cell_map_sections,
-    compare_entries,
-    fiber_product_sections,
-    first_difference,
+    _cell_map_sections,
+    _compare_entries,
+    _fiber_product_sections,
+    _first_difference,
     pullback,
     pullback_pairs,
     terminal_double_category,
@@ -295,7 +295,7 @@ def _default(col, name, what, f, g):
     """A comparison left out of the bundle is the identity, which needs its
     two endpoint functors ``f`` and ``g`` to agree: recorded as an
     assumption when they do, else one violation at their first difference."""
-    _, witness, lhs, rhs = first_difference(cell_map_sections(f, g))
+    _, witness, lhs, rhs = _first_difference(_cell_map_sections(f, g))
     if witness is None:
         col.assume(f"{what} comparison defaulted to the identity")
     elif col.take(1):
@@ -312,7 +312,7 @@ def check_internal(
     checks on every constituent.
 
     Every law that compares whole structures compares them entry by entry
-    (``kernel.compare_entries``) and names its first difference: a cell
+    (``kernel._compare_entries``) and names its first difference: a cell
     ``(kind, id)``, or a table or structure-cell entry after the name of
     its table, with both values.  The bundled pullback is compared with the
     fiber product of the span read off ``pullback_pairs(t, s)``, never
@@ -337,7 +337,7 @@ def check_internal(
     # the pullback must be the canonical one; everything later is built on
     # top of it, so stop here when it is not
     pairs = pullback_pairs(data.t, data.s)
-    compare_entries(col, "pullback-canonical", fiber_product_sections(data.p, data.t, data.s, pairs))
+    _compare_entries(col, "pullback-canonical", _fiber_product_sections(data.p, data.t, data.s, pairs))
     if col.report.violations:
         col.assume("remaining compatibilities not evaluated over a non-canonical pullback")
         return col.done()
@@ -346,24 +346,24 @@ def check_internal(
         col.assume("remaining compatibilities not evaluated: the budget ran out before the pullback was verified")
         return col.done()
     q1, q2 = _projections(data.p, data.t.dom, data.s.dom, [pairs[kind] for kind in (OBJECT, HCELL, VCELL, SQUARE)])
-    compare_entries(col, "pullback-projections", cell_map_sections(data.p1, q1, ("p1",)))
-    compare_entries(col, "pullback-projections", cell_map_sections(data.p2, q2, ("p2",)))
+    _compare_entries(col, "pullback-projections", _cell_map_sections(data.p1, q1, ("p1",)))
+    _compare_entries(col, "pullback-projections", _cell_map_sections(data.p2, q2, ("p2",)))
     if col.report.violations:
         col.assume("remaining compatibilities not evaluated over non-canonical projections")
         return col.done()
 
     # span compatibilities
-    compare_entries(
+    _compare_entries(
         col,
         "src-of-second-is-tgt-of-first",
-        cell_map_sections(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
+        _cell_map_sections(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
     )
     ident0 = identity_pseudo(data.d0)
     for leg, law in ((data.s, "unit-section-s"), (data.t, "unit-section-t")):
-        compare_entries(col, law, cell_map_sections(compose_pseudo(pseudo_from_strict(leg), data.u), ident0))
+        _compare_entries(col, law, _cell_map_sections(compose_pseudo(pseudo_from_strict(leg), data.u), ident0))
     for leg, proj, law in ((data.s, data.p1, "src-of-composite"), (data.t, data.p2, "tgt-of-composite")):
         composite = compose_pseudo(pseudo_from_strict(leg), data.m)
-        compare_entries(col, law, cell_map_sections(composite, pseudo_from_strict(compose_strict(leg, proj))))
+        _compare_entries(col, law, _cell_map_sections(composite, pseudo_from_strict(compose_strict(leg, proj))))
 
     # comparison transformations: endpoints and the whiskering conditions;
     # over damaged data the comparison functors may fail to construct at
@@ -379,8 +379,8 @@ def check_internal(
     if data.assoc is None:
         _default(col, "assoc", "associativity", left_nested, right_nested)
     else:
-        compare_entries(col, "assoc-endpoints", cell_map_sections(data.assoc.F, right_nested, ("source",)))
-        compare_entries(col, "assoc-endpoints", cell_map_sections(data.assoc.G, left_nested, ("target",)))
+        _compare_entries(col, "assoc-endpoints", _cell_map_sections(data.assoc.F, right_nested, ("source",)))
+        _compare_entries(col, "assoc-endpoints", _cell_map_sections(data.assoc.G, left_nested, ("target",)))
         if deep:
             col.report.absorb(
                 check_double_pnt(data.assoc, registry=registry, budget=col.budget),
@@ -394,8 +394,8 @@ def check_internal(
         if alpha is None:
             _default(col, name, name, func, ident1)
             continue
-        compare_entries(col, f"{name}-endpoints", cell_map_sections(alpha.F, func, ("source",)))
-        compare_entries(col, f"{name}-endpoints", cell_map_sections(alpha.G, ident1, ("target",)))
+        _compare_entries(col, f"{name}-endpoints", _cell_map_sections(alpha.F, func, ("source",)))
+        _compare_entries(col, f"{name}-endpoints", _cell_map_sections(alpha.G, ident1, ("target",)))
         if deep:
             col.report.absorb(
                 check_double_pnt(alpha, registry=registry, budget=col.budget), prefix=f"{name}: "

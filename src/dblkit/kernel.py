@@ -922,7 +922,7 @@ def _mismatch(left, right, stop):
     return common if common < stop and common < max(len(left), len(right)) else None
 
 
-def first_difference(sections, room=math.inf):
+def _first_difference(sections, room=math.inf):
     """``(n, witness, lhs, rhs)`` for the first entry of ``sections`` that
     differs, n the number of entries up to and including it; only the first
     ``room`` entries (all by default) are compared.  Without a difference
@@ -954,18 +954,18 @@ def first_difference(sections, room=math.inf):
     return n, None, None, None
 
 
-def compare_entries(col, law, sections) -> None:
+def _compare_entries(col, law, sections) -> None:
     """Record the first difference of ``sections`` as a violation of
     ``law``, charged with one ``Collector.take`` for the entries up to and
     including it (all of them when none differs); under a budget cut only
     the entries that fit are compared."""
-    n, witness, lhs, rhs = first_difference(sections, col.room())
+    n, witness, lhs, rhs = _first_difference(sections, col.room())
     col.take(n)
     if witness is not None:
         col.fail(law, witness, lhs, rhs)
 
 
-def cell_map_sections(f, g, head=()):
+def _cell_map_sections(f, g, head=()):
     """The sections comparing two cell-map families ``f`` and ``g`` (strict
     functors, or pseudofunctors with their structure cells): the four cell
     maps, then ``comp_h``, ``unit_h``, ``comp_v`` and ``unit_v`` by key."""
@@ -978,7 +978,7 @@ def cell_map_sections(f, g, head=()):
             yield (*head, name), kind, getattr(f, name), getattr(g, name)
 
 
-def fiber_product_sections(p, f, g, pairs):
+def _fiber_product_sections(p, f, g, pairs):
     """The sections comparing the category ``p`` with the fiber product of
     the functors ``f`` and ``g``, ``pairs`` their :func:`pullback_pairs`,
     whose cells are numbered as in :func:`pullback`: the objects; the
