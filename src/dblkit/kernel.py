@@ -1004,9 +1004,10 @@ def _fiber_product_sections(p, f, g, pairs):
         for x, y in pairs[SQUARE]
     ]
     for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE)):
-        xs, ys = _columns(pairs[kind], 2)
-        t1, t2, look, table = getattr(d1, name), getattr(d2, name), at[kind].get, getattr(p, name)
-        yield (name,), kind, table, {(i, j): look((t1[xs[i], xs[j]], t2[ys[i], ys[j]])) for i, j in table}
+        ps, look = pairs[kind], at[kind].get
+        t1, t2, table = getattr(d1, name), getattr(d2, name), getattr(p, name)
+        canonical = [look((t1[ps[i][0], ps[j][0]], t2[ps[i][1], ps[j][1]])) for i, j in table]
+        yield (name,), kind, table, dict(zip(table, canonical))
     yield ("hid",), OBJECT, p.hid, [hc((d1.hid[x], d2.hid[y])) for x, y in pairs[OBJECT]]
     yield ("vid",), OBJECT, p.vid, [vc((d1.vid[x], d2.vid[y])) for x, y in pairs[OBJECT]]
     yield ("sq_vid",), HCELL, p.sq_vid, [sq((d1.sq_vid[x], d2.sq_vid[y])) for x, y in pairs[HCELL]]
