@@ -91,8 +91,8 @@ EXPLANATIONS = {
     "embedding-identity": "tensor of embedded structures equals the embedded tensor, cell for cell",
     "square-word-normalization": "rewriting a square word to its normal form preserves its value",
     "pullback-canonical": "the bundled pullback is the canonical cellwise one; the witness is its first cell or table entry that differs",
-    "unit-section-s": "the source functor retracts the unit functor; the witness is the first cell or structure cell where they differ",
-    "src-of-composite": "the source of a composite is the source of the first factor; the witness is the first cell or structure cell where they differ",
+    "unit-section-s": "the source functor retracts the unit functor; the witness is dom or cod when the two run between other categories, else the first cell or structure cell where they differ",
+    "src-of-composite": "the source of a composite is the source of the first factor; the witness is dom or cod when the two run between other categories, else the first cell or structure cell where they differ",
     "pair-object-bijection": "hom pairs and the pullback are in canonical bijection",
 }
 

@@ -314,12 +314,14 @@ def check_internal(
     Every law that compares whole structures compares them entry by entry
     (``kernel._compare_entries``) and names its first difference: a cell
     ``(kind, id)``, or a table or structure-cell entry after the name of
-    its table, with both values.  The bundled pullback is compared with the
-    fiber product of the span read off ``pullback_pairs(t, s)``, never
-    rebuilt, and the projections are read off the same pairs.  Each
-    comparison is charged once, for the entries up to and including its
-    first difference (every entry when it agrees), so under a budget cut
-    only the entries that fit are compared."""
+    its table, with both values; two functors are compared on their
+    domains and codomains first, a difference there named ``dom`` or
+    ``cod``.  The bundled pullback is compared with the fiber product of
+    the span read off ``pullback_pairs(t, s)``, never rebuilt, and the
+    projections are read off the same pairs.  Each comparison is charged
+    once, for the entries up to and including its first difference (every
+    entry when it agrees), so under a budget cut only the entries that fit
+    are compared."""
     col = Collector("internal-category", budget)
     legs = (data.s,) if data.t is data.s else (data.s, data.t)
     if not all(check_strict_functor(leg).passed for leg in legs):

@@ -814,6 +814,42 @@ def pullback_pairs(f, g):
     }
 
 
+def _fiber_cells(pairs, d1, d2, find):
+    """The cells of the fiber product of two functors out of ``d1`` and
+    ``d2``, numbered by their index in ``pairs``, the functors'
+    :func:`pullback_pairs`: yields in turn the boundaries of the hcells,
+    vcells and squares, then ``hid``, ``vid``, ``sq_vid`` and ``sq_hid``,
+    so a caller that stops early builds no more.  ``find(kind, what)`` is
+    the lookup of a pair of ``kind`` cells, ``what`` naming the entry it
+    serves."""
+    def ends(kind, cells1, cells2, what):
+        src, tgt = find(OBJECT, f"{what} source"), find(OBJECT, f"{what} target")
+        return [(src((cells1[x][0], cells2[y][0])), tgt((cells1[x][1], cells2[y][1]))) for x, y in pairs[kind]]
+
+    yield ends(HCELL, d1.hcells, d2.hcells, "hcell")
+    yield ends(VCELL, d1.vcells, d2.vcells, "vcell")
+    c1, c2 = d1.squares, d2.squares
+    top, bottom = find(HCELL, "square top"), find(HCELL, "square bottom")
+    left, right = find(VCELL, "square left"), find(VCELL, "square right")
+    yield [
+        (
+            top((c1[x][0], c2[y][0])),
+            bottom((c1[x][1], c2[y][1])),
+            left((c1[x][2], c2[y][2])),
+            right((c1[x][3], c2[y][3])),
+        )
+        for x, y in pairs[SQUARE]
+    ]
+    for name, kind, of in (
+        ("hid", HCELL, OBJECT),
+        ("vid", VCELL, OBJECT),
+        ("sq_vid", SQUARE, HCELL),
+        ("sq_hid", SQUARE, VCELL),
+    ):
+        look, ids1, ids2 = find(kind, name), getattr(d1, name), getattr(d2, name)
+        yield [look((ids1[x], ids2[y])) for x, y in pairs[of]]
+
+
 def pullback(f, g) -> DoubleCategory:
     """Cellwise pullback of two strict functors with a common codomain.
 
@@ -833,31 +869,21 @@ def pullback(f, g) -> DoubleCategory:
     index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
     d1, d2 = f.dom, g.dom
 
-    def look(kind, p, what):
-        try:
-            return index[kind][p]
-        except KeyError:
-            raise StructureError(
-                f"pullback not closed at {what}: pair {p} does not match; are both functors strict?"
-            ) from None
+    def find(kind, what):
+        at = index[kind]
 
-    hcells = [
-        (look(OBJECT, (d1.hs(x), d2.hs(y)), "hcell source"), look(OBJECT, (d1.ht(x), d2.ht(y)), "hcell target"))
-        for (x, y) in pairs[HCELL]
-    ]
-    vcells = [
-        (look(OBJECT, (d1.vs(x), d2.vs(y)), "vcell source"), look(OBJECT, (d1.vt(x), d2.vt(y)), "vcell target"))
-        for (x, y) in pairs[VCELL]
-    ]
-    squares = [
-        (
-            look(HCELL, (d1.top(x), d2.top(y)), "square top"),
-            look(HCELL, (d1.bottom(x), d2.bottom(y)), "square bottom"),
-            look(VCELL, (d1.left(x), d2.left(y)), "square left"),
-            look(VCELL, (d1.right(x), d2.right(y)), "square right"),
-        )
-        for (x, y) in pairs[SQUARE]
-    ]
+        def look(p):
+            try:
+                return at[p]
+            except KeyError:
+                raise StructureError(
+                    f"pullback not closed at {what}: pair {p} does not match; are both functors strict?"
+                ) from None
+
+        return look
+
+    cells = _fiber_cells(pairs, d1, d2, find)
+    hcells, vcells, squares = next(cells), next(cells), next(cells)
 
     def joined(kind, cells1, cells2, end, start, table1, table2, what):
         # pairs (i, j) of matching pairs that compose in both factors, by a
@@ -875,7 +901,7 @@ def pullback(f, g) -> DoubleCategory:
                     x2, y2 = ps[j]
                     p = (row1[x2], row2[y2])
                     k = at.get(p)
-                    table[(i, j)] = look(kind, p, what) if k is None else k
+                    table[(i, j)] = find(kind, what)(p) if k is None else k
         return table
 
     hcomp1 = joined(HCELL, d1.hcells, d2.hcells, 1, 0, d1.hcomp1, d2.hcomp1, "hcomp1")
@@ -891,10 +917,7 @@ def pullback(f, g) -> DoubleCategory:
         vcomp1,
         hcomp2,
         vcomp2,
-        [look(HCELL, (d1.hid[a], d2.hid[b]), "hid") for (a, b) in pairs[OBJECT]],
-        [look(VCELL, (d1.vid[a], d2.vid[b]), "vid") for (a, b) in pairs[OBJECT]],
-        [look(SQUARE, (d1.sq_vid[x], d2.sq_vid[y]), "sq_vid") for (x, y) in pairs[HCELL]],
-        [look(SQUARE, (d1.sq_hid[x], d2.sq_hid[y]), "sq_hid") for (x, y) in pairs[VCELL]],
+        *cells,
         names={
             kind: [f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for (x, y) in ps]
             for kind, ps in pairs.items()
@@ -908,8 +931,9 @@ def pullback(f, g) -> DoubleCategory:
 # A comparison walks *sections* in a fixed order: ``(head, kind, left,
 # right)``, two sequences indexed by cell id or two dicts keyed by a cell id
 # or a pair of them, read in key order.  The witness of an entry is ``head``
-# followed by ``(kind, c)`` for each cell c of its key; an entry present on
-# one side only differs there, with None on the missing side.
+# followed by ``(kind, c)`` for each cell c of its key, or ``head`` alone
+# when ``kind`` is None (a section of one entry); an entry present on one
+# side only differs there, with None on the missing side.
 
 
 def _mismatch(left, right, stop):
@@ -947,7 +971,7 @@ def _first_difference(sections, room=math.inf):
             n += size
             continue
         key = i if keys is None else keys[i]
-        cells = tuple((kind, c) for c in (key if isinstance(key, tuple) else (key,)))
+        cells = () if kind is None else tuple((kind, c) for c in (key if isinstance(key, tuple) else (key,)))
         lhs = left[i] if i < len(left) else None
         rhs = right[i] if i < len(right) else None
         return n + i + 1, (*head, *cells), lhs, rhs
@@ -967,8 +991,13 @@ def _compare_entries(col, law, sections) -> None:
 
 def _cell_map_sections(f, g, head=()):
     """The sections comparing two cell-map families ``f`` and ``g`` (strict
-    functors, or pseudofunctors with their structure cells): the four cell
-    maps, then ``comp_h``, ``unit_h``, ``comp_v`` and ``unit_v`` by key."""
+    functors, or pseudofunctors with their structure cells): the domains
+    and the codomains, as presentations (:func:`same_category`), one entry
+    each named ``dom`` and ``cod``; the four cell maps; then ``comp_h``,
+    ``unit_h``, ``comp_v`` and ``unit_v`` by key."""
+    for end in ("dom", "cod"):
+        a, b = getattr(f, end), getattr(g, end)
+        yield (*head, end), None, [a], [a if same_category(a, b) else b]
     yield head, OBJECT, f.ob_map, g.ob_map
     yield head, HCELL, f.h_map, g.h_map
     yield head, VCELL, f.v_map, g.v_map
@@ -981,37 +1010,28 @@ def _cell_map_sections(f, g, head=()):
 def _fiber_product_sections(p, f, g, pairs):
     """The sections comparing the category ``p`` with the fiber product of
     the functors ``f`` and ``g``, ``pairs`` their :func:`pullback_pairs`,
-    whose cells are numbered as in :func:`pullback`: the objects; the
-    boundaries of hcells, vcells and squares, as indices of pairs; every
-    entry of ``p``'s four tables against the index of the pair of the
-    factors' composites; and ``hid``, ``vid``, ``sq_vid``, ``sq_hid``.  A
-    boundary or composite that is no matching pair is None.
+    whose cells are numbered as in :func:`pullback` (:func:`_fiber_cells`):
+    the objects; the boundaries of hcells, vcells and squares, as indices
+    of pairs; every entry of ``p``'s four tables against the index of the
+    pair of the factors' composites; and ``hid``, ``vid``, ``sq_vid``,
+    ``sq_hid``.  A boundary or composite that is no matching pair is None.
 
     The table entries are read only after the cells agree, so the key
     sets, the composable pairs of both, agree too and the canonical side is
     read at ``p``'s keys."""
     at = {kind: dict(zip(ps, range(len(ps)))) for kind, ps in pairs.items()}
-    ob, hc, vc, sq = at[OBJECT].get, at[HCELL].get, at[VCELL].get, at[SQUARE].get
     d1, d2 = f.dom, g.dom
+    cells = _fiber_cells(pairs, d1, d2, lambda kind, what: at[kind].get)
     yield (), OBJECT, range(p.n_objects), range(len(pairs[OBJECT]))
-    c1, c2 = d1.hcells, d2.hcells
-    yield (), HCELL, p.hcells, [(ob((c1[x][0], c2[y][0])), ob((c1[x][1], c2[y][1]))) for x, y in pairs[HCELL]]
-    c1, c2 = d1.vcells, d2.vcells
-    yield (), VCELL, p.vcells, [(ob((c1[x][0], c2[y][0])), ob((c1[x][1], c2[y][1]))) for x, y in pairs[VCELL]]
-    c1, c2 = d1.squares, d2.squares
-    yield (), SQUARE, p.squares, [
-        (hc((c1[x][0], c2[y][0])), hc((c1[x][1], c2[y][1])), vc((c1[x][2], c2[y][2])), vc((c1[x][3], c2[y][3])))
-        for x, y in pairs[SQUARE]
-    ]
+    for kind, left in ((HCELL, p.hcells), (VCELL, p.vcells), (SQUARE, p.squares)):
+        yield (), kind, left, next(cells)
     for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE)):
         ps, look = pairs[kind], at[kind].get
         t1, t2, table = getattr(d1, name), getattr(d2, name), getattr(p, name)
         canonical = [look((t1[ps[i][0], ps[j][0]], t2[ps[i][1], ps[j][1]])) for i, j in table]
         yield (name,), kind, table, dict(zip(table, canonical))
-    yield ("hid",), OBJECT, p.hid, [hc((d1.hid[x], d2.hid[y])) for x, y in pairs[OBJECT]]
-    yield ("vid",), OBJECT, p.vid, [vc((d1.vid[x], d2.vid[y])) for x, y in pairs[OBJECT]]
-    yield ("sq_vid",), HCELL, p.sq_vid, [sq((d1.sq_vid[x], d2.sq_vid[y])) for x, y in pairs[HCELL]]
-    yield ("sq_hid",), VCELL, p.sq_hid, [sq((d1.sq_hid[x], d2.sq_hid[y])) for x, y in pairs[VCELL]]
+    for name, kind in (("hid", OBJECT), ("vid", OBJECT), ("sq_vid", HCELL), ("sq_hid", VCELL)):
+        yield (name,), kind, getattr(p, name), next(cells)
 
 
 def transpose(d: DoubleCategory) -> DoubleCategory:

@@ -613,10 +613,11 @@ def test_cell_map_difference_names_the_first_cell_in_order():
     [v] = rep.violations
     assert v.axiom == "pullback-projections" and v.witness == ("p1", (SQUARE, 3))
     assert (v.lhs, v.rhs) == (sq[3], data.p1.sq_map[3])
-    # charged: every entry of the pullback, p1 up to square 3, all of p2
+    # charged: every entry of the pullback, p1 up to square 3 after its
+    # domain and codomain, all of p2 with its domain and codomain
     p = data.p
     cells = p.n_objects + len(p.hcells) + len(p.vcells)
-    assert rep.checked == _fiber_product_entries(p) + cells + 4 + cells + len(p.squares)
+    assert rep.checked == _fiber_product_entries(p) + 2 + cells + 4 + 2 + cells + len(p.squares)
 
 
 def _fiber_product_entries(p):
@@ -637,6 +638,58 @@ def test_default_comparison_names_its_first_difference(monkeypatch):
     rep = check_internal(data, registry=EMPTY, deep=False)
     [v] = rep.violations
     assert v.axiom == "assoc-default" and v.witness == ((SQUARE, 2),) and (v.lhs, v.rhs) == (left.sq_map[2], sq[2])
+
+
+def _squares_rotated(d):
+    """``d`` with square x renamed x + 1 (mod the count): the same cell
+    counts, another presentation."""
+    n = len(d.squares)
+    r = [(x + 1) % n for x in range(n)]
+    e = DoubleCategory(
+        d.n_objects,
+        d.hcells,
+        d.vcells,
+        [d.squares[(y - 1) % n] for y in range(n)],
+        d.hcomp1,
+        d.vcomp1,
+        {(r[a], r[b]): r[c] for (a, b), c in d.hcomp2.items()},
+        {(r[a], r[b]): r[c] for (a, b), c in d.vcomp2.items()},
+        d.hid,
+        d.vid,
+        [r[x] for x in d.sq_vid],
+        [r[x] for x in d.sq_hid],
+    )
+    assert not same_category(d, e)
+    return e
+
+
+def test_unit_over_a_look_alike_of_the_objects_fails_its_sections():
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    rep = check_internal(replace(data, u=replace(data.u, dom=_squares_rotated(data.d0))), registry=EMPTY, deep=False)
+    found = {v.axiom: v for v in rep.violations}
+    for law in ("unit-section-s", "unit-section-t"):
+        assert found[law].witness == ("dom",)
+
+
+@pytest.mark.parametrize("end", ["dom", "cod"])
+def test_projection_over_a_look_alike_fails_pullback_projections(end):
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    look_alike = _squares_rotated(getattr(data.p1, end))
+    rep = check_internal(replace(data, p1=replace(data.p1, **{end: look_alike})), registry=EMPTY, deep=False)
+    [v] = rep.violations
+    assert v.axiom == "pullback-projections" and v.witness == ("p1", end)
+    assert rep.assumptions[-1] == "remaining compatibilities not evaluated over non-canonical projections"
+
+
+def test_default_comparison_fails_over_a_look_alike_domain(monkeypatch):
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    data = replace(data, assoc=None, lunit=None, runit=None)
+    left, right, p3l = nested_composition_functors(data)
+    moved = replace(right, dom=_squares_rotated(right.dom))
+    monkeypatch.setattr(internal, "nested_composition_functors", lambda _: (left, moved, p3l))
+    rep = check_internal(data, registry=EMPTY, deep=False)
+    [v] = rep.violations
+    assert v.axiom == "assoc-default" and v.witness == ("dom",)
 
 
 def test_pseudo_double_cutoff_adds_at_most_one_violation_per_instance():
