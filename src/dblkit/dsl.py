@@ -46,7 +46,6 @@ at the second line.
 from __future__ import annotations
 
 import functools
-import re
 from dataclasses import dataclass, field
 from itertools import product
 from operator import getitem
@@ -58,6 +57,7 @@ from .kernel import (
     TwoCategory,
     _by,
     _columns,
+    _rows,
 )
 from .weak import Bicategory
 from .functors import StrictDoubleFunctor, pseudo_from_strict
@@ -129,14 +129,22 @@ class Document:
 # before ``=`` are cells of the domain and those after it of the codomain.
 
 _LITERALS = frozenset({":", "->", "=>", "|", "=", "on"})
-_TOKEN = re.compile(r"\S+")
 
 
 def _token_lines(text):
-    """(1-indexed line, [(token, column)]) of every line that has tokens."""
+    """(1-indexed line, [(token, column)]) of every line that has tokens:
+    the maximal runs of non-whitespace before a ``#``.  A token is found
+    from the end of the one before it, so its column is its first
+    occurrence there."""
     for line, raw in enumerate(text.splitlines(), 1):
-        toks = [(m.group(0), m.start() + 1) for m in _TOKEN.finditer(raw.split("#", 1)[0])]
-        if toks:
+        raw = raw.split("#", 1)[0]
+        words = raw.split()
+        if words:
+            toks, end = [], 0
+            for word in words:
+                end = raw.find(word, end)
+                toks.append((word, end + 1))
+                end += len(word)
             yield line, toks
 
 
@@ -178,10 +186,10 @@ def _fits(toks, shape):
 
 @functools.lru_cache(maxsize=None)
 def _template(kw, shape):
-    """The line of ``kw`` with a ``{}`` per placeholder of ``shape``, and
+    """The line of ``kw`` with a ``%s`` per placeholder of ``shape``, and
     the number of placeholders before its ``=`` (all if it has none)."""
     words = shape.split()
-    line = " ".join([f"  {kw}"] + [w if w in _LITERALS else "{}" for w in words])
+    line = " ".join([f"  {kw}"] + [w if w in _LITERALS else "%s" for w in words])
     return line, words.index("=") if "=" in words else len(words)
 
 
@@ -197,10 +205,7 @@ def _block(lines, header_line, spec, unknown, once=()):
     ``spec``; ``unknown`` is the message for any other keyword.  A keyword
     in ``once`` names a single value: a second line of it is an error."""
     seen = set()
-    while True:
-        line, toks = next(lines, (None, None))
-        if toks is None:
-            raise ParseError("unterminated block", header_line)
+    for line, toks in lines:
         head, col = toks[0]
         if head == "}":
             return
@@ -215,6 +220,7 @@ def _block(lines, header_line, spec, unknown, once=()):
         if args is None:
             raise ParseError(f"expected: {head} {shape}", line, col)
         yield head, args, line, col
+    raise ParseError("unterminated block", header_line)
 
 
 def _one(cells):
@@ -238,14 +244,12 @@ def _resolve(lookups, args, line, col=1, unresolved=None, first=0):
     """The index of each token of ``args``, the tokens from ``first`` on
     looked up first.  A miss is ``unknown KIND NAME`` at the token, or the
     message ``unresolved`` at ``col`` when one is given."""
-    found = [None] * len(args)
-    for i in range(len(args)) if first == 0 else [*range(first, len(args)), *range(first)]:
-        (kind, index), (name, column) = lookups[i], args[i]
-        found[i] = index.get(name)
-        if found[i] is None and unresolved is None:
-            raise ParseError(f"unknown {kind} {name!r}", line, column)
-    if unresolved is not None and None in found:
-        raise ParseError(unresolved, line, col)
+    found = [index.get(name) for (_, index), (name, _) in zip(lookups, args)]
+    if None in found:
+        if unresolved is not None:
+            raise ParseError(unresolved, line, col)
+        i = next(i for i in [*range(first, len(args)), *range(first)] if found[i] is None)
+        raise ParseError(f"unknown {lookups[i][0]} {args[i][0]!r}", line, args[i][1])
     return found
 
 
@@ -280,18 +284,39 @@ def _repeated(kw, args, line):
 
 
 def _line(spec, kw, *words):
-    return _template(kw, spec[kw][0])[0].format(*words)
+    return _template(kw, spec[kw][0])[0] % words
 
 
-def _write(spec, kw, entries, dom, cod=None):
-    """The lines of ``kw`` for the (key, value) pairs ``entries``: cell
-    names from ``dom``, those after an ``=`` from ``cod`` when given."""
-    fmt = _template(kw, spec[kw][0])[0].format
-    names = [table for _, table in _lookups(spec, kw, dom, cod)]
-    if len(names) == 2:
-        a, b = names
-        return [fmt(a[k], b[v]) for k, v in entries]
-    return [fmt(*map(getitem, names, _flat(k) + _flat(v))) for k, v in entries]
+def _writer(spec, dom, cod=None):
+    """``write(kw, entries)``: the lines of ``kw`` for the (key, value)
+    pairs ``entries``, cell names from ``dom`` and those after an ``=`` from
+    ``cod`` when given.  A keyword's format and name tables are bound on its
+    first use, once per writer.  A key or a value names one cell or, where
+    its side of the shape has several placeholders, a tuple of cells; no
+    shape has several on both sides."""
+    bound = {}
+
+    def bind(kw):
+        shape, kinds = spec[kw][:2]
+        line, n = _template(kw, shape)
+        if n >= len(kinds):  # no "=": a cell and its boundary, all in dom
+            return line, [dom[kinds[0]]], [dom[k] for k in kinds[1:]]
+        return line, [dom[k] for k in kinds[:n]], [(dom if cod is None else cod)[k] for k in kinds[n:]]
+
+    def write(kw, entries):
+        if kw not in bound:
+            bound[kw] = bind(kw)
+        fmt, keys, values = bound[kw]
+        if len(keys) > 1:
+            (c,) = values
+            return [fmt % (*map(getitem, keys, k), c[v]) for k, v in entries]
+        (a,) = keys
+        if len(values) > 1:
+            return [fmt % (a[k], *map(getitem, values, v)) for k, v in entries]
+        (b,) = values
+        return [fmt % (a[k], b[v]) for k, v in entries]
+
+    return write
 
 
 def _interleave(*columns):
@@ -329,7 +354,7 @@ def _build(line, make, *args, **kwargs):
 
 def _fill_implied(table, *rules):
     """Add the entries of ``rules`` that ``table`` lacks, the first rule
-    first."""
+    first: after the explicit entries, in rule order."""
     for rule in rules:
         for key, value in rule:
             table.setdefault(key, value)
@@ -354,18 +379,27 @@ def _unit_entries(ids, cells):
 def _unique_composites(squares, comp):
     """Side-by-side pastings (right edge of x = left edge of y) of squares
     given as (top, bottom, left, right), to the one square with the
-    composite boundary if there is exactly one.  The transposed squares
-    and the vertical 1-cell table give the vertical pastings."""
+    composite boundary if there is exactly one, as a list of (key, value).
+    The transposed squares and the vertical 1-cell table give the vertical
+    pastings."""
+    # boundary index: left -> right -> top -> bottom -> the square, None
+    # when two squares share the boundary
     unique = {}
-    for s, bnd in enumerate(squares):
-        unique[bnd] = None if bnd in unique else s
-    by_left = _by([s[2] for s in squares])
+    for s, (t, b, l, r) in enumerate(squares):
+        bottoms = unique.setdefault(l, {}).setdefault(r, {}).setdefault(t, {})
+        bottoms[b] = None if b in bottoms else s
+    rows, none = _rows(comp), {}
+    by_left = {}
+    for y, (t, b, l, r) in enumerate(squares):
+        by_left.setdefault(l, []).append((y, t, b, r))
+    out = []
     for x, (t, b, l, r) in enumerate(squares):
-        for y in by_left.get(r, ()):
-            t2, b2, _, r2 = squares[y]
-            z = unique.get((comp.get((t, t2)), comp.get((b, b2)), l, r2))
+        then_t, then_b, by_right = rows.get(t, none), rows.get(b, none), unique[l]
+        for y, t2, b2, r2 in by_left.get(r, ()):
+            z = by_right.get(r2, none).get(then_t.get(t2), none).get(then_b.get(b2))
             if z is not None:
-                yield (x, y), z
+                out.append(((x, y), z))
+    return out
 
 
 def _transposed(squares):
@@ -552,10 +586,11 @@ def _parse_fincategory(lines, doc, name, sig, header_line):
 def _write_fincategory(doc, decl):
     c = decl.obj
     names = {"object": c.names.get("objects") or [f"o{a}" for a in range(c.n_objects)], "mor": c.names["mor"]}
+    write = _writer(_FINCATEGORY, names)
     w = [_line(_FINCATEGORY, "objects", " ".join(names["object"]))]
-    w += _write(_FINCATEGORY, "mor", enumerate(c.mor), names)
-    w += _write(_FINCATEGORY, "idm", enumerate(c.ids), names)
-    return w + _write(_FINCATEGORY, "comp", _explicit(c.comp, _unit_entries(c.ids, c.mor)), names)
+    w += write("mor", enumerate(c.mor))
+    w += write("idm", enumerate(c.ids))
+    return w + write("comp", _explicit(c.comp, _unit_entries(c.ids, c.mor)))
 
 
 _CATEGORY = {
@@ -622,19 +657,20 @@ def _parse_category(lines, doc, name, sig, header_line):
 def _write_category(doc, decl):
     d = decl.obj
     nm = d.names
+    write = _writer(_CATEGORY, nm)
     w = [_line(_CATEGORY, "objects", " ".join(nm["object"]))]
     for kw, cells in (("hcell", d.hcells), ("vcell", d.vcells), ("square", d.squares)):
-        w += _write(_CATEGORY, kw, enumerate(cells), nm)
-    w += _interleave(*(_write(_CATEGORY, kw, enumerate(ids), nm) for kw, ids in (("idh", d.hid), ("idv", d.vid))))
-    w += _write(_CATEGORY, "idsq", enumerate(d.sq_vid), nm)
-    w += _write(_CATEGORY, "idsqv", enumerate(d.sq_hid), nm)
+        w += write(kw, enumerate(cells))
+    w += _interleave(write("idh", enumerate(d.hid)), write("idv", enumerate(d.vid)))
+    w += write("idsq", enumerate(d.sq_vid))
+    w += write("idsqv", enumerate(d.sq_hid))
     for kw, table, rule in (
         ("hcomp", d.hcomp1, _unit_entries(d.hid, d.hcells)),
         ("vcomp", d.vcomp1, _unit_entries(d.vid, d.vcells)),
         ("hsq", d.hcomp2, _unique_composites(d.squares, d.hcomp1)),
         ("vsq", d.vcomp2, _unique_composites(_transposed(d.squares), d.vcomp1)),
     ):
-        w += _write(_CATEGORY, kw, _explicit(table, rule), nm)
+        w += write(kw, _explicit(table, rule))
     return w
 
 
@@ -699,10 +735,7 @@ def _parse_twocategory(lines, doc, name, sig, header_line, kind="twocategory"):
 def _write_twocategory(doc, decl):
     t = decl.obj
     nm = {"object": t.names["objects"], "onecell": t.names["onecell"], "twocell": t.names["twocell"]}
-
-    def write(kw, entries):
-        return _write(_BICATEGORY, kw, entries, nm)
-
+    write = _writer(_BICATEGORY, nm)
     w = [_line(_BICATEGORY, "objects", " ".join(nm["object"]))]
     for kw, cells in (("onecell", t.onecells), ("twocell", t.twocells), ("id1", t.id1), ("id2", t.id2)):
         w += write(kw, enumerate(cells))
@@ -784,16 +817,17 @@ def _write_functor(doc, decl):
     f = decl.obj
     dn, cn = _names(doc, decl.meta["dom"]), _names(doc, decl.meta["cod"])
     strict = decl.meta.get("strict")
+    write = _writer(_FUNCTOR, dn, cn)
     w = [_line(_FUNCTOR, "kind", "strict" if strict else "pseudo")]
     for kw in _FUNCTOR_MAPS:
-        w += _write(_FUNCTOR, kw, enumerate(getattr(f, _FUNCTOR[kw][2])), dn, cn)
+        w += write(kw, enumerate(getattr(f, _FUNCTOR[kw][2])))
     if not strict:
         for kw in _FUNCTOR_CELLS:
             table, inverse = getattr(f, _FUNCTOR[kw][2]), getattr(f, _FUNCTOR[kw + "inv"][2])
             keys = sorted(table)
             w += _interleave(
-                _write(_FUNCTOR, kw, [(k, table[k]) for k in keys], dn, cn),
-                _write(_FUNCTOR, kw + "inv", [(k, inverse[k]) for k in keys], dn, cn),
+                write(kw, [(k, table[k]) for k in keys]),
+                write(kw + "inv", [(k, inverse[k]) for k in keys]),
             )
     return w
 
@@ -867,12 +901,13 @@ def _write_transformation(doc, decl):
     obj, kind = decl.obj, decl.meta["kind"]
     dn, cn = _names(doc, decl.meta["dom"]), _names(doc, decl.meta["cod"])
     legs = {"vertical": {"v0": obj}, "horizontal": {"h1": obj}}.get(kind) or {"v0": obj.v0, "h1": obj.h1, kind: obj}
+    write = _writer(_TRANSFORMATION, dn, cn)
     w = [_line(_TRANSFORMATION, "kind", kind)]
     for kw, (_, _, leg, attr) in list(_TRANSFORMATION.items())[1:]:
         if leg in legs:
             cells = getattr(legs[leg], attr)
             items = sorted(cells.items()) if isinstance(cells, dict) else enumerate(cells)
-            w += _write(_TRANSFORMATION, kw, items, dn, cn)
+            w += write(kw, items)
     return w
 
 
@@ -892,7 +927,7 @@ def _parse_connection(lines, doc, name, sig, header_line):
 
 def _write_connection(doc, decl):
     nm = _names(doc, decl.meta["on"])
-    return _write(_CONNECTION, "pair", [(u, (p.hcell, p.eps, p.eta)) for u, p in decl.obj.items()], nm)
+    return _writer(_CONNECTION, nm)("pair", [(u, (p.hcell, p.eps, p.eta)) for u, p in decl.obj.items()])
 
 
 _MODIFICATION = {"a0": ("A = s", ("object", "square")), "a1": ("A = s", ("object", "square"))}
@@ -924,7 +959,8 @@ def _write_modification(doc, decl):
     from_decl = doc.decls[decl.meta["from"]]
     dn, cn = _names(doc, from_decl.meta["dom"]), _names(doc, from_decl.meta["cod"])
     m = decl.obj
-    return _write(_MODIFICATION, "a0", enumerate(m.a0), dn, cn) + _write(_MODIFICATION, "a1", enumerate(m.a1), dn, cn)
+    write = _writer(_MODIFICATION, dn, cn)
+    return write("a0", enumerate(m.a0)) + write("a1", enumerate(m.a1))
 
 
 # keyword -> (shape, kinds, MonoidInDbl field); every table is total on the
@@ -971,9 +1007,10 @@ def _parse_monoid(lines, doc, name, sig, header_line):
 
 def _write_monoid(doc, decl):
     mo, nm = decl.obj, _names(doc, decl.meta["on"])
+    write = _writer(_MONOID, nm)
     w = [_line(_MONOID, "unit", nm["object"][mo.unit_ob])]
     for kw, (_, _, attr) in list(_MONOID.items())[1:]:
-        w += _write(_MONOID, kw, sorted(getattr(mo, attr).items()), nm)
+        w += write(kw, sorted(getattr(mo, attr).items()))
     return w
 
 

@@ -26,6 +26,7 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 from .report import AxiomReport, Budget, Collector, StructureError
 
@@ -69,7 +70,11 @@ def _check_table(table, ends, starts, entry, wrong_keys):
 
     ``wrong_keys`` is the message for a wrong key set, formatted with the
     sorted lists ``extra`` and ``missing`` and the first three ``bad`` keys;
-    ``entry`` is formatted with the key of an out-of-range value."""
+    ``entry`` is formatted with the key of an out-of-range value.  The
+    check is decided by count (``_exact_table``); only a table that fails
+    it is compared with the set of composable pairs, for the message."""
+    if _exact_table(table, ends, starts):
+        return
     by_start = _by(starts)
     composable = {(x, y) for x, end in enumerate(ends) for y in by_start.get(end, ())}
     if table.keys() != composable:
@@ -81,6 +86,26 @@ def _check_table(table, ends, starts, entry, wrong_keys):
     for key, z in table.items():
         if not isinstance(z, int) or not 0 <= z < n:
             _check_index(z, n, entry.format(key))
+
+
+def _exact_table(table, ends, starts):
+    """Whether ``table`` has as many entries as there are composable pairs,
+    each keyed on a composable pair of ids and valued in a cell id below
+    ``len(ends)``: then its keys are exactly the composable pairs."""
+    n, per_start = len(ends), Counter(starts)
+    if len(table) != sum([per_start.get(end, 0) for end in ends]):
+        return False
+    try:
+        for key, z in table.items():
+            if type(key) is not tuple:
+                return False
+            x, y = key
+            # a negative id would index from the end
+            if x < 0 or y < 0 or ends[x] != starts[y] or not isinstance(z, int) or not 0 <= z < n:
+                return False
+    except (TypeError, ValueError, IndexError):
+        return False
+    return True
 
 
 def _triples(table, ends, starts):
@@ -442,18 +467,14 @@ class DoubleCategory:
         for u, (a, b) in enumerate(self.vcells):
             _check_index(a, self.n_objects, f"vcell {u} source")
             _check_index(b, self.n_objects, f"vcell {u} target")
+        hs, ht = _columns(self.hcells, 2)
+        vs, vt = _columns(self.vcells, 2)
         for s, (t, b, l, r) in enumerate(self.squares):
             _check_index(t, nh, f"square {s} top")
             _check_index(b, nh, f"square {s} bottom")
             _check_index(l, nv, f"square {s} left")
             _check_index(r, nv, f"square {s} right")
-            ok = (
-                self.hs(t) == self.vs(l)
-                and self.ht(t) == self.vs(r)
-                and self.hs(b) == self.vt(l)
-                and self.ht(b) == self.vt(r)
-            )
-            if not ok:
+            if not (hs[t] == vs[l] and ht[t] == vs[r] and hs[b] == vt[l] and ht[b] == vt[r]):
                 raise StructureError(f"square {s} has mismatched corners {(t, b, l, r)}")
         if len(self.hid) != self.n_objects or len(self.vid) != self.n_objects:
             raise StructureError("one horizontal and one vertical identity per object required")
@@ -466,12 +487,12 @@ class DoubleCategory:
             raise StructureError("one identity square per hcell and per vcell required")
         for f, s in enumerate(self.sq_vid):
             _check_index(s, ns, f"identity square on hcell {f}")
-            expect = (f, f, self.vid[self.hs(f)], self.vid[self.ht(f)])
+            expect = (f, f, self.vid[hs[f]], self.vid[ht[f]])
             if self.squares[s] != expect:
                 raise StructureError(f"identity square on hcell {f} has boundary {self.squares[s]}")
         for u, s in enumerate(self.sq_hid):
             _check_index(s, ns, f"identity square on vcell {u}")
-            expect = (self.hid[self.vs(u)], self.hid[self.vt(u)], u, u)
+            expect = (self.hid[vs[u]], self.hid[vt[u]], u, u)
             if self.squares[s] != expect:
                 raise StructureError(f"identity square on vcell {u} has boundary {self.squares[s]}")
 
@@ -479,8 +500,6 @@ class DoubleCategory:
         # non-composable pair is a structural error naming the entry); value
         # boundary correctness, by contrast, is a checkable law so that a
         # flipped entry surfaces as a named violation, not a crash
-        hs, ht = _columns(self.hcells, 2)
-        vs, vt = _columns(self.vcells, 2)
         top, bottom, left, right = _columns(self.squares, 4)
         _check_table(
             self.hcomp1, ht, hs, "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"

@@ -30,7 +30,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, same_category, transpose
+from .kernel import (
+    HCELL,
+    OBJECT,
+    SQUARE,
+    VCELL,
+    DoubleCategory,
+    StructureError,
+    _columns,
+    _laws,
+    _triples,
+    same_category,
+    transpose,
+)
 from .functors import DoublePseudoFunctor, compose_pseudo, conj_v, identity_pseudo, pseudo_equal, transpose_pseudo
 from .report import AxiomReport, Budget, Collector, Violation, live_axioms
 
@@ -564,21 +576,24 @@ def _check_t_side(col, a: DoublePNT, suffix: str):
     """The t-side coupling axioms; the r-side is this on the transpose."""
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
-    v0, h1 = a.v0, a.h1
-    for s in range(len(dom.squares)):
-        t_, b_, l_, r_ = dom.squares[s]
-        lhs = cod.vpaste(cod.hpaste(F.sq(s), h1.nat[r_]), a.t[b_])
-        rhs = cod.hpaste(v0.delta[l_], cod.vpaste(a.t[t_], G.sq(s)))
-        col.eq(f"coupling-naturality-{suffix}", ((SQUARE, s),), lhs, rhs)
-    for (f, g) in sorted(dom.hcomp1):
-        lhs = cod.vpaste(
-            cod.hpaste(cod.sq_vid[F.h(f)], h1.delta[g]),
-            cod.hpaste(a.t[f], cod.sq_vid[G.h(g)]),
-        )
-        rhs = cod.hpaste(v0.nat[f], a.t[g])
-        col.eq(f"coupling-hcomp-{suffix}", ((HCELL, f), (HCELL, g)), lhs, rhs)
-    for (f, g) in sorted(dom.hcomp1):
-        col.eq(f"coupling-composite-{suffix}", ((HCELL, f), (HCELL, g)), a.t[dom.hcomp(f, g)], _t_composite(a, f, g))
+    v0, h1, t = a.v0, a.h1, a.t
+    hp, vp, sq_vid = cod.hpaste, cod.vpaste, cod.sq_vid
+    _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(dom.squares)], (
+        f"coupling-naturality-{suffix}",
+        lambda s, t_, b_, l_, r_: vp(hp(F.sq(s), h1.nat[r_]), t[b_]),
+        lambda s, t_, b_, l_, r_: hp(v0.delta[l_], vp(t[t_], G.sq(s))),
+    ))
+    pairs = sorted(dom.hcomp1)
+    _laws(col, (HCELL, HCELL), pairs, (
+        f"coupling-hcomp-{suffix}",
+        lambda f, g: vp(hp(sq_vid[F.h(f)], h1.delta[g]), hp(t[f], sq_vid[G.h(g)])),
+        lambda f, g: hp(v0.nat[f], t[g]),
+    ))
+    _laws(col, (HCELL, HCELL), pairs, (
+        f"coupling-composite-{suffix}",
+        lambda f, g: t[dom.hcomp(f, g)],
+        lambda f, g: _t_composite(a, f, g),
+    ))
 
 
 def check_double_pnt(
@@ -606,13 +621,12 @@ def check_double_pnt(
     # pasting the composite coupling square over either bracketing of a
     # triple agrees (consequence of functor coherence, asserted)
     dom = a.F.dom
-    for (f, g) in sorted(dom.hcomp1):
-        for h in range(len(dom.hcells)):
-            if dom.ht(g) != dom.hs(h):
-                continue
-            one = _t_composite(a, dom.hcomp(f, g), h)
-            two = _t_composite(a, f, dom.hcomp(g, h))
-            col.eq("coupling-assoc", ((HCELL, f), (HCELL, g), (HCELL, h)), one, two)
+    hs, ht = _columns(dom.hcells, 2)
+    _laws(col, (HCELL,) * 3, list(_triples(dom.hcomp1, ht, hs)), (
+        "coupling-assoc",
+        lambda f, g, h: _t_composite(a, dom.hcomp(f, g), h),
+        lambda f, g, h: _t_composite(a, f, dom.hcomp(g, h)),
+    ))
     return col.done()
 
 

@@ -1,3 +1,4 @@
+import collections
 import inspect
 import itertools
 
@@ -25,6 +26,7 @@ from dblkit.kernel import (
     quintet,
     terminal_double_category,
     transpose,
+    _check_table,
 )
 from dblkit.functors import StrictDoubleFunctor, identity_functor, product_projections, check_strict_functor
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
@@ -718,3 +720,64 @@ def test_passed_means_status_pass():
     col = Collector("open")
     col.fail("law", ())
     assert col.report.status == "pass" and not col.report.passed  # not yet finished as fail
+
+
+# _check_table on the walking arrow's 1-cells: id_0 (0, 0), id_1 (1, 1) and
+# f (0, 1), composable when the end of the first is the start of the second
+ARROW_ENDS, ARROW_STARTS = [0, 1, 1], [0, 1, 0]
+ARROW_COMP = {(0, 0): 0, (0, 2): 2, (1, 1): 1, (2, 1): 2}
+WRONG_KEYS = "keys wrong; extra={extra} missing={missing} bad={bad}"
+
+
+def _arrow_table(**changes):
+    table = dict(ARROW_COMP)
+    for key, value in changes.get("replace", {}).items():
+        del table[key]
+        table[value[0]] = value[1]
+    table.update(changes.get("add", {}))
+    for key in changes.get("drop", ()):
+        del table[key]
+    return table
+
+
+@pytest.mark.parametrize("table, message", [
+    (_arrow_table(add={(1, 0): 0}), "keys wrong; extra=[(1, 0)] missing=[] bad=[(1, 0)]"),
+    (_arrow_table(drop=[(2, 1)]), "keys wrong; extra=[] missing=[(2, 1)] bad=[(2, 1)]"),
+    # as many keys as composable pairs, and ends[-1] == starts[1]: only the
+    # sign tells the key apart from a composable pair
+    (_arrow_table(replace={(2, 1): ((-1, 1), 2)}), "keys wrong; extra=[(-1, 1)] missing=[(2, 1)] bad=[(-1, 1), (2, 1)]"),
+    (_arrow_table(add={7: 0}), "keys wrong; extra=[7] missing=[] bad=[7]"),
+    (_arrow_table(replace={(0, 2): ((0, 3), 2)}), "keys wrong; extra=[(0, 3)] missing=[(0, 2)] bad=[(0, 2), (0, 3)]"),
+    (_arrow_table(add={(0, 2): 3}), "composite of (0, 2): index 3 out of range 0..2"),
+    (_arrow_table(add={(0, 2): -1}), "composite of (0, 2): index -1 out of range 0..2"),
+    (_arrow_table(add={(1, 1): 1.0}), "composite of (1, 1): index 1.0 out of range 0..2"),
+    (_arrow_table(add={(2, 1): "f"}), "composite of (2, 1): index 'f' out of range 0..2"),
+])
+def test_check_table_messages(table, message):
+    with pytest.raises(StructureError) as err:
+        _check_table(table, ARROW_ENDS, ARROW_STARTS, "composite of {}", WRONG_KEYS)
+    assert str(err.value) == message
+
+
+def test_check_table_accepts_what_equals_a_composable_pair():
+    # keys and values are compared by equality, as in a set of pairs: a
+    # bool or a tuple subclass passes where the int or the tuple would
+    pair = collections.namedtuple("pair", "x y")
+    for table in (
+        ARROW_COMP,
+        _arrow_table(add={(0, 2): True}),
+        _arrow_table(replace={(1, 1): ((True, 1), 1)}),
+        _arrow_table(replace={(2, 1): (pair(2, 1), 2)}),
+    ):
+        _check_table(table, ARROW_ENDS, ARROW_STARTS, "composite of {}", WRONG_KEYS)
+    # but not where a bool is out of range
+    with pytest.raises(StructureError, match=r"^composite of \(0, 0\): index True out of range 0\.\.0$"):
+        _check_table({(0, 0): True}, [0], [0], "composite of {}", WRONG_KEYS)
+
+
+def test_check_table_rejects_a_key_that_only_unpacks_to_a_pair():
+    # a frozenset unpacks to a composable pair but is not one; the wrong key
+    # set then mixes a frozenset and a tuple, which do not sort
+    table = _arrow_table(replace={(0, 2): (frozenset({0, 2}), 2)})
+    with pytest.raises(TypeError):
+        _check_table(table, ARROW_ENDS, ARROW_STARTS, "composite of {}", WRONG_KEYS)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from dblkit import zoo
+from dblkit import transform, zoo
 from dblkit.kernel import quintet
 from dblkit.functors import pseudo_from_strict
 from dblkit.report import Budget
@@ -148,6 +148,24 @@ def test_missing_inverses_are_charged_instances(bz3):
             rep = check(Budget(cap))
             assert rep.checked == cap, (name, cap)
             assert len(rep.violations) <= rep.checked, (name, cap)
+
+
+def test_double_pnt_evaluates_nothing_past_its_budget(bz3, monkeypatch):
+    # every evaluated instance pastes at most two t-composites
+    # (coupling-assoc), so a capped run pastes at most two per unit of budget
+    _, d, F, _, _ = bz3
+    reg = ComponentRegistry.of(hcells=set(identity_horizontal(F).comp), vcells=set(identity_vertical(F).comp))
+    dd = identity_double(F)
+    calls = []
+    paste = transform._t_composite
+    monkeypatch.setattr(transform, "_t_composite", lambda *args: calls.append(1) or paste(*args))
+    full = check_double_pnt(dd, reg)
+    assert full.passed and calls
+    for cap in (0, 1, 7, full.checked // 2, full.checked - 1):
+        calls.clear()
+        rep = check_double_pnt(dd, reg, budget=Budget(cap))
+        assert rep.status == "budget-exceeded" and rep.checked == cap
+        assert len(calls) <= 2 * cap, (cap, len(calls))
 
 
 def test_breaking_t_breaks_coupling(sign_setting):
