@@ -73,7 +73,28 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   mixed families and of a row functor's ``sq_map`` (with
   ``check_strict_functor`` on the mutated row functor); and each of the
   three checkers on its first failing mutant under the ``BUDGETS`` caps and
-  every cap up to one past its instance count, with ``budget.used``.
+  every cap up to one past its instance count, with ``budget.used``;
+- the remaining law checkers: ``check_enriched_over_cat`` and
+  ``check_coproduct_pullback`` on the sign, two-object and walking-arrow
+  bicategories and the sign mutants above, with ``check_bicategory``,
+  ``check_pseudo_double_category`` (of the internalization) and
+  ``check_enriched_over_cat`` under every cap up to one past their
+  instance counts on each; ``check_companion`` and ``check_connection``
+  on the canonical connections of the finite-category catalogue's square
+  categories and on the four sign pairs; ``roundtrip_check``,
+  ``four_identities`` (all laws and each alone) and the correspondence
+  report of ``vertical_transformation_to_double`` on the plain vertical
+  transformations of the bz3 and sign settings, under each connection and
+  on every single-square mutant of a naturality or comparison family
+  that keeps the boundary; ``right_unit_constraint`` on the horizontal
+  sides of those and on the boundary-keeping mutants of the sign identity;
+  ``check_monoid`` on the four zoo monoids and on every single-entry
+  mutant of the min monoid; ``check_monoidal_embedding`` on criterion 6's
+  factor pairs under the word caps 1 to 3; the extra three-cell equations
+  of a bundle; and each budgeted one of these checkers, with the horizontal
+  transformation and modification checkers, on its first failing input
+  (or a passing one where none fails) under every cap up to one past its
+  instance count.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -101,7 +122,18 @@ from dblkit.builders import (
     theta_from_plain_vertical,
 )
 from dblkit.cli import _decl_category, _internal_bundle_decls
-from dblkit.companion import find_connection
+from dblkit.companion import (
+    FOUR_IDENTITIES,
+    CompanionPair,
+    Connection,
+    check_companion,
+    check_connection,
+    find_connection,
+    four_identities,
+    roundtrip_check,
+    vertical_to_horizontal,
+    vertical_transformation_to_double,
+)
 from dblkit.functors import (
     CUBICAL_AXIOMS,
     PSEUDO_FUNCTOR_AXIOMS,
@@ -121,6 +153,7 @@ from dblkit.graytensor import (
     GrayWord,
     Letter,
     SquareCalculus,
+    check_monoid,
     check_monoidal_embedding,
     derive_interleaved_functor,
     two_category_tensor_context,
@@ -128,6 +161,8 @@ from dblkit.graytensor import (
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
 from dblkit.internal import (
+    check_coproduct_pullback,
+    check_enriched_over_cat,
     check_internal,
     diagonal_internal,
     internalize_bicategory,
@@ -147,7 +182,7 @@ from dblkit.kernel import (
 )
 from dblkit.mutate import sample_mutants
 from dblkit.report import Budget
-from dblkit.weak import Bicategory, check_bicategory, check_pseudo_double_category
+from dblkit.weak import Bicategory, bicategory_from_two_category, check_bicategory, check_pseudo_double_category
 
 BUDGETS = (0, 1, 2, 7, 100, 1000, 3000, 5000, 9000, 11000, 11631, 11632, 11633)
 
@@ -971,6 +1006,155 @@ def functors(out):
     _capped(out, "functors cutoff cubical", lambda budget: check_cubical(failing["cubical"], budget=budget))
 
 
+MONOID_FAMILIES = (
+    ("mul_ob", "n_objects"),
+    ("mul_h_left", "hcells"),
+    ("mul_h_right", "hcells"),
+    ("mul_v_left", "vcells"),
+    ("mul_v_right", "vcells"),
+    ("flip_hh", "squares"),
+    ("flip_hh_inv", "squares"),
+    ("flip_vv", "squares"),
+    ("flip_vv_inv", "squares"),
+    ("mixed_hv", "squares"),
+    ("mixed_vh", "squares"),
+)
+
+
+def _monoid_mutants(m):
+    """Every monoid that differs from ``m`` in one entry of one family, the
+    entry moved to another cell of its kind."""
+    d = m.carrier
+    out = []
+    for family, kind in MONOID_FAMILIES:
+        n = d.n_objects if kind == "n_objects" else len(getattr(d, kind))
+        for key, value in sorted(getattr(m, family).items()):
+            for alt in range(n):
+                if alt != value:
+                    out.append((f"{family}[{key}]={alt}", replace(m, **{family: {**getattr(m, family), key: alt}})))
+    return out
+
+
+def _pnt_mutants(d, a):
+    """Each transformation that differs from ``a`` in one square of its
+    naturality or comparison family, the new square on the same boundary."""
+    out = []
+    for family in ("nat", "delta"):
+        cells = getattr(a, family)
+        for i, cell in enumerate(cells):
+            for s, bnd in enumerate(d.squares):
+                if s != cell and bnd == d.squares[cell]:
+                    fields = {"nat": a.nat, "delta": a.delta, family: _replace(cells, i, s)}
+                    out.append((f"{family}[{i}]={s}", type(a)(a.F, a.G, a.comp, fields["nat"], fields["delta"], dict(a.delta_inv))))
+    return out
+
+
+def _trade_reports(out, key, a0, conn, failing):
+    """The companion trade checkers on the plain vertical transformation
+    ``a0`` under the connection ``conn``."""
+    out[f"{key} roundtrip"] = _report(lambda: roundtrip_check(a0, conn))
+    _law_reports(out, f"{key} four identities", lambda axioms: four_identities(a0, conn, axioms=axioms), FOUR_IDENTITIES)
+    out[f"{key} lift"] = _report(lambda: vertical_transformation_to_double(a0, conn, dom_conn=conn)[2])
+    out[f"{key} right unit"] = _report(lambda: transform.right_unit_constraint(vertical_to_horizontal(a0, conn))[2])
+    if out[f"{key} roundtrip"].get("status") == "fail":
+        failing.setdefault("roundtrip", lambda budget: roundtrip_check(a0, conn, budget=budget))
+    if out[f"{key} four identities all"].get("status") == "fail":
+        failing.setdefault("four identities", lambda budget: four_identities(a0, conn, budget=budget))
+    if not transform.check_vertical_pnt(a0).passed:
+        failing.setdefault("vertical", lambda budget: transform.check_vertical_pnt(a0, budget=budget))
+
+
+def laws(out):
+    failing = {}
+    # the bicategory checkers, each under every cap
+    sign = zoo.sign_bicategory()
+    bicategories = [
+        ("sign", sign),
+        ("two-object", zoo.two_object_bicategory()),
+        ("walking-arrow", bicategory_from_two_category(zoo.walking_arrow_two_category())),
+    ]
+    bicategories += [(f"mutant sign {slot}", b) for slot, b in _table_mutants(sign, ("vcomp2", "hcomp2"), 40, seed=2)]
+    for name, b in bicategories:
+        key = f"laws bicategory {name}"
+        out[f"{key} enriched"] = _report(lambda: check_enriched_over_cat(b))
+        out[f"{key} coproduct"] = _report(lambda: check_coproduct_pullback(b))
+        p = internalize_bicategory(b)
+        _capped(out, f"{key} cutoff bicategory", lambda budget: check_bicategory(b, budget=budget))
+        _capped(out, f"{key} cutoff pseudo-double", lambda budget: check_pseudo_double_category(p, budget=budget))
+        _capped(out, f"{key} cutoff enriched", lambda budget: check_enriched_over_cat(b, budget=budget))
+    _capped(out, "laws cutoff coproduct", lambda budget: check_coproduct_pullback(sign, budget=budget))
+
+    # companions: the canonical connections of the square categories, and
+    # the four pairs on the unit of the sign category
+    for name, c in zoo.small_category_catalog():
+        d = quintet(c)
+        conn = find_connection(d)
+        out[f"laws connection {name}"] = _report(lambda: check_connection(conn))
+        for u, p in conn.items():
+            out[f"laws companion {name} {u}"] = _report(lambda: check_companion(d, p))
+    t = zoo.sign_two_category()
+    ds = embed_two_category(t)
+    Fs = pseudo_from_strict(identity_functor(ds))
+    sign_conns = {}
+    for eps, eta in itertools.product((0, 1), repeat=2):
+        p = CompanionPair(ds.vid[0], ds.hid[0], eps, eta)
+        conn = sign_conns[(eps, eta)] = Connection(ds, [p])
+        out[f"laws companion sign {eps}{eta}"] = _report(lambda: check_companion(ds, p))
+        out[f"laws connection sign {eps}{eta}"] = _report(lambda: check_connection(conn))
+        if out[f"laws companion sign {eps}{eta}"].get("status") == "fail":
+            failing.setdefault("companion", lambda budget, p=p: check_companion(ds, p, budget=budget))
+        if out[f"laws connection sign {eps}{eta}"].get("status") == "fail":
+            failing.setdefault("connection", lambda budget, conn=conn: check_connection(conn, budget=budget))
+
+    # the companion trade, on the bz3 and sign settings
+    d, F, _, _ = _bz3()
+    conn = find_connection(d)
+    verts = enumerate_plain_verticals(F, F)
+    for i, a0 in enumerate(verts):
+        _trade_reports(out, f"laws trade bz3 {i}", a0, conn, failing)
+    for i, a0 in enumerate(enumerate_plain_verticals(Fs, Fs)):
+        for tag, conn in sorted(sign_conns.items()):
+            _trade_reports(out, f"laws trade sign {i} {tag}", a0, conn, failing)
+        for slot, mutant in _pnt_mutants(ds, a0):
+            _trade_reports(out, f"laws trade sign {i} mutant {slot}", mutant, sign_conns[(0, 0)], failing)
+    a1 = identity_horizontal(Fs)
+    for slot, mutant in _pnt_mutants(ds, a1):
+        out[f"laws right unit sign mutant {slot}"] = _report(lambda: transform.right_unit_constraint(mutant)[2])
+        if not transform.check_horizontal_pnt(mutant).passed:
+            failing.setdefault("horizontal", lambda budget, a=mutant: transform.check_horizontal_pnt(a, budget=budget))
+
+    # monoids
+    for name, make in INTERNAL_MONOIDS:
+        out[f"laws monoid {name}"] = _report(lambda: check_monoid(make()))
+    for slot, mutant in _monoid_mutants(zoo.min_monoid_in_dbl()):
+        out[f"laws monoid min mutant {slot}"] = _report(lambda: check_monoid(mutant))
+        if out[f"laws monoid min mutant {slot}"].get("status") == "fail":
+            failing.setdefault("monoid", lambda budget, m=mutant: check_monoid(m, budget=budget))
+
+    # the monoidal embedding under smaller word caps
+    cats = zoo.acyclic_two_category_catalog()
+    for (n1, a), (n2, b) in itertools.product(cats, repeat=2):
+        for cap in (1, 2, 3):
+            out[f"laws embedding {n1} x {n2} cap {cap}"] = _report(lambda: check_monoidal_embedding(a, b, cap=cap))
+    arrow, two_cell = zoo.walking_arrow_two_category(), zoo.walking_two_cell()
+    failing["embedding"] = lambda budget: check_monoidal_embedding(arrow, two_cell, cap=4, budget=budget)
+
+    # the extra three-cell equations of a bundle
+    host = diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    extra = replace(host, extra_threecell_equations=(("holds", lambda data: True), ("fails", lambda data: False)))
+    out["laws internal extra equations"] = _report(lambda: check_internal(extra, registry=transform.ComponentRegistry.of(), deep=False))
+
+    # modifications: the first failing sign mutant
+    m = identity_modification(_sign_pairs(Fs)[(0, 0)])
+    for slot, mutant in _modification_mutants(ds, m):
+        if not modif.check_modification(mutant).passed:
+            failing.setdefault("modification", lambda budget, m=mutant: modif.check_modification(m, budget=budget))
+    # no roundtrip fails on these inputs: sweep a passing one
+    failing.setdefault("roundtrip", lambda budget, a0=verts[0], conn=find_connection(d): roundtrip_check(a0, conn, budget=budget))
+    for name, check in sorted(failing.items()):
+        _capped(out, f"laws cutoff {name}", check)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -984,6 +1168,7 @@ def main(argv) -> int:
     internal(out)
     rewriting(out)
     functors(out)
+    laws(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")
