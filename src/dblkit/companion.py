@@ -18,11 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError
+from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError, _laws
 from .functors import DoublePseudoFunctor
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     HorizontalPNT,
+    _agree,
     ThetaPNT,
     VerticalPNT,
     theta_to_double,
@@ -77,8 +78,9 @@ def _check_pair_boundaries(d: DoubleCategory, p: CompanionPair):
 def check_companion(d: DoubleCategory, p: CompanionPair, budget: Budget | None = None) -> AxiomReport:
     col = Collector("companion-pair", budget)
     _check_pair_boundaries(d, p)
-    col.eq("snake-h", ((VCELL, p.vcell),), d.hpaste(p.eta, p.eps), d.sq_vid[p.hcell])
-    col.eq("snake-v", ((VCELL, p.vcell),), d.vpaste(p.eta, p.eps), d.sq_hid[p.vcell])
+    _laws(col, (VCELL,), [(p.vcell,)],
+          ("snake-h", lambda u: d.hpaste(p.eta, p.eps), lambda u: d.sq_vid[p.hcell]),
+          ("snake-v", lambda u: d.vpaste(p.eta, p.eps), lambda u: d.sq_hid[u]))
     return col.done()
 
 
@@ -89,26 +91,22 @@ def check_connection(conn: Connection, budget: Budget | None = None) -> AxiomRep
     col = Collector("connection", budget)
     for u, p in conn.items():
         col.report.absorb(check_companion(d, p, budget=col.budget))
-    for a in range(d.n_objects):
-        if d.vid[a] in conn:
-            p = conn[d.vid[a]]
-            col.eq("identity-companion", ((OBJECT, a),), p.hcell, d.hid[a])
-            col.eq("identity-companion", ((OBJECT, a),), p.eta, d.sq_vid[d.hid[a]])
-            col.eq("identity-companion", ((OBJECT, a),), p.eps, d.sq_vid[d.hid[a]])
-    for (u, v) in sorted(d.vcomp1):
-        w = d.vcomp(u, v)
-        if u in conn and v in conn and w in conn:
-            pu, pv, pw = conn[u], conn[v], conn[w]
-            col.eq(
-                "composite-companion",
-                ((VCELL, u), (VCELL, v)),
-                pw.hcell,
-                d.hcomp(pu.hcell, pv.hcell),
-            )
-            eta = d.vpaste(pu.eta, d.hpaste(d.sq_vid[pu.hcell], pv.eta))
-            eps = d.vpaste(d.hpaste(pu.eps, d.sq_vid[pv.hcell]), pv.eps)
-            col.eq("composite-companion", ((VCELL, u), (VCELL, v)), pw.eta, eta)
-            col.eq("composite-companion", ((VCELL, u), (VCELL, v)), pw.eps, eps)
+    _laws(col, (OBJECT,), [(a, conn[d.vid[a]]) for a in range(d.n_objects) if d.vid[a] in conn],
+          ("identity-companion", lambda a, p: p.hcell, lambda a, p: d.hid[a]),
+          ("identity-companion", lambda a, p: p.eta, lambda a, p: d.sq_vid[d.hid[a]]),
+          ("identity-companion", lambda a, p: p.eps, lambda a, p: d.sq_vid[d.hid[a]]))
+    rows = [
+        (u, v, conn[u], conn[v], conn[w])
+        for (u, v), w in sorted(d.vcomp1.items())
+        if u in conn and v in conn and w in conn
+    ]
+    _laws(col, (VCELL, VCELL), rows,
+          ("composite-companion", lambda u, v, pu, pv, pw: pw.hcell,
+           lambda u, v, pu, pv, pw: d.hcomp(pu.hcell, pv.hcell)),
+          ("composite-companion", lambda u, v, pu, pv, pw: pw.eta,
+           lambda u, v, pu, pv, pw: d.vpaste(pu.eta, d.hpaste(d.sq_vid[pu.hcell], pv.eta))),
+          ("composite-companion", lambda u, v, pu, pv, pw: pw.eps,
+           lambda u, v, pu, pv, pw: d.vpaste(d.hpaste(pu.eps, d.sq_vid[pv.hcell]), pv.eps)))
     return col.done()
 
 
@@ -248,12 +246,8 @@ def roundtrip_check(a0: VerticalPNT, conn: Connection, budget: Budget | None = N
     ps = _components(a0, conn)
     a1 = vertical_to_horizontal(a0, conn)
     back = horizontal_to_vertical(a1, ps)
-    for o in range(a0.F.dom.n_objects):
-        col.eq("roundtrip-component", ((OBJECT, o),), back.comp[o], a0.comp[o])
-    for f in range(len(a0.F.dom.hcells)):
-        col.eq("roundtrip-naturality", ((HCELL, f),), back.nat[f], a0.nat[f])
-    for u in range(len(a0.F.dom.vcells)):
-        col.eq("roundtrip-comparison", ((VCELL, u),), back.delta[u], a0.delta[u])
+    _agree(col, back, a0, ("roundtrip-component", "comp", OBJECT), ("roundtrip-naturality", "nat", HCELL),
+           ("roundtrip-comparison", "delta", VCELL))
     if col.report.violations:
         # say which snake law broke, if one did
         for o, p in enumerate(ps):
@@ -261,12 +255,8 @@ def roundtrip_check(a0: VerticalPNT, conn: Connection, budget: Budget | None = N
             col.report.absorb(sub, prefix=f"companion at object {o}: ")
     again = vertical_to_horizontal(back, conn) if back.strong else None
     if again is not None:
-        for o in range(a0.F.dom.n_objects):
-            col.eq("roundtrip-reverse-component", ((OBJECT, o),), again.comp[o], a1.comp[o])
-        for u in range(len(a0.F.dom.vcells)):
-            col.eq("roundtrip-reverse-naturality", ((VCELL, u),), again.nat[u], a1.nat[u])
-        for f in range(len(a0.F.dom.hcells)):
-            col.eq("roundtrip-reverse-comparison", ((HCELL, f),), again.delta[f], a1.delta[f])
+        _agree(col, again, a1, ("roundtrip-reverse-component", "comp", OBJECT),
+               ("roundtrip-reverse-naturality", "nat", VCELL), ("roundtrip-reverse-comparison", "delta", HCELL))
     else:
         col.assume("reverse trip skipped: recovered vertical transformation not strong")
         col.inconclusive()
@@ -285,26 +275,19 @@ def four_identities(a0: VerticalPNT, conn: Connection, budget: Budget | None = N
     dom, cod = F.dom, F.cod
     ps = _components(a0, conn)
     a1 = vertical_to_horizontal(a0, conn)
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        if "slide-nat-h" in live:
-            lhs = cod.hpaste(a0.nat[f], ps[B].eps)
-            rhs = cod.vpaste(a1.delta[f], cod.hpaste(ps[A].eps, cod.sq_vid[G.h(f)]))
-            col.eq("slide-nat-h", ((HCELL, f),), lhs, rhs)
-        if "bind-nat-h" in live:
-            lhs = cod.hpaste(ps[A].eta, a0.nat[f])
-            rhs = cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], ps[B].eta), a1.delta[f])
-            col.eq("bind-nat-h", ((HCELL, f),), lhs, rhs)
-    for u in range(len(dom.vcells)):
-        A, B = dom.vs(u), dom.vt(u)
-        if "slide-nat-v" in live:
-            lhs = cod.vpaste(a1.nat[u], ps[B].eps)
-            rhs = cod.hpaste(a0.delta[u], cod.vpaste(ps[A].eps, cod.sq_hid[G.v(u)]))
-            col.eq("slide-nat-v", ((VCELL, u),), lhs, rhs)
-        if "bind-nat-v" in live:
-            lhs = cod.vpaste(ps[A].eta, a1.nat[u])
-            rhs = cod.hpaste(cod.vpaste(cod.sq_hid[F.v(u)], ps[B].eta), a0.delta[u])
-            col.eq("bind-nat-v", ((VCELL, u),), lhs, rhs)
+    hp, vp, sq_vid, sq_hid = cod.hpaste, cod.vpaste, cod.sq_vid, cod.sq_hid
+    _laws(col, (HCELL,), [(f, ps[dom.hs(f)], ps[dom.ht(f)]) for f in range(len(dom.hcells))], *[law for law in (
+        ("slide-nat-h",
+         lambda f, pa, pb: hp(a0.nat[f], pb.eps), lambda f, pa, pb: vp(a1.delta[f], hp(pa.eps, sq_vid[G.h(f)]))),
+        ("bind-nat-h",
+         lambda f, pa, pb: hp(pa.eta, a0.nat[f]), lambda f, pa, pb: vp(hp(sq_vid[F.h(f)], pb.eta), a1.delta[f])),
+    ) if law[0] in live])
+    _laws(col, (VCELL,), [(u, ps[dom.vs(u)], ps[dom.vt(u)]) for u in range(len(dom.vcells))], *[law for law in (
+        ("slide-nat-v",
+         lambda u, pa, pb: vp(a1.nat[u], pb.eps), lambda u, pa, pb: hp(a0.delta[u], vp(pa.eps, sq_hid[G.v(u)]))),
+        ("bind-nat-v",
+         lambda u, pa, pb: vp(pa.eta, a1.nat[u]), lambda u, pa, pb: hp(vp(sq_hid[F.v(u)], pb.eta), a0.delta[u])),
+    ) if law[0] in live])
     return col.done()
 
 
@@ -359,30 +342,10 @@ def vertical_transformation_to_double(a0: VerticalPNT, conn: Connection, dom_con
     th = ThetaPNT(a0, a1, [p.eps for p in ps])
     dd = theta_to_double(th)
     col = Collector("vertical-to-double")
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        col.eq(
-            "t-from-delta",
-            ((HCELL, f),),
-            dd.t[f],
-            cod.vpaste(a1.delta[f], cod.hpaste(ps[A].eps, cod.sq_vid[G.h(f)])),
-        )
-        col.eq(
-            "delta-from-t",
-            ((HCELL, f),),
-            a1.delta[f],
-            cod.hpaste(ps[A].eta, dd.t[f]),
-        )
-        col.eq(
-            "nat-from-t",
-            ((HCELL, f),),
-            a0.nat[f],
-            cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], ps[B].eta), dd.t[f]),
-        )
-        col.eq(
-            "t-from-nat",
-            ((HCELL, f),),
-            dd.t[f],
-            cod.hpaste(a0.nat[f], ps[B].eps),
-        )
+    hp, vp, sq_vid = cod.hpaste, cod.vpaste, cod.sq_vid
+    _laws(col, (HCELL,), [(f, ps[dom.hs(f)], ps[dom.ht(f)]) for f in range(len(dom.hcells))],
+          ("t-from-delta", lambda f, pa, pb: dd.t[f], lambda f, pa, pb: vp(a1.delta[f], hp(pa.eps, sq_vid[G.h(f)]))),
+          ("delta-from-t", lambda f, pa, pb: a1.delta[f], lambda f, pa, pb: hp(pa.eta, dd.t[f])),
+          ("nat-from-t", lambda f, pa, pb: a0.nat[f], lambda f, pa, pb: vp(hp(sq_vid[F.h(f)], pb.eta), dd.t[f])),
+          ("t-from-nat", lambda f, pa, pb: dd.t[f], lambda f, pa, pb: hp(a0.nat[f], pb.eps)))
     return dd, th, col.done()

@@ -34,8 +34,10 @@ from .kernel import (
     StructureError,
     _columns,
     _entries,
+    _invertibility,
     _laws,
     _triples,
+    _vertical,
     product,
     pullback_pairs,
     same_category,
@@ -288,17 +290,6 @@ def _structure_boundaries(f: DoublePseudoFunctor):
                 raise StructureError(f"{name} inverse at {key} has wrong boundary")
 
 
-def _invertibility(col, kinds, cells, invs, cod):
-    """Record ``cell / inv`` == the identity square on the top of ``cell``,
-    then ``inv / cell`` == the one on its bottom, for each key of ``cells``
-    in order: the cells are vertically invertible in ``cod``.  Horizontal
-    invertibility is the same check on the transpose of ``cod``."""
-    rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
-    _laws(col, kinds, rows,
-          ("invertibility", lambda *r: cod.vpaste(r[-2], r[-1]), lambda *r: cod.sq_vid[cod.top(r[-2])]),
-          ("invertibility", lambda *r: cod.vpaste(r[-1], r[-2]), lambda *r: cod.sq_vid[cod.bottom(r[-2])]))
-
-
 # The coherence laws are stated once, for the vertically globular cells of a
 # functor g.  The horizontal half of f reads them downwards on g = f, where
 # comp_h : F(x.y) => F(x).F(y) sits above what it is pasted to.  The vertical
@@ -372,10 +363,10 @@ def check_double_pseudo_functor(
     _structure_boundaries(f)
     g = transpose_pseudo(f, transpose(f.dom), transpose(f.cod))
     if "invertibility" in live:
-        _invertibility(col, (HCELL, HCELL), f.comp_h, f.comp_h_inv, f.cod)
-        _invertibility(col, (VCELL, VCELL), f.comp_v, f.comp_v_inv, g.cod)
-        _invertibility(col, (OBJECT,), f.unit_h, f.unit_h_inv, f.cod)
-        _invertibility(col, (OBJECT,), f.unit_v, f.unit_v_inv, g.cod)
+        _invertibility(col, "invertibility", (HCELL, HCELL), f.comp_h, f.comp_h_inv, *_vertical(f.cod))
+        _invertibility(col, "invertibility", (VCELL, VCELL), f.comp_v, f.comp_v_inv, *_vertical(g.cod))
+        _invertibility(col, "invertibility", (OBJECT,), f.unit_h, f.unit_h_inv, *_vertical(f.cod))
+        _invertibility(col, "invertibility", (OBJECT,), f.unit_v, f.unit_v_inv, *_vertical(g.cod))
     names = PSEUDO_FUNCTOR_AXIOMS
     _coherence(col, live, names[0:3], HCELL, f, False)
     _coherence(col, live, names[3:6], VCELL, g, True)
@@ -695,8 +686,8 @@ def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=
 
     t = _transpose_cubical(h)
     if "invertibility" in live:
-        _invertibility(col, (HCELL, HCELL), h.hh, h.hh_inv, cod)
-        _invertibility(col, (VCELL, VCELL), h.vv, h.vv_inv, t.cod)
+        _invertibility(col, "invertibility", (HCELL, HCELL), h.hh, h.hh_inv, *_vertical(cod))
+        _invertibility(col, "invertibility", (VCELL, VCELL), h.vv, h.vv_inv, *_vertical(t.cod))
     for law in CUBICAL_AXIOMS[2:-1]:
         if law not in live:
             continue

@@ -29,10 +29,17 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    _associativity,
     _cell_map_sections,
+    _columns,
     _compare_entries,
+    _dense_rows,
     _fiber_product_sections,
     _first_difference,
+    _globular_interchange,
+    _identity_functoriality,
+    _laws,
+    _units,
     pullback,
     pullback_pairs,
     terminal_double_category,
@@ -53,7 +60,7 @@ from .functors import (
 from .modif import DoubleModification, check_modification
 from .report import BUDGET_EXCEEDED, AxiomReport, Budget, Collector
 from .transform import ComponentRegistry, DoublePNT, check_double_pnt, identity_double
-from .weak import Bicategory, PseudoDoubleCategory
+from .weak import Bicategory, PseudoDoubleCategory, _pentagon_triangle
 
 
 @dataclass
@@ -270,25 +277,20 @@ def _whisker_cells_identity(col, prefix, s: StrictDoubleFunctor, a: DoublePNT):
     transformation: every component maps to an identity cell."""
     cod = s.cod
     dom = a.F.dom
-    for o in range(dom.n_objects):
-        col.eq(f"{prefix}-components", ((OBJECT, o),), s.v(a.v0.comp[o]), cod.vid[s.ob(a.F.ob(o))])
-        col.eq(f"{prefix}-components", ((OBJECT, o),), s.h(a.h1.comp[o]), cod.hid[s.ob(a.F.ob(o))])
-    for f in range(len(dom.hcells)):
-        img = s.sq(a.t[f])
-        col.eq(f"{prefix}-squares", ((HCELL, f),), img, cod.sq_vid[cod.top(img)])
-    for u in range(len(dom.vcells)):
-        img = s.sq(a.r[u])
-        col.eq(f"{prefix}-squares", ((VCELL, u),), img, cod.sq_hid[cod.left(img)])
+    _laws(col, (OBJECT,), [(o,) for o in range(dom.n_objects)],
+          (f"{prefix}-components", lambda o: s.v(a.v0.comp[o]), lambda o: cod.vid[s.ob(a.F.ob(o))]),
+          (f"{prefix}-components", lambda o: s.h(a.h1.comp[o]), lambda o: cod.hid[s.ob(a.F.ob(o))]))
+    _laws(col, (HCELL,), [(f,) for f in range(len(dom.hcells))],
+          (f"{prefix}-squares", lambda f: s.sq(a.t[f]), lambda f: cod.sq_vid[cod.top(s.sq(a.t[f]))]))
+    _laws(col, (VCELL,), [(u,) for u in range(len(dom.vcells))],
+          (f"{prefix}-squares", lambda u: s.sq(a.r[u]), lambda u: cod.sq_hid[cod.left(s.sq(a.r[u]))]))
 
 
 def _whisker_modification_identity(col, prefix, s: StrictDoubleFunctor, m: DoubleModification):
     cod = s.cod
-    dom = m.F.dom
-    for o in range(dom.n_objects):
-        img0 = s.sq(m.a0[o])
-        img1 = s.sq(m.a1[o])
-        col.eq(f"{prefix}-3cells", ((OBJECT, o),), img0, cod.sq_hid[cod.left(img0)])
-        col.eq(f"{prefix}-3cells", ((OBJECT, o),), img1, cod.sq_vid[cod.top(img1)])
+    _laws(col, (OBJECT,), [(o,) for o in range(m.F.dom.n_objects)],
+          (f"{prefix}-3cells", lambda o: s.sq(m.a0[o]), lambda o: cod.sq_hid[cod.left(s.sq(m.a0[o]))]),
+          (f"{prefix}-3cells", lambda o: s.sq(m.a1[o]), lambda o: cod.sq_vid[cod.top(s.sq(m.a1[o]))]))
 
 
 def _default(col, name, what, f, g):
@@ -423,8 +425,7 @@ def check_internal(
         _whisker_modification_identity(col, f"whisker-s-{name}", data.s, cell)
         _whisker_modification_identity(col, f"whisker-t-{name}", data.t, cell)
     for label, fn in data.extra_threecell_equations:
-        ok = bool(fn(data))
-        col.check(f"extra-{label}", (label,), ok)
+        _laws(col, lambda: (label,), [()], (f"extra-{label}", lambda: True, lambda: bool(fn(data))))
     return col.done()
 
 
@@ -623,14 +624,13 @@ def check_coproduct_pullback(b: Bicategory, budget: Budget | None = None) -> Axi
         if b.onecells[b.s2(y)] == (B, C)
     ]
     image_objects = [(f, g) for (_, f, g) in coproduct_objects]
-    col.eq("pair-object-count", ("n=2",), len(coproduct_objects), len(pullback_objects))
-    col.check("pair-object-bijection", ("n=2",), sorted(image_objects) == sorted(pullback_objects))
-    col.check("pair-object-injective", ("n=2",), len(set(image_objects)) == len(image_objects))
     image_morphisms = [(x, y) for (_, x, y) in coproduct_morphisms]
-    col.eq("pair-morphism-count", ("n=2",), len(coproduct_morphisms), len(pullback_morphisms))
-    col.check(
-        "pair-morphism-bijection", ("n=2",), sorted(image_morphisms) == sorted(pullback_morphisms)
-    )
+    _laws(col, lambda: ("n=2",), [()],
+          ("pair-object-count", lambda: len(coproduct_objects), lambda: len(pullback_objects)),
+          ("pair-object-bijection", lambda: True, lambda: sorted(image_objects) == sorted(pullback_objects)),
+          ("pair-object-injective", lambda: True, lambda: len(set(image_objects)) == len(image_objects)),
+          ("pair-morphism-count", lambda: len(coproduct_morphisms), lambda: len(pullback_morphisms)),
+          ("pair-morphism-bijection", lambda: True, lambda: sorted(image_morphisms) == sorted(pullback_morphisms)))
 
     left_triples = [
         ((f, g), h)
@@ -650,15 +650,13 @@ def check_coproduct_pullback(b: Bicategory, budget: Budget | None = None) -> Axi
         for h in cells
         if b.t1(g) == b.s1(h)
     ]
-    col.eq("triple-count", ("n=3",), len(left_triples), len(right_triples))
-    col.eq("triple-count", ("n=3",), len(coproduct_triples), len(left_triples))
     rebracket = {((f, g), h): (f, (g, h)) for ((f, g), h) in left_triples}
-    col.check(
-        "triple-bijection",
-        ("n=3",),
-        sorted(rebracket.values()) == sorted(right_triples)
-        and len(set(rebracket.values())) == len(left_triples),
-    )
+    _laws(col, lambda: ("n=3",), [()],
+          ("triple-count", lambda: len(left_triples), lambda: len(right_triples)),
+          ("triple-count", lambda: len(coproduct_triples), lambda: len(left_triples)),
+          ("triple-bijection", lambda: True, lambda: (
+              sorted(rebracket.values()) == sorted(right_triples) and len(set(rebracket.values())) == len(left_triples)
+          )))
     col.assume(
         "comparison cells kappa/zeta/xi and the prism and cylinder 3-cells are "
         "canonical identities at this level"
@@ -671,81 +669,24 @@ def check_enriched_over_cat(b: Bicategory, budget: Budget | None = None) -> Axio
     functors, units, invertible natural constraints, and the pentagon and
     triangle consequences of the coherence cells."""
     col = Collector("enriched-over-categories", budget)
-    n2 = len(b.twocells)
-    for (x, y) in sorted(b.vcomp2):
-        for z in range(n2):
-            if b.t2(y) == b.s2(z):
-                col.eq(
-                    "hom-category",
-                    (("twocell", x), ("twocell", y), ("twocell", z)),
-                    b.vert(b.vert(x, y), z),
-                    b.vert(x, b.vert(y, z)),
-                )
-    for x in range(n2):
-        col.eq("hom-category", (("twocell", x),), b.vert(b.id2[b.s2(x)], x), x)
-        col.eq("hom-category", (("twocell", x),), b.vert(x, b.id2[b.t2(x)]), x)
-    for (f, g) in sorted(b.comp1):
-        col.eq(
-            "composition-functor",
-            (("onecell", f), ("onecell", g)),
-            b.id2[b.then1(f, g)],
-            b.horiz(b.id2[f], b.id2[g]),
-        )
-    for (x, y) in sorted(b.hcomp2):
-        for x2 in range(n2):
-            if b.t2(x) != b.s2(x2):
-                continue
-            for y2 in range(n2):
-                if b.t2(y) == b.s2(y2):
-                    col.eq(
-                        "composition-functor",
-                        (("twocell", x), ("twocell", y), ("twocell", x2), ("twocell", y2)),
-                        b.horiz(b.vert(x, x2), b.vert(y, y2)),
-                        b.vert(b.horiz(x, y), b.horiz(x2, y2)),
-                    )
-    for a in range(b.n_objects):
-        col.check("unit-cell", (("objects", a),), b.onecells[b.id1[a]] == (a, a))
+    s2, t2 = _columns(b.twocells, 2)
+    _associativity(col, "hom-category", "twocell", _dense_rows(b.vcomp2, len(t2)), t2, s2)
+    _units(col, "hom-category", "hom-category", "twocell", b.vcomp2, t2, s2, b.id2)
+    _identity_functoriality(col, "composition-functor", "onecell", b.comp1, b.hcomp2, b.id2)
+    _globular_interchange(col, "composition-functor", b)
+    _laws(col, ("objects",), [(a,) for a in range(b.n_objects)],
+          ("unit-cell", lambda a: True, lambda a: b.onecells[b.id1[a]] == (a, a)))
 
-    def inv_ok(cell, inv):
+    def inverse(cell, inv):
         return b.vert(cell, inv) == b.id2[b.s2(cell)] and b.vert(inv, cell) == b.id2[b.t2(cell)]
 
-    for key in sorted(b.assoc):
-        col.check(
-            "constraint-equivalence",
-            tuple(("onecell", k) for k in key),
-            inv_ok(b.assoc[key], b.assoc_inv[key]),
-        )
-    for f in range(len(b.onecells)):
-        col.check("constraint-equivalence", (("onecell", f),), inv_ok(b.lunit[f], b.lunit_inv[f]))
-        col.check("constraint-equivalence", (("onecell", f),), inv_ok(b.runit[f], b.runit_inv[f]))
-    for (f, g) in sorted(b.comp1):
-        for h in range(len(b.onecells)):
-            if b.t1(g) != b.s1(h):
-                continue
-            for k in range(len(b.onecells)):
-                if b.t1(h) != b.s1(k):
-                    continue
-                col.eq(
-                    "pentagon",
-                    tuple(("onecell", x) for x in (f, g, h, k)),
-                    b.vert(b.assoc[(b.then1(f, g), h, k)], b.assoc[(f, g, b.then1(h, k))]),
-                    b.vert_list(
-                        b.then1(b.then1(b.then1(f, g), h), k),
-                        [
-                            b.horiz(b.assoc[(f, g, h)], b.id2[k]),
-                            b.assoc[(f, b.then1(g, h), k)],
-                            b.horiz(b.id2[f], b.assoc[(g, h, k)]),
-                        ],
-                    ),
-                )
-    for (f, g) in sorted(b.comp1):
-        mid = b.t1(f)
-        col.eq(
-            "triangle",
-            (("onecell", f), ("onecell", g)),
-            b.vert(b.assoc[(f, b.id1[mid], g)], b.horiz(b.id2[f], b.lunit[g])),
-            b.horiz(b.runit[f], b.id2[g]),
-        )
+    _laws(col, ("onecell",) * 3, [(*key, b.assoc[key], b.assoc_inv[key]) for key in sorted(b.assoc)],
+          ("constraint-equivalence", lambda *r: True, lambda *r: inverse(*r[3:])))
+    unitors = [(f, b.lunit[f], b.lunit_inv[f], b.runit[f], b.runit_inv[f]) for f in range(len(b.onecells))]
+    _laws(col, ("onecell",), unitors,
+          ("constraint-equivalence", lambda *r: True, lambda *r: inverse(*r[1:3])),
+          ("constraint-equivalence", lambda *r: True, lambda *r: inverse(*r[3:])))
+    _pentagon_triangle(col, b)
     return col.done()
 
 

@@ -124,10 +124,11 @@ def _triples(table, ends, starts):
 # the two sides differ.  ``_associativity`` and ``_interchange`` read dense
 # rows (``_dense_rows``: one list per left cell, indexed by cell id), which
 # a checker builds once per table and shares between them.  ``_laws`` is the
-# general one, for laws given as a list of index rows and two sides; the
-# functor checkers state every law through it.  They assume complete tables
-# with correct boundaries, which the constructors and the boundary laws
-# establish.
+# general one, for laws given as a list of index rows and two sides, and
+# ``_invertibility`` states a stored inverse through it; no checker
+# records its law instances one at a time through ``Collector.eq``.  They
+# assume complete tables with correct boundaries, which the constructors
+# and the boundary laws establish.
 
 
 def _rows(table):
@@ -170,8 +171,9 @@ def _laws(col, kinds, rows, *laws):
     """Record ``lhs(*row) == rhs(*row)`` for each index row in order and,
     within a row, for each ``(law, lhs, rhs)`` of ``laws`` in order, one
     instance each.  The witness pairs ``kinds`` with the leading entries of
-    the row; a row may carry further entries for the sides.  All instances
-    are charged at once; past a budget cut none is evaluated."""
+    the row, or is ``kinds(*row)`` when ``kinds`` is a function; a row may
+    carry further entries for the sides.  All instances are charged at
+    once; past a budget cut none is evaluated."""
     n = col.take(len(rows) * len(laws))
     for row in rows:
         for law, lhs, rhs in laws:
@@ -180,7 +182,34 @@ def _laws(col, kinds, rows, *laws):
             n -= 1
             left, right = lhs(*row), rhs(*row)
             if left != right:
-                col.fail(law, tuple(zip(kinds, row)), left, right)
+                col.fail(law, kinds(*row) if callable(kinds) else tuple(zip(kinds, row)), left, right)
+
+
+def _inverse_laws(law, i, paste, unit, first, last):
+    """The two instances of ``law`` saying that the cells ``row[i]`` and
+    ``row[i + 1]`` of a row are mutually inverse under ``paste``: the cell
+    then its inverse is ``unit[first(cell)]``, the inverse then the cell
+    ``unit[last(cell)]``.  Vertically in a double category ``paste`` is
+    ``vpaste``, ``unit`` the identity squares ``sq_vid`` and ``first``,
+    ``last`` are ``top``, ``bottom``."""
+    return (
+        (law, lambda *r: paste(r[i], r[i + 1]), lambda *r: unit[first(r[i])]),
+        (law, lambda *r: paste(r[i + 1], r[i]), lambda *r: unit[last(r[i])]),
+    )
+
+
+def _vertical(d):
+    """``paste, unit, first, last`` of :func:`_inverse_laws` for vertical
+    pasting in the double category ``d``."""
+    return d.vpaste, d.sq_vid, d.top, d.bottom
+
+
+def _invertibility(col, law, kinds, cells, invs, paste, unit, first, last):
+    """Record that ``invs[key]`` is inverse to ``cells[key]`` on both sides
+    (``_inverse_laws``), for each key of ``cells`` in order; the witness
+    pairs ``kinds`` with the key."""
+    rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
+    _laws(col, kinds, rows, *_inverse_laws(law, -2, paste, unit, first, last))
 
 
 def _entries(table):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, StructureError, same_category
+from .kernel import HCELL, OBJECT, VCELL, StructureError, _laws, same_category
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     DoublePNT,
@@ -114,16 +114,17 @@ def _check_side(col, src, tgt, a1, live, law: str):
     between horizontal transformations."""
     F, G = src.F, src.G
     dom, cod = F.dom, F.cod
+    hp, vp, sq_vid = cod.hpaste, cod.vpaste, cod.sq_vid
     if f"{law}-nat" in live:
-        for u in range(len(dom.vcells)):
-            A, B = dom.vs(u), dom.vt(u)
-            col.eq(f"{law}-nat", ((VCELL, u),), cod.vpaste(a1[A], tgt.nat[u]), cod.vpaste(src.nat[u], a1[B]))
+        _laws(col, (VCELL,), [(u, *bnd) for u, bnd in enumerate(dom.vcells)], (
+            f"{law}-nat", lambda u, A, B: vp(a1[A], tgt.nat[u]), lambda u, A, B: vp(src.nat[u], a1[B]),
+        ))
     if f"{law}-delta" in live:
-        for f in range(len(dom.hcells)):
-            A, B = dom.hs(f), dom.ht(f)
-            lhs = cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], a1[B]), tgt.delta[f])
-            rhs = cod.vpaste(src.delta[f], cod.hpaste(a1[A], cod.sq_vid[G.h(f)]))
-            col.eq(f"{law}-delta", ((HCELL, f),), lhs, rhs)
+        _laws(col, (HCELL,), [(f, *bnd) for f, bnd in enumerate(dom.hcells)], (
+            f"{law}-delta",
+            lambda f, A, B: vp(hp(sq_vid[F.h(f)], a1[B]), tgt.delta[f]),
+            lambda f, A, B: vp(src.delta[f], hp(a1[A], sq_vid[G.h(f)])),
+        ))
 
 
 def check_vertical_side(src, tgt, a0, budget: Budget | None = None, axioms=None) -> AxiomReport:
@@ -146,10 +147,11 @@ def _coupling(col, m: DoubleModification, law: str):
     r-squares it is this on the transpose."""
     F = m.F
     dom, cod = F.dom, F.cod
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        lhs = cod.hpaste(m.a0[A], cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], m.a1[B]), m.tgt.t[f]))
-        col.eq(law, ((HCELL, f),), lhs, m.src.t[f])
+    _laws(col, (HCELL,), [(f, *bnd) for f, bnd in enumerate(dom.hcells)], (
+        law,
+        lambda f, A, B: cod.hpaste(m.a0[A], cod.vpaste(cod.hpaste(cod.sq_vid[F.h(f)], m.a1[B]), m.tgt.t[f])),
+        lambda f, A, B: m.src.t[f],
+    ))
 
 
 def check_modification(m: DoubleModification, budget: Budget | None = None, axioms=None) -> AxiomReport:
@@ -170,14 +172,12 @@ def check_theta_modification(m: ThetaModification, budget: Budget | None = None)
     """The single generator compatibility; the coupled-pair equations follow
     and are rechecked through the shadow modification."""
     col = Collector("theta-modification", budget)
-    F, G = m.src.v0.F, m.src.v0.G
-    dom, cod = F.dom, F.cod
-    for o in range(dom.n_objects):
-        lhs = cod.hpaste(
-            m.a0[o],
-            cod.vpaste(m.a1[o], m.tgt.theta[o]),
-        )
-        col.eq("theta-compat", ((OBJECT, o),), lhs, m.src.theta[o])
+    dom, cod = m.src.v0.F.dom, m.src.v0.F.cod
+    _laws(col, (OBJECT,), [(o,) for o in range(dom.n_objects)], (
+        "theta-compat",
+        lambda o: cod.hpaste(m.a0[o], cod.vpaste(m.a1[o], m.tgt.theta[o])),
+        lambda o: m.src.theta[o],
+    ))
     col.report.absorb(check_modification(m._shadow, budget=col.budget), prefix="as-coupled: ")
     return col.done()
 

@@ -146,7 +146,13 @@ class Collector:
         self._hit_budget = False
 
     def eq(self, axiom: str, witness: tuple, lhs, rhs) -> bool:
-        """Record one instance of an equational law; returns True when it holds."""
+        """Record one instance of an equational law; returns True when it holds.
+
+        The library's checkers do not call it: they state their laws
+        through ``kernel._laws`` and the kernel enumerators, which charge
+        whole rows with :meth:`take` and evaluate nothing past the budget.
+        It is kept as the reference of the tests' per-instance oracles and
+        for the benchmark's probe of the per-instance cost."""
         if self._hit_budget:
             return True
         try:
@@ -190,9 +196,6 @@ class Collector:
         """How many more law instances the budget lets this collector
         evaluate."""
         return 0 if self._hit_budget else max(self.budget.max_tuples - self.budget.used, 0)
-
-    def check(self, axiom: str, witness: tuple, ok: bool) -> bool:
-        return self.eq(axiom, witness, True, bool(ok))
 
     def fail(self, axiom: str, witness: tuple, lhs=None, rhs=None) -> None:
         self.report.violations.append(Violation(axiom, witness, lhs, rhs))

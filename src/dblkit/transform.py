@@ -29,6 +29,7 @@ loudly on any boundary mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .kernel import (
     HCELL,
@@ -38,8 +39,10 @@ from .kernel import (
     DoubleCategory,
     StructureError,
     _columns,
+    _invertibility,
     _laws,
     _triples,
+    _vertical,
     same_category,
     transpose,
 )
@@ -245,60 +248,62 @@ def check_horizontal_pnt(a: HorizontalPNT, budget: Budget | None = None, axioms=
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
 
+    hp, vp, vcol, sq_vid = cod.hpaste, cod.vpaste, cod.vcol, cod.sq_vid
     if "pnt-naturality" in live:
         # squares of the domain slide through the components via delta
-        for s in range(len(dom.squares)):
-            t, b, l, r = dom.squares[s]
-            lhs = cod.vpaste(cod.hpaste(F.sq(s), a.nat[r]), a.delta[b])
-            rhs = cod.vpaste(a.delta[t], cod.hpaste(a.nat[l], G.sq(s)))
-            col.eq("pnt-naturality", ((SQUARE, s),), lhs, rhs)
+        _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(dom.squares)], (
+            "pnt-naturality",
+            lambda s, t, b, l, r: vp(hp(F.sq(s), a.nat[r]), a.delta[b]),
+            lambda s, t, b, l, r: vp(a.delta[t], hp(a.nat[l], G.sq(s))),
+        ))
     if "pnt-vcomp" in live:
-        for (u, v) in sorted(dom.vcomp1):
-            lhs = cod.hpaste(F.comp_v[(u, v)], a.nat[dom.vcomp(u, v)])
-            rhs = cod.hpaste(cod.vpaste(a.nat[u], a.nat[v]), G.comp_v[(u, v)])
-            col.eq("pnt-vcomp", ((VCELL, u), (VCELL, v)), lhs, rhs)
+        _laws(col, (VCELL, VCELL), sorted(dom.vcomp1), (
+            "pnt-vcomp",
+            lambda u, v: hp(F.comp_v[(u, v)], a.nat[dom.vcomp(u, v)]),
+            lambda u, v: hp(vp(a.nat[u], a.nat[v]), G.comp_v[(u, v)]),
+        ))
+    objects = [(o,) for o in range(dom.n_objects)]
     if "pnt-vunit" in live:
-        for o in range(dom.n_objects):
-            lhs = cod.hpaste(F.unit_v[o], a.nat[dom.vid[o]])
-            rhs = cod.hpaste(cod.sq_vid[a.comp[o]], G.unit_v[o])
-            col.eq("pnt-vunit", ((OBJECT, o),), lhs, rhs)
+        _laws(col, (OBJECT,), objects, (
+            "pnt-vunit",
+            lambda o: hp(F.unit_v[o], a.nat[dom.vid[o]]),
+            lambda o: hp(sq_vid[a.comp[o]], G.unit_v[o]),
+        ))
     if "pnt-hcomp-delta" in live:
-        for (f, g) in sorted(dom.hcomp1):
-            C = dom.ht(g)
-            lhs = a.delta[dom.hcomp(f, g)]
-            rhs = cod.vcol(
-                cod.hpaste(F.comp_h[(f, g)], cod.sq_vid[a.comp[C]]),
-                cod.hpaste(cod.sq_vid[F.h(f)], a.delta[g]),
-                cod.hpaste(a.delta[f], cod.sq_vid[G.h(g)]),
-                cod.hpaste(cod.sq_vid[a.comp[dom.hs(f)]], G.comp_h_inv[(f, g)]),
-            )
-            col.eq("pnt-hcomp-delta", ((HCELL, f), (HCELL, g)), lhs, rhs)
+        _laws(col, (HCELL, HCELL), sorted(dom.hcomp1), (
+            "pnt-hcomp-delta",
+            lambda f, g: a.delta[dom.hcomp(f, g)],
+            lambda f, g: vcol(
+                hp(F.comp_h[(f, g)], sq_vid[a.comp[dom.ht(g)]]),
+                hp(sq_vid[F.h(f)], a.delta[g]),
+                hp(a.delta[f], sq_vid[G.h(g)]),
+                hp(sq_vid[a.comp[dom.hs(f)]], G.comp_h_inv[(f, g)]),
+            ),
+        ))
     if "pnt-hunit-delta" in live:
-        for o in range(dom.n_objects):
-            lhs = cod.vcol(
-                cod.hpaste(F.unit_h_inv[o], cod.sq_vid[a.comp[o]]),
-                a.delta[dom.hid[o]],
-                cod.hpaste(cod.sq_vid[a.comp[o]], G.unit_h[o]),
-            )
-            col.eq("pnt-hunit-delta", ((OBJECT, o),), lhs, cod.sq_vid[a.comp[o]])
+        _laws(col, (OBJECT,), objects, (
+            "pnt-hunit-delta",
+            lambda o: vcol(
+                hp(F.unit_h_inv[o], sq_vid[a.comp[o]]), a.delta[dom.hid[o]], hp(sq_vid[a.comp[o]], G.unit_h[o])
+            ),
+            lambda o: sq_vid[a.comp[o]],
+        ))
     if "delta-invertibility" in live:
-        _invertibility(col, a, sorted(a.delta_inv), "delta-invertibility")
+        _delta_invertibility(col, a, sorted(a.delta_inv), "delta-invertibility")
     return col.done()
 
 
-def _invertibility(col, a: HorizontalPNT, hcells, law: str):
+def _delta_invertibility(col, a: HorizontalPNT, hcells, law: str):
     """The comparison square of ``a`` at each of ``hcells`` has its stored
-    inverse on both sides; a missing inverse is a violation."""
-    cod = a.F.cod
-    for f in hcells:
-        inv = a.delta_inv.get(f)
-        if inv is None:
-            if col.take(1):
+    inverse on both sides; a missing inverse is a violation, charged as one
+    instance.  The hcells are taken in runs with and without an inverse."""
+    for stored, run in groupby(hcells, lambda f: a.delta_inv.get(f) is not None):
+        run = list(run)
+        if stored:
+            _invertibility(col, law, (HCELL,), {f: a.delta[f] for f in run}, a.delta_inv, *_vertical(a.F.cod))
+        else:
+            for f in run[:col.take(len(run))]:
                 col.fail(law, ((HCELL, f),))
-            continue
-        cell = a.delta[f]
-        col.eq(law, ((HCELL, f),), cod.vpaste(cell, inv), cod.sq_vid[cod.top(cell)])
-        col.eq(law, ((HCELL, f),), cod.vpaste(inv, cell), cod.sq_vid[cod.bottom(cell)])
 
 
 def check_vertical_pnt(a: VerticalPNT, budget: Budget | None = None, axioms=None) -> AxiomReport:
@@ -613,8 +618,8 @@ def check_double_pnt(
         col.assume("component-invertibility skipped: no component registry supplied")
         col.inconclusive()
     else:
-        _invertibility(col, a.h1, sorted(registry.hcells), "component-invertibility")
-        _on_transpose(col, _invertibility, at.h1, sorted(registry.vcells), "component-invertibility")
+        _delta_invertibility(col, a.h1, sorted(registry.hcells), "component-invertibility")
+        _on_transpose(col, _delta_invertibility, at.h1, sorted(registry.vcells), "component-invertibility")
     _check_t_side(col, a, "t")
     _on_transpose(col, _check_t_side, at, "r")
 
@@ -639,11 +644,11 @@ def _theta_slide(col, th: ThetaPNT, law: str):
     vcells is this on the transpose."""
     F, G = th.v0.F, th.v0.G
     dom, cod = F.dom, F.cod
-    for f in range(len(dom.hcells)):
-        A, B = dom.hs(f), dom.ht(f)
-        lhs = cod.hpaste(th.v0.nat[f], th.theta[B])
-        rhs = cod.vpaste(th.h1.delta[f], cod.hpaste(th.theta[A], cod.sq_vid[G.h(f)]))
-        col.eq(law, ((HCELL, f),), lhs, rhs)
+    _laws(col, (HCELL,), [(f,) for f in range(len(dom.hcells))], (
+        law,
+        lambda f: cod.hpaste(th.v0.nat[f], th.theta[dom.ht(f)]),
+        lambda f: cod.vpaste(th.h1.delta[f], cod.hpaste(th.theta[dom.hs(f)], cod.sq_vid[G.h(f)])),
+    ))
 
 
 def check_theta(
@@ -794,6 +799,15 @@ def vcomp_double(a: DoublePNT, b: DoublePNT) -> DoublePNT:
     return _coupled(_vcomp_t, a, b)
 
 
+def _agree(col, x, y, *families):
+    """Record that the transformations ``x`` and ``y`` agree cell for cell,
+    for each ``(law, field, kind)`` of ``families`` in turn: ``x.field[i]
+    == y.field[i]``, witnessed by ``(kind, i)``."""
+    for law, cells, kind in families:
+        rows = [(i, p, q) for i, (p, q) in enumerate(zip(getattr(x, cells), getattr(y, cells)))]
+        _laws(col, (kind,), rows, (law, lambda i, p, q: p, lambda i, p, q: q))
+
+
 def right_unit_constraint(a: HorizontalPNT):
     """Compose with the identity 2-cell on the domain's identity functor and
     normalize back.
@@ -809,25 +823,17 @@ def right_unit_constraint(a: HorizontalPNT):
     ident = identity_horizontal(identity_pseudo(dom))
     composite = hcomp_horizontal(a, ident)
     col = Collector("right-unit-normalization")
-    normalization = []
-    for o in range(dom.n_objects):
-        cell = cod.hpaste(F.unit_h[o], cod.sq_vid[a.comp[o]])
-        normalization.append(cell)
-        col.eq(
-            "normalization-boundary",
-            ((OBJECT, o),),
-            (cod.top(cell), cod.bottom(cell)),
-            (composite.comp[o], a.comp[o]),
-        )
+    normalization = [cod.hpaste(F.unit_h[o], cod.sq_vid[a.comp[o]]) for o in range(dom.n_objects)]
+    _laws(col, (OBJECT,), list(enumerate(normalization)), (
+        "normalization-boundary",
+        lambda o, cell: (cod.top(cell), cod.bottom(cell)),
+        lambda o, cell: (composite.comp[o], a.comp[o]),
+    ))
     from .modif import check_horizontal_side
 
     col.report.absorb(check_horizontal_side(composite, a, normalization))
     col.assume("right unit normalized through the recorded unit comparison cells")
     left = hcomp_horizontal(identity_horizontal(identity_pseudo(cod)), a)
-    for o in range(dom.n_objects):
-        col.eq("left-unit-strict", ((OBJECT, o),), left.comp[o], a.comp[o])
-    for f in range(len(dom.hcells)):
-        col.eq("left-unit-strict", ((HCELL, f),), left.delta[f], a.delta[f])
-    for u in range(len(dom.vcells)):
-        col.eq("left-unit-strict", ((VCELL, u),), left.nat[u], a.nat[u])
+    _agree(col, left, a, ("left-unit-strict", "comp", OBJECT), ("left-unit-strict", "delta", HCELL),
+           ("left-unit-strict", "nat", VCELL))
     return composite, normalization, col.done()

@@ -10,7 +10,13 @@ conventions (left-argument-first tables throughout):
     runit[f]         : f . 1_B  =>  f
 
 A bicategory is the globular special case and gets its own independent
-checker so the two can cross-validate each other.
+checker so the two can cross-validate each other.  Both checkers state
+their laws through the kernel enumerators: the strict ones for the
+vertical (hom-category) laws, ``kernel._invertibility`` and
+``kernel._inverse_laws`` for the stored inverses, and ``kernel._laws`` for
+naturality, pentagon and triangle.  The bicategory's pentagon and triangle
+(``_pentagon_triangle``) are shared with the enriched view of
+``internal.check_enriched_over_cat``.
 """
 
 from __future__ import annotations
@@ -31,8 +37,12 @@ from .kernel import (
     _globular_interchange,
     _identity_functoriality,
     _interchange,
+    _inverse_laws,
+    _invertibility,
+    _laws,
     _triples,
     _units,
+    _vertical,
 )
 from .report import AxiomReport, Budget, Collector
 
@@ -54,35 +64,48 @@ class PseudoDoubleCategory(DoubleCategory):
         self._validate_pseudo()
 
     def _validate_pseudo(self):
-        nh, ns = len(self.hcells), len(self.squares)
-        unitors = {"lunit": self.lunit, "lunit_inv": self.lunit_inv, "runit": self.runit, "runit_inv": self.runit_inv}
-        if any(len(cells) != nh for cells in unitors.values()):
-            raise StructureError("left and right unitors and their inverses per hcell required")
-        for name, cells in unitors.items():
-            for f, s in enumerate(cells):
-                _check_index(s, ns, f"{name} of hcell {f}")
         hs, ht = _columns(self.hcells, 2)
-        triples = set(_triples(self.hcomp1, ht, hs))
-        if set(self.assoc) != triples or set(self.assoc_inv) != triples:
-            raise StructureError("associator must be keyed on exactly the composable hcell triples")
-        for key in sorted(triples):
-            _check_index(self.assoc[key], ns, f"associator at {key}")
-            _check_index(self.assoc_inv[key], ns, f"inverse associator at {key}")
-        # the stored inverses run the other way round
-        for (f, g, h), s in self.assoc.items():
-            lhs = self.hcomp(self.hcomp(f, g), h)
-            rhs = self.hcomp(f, self.hcomp(g, h))
-            sides = (self.vid[self.hs(f)], self.vid[self.ht(h)])
-            if self.squares[s] != (lhs, rhs, *sides) or self.squares[self.assoc_inv[(f, g, h)]] != (rhs, lhs, *sides):
-                raise StructureError(f"associator at {(f, g, h)} has wrong boundary")
-        for f in range(nh):
-            a, b = self.hcells[f]
-            sides = (self.vid[a], self.vid[b])
-            left, right = self.hcomp(self.hid[a], f), self.hcomp(f, self.hid[b])
-            if self.squares[self.lunit[f]] != (left, f, *sides) or self.squares[self.lunit_inv[f]] != (f, left, *sides):
-                raise StructureError(f"left unitor at {f} has wrong boundary")
-            if self.squares[self.runit[f]] != (right, f, *sides) or self.squares[self.runit_inv[f]] != (f, right, *sides):
-                raise StructureError(f"right unitor at {f} has wrong boundary")
+        _check_constraint_cells(self, "hcell", len(self.squares), self.hcomp1, ht, hs)
+        vid = self.vid
+        _check_constraint_boundaries(
+            self, self.squares, self.hcomp, ht, hs, self.hid, lambda x, y, a, b: (x, y, vid[a], vid[b])
+        )
+
+
+def _check_constraint_cells(x, noun, ncells, comp, ends, starts):
+    """Raise StructureError unless ``x`` stores a left and a right unitor
+    and their inverses per ``noun`` (hcell or 1-cell) and an associator and
+    its inverse on exactly the composable triples of ``comp``, each a cell
+    id below ``ncells``."""
+    unitors = {"lunit": x.lunit, "lunit_inv": x.lunit_inv, "runit": x.runit, "runit_inv": x.runit_inv}
+    if any(len(cells) != len(ends) for cells in unitors.values()):
+        raise StructureError(f"left and right unitors and their inverses per {noun} required")
+    for name, cells in unitors.items():
+        for f, c in enumerate(cells):
+            _check_index(c, ncells, f"{name} of {noun} {f}")
+    triples = set(_triples(comp, ends, starts))
+    if set(x.assoc) != triples or set(x.assoc_inv) != triples:
+        raise StructureError(f"associator must be keyed on exactly the composable {noun} triples")
+    for key in sorted(triples):
+        _check_index(x.assoc[key], ncells, f"associator at {key}")
+        _check_index(x.assoc_inv[key], ncells, f"inverse associator at {key}")
+
+
+def _check_constraint_boundaries(x, cells, then, ends, starts, ids, boundary):
+    """Raise StructureError unless each constraint cell of ``x`` runs
+    between the composites it relates and its stored inverse the other way
+    round: ``cells[c] == boundary(source, target, a, b)`` for a cell c
+    between composites from the object a to the object b."""
+    for (f, g, h), c in x.assoc.items():
+        lhs, rhs, a, b = then(then(f, g), h), then(f, then(g, h)), starts[f], ends[h]
+        if cells[c] != boundary(lhs, rhs, a, b) or cells[x.assoc_inv[(f, g, h)]] != boundary(rhs, lhs, a, b):
+            raise StructureError(f"associator at {(f, g, h)} has wrong boundary")
+    for f, (a, b) in enumerate(zip(starts, ends)):
+        left, right = then(ids[a], f), then(f, ids[b])
+        if cells[x.lunit[f]] != boundary(left, f, a, b) or cells[x.lunit_inv[f]] != boundary(f, left, a, b):
+            raise StructureError(f"left unitor at {f} has wrong boundary")
+        if cells[x.runit[f]] != boundary(right, f, a, b) or cells[x.runit_inv[f]] != boundary(f, right, a, b):
+            raise StructureError(f"right unitor at {f} has wrong boundary")
 
 
 def as_pseudo(d: DoubleCategory) -> PseudoDoubleCategory:
@@ -112,12 +135,6 @@ def as_pseudo(d: DoubleCategory) -> PseudoDoubleCategory:
     )
 
 
-def _vertically_inverse(d, cell, inv, col, axiom, witness):
-    t, b = d.top(cell), d.bottom(cell)
-    col.eq(axiom, witness, d.vpaste(cell, inv), d.sq_vid[t])
-    col.eq(axiom, witness, d.vpaste(inv, cell), d.sq_vid[b])
-
-
 def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None = None) -> AxiomReport:
     """Pentagon, triangle, naturality of the constraints, functoriality of
     horizontal pasting, and the strict vertical laws, all by enumeration."""
@@ -140,61 +157,39 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
     _identity_functoriality(col, "hpaste-identity-functoriality", HCELL, p.hcomp1, p.hcomp2, p.sq_vid)
     _interchange(col, p, _dense_rows(p.hcomp2, ns), vrows)
 
-    for key in sorted(p.assoc):
-        _vertically_inverse(
-            p, p.assoc[key], p.assoc_inv[key], col, "associator-invertibility", tuple((HCELL, x) for x in key)
-        )
-    for f in range(nh):
-        _vertically_inverse(p, p.lunit[f], p.lunit_inv[f], col, "left-unitor-invertibility", ((HCELL, f),))
-        _vertically_inverse(p, p.runit[f], p.runit_inv[f], col, "right-unitor-invertibility", ((HCELL, f),))
+    inverse = _vertical(p)
+    _invertibility(col, "associator-invertibility", (HCELL,) * 3, p.assoc, p.assoc_inv, *inverse)
+    _laws(col, (HCELL,), [(f, p.lunit[f], p.lunit_inv[f], p.runit[f], p.runit_inv[f]) for f in range(nh)],
+          *_inverse_laws("left-unitor-invertibility", 1, *inverse),
+          *_inverse_laws("right-unitor-invertibility", 3, *inverse))
 
     # naturality of the three constraint families
-    for a, b, c in _triples(p.hcomp2, right, left):
-        tri = (top[a], top[b], top[c])
-        bot = (bottom[a], bottom[b], bottom[c])
-        col.eq(
-            "associator-naturality",
-            ((SQUARE, a), (SQUARE, b), (SQUARE, c)),
-            p.vpaste(p.assoc[tri], p.hpaste(a, p.hpaste(b, c))),
-            p.vpaste(p.hpaste(p.hpaste(a, b), c), p.assoc[bot]),
-        )
-    for s in range(ns):
-        t, b, l, r = p.squares[s]
-        col.eq(
-            "left-unitor-naturality",
-            ((SQUARE, s),),
-            p.vpaste(p.lunit[t], s),
-            p.vpaste(p.hpaste(p.sq_hid[l], s), p.lunit[b]),
-        )
-        col.eq(
-            "right-unitor-naturality",
-            ((SQUARE, s),),
-            p.vpaste(p.runit[t], s),
-            p.vpaste(p.hpaste(s, p.sq_hid[r]), p.runit[b]),
-        )
+    vp, hp, hc, assoc, sq_vid, sq_hid = p.vpaste, p.hpaste, p.hcomp, p.assoc, p.sq_vid, p.sq_hid
+    _laws(col, (SQUARE,) * 3, list(_triples(p.hcomp2, right, left)), (
+        "associator-naturality",
+        lambda a, b, c: vp(assoc[(top[a], top[b], top[c])], hp(a, hp(b, c))),
+        lambda a, b, c: vp(hp(hp(a, b), c), assoc[(bottom[a], bottom[b], bottom[c])]),
+    ))
+    _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(p.squares)],
+          ("left-unitor-naturality",
+           lambda s, t, b, l, r: vp(p.lunit[t], s), lambda s, t, b, l, r: vp(hp(sq_hid[l], s), p.lunit[b])),
+          ("right-unitor-naturality",
+           lambda s, t, b, l, r: vp(p.runit[t], s), lambda s, t, b, l, r: vp(hp(s, sq_hid[r]), p.runit[b])))
 
     # pentagon and triangle
     by_hs = _by(hs)
-    for f, g, h in _triples(p.hcomp1, ht, hs):
-        for k in by_hs.get(ht[h], ()):
-            col.eq(
-                "pentagon",
-                ((HCELL, f), (HCELL, g), (HCELL, h), (HCELL, k)),
-                p.vcol(p.assoc[(p.hcomp(f, g), h, k)], p.assoc[(f, g, p.hcomp(h, k))]),
-                p.vcol(
-                    p.hpaste(p.assoc[(f, g, h)], p.sq_vid[k]),
-                    p.assoc[(f, p.hcomp(g, h), k)],
-                    p.hpaste(p.sq_vid[f], p.assoc[(g, h, k)]),
-                ),
-            )
-    for (f, g) in sorted(p.hcomp1):
-        mid = p.ht(f)
-        col.eq(
-            "triangle",
-            ((HCELL, f), (HCELL, g)),
-            p.vpaste(p.assoc[(f, p.hid[mid], g)], p.hpaste(p.sq_vid[f], p.lunit[g])),
-            p.hpaste(p.runit[f], p.sq_vid[g]),
-        )
+    _laws(col, (HCELL,) * 4, [(*fgh, k) for fgh in _triples(p.hcomp1, ht, hs) for k in by_hs.get(ht[fgh[2]], ())], (
+        "pentagon",
+        lambda f, g, h, k: p.vcol(assoc[(hc(f, g), h, k)], assoc[(f, g, hc(h, k))]),
+        lambda f, g, h, k: p.vcol(
+            hp(assoc[(f, g, h)], sq_vid[k]), assoc[(f, hc(g, h), k)], hp(sq_vid[f], assoc[(g, h, k)])
+        ),
+    ))
+    _laws(col, (HCELL, HCELL), sorted(p.hcomp1), (
+        "triangle",
+        lambda f, g: vp(assoc[(f, p.hid[ht[f]], g)], hp(sq_vid[f], p.lunit[g])),
+        lambda f, g: hp(p.runit[f], sq_vid[g]),
+    ))
     return col.done()
 
 
@@ -284,24 +279,12 @@ class Bicategory:
         return f"{kind}{index}"
 
     def _validate(self):
-        n1, n2 = len(self.onecells), len(self.twocells)
         _check_globular(self)
         for (f, g), h in self.comp1.items():
             if self.onecells[h] != (self.s1(f), self.t1(g)):
                 raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
-        unitors = {"lunit": self.lunit, "lunit_inv": self.lunit_inv, "runit": self.runit, "runit_inv": self.runit_inv}
-        if any(len(cells) != n1 for cells in unitors.values()):
-            raise StructureError("left and right unitors and their inverses per 1-cell required")
-        for name, cells in unitors.items():
-            for f, x in enumerate(cells):
-                _check_index(x, n2, f"{name} of 1-cell {f}")
         s1, t1 = _columns(self.onecells, 2)
-        triples = set(_triples(self.comp1, t1, s1))
-        if set(self.assoc) != triples or set(self.assoc_inv) != triples:
-            raise StructureError("associator must be keyed on exactly the composable 1-cell triples")
-        for key in sorted(triples):
-            _check_index(self.assoc[key], n2, f"associator at {key}")
-            _check_index(self.assoc_inv[key], n2, f"inverse associator at {key}")
+        _check_constraint_cells(self, "1-cell", len(self.twocells), self.comp1, t1, s1)
         for (a, b), c in self.vcomp2.items():
             if self.twocells[c] != (self.s2(a), self.t2(b)):
                 raise StructureError(f"vcomp2 entry {(a, b)} has wrong boundary")
@@ -309,18 +292,7 @@ class Bicategory:
             expect = (self.then1(self.s2(a), self.s2(b)), self.then1(self.t2(a), self.t2(b)))
             if self.twocells[c] != expect:
                 raise StructureError(f"hcomp2 entry {(a, b)} has wrong boundary")
-        # the stored inverses run the other way round
-        for (f, g, h), a in self.assoc.items():
-            lhs = self.then1(self.then1(f, g), h)
-            rhs = self.then1(f, self.then1(g, h))
-            if self.twocells[a] != (lhs, rhs) or self.twocells[self.assoc_inv[(f, g, h)]] != (rhs, lhs):
-                raise StructureError(f"associator at {(f, g, h)} has wrong boundary")
-        for f in range(n1):
-            left, right = self.then1(self.id1[self.s1(f)], f), self.then1(f, self.id1[self.t1(f)])
-            if self.twocells[self.lunit[f]] != (left, f) or self.twocells[self.lunit_inv[f]] != (f, left):
-                raise StructureError(f"left unitor at {f} has wrong boundary")
-            if self.twocells[self.runit[f]] != (right, f) or self.twocells[self.runit_inv[f]] != (f, right):
-                raise StructureError(f"right unitor at {f} has wrong boundary")
+        _check_constraint_boundaries(self, self.twocells, self.then1, t1, s1, self.id1, lambda x, y, a, b: (x, y))
 
 
 def bicategory_from_two_category(t) -> Bicategory:
@@ -356,62 +328,41 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
     _identity_functoriality(col, "composition-identity-functoriality", "onecell", b.comp1, b.hcomp2, b.id2)
     _globular_interchange(col, "composition-interchange", b)
 
-    def invertible(axiom, witness, cell, inv):
-        col.eq(axiom, witness, b.vert(cell, inv), b.id2[b.s2(cell)])
-        col.eq(axiom, witness, b.vert(inv, cell), b.id2[b.t2(cell)])
+    inverse = (b.vert, b.id2, b.s2, b.t2)
+    _invertibility(col, "associator-invertibility", ("onecell",) * 3, b.assoc, b.assoc_inv, *inverse)
+    _laws(col, ("onecell",), [(f, b.lunit[f], b.lunit_inv[f], b.runit[f], b.runit_inv[f]) for f in range(n1)],
+          *_inverse_laws("left-unitor-invertibility", 1, *inverse),
+          *_inverse_laws("right-unitor-invertibility", 3, *inverse))
 
-    for key in sorted(b.assoc):
-        invertible("associator-invertibility", tuple(("onecell", x) for x in key), b.assoc[key], b.assoc_inv[key])
-    for f in range(n1):
-        invertible("left-unitor-invertibility", (("onecell", f),), b.lunit[f], b.lunit_inv[f])
-        invertible("right-unitor-invertibility", (("onecell", f),), b.runit[f], b.runit_inv[f])
-
-    for x, y, z in _triples(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2]):
-        tri = (s2[x], s2[y], s2[z])
-        bot = (t2[x], t2[y], t2[z])
-        col.eq(
-            "associator-naturality",
-            (("twocell", x), ("twocell", y), ("twocell", z)),
-            b.vert(b.assoc[tri], b.horiz(x, b.horiz(y, z))),
-            b.vert(b.horiz(b.horiz(x, y), z), b.assoc[bot]),
-        )
-    for x in range(n2):
-        f, g = b.twocells[x]
-        col.eq(
-            "left-unitor-naturality",
-            (("twocell", x),),
-            b.vert(b.lunit[f], x),
-            b.vert(b.horiz(b.id2[b.id1[b.s1(f)]], x), b.lunit[g]),
-        )
-        col.eq(
-            "right-unitor-naturality",
-            (("twocell", x),),
-            b.vert(b.runit[f], x),
-            b.vert(b.horiz(x, b.id2[b.id1[b.t1(f)]]), b.runit[g]),
-        )
-
-    by_s1 = _by(s1)
-    for f, g, h in _triples(b.comp1, t1, s1):
-        for k in by_s1.get(t1[h], ()):
-            col.eq(
-                "pentagon",
-                (("onecell", f), ("onecell", g), ("onecell", h), ("onecell", k)),
-                b.vert(b.assoc[(b.then1(f, g), h, k)], b.assoc[(f, g, b.then1(h, k))]),
-                b.vert_list(
-                    b.then1(b.then1(b.then1(f, g), h), k),
-                    [
-                        b.horiz(b.assoc[(f, g, h)], b.id2[k]),
-                        b.assoc[(f, b.then1(g, h), k)],
-                        b.horiz(b.id2[f], b.assoc[(g, h, k)]),
-                    ],
-                ),
-            )
-    for (f, g) in sorted(b.comp1):
-        mid = b.t1(f)
-        col.eq(
-            "triangle",
-            (("onecell", f), ("onecell", g)),
-            b.vert(b.assoc[(f, b.id1[mid], g)], b.horiz(b.id2[f], b.lunit[g])),
-            b.horiz(b.runit[f], b.id2[g]),
-        )
+    vert, horiz, assoc, id2, id1 = b.vert, b.horiz, b.assoc, b.id2, b.id1
+    _laws(col, ("twocell",) * 3, list(_triples(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2])), (
+        "associator-naturality",
+        lambda x, y, z: vert(assoc[(s2[x], s2[y], s2[z])], horiz(x, horiz(y, z))),
+        lambda x, y, z: vert(horiz(horiz(x, y), z), assoc[(t2[x], t2[y], t2[z])]),
+    ))
+    _laws(col, ("twocell",), [(x, f, g) for x, (f, g) in enumerate(b.twocells)],
+          ("left-unitor-naturality",
+           lambda x, f, g: vert(b.lunit[f], x), lambda x, f, g: vert(horiz(id2[id1[s1[f]]], x), b.lunit[g])),
+          ("right-unitor-naturality",
+           lambda x, f, g: vert(b.runit[f], x), lambda x, f, g: vert(horiz(x, id2[id1[t1[f]]]), b.runit[g])))
+    _pentagon_triangle(col, b)
     return col.done()
+
+
+def _pentagon_triangle(col, b: Bicategory):
+    """The pentagon and the triangle of the bicategory ``b``."""
+    s1, t1 = _columns(b.onecells, 2)
+    by_s1, then, vert, horiz, assoc, id2 = _by(s1), b.then1, b.vert, b.horiz, b.assoc, b.id2
+    _laws(col, ("onecell",) * 4, [(*fgh, k) for fgh in _triples(b.comp1, t1, s1) for k in by_s1.get(t1[fgh[2]], ())], (
+        "pentagon",
+        lambda f, g, h, k: vert(assoc[(then(f, g), h, k)], assoc[(f, g, then(h, k))]),
+        lambda f, g, h, k: b.vert_list(
+            then(then(then(f, g), h), k),
+            [horiz(assoc[(f, g, h)], id2[k]), assoc[(f, then(g, h), k)], horiz(id2[f], assoc[(g, h, k)])],
+        ),
+    ))
+    _laws(col, ("onecell",) * 2, sorted(b.comp1), (
+        "triangle",
+        lambda f, g: vert(assoc[(f, b.id1[t1[f]], g)], horiz(id2[f], b.lunit[g])),
+        lambda f, g: horiz(b.runit[f], id2[g]),
+    ))

@@ -362,3 +362,17 @@ def test_monoid_law_violation_detected():
     m.mul_h_left[(3, 0)] = 4  # image of ab at the unit coordinate -> ba
     rep = check_monoid(m)
     assert not rep.passed
+
+
+@pytest.mark.parametrize("alt", [1, 2])
+def test_monoid_checks_vertical_image_boundaries(alt):
+    # the image of the vcell 0 -> 1 at the frozen object 0 must be the
+    # identity on 0 * 0 = 0 * 1 = 0; an image off that boundary went
+    # unnoticed while only the horizontal images had boundary laws
+    m = zoo.min_monoid_in_dbl()
+    m.mul_v_right[(0, 2)] = alt
+    rep = check_monoid(m)
+    assert rep.status == "fail"
+    assert [(v.axiom, v.witness) for v in rep.violations] == [("v-right-boundary", (("object", 0), ("vcell", 2)))]
+    assert rep.assumptions == ["image laws not evaluated: one-sided images have wrong boundaries"]
+
