@@ -213,6 +213,10 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
         return [check_modification(decl.obj, budget=budget, axioms=args.axioms)]
     if decl.kind == "monoid":
         reports = [check_monoid(decl.obj, budget=budget)]
+        if not reports[0].passed:
+            # the readings compose one-sided images, which need the laws
+            reports[0].assumptions.append("interleaved readings not derived: the monoid check did not pass")
+            return reports
         for flag, label in ((True, "first-factor-first"), (False, "second-factor-first")):
             f = derive_interleaved_functor(decl.obj, first_factor_first=flag)
             rep = check_double_pseudo_functor(f, budget=budget)

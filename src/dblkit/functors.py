@@ -43,7 +43,7 @@ from .kernel import (
     same_category,
     transpose,
 )
-from .report import AxiomReport, Budget, Collector, live_axioms
+from .report import BUDGET_EXCEEDED, AxiomReport, Budget, Collector, live_axioms
 
 PSEUDO_FUNCTOR_AXIOMS = (
     "hcell-assoc",
@@ -138,25 +138,36 @@ def strict_equal(f: StrictDoubleFunctor, g: StrictDoubleFunctor) -> bool:
     )
 
 
-def _boundary_violations(f):
-    """Cell maps must commute with boundaries; violations are structural."""
-    dom, cod = f.dom, f.cod
-    for x in range(len(dom.hcells)):
-        if (cod.hs(f.h(x)), cod.ht(f.h(x))) != (f.ob(dom.hs(x)), f.ob(dom.ht(x))):
-            raise StructureError(f"hcell {x} image has wrong boundary")
-    for x in range(len(dom.vcells)):
-        if (cod.vs(f.v(x)), cod.vt(f.v(x))) != (f.ob(dom.vs(x)), f.ob(dom.vt(x))):
-            raise StructureError(f"vcell {x} image has wrong boundary")
-    for s in range(len(dom.squares)):
-        t, b, l, r = dom.squares[s]
-        if cod.squares[f.sq(s)] != (f.h(t), f.h(b), f.v(l), f.v(r)):
-            raise StructureError(f"square {s} image has wrong boundary")
+def _map_boundaries(col, f) -> bool:
+    """The cell maps of ``f`` commute with boundaries: ``h-boundary``,
+    ``v-boundary`` and ``sq-boundary``, each compared as two whole lists and
+    walked cell by cell only where they differ.  True when every instance
+    was evaluated and held; where one fails, an assumption says that the
+    equational laws, which paste the images, are not evaluated."""
+    dom, cod, ob, h, v = f.dom, f.cod, f.ob_map, f.h_map, f.v_map
+    found = len(col.report.violations)
+    for law, kind, cells, image, ends, expect in (
+        ("h-boundary", HCELL, dom.hcells, h, cod.hcells, lambda s, t: (ob[s], ob[t])),
+        ("v-boundary", VCELL, dom.vcells, v, cod.vcells, lambda s, t: (ob[s], ob[t])),
+        ("sq-boundary", SQUARE, dom.squares, f.sq_map, cod.squares, lambda t, b, l, r: (h[t], h[b], v[l], v[r])),
+    ):
+        n = col.take(len(cells))
+        actual, expected = [ends[x] for x in image[:n]], [expect(*c) for c in cells[:n]]
+        if actual != expected:
+            for x, (got, want) in enumerate(zip(actual, expected)):
+                if got != want:
+                    col.fail(law, ((kind, x),), got, want)
+    if len(col.report.violations) > found:
+        col.assume("equational laws not evaluated: cell images have wrong boundaries")
+        return False
+    return col.report.status != BUDGET_EXCEEDED
 
 
 def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -> AxiomReport:
     """The eight strict preservation equations, over all composable pairs."""
     col = Collector("strict-functor", budget)
-    _boundary_violations(f)
+    if not _map_boundaries(col, f):
+        return col.done()
     dom, cod = f.dom, f.cod
     ob, h, v, sq = f.ob_map, f.h_map, f.v_map, f.sq_map
     for law, kind, table, cell in (
@@ -258,10 +269,12 @@ def identity_pseudo(d: DoubleCategory) -> DoublePseudoFunctor:
     return pseudo_from_strict(identity_functor(d))
 
 
-def _structure_boundaries(f: DoublePseudoFunctor):
-    """Raise unless every structure cell has its required boundary."""
+def _structure_boundaries(col, f: DoublePseudoFunctor) -> bool:
+    """Raise unless the structure cells are keyed on exactly their keys;
+    then state the cell maps' boundary laws (``_map_boundaries``) and, where
+    they hold, raise unless every structure cell has its required boundary.
+    True when the equational laws may be evaluated."""
     dom, cod = f.dom, f.cod
-    _boundary_violations(f)
     h_pairs = set(dom.hcomp1)
     v_pairs = set(dom.vcomp1)
     objs = set(range(dom.n_objects))
@@ -271,6 +284,8 @@ def _structure_boundaries(f: DoublePseudoFunctor):
         raise StructureError("comp_v must be keyed on exactly the composable vcell pairs")
     if set(f.unit_h) != objs or set(f.unit_h_inv) != objs or set(f.unit_v) != objs or set(f.unit_v_inv) != objs:
         raise StructureError("unit cells must be keyed on exactly the objects")
+    if not _map_boundaries(col, f):
+        return False
     ob, h, v, hid, vid = f.ob_map, f.h_map, f.v_map, cod.hid, cod.vid
     # family, its inverses, the boundary of its cell at a key, and where the
     # inverse's boundary takes each side from
@@ -288,6 +303,7 @@ def _structure_boundaries(f: DoublePseudoFunctor):
                 raise StructureError(f"{name} cell at {key} has wrong boundary")
             if cod.squares[invs[key]] != tuple(expect[i] for i in flip):
                 raise StructureError(f"{name} inverse at {key} has wrong boundary")
+    return True
 
 
 # The coherence laws are stated once, for the vertically globular cells of a
@@ -360,7 +376,8 @@ def check_double_pseudo_functor(
     :data:`PSEUDO_FUNCTOR_AXIOMS`; the default runs everything."""
     live = live_axioms(PSEUDO_FUNCTOR_AXIOMS, axioms)
     col = Collector("double-pseudo-functor", budget)
-    _structure_boundaries(f)
+    if not _structure_boundaries(col, f):
+        return col.done()
     g = transpose_pseudo(f, transpose(f.dom), transpose(f.cod))
     if "invertibility" in live:
         _invertibility(col, "invertibility", (HCELL, HCELL), f.comp_h, f.comp_h_inv, *_vertical(f.cod))
@@ -659,7 +676,9 @@ def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=
             col.report.absorb(check_strict_functor(rf, budget=col.budget), prefix=f"row[{a}]: ")
         for b, cf in enumerate(h.col_functors):
             col.report.absorb(check_strict_functor(cf, budget=col.budget), prefix=f"col[{b}]: ")
-    for law, kinds, cells, expect in (
+    # the family boundaries compose images of the partial functors, so they
+    # are formed only where those agree on corners and are strict
+    for law, kinds, cells, expect in () if col.report.violations else (
         ("hh-boundary", (HCELL, HCELL), h.hh, lambda F, f: (
             cod.hcomp(h.h1(F, d2.hs(f)), h.h2(d1.ht(F), f)),
             cod.hcomp(h.h2(d1.hs(F), f), h.h1(F, d2.ht(f))),

@@ -25,20 +25,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .kernel import (
-    HCELL,
-    OBJECT,
-    VCELL,
-    DoubleCategory,
-    StructureError,
-    TwoCategory,
-    _columns,
-    _entries,
-    _invertibility,
-    _laws,
-    _vertical,
-    transpose,
+from .functors import (
+    CubicalDoubleFunctor,
+    DoublePseudoFunctor,
+    StrictDoubleFunctor,
+    check_cubical,
+    cubical_from_product_functor,
 )
+from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, TwoCategory, _laws, product
 from .report import AxiomReport, Budget, Collector
 
 L, R = "L", "R"
@@ -626,170 +620,73 @@ class MonoidInDbl:
 
 
 def check_monoid(m: MonoidInDbl, budget: Budget | None = None) -> AxiomReport:
-    """The unit and associativity laws on objects, then the laws of each
-    direction: the horizontal ones on ``m``, the vertical ones the same
-    statements on the transposed monoid."""
+    """The unit and associativity laws of ``m``, then its multiplication as
+    the cubical functor carrier x carrier -> carrier it is (``_cubical``):
+    by the universal property of the Gray-type product, a multiplication
+    M (x) M -> M is exactly a cubical two-variable functor."""
     col = Collector("tensor-monoid", budget)
-    ob, unit, obs = m.mul_ob, m.unit_ob, range(m.carrier.n_objects)
+    d, ob, unit, obs = m.carrier, m.mul_ob, m.unit_ob, range(m.carrier.n_objects)
     _laws(col, (OBJECT,), [(a,) for a in obs],
           ("unit-ob", lambda a: ob[(a, unit)], lambda a: a),
           ("unit-ob", lambda a: ob[(unit, a)], lambda a: a))
     _laws(col, (OBJECT,) * 3, [(x, y, z) for x, y in sorted(ob) for z in obs], (
         "assoc-ob", lambda x, y, z: ob[(ob[(x, y)], z)], lambda x, y, z: ob[(x, ob[(y, z)])],
     ))
-    t = _transpose_monoid(m)
-    found = len(col.report.violations)
-    _image_boundaries(col, m, "h", HCELL)
-    _image_boundaries(col, t, "v", VCELL)
-    if len(col.report.violations) > found:
-        col.assume("image laws not evaluated: one-sided images have wrong boundaries")
-        return col.done()
-    d = m.carrier
-    _monoid_direction(col, m, "h", HCELL, VCELL, _vertical(d))
-    _monoid_direction(col, t, "v", VCELL, HCELL, (d.hpaste, d.sq_hid, d.left, d.right))
+    for x, kind, cells, left, right in (
+        ("h", HCELL, d.hcells, m.mul_h_left, m.mul_h_right),
+        ("v", VCELL, d.vcells, m.mul_v_left, m.mul_v_right),
+        ("sq", SQUARE, d.squares, m.mul_sq_left, m.mul_sq_right),
+    ):
+        _laws(col, (kind,), [(c,) for c in range(len(cells))],
+              (f"{x}-unit", lambda c: left[(c, unit)], lambda c: c),
+              (f"{x}-unit", lambda c: right[(unit, c)], lambda c: c))
+        if x != "sq":
+            _laws(col, (kind, OBJECT), [(c, b) for c in range(len(cells)) for b in obs], (
+                f"{x}-assoc", lambda c, b: left[(left[(c, b)], unit)], lambda c, b: left[(c, ob[(b, unit)])],
+            ))
+    col.report.absorb(check_cubical(_cubical(m), budget=col.budget))
     return col.done()
 
 
-def _transpose_monoid(m: MonoidInDbl) -> MonoidInDbl:
-    """``m`` on the transposed carrier: the two directions trade places."""
-    return MonoidInDbl(
-        transpose(m.carrier), m.unit_ob, m.mul_ob, m.mul_v_left, m.mul_v_right, m.mul_h_left, m.mul_h_right,
-        m.mul_sq_left, m.mul_sq_right, m.flip_vv, m.flip_vv_inv, m.flip_hh, m.flip_hh_inv, m.mixed_vh, m.mixed_hv,
-    )
+def _cubical(m: MonoidInDbl) -> CubicalDoubleFunctor:
+    """The multiplication of ``m`` as a cubical functor: row a is the
+    product with a on the left, column b with b on the right, and the flips
+    and mixed images are its four mixed families."""
+    d = m.carrier
+    sizes = (d.n_objects, len(d.hcells), len(d.vcells), len(d.squares))
+
+    def partial(tables, key, name):
+        return StrictDoubleFunctor(d, d, *([t[key(x)] for x in range(n)] for t, n in zip(tables, sizes)), name=name)
+
+    rows = tuple(partial((m.mul_ob, m.mul_h_right, m.mul_v_right, m.mul_sq_right), lambda x: (a, x), f"row{a}")
+                 for a in range(d.n_objects))
+    cols = tuple(partial((m.mul_ob, m.mul_h_left, m.mul_v_left, m.mul_sq_left), lambda x: (x, b), f"col{b}")
+                 for b in range(d.n_objects))
+    return CubicalDoubleFunctor(d, d, d, rows, cols, m.flip_hh, m.flip_hh_inv, m.flip_vv, m.flip_vv_inv,
+                                m.mixed_hv, m.mixed_vh)
 
 
-def _image_boundaries(col, m: MonoidInDbl, x: str, kind: str):
-    """The images of the hcells of ``m`` at a frozen object run between the
-    products of their ends with it; the laws are named for the direction
-    ``x`` and ``kind`` is the kind of ``m``'s hcells in the caller's
-    directions."""
-    d, ob, left, right = m.carrier, m.mul_ob, m.mul_h_left, m.mul_h_right
-    hs, ht = _columns(d.hcells, 2)
-    _laws(col, (kind, OBJECT), sorted(left), (
-        f"{x}-left-boundary", lambda f, b: d.hcells[left[(f, b)]], lambda f, b: (ob[(hs[f], b)], ob[(ht[f], b)]),
-    ))
-    _laws(col, (OBJECT, kind), sorted(right), (
-        f"{x}-right-boundary", lambda a, g: d.hcells[right[(a, g)]], lambda a, g: (ob[(a, hs[g])], ob[(a, ht[g])]),
-    ))
-
-
-def _monoid_direction(col, m: MonoidInDbl, x: str, kind: str, other: str, inverse):
-    """The laws of the hcells of ``m`` past their boundaries, named for the
-    direction ``x``: the one-sided images are functorial and unital,
-    identities go to identities in every slot, the mixed images and the
-    flips at an identity are identity squares, and the flips are vertically
-    invertible.  ``kind`` and ``other`` are the kinds of ``m``'s hcells and
-    vcells, and ``inverse`` the pasting, identities and ends of
-    ``kernel._inverse_laws`` for that invertibility, in the caller's
-    directions."""
-    d, ob, unit, obs = m.carrier, m.mul_ob, m.unit_ob, range(m.carrier.n_objects)
-    left, right, hcomp, hid, sq_vid = m.mul_h_left, m.mul_h_right, d.hcomp, d.hid, d.sq_vid
-    hs, ht = _columns(d.hcells, 2)
-    cells = range(len(d.hcells))
-    pairs = _entries(d.hcomp1)
-    _laws(col, (kind, kind, OBJECT), [(f, g, b, fg) for f, g, fg in pairs for b in obs], (
-        f"{x}-left-functorial",
-        lambda f, g, b, fg: left[(fg, b)], lambda f, g, b, fg: hcomp(left[(f, b)], left[(g, b)]),
-    ))
-    _laws(col, (OBJECT, kind, kind), [(a, f, g, fg) for f, g, fg in pairs for a in obs], (
-        f"{x}-right-functorial",
-        lambda a, f, g, fg: right[(a, fg)], lambda a, f, g, fg: hcomp(right[(a, f)], right[(a, g)]),
-    ))
-    _laws(col, (kind,), [(f,) for f in cells],
-          (f"{x}-unit", lambda f: left[(f, unit)], lambda f: f),
-          (f"{x}-unit", lambda f: right[(unit, f)], lambda f: f))
-    _laws(col, (kind, OBJECT), [(f, b) for f in cells for b in obs], (
-        f"{x}-assoc", lambda f, b: left[(left[(f, b)], unit)], lambda f, b: left[(f, ob[(b, unit)])],
-    ))
-    _laws(col, (OBJECT, OBJECT), [(a, b) for a in obs for b in obs],
-          (f"id-image-{x}", lambda a, b: left[(hid[a], b)], lambda a, b: hid[ob[(a, b)]]),
-          (f"id-image-{x}", lambda a, b: right[(a, hid[b])], lambda a, b: hid[ob[(a, b)]]))
-    vs, _ = _columns(d.vcells, 2)
-    _laws(col, (kind, other), [(F, u, s) for (F, u), s in sorted(m.mixed_hv.items()) if u == d.vid[vs[u]]], (
-        "mixed-id", lambda F, u, s: s, lambda F, u, s: sq_vid[left[(F, vs[u])]],
-    ))
-    _laws(col, (other, kind), [(U, f, s) for (U, f), s in sorted(m.mixed_vh.items()) if U == d.vid[vs[U]]], (
-        "mixed-id", lambda U, f, s: s, lambda U, f, s: sq_vid[right[(vs[U], f)]],
-    ))
-    at_unit = [(F, f, s) for (F, f), s in sorted(m.flip_hh.items()) if F == hid[hs[F]] or f == hid[hs[f]]]
-    _laws(col, (kind, kind), at_unit, (
-        "flip-unit", lambda F, f, s: s, lambda F, f, s: sq_vid[hcomp(left[(F, hs[f])], right[(ht[F], f)])],
-    ))
-    _invertibility(col, "flip-invertible", (kind, kind), m.flip_hh, m.flip_hh_inv, *inverse)
-
-
-def monoid_from_functor(d: DoubleCategory, prod, mul, unit_ob: int) -> MonoidInDbl:
-    """Monoid whose multiplication comes from a strict functor off the
-    Cartesian product square category; all interchanger images are the
-    identity squares (the strictly commuting case)."""
-    nh, nv, ns = len(d.hcells), len(d.vcells), len(d.squares)
-    no = d.n_objects
-
-    def pair_ob(a, b):
-        return a * no + b
-
-    def pair_h(f, g):
-        return f * nh + g
-
-    def pair_v(u, v):
-        return u * nv + v
-
-    def pair_sq(s, t):
-        return s * ns + t
-
-    mul_ob = {(a, b): mul.ob(pair_ob(a, b)) for a in range(no) for b in range(no)}
-    mul_h_left = {(f, b): mul.h(pair_h(f, d.hid[b])) for f in range(nh) for b in range(no)}
-    mul_h_right = {(a, g): mul.h(pair_h(d.hid[a], g)) for a in range(no) for g in range(nh)}
-    mul_v_left = {(u, b): mul.v(pair_v(u, d.vid[b])) for u in range(nv) for b in range(no)}
-    mul_v_right = {(a, v): mul.v(pair_v(d.vid[a], v)) for a in range(no) for v in range(nv)}
-    mul_sq_left = {
-        (s, b): mul.sq(pair_sq(s, d.sq_vid[d.hid[b]])) for s in range(ns) for b in range(no)
-    }
-    mul_sq_right = {
-        (a, t): mul.sq(pair_sq(d.sq_vid[d.hid[a]], t)) for a in range(no) for t in range(ns)
-    }
-    flip_hh = {}
-    for F in range(nh):
-        for f in range(nh):
-            top = d.hcomp(mul_h_left[(F, d.hs(f))], mul_h_right[(d.ht(F), f)])
-            bot = d.hcomp(mul_h_right[(d.hs(F), f)], mul_h_left[(F, d.ht(f))])
-            if top != bot:
-                raise StructureError(
-                    "commuting multiplication expected: interleavings differ at "
-                    f"hcells ({F}, {f})"
-                )
-            flip_hh[(F, f)] = d.sq_vid[top]
-    flip_vv = {}
-    for U in range(nv):
-        for u in range(nv):
-            left = d.vcomp(mul_v_left[(U, d.vs(u))], mul_v_right[(d.vt(U), u)])
-            right = d.vcomp(mul_v_right[(d.vs(U), u)], mul_v_left[(U, d.vt(u))])
-            if left != right:
-                raise StructureError("commuting multiplication expected on vcells")
-            flip_vv[(U, u)] = d.sq_hid[left]
-    mixed_hv = {
-        (F, u): mul.sq(pair_sq(d.sq_vid[F], d.sq_hid[u])) for F in range(nh) for u in range(nv)
-    }
-    mixed_vh = {
-        (U, f): mul.sq(pair_sq(d.sq_hid[U], d.sq_vid[f])) for U in range(nv) for f in range(nh)
-    }
-    return MonoidInDbl(
-        d,
-        unit_ob,
-        mul_ob,
-        mul_h_left,
-        mul_h_right,
-        mul_v_left,
-        mul_v_right,
-        mul_sq_left,
-        mul_sq_right,
-        flip_hh,
-        dict(flip_hh),
-        flip_vv,
-        dict(flip_vv),
-        mixed_hv,
-        mixed_vh,
-    )
+def monoid_from_functor(d: DoubleCategory, mul, unit_ob: int) -> MonoidInDbl:
+    """Monoid whose multiplication is a strict functor ``mul`` off the
+    Cartesian product square category, read off the cubical functor it
+    induces; all interchanger images are identity squares (the strictly
+    commuting case), so the two interleavings of a pair must agree."""
+    h = cubical_from_product_functor(d, d, mul)
+    obs = range(d.n_objects)
+    tables = {}
+    for x, n in (("h", len(d.hcells)), ("v", len(d.vcells)), ("sq", len(d.squares))):
+        tables[f"mul_{x}_left"] = {(c, b): getattr(h.col_functors[b], x)(c) for c in range(n) for b in obs}
+        tables[f"mul_{x}_right"] = {(a, c): getattr(h.row_functors[a], x)(c) for a in obs for c in range(n)}
+    for flips, what, comp, ends, left, right in (
+        (h.hh, "hcells", d.hcomp, d.hcells, tables["mul_h_left"], tables["mul_h_right"]),
+        (h.vv, "vcells", d.vcomp, d.vcells, tables["mul_v_left"], tables["mul_v_right"]),
+    ):
+        for X, x in flips:
+            if comp(left[(X, ends[x][0])], right[(ends[X][1], x)]) != comp(right[(ends[X][0], x)], left[(X, ends[x][1])]):
+                raise StructureError(f"commuting multiplication expected: interleavings differ at {what} ({X}, {x})")
+    mul_ob = {(a, b): h.ob(a, b) for a in obs for b in obs}
+    return MonoidInDbl(d, unit_ob, mul_ob, **tables, flip_hh=h.hh, flip_hh_inv=h.hh_inv, flip_vv=h.vv,
+                       flip_vv_inv=h.vv_inv, mixed_hv=h.hv, mixed_vh=h.vh)
 
 
 def derive_interleaved_functor(m: MonoidInDbl, first_factor_first: bool = True, dom=None):
@@ -801,9 +698,6 @@ def derive_interleaved_functor(m: MonoidInDbl, first_factor_first: bool = True, 
     behind the flag); the two readings differ exactly by the interchanger
     image, which is what the composition structure cells are made of.  With
     identity interchangers the result is strict."""
-    from .kernel import product
-    from .functors import DoublePseudoFunctor
-
     d = m.carrier
     nh, nv, ns, no = len(d.hcells), len(d.vcells), len(d.squares), d.n_objects
     p = product(d, d) if dom is None else dom

@@ -207,8 +207,14 @@ def _vertical(d):
 def _invertibility(col, law, kinds, cells, invs, paste, unit, first, last):
     """Record that ``invs[key]`` is inverse to ``cells[key]`` on both sides
     (``_inverse_laws``), for each key of ``cells`` in order; the witness
-    pairs ``kinds`` with the key."""
+    pairs ``kinds`` with the key.  The inverses must first run the other way
+    (``inverse-boundary``); where one does not, nothing is pasted."""
     rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
+    found = len(col.report.violations)
+    _laws(col, kinds, rows, ("inverse-boundary", lambda *r: (first(r[-1]), last(r[-1])), lambda *r: (last(r[-2]), first(r[-2]))))
+    if len(col.report.violations) > found:
+        col.assume(f"{law} not evaluated: stored inverses have wrong boundaries")
+        return
     _laws(col, kinds, rows, *_inverse_laws(law, -2, paste, unit, first, last))
 
 

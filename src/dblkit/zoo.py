@@ -578,7 +578,7 @@ def commutative_monoid_in_dbl(c=None):
         target = next(i for i, bnd in enumerate(d.squares) if bnd == (t, b, l, r))
         sq_map.append(target)
     mul = StrictDoubleFunctor(p, d, ob_map, h_map, v_map, sq_map, name="mul")
-    return monoid_from_functor(d, p, mul, 0)
+    return monoid_from_functor(d, mul, 0)
 
 
 def min_monoid_in_dbl():
@@ -614,20 +614,18 @@ def min_monoid_in_dbl():
         )
         sq_map.append(next(i for i, b in enumerate(d.squares) if b == bnd))
     mul = StrictDoubleFunctor(p, d, ob_map, h_map, v_map, sq_map, name="meet")
-    return monoid_from_functor(d, p, mul, 1)
+    return monoid_from_functor(d, mul, 1)
 
 
 def trivial_monoid_in_dbl():
-    from .functors import identity_functor
+    from .functors import StrictDoubleFunctor
     from .graytensor import monoid_from_functor
     from .kernel import product, terminal_double_category
 
     d = terminal_double_category()
     p = product(d, d)
-    from .functors import StrictDoubleFunctor
-
     mul = StrictDoubleFunctor(p, d, [0], [0], [0], [0], name="!")
-    return monoid_from_functor(d, p, mul, 0)
+    return monoid_from_functor(d, mul, 0)
 
 
 def sign_cocycle_pseudofunctor():

@@ -165,21 +165,21 @@ def test_bicategory_sub_reports_share_one_budget(tmp_path, capsys):
     doc.add(Declaration("bicategory", "Sign", zoo.sign_bicategory()))
     path = tmp_path / "b.dbl"
     path.write_text(serialize(doc))
-    # the four sub-reports check 208, 240, 8 and 125 instances: each fits
-    # under 240 alone, but not after the first has spent its share
-    assert main(["check", str(path), "Sign", "--max-tuples", "240", "--format", "tree"]) == 2
+    # the four sub-reports check 216, 248, 8 and 125 instances: each fits
+    # under 248 alone, but not after the first has spent its share
+    assert main(["check", str(path), "Sign", "--max-tuples", "248", "--format", "tree"]) == 2
     assert _statuses(capsys)[:2] == ["pass", "budget-exceeded"]
-    assert main(["check", str(path), "Sign", "--max-tuples", "581", "--format", "tree"]) == 0
+    assert main(["check", str(path), "Sign", "--max-tuples", "597", "--format", "tree"]) == 0
     assert _statuses(capsys) == ["pass"] * 4
 
 
-def _meet_doc(tmp_path):
+def _meet_doc(tmp_path, monoid=None):
     # the monoid's tables index into its own carrier, so the carrier must be
     # declared from the same object
     from dblkit.cli import _decl_category
 
     doc = parse("")
-    monoid = zoo.min_monoid_in_dbl()
+    monoid = monoid or zoo.min_monoid_in_dbl()
     doc.add(_decl_category("WalkSq", monoid.carrier))
     doc.add(Declaration("monoid", "Meet", monoid, meta={"on": "WalkSq"}))
     out = str(tmp_path / "meet.dbl")
@@ -193,6 +193,36 @@ def test_monoid_block_roundtrip_and_check(tmp_path):
     assert serialize(parse(text)) == text
     assert main(["check", out, "WalkSq"]) == 0
     assert main(["check", out, "Meet"]) == 0
+
+
+def test_wrong_boundary_monoid_image_exits_1(tmp_path, capsys):
+    # the image of the vcell 0 -> 1 at the frozen object 0 must be the
+    # identity on 0; the interleaved readings would compose it
+    monoid = zoo.min_monoid_in_dbl()
+    monoid.mul_v_right[(0, 2)] = 1
+    out = _meet_doc(tmp_path, monoid)
+    assert main(["check", out, "Meet", "--format", "tree"]) == 1
+    (report,) = json.loads(capsys.readouterr().out)["reports"]
+    assert report["status"] == "fail"
+    assert report["violations"][0]["axiom"] == "row[0]: v-boundary"
+    assert report["assumptions"][-1] == "interleaved readings not derived: the monoid check did not pass"
+
+
+def test_wrong_boundary_functor_image_exits_1(tmp_path, capsys):
+    from dblkit.cli import _decl_strict_functor
+    from dblkit.functors import StrictDoubleFunctor
+
+    d = quintet(zoo.walking_arrow())
+    f = identity_functor(d)
+    # the identity square on object 0 sent to the one on the arrow
+    bad = StrictDoubleFunctor(d, d, f.ob_map, f.h_map, f.v_map, [1, *f.sq_map[1:]])
+    doc = parse("")
+    doc.add(_decl_category("Q", d))
+    doc.add(_decl_strict_functor(doc, "F", bad, "Q", "Q"))
+    out = tmp_path / "f.dbl"
+    out.write_text(serialize(doc))
+    assert main(["check", str(out), "F"]) == 1
+    assert "violated: sq-boundary" in capsys.readouterr().out
 
 
 def test_construct_oast_and_monoid_internal(tmp_path):

@@ -46,21 +46,19 @@ def test_projections_strict(setting):
     assert check_strict_functor(p2).passed
 
 
-def test_wrong_boundary_map_is_structural_error(setting):
+def test_wrong_boundary_map_fails_its_boundary_law(setting):
     d1, _, _ = setting
     f = identity_functor(d1)
-    bad = list(f.sq_map)
-    # send a square to one with a different boundary when possible
-    for s in range(len(d1.squares)):
-        for s2 in range(len(d1.squares)):
-            if d1.squares[s2] != d1.squares[s]:
-                bad[s] = s2
-                from dblkit.functors import StrictDoubleFunctor
-
-                broken = StrictDoubleFunctor(d1, d1, f.ob_map, f.h_map, f.v_map, bad)
-                with pytest.raises(StructureError):
-                    check_strict_functor(broken)
-                return
+    # send the identity square on object 0 to the identity square on the
+    # arrow 0 -> 1, whose boundary differs
+    assert d1.squares[0] == (0, 0, 0, 0) and d1.squares[1] == (0, 2, 0, 2)
+    bad = [1, *f.sq_map[1:]]
+    rep = check_strict_functor(StrictDoubleFunctor(d1, d1, f.ob_map, f.h_map, f.v_map, bad))
+    assert rep.status == FAIL
+    assert [(v.axiom, v.witness, v.lhs, v.rhs) for v in rep.violations] == [
+        ("sq-boundary", (("square", 0),), (0, 2, 0, 2), (0, 0, 0, 0))
+    ]
+    assert rep.assumptions == ["equational laws not evaluated: cell images have wrong boundaries"]
 
 
 def test_strict_functor_law_violation_detected(setting):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -368,11 +369,41 @@ def test_monoid_law_violation_detected():
 def test_monoid_checks_vertical_image_boundaries(alt):
     # the image of the vcell 0 -> 1 at the frozen object 0 must be the
     # identity on 0 * 0 = 0 * 1 = 0; an image off that boundary went
-    # unnoticed while only the horizontal images had boundary laws
+    # unnoticed while only the horizontal images had boundary laws.  It is
+    # row 0's image of the vcell 2, and with it the image of each square
+    # with the side 2 has the wrong boundary
     m = zoo.min_monoid_in_dbl()
     m.mul_v_right[(0, 2)] = alt
     rep = check_monoid(m)
     assert rep.status == "fail"
-    assert [(v.axiom, v.witness) for v in rep.violations] == [("v-right-boundary", (("object", 0), ("vcell", 2)))]
-    assert rep.assumptions == ["image laws not evaluated: one-sided images have wrong boundaries"]
+    assert [(v.axiom, v.witness) for v in rep.violations] == [
+        ("row[0]: v-boundary", (("vcell", 2),)),
+        *[("row[0]: sq-boundary", (("square", s),)) for s in (1, 2, 5)],
+    ]
+    assert rep.assumptions == [
+        "equational laws not evaluated: cell images have wrong boundaries",
+        "interchange laws not evaluated: structural violations present",
+    ]
 
+
+
+def _single_entry_mutants(m):
+    """Every monoid that differs from ``m`` in one entry of one of its 13
+    tables, the entry moved to any other cell of its kind."""
+    d = m.carrier
+    sizes = {"ob": d.n_objects, "h": len(d.hcells), "v": len(d.vcells)}
+    for family in ("mul_ob", "mul_h_left", "mul_h_right", "mul_v_left", "mul_v_right", "mul_sq_left",
+                   "mul_sq_right", "flip_hh", "flip_hh_inv", "flip_vv", "flip_vv_inv", "mixed_hv", "mixed_vh"):
+        n = sizes.get(family.split("_")[1], len(d.squares))
+        for key, value in sorted(getattr(m, family).items()):
+            for alt in range(n):
+                if alt != value:
+                    yield f"{family}[{key}]={alt}", replace(m, **{family: {**getattr(m, family), key: alt}})
+
+
+def test_every_single_entry_mutant_of_the_min_monoid_fails():
+    # 4 object, 48 one-sided cell, 120 one-sided square, 180 flip and 90
+    # mixed mutants; none may raise, and none may pass
+    statuses = {slot: check_monoid(mutant).status for slot, mutant in _single_entry_mutants(zoo.min_monoid_in_dbl())}
+    assert len(statuses) == 442
+    assert {slot: s for slot, s in statuses.items() if s != "fail"} == {}
