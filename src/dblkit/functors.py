@@ -36,7 +36,8 @@ from .kernel import (
     _entries,
     _invertibility,
     _laws,
-    _triples,
+    _paths,
+    _whole,
     _vertical,
     product,
     pullback_pairs,
@@ -140,23 +141,21 @@ def strict_equal(f: StrictDoubleFunctor, g: StrictDoubleFunctor) -> bool:
 
 def _map_boundaries(col, f) -> bool:
     """The cell maps of ``f`` commute with boundaries: ``h-boundary``,
-    ``v-boundary`` and ``sq-boundary``, each compared as two whole lists and
-    walked cell by cell only where they differ.  True when every instance
-    was evaluated and held; where one fails, an assumption says that the
-    equational laws, which paste the images, are not evaluated."""
+    ``v-boundary`` and ``sq-boundary``, each compared as two whole lists
+    (``kernel._whole``).  True when every instance was evaluated and held;
+    where one fails, an assumption says that the equational laws, which
+    paste the images, are not evaluated."""
     dom, cod, ob, h, v = f.dom, f.cod, f.ob_map, f.h_map, f.v_map
     found = len(col.report.violations)
+    # each side reads the first len(r) cells of the range r
     for law, kind, cells, image, ends, expect in (
-        ("h-boundary", HCELL, dom.hcells, h, cod.hcells, lambda s, t: (ob[s], ob[t])),
-        ("v-boundary", VCELL, dom.vcells, v, cod.vcells, lambda s, t: (ob[s], ob[t])),
-        ("sq-boundary", SQUARE, dom.squares, f.sq_map, cod.squares, lambda t, b, l, r: (h[t], h[b], v[l], v[r])),
+        ("h-boundary", HCELL, dom.hcells, h, cod.hcells, lambda bnds: [(ob[s], ob[t]) for s, t in bnds]),
+        ("v-boundary", VCELL, dom.vcells, v, cod.vcells, lambda bnds: [(ob[s], ob[t]) for s, t in bnds]),
+        ("sq-boundary", SQUARE, dom.squares, f.sq_map, cod.squares,
+         lambda bnds: [(h[t], h[b], v[l], v[r]) for t, b, l, r in bnds]),
     ):
-        n = col.take(len(cells))
-        actual, expected = [ends[x] for x in image[:n]], [expect(*c) for c in cells[:n]]
-        if actual != expected:
-            for x, (got, want) in enumerate(zip(actual, expected)):
-                if got != want:
-                    col.fail(law, ((kind, x),), got, want)
+        _whole(col, (kind,), range(len(cells)),
+               (law, lambda r: [ends[x] for x in image[:len(r)]], lambda r: expect(cells[:len(r)])))
     if len(col.report.violations) > found:
         col.assume("equational laws not evaluated: cell images have wrong boundaries")
         return False
@@ -164,7 +163,8 @@ def _map_boundaries(col, f) -> bool:
 
 
 def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -> AxiomReport:
-    """The eight strict preservation equations, over all composable pairs."""
+    """The eight strict preservation equations, over all composable pairs,
+    each compared as two whole lists (``kernel._whole``)."""
     col = Collector("strict-functor", budget)
     if not _map_boundaries(col, f):
         return col.done()
@@ -177,15 +177,16 @@ def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -
         ("vcomp2-preserved", SQUARE, "vcomp2", sq),
     ):
         image = getattr(cod, table)
-        _laws(col, (kind, kind), _entries(getattr(dom, table)),
-              (law, lambda x, y, xy: cell[xy], lambda x, y, xy: image[(cell[x], cell[y])]))
-    _laws(col, (OBJECT,), [(a,) for a in range(dom.n_objects)],
-          ("hid-preserved", lambda a: h[dom.hid[a]], lambda a: cod.hid[ob[a]]),
-          ("vid-preserved", lambda a: v[dom.vid[a]], lambda a: cod.vid[ob[a]]))
-    _laws(col, (HCELL,), [(x,) for x in range(len(dom.hcells))],
-          ("sq-vid-preserved", lambda x: sq[dom.sq_vid[x]], lambda x: cod.sq_vid[h[x]]))
-    _laws(col, (VCELL,), [(u,) for u in range(len(dom.vcells))],
-          ("sq-hid-preserved", lambda u: sq[dom.sq_hid[u]], lambda u: cod.sq_hid[v[u]]))
+        _whole(col, (kind, kind), getattr(dom, table),
+               (law, lambda t: [cell[z] for z in t.values()], lambda t: [image[(cell[x], cell[y])] for x, y in t]))
+    # each side maps the first len(r) cells of the range r
+    _whole(col, (OBJECT,), range(dom.n_objects),
+           ("hid-preserved", lambda r: [h[x] for x in dom.hid[:len(r)]], lambda r: [cod.hid[a] for a in ob[:len(r)]]),
+           ("vid-preserved", lambda r: [v[u] for u in dom.vid[:len(r)]], lambda r: [cod.vid[a] for a in ob[:len(r)]]))
+    _whole(col, (HCELL,), range(len(dom.hcells)), ("sq-vid-preserved",
+           lambda r: [sq[s] for s in dom.sq_vid[:len(r)]], lambda r: [cod.sq_vid[x] for x in h[:len(r)]]))
+    _whole(col, (VCELL,), range(len(dom.vcells)), ("sq-hid-preserved",
+           lambda r: [sq[s] for s in dom.sq_hid[:len(r)]], lambda r: [cod.sq_hid[u] for u in v[:len(r)]]))
     return col.done()
 
 
@@ -323,11 +324,12 @@ def _coherence(col, live, names, kind, g, up):
     hs, ht = _columns(dom.hcells, 2)
     assoc, left, right = names
     if assoc in live:
-        _laws(col, (kind,) * 3, list(_triples(hcomp, ht, hs)), (
+        count, rows = _paths(hcomp, ht, hs)
+        _laws(col, (kind,) * 3, rows, (
             assoc,
             lambda x, y, z: vp(comp[(hcomp[(x, y)], z)], hp(comp[(x, y)], sq_vid[h[z]])),
             lambda x, y, z: vp(comp[(x, hcomp[(y, z)])], hp(sq_vid[h[x]], comp[(y, z)])),
-        ))
+        ), count=count)
     cells = [(x,) for x in range(len(hs))]
     if left in live:
         _laws(col, (kind,), cells, (
@@ -698,7 +700,8 @@ def check_cubical(h: CubicalDoubleFunctor, budget: Budget | None = None, axioms=
             h.h2(d1.vs(U), f), h.h2(d1.vt(U), f), h.v1(U, d2.hs(f)), h.v1(U, d2.ht(f))
         )),
     ):
-        _laws(col, kinds, _entries(cells), (law, lambda x, y, cell: cod.squares[cell], lambda x, y, cell: expect(x, y)))
+        _whole(col, kinds, cells,
+               (law, lambda t: [cod.squares[z] for z in t.values()], lambda t: [expect(*key) for key in t]))
     if col.report.violations:
         col.assume("interchange laws not evaluated: structural violations present")
         return col.done()

@@ -32,7 +32,7 @@ from .functors import (
     check_cubical,
     cubical_from_product_functor,
 )
-from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, TwoCategory, _laws, product
+from .kernel import HCELL, OBJECT, SQUARE, VCELL, DoubleCategory, StructureError, TwoCategory, _laws, _whole, product
 from .report import AxiomReport, Budget, Collector
 
 L, R = "L", "R"
@@ -626,9 +626,9 @@ def check_monoid(m: MonoidInDbl, budget: Budget | None = None) -> AxiomReport:
     M (x) M -> M is exactly a cubical two-variable functor."""
     col = Collector("tensor-monoid", budget)
     d, ob, unit, obs = m.carrier, m.mul_ob, m.unit_ob, range(m.carrier.n_objects)
-    _laws(col, (OBJECT,), [(a,) for a in obs],
-          ("unit-ob", lambda a: ob[(a, unit)], lambda a: a),
-          ("unit-ob", lambda a: ob[(unit, a)], lambda a: a))
+    _whole(col, (OBJECT,), obs,
+           ("unit-ob", lambda r: [ob[(a, unit)] for a in r], list),
+           ("unit-ob", lambda r: [ob[(unit, a)] for a in r], list))
     _laws(col, (OBJECT,) * 3, [(x, y, z) for x, y in sorted(ob) for z in obs], (
         "assoc-ob", lambda x, y, z: ob[(ob[(x, y)], z)], lambda x, y, z: ob[(x, ob[(y, z)])],
     ))
@@ -637,9 +637,9 @@ def check_monoid(m: MonoidInDbl, budget: Budget | None = None) -> AxiomReport:
         ("v", VCELL, d.vcells, m.mul_v_left, m.mul_v_right),
         ("sq", SQUARE, d.squares, m.mul_sq_left, m.mul_sq_right),
     ):
-        _laws(col, (kind,), [(c,) for c in range(len(cells))],
-              (f"{x}-unit", lambda c: left[(c, unit)], lambda c: c),
-              (f"{x}-unit", lambda c: right[(unit, c)], lambda c: c))
+        _whole(col, (kind,), range(len(cells)),
+               (f"{x}-unit", lambda r: [left[(c, unit)] for c in r], list),
+               (f"{x}-unit", lambda r: [right[(unit, c)] for c in r], list))
         if x != "sq":
             _laws(col, (kind, OBJECT), [(c, b) for c in range(len(cells)) for b in obs], (
                 f"{x}-assoc", lambda c, b: left[(left[(c, b)], unit)], lambda c, b: left[(c, ob[(b, unit)])],

@@ -39,6 +39,7 @@ from .kernel import (
     _globular_interchange,
     _identity_functoriality,
     _laws,
+    _whole,
     _units,
     pullback,
     pullback_pairs,
@@ -275,22 +276,28 @@ def unit_sided_functors(data: InternalCategoryData):
 def _whisker_cells_identity(col, prefix, s: StrictDoubleFunctor, a: DoublePNT):
     """Whiskering by the strict functor s must give the identity
     transformation: every component maps to an identity cell."""
-    cod = s.cod
-    dom = a.F.dom
-    _laws(col, (OBJECT,), [(o,) for o in range(dom.n_objects)],
-          (f"{prefix}-components", lambda o: s.v(a.v0.comp[o]), lambda o: cod.vid[s.ob(a.F.ob(o))]),
-          (f"{prefix}-components", lambda o: s.h(a.h1.comp[o]), lambda o: cod.hid[s.ob(a.F.ob(o))]))
-    _laws(col, (HCELL,), [(f,) for f in range(len(dom.hcells))],
-          (f"{prefix}-squares", lambda f: s.sq(a.t[f]), lambda f: cod.sq_vid[cod.top(s.sq(a.t[f]))]))
-    _laws(col, (VCELL,), [(u,) for u in range(len(dom.vcells))],
-          (f"{prefix}-squares", lambda u: s.sq(a.r[u]), lambda u: cod.sq_hid[cod.left(s.sq(a.r[u]))]))
+    cod, dom = s.cod, a.F.dom
+    ob, h, v, sq = s.ob_map, s.h_map, s.v_map, s.sq_map
+    # each side reads the first len(r) cells of the range r
+    _whole(col, (OBJECT,), range(dom.n_objects),
+           (f"{prefix}-components", lambda r: [v[u] for u in a.v0.comp[:len(r)]],
+            lambda r: [cod.vid[ob[x]] for x in a.F.ob_map[:len(r)]]),
+           (f"{prefix}-components", lambda r: [h[f] for f in a.h1.comp[:len(r)]],
+            lambda r: [cod.hid[ob[x]] for x in a.F.ob_map[:len(r)]]))
+    # the image of a t-square (an r-square) is the identity on its top (left)
+    for kind, n, squares, unit, edge in ((HCELL, len(dom.hcells), a.t, cod.sq_vid, 0),
+                                         (VCELL, len(dom.vcells), a.r, cod.sq_hid, 2)):
+        _whole(col, (kind,), range(n), (f"{prefix}-squares", lambda r: [sq[x] for x in squares[:len(r)]],
+               lambda r: [unit[cod.squares[sq[x]][edge]] for x in squares[:len(r)]]))
 
 
 def _whisker_modification_identity(col, prefix, s: StrictDoubleFunctor, m: DoubleModification):
-    cod = s.cod
-    _laws(col, (OBJECT,), [(o,) for o in range(m.F.dom.n_objects)],
-          (f"{prefix}-3cells", lambda o: s.sq(m.a0[o]), lambda o: cod.sq_hid[cod.left(s.sq(m.a0[o]))]),
-          (f"{prefix}-3cells", lambda o: s.sq(m.a1[o]), lambda o: cod.sq_vid[cod.top(s.sq(m.a1[o]))]))
+    cod, sq = s.cod, s.sq_map
+    _whole(col, (OBJECT,), range(m.F.dom.n_objects),
+           (f"{prefix}-3cells", lambda r: [sq[x] for x in m.a0[:len(r)]],
+            lambda r: [cod.sq_hid[cod.left(sq[x])] for x in m.a0[:len(r)]]),
+           (f"{prefix}-3cells", lambda r: [sq[x] for x in m.a1[:len(r)]],
+            lambda r: [cod.sq_vid[cod.top(sq[x])] for x in m.a1[:len(r)]]))
 
 
 def _default(col, name, what, f, g):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import islice
 
 from .report import AxiomReport, Budget, Collector, StructureError
 
@@ -108,25 +109,41 @@ def _exact_table(table, ends, starts):
     return True
 
 
-def _triples(table, ends, starts):
-    """The composable triples (x, y, z), lexicographically."""
+def _paths(table, ends, starts, length=3):
+    """The composable sequences of ``length`` cells whose first two cells
+    are a key of ``table``, lexicographically: their number, and the
+    sequences, produced only as far as they are read."""
     by_start = _by(starts)
-    for x, y in sorted(table):
-        for z in by_start.get(ends[y], ()):
-            yield x, y, z
+    rows, tails = iter(sorted(table)), [1] * len(ends)
+    for _ in range(length - 2):
+        rows = ((*row, z) for row in rows for z in by_start.get(ends[row[-1]], ()))
+        tails = [sum([tails[z] for z in by_start.get(end, ())]) for end in ends]
+    return sum([tails[y] for _, y in table]), rows
 
 
-# The law enumerators below evaluate the laws straight from the tables: each
-# charges the budget once per row of instances (``Collector.take``), the
-# associativity of a left cell x once for its whole block of rows (which
-# depends only on the end of x), the interchange grid once per pair of
-# squares (a, b), all its rows together, and builds a Violation only where
-# the two sides differ.  ``_associativity`` and ``_interchange`` read dense
-# rows (``_dense_rows``: one list per left cell, indexed by cell id), which
-# a checker builds once per table and shares between them.  ``_laws`` is the
-# general one, for laws given as a list of index rows and two sides, and
-# ``_invertibility`` states a stored inverse through it; no checker
-# records its law instances one at a time through ``Collector.eq``.  They
+def _entries(table):
+    """The rows ``(x, y, table[(x, y)])`` of ``table``, in key order."""
+    return sorted((x, y, z) for (x, y), z in table.items())
+
+
+# The law enumerators below evaluate the laws straight from the tables and
+# charge the budget with ``Collector.take``, never one instance at a time.
+# ``_whole`` states a law whose two sides read as whole lists over a table
+# (a dict, or a range of cell ids): the lists are built in the table's own
+# order and compared whole, and only the entries where they differ are
+# sorted into key order.  Only a budget cut inside the table makes it sort
+# the keys and read the sides over the leading entries that fit.  ``_laws``
+# is the general one, for laws given as index rows and two sides per row:
+# it takes the row count, charges it at once and reads the rows, which may
+# be produced lazily (``_paths``), only as far as the budget reaches.
+# ``_associativity`` charges a left cell x once for its whole block of rows
+# (which depends only on the end of x), and ``_interchange`` charges the
+# grid once per pair of squares (a, b), all its rows together.  Both read
+# dense rows (``_dense_rows``: one list per left cell, indexed by cell id),
+# which a checker builds once per table and shares between them;
+# ``_associativity`` may read its two sides from a side table filled on
+# demand (``_OnDemand``).  A Violation is built only where the two sides
+# differ, and nothing past a budget cut is evaluated.  The enumerators
 # assume complete tables with correct boundaries, which the constructors
 # and the boundary laws establish.
 
@@ -148,6 +165,19 @@ def _dense_rows(table, n):
     return rows
 
 
+class _OnDemand(dict):
+    """A table whose entry at a key is ``fill(key)``, computed at the first
+    lookup of the key and kept."""
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 def _charged(col, row):
     """The leading part of ``row`` that the budget of ``col`` lets it
     evaluate, the whole row charged at once."""
@@ -167,15 +197,67 @@ def _cut(rows, k):
     return out
 
 
-def _laws(col, kinds, rows, *laws):
+def _witness(kinds, key):
+    """``kinds`` paired with the ids of ``key``, one id or a tuple of them."""
+    return tuple(zip(kinds, key if isinstance(key, tuple) else (key,)))
+
+
+def _whole(col, kinds, table, *laws):
+    """Record, for each ``(law, lhs, rhs)`` of ``laws``, that the lists
+    ``lhs(table)`` and ``rhs(table)`` agree entry by entry: a side maps a
+    table (a dict, or a range of cell ids) to its values at the table's
+    entries, in the table's order.  The instances run in key order and,
+    at one key, in the order of ``laws``; a witness pairs ``kinds`` with
+    the key.
+
+    All instances are charged at once.  When the budget covers them, both
+    sides are read over the table as it stands and compared whole, and only
+    the entries where they differ are sorted.  Under a budget cut the keys
+    are sorted, each side is read over the leading entries its law's
+    instances reach, and those are walked in order."""
+    width = len(laws)
+    total = len(table) * width
+    n = col.take(total)
+    if n == total:
+        differ = []
+        for j, (law, lhs, rhs) in enumerate(laws):
+            left, right = lhs(table), rhs(table)
+            if left != right:
+                differ += [(key, j, a, b) for key, a, b in zip(table, left, right) if a != b]
+        if differ:
+            differ.sort()
+            for key, j, a, b in differ:
+                col.fail(laws[j][0], _witness(kinds, key), a, b)
+        return
+    keys = sorted(table) if isinstance(table, dict) else table
+    sides = []
+    for j, (law, lhs, rhs) in enumerate(laws):
+        head = keys[:max(0, -(-(n - j) // width))]
+        if isinstance(table, dict):
+            head = {key: table[key] for key in head}
+        sides.append((law, lhs(head), rhs(head)))
+    for i, key in enumerate(keys):
+        for law, left, right in sides:
+            if not n:
+                return
+            n -= 1
+            if left[i] != right[i]:
+                col.fail(law, _witness(kinds, key), left[i], right[i])
+
+
+def _laws(col, kinds, rows, *laws, count=None):
     """Record ``lhs(*row) == rhs(*row)`` for each index row in order and,
     within a row, for each ``(law, lhs, rhs)`` of ``laws`` in order, one
-    instance each.  The witness pairs ``kinds`` with the leading entries of
+    instance each.  ``rows`` is a list, or any iterable of ``count`` rows
+    (``_paths``).  The witness pairs ``kinds`` with the leading entries of
     the row, or is ``kinds(*row)`` when ``kinds`` is a function; a row may
     carry further entries for the sides.  All instances are charged at
-    once; past a budget cut none is evaluated."""
-    n = col.take(len(rows) * len(laws))
-    for row in rows:
+    once, and the rows are read only as far as the budget reaches: past a
+    budget cut no row is produced and no instance is evaluated."""
+    n = col.take((len(rows) if count is None else count) * len(laws))
+    if not n:
+        return
+    for row in islice(rows, -(-n // len(laws))):
         for law, lhs, rhs in laws:
             if not n:
                 return
@@ -209,43 +291,34 @@ def _invertibility(col, law, kinds, cells, invs, paste, unit, first, last):
     (``_inverse_laws``), for each key of ``cells`` in order; the witness
     pairs ``kinds`` with the key.  The inverses must first run the other way
     (``inverse-boundary``); where one does not, nothing is pasted."""
-    rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
     found = len(col.report.violations)
-    _laws(col, kinds, rows, ("inverse-boundary", lambda *r: (first(r[-1]), last(r[-1])), lambda *r: (last(r[-2]), first(r[-2]))))
+    _whole(col, kinds, cells, ("inverse-boundary",
+           lambda t: [(first(invs[key]), last(invs[key])) for key in t],
+           lambda t: [(last(cell), first(cell)) for cell in t.values()]))
     if len(col.report.violations) > found:
         col.assume(f"{law} not evaluated: stored inverses have wrong boundaries")
         return
+    rows = [(*(key if isinstance(key, tuple) else (key,)), cells[key], invs[key]) for key in sorted(cells)]
     _laws(col, kinds, rows, *_inverse_laws(law, -2, paste, unit, first, last))
 
 
-def _entries(table):
-    """The rows ``(x, y, table[(x, y)])`` of ``table``, in key order."""
-    return sorted((x, y, z) for (x, y), z in table.items())
-
-
 def _boundaries(col, law, kind, table, cells, expect):
-    """Record ``cells[table[(x, y)]] == b`` for every entry in key order,
-    ``expect(keys)`` the list of the expected boundaries b of the sorted
-    ``keys``.  The two lists are compared whole; they are walked entry by
-    entry only where they differ, and only as far as the budget reaches."""
-    keys = sorted(table)
-    n = col.take(len(keys))
-    if n < len(keys):
-        keys = keys[:n]
-    actual, expected = [cells[table[key]] for key in keys], expect(keys)
-    if actual == expected:
-        return
-    for (x, y), got, want in zip(keys, actual, expected):
-        if got != want:
-            col.fail(law, ((kind, x), (kind, y)), got, want)
+    """Record ``cells[table[(x, y)]] == b`` for every entry (``_whole``),
+    ``expect(table)`` the list of the expected boundaries b in the order of
+    ``table``."""
+    _whole(col, (kind, kind), table, (law, lambda t: [cells[z] for z in t.values()], expect))
 
 
-def _associativity(col, law, kind, rows, ends, starts):
+def _associativity(col, law, kind, rows, ends, starts, side=None):
     """Record ``(x;y);z == x;(y;z)`` for every composable triple, ``rows``
-    the dense rows of the table.  The rows ``(y, *)`` of a left cell x
-    depend only on ``ends[x]``, so they are listed once per end and charged
-    together; where the budget runs out inside them, only the first
-    instances that fit are evaluated."""
+    the dense rows of the table.  With a ``side`` table, read like dense
+    rows (``side[x][y]``), the law is ``side[x;y][z] == side[x][y;z]``
+    instead; plain associativity is the case ``side = rows``.  The rows
+    ``(y, *)`` of a left cell x depend only on ``ends[x]``, so they are
+    listed once per end and charged together; where the budget runs out
+    inside them, only the first instances that fit are evaluated, and
+    ``side`` is read only for those."""
+    side = rows if side is None else side
     by_start, blocks = _by(starts), {}
     for x, end in enumerate(ends):
         if end not in blocks:
@@ -253,30 +326,32 @@ def _associativity(col, law, kind, rows, ends, starts):
             blocks[end] = block, sum(len(zs) for _, zs in block)
         block, n = blocks[end]
         k = col.take(n)
+        if not k:
+            continue
         if k < n:
             block = _cut(block, k)
-        rx = rows[x]
+        rx, sx = rows[x], side[x]
         for y, zs in block:
-            ry, rxy = rows[y], rows[rx[y]]
+            ry, sxy = rows[y], side[rx[y]]
             for z in zs:
-                if rxy[z] != rx[ry[z]]:
-                    col.fail(law, ((kind, x), (kind, y), (kind, z)), rxy[z], rx[ry[z]])
+                if sxy[z] != sx[ry[z]]:
+                    col.fail(law, ((kind, x), (kind, y), (kind, z)), sxy[z], sx[ry[z]])
 
 
 def _units(col, left_law, right_law, kind, table, ends, starts, unit):
     """Record ``unit[starts[x]];x == x`` and ``x;unit[ends[x]] == x`` for
     every cell x, the two laws of one cell together."""
-    _laws(col, (kind,), [(x,) for x in range(len(ends))],
-          (left_law, lambda x: table[(unit[starts[x]], x)], lambda x: x),
-          (right_law, lambda x: table[(x, unit[ends[x]])], lambda x: x))
+    _whole(col, (kind,), range(len(ends)),
+           (left_law, lambda r: [table[(unit[starts[x]], x)] for x in r], list),
+           (right_law, lambda r: [table[(x, unit[ends[x]])] for x in r], list))
 
 
 def _identity_functoriality(col, law, kind, table, paste, ident):
     """Record ``ident[f;g] == paste(ident[f], ident[g])`` for every
     composable pair: the identity cells on a composite are the composite of
     the identity cells."""
-    _laws(col, (kind, kind), _entries(table),
-          (law, lambda f, g, fg: ident[fg], lambda f, g, fg: paste[(ident[f], ident[g])]))
+    _whole(col, (kind, kind), table,
+           (law, lambda t: [ident[fg] for fg in t.values()], lambda t: [paste[(ident[f], ident[g])] for f, g in t]))
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +689,8 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, d.vcomp2, bottom, top, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-h", HCELL, d.hcomp1, d.hcomp2, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-v", VCELL, d.vcomp1, d.vcomp2, d.sq_hid)
-    _laws(col, (OBJECT,), [(a,) for a in range(d.n_objects)],
-          ("identity-coincidence", lambda a: d.sq_vid[d.hid[a]], lambda a: d.sq_hid[d.vid[a]]))
+    _whole(col, (OBJECT,), range(d.n_objects), ("identity-coincidence",
+           lambda r: [d.sq_vid[d.hid[a]] for a in r], lambda r: [d.sq_hid[d.vid[a]] for a in r]))
     _interchange(col, d, hrows, vrows)
     return col.done()
 

@@ -51,9 +51,13 @@ class Budget:
     used: int = 0
 
     def spend(self, n: int = 1) -> None:
-        self.used += n
-        if self.used > self.max_tuples:
+        """Charge ``n`` instances; raise where that crosses the cap.  An
+        exhausted budget ends at ``used == max_tuples + 1``, however often
+        it is charged after that."""
+        if self.used + n > self.max_tuples:
+            self.used = max(self.used, self.max_tuples + 1)
             raise BudgetExceeded(f"enumeration budget of {self.max_tuples} tuples exceeded")
+        self.used += n
 
 
 @dataclass(frozen=True)
@@ -148,11 +152,13 @@ class Collector:
     def eq(self, axiom: str, witness: tuple, lhs, rhs) -> bool:
         """Record one instance of an equational law; returns True when it holds.
 
-        The library's checkers do not call it: they state their laws
-        through ``kernel._laws`` and the kernel enumerators, which charge
-        whole rows with :meth:`take` and evaluate nothing past the budget.
-        It is kept as the reference of the tests' per-instance oracles and
-        for the benchmark's probe of the per-instance cost."""
+        The library's checkers do not call it.  They charge whole rows,
+        blocks or tables with :meth:`take`: ``kernel._whole`` compares the
+        two sides of a law as two lists, ``kernel._laws`` evaluates index
+        rows one by one, and the block and grid enumerators read dense rows.
+        None of them evaluates an instance past the budget.  This method is
+        the per-instance reference that the tests' oracles are written
+        with, and the benchmark probes its per-instance cost."""
         if self._hit_budget:
             return True
         try:
@@ -175,8 +181,9 @@ class Collector:
         The cutoff is exact: ``take(n)`` leaves ``budget.used``,
         ``report.checked`` and the status as ``n`` calls of :meth:`eq`
         would.  On the row that crosses the cap it returns the remainder and
-        sets ``budget-exceeded``, and a budget no other collector exhausted
-        ends at ``used == max_tuples + 1``; after that it returns 0."""
+        sets ``budget-exceeded``; after that it returns 0.  An exhausted
+        budget ends at ``used == max_tuples + 1``, however many collectors
+        share it and meet it exhausted."""
         if self._hit_budget or n <= 0:
             return 0
         budget = self.budget
@@ -186,7 +193,7 @@ class Collector:
             self.report.checked += n
             return n
         room = max(room, 0)
-        budget.used += room + 1
+        budget.used = max(budget.used, budget.max_tuples + 1)
         self.report.checked += room
         self._hit_budget = True
         self.report.status = BUDGET_EXCEEDED

@@ -38,10 +38,13 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    _OnDemand,
+    _associativity,
     _columns,
+    _dense_rows,
     _invertibility,
     _laws,
-    _triples,
+    _whole,
     _vertical,
     same_category,
     transpose,
@@ -578,11 +581,15 @@ def _t_composite(a: DoublePNT, f, g):
 
 
 def _check_t_side(col, a: DoublePNT, suffix: str):
-    """The t-side coupling axioms; the r-side is this on the transpose."""
+    """The t-side coupling axioms; the r-side is this on the transpose.
+    Returns the table of t-composites, ``composites[f][g]`` the
+    ``_t_composite`` of a composable pair, filled on demand: its entries
+    are the pairs that ``coupling-composite`` reached within the budget."""
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
     v0, h1, t = a.v0, a.h1, a.t
     hp, vp, sq_vid = cod.hpaste, cod.vpaste, cod.sq_vid
+    composites = _OnDemand(lambda f: _OnDemand(lambda g: _t_composite(a, f, g)))
     _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(dom.squares)], (
         f"coupling-naturality-{suffix}",
         lambda s, t_, b_, l_, r_: vp(hp(F.sq(s), h1.nat[r_]), t[b_]),
@@ -597,8 +604,9 @@ def _check_t_side(col, a: DoublePNT, suffix: str):
     _laws(col, (HCELL, HCELL), pairs, (
         f"coupling-composite-{suffix}",
         lambda f, g: t[dom.hcomp(f, g)],
-        lambda f, g: _t_composite(a, f, g),
+        lambda f, g: composites[f][g],
     ))
+    return composites
 
 
 def check_double_pnt(
@@ -620,18 +628,15 @@ def check_double_pnt(
     else:
         _delta_invertibility(col, a.h1, sorted(registry.hcells), "component-invertibility")
         _on_transpose(col, _delta_invertibility, at.h1, sorted(registry.vcells), "component-invertibility")
-    _check_t_side(col, a, "t")
+    composites = _check_t_side(col, a, "t")
     _on_transpose(col, _check_t_side, at, "r")
 
     # pasting the composite coupling square over either bracketing of a
-    # triple agrees (consequence of functor coherence, asserted)
+    # triple agrees (consequence of functor coherence, asserted): the
+    # associativity of the t-composites, each pair pasted at most once
     dom = a.F.dom
     hs, ht = _columns(dom.hcells, 2)
-    _laws(col, (HCELL,) * 3, list(_triples(dom.hcomp1, ht, hs)), (
-        "coupling-assoc",
-        lambda f, g, h: _t_composite(a, dom.hcomp(f, g), h),
-        lambda f, g, h: _t_composite(a, f, dom.hcomp(g, h)),
-    ))
+    _associativity(col, "coupling-assoc", HCELL, _dense_rows(dom.hcomp1, len(ht)), ht, hs, composites)
     return col.done()
 
 
@@ -804,8 +809,9 @@ def _agree(col, x, y, *families):
     for each ``(law, field, kind)`` of ``families`` in turn: ``x.field[i]
     == y.field[i]``, witnessed by ``(kind, i)``."""
     for law, cells, kind in families:
-        rows = [(i, p, q) for i, (p, q) in enumerate(zip(getattr(x, cells), getattr(y, cells)))]
-        _laws(col, (kind,), rows, (law, lambda i, p, q: p, lambda i, p, q: q))
+        xs, ys = getattr(x, cells), getattr(y, cells)
+        _whole(col, (kind,), range(min(len(xs), len(ys))),
+               (law, lambda r: list(xs[:len(r)]), lambda r: list(ys[:len(r)])))
 
 
 def right_unit_constraint(a: HorizontalPNT):
@@ -824,10 +830,10 @@ def right_unit_constraint(a: HorizontalPNT):
     composite = hcomp_horizontal(a, ident)
     col = Collector("right-unit-normalization")
     normalization = [cod.hpaste(F.unit_h[o], cod.sq_vid[a.comp[o]]) for o in range(dom.n_objects)]
-    _laws(col, (OBJECT,), list(enumerate(normalization)), (
+    _whole(col, (OBJECT,), range(len(normalization)), (
         "normalization-boundary",
-        lambda o, cell: (cod.top(cell), cod.bottom(cell)),
-        lambda o, cell: (composite.comp[o], a.comp[o]),
+        lambda r: [(cod.top(cell), cod.bottom(cell)) for cell in normalization[:len(r)]],
+        lambda r: [(composite.comp[o], a.comp[o]) for o in r],
     ))
     from .modif import check_horizontal_side
 

@@ -29,7 +29,6 @@ from .kernel import (
     NonComposable,
     StructureError,
     _associativity,
-    _by,
     _check_globular,
     _check_index,
     _columns,
@@ -40,7 +39,7 @@ from .kernel import (
     _inverse_laws,
     _invertibility,
     _laws,
-    _triples,
+    _paths,
     _units,
     _vertical,
 )
@@ -83,7 +82,7 @@ def _check_constraint_cells(x, noun, ncells, comp, ends, starts):
     for name, cells in unitors.items():
         for f, c in enumerate(cells):
             _check_index(c, ncells, f"{name} of {noun} {f}")
-    triples = set(_triples(comp, ends, starts))
+    triples = set(_paths(comp, ends, starts)[1])
     if set(x.assoc) != triples or set(x.assoc_inv) != triples:
         raise StructureError(f"associator must be keyed on exactly the composable {noun} triples")
     for key in sorted(triples):
@@ -111,7 +110,7 @@ def _check_constraint_boundaries(x, cells, then, ends, starts, ids, boundary):
 def as_pseudo(d: DoubleCategory) -> PseudoDoubleCategory:
     """View a strict double category as a pseudo one with identity constraints."""
     hs, ht = _columns(d.hcells, 2)
-    assoc = {(f, g, h): d.sq_vid[d.hcomp(d.hcomp(f, g), h)] for f, g, h in _triples(d.hcomp1, ht, hs)}
+    assoc = {(f, g, h): d.sq_vid[d.hcomp(d.hcomp(f, g), h)] for f, g, h in _paths(d.hcomp1, ht, hs)[1]}
     return PseudoDoubleCategory(
         d.n_objects,
         d.hcells,
@@ -165,11 +164,12 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
 
     # naturality of the three constraint families
     vp, hp, hc, assoc, sq_vid, sq_hid = p.vpaste, p.hpaste, p.hcomp, p.assoc, p.sq_vid, p.sq_hid
-    _laws(col, (SQUARE,) * 3, list(_triples(p.hcomp2, right, left)), (
+    count, rows = _paths(p.hcomp2, right, left)
+    _laws(col, (SQUARE,) * 3, rows, (
         "associator-naturality",
         lambda a, b, c: vp(assoc[(top[a], top[b], top[c])], hp(a, hp(b, c))),
         lambda a, b, c: vp(hp(hp(a, b), c), assoc[(bottom[a], bottom[b], bottom[c])]),
-    ))
+    ), count=count)
     _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(p.squares)],
           ("left-unitor-naturality",
            lambda s, t, b, l, r: vp(p.lunit[t], s), lambda s, t, b, l, r: vp(hp(sq_hid[l], s), p.lunit[b])),
@@ -177,14 +177,14 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
            lambda s, t, b, l, r: vp(p.runit[t], s), lambda s, t, b, l, r: vp(hp(s, sq_hid[r]), p.runit[b])))
 
     # pentagon and triangle
-    by_hs = _by(hs)
-    _laws(col, (HCELL,) * 4, [(*fgh, k) for fgh in _triples(p.hcomp1, ht, hs) for k in by_hs.get(ht[fgh[2]], ())], (
+    count, rows = _paths(p.hcomp1, ht, hs, 4)
+    _laws(col, (HCELL,) * 4, rows, (
         "pentagon",
         lambda f, g, h, k: p.vcol(assoc[(hc(f, g), h, k)], assoc[(f, g, hc(h, k))]),
         lambda f, g, h, k: p.vcol(
             hp(assoc[(f, g, h)], sq_vid[k]), assoc[(f, hc(g, h), k)], hp(sq_vid[f], assoc[(g, h, k)])
         ),
-    ))
+    ), count=count)
     _laws(col, (HCELL, HCELL), sorted(p.hcomp1), (
         "triangle",
         lambda f, g: vp(assoc[(f, p.hid[ht[f]], g)], hp(sq_vid[f], p.lunit[g])),
@@ -297,7 +297,7 @@ class Bicategory:
 
 def bicategory_from_two_category(t) -> Bicategory:
     s1, t1 = _columns(t.onecells, 2)
-    id_assoc = {(f, g, h): t.id2[t.then1(t.then1(f, g), h)] for f, g, h in _triples(t.comp1, t1, s1)}
+    id_assoc = {(f, g, h): t.id2[t.then1(t.then1(f, g), h)] for f, g, h in _paths(t.comp1, t1, s1)[1]}
     return Bicategory(
         t.n_objects,
         t.onecells,
@@ -335,11 +335,12 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
           *_inverse_laws("right-unitor-invertibility", 3, *inverse))
 
     vert, horiz, assoc, id2, id1 = b.vert, b.horiz, b.assoc, b.id2, b.id1
-    _laws(col, ("twocell",) * 3, list(_triples(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2])), (
+    count, rows = _paths(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2])
+    _laws(col, ("twocell",) * 3, rows, (
         "associator-naturality",
         lambda x, y, z: vert(assoc[(s2[x], s2[y], s2[z])], horiz(x, horiz(y, z))),
         lambda x, y, z: vert(horiz(horiz(x, y), z), assoc[(t2[x], t2[y], t2[z])]),
-    ))
+    ), count=count)
     _laws(col, ("twocell",), [(x, f, g) for x, (f, g) in enumerate(b.twocells)],
           ("left-unitor-naturality",
            lambda x, f, g: vert(b.lunit[f], x), lambda x, f, g: vert(horiz(id2[id1[s1[f]]], x), b.lunit[g])),
@@ -352,15 +353,16 @@ def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport
 def _pentagon_triangle(col, b: Bicategory):
     """The pentagon and the triangle of the bicategory ``b``."""
     s1, t1 = _columns(b.onecells, 2)
-    by_s1, then, vert, horiz, assoc, id2 = _by(s1), b.then1, b.vert, b.horiz, b.assoc, b.id2
-    _laws(col, ("onecell",) * 4, [(*fgh, k) for fgh in _triples(b.comp1, t1, s1) for k in by_s1.get(t1[fgh[2]], ())], (
+    then, vert, horiz, assoc, id2 = b.then1, b.vert, b.horiz, b.assoc, b.id2
+    count, rows = _paths(b.comp1, t1, s1, 4)
+    _laws(col, ("onecell",) * 4, rows, (
         "pentagon",
         lambda f, g, h, k: vert(assoc[(then(f, g), h, k)], assoc[(f, g, then(h, k))]),
         lambda f, g, h, k: b.vert_list(
             then(then(then(f, g), h), k),
             [horiz(assoc[(f, g, h)], id2[k]), assoc[(f, then(g, h), k)], horiz(id2[f], assoc[(g, h, k)])],
         ),
-    ))
+    ), count=count)
     _laws(col, ("onecell",) * 2, sorted(b.comp1), (
         "triangle",
         lambda f, g: vert(assoc[(f, b.id1[t1[f]], g)], horiz(id2[f], b.lunit[g])),

@@ -3,7 +3,10 @@ from dataclasses import replace
 import pytest
 
 from dblkit import functors, zoo
-from dblkit.kernel import StructureError, embed_two_category, product, pullback, quintet, transpose
+from dblkit.internal import diagonal_internal
+from dblkit.kernel import (
+    HCELL, OBJECT, SQUARE, VCELL, StructureError, embed_two_category, product, pullback, quintet, transpose,
+)
 from dblkit.functors import (
     PSEUDO_FUNCTOR_AXIOMS,
     StrictDoubleFunctor,
@@ -23,7 +26,7 @@ from dblkit.functors import (
     pseudo_equal,
     uncurry,
 )
-from dblkit.report import BUDGET_EXCEEDED, FAIL, Budget
+from dblkit.report import BUDGET_EXCEEDED, FAIL, Budget, Collector
 
 
 @pytest.fixture(scope="module")
@@ -375,7 +378,7 @@ def test_corner_agreement_caught_by_a_row_object_mutant(setting):
 # budget cutoffs
 
 
-def _one_instance_at_a_time(col, kinds, rows, *laws):
+def _one_instance_at_a_time(col, kinds, rows, *laws, count=None):
     """The laws charged through ``Collector.eq``, one instance at a time."""
     for row in rows:
         for law, lhs, rhs in laws:
@@ -419,3 +422,102 @@ def test_every_cap_cuts_like_one_charge_per_instance(name, monkeypatch):
             one_by_one = Budget(cap)
             ref = check(one_by_one)
         assert (rep.to_dict(), budget.used) == (ref.to_dict(), one_by_one.used)
+
+
+# ---------------------------------------------------------------------------
+# the strict functor's laws as whole lists, against one instance at a time
+
+
+def _strict_instances(f):
+    """The law instances of ``check_strict_functor`` on ``f`` in enumeration
+    order, each ``(law, witness, lhs, rhs)``: the three boundary laws cell
+    by cell, and the eight preservation laws over the sorted table keys,
+    hid and vid together at each object.  The second list is empty unless
+    every boundary holds: only then can its sides be pasted."""
+    dom, cod, ob, h, v, sq = f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map
+    boundaries = [
+        (law, ((kind, x),), ends[image[x]], expect(*cell))
+        for law, kind, cells, image, ends, expect in (
+            ("h-boundary", HCELL, dom.hcells, h, cod.hcells, lambda s, t: (ob[s], ob[t])),
+            ("v-boundary", VCELL, dom.vcells, v, cod.vcells, lambda s, t: (ob[s], ob[t])),
+            ("sq-boundary", SQUARE, dom.squares, sq, cod.squares, lambda t, b, l, r: (h[t], h[b], v[l], v[r])),
+        )
+        for x, cell in enumerate(cells)
+    ]
+    if any(lhs != rhs for _, _, lhs, rhs in boundaries):
+        return boundaries, []
+    preservation = []
+    for law, kind, name, cell in (
+        ("hcomp1-preserved", HCELL, "hcomp1", h),
+        ("vcomp1-preserved", VCELL, "vcomp1", v),
+        ("hcomp2-preserved", SQUARE, "hcomp2", sq),
+        ("vcomp2-preserved", SQUARE, "vcomp2", sq),
+    ):
+        image = getattr(cod, name)
+        for (x, y), z in sorted(getattr(dom, name).items()):
+            preservation.append((law, ((kind, x), (kind, y)), cell[z], image[(cell[x], cell[y])]))
+    for a in range(dom.n_objects):
+        preservation.append(("hid-preserved", ((OBJECT, a),), h[dom.hid[a]], cod.hid[ob[a]]))
+        preservation.append(("vid-preserved", ((OBJECT, a),), v[dom.vid[a]], cod.vid[ob[a]]))
+    for x in range(len(dom.hcells)):
+        preservation.append(("sq-vid-preserved", ((HCELL, x),), sq[dom.sq_vid[x]], cod.sq_vid[h[x]]))
+    for u in range(len(dom.vcells)):
+        preservation.append(("sq-hid-preserved", ((VCELL, u),), sq[dom.sq_hid[u]], cod.sq_hid[v[u]]))
+    return boundaries, preservation
+
+
+def _strict_oracle(instances, budget):
+    """``check_strict_functor`` over ``_strict_instances``, charged one
+    instance at a time through ``Collector.eq`` and stopped at the budget;
+    the preservation laws run only where no boundary instance failed."""
+    col = Collector("strict-functor", budget)
+
+    def record(part):
+        for law, witness, lhs, rhs in part:
+            if col.report.status == BUDGET_EXCEEDED:
+                return
+            col.eq(law, witness, lhs, rhs)
+
+    boundaries, preservation = instances
+    record(boundaries)
+    if col.report.violations:
+        col.assume("equational laws not evaluated: cell images have wrong boundaries")
+    else:
+        record(preservation)
+    return col.done()
+
+
+def _cell_map_mutants(f):
+    """``f`` and every functor that differs from it in one entry of one
+    cell map, the entry set to any other cell of the codomain."""
+    cod = f.cod
+    yield f
+    for name, n in (("ob_map", cod.n_objects), ("h_map", len(cod.hcells)),
+                    ("v_map", len(cod.vcells)), ("sq_map", len(cod.squares))):
+        cells = getattr(f, name)
+        for i, old in enumerate(cells):
+            for new in range(n):
+                if new != old:
+                    yield replace(f, **{name: tuple(_with(cells, i, new))})
+
+
+@pytest.mark.parametrize("host", ["diagonal leg", "sign x sign^T"])
+def test_strict_functor_matches_one_instance_at_a_time(host):
+    # the diagonal bundle's leg has no parallel squares, so no mutant of it
+    # keeps every boundary and fails a preservation law
+    if host == "diagonal leg":
+        f, reached = diagonal_internal(quintet(zoo.cyclic_group_cat(2))).s, {("pass", False), (FAIL, True)}
+    else:
+        f = identity_functor(product(_sign(), transpose(_sign())))
+        reached = {("pass", False), (FAIL, True), (FAIL, False)}
+    outcomes = set()
+    for mutant in _cell_map_mutants(f):
+        full, instances = check_strict_functor(mutant), _strict_instances(mutant)
+        outcomes.add((full.status, bool(full.assumptions)))
+        for cap in range(full.checked + 2):
+            ours, theirs = Budget(cap), Budget(cap)
+            rep, ref = check_strict_functor(mutant, budget=ours), _strict_oracle(instances, theirs)
+            assert (rep.status, rep.checked, ours.used) == (ref.status, ref.checked, theirs.used), cap
+            assert (rep.violations, rep.assumptions) == (ref.violations, ref.assumptions), cap
+    # a pass, a boundary failure and (where one exists) a preservation failure
+    assert outcomes == reached

@@ -1,8 +1,9 @@
+from collections import Counter
 from dataclasses import fields, replace
 
 import pytest
 
-from dblkit import functors, internal, kernel, zoo
+from dblkit import functors, internal, kernel, transform, zoo
 from dblkit.acceptance import internal_mutations
 from dblkit.kernel import (
     HCELL,
@@ -339,6 +340,29 @@ def test_enriched_over_categories():
     rep = check_enriched_over_cat(broken)
     assert not rep.passed
     assert any(v.axiom == "pentagon" for v in rep.violations)
+
+
+def test_braid_deep_check_pastes_each_pair_once(monkeypatch):
+    # coupling-assoc reads the t-composites of the 46,656 composable pairs
+    # from the table that coupling-composite filled, not one pasting per
+    # side of each of the 10,077,696 triples
+    data = monoid_to_internal(zoo.braid_monoid_in_dbl())
+    calls, pairs = Counter(), {}
+    paste = transform._t_composite
+
+    def counted(a, f, g):
+        calls[id(a), f, g] += 1
+        pairs[id(a)] = len(a.F.dom.hcomp1)
+        return paste(a, f, g)
+
+    monkeypatch.setattr(transform, "_t_composite", counted)
+    rep = check_internal(data)
+    assert rep.status == BUDGET_EXCEEDED
+    assert max(calls.values()) == 1
+    assert pairs[id(data.assoc)] == 46656
+    reached = Counter(a for a, _, _ in calls)
+    assert all(reached[a] <= pairs[a] for a in reached)
+    assert reached[id(data.assoc)] <= 46656
 
 
 def test_braid_monoid_internalizes():

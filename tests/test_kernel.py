@@ -659,7 +659,8 @@ def test_exhausted_shared_budget_matches_per_instance_oracle():
         assert rep.to_dict() == oracle_check_double_category(_C3, budget=theirs).to_dict()
         assert ours.used == theirs.used
     assert rep.checked == 0 and rep.status == "budget-exceeded"
-    assert ours.used == 102
+    # the second run meets the budget exhausted and charges nothing more
+    assert ours.used == 101
 
 
 def _pullback_of_unequal_maps(d, h_map, sq_map):
