@@ -1012,6 +1012,8 @@ MONOID_FAMILIES = (
     ("mul_h_right", "hcells"),
     ("mul_v_left", "vcells"),
     ("mul_v_right", "vcells"),
+    ("mul_sq_left", "squares"),
+    ("mul_sq_right", "squares"),
     ("flip_hh", "squares"),
     ("flip_hh_inv", "squares"),
     ("flip_vv", "squares"),

@@ -78,6 +78,7 @@ EXPLANATIONS = {
     "hcell-unit-left": "composing with an identity 1-cell first is absorbed by the unit comparison cell",
     "square-hcomp-naturality": "the composition comparison cells commute with images of pasted squares",
     "square-vcomp-naturality": "the vertical composition comparison cells commute with images of stacked squares",
+    "structure-boundary": "a functor's structure cell runs between the composites it compares, its stored inverse the other way",
     "pentagon": "the two reassociation routes across four 1-cells agree",
     "triangle": "reassociating past an identity matches the two unitors",
     "snake-h": "the two binding cells of a companion paste horizontally to the identity square on the companion 1-cell",

@@ -142,10 +142,11 @@ def _entries(table):
 # dense rows (``_dense_rows``: one list per left cell, indexed by cell id),
 # which a checker builds once per table and shares between them;
 # ``_associativity`` may read its two sides from a side table filled on
-# demand (``_OnDemand``).  A Violation is built only where the two sides
-# differ, and nothing past a budget cut is evaluated.  The enumerators
-# assume complete tables with correct boundaries, which the constructors
-# and the boundary laws establish.
+# demand (``_OnDemand``).  The table boundaries read the composite 1-cells
+# that a pasted square's boundary expects through dense rows too.  A
+# Violation is built only where the two sides differ, and nothing past a
+# budget cut is evaluated.  The enumerators assume complete tables with
+# correct boundaries, which the constructors and the boundary laws establish.
 
 
 def _rows(table):
@@ -629,25 +630,17 @@ class DoubleCategory:
         boundary.  Part of every checker run over this structure."""
         hs, ht = _columns(self.hcells, 2)
         vs, vt = _columns(self.vcells, 2)
-        sq, h1, v1 = self.squares, self.hcomp1, self.vcomp1
-        _boundaries(col, "hcomp1-boundary", HCELL, h1, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys])
-        _boundaries(col, "vcomp1-boundary", VCELL, v1, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys])
-        _boundaries(
-            col,
-            "hcomp2-boundary",
-            SQUARE,
-            self.hcomp2,
-            sq,
-            lambda keys: [(h1[sq[a][0], sq[b][0]], h1[sq[a][1], sq[b][1]], sq[a][2], sq[b][3]) for a, b in keys],
-        )
-        _boundaries(
-            col,
-            "vcomp2-boundary",
-            SQUARE,
-            self.vcomp2,
-            sq,
-            lambda keys: [(sq[a][0], sq[b][1], v1[sq[a][2], sq[b][2]], v1[sq[a][3], sq[b][3]]) for a, b in keys],
-        )
+        top, bottom, left, right = _columns(self.squares, 4)
+        h1, v1, sq = _dense_rows(self.hcomp1, len(hs)), _dense_rows(self.vcomp1, len(vs)), self.squares
+        for law, kind, table, cells, expect in (
+            ("hcomp1-boundary", HCELL, self.hcomp1, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys]),
+            ("vcomp1-boundary", VCELL, self.vcomp1, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys]),
+            ("hcomp2-boundary", SQUARE, self.hcomp2, sq,
+             lambda keys: [(h1[top[a]][top[b]], h1[bottom[a]][bottom[b]], left[a], right[b]) for a, b in keys]),
+            ("vcomp2-boundary", SQUARE, self.vcomp2, sq,
+             lambda keys: [(top[a], bottom[b], v1[left[a]][left[b]], v1[right[a]][right[b]]) for a, b in keys]),
+        ):
+            _boundaries(col, law, kind, table, cells, expect)
 
 
 # ---------------------------------------------------------------------------
@@ -1255,19 +1248,14 @@ class TwoCategory:
     def table_boundary_violations(self, col) -> None:
         s1, t1 = _columns(self.onecells, 2)
         s2, t2 = _columns(self.twocells, 2)
-        c1 = self.comp1
-        _boundaries(col, "comp1-boundary", "onecell", c1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys])
-        _boundaries(
-            col, "vcomp2-boundary", "twocell", self.vcomp2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys]
-        )
-        _boundaries(
-            col,
-            "hcomp2-boundary",
-            "twocell",
-            self.hcomp2,
-            self.twocells,
-            lambda keys: [(c1[s2[a], s2[b]], c1[t2[a], t2[b]]) for a, b in keys],
-        )
+        c1 = _dense_rows(self.comp1, len(s1))
+        for law, kind, table, cells, expect in (
+            ("comp1-boundary", "onecell", self.comp1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys]),
+            ("vcomp2-boundary", "twocell", self.vcomp2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys]),
+            ("hcomp2-boundary", "twocell", self.hcomp2, self.twocells,
+             lambda keys: [(c1[s2[a]][s2[b]], c1[t2[a]][t2[b]]) for a, b in keys]),
+        ):
+            _boundaries(col, law, kind, table, cells, expect)
 
 
 def _check_globular(t):

@@ -11,7 +11,7 @@ from dblkit import dsl, zoo
 from dblkit.cli import _decl_category, main
 from dblkit.companion import find_connection
 from dblkit.dsl import Declaration, InternalDecl, ParseError, parse, serialize
-from dblkit.functors import identity_functor, pseudo_from_strict
+from dblkit.functors import identity_functor, identity_pseudo, pseudo_from_strict
 from dblkit.kernel import StructureError, check_double_category, product, quintet
 from dblkit.modif import identity_modification
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
@@ -223,6 +223,25 @@ def test_wrong_boundary_functor_image_exits_1(tmp_path, capsys):
     out.write_text(serialize(doc))
     assert main(["check", str(out), "F"]) == 1
     assert "violated: sq-boundary" in capsys.readouterr().out
+
+
+def test_wrong_boundary_structure_cell_exits_1(tmp_path, capsys):
+    from dataclasses import replace
+
+    d = quintet(zoo.walking_arrow())
+    f = identity_pseudo(d)
+    # the composition cell at the first composable pair sent to a square
+    # with another boundary
+    key, cell = sorted(f.comp_h.items())[0]
+    wrong = next(s for s, bnd in enumerate(d.squares) if bnd != d.squares[cell])
+    doc = parse("")
+    doc.add(_decl_category("Q", d))
+    doc.add(Declaration("functor", "F", replace(f, comp_h={**f.comp_h, key: wrong}),
+                        meta={"strict": False, "dom": "Q", "cod": "Q"}))
+    out = tmp_path / "f.dbl"
+    out.write_text(serialize(doc))
+    assert main(["check", str(out), "F"]) == 1
+    assert "violated: structure-boundary" in capsys.readouterr().out
 
 
 def test_construct_oast_and_monoid_internal(tmp_path):

@@ -349,6 +349,34 @@ def test_every_pseudofunctor_law_is_caught_by_a_single_entry_mutant():
         assert any(_violates(check_double_pseudo_functor(m, axioms={law}), law) for m in mutants), law
 
 
+def test_every_single_entry_structure_cell_mutant_fails():
+    # each entry of the eight structure-cell families moved to any other
+    # square: 240 of the 300 break a boundary, the rest a law; none may
+    # raise, and none may pass
+    f = _pseudo_host()
+    statuses = {
+        (family, key, s): check_double_pseudo_functor(replace(f, **{family: {**cells, key: s}})).status
+        for family in STRUCTURE_FAMILIES
+        for cells in [getattr(f, family)]
+        for key, old in sorted(cells.items())
+        for s in range(len(f.cod.squares))
+        if s != old
+    }
+    assert len(statuses) == 300
+    assert {slot: status for slot, status in statuses.items() if status != FAIL} == {}
+
+
+def test_structure_cell_with_the_wrong_boundary_fails_its_boundary_law():
+    f = _pseudo_host()
+    key, old = sorted(f.comp_h.items())[0]
+    wrong = next(s for s, bnd in enumerate(f.cod.squares) if bnd != f.cod.squares[old])
+    rep = check_double_pseudo_functor(replace(f, comp_h={**f.comp_h, key: wrong}))
+    assert [(v.axiom, v.witness) for v in rep.violations] == [("structure-boundary", ((HCELL, key[0]), (HCELL, key[1])))]
+    assert rep.assumptions == ["equational laws not evaluated: structure cells have wrong boundaries"]
+    with pytest.raises(StructureError):
+        check_double_pseudo_functor(replace(f, comp_h_inv={}))
+
+
 def test_cubical_laws_caught_by_single_entry_mutants_of_sign_squared():
     mutants = _cubical_mutants(_cubical_host(_sign(), _sign()))
     for law in ("a11", "a21", "a12", "a22", "b11", "b21", "b12", "b22", "invertibility", "partial-strictness"):

@@ -26,6 +26,7 @@ from dblkit.kernel import (
     quintet,
     terminal_double_category,
     transpose,
+    TwoCategory,
     _check_table,
 )
 from dblkit.functors import StrictDoubleFunctor, identity_functor, product_projections, check_strict_functor
@@ -650,6 +651,94 @@ def test_cutoff_inside_the_boundary_tables_matches_oracle():
         rep = check_double_category(m, budget=ours)
         assert rep.to_dict() == oracle_check_double_category(m, budget=theirs).to_dict()
         assert ours.used == theirs.used
+
+
+def _two_category_mutants(t):
+    """Every 2-category that differs from ``t`` in one entry of ``comp1``,
+    ``vcomp2`` or ``hcomp2``, the entry moved to any other cell of its kind."""
+    for name, n in (("comp1", len(t.onecells)), ("vcomp2", len(t.twocells)), ("hcomp2", len(t.twocells))):
+        for key, old in sorted(getattr(t, name).items()):
+            for new in range(n):
+                if new != old:
+                    tables = {table: dict(getattr(t, table)) for table in ("comp1", "vcomp2", "hcomp2")}
+                    tables[name][key] = new
+                    yield TwoCategory(t.n_objects, t.onecells, t.twocells, tables["comp1"], tables["vcomp2"],
+                                      tables["hcomp2"], t.id1, t.id2, names=t.names)
+
+
+def _table_boundary_instances(x):
+    """The instances of ``x.table_boundary_violations``, each ``(law,
+    witness, lhs, rhs)``, law by law and over the sorted keys of its table;
+    the expected boundaries read the tables as dicts."""
+    if isinstance(x, TwoCategory):
+        s1, t1 = [f[0] for f in x.onecells], [f[1] for f in x.onecells]
+        s2, t2 = [a[0] for a in x.twocells], [a[1] for a in x.twocells]
+        c1 = x.comp1
+        laws = [
+            ("comp1-boundary", "onecell", c1, x.onecells, lambda f, g: (s1[f], t1[g])),
+            ("vcomp2-boundary", "twocell", x.vcomp2, x.twocells, lambda a, b: (s2[a], t2[b])),
+            ("hcomp2-boundary", "twocell", x.hcomp2, x.twocells, lambda a, b: (c1[(s2[a], s2[b])], c1[(t2[a], t2[b])])),
+        ]
+    else:
+        hs, ht = [f[0] for f in x.hcells], [f[1] for f in x.hcells]
+        vs, vt = [u[0] for u in x.vcells], [u[1] for u in x.vcells]
+        top, bottom, left, right = ([s[i] for s in x.squares] for i in range(4))
+        h1, v1 = x.hcomp1, x.vcomp1
+        laws = [
+            ("hcomp1-boundary", HCELL, h1, x.hcells, lambda f, g: (hs[f], ht[g])),
+            ("vcomp1-boundary", VCELL, v1, x.vcells, lambda u, v: (vs[u], vt[v])),
+            ("hcomp2-boundary", SQUARE, x.hcomp2, x.squares,
+             lambda a, b: (h1[(top[a], top[b])], h1[(bottom[a], bottom[b])], left[a], right[b])),
+            ("vcomp2-boundary", SQUARE, x.vcomp2, x.squares,
+             lambda a, b: (top[a], bottom[b], v1[(left[a], left[b])], v1[(right[a], right[b])])),
+        ]
+    return [
+        (law, ((kind, a), (kind, b)), cells[z], expect(a, b))
+        for law, kind, table, cells, expect in laws
+        for (a, b), z in sorted(table.items())
+    ]
+
+
+def _table_boundary_oracle(name, instances, budget):
+    """The opening of a checker run: the table boundaries charged one
+    instance at a time through ``Collector.eq``, then the assumption that
+    ends the run where one of them failed."""
+    col = Collector(name, budget)
+    for law, witness, lhs, rhs in instances:
+        col.eq(law, witness, lhs, rhs)
+    if col.report.violations:
+        col.assume("equational laws not evaluated: table entries have wrong boundaries")
+    return col.done()
+
+
+@pytest.mark.parametrize("host", ["embed(sign)", "embed(sign)^T", "sign", "quintet(arrow)"])
+def test_table_boundaries_match_one_instance_at_a_time(host):
+    # every single-entry mutant with every value in range.  Where a boundary
+    # fails the run ends after the boundary laws, so every cap up to one
+    # past the full count is compared; where they all hold, the equational
+    # laws start at the cap that covers them, and the caps stop short of it
+    # (the whole-checker oracle above covers what follows).  The squares of
+    # sign are endomorphic, and parallel in pairs, so some of its mutants
+    # keep every boundary; those of quintet(arrow) have four distinct sides,
+    # and no other square shares them
+    if host == "sign":
+        t = zoo.sign_two_category()
+        name, check, mutants = "two-category", check_two_category, list(_two_category_mutants(t))
+    else:
+        d = quintet(zoo.walking_arrow()) if host == "quintet(arrow)" else embed_two_category(zoo.sign_two_category())
+        d = transpose(d) if host.endswith("^T") else d
+        name, check, mutants = "double-category", check_double_category, [apply_mutation(d, s) for s in mutation_slots(d)]
+    outcomes = set()
+    for mutant in mutants:
+        instances = _table_boundary_instances(mutant)
+        failing = any(lhs != rhs for _, _, lhs, rhs in instances)
+        outcomes.add(failing)
+        for cap in range(len(instances) + 2 if failing else len(instances)):
+            ours, theirs = Budget(cap), Budget(cap)
+            rep, ref = check(mutant, budget=ours), _table_boundary_oracle(name, instances, theirs)
+            assert (rep.status, rep.checked, ours.used) == (ref.status, ref.checked, theirs.used), cap
+            assert (rep.violations, rep.assumptions) == (ref.violations, ref.assumptions), cap
+    assert (len(mutants), outcomes) == ((116, {True}) if host == "quintet(arrow)" else (76, {True, False}))
 
 
 def test_exhausted_shared_budget_matches_per_instance_oracle():
