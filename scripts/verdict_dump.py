@@ -65,7 +65,10 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   2-cell))`` (whose squares have distinct sides), on their
   ``transpose_pseudo`` and on every
   boundary-keeping single-entry mutant of either in one of the eight
-  structure-cell families or in ``sq_map``; ``check_strict_functor`` on the
+  structure-cell families or in ``sq_map``; ``check_double_pseudo_functor``
+  on every single-entry mutant of the identity of ``embed(sign) x
+  transpose(embed(sign))`` in one of the eight structure-cell families,
+  any other square as the new value; ``check_strict_functor`` on the
   ``sq_map`` mutants; ``check_cubical`` the same way on the cubical functor
   of the identity on each of the four products of ``embed(sign)`` and its
   transpose and on ``embed(sign) x embed(walking 2-cell)``, its transpose
@@ -986,6 +989,15 @@ def functors(out):
                     failing.setdefault("strict", strict)
             if out[f"{key} all"].get("status") == "fail":
                 failing.setdefault("pseudo", mutant)
+    f = hosts[0][1]
+    for family in STRUCTURE_FAMILIES:
+        cells = getattr(f, family)
+        for key, old in sorted(cells.items()):
+            for s in range(len(f.cod.squares)):
+                if s != old:
+                    mutant = replace(f, **{family: {**cells, key: s}})
+                    out[f"functors structure mutant sign x sign^T {family}[{key}]={s}"] = _report(
+                        lambda: check_double_pseudo_functor(mutant))
     signs = (("sign", es), ("sign^T", et))
     factors = [(x, y) for x in signs for y in signs]
     factors += [(("sign", es), ("2-cell", wtc)), (("2-cell", wtc), ("sign", es))]

@@ -21,6 +21,8 @@ violation rather than attempting equivalence search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
+from types import SimpleNamespace
 
 from .kernel import (
     HCELL,
@@ -48,6 +50,7 @@ from .kernel import (
 from .functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
+    _map_boundaries,
     _projections,
     check_double_pseudo_functor,
     check_strict_functor,
@@ -369,12 +372,27 @@ def check_internal(
         "src-of-second-is-tgt-of-first",
         _cell_map_sections(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
     )
+    # the unit and the composition are pasted from here on, so their cell
+    # maps must keep boundaries first; where they do not, the comparisons
+    # that would paste them compare only their endpoints, which need none
+    found = len(col.report.violations)
+    for name in ("u", "m"):
+        _map_boundaries(col, getattr(data, name), (name,), f"compatibilities that paste {name}, but for endpoints,")
+    pastes = len(col.report.violations) == found
+
+    def leg_after(leg, f, other):
+        # the sections of leg . f against ``other``, or their endpoints
+        if pastes:
+            return _cell_map_sections(compose_pseudo(pseudo_from_strict(leg), f), other)
+        return islice(_cell_map_sections(SimpleNamespace(dom=f.dom, cod=leg.cod), other), 2)
+
     ident0 = identity_pseudo(data.d0)
     for leg, law in ((data.s, "unit-section-s"), (data.t, "unit-section-t")):
-        _compare_entries(col, law, _cell_map_sections(compose_pseudo(pseudo_from_strict(leg), data.u), ident0))
+        _compare_entries(col, law, leg_after(leg, data.u, ident0))
     for leg, proj, law in ((data.s, data.p1, "src-of-composite"), (data.t, data.p2, "tgt-of-composite")):
-        composite = compose_pseudo(pseudo_from_strict(leg), data.m)
-        _compare_entries(col, law, _cell_map_sections(composite, pseudo_from_strict(compose_strict(leg, proj))))
+        _compare_entries(col, law, leg_after(leg, data.m, pseudo_from_strict(compose_strict(leg, proj))))
+    if not pastes:
+        return col.done()
 
     # comparison transformations: endpoints and the whiskering conditions;
     # over damaged data the comparison functors may fail to construct at

@@ -203,13 +203,13 @@ def _witness(kinds, key):
     return tuple(zip(kinds, key if isinstance(key, tuple) else (key,)))
 
 
-def _whole(col, kinds, table, *laws):
+def _whole(col, kinds, table, *laws, head=()):
     """Record, for each ``(law, lhs, rhs)`` of ``laws``, that the lists
     ``lhs(table)`` and ``rhs(table)`` agree entry by entry: a side maps a
     table (a dict, or a range of cell ids) to its values at the table's
     entries, in the table's order.  The instances run in key order and,
-    at one key, in the order of ``laws``; a witness pairs ``kinds`` with
-    the key.
+    at one key, in the order of ``laws``; a witness is ``head`` followed
+    by ``kinds`` paired with the key.
 
     All instances are charged at once.  When the budget covers them, both
     sides are read over the table as it stands and compared whole, and only
@@ -228,22 +228,22 @@ def _whole(col, kinds, table, *laws):
         if differ:
             differ.sort()
             for key, j, a, b in differ:
-                col.fail(laws[j][0], _witness(kinds, key), a, b)
+                col.fail(laws[j][0], (*head, *_witness(kinds, key)), a, b)
         return
     keys = sorted(table) if isinstance(table, dict) else table
     sides = []
     for j, (law, lhs, rhs) in enumerate(laws):
-        head = keys[:max(0, -(-(n - j) // width))]
+        lead = keys[:max(0, -(-(n - j) // width))]
         if isinstance(table, dict):
-            head = {key: table[key] for key in head}
-        sides.append((law, lhs(head), rhs(head)))
+            lead = {key: table[key] for key in lead}
+        sides.append((law, lhs(lead), rhs(lead)))
     for i, key in enumerate(keys):
         for law, left, right in sides:
             if not n:
                 return
             n -= 1
             if left[i] != right[i]:
-                col.fail(law, _witness(kinds, key), left[i], right[i])
+                col.fail(law, (*head, *_witness(kinds, key)), left[i], right[i])
 
 
 def _laws(col, kinds, rows, *laws, count=None):
@@ -972,12 +972,50 @@ def _fiber_cells(pairs, d1, d2, find):
         yield [look((ids1[x], ids2[y])) for x, y in pairs[of]]
 
 
+def _closes(table1, table2, map1, map2):
+    """Whether every composite of the join of ``table1`` and ``table2`` (of
+    :func:`pullback`) is a matching pair, ``map1`` and ``map2`` the square
+    maps into the common codomain.  An entry of ``table1`` meets the
+    entries of ``table2`` whose key has the same image, so its composite's
+    image must be the image of each of theirs: ``table2`` is grouped by the
+    image of its key, a group with two images of composites marked None."""
+    images = {}
+    for (y, y2), w in table2.items():
+        at, image = (map2[y], map2[y2]), map2[w]
+        if images.setdefault(at, image) != image:
+            images[at] = None
+    return all(images.get((map1[x], map1[x2]), map1[z]) == map1[z] for (x, x2), z in table1.items())
+
+
+class _Pending(DoubleCategory):
+    """A pullback whose square tables are built at the first read of
+    either, by ``_square_tables``; the object is a plain
+    :class:`DoubleCategory` from then on.  Only :func:`pullback` makes one."""
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance does not hold
+        if name not in ("hcomp2", "vcomp2"):
+            raise AttributeError(f"'DoubleCategory' object has no attribute '{name}'")
+        self.hcomp2, self.vcomp2 = self.__dict__.pop("_square_tables")()
+        self.__class__ = DoubleCategory
+        return self.__dict__[name]
+
+
 def pullback(f, g) -> DoubleCategory:
     """Cellwise pullback of two strict functors with a common codomain.
 
     Cells are matching pairs, composed componentwise.  Raises StructureError
     when the matching pairs are not closed under composition (which happens
     exactly when one of the inputs fails strictness).
+
+    The cells, the identities, ``hcomp1`` and ``vcomp1`` are built here.
+    The square tables ``hcomp2`` and ``vcomp2``, the largest by far, are
+    built at the first read of either, by the same join from the factors'
+    rows, boundaries and matching pairs as this call found them, so a later
+    edit of a factor does not reach them.  Whether they close is decided
+    here all the same, in one pass over each factor's table (``_closes``),
+    so a pullback that does not close raises from this call, naming the
+    same first pair as the join.
 
     The result is valid by construction, so it is built without
     ``_validate``: every cell boundary, identity and table value is the
@@ -1007,44 +1045,56 @@ def pullback(f, g) -> DoubleCategory:
     cells = _fiber_cells(pairs, d1, d2, find)
     hcells, vcells, squares = next(cells), next(cells), next(cells)
 
-    def joined(kind, cells1, cells2, end, start, table1, table2, what):
+    def join(kind, cells1, cells2, end, start, name):
         # pairs (i, j) of matching pairs that compose in both factors, by a
         # join on the boundary index, in lexicographic order; the composite
-        # is read off the factors' rows, and ``look`` reruns only on a miss
+        # is read off the factors' rows, and ``look`` reruns only on a miss.
+        # What the join reads is taken now; the table is built by the call
         ps, at = pairs[kind], index[kind]
-        rows1, rows2 = _rows(table1), _rows(table2)
+        rows1, rows2 = _rows(getattr(d1, name)), _rows(getattr(d2, name))
         by_start = _by([(cells1[x][start], cells2[y][start]) for x, y in ps])
-        table = {}
-        for i, (x, y) in enumerate(ps):
-            later = by_start.get((cells1[x][end], cells2[y][end]))
-            if later:
-                row1, row2 = rows1[x], rows2[y]
-                for j in later:
-                    x2, y2 = ps[j]
-                    p = (row1[x2], row2[y2])
-                    k = at.get(p)
-                    table[(i, j)] = find(kind, what)(p) if k is None else k
-        return table
+        ends = [(cells1[x][end], cells2[y][end]) for x, y in ps]
 
-    hcomp1 = joined(HCELL, d1.hcells, d2.hcells, 1, 0, d1.hcomp1, d2.hcomp1, "hcomp1")
-    vcomp1 = joined(VCELL, d1.vcells, d2.vcells, 1, 0, d1.vcomp1, d2.vcomp1, "vcomp1")
-    hcomp2 = joined(SQUARE, d1.squares, d2.squares, 3, 2, d1.hcomp2, d2.hcomp2, "hcomp2")
-    vcomp2 = joined(SQUARE, d1.squares, d2.squares, 1, 0, d1.vcomp2, d2.vcomp2, "vcomp2")
-    return DoubleCategory._unvalidated(
+        def build():
+            table = {}
+            for i, (x, y) in enumerate(ps):
+                later = by_start.get(ends[i])
+                if later:
+                    row1, row2 = rows1[x], rows2[y]
+                    for j in later:
+                        x2, y2 = ps[j]
+                        p = (row1[x2], row2[y2])
+                        k = at.get(p)
+                        table[(i, j)] = find(kind, name)(p) if k is None else k
+            return table
+
+        return build
+
+    hcomp1 = join(HCELL, d1.hcells, d2.hcells, 1, 0, "hcomp1")()
+    vcomp1 = join(VCELL, d1.vcells, d2.vcells, 1, 0, "vcomp1")()
+    builds = []
+    for name, end, start in (("hcomp2", 3, 2), ("vcomp2", 1, 0)):
+        builds.append(join(SQUARE, d1.squares, d2.squares, end, start, name))
+        if not _closes(getattr(d1, name), getattr(d2, name), f.sq_map, g.sq_map):
+            builds[-1]()  # raises at the first pair that does not match
+    p = _Pending._unvalidated(
         len(pairs[OBJECT]),
         hcells,
         vcells,
         squares,
         hcomp1,
         vcomp1,
-        hcomp2,
-        vcomp2,
+        (),
+        (),
         *cells,
         names={
             kind: [f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for (x, y) in ps]
             for kind, ps in pairs.items()
         },
     )
+    del p.hcomp2, p.vcomp2
+    p._square_tables = lambda: [build() for build in builds]
+    return p
 
 
 # ---------------------------------------------------------------------------

@@ -513,6 +513,47 @@ def test_pullbacks_are_valid_by_construction():
             assert list(table) == sorted(table)
 
 
+def test_shallow_internalization_never_reads_the_triple_pullbacks_square_tables():
+    data = monoid_to_internal(zoo.commutative_monoid_in_dbl())
+    assert check_internal(data, registry=EMPTY, deep=False).passed
+    _, _, p3l = nested_composition_functors(data)
+    assert "hcomp2" not in vars(p3l) and "vcomp2" not in vars(p3l)
+    # over the terminal object part the triple pullback is the product
+    assert same_category(p3l, product(data.p, data.d1))
+    assert type(p3l) is DoubleCategory and {"hcomp2", "vcomp2"} <= set(vars(p3l))
+
+
+def _cell_map_mutants(f):
+    """Every functor that differs from ``f`` in one entry of one of its
+    four cell maps, the entry moved to any other cell of its kind."""
+    cod = f.cod
+    for name, n in (("ob_map", cod.n_objects), ("h_map", len(cod.hcells)),
+                    ("v_map", len(cod.vcells)), ("sq_map", len(cod.squares))):
+        values = list(getattr(f, name))
+        for i, old in enumerate(values):
+            for x in range(n):
+                if x != old:
+                    yield (name, i, x), replace(f, **{name: [*values[:i], x, *values[i + 1:]]})
+
+
+def test_every_cell_map_mutant_of_the_unit_and_composition_fails():
+    # the unit's and the composition's cell maps keep boundaries before
+    # either is pasted: none of the 120 mutants may raise, and none pass
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    reports = {
+        (side, *slot): check_internal(replace(data, **{side: g}), registry=EMPTY, deep=False)
+        for side in ("u", "m")
+        for slot, g in _cell_map_mutants(getattr(data, side))
+    }
+    assert len(reports) == 120
+    assert {slot: rep.status for slot, rep in reports.items() if rep.status != "fail"} == {}
+    for (side, *_), rep in reports.items():
+        assert {v.axiom for v in rep.violations} <= {"h-boundary", "v-boundary", "sq-boundary"}
+        assert all(v.witness[0] == side for v in rep.violations)
+        assert rep.assumptions[-1] == (
+            f"compatibilities that paste {side}, but for endpoints, not evaluated: cell images have wrong boundaries")
+
+
 def test_default_and_construction_violations_are_charged(monkeypatch):
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     data = replace(data, assoc=None, lunit=None, runit=None)

@@ -33,7 +33,7 @@ from dblkit.functors import StrictDoubleFunctor, identity_functor, product_proje
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
 from dblkit.weak import as_pseudo
-from dblkit import zoo
+from dblkit import dsl, zoo
 
 
 def brute_force_commuting_quadruples(c: FiniteCategory):
@@ -779,6 +779,42 @@ def test_pullback_not_closed_names_the_first_unmatched_pair():
     with pytest.raises(StructureError) as e:
         _pullback_of_unequal_maps(ds, range(2), [0, 1, 3, 2])
     assert str(e.value) == "pullback not closed at vcomp2: pair (2, 2) does not match; are both functors strict?"
+    # the same swap on the transpose, where that composition is hcomp2; the
+    # square tables are built at their first read, but whether they close
+    # is decided in the call, so the call itself raises
+    with pytest.raises(StructureError) as e:
+        _pullback_of_unequal_maps(transpose(ds), range(1), [0, 1, 3, 2])
+    assert str(e.value) == "pullback not closed at hcomp2: pair (2, 2) does not match; are both functors strict?"
+
+
+def test_pullback_square_tables_ignore_later_edits_of_a_factor():
+    d = quintet(zoo.cyclic_group_cat(2))
+    ident = identity_functor(d)
+    expected = pullback(ident, ident)
+    hcomp2, vcomp2 = list(expected.hcomp2.items()), list(expected.vcomp2.items())
+    pb = pullback(ident, ident)
+    for table in (d.hcomp2, d.vcomp2):
+        key = next(iter(table))
+        table[key] = (table[key] + 1) % len(d.squares)
+    assert "hcomp2" not in vars(pb) and "vcomp2" not in vars(pb)
+    assert (list(pb.hcomp2.items()), list(pb.vcomp2.items())) == (hcomp2, vcomp2)
+    assert type(pb) is DoubleCategory and "_square_tables" not in vars(pb)
+
+
+def test_only_a_pullback_defers_its_square_tables():
+    # a plain DoubleCategory keeps ordinary attribute access
+    assert "__getattr__" not in vars(DoubleCategory) and not hasattr(DoubleCategory, "__getattr__")
+    d = quintet(zoo.walking_arrow())
+    doc = dsl.Document()
+    doc.add(dsl.Declaration("category", "Q", d))
+    fresh = DoubleCategory(
+        d.n_objects, d.hcells, d.vcells, d.squares, d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2,
+        d.hid, d.vid, d.sq_vid, d.sq_hid,
+    )
+    made = [d, fresh, transpose(d), product(d, d), dsl.parse(dsl.serialize(doc)).decls["Q"].obj]
+    for made_d in made:
+        assert type(made_d) is DoubleCategory
+        assert {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(made_d))
 
 
 # a report cut by its budget passes no guard
