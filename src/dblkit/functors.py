@@ -139,12 +139,12 @@ def strict_equal(f: StrictDoubleFunctor, g: StrictDoubleFunctor) -> bool:
     )
 
 
-def _map_boundaries(col, f, head=(), skipped="equational laws") -> bool:
+def _map_boundaries(col, f, head=(), skipped="equational laws not evaluated") -> bool:
     """The cell maps of ``f`` commute with boundaries: ``h-boundary``,
     ``v-boundary`` and ``sq-boundary``, each compared as two whole lists
     (``kernel._whole``), a witness led by ``head``.  True when every
     instance was evaluated and held; where one fails, an assumption says
-    that the ``skipped`` laws, which paste the images, are not evaluated."""
+    what is ``skipped`` of the laws that paste the images."""
     dom, cod, ob, h, v = f.dom, f.cod, f.ob_map, f.h_map, f.v_map
     found = len(col.report.violations)
     # each side reads the first len(r) cells of the range r
@@ -157,7 +157,7 @@ def _map_boundaries(col, f, head=(), skipped="equational laws") -> bool:
         _whole(col, (kind,), range(len(cells)),
                (law, lambda r: [ends[x] for x in image[:len(r)]], lambda r: expect(cells[:len(r)])), head=head)
     if len(col.report.violations) > found:
-        col.assume(f"{skipped} not evaluated: cell images have wrong boundaries")
+        col.assume(f"{skipped}: cell images have wrong boundaries")
         return False
     return col.report.status != BUDGET_EXCEEDED
 

@@ -330,7 +330,10 @@ def check_internal(
     domains and codomains first, a difference there named ``dom`` or
     ``cod``.  The bundled pullback is compared with the fiber product of
     the span read off ``pullback_pairs(t, s)``, never rebuilt, and the
-    projections are read off the same pairs.  Each comparison is charged
+    projections are read off the same pairs.  The cell-map boundaries of
+    ``u`` and ``m`` are stated before either is pasted; where one fails,
+    the comparisons that would paste them compare only their endpoints
+    and nothing later is evaluated.  Each comparison is charged
     once, for the entries up to and including its first difference (every
     entry when it agrees), so under a budget cut only the entries that fit
     are compared."""
@@ -377,7 +380,8 @@ def check_internal(
     # that would paste them compare only their endpoints, which need none
     found = len(col.report.violations)
     for name in ("u", "m"):
-        _map_boundaries(col, getattr(data, name), (name,), f"compatibilities that paste {name}, but for endpoints,")
+        skipped = f"compatibilities that paste {name} not evaluated beyond their endpoints"
+        _map_boundaries(col, getattr(data, name), (name,), skipped)
     pastes = len(col.report.violations) == found
 
     def leg_after(leg, f, other):

@@ -551,7 +551,7 @@ def test_every_cell_map_mutant_of_the_unit_and_composition_fails():
         assert {v.axiom for v in rep.violations} <= {"h-boundary", "v-boundary", "sq-boundary"}
         assert all(v.witness[0] == side for v in rep.violations)
         assert rep.assumptions[-1] == (
-            f"compatibilities that paste {side}, but for endpoints, not evaluated: cell images have wrong boundaries")
+            f"compatibilities that paste {side} not evaluated beyond their endpoints: cell images have wrong boundaries")
 
 
 def test_default_and_construction_violations_are_charged(monkeypatch):
