@@ -423,14 +423,26 @@ def conj_h(g: DoublePseudoFunctor, s: int) -> int:
     return cod.vcol(g.unit_h_inv[a], g.sq(s), g.unit_h[b])
 
 
+def _in_order(table, *families):
+    """The values of each of ``families`` at the keys of ``table``, in the
+    order of ``table``: read straight off a family that lists exactly those
+    keys in that order, else looked up key by key (a missing key raises
+    ``KeyError``)."""
+    keys = list(table)
+    return [f.values() if list(f) == keys else [f[k] for k in keys] for f in families]
+
+
 def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
     """Composite double pseudofunctor; structure cells are the standard
     pastings of g's cells with the g-images of f's cells.
 
-    The structure cells of f take few distinct values (on the braid bundle's
+    Each composition family and its inverse are built in one pass over the
+    domain's table (``hcomp1``, resp. ``vcomp1``), which reads f's cells
+    and their inverses in the table's own key order (``_in_order``).  The
+    structure cells of f take few distinct values (on the braid bundle's
     triple pullback, some 900,000 conjugations cover 511 squares), so each
-    conjugation, and each pasting keyed by f's cell and the images of the
-    pair, is built once per call."""
+    conjugation, and each pair of pastings keyed by f's cell, its inverse
+    and the images of the pair, is built once per call."""
     if not same_category(f.cod, g.dom):
         raise StructureError("pseudofunctors not composable")
     cod = g.cod
@@ -452,27 +464,27 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
             cell = conj_hs[s] = conj_h(g, s)
         return cell
 
-    def family(table, cells, images, paste):
-        """``paste(cell, x', y')`` for each key (x, y) of ``table``, with
-        ``cell`` f's structure cell at the key and x', y' the images of x
-        and y; each distinct triple is pasted once."""
+    def family(table, cells, inverses, images, paste):
+        """The family and its inverse: ``paste(cell, inverse, x', y')`` for
+        each key (x, y) of ``table``, with ``cell`` and ``inverse`` f's
+        structure cells at the key and x', y' the images of x and y; each
+        distinct quadruple is pasted once."""
         made = {}
         get = made.get
-        out = {}
-        for key in table:
+        out, out_inv = {}, {}
+        for key, cell, inverse in zip(table, *_in_order(table, cells, inverses)):
             x, y = key
-            k = (cells[key], images[x], images[y])
-            cell = get(k)
-            if cell is None:
-                cell = made[k] = paste(*k)
-            out[key] = cell
-        return out
+            k = (cell, inverse, images[x], images[y])
+            pair = get(k)
+            if pair is None:
+                pair = made[k] = paste(*k)
+            out[key], out_inv[key] = pair
+        return out, out_inv
 
-    hcomp1, vcomp1 = f.dom.hcomp1, f.dom.vcomp1
-    comp_h = family(hcomp1, f.comp_h, f.h_map, lambda s, x, y: cod.vpaste(cv(s), g.comp_h[(x, y)]))
-    comp_h_inv = family(hcomp1, f.comp_h_inv, f.h_map, lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], cv(s)))
-    comp_v = family(vcomp1, f.comp_v, f.v_map, lambda s, u, v: cod.hpaste(g.comp_v[(u, v)], ch(s)))
-    comp_v_inv = family(vcomp1, f.comp_v_inv, f.v_map, lambda s, u, v: cod.hpaste(ch(s), g.comp_v_inv[(u, v)]))
+    comp_h, comp_h_inv = family(f.dom.hcomp1, f.comp_h, f.comp_h_inv, f.h_map, lambda s, t, x, y: (
+        cod.vpaste(cv(s), g.comp_h[(x, y)]), cod.vpaste(g.comp_h_inv[(x, y)], cv(t))))
+    comp_v, comp_v_inv = family(f.dom.vcomp1, f.comp_v, f.comp_v_inv, f.v_map, lambda s, t, u, v: (
+        cod.hpaste(g.comp_v[(u, v)], ch(s)), cod.hpaste(ch(t), g.comp_v_inv[(u, v)])))
     unit_h, unit_h_inv, unit_v, unit_v_inv = {}, {}, {}, {}
     for a in range(f.dom.n_objects):
         unit_h[a] = cod.vpaste(cv(f.unit_h[a]), g.unit_h[f.ob(a)])

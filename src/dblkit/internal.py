@@ -50,6 +50,7 @@ from .kernel import (
 from .functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
+    _in_order,
     _map_boundaries,
     _projections,
     check_double_pseudo_functor,
@@ -134,9 +135,10 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     squares = index[SQUARE]
 
     def pair_cells(family, kind):
+        # both tables read in the key order of the left one
         table_l, table_r = getattr(left, family), getattr(right, family)
         try:
-            return {k: squares[table_l[k], table_r[k]] for k in table_l}
+            return {k: squares[l, r] for k, l, r in zip(table_l, table_l.values(), *_in_order(table_l, table_r))}
         except KeyError:
             for k in table_l:  # name the first pair that misses
                 at = [(kind, c) for c in (k if isinstance(k, tuple) else (k,))]

@@ -2,8 +2,8 @@ from dataclasses import replace
 
 import pytest
 
-from dblkit import functors, zoo
-from dblkit.internal import diagonal_internal
+from dblkit import functors, internal, zoo
+from dblkit.internal import diagonal_internal, monoid_to_internal
 from dblkit.kernel import (
     HCELL, OBJECT, SQUARE, VCELL, StructureError, embed_two_category, product, pullback, quintet, transpose,
 )
@@ -184,6 +184,82 @@ def test_compose_pseudo_associative_on_the_nose(setting):
     lhs = compose_pseudo(a, compose_pseudo(b, c))
     rhs = compose_pseudo(compose_pseudo(a, b), c)
     assert pseudo_equal(lhs, rhs)
+
+
+COMPOSITION_FAMILIES = ("comp_h", "comp_h_inv", "comp_v", "comp_v_inv")
+
+
+def _per_key_families(g, f):
+    """The composition families of ``compose_pseudo(g, f)`` built one
+    family at a time, f's cell looked up at each key of the domain's table
+    and each distinct triple pasted once: the oracle for the one pass."""
+    cod, conj_v, conj_h = g.cod, functors.conj_v, functors.conj_h
+
+    def family(table, cells, images, paste):
+        made, out = {}, {}
+        for key in table:
+            x, y = key
+            k = (cells[key], images[x], images[y])
+            if k not in made:
+                made[k] = paste(*k)
+            out[key] = made[k]
+        return out
+
+    hcomp1, vcomp1 = f.dom.hcomp1, f.dom.vcomp1
+    return {
+        "comp_h": family(hcomp1, f.comp_h, f.h_map, lambda s, x, y: cod.vpaste(conj_v(g, s), g.comp_h[(x, y)])),
+        "comp_h_inv": family(hcomp1, f.comp_h_inv, f.h_map,
+                             lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], conj_v(g, s))),
+        "comp_v": family(vcomp1, f.comp_v, f.v_map, lambda s, u, v: cod.hpaste(g.comp_v[(u, v)], conj_h(g, s))),
+        "comp_v_inv": family(vcomp1, f.comp_v_inv, f.v_map,
+                             lambda s, u, v: cod.hpaste(conj_h(g, s), g.comp_v_inv[(u, v)])),
+    }
+
+
+def _families(f):
+    """The composition families of ``f``, each as its list of entries."""
+    return {name: list(getattr(f, name).items()) for name in COMPOSITION_FAMILIES}
+
+
+@pytest.mark.parametrize("make", [zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl])
+def test_composition_families_equal_the_per_key_oracle(monkeypatch, make):
+    # every composite the internalization builds, the nested ones among
+    # them, compared entry by entry and in key order
+    calls = []
+
+    def recorded(g, f, compose=compose_pseudo):
+        calls.append((g, f, compose(g, f)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(internal, "compose_pseudo", recorded)
+    monoid_to_internal(make())
+    assert len(calls) == 8  # four for the nested composites, four for the unit-sided ones
+    for g, f, composite in calls:
+        assert _families(composite) == {name: list(cells.items()) for name, cells in _per_key_families(g, f).items()}
+
+
+def _reordered(f, names):
+    """``f`` with each family of ``names`` listing its keys in reverse."""
+    return replace(f, **{name: dict(reversed(getattr(f, name).items())) for name in names})
+
+
+@pytest.mark.parametrize("names", [COMPOSITION_FAMILIES, ("comp_h_inv", "comp_v")])
+def test_reordered_composition_families_compose_in_the_domain_tables_order(names):
+    data = monoid_to_internal(zoo.commutative_monoid_in_dbl())
+    m_x_id = internal._left_bracketed(data)[3]
+    want = _families(compose_pseudo(data.m, m_x_id))
+    assert [key for key, _ in want["comp_h"]] == list(m_x_id.dom.hcomp1)
+    assert [key for key, _ in want["comp_v"]] == list(m_x_id.dom.vcomp1)
+    assert _families(compose_pseudo(data.m, _reordered(m_x_id, names))) == want
+
+
+@pytest.mark.parametrize("name", COMPOSITION_FAMILIES)
+def test_composition_family_missing_a_key_raises_key_error(name):
+    f = diagonal_internal(quintet(zoo.cyclic_group_cat(2))).m
+    cells = dict(getattr(f, name))
+    del cells[list(cells)[len(cells) // 2]]
+    with pytest.raises(KeyError):
+        compose_pseudo(identity_pseudo(f.cod), replace(f, **{name: cells}))
 
 
 def test_pullback_projections_strict(setting):

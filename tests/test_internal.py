@@ -523,6 +523,47 @@ def test_shallow_internalization_never_reads_the_triple_pullbacks_square_tables(
     assert type(p3l) is DoubleCategory and {"hcomp2", "vcomp2"} <= set(vars(p3l))
 
 
+STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+
+
+def _pairing_arms(data):
+    """The two arms that ``m x 1`` pairs into the binary pullback, and the
+    pairing."""
+    p3l = pullback(functors.compose_strict(data.t, data.p2), data.s)
+    p3l_1, p3l_2 = functors.pullback_projections(functors.compose_strict(data.t, data.p2), data.s, p3l)
+    left, right = functors.compose_pseudo(data.m, pseudo_from_strict(p3l_1)), pseudo_from_strict(p3l_2)
+    return left, right, lambda l, r: internal.pair_pseudo_into_pullback(data.t, data.s, data.p, l, r)
+
+
+def _entries(f):
+    return {name: list(getattr(f, name).items()) for name in STRUCTURE_FAMILIES}
+
+
+def _reordered(f, names=STRUCTURE_FAMILIES):
+    """``f`` with each family of ``names`` listing its keys in reverse."""
+    return replace(f, **{name: dict(reversed(getattr(f, name).items())) for name in names})
+
+
+def test_pairing_reads_reordered_families_in_the_left_tables_order():
+    left, right, pair = _pairing_arms(monoid_to_internal(zoo.commutative_monoid_in_dbl()))
+    want = _entries(pair(left, right))
+    assert [key for key, _ in want["comp_h"]] == list(left.comp_h)
+    assert _entries(pair(left, _reordered(right))) == want
+    assert _entries(pair(left, _reordered(right, ("comp_h_inv", "unit_v")))) == want
+    # the left arm's own order is the order of the pairing's tables
+    assert _entries(pair(_reordered(left), right)) == {
+        name: list(reversed(entries)) for name, entries in want.items()}
+
+
+@pytest.mark.parametrize("name", ["comp_h", "unit_h_inv", "comp_v_inv"])
+def test_pairing_with_a_family_missing_a_key_raises_key_error(name):
+    left, right, pair = _pairing_arms(monoid_to_internal(zoo.commutative_monoid_in_dbl()))
+    cells = dict(getattr(right, name))
+    del cells[list(cells)[len(cells) // 2]]
+    with pytest.raises(KeyError):
+        pair(left, replace(right, **{name: cells}))
+
+
 def _cell_map_mutants(f):
     """Every functor that differs from ``f`` in one entry of one of its
     four cell maps, the entry moved to any other cell of its kind."""
