@@ -45,8 +45,9 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   ``embed(sign)``, shallow reports of single-entry mutants of the
   projections' cell maps, of the unit's and the composition's cell maps
   and boundary-keeping structure cells (with the comparisons given and
-  defaulted), and of the endpoint functor of each comparison
-  transformation;
+  defaulted), of every single-entry mutant of the unit's and the
+  composition's structure cells, any other square as the new value, and
+  of the endpoint functor of each comparison transformation;
 - square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
   invertible 2-cell, every square word of at most 3 moves on every top
   word of at most 3 letters, with its ``rewrite`` normal form, the
@@ -811,7 +812,9 @@ def _bundle_mutants(out, data, empty):
     """Shallow reports of single-entry mutants of a diagonal bundle's
     projections, unit and composition, and of its comparison
     transformations' endpoints (the identity transformation on a mutated
-    endpoint functor), defaulted or not."""
+    endpoint functor), defaulted or not; and of every single-entry mutant
+    of a structure cell of the unit or the composition, any other square
+    as the new value."""
     key = f"internal {len(data.d1.squares)}-square"
 
     def check(label, bundle):
@@ -825,6 +828,8 @@ def _bundle_mutants(out, data, empty):
         for label, g in itertools.chain(_map_mutants(f, ("h_map", "sq_map")), _structure_mutants(f)):
             check(f"{side} mutant {label}", replace(data, **{side: g}))
             check(f"{side} mutant {label} defaulted", replace(data, **{side: g}, assoc=None, lunit=None, runit=None))
+        for label, g in _any_structure_mutants(f):
+            check(f"{side} structure mutant {label}", replace(data, **{side: g}))
     for side in ("assoc", "lunit", "runit"):
         F = getattr(data, side).F
         for label, g in _map_mutants(F, ("sq_map",)):
@@ -926,6 +931,17 @@ def _cell_mutants(cod, cells):
     return [(key, s) for key, cell in items for s, bnd in enumerate(cod.squares) if s != cell and bnd == cod.squares[cell]]
 
 
+def _any_structure_mutants(f):
+    """Every mutant of ``f`` in one entry of one structure family, any other
+    square of the codomain as the new value."""
+    for family in STRUCTURE_FAMILIES:
+        cells = getattr(f, family)
+        for key, old in sorted(cells.items()):
+            for s in range(len(f.cod.squares)):
+                if s != old:
+                    yield f"{family}[{key}]={s}", replace(f, **{family: {**cells, key: s}})
+
+
 def _pseudo_mutants(f):
     """Every mutant of ``f`` in one entry of one structure family or of
     ``sq_map`` that keeps the boundary."""
@@ -989,15 +1005,8 @@ def functors(out):
                     failing.setdefault("strict", strict)
             if out[f"{key} all"].get("status") == "fail":
                 failing.setdefault("pseudo", mutant)
-    f = hosts[0][1]
-    for family in STRUCTURE_FAMILIES:
-        cells = getattr(f, family)
-        for key, old in sorted(cells.items()):
-            for s in range(len(f.cod.squares)):
-                if s != old:
-                    mutant = replace(f, **{family: {**cells, key: s}})
-                    out[f"functors structure mutant sign x sign^T {family}[{key}]={s}"] = _report(
-                        lambda: check_double_pseudo_functor(mutant))
+    for slot, mutant in _any_structure_mutants(hosts[0][1]):
+        out[f"functors structure mutant sign x sign^T {slot}"] = _report(lambda: check_double_pseudo_functor(mutant))
     signs = (("sign", es), ("sign^T", et))
     factors = [(x, y) for x in signs for y in signs]
     factors += [(("sign", es), ("2-cell", wtc)), (("2-cell", wtc), ("sign", es))]
