@@ -270,14 +270,14 @@ def identity_pseudo(d: DoubleCategory) -> DoublePseudoFunctor:
     return pseudo_from_strict(identity_functor(d))
 
 
-def _structure_boundaries(col, f: DoublePseudoFunctor) -> bool:
+def _structure_boundaries(col, f: DoublePseudoFunctor, head=(), skipped="equational laws not evaluated") -> bool:
     """Raise unless the structure cells are keyed on exactly their keys;
     then state the cell maps' boundary laws (``_map_boundaries``) and, where
     they hold, ``structure-boundary``: each structure cell has its required
     boundary and its stored inverse the reverse one, compared as whole lists
-    (``kernel._whole``).  True when every instance was evaluated and held;
-    where one fails, an assumption says that the laws that paste the
-    structure cells are not evaluated."""
+    (``kernel._whole``), a witness led by ``head``.  True when every
+    instance was evaluated and held; where one fails, an assumption says
+    what is ``skipped`` of the laws that paste the structure cells."""
     dom, cod = f.dom, f.cod
     h_pairs = set(dom.hcomp1)
     v_pairs = set(dom.vcomp1)
@@ -288,7 +288,7 @@ def _structure_boundaries(col, f: DoublePseudoFunctor) -> bool:
         raise StructureError("comp_v must be keyed on exactly the composable vcell pairs")
     if set(f.unit_h) != objs or set(f.unit_h_inv) != objs or set(f.unit_v) != objs or set(f.unit_v_inv) != objs:
         raise StructureError("unit cells must be keyed on exactly the objects")
-    if not _map_boundaries(col, f):
+    if not _map_boundaries(col, f, head, skipped):
         return False
     ob, h, v, hid, vid, sq = f.ob_map, f.h_map, f.v_map, cod.hid, cod.vid, cod.squares
     hs, ht = _columns(dom.hcells, 2)
@@ -307,9 +307,9 @@ def _structure_boundaries(col, f: DoublePseudoFunctor) -> bool:
         ((OBJECT,), f.unit_v, f.unit_v_inv, lambda a: (hid[ob[a]], hid[ob[a]], vid[ob[a]], v[dom.vid[a]]), horizontal),
     ):
         _whole(col, kinds, cells, ("structure-boundary", lambda t: [(sq[s], sq[invs[key]]) for key, s in t.items()],
-                                   lambda t: [(b, reverse(b)) for b in map(boundary, t)]))
+                                   lambda t: [(b, reverse(b)) for b in map(boundary, t)]), head=head)
     if len(col.report.violations) > found:
-        col.assume("equational laws not evaluated: structure cells have wrong boundaries")
+        col.assume(f"{skipped}: structure cells have wrong boundaries")
         return False
     return col.report.status != BUDGET_EXCEEDED
 

@@ -51,8 +51,8 @@ from .functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
     _in_order,
-    _map_boundaries,
     _projections,
+    _structure_boundaries,
     check_double_pseudo_functor,
     check_strict_functor,
     compose_pseudo,
@@ -332,10 +332,11 @@ def check_internal(
     domains and codomains first, a difference there named ``dom`` or
     ``cod``.  The bundled pullback is compared with the fiber product of
     the span read off ``pullback_pairs(t, s)``, never rebuilt, and the
-    projections are read off the same pairs.  The cell-map boundaries of
-    ``u`` and ``m`` are stated before either is pasted; where one fails,
-    the comparisons that would paste them compare only their endpoints
-    and nothing later is evaluated.  Each comparison is charged
+    projections are read off the same pairs.  The boundaries of ``u`` and
+    ``m``, those of their cell maps and then ``structure-boundary``
+    (``functors._structure_boundaries``), are stated before either is
+    pasted; where one fails, the comparisons that would paste them compare
+    only their endpoints and nothing later is evaluated.  Each comparison is charged
     once, for the entries up to and including its first difference (every
     entry when it agrees), so under a budget cut only the entries that fit
     are compared."""
@@ -378,12 +379,13 @@ def check_internal(
         _cell_map_sections(compose_strict(data.s, data.p2), compose_strict(data.t, data.p1)),
     )
     # the unit and the composition are pasted from here on, so their cell
-    # maps must keep boundaries first; where they do not, the comparisons
-    # that would paste them compare only their endpoints, which need none
+    # maps and structure cells must keep boundaries first; where they do
+    # not, the comparisons that would paste them compare only their
+    # endpoints, which need none
     found = len(col.report.violations)
     for name in ("u", "m"):
         skipped = f"compatibilities that paste {name} not evaluated beyond their endpoints"
-        _map_boundaries(col, getattr(data, name), (name,), skipped)
+        _structure_boundaries(col, getattr(data, name), (name,), skipped)
     pastes = len(col.report.violations) == found
 
     def leg_after(leg, f, other):

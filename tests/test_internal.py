@@ -595,6 +595,44 @@ def test_every_cell_map_mutant_of_the_unit_and_composition_fails():
             f"compatibilities that paste {side} not evaluated beyond their endpoints: cell images have wrong boundaries")
 
 
+def _structure_cell_mutants(f):
+    """Every pseudofunctor that differs from ``f`` in one entry of one of its
+    eight structure families, the entry moved to any other square."""
+    for name in STRUCTURE_FAMILIES:
+        cells = getattr(f, name)
+        for key, old in cells.items():
+            for s in range(len(f.cod.squares)):
+                if s != old:
+                    yield (name, key, s), replace(f, **{name: {**cells, key: s}})
+
+
+def test_every_structure_cell_mutant_of_the_unit_and_composition_fails():
+    # the unit's and the composition's structure cells keep boundaries
+    # before either is pasted: none of the 364 mutants may raise, and none
+    # pass; one with a wrong boundary fails that law alone
+    reports = {}
+    for d in (quintet(zoo.cyclic_group_cat(2)), embed_two_category(zoo.sign_two_category())):
+        data = internal.diagonal_internal(d)
+        for side in ("u", "m"):
+            f = getattr(data, side)
+            for (name, key, s), g in _structure_cell_mutants(f):
+                moved = d.squares[s] != d.squares[getattr(f, name)[key]]
+                reports[side, name, key, s, moved, len(d.squares)] = check_internal(
+                    replace(data, **{side: g}), registry=EMPTY, deep=False)
+    assert len(reports) == 364
+    assert {slot: rep.status for slot, rep in reports.items() if rep.status != "fail"} == {}
+    assert Counter(slot[-2:] for slot in reports) == {(True, 8): 280, (True, 4): 56, (False, 4): 28}
+    for (side, name, key, _, moved, _), rep in reports.items():
+        if moved:
+            [v] = rep.violations
+            assert v.axiom == "structure-boundary" and v.witness[0] == side
+            assert rep.assumptions[-1] == (
+                f"compatibilities that paste {side} not evaluated beyond their endpoints: "
+                "structure cells have wrong boundaries")
+        else:
+            assert "structure-boundary" not in {v.axiom for v in rep.violations}
+
+
 def test_default_and_construction_violations_are_charged(monkeypatch):
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     data = replace(data, assoc=None, lunit=None, runit=None)
