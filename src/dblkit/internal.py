@@ -336,10 +336,10 @@ def check_internal(
     ``m``, those of their cell maps and then ``structure-boundary``
     (``functors._structure_boundaries``), are stated before either is
     pasted; where one fails, the comparisons that would paste them compare
-    only their endpoints and nothing later is evaluated.  Each comparison is charged
-    once, for the entries up to and including its first difference (every
-    entry when it agrees), so under a budget cut only the entries that fit
-    are compared."""
+    only their endpoints and nothing later is evaluated.  Each comparison
+    is charged once, for the entries up to and including its first
+    difference (every entry when it agrees), so under a budget cut only
+    the entries that fit are compared."""
     col = Collector("internal-category", budget)
     legs = (data.s,) if data.t is data.s else (data.s, data.t)
     if not all(check_strict_functor(leg).passed for leg in legs):

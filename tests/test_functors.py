@@ -238,19 +238,48 @@ def test_composition_families_equal_the_per_key_oracle(monkeypatch, make):
         assert _families(composite) == {name: list(cells.items()) for name, cells in _per_key_families(g, f).items()}
 
 
+def _every_other_inverse_moved(f):
+    """``f`` with every other stored inverse of a composition cell moved to
+    another square on its boundary, where there is one."""
+    sq = f.cod.squares
+
+    def moved(cells):
+        return {key: next((x for x in range(len(sq)) if x != s and sq[x] == sq[s] and i % 2), s)
+                for i, (key, s) in enumerate(cells.items())}
+
+    return replace(f, comp_h_inv=moved(f.comp_h_inv), comp_v_inv=moved(f.comp_v_inv))
+
+
+def test_composition_families_paste_each_cell_with_its_own_inverse():
+    # over a projection many keys share a cell and the images of their
+    # pair but not the inverse, which the embedded sign 2-category's
+    # parallel squares let differ
+    es = embed_two_category(zoo.sign_two_category())
+    d, e = product(es, transpose(es)), quintet(zoo.walking_arrow())
+    f = _every_other_inverse_moved(pseudo_from_strict(product_projections(d, e, product(d, e))[0]))
+    assert f.comp_h != f.comp_h_inv and f.comp_v != f.comp_v_inv
+    for g in (identity_pseudo(d), _every_other_inverse_moved(identity_pseudo(d))):
+        want = {name: list(cells.items()) for name, cells in _per_key_families(g, f).items()}
+        assert _families(compose_pseudo(g, f)) == want
+
+
 def _reordered(f, names):
     """``f`` with each family of ``names`` listing its keys in reverse."""
     return replace(f, **{name: dict(reversed(getattr(f, name).items())) for name in names})
 
 
 @pytest.mark.parametrize("names", [COMPOSITION_FAMILIES, ("comp_h_inv", "comp_v")])
-def test_reordered_composition_families_compose_in_the_domain_tables_order(names):
-    data = monoid_to_internal(zoo.commutative_monoid_in_dbl())
+@pytest.mark.parametrize("make", [zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl])
+def test_reordered_composition_families_compose_in_the_domain_tables_order(make, names):
+    # the min bundle's cells differ between a key and its mirror in the
+    # reversed order, so a cell read at the wrong key shows there
+    data = monoid_to_internal(make())
     m_x_id = internal._left_bracketed(data)[3]
-    want = _families(compose_pseudo(data.m, m_x_id))
-    assert [key for key, _ in want["comp_h"]] == list(m_x_id.dom.hcomp1)
-    assert [key for key, _ in want["comp_v"]] == list(m_x_id.dom.vcomp1)
-    assert _families(compose_pseudo(data.m, _reordered(m_x_id, names))) == want
+    for g in (data.m, identity_pseudo(m_x_id.cod)):
+        want = _families(compose_pseudo(g, m_x_id))
+        assert [key for key, _ in want["comp_h"]] == list(m_x_id.dom.hcomp1)
+        assert [key for key, _ in want["comp_v"]] == list(m_x_id.dom.vcomp1)
+        assert _families(compose_pseudo(g, _reordered(m_x_id, names))) == want
 
 
 @pytest.mark.parametrize("name", COMPOSITION_FAMILIES)

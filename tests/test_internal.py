@@ -544,8 +544,9 @@ def _reordered(f, names=STRUCTURE_FAMILIES):
     return replace(f, **{name: dict(reversed(getattr(f, name).items())) for name in names})
 
 
-def test_pairing_reads_reordered_families_in_the_left_tables_order():
-    left, right, pair = _pairing_arms(monoid_to_internal(zoo.commutative_monoid_in_dbl()))
+@pytest.mark.parametrize("make", [zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl])
+def test_pairing_reads_reordered_families_in_the_left_tables_order(make):
+    left, right, pair = _pairing_arms(monoid_to_internal(make()))
     want = _entries(pair(left, right))
     assert [key for key, _ in want["comp_h"]] == list(left.comp_h)
     assert _entries(pair(left, _reordered(right))) == want
