@@ -190,9 +190,10 @@ COMPOSITION_FAMILIES = ("comp_h", "comp_h_inv", "comp_v", "comp_v_inv")
 
 
 def _per_key_families(g, f):
-    """The composition families of ``compose_pseudo(g, f)`` built one
-    family at a time, f's cell looked up at each key of the domain's table
-    and each distinct triple pasted once: the oracle for the one pass."""
+    """The composition families of ``compose_pseudo(g, f)``, each as its
+    list of entries, built one family at a time, f's cell looked up at each
+    key of the domain's table and each distinct triple pasted once: the
+    oracle for the one pass."""
     cod, conj_v, conj_h = g.cod, functors.conj_v, functors.conj_h
 
     def family(table, cells, images, paste):
@@ -206,7 +207,7 @@ def _per_key_families(g, f):
         return out
 
     hcomp1, vcomp1 = f.dom.hcomp1, f.dom.vcomp1
-    return {
+    families = {
         "comp_h": family(hcomp1, f.comp_h, f.h_map, lambda s, x, y: cod.vpaste(conj_v(g, s), g.comp_h[(x, y)])),
         "comp_h_inv": family(hcomp1, f.comp_h_inv, f.h_map,
                              lambda s, x, y: cod.vpaste(g.comp_h_inv[(x, y)], conj_v(g, s))),
@@ -214,6 +215,7 @@ def _per_key_families(g, f):
         "comp_v_inv": family(vcomp1, f.comp_v_inv, f.v_map,
                              lambda s, u, v: cod.hpaste(conj_h(g, s), g.comp_v_inv[(u, v)])),
     }
+    return {name: list(cells.items()) for name, cells in families.items()}
 
 
 def _families(f):
@@ -235,7 +237,7 @@ def test_composition_families_equal_the_per_key_oracle(monkeypatch, make):
     monoid_to_internal(make())
     assert len(calls) == 8  # four for the nested composites, four for the unit-sided ones
     for g, f, composite in calls:
-        assert _families(composite) == {name: list(cells.items()) for name, cells in _per_key_families(g, f).items()}
+        assert _families(composite) == _per_key_families(g, f)
 
 
 def _every_other_inverse_moved(f):
@@ -259,8 +261,7 @@ def test_composition_families_paste_each_cell_with_its_own_inverse():
     f = _every_other_inverse_moved(pseudo_from_strict(product_projections(d, e, product(d, e))[0]))
     assert f.comp_h != f.comp_h_inv and f.comp_v != f.comp_v_inv
     for g in (identity_pseudo(d), _every_other_inverse_moved(identity_pseudo(d))):
-        want = {name: list(cells.items()) for name, cells in _per_key_families(g, f).items()}
-        assert _families(compose_pseudo(g, f)) == want
+        assert _families(compose_pseudo(g, f)) == _per_key_families(g, f)
 
 
 def _reordered(f, names):

@@ -529,13 +529,13 @@ STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", 
 def _pairing_arms(data):
     """The two arms that ``m x 1`` pairs into the binary pullback, and the
     pairing."""
-    p3l = pullback(functors.compose_strict(data.t, data.p2), data.s)
-    p3l_1, p3l_2 = functors.pullback_projections(functors.compose_strict(data.t, data.p2), data.s, p3l)
+    _, p3l_1, p3l_2, _ = internal._left_bracketed(data)
     left, right = functors.compose_pseudo(data.m, pseudo_from_strict(p3l_1)), pseudo_from_strict(p3l_2)
     return left, right, lambda l, r: internal.pair_pseudo_into_pullback(data.t, data.s, data.p, l, r)
 
 
 def _entries(f):
+    """The eight structure families of ``f``, each as its list of entries."""
     return {name: list(getattr(f, name).items()) for name in STRUCTURE_FAMILIES}
 
 
