@@ -32,6 +32,7 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    _bang,
     _columns,
     _entries,
     _invertibility,
@@ -42,6 +43,7 @@ from .kernel import (
     product,
     pullback_pairs,
     same_category,
+    terminal_double_category,
     transpose,
 )
 from .report import BUDGET_EXCEEDED, AxiomReport, Budget, Collector, live_axioms
@@ -551,10 +553,10 @@ def _projections(dom, d1, d2, pairs):
 
 
 def product_projections(d1: DoubleCategory, d2: DoubleCategory, prod: DoubleCategory):
-    """Cell i of ``prod`` is the pair ``divmod(i, n)``, n the number of such
-    cells of ``d2``."""
-    counts = zip(_counts(prod), _counts(d2))
-    return _projections(prod, d1, d2, [[divmod(i, n) for i in range(m)] for m, n in counts])
+    """The projections of ``prod``, the :func:`product` of ``d1`` and ``d2``:
+    those of the pullback of their functors to the terminal double category."""
+    term = terminal_double_category()
+    return pullback_projections(_bang(d1, term), _bang(d2, term), prod)
 
 
 def pullback_projections(f, g, pb: DoubleCategory):

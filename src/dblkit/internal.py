@@ -32,6 +32,7 @@ from .kernel import (
     DoubleCategory,
     StructureError,
     _associativity,
+    _bang,
     _cell_map_sections,
     _columns,
     _compare_entries,
@@ -505,18 +506,6 @@ def derive_globular(data: InternalCategoryData) -> GlobularActionData:
 # constructors
 
 
-def _bang(d: DoubleCategory, term: DoubleCategory) -> StrictDoubleFunctor:
-    return StrictDoubleFunctor(
-        d,
-        term,
-        [0] * d.n_objects,
-        [0] * len(d.hcells),
-        [0] * len(d.vcells),
-        [0] * len(d.squares),
-        name="!",
-    )
-
-
 def _unit_functor(term: DoubleCategory, d: DoubleCategory, unit_ob: int) -> StrictDoubleFunctor:
     return StrictDoubleFunctor(
         term,
@@ -537,7 +526,7 @@ def monoid_to_internal(monoid) -> InternalCategoryData:
 
     d = monoid.carrier
     term = terminal_double_category()
-    s = t = _bang(d, term)
+    s = t = StrictDoubleFunctor(**vars(_bang(d, term)), name="!")
     p = pullback(t, s)
     p1, p2 = pullback_projections(t, s, p)
     u = pseudo_from_strict(_unit_functor(term, d, monoid.unit_ob))
@@ -567,7 +556,7 @@ def pseudomonoid_to_internal(monoid, assoc_vertical, conn, dom_conn=None) -> Int
 
     d = monoid.carrier
     term = terminal_double_category()
-    s = t = _bang(d, term)
+    s = t = StrictDoubleFunctor(**vars(_bang(d, term)), name="!")
     p = pullback(t, s)
     p1, p2 = pullback_projections(t, s, p)
     u = pseudo_from_strict(_unit_functor(term, d, monoid.unit_ob))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import islice
+from types import SimpleNamespace
 
 from .report import AxiomReport, Budget, Collector, StructureError
 
@@ -827,93 +828,26 @@ def quintet(c: FiniteCategory) -> DoubleCategory:
     )
 
 
+def _bang(d: DoubleCategory, term: DoubleCategory):
+    """The functor from ``d`` to the terminal double category ``term``,
+    duck-typed as :func:`pullback_pairs` reads it: every cell goes to 0."""
+    return SimpleNamespace(
+        dom=d,
+        cod=term,
+        ob_map=[0] * d.n_objects,
+        h_map=[0] * len(d.hcells),
+        v_map=[0] * len(d.vcells),
+        sq_map=[0] * len(d.squares),
+    )
+
+
 def product(d1: DoubleCategory, d2: DoubleCategory) -> DoubleCategory:
-    """Componentwise product; pair (x, y) gets index ``x * count2 + y``."""
+    """Componentwise product; pair (x, y) gets index ``x * count2 + y``.
 
-    def pair(i, j, n2):
-        return i * n2 + j
-
-    no, nh, nv, ns = (
-        d2.n_objects,
-        len(d2.hcells),
-        len(d2.vcells),
-        len(d2.squares),
-    )
-    hcells = [
-        (pair(d1.hs(f), d2.hs(g), no), pair(d1.ht(f), d2.ht(g), no))
-        for f in range(len(d1.hcells))
-        for g in range(len(d2.hcells))
-    ]
-    vcells = [
-        (pair(d1.vs(u), d2.vs(v), no), pair(d1.vt(u), d2.vt(v), no))
-        for u in range(len(d1.vcells))
-        for v in range(len(d2.vcells))
-    ]
-    squares = [
-        (
-            pair(d1.top(s), d2.top(t), nh),
-            pair(d1.bottom(s), d2.bottom(t), nh),
-            pair(d1.left(s), d2.left(t), nv),
-            pair(d1.right(s), d2.right(t), nv),
-        )
-        for s in range(len(d1.squares))
-        for t in range(len(d2.squares))
-    ]
-    hcomp1 = {
-        (pair(f1, f2, nh), pair(g1, g2, nh)): pair(d1.hcomp1[(f1, g1)], d2.hcomp1[(f2, g2)], nh)
-        for (f1, g1) in d1.hcomp1
-        for (f2, g2) in d2.hcomp1
-    }
-    vcomp1 = {
-        (pair(u1, v1, nv), pair(u2, v2, nv)): pair(d1.vcomp1[(u1, u2)], d2.vcomp1[(v1, v2)], nv)
-        for (u1, u2) in d1.vcomp1
-        for (v1, v2) in d2.vcomp1
-    }
-    hcomp2 = {
-        (pair(a1, a2, ns), pair(b1, b2, ns)): pair(d1.hcomp2[(a1, b1)], d2.hcomp2[(a2, b2)], ns)
-        for (a1, b1) in d1.hcomp2
-        for (a2, b2) in d2.hcomp2
-    }
-    vcomp2 = {
-        (pair(a1, a2, ns), pair(b1, b2, ns)): pair(d1.vcomp2[(a1, b1)], d2.vcomp2[(a2, b2)], ns)
-        for (a1, b1) in d1.vcomp2
-        for (a2, b2) in d2.vcomp2
-    }
-    return DoubleCategory(
-        d1.n_objects * no,
-        hcells,
-        vcells,
-        squares,
-        hcomp1,
-        vcomp1,
-        hcomp2,
-        vcomp2,
-        [pair(d1.hid[a], d2.hid[b], nh) for a in range(d1.n_objects) for b in range(no)],
-        [pair(d1.vid[a], d2.vid[b], nv) for a in range(d1.n_objects) for b in range(no)],
-        [
-            pair(d1.sq_vid[f], d2.sq_vid[g], ns)
-            for f in range(len(d1.hcells))
-            for g in range(len(d2.hcells))
-        ],
-        [
-            pair(d1.sq_hid[u], d2.sq_hid[v], ns)
-            for u in range(len(d1.vcells))
-            for v in range(len(d2.vcells))
-        ],
-        names={
-            kind: [
-                f"({d1.name_of(kind, i)},{d2.name_of(kind, j)})"
-                for i in range(cnt1)
-                for j in range(cnt2)
-            ]
-            for kind, cnt1, cnt2 in [
-                (OBJECT, d1.n_objects, no),
-                (HCELL, len(d1.hcells), nh),
-                (VCELL, len(d1.vcells), nv),
-                (SQUARE, len(d1.squares), ns),
-            ]
-        },
-    )
+    It is the :func:`pullback` of the two functors to the terminal double
+    category, so its square tables are built at their first read."""
+    term = terminal_double_category()
+    return pullback(_bang(d1, term), _bang(d2, term))
 
 
 def pullback_pairs(f, g):
@@ -990,7 +924,8 @@ def _closes(table1, table2, map1, map2):
 class _Pending(DoubleCategory):
     """A pullback whose square tables are built at the first read of
     either, by ``_square_tables``; the object is a plain
-    :class:`DoubleCategory` from then on.  Only :func:`pullback` makes one."""
+    :class:`DoubleCategory` from then on.  :func:`pullback` makes one, and
+    so does :func:`product` through it."""
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold

@@ -27,6 +27,7 @@ from dblkit.kernel import (
     terminal_double_category,
     transpose,
     TwoCategory,
+    _Pending,
     _check_table,
 )
 from dblkit.functors import StrictDoubleFunctor, identity_functor, product_projections, check_strict_functor
@@ -180,31 +181,57 @@ def test_product_with_terminal_is_identity_on_indices():
     assert p.hcomp1 == d.hcomp1 and p.vcomp2 == d.vcomp2
 
 
+PRODUCT_FACTORS = (
+    lambda: quintet(zoo.cyclic_group_cat(3)),
+    lambda: quintet(zoo.walking_arrow()),
+    lambda: quintet(zoo.walking_iso()),
+    lambda: embed_two_category(zoo.sign_two_category()),
+    lambda: transpose(embed_two_category(zoo.sign_two_category())),
+)
+
+
 def test_pullback_over_terminal_is_product():
-    d1 = quintet(zoo.walking_arrow())
-    d2 = quintet(zoo.cyclic_group_cat(2))
-    term = terminal_double_category()
+    # a product is the pullback over the terminal double category; checked
+    # against the componentwise product, where cell i of a kind is the pair
+    # divmod(i, n2), n2 the number of such cells of the second factor
+    def count(d, kind):
+        return d.n_objects if kind == OBJECT else len({HCELL: d.hcells, VCELL: d.vcells, SQUARE: d.squares}[kind])
 
-    def bang(d):
-        from dblkit.functors import StrictDoubleFunctor
+    factors = [make() for make in PRODUCT_FACTORS]
+    for d1, d2 in itertools.product(factors, repeat=2):
+        p = product(d1, d2)
 
-        return StrictDoubleFunctor(
-            d,
-            term,
-            [0] * d.n_objects,
-            [0] * len(d.hcells),
-            [0] * len(d.vcells),
-            [0] * len(d.squares),
-            name="!",
-        )
+        def split(kind, i):
+            return divmod(i, count(d2, kind))
 
-    pb = pullback(bang(d1), bang(d2))
-    pr = product(d1, d2)
-    assert pb.n_objects == pr.n_objects
-    assert pb.hcells == pr.hcells
-    assert pb.squares == pr.squares
-    assert pb.hcomp2 == pr.hcomp2
-    assert check_double_category(pb).passed
+        def cells(kind):
+            return map(lambda i: split(kind, i), range(count(p, kind)))
+
+        for kind in (OBJECT, HCELL, VCELL, SQUARE):
+            assert count(p, kind) == count(d1, kind) * count(d2, kind)
+            assert [p.name_of(kind, i) for i in range(count(p, kind))] == [
+                f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for x, y in cells(kind)
+            ]
+        for name, kind, ends in (
+            ("hcells", HCELL, (OBJECT, OBJECT)),
+            ("vcells", VCELL, (OBJECT, OBJECT)),
+            ("squares", SQUARE, (HCELL, HCELL, VCELL, VCELL)),
+        ):
+            c1, c2 = getattr(d1, name), getattr(d2, name)
+            assert [[split(e, b) for e, b in zip(ends, bnd)] for bnd in getattr(p, name)] == [
+                list(zip(c1[x], c2[y])) for x, y in cells(kind)
+            ]
+        for name, of, kind in (("hid", OBJECT, HCELL), ("vid", OBJECT, VCELL), ("sq_vid", HCELL, SQUARE), ("sq_hid", VCELL, SQUARE)):
+            ids1, ids2 = getattr(d1, name), getattr(d2, name)
+            assert [split(kind, c) for c in getattr(p, name)] == [(ids1[x], ids2[y]) for x, y in cells(of)]
+        for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE)):
+            t1, t2 = getattr(d1, name), getattr(d2, name)
+            assert {(split(kind, i), split(kind, j)): split(kind, c) for (i, j), c in getattr(p, name).items()} == {
+                ((a1, a2), (b1, b2)): (t1[a1, b1], t2[a2, b2]) for a1, b1 in t1 for a2, b2 in t2
+            }
+        p1, p2 = product_projections(d1, d2, p)
+        for kind, m in ((OBJECT, "ob_map"), (HCELL, "h_map"), (VCELL, "v_map"), (SQUARE, "sq_map")):
+            assert list(zip(getattr(p1, m), getattr(p2, m))) == list(cells(kind))
 
 
 def test_pullback_of_identities_is_diagonal():
@@ -811,10 +838,16 @@ def test_only_a_pullback_defers_its_square_tables():
         d.n_objects, d.hcells, d.vcells, d.squares, d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2,
         d.hid, d.vid, d.sq_vid, d.sq_hid,
     )
-    made = [d, fresh, transpose(d), product(d, d), dsl.parse(dsl.serialize(doc)).decls["Q"].obj]
+    made = [d, fresh, transpose(d), dsl.parse(dsl.serialize(doc)).decls["Q"].obj]
     for made_d in made:
         assert type(made_d) is DoubleCategory
         assert {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(made_d))
+    # a product is the pullback over the terminal double category, so it
+    # defers them as any pullback does
+    p = product(d, d)
+    assert type(p) is _Pending and not {"hcomp2", "vcomp2"} & set(vars(p))
+    p.hcomp2
+    assert type(p) is DoubleCategory and {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(p))
 
 
 # a report cut by its budget passes no guard
