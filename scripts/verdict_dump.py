@@ -47,7 +47,11 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   and boundary-keeping structure cells (with the comparisons given and
   defaulted), of every single-entry mutant of the unit's and the
   composition's structure cells, any other square as the new value, and
-  of the endpoint functor of each comparison transformation;
+  of the endpoint functor of each comparison transformation; and, on the
+  diagonal bundle of ``quintet(C2)`` with the composition's first
+  ``comp_h`` entry moved to square 1 (a wrong boundary), shallow and deep
+  reports under the ``BUDGETS`` caps and every cap up to one past the
+  instance count, with ``budget.used``;
 - square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
   invertible 2-cell, every square word of at most 3 moves on every top
   word of at most 3 letters, with its ``rewrite`` normal form, the
@@ -777,6 +781,10 @@ def internal(out):
         out[f"internal iso pullback mutant {slot}"] = _report(lambda: check_internal(replace(iso, p=bad_p), registry=empty, deep=False))
     _bundle_mutants(out, host, empty)
     _bundle_mutants(out, diag_s, empty)
+    m = host.m
+    moved = replace(host, m=replace(m, comp_h={**m.comp_h, min(m.comp_h): 1}))
+    for flag, tag in ((False, "shallow"), (True, "deep")):
+        _capped(out, f"internal cutoff {tag}", lambda budget, flag=flag: check_internal(moved, registry=empty, deep=flag, budget=budget))
 
 
 def _map_mutants(f, maps=MAPS):
