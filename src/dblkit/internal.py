@@ -356,10 +356,12 @@ def check_internal(
         col.report.absorb(check_double_pseudo_functor(data.m, budget=col.budget), prefix="composition: ")
 
     # the pullback must be the canonical one; everything later is built on
-    # top of it, so stop here when it is not
+    # top of it, so stop here when it is not (the constituents' violations,
+    # absorbed above, say nothing about it)
     pairs = pullback_pairs(data.t, data.s)
+    found = len(col.report.violations)
     _compare_entries(col, "pullback-canonical", _fiber_product_sections(data.p, data.t, data.s, pairs))
-    if col.report.violations:
+    if len(col.report.violations) > found:
         col.assume("remaining compatibilities not evaluated over a non-canonical pullback")
         return col.done()
     if col.report.status == BUDGET_EXCEEDED:
@@ -369,7 +371,7 @@ def check_internal(
     q1, q2 = _projections(data.p, data.t.dom, data.s.dom, [pairs[kind] for kind in (OBJECT, HCELL, VCELL, SQUARE)])
     _compare_entries(col, "pullback-projections", _cell_map_sections(data.p1, q1, ("p1",)))
     _compare_entries(col, "pullback-projections", _cell_map_sections(data.p2, q2, ("p2",)))
-    if col.report.violations:
+    if len(col.report.violations) > found:
         col.assume("remaining compatibilities not evaluated over non-canonical projections")
         return col.done()
 
@@ -382,12 +384,12 @@ def check_internal(
     # the unit and the composition are pasted from here on, so their cell
     # maps and structure cells must keep boundaries first; where they do
     # not, the comparisons that would paste them compare only their
-    # endpoints, which need none
-    found = len(col.report.violations)
-    for name in ("u", "m"):
-        skipped = f"compatibilities that paste {name} not evaluated beyond their endpoints"
-        _structure_boundaries(col, getattr(data, name), (name,), skipped)
-    pastes = len(col.report.violations) == found
+    # endpoints, which need none; so do they where the budget ran out
+    # before every boundary was stated.  Both are stated either way
+    pastes = all([
+        _structure_boundaries(col, getattr(data, name), (name,), f"compatibilities that paste {name} not evaluated beyond their endpoints")
+        for name in ("u", "m")
+    ])
 
     def leg_after(leg, f, other):
         # the sections of leg . f against ``other``, or their endpoints

@@ -634,6 +634,47 @@ def test_every_structure_cell_mutant_of_the_unit_and_composition_fails():
             assert "structure-boundary" not in {v.axiom for v in rep.violations}
 
 
+def test_every_cap_up_to_the_boundary_laws_returns_a_prefix(monkeypatch):
+    # where the budget runs out before every boundary law of the unit and
+    # the composition is stated, neither is pasted: each cap up to the end
+    # of those laws returns a prefix of the uncapped report
+    data = internal.diagonal_internal(embed_two_category(zoo.sign_two_category()))
+    stated = []
+    original = internal._structure_boundaries
+
+    def recorded(col, *args):
+        held = original(col, *args)
+        stated.append(col.report.checked)
+        return held
+
+    monkeypatch.setattr(internal, "_structure_boundaries", recorded)
+    mutants = runs = 0
+    for side in ("u", "m"):
+        for _, g in _structure_cell_mutants(getattr(data, side)):
+            bundle = replace(data, **{side: g})
+            full = check_internal(bundle, registry=EMPTY, deep=False)
+            mutants += 1
+            for cap in range(stated[-1] + 1):
+                rep = check_internal(bundle, registry=EMPTY, deep=False, budget=Budget(cap))
+                assert rep.violations == full.violations[: len(rep.violations)], (side, cap)
+                assert rep.checked <= cap and rep.status == (BUDGET_EXCEEDED if cap < full.checked else full.status)
+                runs += 1
+    assert mutants == 84 and runs > 84
+
+
+def test_deep_report_reads_a_constituent_failure_apart_from_the_pullback():
+    # a composition structure cell with a wrong boundary fails the delegated
+    # pseudofunctor check; the pullback is canonical all the same, so the
+    # compatibility block goes on to state that boundary law itself
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    m = data.m
+    rep = check_internal(replace(data, m=replace(m, comp_h={**m.comp_h, min(m.comp_h): 1})), registry=EMPTY)
+    assert [v.axiom for v in rep.violations] == ["composition: structure-boundary", "structure-boundary"]
+    assert rep.assumptions[-1] == (
+        "compatibilities that paste m not evaluated beyond their endpoints: structure cells have wrong boundaries")
+    assert not any("non-canonical" in a for a in rep.assumptions)
+
+
 def test_default_and_construction_violations_are_charged(monkeypatch):
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     data = replace(data, assoc=None, lunit=None, runit=None)
