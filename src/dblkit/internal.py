@@ -385,7 +385,8 @@ def check_internal(
     # maps and structure cells must keep boundaries first; where they do
     # not, the comparisons that would paste them compare only their
     # endpoints, which need none; so do they where the budget ran out
-    # before every boundary was stated.  Both are stated either way
+    # before every boundary was stated.  m's boundaries are stated whether
+    # or not u's held
     pastes = all([
         _structure_boundaries(col, getattr(data, name), (name,), f"compatibilities that paste {name} not evaluated beyond their endpoints")
         for name in ("u", "m")
