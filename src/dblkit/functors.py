@@ -24,6 +24,7 @@ horizontal statements run on the transpose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .kernel import (
     HCELL,
@@ -242,30 +243,63 @@ def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
     )
 
 
-def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
-    dom, cod = f.dom, f.cod
-    sq_vid, sq_hid, h_map, v_map = cod.sq_vid, cod.sq_hid, f.h_map, f.v_map
-    comp_h = {key: sq_vid[h_map[z]] for key, z in dom.hcomp1.items()}
-    comp_v = {key: sq_hid[v_map[z]] for key, z in dom.vcomp1.items()}
-    unit_h = {a: sq_vid[h_map[z]] for a, z in enumerate(dom.hid)}
-    unit_v = {a: sq_hid[v_map[z]] for a, z in enumerate(dom.vid)}
-    return DoublePseudoFunctor(
-        dom,
-        cod,
-        f.ob_map,
-        f.h_map,
-        f.v_map,
-        f.sq_map,
-        comp_h,
-        dict(comp_h),
-        unit_h,
-        dict(unit_h),
-        comp_v,
-        dict(comp_v),
-        unit_v,
-        dict(unit_v),
-        name=f.name,
+# The three constructions below (``pseudo_from_strict``, ``compose_pseudo``
+# and ``internal.pair_pseudo_into_pullback``) each wrap one list core.  A
+# core takes and returns a pseudofunctor's fields with its eight structure
+# families as lists aligned with their keys (``_FAMILIES`` order), so a
+# chain of cores, as the internalization's nested composites run, builds
+# dicts only for the functor it returns.  A wrapper reads each family at
+# its keys (``_as_lists``; a missing key raises ``KeyError``), runs the core
+# and zips the lists with the keys (``_as_pseudo``).
+
+_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+
+
+def _family_keys(dom: DoubleCategory):
+    """The keys of the structure families of a pseudofunctor off ``dom``,
+    in ``_FAMILIES`` order and in the domain's table order: its composable
+    pairs of hcells, its objects, its composable pairs of vcells."""
+    objects = range(dom.n_objects)
+    return dom.hcomp1, dom.hcomp1, objects, objects, dom.vcomp1, dom.vcomp1, objects, objects
+
+
+def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
+    """``f``'s fields, each structure family read at its ``keys``."""
+    families = {name: [getattr(f, name)[k] for k in ks] for name, ks in zip(_FAMILIES, keys)}
+    return SimpleNamespace(**{**vars(f), **families})
+
+
+def _as_pseudo(f: SimpleNamespace, keys) -> DoublePseudoFunctor:
+    """The pseudofunctor of list-level ``f``, each structure family zipped
+    with its ``keys`` into a dict of its own."""
+    families = {name: dict(zip(ks, getattr(f, name))) for name, ks in zip(_FAMILIES, keys)}
+    return DoublePseudoFunctor(**{**vars(f), **families})
+
+
+def _strict_lists(f: StrictDoubleFunctor) -> SimpleNamespace:
+    """The list core of :func:`pseudo_from_strict`: every structure cell is
+    the identity square on the image of the composite or identity at its
+    key, in the order of ``_family_keys(f.dom)``; each family is its own
+    inverse, the same list."""
+    dom, cod, h, v = f.dom, f.cod, f.h_map, f.v_map
+    sq_vid, sq_hid = cod.sq_vid, cod.sq_hid
+    comp_h = [sq_vid[h[z]] for z in dom.hcomp1.values()]
+    comp_v = [sq_hid[v[z]] for z in dom.vcomp1.values()]
+    unit_h = [sq_vid[h[z]] for z in dom.hid]
+    unit_v = [sq_hid[v[z]] for z in dom.vid]
+    return SimpleNamespace(
+        dom=dom, cod=cod, ob_map=f.ob_map, h_map=h, v_map=v, sq_map=f.sq_map,
+        comp_h=comp_h, comp_h_inv=comp_h, unit_h=unit_h, unit_h_inv=unit_h,
+        comp_v=comp_v, comp_v_inv=comp_v, unit_v=unit_v, unit_v_inv=unit_v, name=f.name,
     )
+
+
+def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
+    """``f`` as a pseudofunctor whose structure cells are identity squares,
+    each family keyed in the domain's table order (``hcomp1``, ``vcomp1``,
+    the objects); a family and its inverse hold the same cells in dicts of
+    their own.  Wraps the list core ``_strict_lists``."""
+    return _as_pseudo(_strict_lists(f), _family_keys(f.dom))
 
 
 def identity_pseudo(d: DoubleCategory) -> DoublePseudoFunctor:
@@ -425,33 +459,20 @@ def conj_h(g: DoublePseudoFunctor, s: int) -> int:
     return cod.vcol(g.unit_h_inv[a], g.sq(s), g.unit_h[b])
 
 
-def _in_order(table, *families):
-    """The values of each of ``families`` at the keys of ``table``, in the
-    order of ``table``: read straight off a family that lists exactly those
-    keys in that order, else looked up key by key (a missing key raises
-    ``KeyError``)."""
-    keys = list(table)
-    return [f.values() if list(f) == keys else [f[k] for k in keys] for f in families]
-
-
-def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
-    """Composite double pseudofunctor; structure cells are the standard
-    pastings of g's cells with the g-images of f's cells.
+def _compose_lists(g: DoublePseudoFunctor, f: SimpleNamespace) -> SimpleNamespace:
+    """The list core of :func:`compose_pseudo`: g after list-level ``f``,
+    whose families are aligned with ``_family_keys(f.dom)``, the result's
+    aligned the same way.
 
     Each composition family and its inverse are built in one pass over the
-    domain's table (``hcomp1``, resp. ``vcomp1``), which reads f's cells
-    and their inverses in the table's own key order (``_in_order``).  The
-    structure cells of f take few distinct values (on the braid bundle's
-    triple pullback, some 900,000 conjugations cover 511 squares), so each
-    conjugation, and each pair of pastings keyed by f's cell, its inverse
-    and the images of the pair, is built once per call."""
+    domain's table (``hcomp1``, resp. ``vcomp1``).  The structure cells of
+    f take few distinct values (on the braid bundle's triple pullback, some
+    900,000 conjugations cover 511 squares), so each conjugation, and each
+    pair of pastings keyed by f's cell, its inverse and the images of the
+    pair, is built once per call."""
     if not same_category(f.cod, g.dom):
         raise StructureError("pseudofunctors not composable")
     cod = g.cod
-    ob_map = [g.ob(x) for x in f.ob_map]
-    h_map = [g.h(x) for x in f.h_map]
-    v_map = [g.v(x) for x in f.v_map]
-    sq_map = [g.sq(x) for x in f.sq_map]
     conj_vs, conj_hs = {}, {}
 
     def cv(s):
@@ -473,43 +494,50 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
         distinct quadruple is pasted once."""
         made = {}
         get = made.get
-        out, out_inv = {}, {}
-        for key, cell, inverse in zip(table, *_in_order(table, cells, inverses)):
-            x, y = key
+        out, out_inv = [], []
+        for (x, y), cell, inverse in zip(table, cells, inverses):
             k = (cell, inverse, images[x], images[y])
             pair = get(k)
             if pair is None:
                 pair = made[k] = paste(*k)
-            out[key], out_inv[key] = pair
+            out.append(pair[0])
+            out_inv.append(pair[1])
         return out, out_inv
 
     comp_h, comp_h_inv = family(f.dom.hcomp1, f.comp_h, f.comp_h_inv, f.h_map, lambda s, t, x, y: (
         cod.vpaste(cv(s), g.comp_h[(x, y)]), cod.vpaste(g.comp_h_inv[(x, y)], cv(t))))
     comp_v, comp_v_inv = family(f.dom.vcomp1, f.comp_v, f.comp_v_inv, f.v_map, lambda s, t, u, v: (
         cod.hpaste(g.comp_v[(u, v)], ch(s)), cod.hpaste(ch(t), g.comp_v_inv[(u, v)])))
-    unit_h, unit_h_inv, unit_v, unit_v_inv = {}, {}, {}, {}
-    for a in range(f.dom.n_objects):
-        unit_h[a] = cod.vpaste(cv(f.unit_h[a]), g.unit_h[f.ob(a)])
-        unit_h_inv[a] = cod.vpaste(g.unit_h_inv[f.ob(a)], cv(f.unit_h_inv[a]))
-        unit_v[a] = cod.hpaste(g.unit_v[f.ob(a)], ch(f.unit_v[a]))
-        unit_v_inv[a] = cod.hpaste(ch(f.unit_v_inv[a]), g.unit_v_inv[f.ob(a)])
-    return DoublePseudoFunctor(
-        f.dom,
-        g.cod,
-        ob_map,
-        h_map,
-        v_map,
-        sq_map,
-        comp_h,
-        comp_h_inv,
-        unit_h,
-        unit_h_inv,
-        comp_v,
-        comp_v_inv,
-        unit_v,
-        unit_v_inv,
+    obs = f.ob_map
+    return SimpleNamespace(
+        dom=f.dom,
+        cod=cod,
+        ob_map=[g.ob(x) for x in obs],
+        h_map=[g.h(x) for x in f.h_map],
+        v_map=[g.v(x) for x in f.v_map],
+        sq_map=[g.sq(x) for x in f.sq_map],
+        comp_h=comp_h,
+        comp_h_inv=comp_h_inv,
+        unit_h=[cod.vpaste(cv(s), g.unit_h[b]) for s, b in zip(f.unit_h, obs)],
+        unit_h_inv=[cod.vpaste(g.unit_h_inv[b], cv(s)) for s, b in zip(f.unit_h_inv, obs)],
+        comp_v=comp_v,
+        comp_v_inv=comp_v_inv,
+        unit_v=[cod.hpaste(g.unit_v[b], ch(s)) for s, b in zip(f.unit_v, obs)],
+        unit_v_inv=[cod.hpaste(ch(s), g.unit_v_inv[b]) for s, b in zip(f.unit_v_inv, obs)],
         name=f"{g.name}.{f.name}" if g.name or f.name else "",
     )
+
+
+def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
+    """Composite double pseudofunctor; structure cells are the standard
+    pastings of g's cells with the g-images of f's cells.
+
+    Every family is keyed in the order of ``f.dom``'s table (``hcomp1``,
+    ``vcomp1``, the objects), whatever order f's families list their keys
+    in; a family of f that misses a key raises ``KeyError``.  Wraps the list
+    core ``_compose_lists``, which holds the pastings."""
+    keys = _family_keys(f.dom)
+    return _as_pseudo(_compose_lists(g, _as_lists(f, keys)), keys)
 
 
 def transpose_pseudo(f: DoublePseudoFunctor, dom_t: DoubleCategory, cod_t: DoubleCategory) -> DoublePseudoFunctor:

@@ -51,8 +51,13 @@ from .kernel import (
 from .functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
-    _in_order,
+    _FAMILIES,
+    _as_lists,
+    _as_pseudo,
+    _compose_lists,
+    _family_keys,
     _projections,
+    _strict_lists,
     _structure_boundaries,
     check_double_pseudo_functor,
     check_strict_functor,
@@ -114,68 +119,74 @@ def _memoized(data: InternalCategoryData, key, reads, build):
     return value
 
 
-def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
-    """Pseudofunctor X -> pullback(f, g) induced by a matching pair of
-    pseudofunctors; structure cells pair componentwise."""
+def _pair_lists(f, g, pb, left: SimpleNamespace, right: SimpleNamespace, keys, name="") -> SimpleNamespace:
+    """The list core of :func:`pair_pseudo_into_pullback`: the cell and
+    structure-cell pairs of list-level ``left`` and ``right``, whose families
+    are aligned with ``keys`` (``functors._FAMILIES`` order), each replaced
+    by its index in the pullback; the result's families are aligned with
+    ``keys`` too.  A pair that misses the pullback raises ``StructureError``
+    naming its name, family and the domain cells at its key."""
     pairs = pullback_pairs(f, g)
     index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
 
-    def pick(kind, pair, what, at):
-        # ``at``: the cells of the domain whose images make ``pair``
+    def paired(look, what, cells, keys, head, kind):
+        # the index of each pair of ``cells``, the left and the right list
         try:
-            return index[kind][pair]
+            return list(map(look.__getitem__, zip(*cells)))
         except KeyError:
-            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *at)) from None
+            key, pair = next((k, c) for k, c in zip(keys, zip(*cells)) if c not in look)
+            at = [(kind, c) for c in (key if isinstance(key, tuple) else (key,))]
+            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *head, *at)) from None
 
-    dom = left.dom
-    ob_map = [pick(OBJECT, (left.ob(a), right.ob(a)), "object", [(OBJECT, a)]) for a in range(dom.n_objects)]
-    h_map = [pick(HCELL, (left.h(x), right.h(x)), "hcell", [(HCELL, x)]) for x in range(len(dom.hcells))]
-    v_map = [pick(VCELL, (left.v(x), right.v(x)), "vcell", [(VCELL, x)]) for x in range(len(dom.vcells))]
-    sq_map = [pick(SQUARE, (left.sq(x), right.sq(x)), "square", [(SQUARE, x)]) for x in range(len(dom.squares))]
-
-    squares = index[SQUARE]
-
-    def pair_cells(family, kind):
-        # both tables read in the key order of the left one
-        table_l, table_r = getattr(left, family), getattr(right, family)
-        try:
-            return {k: squares[l, r] for k, l, r in zip(table_l, table_l.values(), *_in_order(table_l, table_r))}
-        except KeyError:
-            for k in table_l:  # name the first pair that misses
-                at = [(kind, c) for c in (k if isinstance(k, tuple) else (k,))]
-                pick(SQUARE, (table_l[k], table_r[k]), "structure cell", [family, *at])
-            raise
-
-    return DoublePseudoFunctor(
-        dom,
-        pb,
-        ob_map,
-        h_map,
-        v_map,
-        sq_map,
-        *(pair_cells(family, kind) for family, kind in (
-            ("comp_h", HCELL), ("comp_h_inv", HCELL), ("unit_h", OBJECT), ("unit_h_inv", OBJECT),
-            ("comp_v", VCELL), ("comp_v_inv", VCELL), ("unit_v", OBJECT), ("unit_v_inv", OBJECT),
-        )),
-        name=name,
-    )
+    maps = {
+        field: paired(index[kind], what, (getattr(left, field), getattr(right, field)),
+                      range(len(getattr(left, field))), (), kind)
+        for field, kind, what in (("ob_map", OBJECT, "object"), ("h_map", HCELL, "hcell"),
+                                  ("v_map", VCELL, "vcell"), ("sq_map", SQUARE, "square"))
+    }
+    families = {
+        family: paired(index[SQUARE], "structure cell", (getattr(left, family), getattr(right, family)),
+                       ks, (family,), kind)
+        for family, kind, ks in zip(_FAMILIES, (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT), keys)
+    }
+    return SimpleNamespace(dom=left.dom, cod=pb, **maps, **families, name=name)
 
 
-def _left_bracketed(data: InternalCategoryData):
+def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
+    """Pseudofunctor X -> pullback(f, g) induced by a matching pair of
+    pseudofunctors; structure cells pair componentwise.
+
+    Each family is keyed in the left arm's own key order, and the right
+    arm's family is read at those keys (one that misses a key raises
+    ``KeyError``).  Wraps the list core ``_pair_lists``."""
+    keys = [list(getattr(left, family)) for family in _FAMILIES]
+    return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
+
+
+def _left_bracketed_lists(data: InternalCategoryData):
     """The left-bracketed triple pullback ((x, y), z), its two projections
-    and the inner composite m x 1 into the binary pullback."""
+    and the inner composite m x 1 into the binary pullback, list-level
+    (``functors._compose_lists``), its families aligned with
+    ``_family_keys`` of the triple pullback."""
     t_after_p2 = compose_strict(data.t, data.p2)
     p3l = pullback(t_after_p2, data.s)
     p3l_1, p3l_2 = pullback_projections(t_after_p2, data.s, p3l)
-    m_x_id = pair_pseudo_into_pullback(
+    m_x_id = _pair_lists(
         data.t,
         data.s,
         data.p,
-        compose_pseudo(data.m, pseudo_from_strict(p3l_1)),
-        pseudo_from_strict(p3l_2),
+        _compose_lists(data.m, _strict_lists(p3l_1)),
+        _strict_lists(p3l_2),
+        _family_keys(p3l),
         name="m-x-id",
     )
     return p3l, p3l_1, p3l_2, m_x_id
+
+
+def _left_bracketed(data: InternalCategoryData):
+    """:func:`_left_bracketed_lists` with m x 1 as a pseudofunctor."""
+    p3l, p3l_1, p3l_2, m_x_id = _left_bracketed_lists(data)
+    return p3l, p3l_1, p3l_2, _as_pseudo(m_x_id, _family_keys(p3l))
 
 
 def triple_pullbacks(data: InternalCategoryData):
@@ -248,17 +259,19 @@ def nested_composition_functors(data: InternalCategoryData):
     place would leave the kept composites stale."""
 
     def build():
-        p3l, p3l_1, p3l_2, m_x_id = _left_bracketed(data)
-        left_nested = compose_pseudo(data.m, m_x_id)
-        id_x_m = pair_pseudo_into_pullback(
+        # the cores chained: dicts are built for the two composites alone
+        p3l, p3l_1, p3l_2, m_x_id = _left_bracketed_lists(data)
+        keys = _family_keys(p3l)
+        id_x_m = _pair_lists(
             data.t,
             data.s,
             data.p,
-            pseudo_from_strict(compose_strict(data.p1, p3l_1)),
-            compose_pseudo(data.m, pseudo_from_strict(_last_two(data, p3l, p3l_1, p3l_2))),
+            _strict_lists(compose_strict(data.p1, p3l_1)),
+            _compose_lists(data.m, _strict_lists(_last_two(data, p3l, p3l_1, p3l_2))),
+            keys,
             name="id-x-m.rebracket",  # the name the rebracketing construction gave it
         )
-        return left_nested, compose_pseudo(data.m, id_x_m), p3l
+        return _as_pseudo(_compose_lists(data.m, m_x_id), keys), _as_pseudo(_compose_lists(data.m, id_x_m), keys), p3l
 
     return _memoized(data, "nested", ("d1", "s", "t", "p", "p1", "p2", "m"), build)
 

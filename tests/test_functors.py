@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -223,21 +224,34 @@ def _families(f):
     return {name: list(getattr(f, name).items()) for name in COMPOSITION_FAMILIES}
 
 
+def _keyed(table, cells):
+    """The list ``cells``, aligned with ``table``, as a dict keyed by it."""
+    assert len(cells) == len(table)
+    return dict(zip(table, cells))
+
+
 @pytest.mark.parametrize("make", [zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl])
 def test_composition_families_equal_the_per_key_oracle(monkeypatch, make):
     # every composite the internalization builds, the nested ones among
-    # them, compared entry by entry and in key order
+    # them, compared entry by entry and in key order: the list core is
+    # recorded where the nested chain and compose_pseudo both call it, its
+    # families read at the keys of the domain's tables
     calls = []
+    core = functors._compose_lists
 
-    def recorded(g, f, compose=compose_pseudo):
-        calls.append((g, f, compose(g, f)))
+    def recorded(g, f):
+        calls.append((g, f, core(g, f)))
         return calls[-1][2]
 
-    monkeypatch.setattr(internal, "compose_pseudo", recorded)
+    monkeypatch.setattr(functors, "_compose_lists", recorded)
+    monkeypatch.setattr(internal, "_compose_lists", recorded)
     monoid_to_internal(make())
     assert len(calls) == 8  # four for the nested composites, four for the unit-sided ones
     for g, f, composite in calls:
-        assert _families(composite) == _per_key_families(g, f)
+        tables = {name: f.dom.hcomp1 if name.startswith("comp_h") else f.dom.vcomp1 for name in COMPOSITION_FAMILIES}
+        f = SimpleNamespace(**{**vars(f), **{name: _keyed(tables[name], getattr(f, name)) for name in COMPOSITION_FAMILIES}})
+        assert {name: list(_keyed(tables[name], getattr(composite, name)).items())
+                for name in COMPOSITION_FAMILIES} == _per_key_families(g, f)
 
 
 def _every_other_inverse_moved(f):

@@ -489,6 +489,37 @@ def test_right_nested_equals_the_rebracketed_construction():
                 assert list(a) == list(b), name
 
 
+def _public_left_nested(data):
+    """The left-nested composite m.(m x 1) built through the public
+    constructions alone, over a left-bracketed triple pullback of its own."""
+    t_after_p2 = functors.compose_strict(data.t, data.p2)
+    p3l = pullback(t_after_p2, data.s)
+    p3l_1, p3l_2 = functors.pullback_projections(t_after_p2, data.s, p3l)
+    m_x_id = internal.pair_pseudo_into_pullback(
+        data.t, data.s, data.p,
+        internal.compose_pseudo(data.m, pseudo_from_strict(p3l_1)), pseudo_from_strict(p3l_2), name="m-x-id",
+    )
+    return internal.compose_pseudo(data.m, m_x_id)
+
+
+def test_left_nested_equals_the_public_construction():
+    bundles = [monoid_to_internal(make()) for make in ZOO_MONOIDS]
+    bundles += [
+        internal.diagonal_internal(d)
+        for d in (quintet(zoo.cyclic_group_cat(2)), quintet(zoo.walking_iso()), embed_two_category(zoo.sign_two_category()))
+    ]
+    names = [f.name for f in fields(DoublePseudoFunctor) if f.name not in ("dom", "cod")]
+    assert len(names) == 13
+    for data in bundles:
+        built, public = nested_composition_functors(data)[0], _public_left_nested(data)
+        assert same_category(built.dom, public.dom) and same_category(built.cod, public.cod)
+        for name in names:
+            a, b = getattr(built, name), getattr(public, name)
+            assert a == b, name
+            if isinstance(a, dict):
+                assert list(a) == list(b), name
+
+
 def _revalidated(d):
     """``d`` passed back through the validating constructor."""
     fields = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
