@@ -306,6 +306,10 @@ def identity_pseudo(d: DoubleCategory) -> DoublePseudoFunctor:
     return pseudo_from_strict(identity_functor(d))
 
 
+# the laws ``_structure_boundaries`` states, in their order
+_BOUNDARY_LAWS = ("h-boundary", "v-boundary", "sq-boundary", "structure-boundary")
+
+
 def _structure_boundaries(col, f: DoublePseudoFunctor, head=(), skipped="equational laws not evaluated") -> bool:
     """Raise unless the structure cells are keyed on exactly their keys;
     then state the cell maps' boundary laws (``_map_boundaries``) and, where

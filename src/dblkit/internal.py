@@ -49,6 +49,7 @@ from .kernel import (
     terminal_double_category,
 )
 from .functors import (
+    _BOUNDARY_LAWS,
     DoublePseudoFunctor,
     StrictDoubleFunctor,
     _FAMILIES,
@@ -348,10 +349,11 @@ def check_internal(
     the span read off ``pullback_pairs(t, s)``, never rebuilt, and the
     projections are read off the same pairs.  The boundaries of ``u`` and
     ``m``, those of their cell maps and then ``structure-boundary``
-    (``functors._structure_boundaries``), are stated before either is
-    pasted; where one fails, the comparisons that would paste them compare
-    only their endpoints and nothing later is evaluated.  Each comparison
-    is charged once, for the entries up to and including its first
+    (``functors._structure_boundaries``), are stated once before either is
+    pasted, by the delegated pseudofunctor checks when ``deep``; where one
+    fails, the comparisons that would paste them compare only their
+    endpoints and nothing later is evaluated.  Each comparison is charged
+    once, for the entries up to and including its first
     difference (every entry when it agrees), so under a budget cut only
     the entries that fit are compared."""
     col = Collector("internal-category", budget)
@@ -365,8 +367,9 @@ def check_internal(
         col.report.absorb(check_double_category(data.d0, budget=col.budget), prefix="objects: ")
         col.report.absorb(check_double_category(data.d1, budget=col.budget), prefix="arrows: ")
         col.report.absorb(check_double_category(data.p, budget=col.budget), prefix="pullback: ")
-        col.report.absorb(check_double_pseudo_functor(data.u, budget=col.budget), prefix="unit: ")
-        col.report.absorb(check_double_pseudo_functor(data.m, budget=col.budget), prefix="composition: ")
+        delegated = {name: check_double_pseudo_functor(getattr(data, name), budget=col.budget) for name in ("u", "m")}
+        col.report.absorb(delegated["u"], prefix="unit: ")
+        col.report.absorb(delegated["m"], prefix="composition: ")
 
     # the pullback must be the canonical one; everything later is built on
     # top of it, so stop here when it is not (the constituents' violations,
@@ -400,10 +403,19 @@ def check_internal(
     # endpoints, which need none; so do they where the budget ran out
     # before every boundary was stated.  m's boundaries are stated whether
     # or not u's held
-    pastes = all([
-        _structure_boundaries(col, getattr(data, name), (name,), f"compatibilities that paste {name} not evaluated beyond their endpoints")
-        for name in ("u", "m")
-    ])
+    def keeps_boundaries(name):
+        skipped = f"compatibilities that paste {name} not evaluated beyond their endpoints"
+        if not deep:
+            return _structure_boundaries(col, getattr(data, name), (name,), skipped)
+        # the delegated check stated them first; its boundary failures are
+        # the cell maps' or else the structure cells'
+        report = delegated[name]
+        broken = [v.axiom for v in report.violations if v.axiom in _BOUNDARY_LAWS]
+        if broken:
+            col.assume(f"{skipped}: {'structure cells' if broken[0] == 'structure-boundary' else 'cell images'} have wrong boundaries")
+        return not broken and report.status != BUDGET_EXCEEDED
+
+    pastes = all([keeps_boundaries(name) for name in ("u", "m")])
 
     def leg_after(leg, f, other):
         # the sections of leg . f against ``other``, or their endpoints

@@ -696,14 +696,31 @@ def test_every_cap_up_to_the_boundary_laws_returns_a_prefix(monkeypatch):
 def test_deep_report_reads_a_constituent_failure_apart_from_the_pullback():
     # a composition structure cell with a wrong boundary fails the delegated
     # pseudofunctor check; the pullback is canonical all the same, so the
-    # compatibility block goes on to state that boundary law itself
+    # compatibility block goes on, reads that failure off the delegated
+    # report and pastes nothing
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     m = data.m
     rep = check_internal(replace(data, m=replace(m, comp_h={**m.comp_h, min(m.comp_h): 1})), registry=EMPTY)
-    assert [v.axiom for v in rep.violations] == ["composition: structure-boundary", "structure-boundary"]
+    assert [v.axiom for v in rep.violations] == ["composition: structure-boundary"]
     assert rep.assumptions[-1] == (
         "compatibilities that paste m not evaluated beyond their endpoints: structure cells have wrong boundaries")
     assert not any("non-canonical" in a for a in rep.assumptions)
+
+
+def test_deep_report_states_the_boundaries_of_the_unit_and_composition_once(monkeypatch):
+    # the delegated pseudofunctor checks state them; the compatibility
+    # block takes their outcome, so a shallow report states them itself
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    stated = []
+    original = internal._structure_boundaries
+
+    def recorded(col, f, *args):
+        stated.append(f)
+        return original(col, f, *args)
+
+    monkeypatch.setattr(internal, "_structure_boundaries", recorded)
+    assert check_internal(data, registry=EMPTY).passed and stated == []
+    assert check_internal(data, registry=EMPTY, deep=False).passed and stated == [data.u, data.m]
 
 
 def test_default_and_construction_violations_are_charged(monkeypatch):
