@@ -27,6 +27,7 @@ from dblkit.functors import (
     pseudo_equal,
     uncurry,
 )
+from dblkit.mutate import apply_mutation, mutation_slots
 from dblkit.report import BUDGET_EXCEEDED, FAIL, Budget, Collector
 
 
@@ -320,6 +321,15 @@ def test_cubical_from_diagonal_passes(setting):
     h = cubical_from_product_functor(d1, d2, identity_functor(p))
     rep = check_cubical(h)
     assert rep.passed, rep.summary()
+
+
+def test_cubical_view_refuses_a_domain_one_square_composite_off_the_product(setting):
+    # the domain is compared with the fiber product over the terminal double
+    # category table by table, the square tables included
+    d1, d2, p = setting
+    bad = apply_mutation(p, next(slot for slot in mutation_slots(p) if slot[0] == "hcomp2"))
+    with pytest.raises(StructureError, match="functor domain is not the product of the two factors"):
+        cubical_from_product_functor(d1, d2, identity_functor(bad))
 
 
 def test_cubical_unit_law_example(setting):
