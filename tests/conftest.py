@@ -3,6 +3,7 @@ import pytest
 from dblkit import zoo
 from dblkit.kernel import embed_two_category, quintet
 from dblkit.functors import identity_functor, pseudo_from_strict
+from dblkit.report import BUDGET_EXCEEDED, Budget
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +29,29 @@ def sign_setting():
     d = embed_two_category(t)
     F = pseudo_from_strict(identity_functor(d))
     return t, d, F
+
+
+def _every_cap(check):
+    """Run ``check(budget)`` uncapped (``budget`` None), then under every cap
+    from 0 to one past the uncapped report's ``checked``.  Each capped
+    report holds a prefix of the uncapped report's violations and at most
+    ``cap`` instances; its status is ``budget-exceeded`` exactly when the
+    cap is below the uncapped count, and the uncapped status otherwise.
+    Returns the uncapped report and the ``(budget, report)`` of each cap,
+    in order."""
+    full = check(None)
+    runs = []
+    for cap in range(full.checked + 2):
+        budget = Budget(cap)
+        rep = check(budget)
+        assert rep.violations == full.violations[: len(rep.violations)], cap
+        assert rep.checked <= cap, cap
+        assert rep.status == (BUDGET_EXCEEDED if cap < full.checked else full.status), cap
+        runs.append((budget, rep))
+    return full, runs
+
+
+@pytest.fixture(scope="session")
+def every_cap():
+    """The per-cap sweep of a checker's budget cutoff (``_every_cap``)."""
+    return _every_cap

@@ -564,17 +564,12 @@ def _failing(name):
 
 
 @pytest.mark.parametrize("name", ["strict", "pseudo", "cubical"])
-def test_every_cap_cuts_like_one_charge_per_instance(name, monkeypatch):
+def test_every_cap_cuts_like_one_charge_per_instance(name, monkeypatch, every_cap):
     check = _failing(name)
-    full = check(Budget())
+    full, runs = every_cap(check)
     assert full.status == FAIL and len(full.violations) > 1
-    total = full.checked
-    for cap in range(total + 2):
-        budget = Budget(cap)
-        rep = check(budget)
-        assert rep.checked == min(cap, total)
-        assert rep.status == (BUDGET_EXCEEDED if cap < total else FAIL)
-        assert rep.violations == full.violations[: len(rep.violations)]
+    for cap, (budget, rep) in enumerate(runs):
+        assert rep.checked == min(cap, full.checked)
         with monkeypatch.context() as m:
             m.setattr(functors, "_laws", _one_instance_at_a_time)
             one_by_one = Budget(cap)

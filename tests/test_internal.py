@@ -271,17 +271,13 @@ def _sign_vcomp2_mutant():
 
 
 @pytest.mark.parametrize("make", [zoo.sign_bicategory, _sign_vcomp2_mutant])
-def test_pseudo_double_budget_cutoff_is_exact(make):
+def test_pseudo_double_budget_cutoff_is_exact(make, every_cap):
     p = internalize_bicategory(make())
-    full = check_pseudo_double_category(p)
+    full, runs = every_cap(lambda budget: check_pseudo_double_category(p, budget=budget))
     total = full.checked
-    for cap in range(total + 2):
-        budget = Budget(cap)
-        rep = check_pseudo_double_category(p, budget=budget)
+    for cap, (budget, rep) in enumerate(runs):
         assert rep.checked == min(cap, total)
-        assert rep.status == ("budget-exceeded" if cap < total else full.status)
         assert budget.used == (cap + 1 if cap < total else total)
-        assert rep.violations == full.violations[: len(rep.violations)]
     assert full.status == ("pass" if make is zoo.sign_bicategory else "fail")
 
 
@@ -820,7 +816,7 @@ def test_pullback_witness_is_the_mutated_table_entry():
         assert (v.lhs, v.rhs) == (alt, getattr(pullback(data.t, data.s), table)[key])
 
 
-def test_pullback_difference_recorded_exactly_when_it_fits():
+def test_pullback_difference_recorded_exactly_when_it_fits(every_cap):
     # a vcomp2 entry: the last table, after every cell and three tables
     (slot, data), = [m for m in _pullback_mutants(zoo.walking_iso, 40, seed=1) if m[0][0] == "vcomp2"][:1]
     full = check_internal(data, registry=EMPTY, deep=False)
@@ -828,15 +824,10 @@ def test_pullback_difference_recorded_exactly_when_it_fits():
     assert v.witness[0] == "vcomp2" and full.status == "fail"
     n = full.checked
     assert n > len(data.p.squares)
-    for cap in range(n + 2):
-        budget = Budget(cap)
-        rep = check_internal(data, registry=EMPTY, budget=budget, deep=False)
-        if cap >= n:
-            assert rep.violations == full.violations and rep.status == "fail"
-            assert rep.checked == n and budget.used == n
-        else:
-            assert rep.violations == [] and rep.status == BUDGET_EXCEEDED
-            assert rep.checked == cap and budget.used == cap + 1
+    _, runs = every_cap(lambda budget: check_internal(data, registry=EMPTY, budget=budget, deep=False))
+    for cap, (budget, rep) in enumerate(runs):
+        assert rep.violations == (full.violations if cap >= n else [])
+        assert (rep.checked, budget.used) == ((n, n) if cap >= n else (cap, cap + 1))
 
 
 def test_cell_map_difference_names_the_first_cell_in_order():
@@ -926,7 +917,7 @@ def test_default_comparison_fails_over_a_look_alike_domain(monkeypatch):
     assert v.axiom == "assoc-default" and v.witness == ("dom",)
 
 
-def test_pseudo_double_cutoff_adds_at_most_one_violation_per_instance():
+def test_pseudo_double_cutoff_adds_at_most_one_violation_per_instance(every_cap):
     # vcomp2[(0, 0)] moved to the other 2-cell: rows of the vcomp2
     # associativity block and of the interchange grid hold two violations
     # each, so a cutoff that evaluated whole rows past the cap would record
@@ -934,15 +925,11 @@ def test_pseudo_double_cutoff_adds_at_most_one_violation_per_instance():
     b = zoo.sign_bicategory()
     b.vcomp2[(0, 0)] = 1
     p = internalize_bicategory(b)
-    full = check_pseudo_double_category(p)
+    full, runs = every_cap(lambda budget: check_pseudo_double_category(p, budget=budget))
     assert full.status == "fail" and len(full.violations) > 2
-    before = 0
-    for cap in range(full.checked + 2):
-        rep = check_pseudo_double_category(p, budget=Budget(cap))
-        assert len(rep.violations) - before <= 1, cap
-        assert rep.violations == full.violations[: len(rep.violations)]
-        before = len(rep.violations)
-    assert before == len(full.violations)
+    counts = [len(rep.violations) for _, rep in runs]
+    assert all(b - a <= 1 for a, b in zip([0, *counts], counts)), counts
+    assert counts[-1] == len(full.violations)
 
 
 # ---------------------------------------------------------------------------

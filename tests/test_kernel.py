@@ -693,6 +693,18 @@ def _two_category_mutants(t):
                                       tables["hcomp2"], t.id1, t.id2, names=t.names)
 
 
+def test_every_cap_cuts_the_two_category_check_to_a_prefix(every_cap):
+    # the sign 2-category and, for each law that fails first on one of its
+    # single-entry mutants, the first such mutant
+    t = zoo.sign_two_category()
+    hosts = {"": t}
+    for mutant in _two_category_mutants(t):
+        hosts.setdefault(check_two_category(mutant).violations[0].axiom, mutant)
+    reports = {law: every_cap(lambda budget, x=x: check_two_category(x, budget=budget))[0] for law, x in hosts.items()}
+    assert reports.pop("").passed and len(reports) >= 4
+    assert all(rep.status == "fail" for rep in reports.values())
+
+
 def _table_boundary_instances(x):
     """The instances of ``x.table_boundary_violations``, each ``(law,
     witness, lhs, rhs)``, law by law and over the sorted keys of its table;

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 
 from dblkit import zoo
@@ -25,6 +26,7 @@ from dblkit.transform import (
     HorizontalPNT,
     identity_double,
     identity_horizontal,
+    identity_theta,
     identity_vertical,
     theta_to_double,
 )
@@ -115,6 +117,19 @@ def test_theta_modification_is_modification(bz3_setting):
     )
     rep = check_theta_modification(m)
     assert rep.passed, rep.summary()
+
+
+def test_every_cap_cuts_the_theta_modification_check_to_a_prefix(sign_setting, every_cap):
+    # the identity modification of the identity theta pair on the embedded
+    # sign 2-category, and the same with its first a0 cell moved to the
+    # parallel square
+    _, d, F = sign_setting
+    th = identity_theta(F)
+    m = ThetaModification(th, th, [d.sq_hid[u] for u in th.v0.comp], [d.sq_vid[f] for f in th.h1.comp])
+    moved = next(x for x in range(len(d.squares)) if x != m.a0[0] and d.squares[x] == d.squares[m.a0[0]])
+    reports = [every_cap(lambda budget, a=a: check_theta_modification(a, budget=budget))[0]
+               for a in (m, replace(m, a0=[moved, *m.a0[1:]]))]
+    assert [(rep.status, len(rep.violations) > 1) for rep in reports] == [("pass", False), ("fail", True)]
 
 
 def test_theta_modification_on_collapse_monoid():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -129,7 +130,7 @@ def test_randomized_theta_instances_pass():
         seen += 1
 
 
-def test_missing_inverses_are_charged_instances(bz3):
+def test_missing_inverses_are_charged_instances(bz3, every_cap):
     # a registered component with no stored inverse is one violated
     # instance: a capped run charges it before recording it
     _, d, F, _, _ = bz3
@@ -142,12 +143,31 @@ def test_missing_inverses_are_charged_instances(bz3):
         "theta": lambda budget: check_theta(ThetaPNT(th.v0, h1, th.theta), reg, budget=budget),
     }
     for name, check in checks.items():
-        full = check(None)
+        full, runs = every_cap(check)
         assert [v.axiom for v in full.violations] == ["component-invertibility"], name
-        for cap in range(full.checked + 1):
-            rep = check(Budget(cap))
-            assert rep.checked == cap, (name, cap)
-            assert len(rep.violations) <= rep.checked, (name, cap)
+        assert [rep.checked for _, rep in runs] == [*range(full.checked + 1), full.checked], name
+        assert all(len(rep.violations) <= rep.checked for _, rep in runs), name
+
+
+def test_every_cap_cuts_the_pair_checks_to_a_prefix(sign_setting, every_cap):
+    # the coupled and the theta check on the embedded sign 2-category, as
+    # built and with one cell moved to its parallel square: the horizontal
+    # half's first delta cell, or (coupled) the t-square at hcell 1
+    _, d, F = sign_setting
+    reg = ComponentRegistry.of(hcells={d.hid[0]}, vcells={d.vid[0]})
+    dd, th = sign_doubles(sign_setting)[(0, 0)], identity_theta(F)
+
+    def parallel(s):
+        return next(x for x in range(len(d.squares)) if x != s and d.squares[x] == d.squares[s])
+
+    h1 = replace(th.h1, delta=(parallel(th.h1.delta[0]), *th.h1.delta[1:]))
+    t = [*dd.t[:1], parallel(dd.t[1]), *dd.t[2:]]
+    doubles = (dd, DoublePNT(dd.v0, h1, dd.t, dd.r), DoublePNT(dd.v0, dd.h1, t, dd.r))
+    thetas = (th, ThetaPNT(th.v0, h1, th.theta))
+    reports = [every_cap(lambda budget, a=a: check_double_pnt(a, reg, budget=budget))[0] for a in doubles]
+    reports += [every_cap(lambda budget, a=a: check_theta(a, reg, budget=budget))[0] for a in thetas]
+    assert [(rep.status, len(rep.violations) > 1) for rep in reports] == [
+        ("pass", False), ("fail", True), ("fail", True), ("pass", False), ("fail", True)]
 
 
 def test_double_pnt_evaluates_nothing_past_its_budget(bz3, monkeypatch):
