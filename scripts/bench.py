@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
-"""Write one benchmark record, ``BENCH_<label>.json``, at the root of the
-checkout this script sits in.
+"""Write one benchmark record, or compare two checkouts in alternating runs.
 
 Usage: python scripts/bench.py --label L
+       python scripts/bench.py --against DIR --workload W --pairs N [--seed S]
 
-The record holds, measured on this checkout:
+With ``--label``, the script writes ``BENCH_<label>.json`` at the root of
+the checkout it sits in.  The record holds, measured on this checkout:
 
 - the last output line (the JSON result) of ``dblbench/run.py`` for each
-  workload, at seed 1 and 20 seconds per run, untraced;
+  workload, at seed ``S`` (1 by default) and 20 seconds per run, untraced;
 - the wall time and the summary line of the Tier-1 suite;
 - the records of the acceptance battery's ``run_all()``: each
   criterion's name, verdict, detail, elapsed seconds, time bound and
@@ -18,12 +19,24 @@ The record holds, measured on this checkout:
 The runs go one after another in fresh processes, so a record takes a
 little over a minute plus the Tier-1 suite.  Compare two records by running
 the script in two checkouts on the same machine.
+
+With ``--against``, the script runs ``dblbench/run.py`` on workload ``W``
+(seed ``S``, 1 by default, 20 seconds per run, untraced) ``N`` times in
+this checkout and ``N`` times in the checkout at ``DIR``, one pair at a
+time, each run in a fresh process importing its own checkout's ``src/``.
+Which side runs first alternates from pair to pair, this checkout first in
+the first pair.  It then prints, for each end-to-end metric that this
+checkout's ``BENCHMARK.json`` names, each side's median and quartiles and
+the number of pairs this checkout won (ties count for neither side), and
+the failed and attempted operations of both sides.  A pair whose runs do
+not both check out ``correct`` stops the comparison.
 """
 
 import argparse
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -36,22 +49,61 @@ SECONDS = 20
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
-def _env():
+def _env(root):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     return env
 
 
-def _run(args):
-    return subprocess.run(args, cwd=ROOT, env=_env(), capture_output=True, text=True)
+def _run(args, root=ROOT):
+    return subprocess.run(args, cwd=root, env=_env(root), capture_output=True, text=True)
 
 
-def workload(name):
-    proc = _run([sys.executable, "dblbench/run.py", "--workload", name, "--seed", str(SEED), "--seconds", str(SECONDS)])
+def workload(name, seed=SEED, root=ROOT):
+    proc = _run([sys.executable, "dblbench/run.py", "--workload", name, "--seed", str(seed), "--seconds", str(SECONDS)], root)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{name}: exit {proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"{name} in {root}: exit {proc.returncode}\n{proc.stderr}")
     return json.loads(lines[-1])
+
+
+def _quartiles(values):
+    """(first quartile, median, third quartile) of ``values``."""
+    if len(values) == 1:
+        return values * 3
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def compare(other, name, pairs, seed):
+    """Alternating pairs of runs of workload ``name`` here and in ``other``;
+    prints each end-to-end metric's quartiles on both sides and the pairs
+    this checkout won."""
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = {ROOT: [], other: []}
+    for i in range(pairs):
+        order = (ROOT, other) if i % 2 == 0 else (other, ROOT)
+        for root in order:
+            runs[root].append(workload(name, seed, root))
+        if not all(runs[root][-1]["correct"] for root in order):
+            raise SystemExit(f"pair {i + 1}: a run is not correct")
+        print(f"pair {i + 1}/{pairs} done, {order[0].name} first", file=sys.stderr)
+    print(f"{name}, seed {seed}, {pairs} pairs: this = {ROOT}, other = {other}")
+    print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} won")
+    for metric in metrics:
+        key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        here = [r["metrics"][key]["value"] for r in runs[ROOT]]
+        there = [r["metrics"][key]["value"] for r in runs[other]]
+        won = sum(sign * (b - a) > 0 for a, b in zip(here, there))
+        cells = []
+        for values in (here, there):
+            q1, median, q3 = _quartiles(values)
+            cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
+        print(f"{key:16} {metric['unit']:12} {cells[0]:32} {cells[1]:32} {won}/{pairs}")
+    for root, label in ((ROOT, "this"), (other, "other")):
+        failed = sum(r["failed"] for r in runs[root])
+        attempted = sum(r["attempted"] for r in runs[root])
+        print(f"{label}: {failed} of {attempted} operations failed")
 
 
 def tier1():
@@ -77,13 +129,25 @@ def commit():
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--label", required=True)
-    label = p.parse_args(argv).label
+    p.add_argument("--label")
+    p.add_argument("--against", type=Path, help="the root of the checkout to compare with")
+    p.add_argument("--workload", choices=WORKLOADS)
+    p.add_argument("--pairs", type=int)
+    p.add_argument("--seed", type=int, default=SEED)
+    args = p.parse_args(argv)
+    if args.against is not None:
+        if args.label is not None or args.workload is None or args.pairs is None or args.pairs < 1:
+            p.error("--against takes --workload and a positive --pairs, and no --label")
+        compare(args.against.resolve(), args.workload, args.pairs, args.seed)
+        return 0
+    if args.label is None:
+        p.error("give --label, or --against with --workload and --pairs")
+    label = args.label
     record = {
         "label": label,
-        "seed": SEED,
+        "seed": args.seed,
         "seconds": SECONDS,
-        "workloads": {name: workload(name) for name in WORKLOADS},
+        "workloads": {name: workload(name, args.seed) for name in WORKLOADS},
         "tier1": tier1(),
         "acceptance": acceptance(),
         "cpu_count": os.cpu_count(),
