@@ -244,62 +244,45 @@ def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
     )
 
 
-# The three constructions below (``pseudo_from_strict``, ``compose_pseudo``
-# and ``internal.pair_pseudo_into_pullback``) each wrap one list core.  A
-# core takes and returns a pseudofunctor's fields with its eight structure
-# families as lists aligned with their keys (``_FAMILIES`` order), so a
-# chain of cores, as the internalization's nested composites run, builds
-# dicts only for the functor it returns.  A wrapper reads each family at
-# its keys (``_as_lists``; a missing key raises ``KeyError``), runs the core
-# and zips the lists with the keys (``_as_pseudo``).
-
+# The structure families in field order.  ``pseudo_from_strict``,
+# ``compose_pseudo`` and ``internal.pair_pseudo_into_pullback`` each wrap a
+# list core that takes and returns them as lists aligned with their keys, so
+# a chain of cores builds dicts only for the functor it returns.
 _FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
 
 
 def _family_keys(dom: DoubleCategory):
-    """The keys of the structure families of a pseudofunctor off ``dom``,
-    in ``_FAMILIES`` order and in the domain's table order: its composable
-    pairs of hcells, its objects, its composable pairs of vcells."""
+    """The keys of the families of a pseudofunctor off ``dom``, in
+    ``_FAMILIES`` order and in the domain's table order."""
     objects = range(dom.n_objects)
     return dom.hcomp1, dom.hcomp1, objects, objects, dom.vcomp1, dom.vcomp1, objects, objects
 
 
 def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
     """``f``'s fields, each structure family read at its ``keys``."""
-    families = {name: [getattr(f, name)[k] for k in ks] for name, ks in zip(_FAMILIES, keys)}
-    return SimpleNamespace(**{**vars(f), **families})
+    return SimpleNamespace(**{**vars(f), **{n: [getattr(f, n)[k] for k in ks] for n, ks in zip(_FAMILIES, keys)}})
 
 
 def _as_pseudo(f: SimpleNamespace, keys) -> DoublePseudoFunctor:
-    """The pseudofunctor of list-level ``f``, each structure family zipped
-    with its ``keys`` into a dict of its own."""
-    families = {name: dict(zip(ks, getattr(f, name))) for name, ks in zip(_FAMILIES, keys)}
-    return DoublePseudoFunctor(**{**vars(f), **families})
+    """List-level ``f`` with each family zipped with its ``keys`` into a dict of its own."""
+    return DoublePseudoFunctor(**{**vars(f), **{n: dict(zip(ks, getattr(f, n))) for n, ks in zip(_FAMILIES, keys)}})
 
 
 def _strict_lists(f: StrictDoubleFunctor) -> SimpleNamespace:
-    """The list core of :func:`pseudo_from_strict`: every structure cell is
-    the identity square on the image of the composite or identity at its
-    key, in the order of ``_family_keys(f.dom)``; each family is its own
-    inverse, the same list."""
-    dom, cod, h, v = f.dom, f.cod, f.h_map, f.v_map
-    sq_vid, sq_hid = cod.sq_vid, cod.sq_hid
-    comp_h = [sq_vid[h[z]] for z in dom.hcomp1.values()]
-    comp_v = [sq_hid[v[z]] for z in dom.vcomp1.values()]
-    unit_h = [sq_vid[h[z]] for z in dom.hid]
-    unit_v = [sq_hid[v[z]] for z in dom.vid]
-    return SimpleNamespace(
-        dom=dom, cod=cod, ob_map=f.ob_map, h_map=h, v_map=v, sq_map=f.sq_map,
-        comp_h=comp_h, comp_h_inv=comp_h, unit_h=unit_h, unit_h_inv=unit_h,
-        comp_v=comp_v, comp_v_inv=comp_v, unit_v=unit_v, unit_v_inv=unit_v, name=f.name,
-    )
+    """The list core of :func:`pseudo_from_strict`: the identity squares on
+    the images of the domain's composites and identities, in table order;
+    each family is its own inverse, the same list."""
+    dom, sq_vid, sq_hid, h, v = f.dom, f.cod.sq_vid, f.cod.sq_hid, f.h_map, f.v_map
+    comp_h, unit_h = [sq_vid[h[z]] for z in dom.hcomp1.values()], [sq_vid[h[z]] for z in dom.hid]
+    comp_v, unit_v = [sq_hid[v[z]] for z in dom.vcomp1.values()], [sq_hid[v[z]] for z in dom.vid]
+    families = (comp_h, comp_h, unit_h, unit_h, comp_v, comp_v, unit_v, unit_v)
+    return SimpleNamespace(**vars(f), **dict(zip(_FAMILIES, families)))
 
 
 def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
-    """``f`` as a pseudofunctor whose structure cells are identity squares,
-    each family keyed in the domain's table order (``hcomp1``, ``vcomp1``,
-    the objects); a family and its inverse hold the same cells in dicts of
-    their own.  Wraps the list core ``_strict_lists``."""
+    """``f`` with identity squares as structure cells, each family keyed in
+    the domain's table order and a dict of its own, its inverse holding the
+    same cells; wraps the list core ``_strict_lists``."""
     return _as_pseudo(_strict_lists(f), _family_keys(f.dom))
 
 
@@ -466,8 +449,7 @@ def conj_h(g: DoublePseudoFunctor, s: int) -> int:
 
 def _compose_lists(g: DoublePseudoFunctor, f: SimpleNamespace) -> SimpleNamespace:
     """The list core of :func:`compose_pseudo`: g after list-level ``f``,
-    whose families are aligned with ``_family_keys(f.dom)``, the result's
-    aligned the same way.
+    its families aligned with ``_family_keys(f.dom)`` as are the result's.
 
     Each composition family and its inverse are built in one pass over the
     domain's table (``hcomp1``, resp. ``vcomp1``).  The structure cells of
@@ -514,33 +496,26 @@ def _compose_lists(g: DoublePseudoFunctor, f: SimpleNamespace) -> SimpleNamespac
     comp_v, comp_v_inv = family(f.dom.vcomp1, f.comp_v, f.comp_v_inv, f.v_map, lambda s, t, u, v: (
         cod.hpaste(g.comp_v[(u, v)], ch(s)), cod.hpaste(ch(t), g.comp_v_inv[(u, v)])))
     obs = f.ob_map
-    return SimpleNamespace(
-        dom=f.dom,
-        cod=cod,
-        ob_map=[g.ob(x) for x in obs],
-        h_map=[g.h(x) for x in f.h_map],
-        v_map=[g.v(x) for x in f.v_map],
-        sq_map=[g.sq(x) for x in f.sq_map],
-        comp_h=comp_h,
-        comp_h_inv=comp_h_inv,
-        unit_h=[cod.vpaste(cv(s), g.unit_h[b]) for s, b in zip(f.unit_h, obs)],
-        unit_h_inv=[cod.vpaste(g.unit_h_inv[b], cv(s)) for s, b in zip(f.unit_h_inv, obs)],
-        comp_v=comp_v,
-        comp_v_inv=comp_v_inv,
-        unit_v=[cod.hpaste(g.unit_v[b], ch(s)) for s, b in zip(f.unit_v, obs)],
-        unit_v_inv=[cod.hpaste(ch(s), g.unit_v_inv[b]) for s, b in zip(f.unit_v_inv, obs)],
-        name=f"{g.name}.{f.name}" if g.name or f.name else "",
+    families = (
+        comp_h, comp_h_inv,
+        [cod.vpaste(cv(s), g.unit_h[b]) for s, b in zip(f.unit_h, obs)],
+        [cod.vpaste(g.unit_h_inv[b], cv(s)) for s, b in zip(f.unit_h_inv, obs)],
+        comp_v, comp_v_inv,
+        [cod.hpaste(g.unit_v[b], ch(s)) for s, b in zip(f.unit_v, obs)],
+        [cod.hpaste(ch(s), g.unit_v_inv[b]) for s, b in zip(f.unit_v_inv, obs)],
     )
+    maps = {name: [getattr(g, name)[x] for x in getattr(f, name)] for name in ("ob_map", "h_map", "v_map", "sq_map")}
+    name = f"{g.name}.{f.name}" if g.name or f.name else ""
+    return SimpleNamespace(dom=f.dom, cod=cod, **maps, **dict(zip(_FAMILIES, families)), name=name)
 
 
 def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseudoFunctor:
     """Composite double pseudofunctor; structure cells are the standard
-    pastings of g's cells with the g-images of f's cells.
-
-    Every family is keyed in the order of ``f.dom``'s table (``hcomp1``,
-    ``vcomp1``, the objects), whatever order f's families list their keys
-    in; a family of f that misses a key raises ``KeyError``.  Wraps the list
-    core ``_compose_lists``, which holds the pastings."""
+    pastings of g's cells with the g-images of f's cells.  Every family is
+    keyed in the order of ``f.dom``'s tables (``hcomp1``, ``vcomp1``, the
+    objects), whatever order f's families list their keys in; one of f's
+    that misses a key raises ``KeyError``.  Wraps the list core
+    ``_compose_lists``, which holds the pastings."""
     keys = _family_keys(f.dom)
     return _as_pseudo(_compose_lists(g, _as_lists(f, keys)), keys)
 

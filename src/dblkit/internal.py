@@ -121,73 +121,48 @@ def _memoized(data: InternalCategoryData, key, reads, build):
 
 
 def _pair_lists(f, g, pb, left: SimpleNamespace, right: SimpleNamespace, keys, name="") -> SimpleNamespace:
-    """The list core of :func:`pair_pseudo_into_pullback`: the cell and
-    structure-cell pairs of list-level ``left`` and ``right``, whose families
-    are aligned with ``keys`` (``functors._FAMILIES`` order), each replaced
-    by its index in the pullback; the result's families are aligned with
-    ``keys`` too.  A pair that misses the pullback raises ``StructureError``
-    naming its name, family and the domain cells at its key."""
-    pairs = pullback_pairs(f, g)
-    index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pairs.items()}
-
-    def paired(look, what, cells, keys, head, kind):
-        # the index of each pair of ``cells``, the left and the right list
+    """The list core of :func:`pair_pseudo_into_pullback`: each cell and
+    structure cell of ``left`` paired with ``right``'s, as the index of the
+    pair in the pullback, the families aligned with ``keys`` on both sides
+    and in the result.  A pair that misses the pullback raises
+    ``StructureError`` naming the domain cells at its key."""
+    index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pullback_pairs(f, g).items()}
+    slots = [(field, index[kind], what, range(len(getattr(left, field))), (), kind) for field, kind, what in (
+        ("ob_map", OBJECT, "object"), ("h_map", HCELL, "hcell"), ("v_map", VCELL, "vcell"), ("sq_map", SQUARE, "square"))]
+    slots += [(family, index[SQUARE], "structure cell", ks, (family,), kind)
+              for family, ks, kind in zip(_FAMILIES, keys, (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT))]
+    out = {}
+    for field, look, what, ks, head, kind in slots:
+        cells = getattr(left, field), getattr(right, field)
         try:
-            return list(map(look.__getitem__, zip(*cells)))
+            out[field] = list(map(look.__getitem__, zip(*cells)))
         except KeyError:
-            key, pair = next((k, c) for k, c in zip(keys, zip(*cells)) if c not in look)
+            key, pair = next((k, pair) for k, pair in zip(ks, zip(*cells)) if pair not in look)
             at = [(kind, c) for c in (key if isinstance(key, tuple) else (key,))]
             raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *head, *at)) from None
-
-    maps = {
-        field: paired(index[kind], what, (getattr(left, field), getattr(right, field)),
-                      range(len(getattr(left, field))), (), kind)
-        for field, kind, what in (("ob_map", OBJECT, "object"), ("h_map", HCELL, "hcell"),
-                                  ("v_map", VCELL, "vcell"), ("sq_map", SQUARE, "square"))
-    }
-    families = {
-        family: paired(index[SQUARE], "structure cell", (getattr(left, family), getattr(right, family)),
-                       ks, (family,), kind)
-        for family, kind, ks in zip(_FAMILIES, (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT), keys)
-    }
-    return SimpleNamespace(dom=left.dom, cod=pb, **maps, **families, name=name)
+    return SimpleNamespace(dom=left.dom, cod=pb, **out, name=name)
 
 
 def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
     """Pseudofunctor X -> pullback(f, g) induced by a matching pair of
-    pseudofunctors; structure cells pair componentwise.
-
-    Each family is keyed in the left arm's own key order, and the right
-    arm's family is read at those keys (one that misses a key raises
-    ``KeyError``).  Wraps the list core ``_pair_lists``."""
+    pseudofunctors; structure cells pair componentwise.  Each family is
+    keyed in the left arm's own key order, the right arm's read at those
+    keys (one that misses a key raises ``KeyError``); wraps the list core
+    ``_pair_lists``."""
     keys = [list(getattr(left, family)) for family in _FAMILIES]
     return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
 
 
-def _left_bracketed_lists(data: InternalCategoryData):
+def _left_bracketed(data: InternalCategoryData):
     """The left-bracketed triple pullback ((x, y), z), its two projections
-    and the inner composite m x 1 into the binary pullback, list-level
-    (``functors._compose_lists``), its families aligned with
-    ``_family_keys`` of the triple pullback."""
+    and the inner composite m x 1 into the binary pullback, list-level, its
+    families aligned with ``_family_keys`` of the triple pullback."""
     t_after_p2 = compose_strict(data.t, data.p2)
     p3l = pullback(t_after_p2, data.s)
     p3l_1, p3l_2 = pullback_projections(t_after_p2, data.s, p3l)
-    m_x_id = _pair_lists(
-        data.t,
-        data.s,
-        data.p,
-        _compose_lists(data.m, _strict_lists(p3l_1)),
-        _strict_lists(p3l_2),
-        _family_keys(p3l),
-        name="m-x-id",
-    )
+    m_x_id = _pair_lists(data.t, data.s, data.p, _compose_lists(data.m, _strict_lists(p3l_1)), _strict_lists(p3l_2),
+                         _family_keys(p3l), name="m-x-id")
     return p3l, p3l_1, p3l_2, m_x_id
-
-
-def _left_bracketed(data: InternalCategoryData):
-    """:func:`_left_bracketed_lists` with m x 1 as a pseudofunctor."""
-    p3l, p3l_1, p3l_2, m_x_id = _left_bracketed_lists(data)
-    return p3l, p3l_1, p3l_2, _as_pseudo(m_x_id, _family_keys(p3l))
 
 
 def triple_pullbacks(data: InternalCategoryData):
@@ -195,6 +170,7 @@ def triple_pullbacks(data: InternalCategoryData):
     with the inner-composition functors into the binary pullback and the
     rebracketing isomorphism between them."""
     p3l, _, _, m_x_id = _left_bracketed(data)
+    m_x_id = _as_pseudo(m_x_id, _family_keys(p3l))
     t_after_p2 = compose_strict(data.t, data.p2)
     s_after_p1 = compose_strict(data.s, data.p1)
     p3r = pullback(data.t, s_after_p1)  # (x, (y, z))
@@ -261,15 +237,11 @@ def nested_composition_functors(data: InternalCategoryData):
 
     def build():
         # the cores chained: dicts are built for the two composites alone
-        p3l, p3l_1, p3l_2, m_x_id = _left_bracketed_lists(data)
+        p3l, p3l_1, p3l_2, m_x_id = _left_bracketed(data)
         keys = _family_keys(p3l)
         id_x_m = _pair_lists(
-            data.t,
-            data.s,
-            data.p,
-            _strict_lists(compose_strict(data.p1, p3l_1)),
-            _compose_lists(data.m, _strict_lists(_last_two(data, p3l, p3l_1, p3l_2))),
-            keys,
+            data.t, data.s, data.p, _strict_lists(compose_strict(data.p1, p3l_1)),
+            _compose_lists(data.m, _strict_lists(_last_two(data, p3l, p3l_1, p3l_2))), keys,
             name="id-x-m.rebracket",  # the name the rebracketing construction gave it
         )
         return _as_pseudo(_compose_lists(data.m, m_x_id), keys), _as_pseudo(_compose_lists(data.m, id_x_m), keys), p3l

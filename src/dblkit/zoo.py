@@ -632,7 +632,9 @@ def sign_cocycle_pseudofunctor():
     """Identity cell maps on the embedded sign 2-category with every
     horizontal composition and unit comparison cell the minus square: the
     constant nontrivial 2-cocycle, hence coherent but not normalized."""
-    from .functors import DoublePseudoFunctor
+    from dataclasses import replace
+
+    from .functors import identity_functor, pseudo_from_strict
     from .kernel import embed_two_category
 
     d = embed_two_category(sign_two_category())
@@ -643,22 +645,5 @@ def sign_cocycle_pseudofunctor():
 
     comp_h = {(f, g): minus_on(d.hcomp(f, g)) for (f, g) in d.hcomp1}
     unit_h = {0: minus_on(d.hid[0])}
-    comp_v = {(u, v): d.sq_hid[d.vcomp(u, v)] for (u, v) in d.vcomp1}
-    unit_v = {0: d.sq_hid[d.vid[0]]}
-    return DoublePseudoFunctor(
-        d,
-        d,
-        range(d.n_objects),
-        range(len(d.hcells)),
-        range(len(d.vcells)),
-        range(len(d.squares)),
-        comp_h,
-        dict(comp_h),
-        unit_h,
-        dict(unit_h),
-        comp_v,
-        dict(comp_v),
-        unit_v,
-        dict(unit_v),
-        name="sign-cocycle",
-    )
+    strict = pseudo_from_strict(identity_functor(d))
+    return replace(strict, comp_h=comp_h, comp_h_inv=dict(comp_h), unit_h=unit_h, unit_h_inv=dict(unit_h), name="sign-cocycle")

@@ -290,7 +290,7 @@ def test_reordered_composition_families_compose_in_the_domain_tables_order(make,
     # the min bundle's cells differ between a key and its mirror in the
     # reversed order, so a cell read at the wrong key shows there
     data = monoid_to_internal(make())
-    m_x_id = internal._left_bracketed(data)[3]
+    m_x_id = internal.triple_pullbacks(data)[2]
     for g in (data.m, identity_pseudo(m_x_id.cod)):
         want = _families(compose_pseudo(g, m_x_id))
         assert [key for key, _ in want["comp_h"]] == list(m_x_id.dom.hcomp1)
