@@ -25,8 +25,9 @@ With ``--against``, the script runs ``dblbench/run.py`` on workload ``W``
 this checkout and ``N`` times in the checkout at ``DIR``, one pair at a
 time, each run in a fresh process importing its own checkout's ``src/``.
 Which side runs first alternates from pair to pair, this checkout first in
-the first pair.  It then prints, for each end-to-end metric that this
-checkout's ``BENCHMARK.json`` names, each side's median and quartiles and
+the first pair; each pair's metrics go to standard error as it ends.  It
+then prints, for each end-to-end metric that this checkout's
+``BENCHMARK.json`` names, each side's median and quartiles and
 the number of pairs this checkout won (ties count for neither side), and
 the failed and attempted operations of both sides.  A pair whose runs do
 not both check out ``correct`` stops the comparison.
@@ -87,7 +88,9 @@ def compare(other, name, pairs, seed):
             runs[root].append(workload(name, seed, root))
         if not all(runs[root][-1]["correct"] for root in order):
             raise SystemExit(f"pair {i + 1}: a run is not correct")
-        print(f"pair {i + 1}/{pairs} done, {order[0].name} first", file=sys.stderr)
+        here, there = runs[ROOT][-1]["metrics"], runs[other][-1]["metrics"]
+        values = ", ".join(f"{m['name']} {here[m['name']]['value']:.4g} | {there[m['name']]['value']:.4g}" for m in metrics)
+        print(f"pair {i + 1}/{pairs} ({'this' if order[0] == ROOT else 'other'} first), this | other: {values}", file=sys.stderr)
     print(f"{name}, seed {seed}, {pairs} pairs: this = {ROOT}, other = {other}")
     print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} won")
     for metric in metrics:
