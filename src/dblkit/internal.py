@@ -325,9 +325,9 @@ def check_internal(
     pasted, by the delegated pseudofunctor checks when ``deep``; where one
     fails, the comparisons that would paste them compare only their
     endpoints and nothing later is evaluated.  Each comparison is charged
-    once, for the entries up to and including its first
-    difference (every entry when it agrees), so under a budget cut only
-    the entries that fit are compared."""
+    once, for the entries up to and including its first difference (every
+    entry when it agrees), so under a budget cut only the entries that fit
+    are compared."""
     col = Collector("internal-category", budget)
     legs = (data.s,) if data.t is data.s else (data.s, data.t)
     if not all(check_strict_functor(leg).passed for leg in legs):
