@@ -175,14 +175,10 @@ def triple_pullbacks(data: InternalCategoryData):
     s_after_p1 = compose_strict(data.s, data.p1)
     p3r = pullback(data.t, s_after_p1)  # (x, (y, z))
     p3r_1, p3r_2 = pullback_projections(data.t, s_after_p1, p3r)
-    id_x_m = pair_pseudo_into_pullback(
-        data.t,
-        data.s,
-        data.p,
-        pseudo_from_strict(p3r_1),
-        compose_pseudo(data.m, pseudo_from_strict(p3r_2)),
-        name="id-x-m",
-    )
+    keys = _family_keys(p3r)
+    id_x_m = _pair_lists(data.t, data.s, data.p, _strict_lists(p3r_1), _compose_lists(data.m, _strict_lists(p3r_2)),
+                         keys, name="id-x-m")
+    id_x_m = _as_pseudo(id_x_m, keys)
     reindex = reindex_triples(data, p3l, t_after_p2, p3r, s_after_p1)
     return p3l, p3r, m_x_id, id_x_m, reindex
 
