@@ -36,13 +36,12 @@ from .kernel import (
     _bang,
     _columns,
     _entries,
-    _fiber_product_sections,
-    _first_difference,
     _invertibility,
     _laws,
     _paths,
     _whole,
     _vertical,
+    product,
     pullback_pairs,
     same_category,
     terminal_double_category,
@@ -835,12 +834,8 @@ def uncurry(c: CurriedFunctor, dom1: DoubleCategory, dom2: DoubleCategory, cod: 
 
 def cubical_from_product_functor(d1: DoubleCategory, d2: DoubleCategory, f: StrictDoubleFunctor) -> CubicalDoubleFunctor:
     """Cubical functor induced by a strict functor off the product, with all
-    four mixed families the evident identity squares.  ``f.dom`` is compared
-    with the fiber product of the two functors to the terminal double
-    category, read off their pairs; no second product is built."""
-    term = terminal_double_category()
-    bang1, bang2 = _bang(d1, term), _bang(d2, term)
-    if _first_difference(_fiber_product_sections(f.dom, bang1, bang2, pullback_pairs(bang1, bang2)))[1] is not None:
+    four mixed families the evident identity squares."""
+    if not same_category(f.dom, product(d1, d2)):
         counts = "{} objects, {} hcells, {} vcells and {} squares".format
         raise StructureError(
             f"functor domain is not the product of the two factors: it has {counts(*_counts(f.dom))}, "
