@@ -141,6 +141,8 @@ def main(argv=None) -> int:
     if args.against is not None:
         if args.label is not None or args.workload is None or args.pairs is None or args.pairs < 1:
             p.error("--against takes --workload and a positive --pairs, and no --label")
+        if args.against.resolve() == ROOT:
+            p.error("--against names this checkout")
         compare(args.against.resolve(), args.workload, args.pairs, args.seed)
         return 0
     if args.label is None:
