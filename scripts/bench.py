@@ -8,7 +8,7 @@ With ``--label``, the script writes ``BENCH_<label>.json`` at the root of
 the checkout it sits in.  The record holds, measured on this checkout:
 
 - the last output line (the JSON result) of ``dblbench/run.py`` for each
-  workload, at seed ``S`` (1 by default) and 20 seconds per run, untraced;
+  workload, at seed 1 and 20 seconds per run, untraced;
 - the wall time and the summary line of the Tier-1 suite;
 - the records of the acceptance battery's ``run_all()``: each
   criterion's name, verdict, detail, elapsed seconds, time bound and
@@ -136,23 +136,25 @@ def main(argv=None) -> int:
     p.add_argument("--against", type=Path, help="the root of the checkout to compare with")
     p.add_argument("--workload", choices=WORKLOADS)
     p.add_argument("--pairs", type=int)
-    p.add_argument("--seed", type=int, default=SEED)
+    p.add_argument("--seed", type=int, help="the seed of the --against runs (1 by default)")
     args = p.parse_args(argv)
     if args.against is not None:
         if args.label is not None or args.workload is None or args.pairs is None or args.pairs < 1:
             p.error("--against takes --workload and a positive --pairs, and no --label")
         if args.against.resolve() == ROOT:
             p.error("--against names this checkout")
-        compare(args.against.resolve(), args.workload, args.pairs, args.seed)
+        compare(args.against.resolve(), args.workload, args.pairs, SEED if args.seed is None else args.seed)
         return 0
     if args.label is None:
         p.error("give --label, or --against with --workload and --pairs")
+    if args.seed is not None:
+        p.error("--seed goes only with --against; a record is made at seed 1")
     label = args.label
     record = {
         "label": label,
-        "seed": args.seed,
+        "seed": SEED,
         "seconds": SECONDS,
-        "workloads": {name: workload(name, args.seed) for name in WORKLOADS},
+        "workloads": {name: workload(name) for name in WORKLOADS},
         "tier1": tier1(),
         "acceptance": acceptance(),
         "cpu_count": os.cpu_count(),
