@@ -243,27 +243,38 @@ def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
     )
 
 
-# The structure families in field order.  ``pseudo_from_strict``,
-# ``compose_pseudo`` and ``internal.pair_pseudo_into_pullback`` each wrap a
-# list core that takes and returns them as lists aligned with their keys, so
-# a chain of cores builds dicts only for the functor it returns.
+# The structure families in field order, and the kind of cell each is keyed
+# on.  ``pseudo_from_strict``, ``compose_pseudo`` and
+# ``pair_pseudo_into_pullback`` each wrap a list core that takes and returns
+# them as lists aligned with their keys, so a chain of cores builds dicts
+# only for the functor it returns.
 _FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+_KINDS = (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT)
 
 
 def _family_keys(dom: DoubleCategory):
     """The keys of the families of a pseudofunctor off ``dom``, in
     ``_FAMILIES`` order and in the domain's table order."""
-    objects = range(dom.n_objects)
-    return dom.hcomp1, dom.hcomp1, objects, objects, dom.vcomp1, dom.vcomp1, objects, objects
+    tables = {HCELL: dom.hcomp1, VCELL: dom.vcomp1, OBJECT: range(dom.n_objects)}
+    return [tables[kind] for kind in _KINDS]
 
 
 def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
-    """``f``'s fields, each structure family read at its ``keys``."""
-    return SimpleNamespace(**{**vars(f), **{n: [getattr(f, n)[k] for k in ks] for n, ks in zip(_FAMILIES, keys)}})
+    """``f``'s fields, each structure family read at its ``keys``: straight
+    off its values when it lists exactly those keys in that order, else key
+    by key (a missing key raises ``KeyError``)."""
+
+    def read(family, ks):
+        ks = list(ks)
+        return list(family.values()) if list(family) == ks else [family[k] for k in ks]
+
+    return SimpleNamespace(**{**vars(f), **{n: read(getattr(f, n), ks) for n, ks in zip(_FAMILIES, keys)}})
 
 
-def _as_pseudo(f: SimpleNamespace, keys) -> DoublePseudoFunctor:
-    """List-level ``f`` with each family zipped with its ``keys`` into a dict of its own."""
+def _as_pseudo(f: SimpleNamespace, keys=None) -> DoublePseudoFunctor:
+    """List-level ``f`` with each family zipped with its ``keys`` (by
+    default its domain's, ``_family_keys``) into a dict of its own."""
+    keys = _family_keys(f.dom) if keys is None else keys
     return DoublePseudoFunctor(**{**vars(f), **{n: dict(zip(ks, getattr(f, n))) for n, ks in zip(_FAMILIES, keys)}})
 
 
@@ -282,7 +293,7 @@ def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
     """``f`` with identity squares as structure cells, each family keyed in
     the domain's table order and a dict of its own, its inverse holding the
     same cells; wraps the list core ``_strict_lists``."""
-    return _as_pseudo(_strict_lists(f), _family_keys(f.dom))
+    return _as_pseudo(_strict_lists(f))
 
 
 def identity_pseudo(d: DoubleCategory) -> DoublePseudoFunctor:
@@ -515,8 +526,41 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
     objects), whatever order f's families list their keys in; one of f's
     that misses a key raises ``KeyError``.  Wraps the list core
     ``_compose_lists``, which holds the pastings."""
-    keys = _family_keys(f.dom)
-    return _as_pseudo(_compose_lists(g, _as_lists(f, keys)), keys)
+    return _as_pseudo(_compose_lists(g, _as_lists(f, _family_keys(f.dom))))
+
+
+def _pair_lists(f, g, pb, left: SimpleNamespace, right: SimpleNamespace, keys=None, name="") -> SimpleNamespace:
+    """The list core of :func:`pair_pseudo_into_pullback`: each cell and
+    structure cell of ``left`` paired with ``right``'s, as the index of the
+    pair in the pullback, the families aligned with ``keys`` (by default
+    ``_family_keys(left.dom)``) on both sides and in the result.  A pair that
+    misses the pullback raises ``StructureError`` naming the domain cells at
+    its key."""
+    keys = _family_keys(left.dom) if keys is None else keys
+    index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pullback_pairs(f, g).items()}
+    slots = [(field, index[kind], what, range(len(getattr(left, field))), (), kind) for field, kind, what in (
+        ("ob_map", OBJECT, "object"), ("h_map", HCELL, "hcell"), ("v_map", VCELL, "vcell"), ("sq_map", SQUARE, "square"))]
+    slots += [(family, index[SQUARE], "structure cell", ks, (family,), kind) for family, ks, kind in zip(_FAMILIES, keys, _KINDS)]
+    out = {}
+    for field, look, what, ks, head, kind in slots:
+        cells = getattr(left, field), getattr(right, field)
+        try:
+            out[field] = list(map(look.__getitem__, zip(*cells)))
+        except KeyError:
+            key, pair = next((k, pair) for k, pair in zip(ks, zip(*cells)) if pair not in look)
+            at = [(kind, c) for c in (key if isinstance(key, tuple) else (key,))]
+            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *head, *at)) from None
+    return SimpleNamespace(dom=left.dom, cod=pb, **out, name=name)
+
+
+def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
+    """Pseudofunctor X -> pullback(f, g) induced by a matching pair of
+    pseudofunctors; structure cells pair componentwise.  Each family is
+    keyed in the left arm's own key order, read straight off its values, the
+    right arm's read at those keys (one that misses a key raises
+    ``KeyError``); wraps the list core ``_pair_lists``."""
+    keys = [list(getattr(left, family)) for family in _FAMILIES]
+    return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
 
 
 def transpose_pseudo(f: DoublePseudoFunctor, dom_t: DoubleCategory, cod_t: DoubleCategory) -> DoublePseudoFunctor:

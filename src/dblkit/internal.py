@@ -52,11 +52,9 @@ from .functors import (
     _BOUNDARY_LAWS,
     DoublePseudoFunctor,
     StrictDoubleFunctor,
-    _FAMILIES,
-    _as_lists,
     _as_pseudo,
     _compose_lists,
-    _family_keys,
+    _pair_lists,
     _projections,
     _strict_lists,
     _structure_boundaries,
@@ -65,6 +63,7 @@ from .functors import (
     compose_pseudo,
     compose_strict,
     identity_pseudo,
+    pair_pseudo_into_pullback,
     pseudo_equal,
     pseudo_from_strict,
     pullback_projections,
@@ -120,48 +119,15 @@ def _memoized(data: InternalCategoryData, key, reads, build):
     return value
 
 
-def _pair_lists(f, g, pb, left: SimpleNamespace, right: SimpleNamespace, keys, name="") -> SimpleNamespace:
-    """The list core of :func:`pair_pseudo_into_pullback`: each cell and
-    structure cell of ``left`` paired with ``right``'s, as the index of the
-    pair in the pullback, the families aligned with ``keys`` on both sides
-    and in the result.  A pair that misses the pullback raises
-    ``StructureError`` naming the domain cells at its key."""
-    index = {kind: {p: i for i, p in enumerate(ps)} for kind, ps in pullback_pairs(f, g).items()}
-    slots = [(field, index[kind], what, range(len(getattr(left, field))), (), kind) for field, kind, what in (
-        ("ob_map", OBJECT, "object"), ("h_map", HCELL, "hcell"), ("v_map", VCELL, "vcell"), ("sq_map", SQUARE, "square"))]
-    slots += [(family, index[SQUARE], "structure cell", ks, (family,), kind)
-              for family, ks, kind in zip(_FAMILIES, keys, (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT))]
-    out = {}
-    for field, look, what, ks, head, kind in slots:
-        cells = getattr(left, field), getattr(right, field)
-        try:
-            out[field] = list(map(look.__getitem__, zip(*cells)))
-        except KeyError:
-            key, pair = next((k, pair) for k, pair in zip(ks, zip(*cells)) if pair not in look)
-            at = [(kind, c) for c in (key if isinstance(key, tuple) else (key,))]
-            raise StructureError(f"pseudo pairing misses the pullback at {what} {pair}", (name, *head, *at)) from None
-    return SimpleNamespace(dom=left.dom, cod=pb, **out, name=name)
-
-
-def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: DoublePseudoFunctor, name=""):
-    """Pseudofunctor X -> pullback(f, g) induced by a matching pair of
-    pseudofunctors; structure cells pair componentwise.  Each family is
-    keyed in the left arm's own key order, the right arm's read at those
-    keys (one that misses a key raises ``KeyError``); wraps the list core
-    ``_pair_lists``."""
-    keys = [list(getattr(left, family)) for family in _FAMILIES]
-    return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
-
-
 def _left_bracketed(data: InternalCategoryData):
     """The left-bracketed triple pullback ((x, y), z), its two projections
     and the inner composite m x 1 into the binary pullback, list-level, its
-    families aligned with ``_family_keys`` of the triple pullback."""
+    families aligned with the triple pullback's tables."""
     t_after_p2 = compose_strict(data.t, data.p2)
     p3l = pullback(t_after_p2, data.s)
     p3l_1, p3l_2 = pullback_projections(t_after_p2, data.s, p3l)
     m_x_id = _pair_lists(data.t, data.s, data.p, _compose_lists(data.m, _strict_lists(p3l_1)), _strict_lists(p3l_2),
-                         _family_keys(p3l), name="m-x-id")
+                         name="m-x-id")
     return p3l, p3l_1, p3l_2, m_x_id
 
 
@@ -170,15 +136,13 @@ def triple_pullbacks(data: InternalCategoryData):
     with the inner-composition functors into the binary pullback and the
     rebracketing isomorphism between them."""
     p3l, _, _, m_x_id = _left_bracketed(data)
-    m_x_id = _as_pseudo(m_x_id, _family_keys(p3l))
+    m_x_id = _as_pseudo(m_x_id)
     t_after_p2 = compose_strict(data.t, data.p2)
     s_after_p1 = compose_strict(data.s, data.p1)
     p3r = pullback(data.t, s_after_p1)  # (x, (y, z))
     p3r_1, p3r_2 = pullback_projections(data.t, s_after_p1, p3r)
-    keys = _family_keys(p3r)
-    id_x_m = _pair_lists(data.t, data.s, data.p, _strict_lists(p3r_1), _compose_lists(data.m, _strict_lists(p3r_2)),
-                         keys, name="id-x-m")
-    id_x_m = _as_pseudo(id_x_m, keys)
+    id_x_m = _as_pseudo(_pair_lists(data.t, data.s, data.p, _strict_lists(p3r_1),
+                                    _compose_lists(data.m, _strict_lists(p3r_2)), name="id-x-m"))
     reindex = reindex_triples(data, p3l, t_after_p2, p3r, s_after_p1)
     return p3l, p3r, m_x_id, id_x_m, reindex
 
@@ -234,13 +198,12 @@ def nested_composition_functors(data: InternalCategoryData):
     def build():
         # the cores chained: dicts are built for the two composites alone
         p3l, p3l_1, p3l_2, m_x_id = _left_bracketed(data)
-        keys = _family_keys(p3l)
         id_x_m = _pair_lists(
             data.t, data.s, data.p, _strict_lists(compose_strict(data.p1, p3l_1)),
-            _compose_lists(data.m, _strict_lists(_last_two(data, p3l, p3l_1, p3l_2))), keys,
+            _compose_lists(data.m, _strict_lists(_last_two(data, p3l, p3l_1, p3l_2))),
             name="id-x-m.rebracket",  # the name the rebracketing construction gave it
         )
-        return _as_pseudo(_compose_lists(data.m, m_x_id), keys), _as_pseudo(_compose_lists(data.m, id_x_m), keys), p3l
+        return _as_pseudo(_compose_lists(data.m, m_x_id)), _as_pseudo(_compose_lists(data.m, id_x_m)), p3l
 
     return _memoized(data, "nested", ("d1", "s", "t", "p", "p1", "p2", "m"), build)
 
