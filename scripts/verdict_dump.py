@@ -38,7 +38,9 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   bundles of the four zoo tensor-monoids and of the pseudomonoid bundle of
   acceptance criterion 8, shallow reports of criterion 8's compatibility
   mutations and of seeded single-entry mutants of the pullbacks of the
-  diagonal bundles of ``quintet(C2)`` and ``quintet(walking iso)``, and
+  diagonal bundles of ``quintet(C2)`` and ``quintet(walking iso)`` and of
+  the cyclic-2 monoid bundle (a product, its legs into the terminal
+  category), and
   digests of every bundle's nested and unit-sided composites (cell maps,
   structure cells and the triple pullback's tables), taken after the
   check; and, on the diagonal bundles of ``quintet(C2)`` and
@@ -712,6 +714,7 @@ INTERNAL_MONOIDS = (
 )
 PULLBACK_MUTANTS = 40
 ISO_PULLBACK_MUTANTS = 20
+MONOID_PULLBACK_MUTANTS = 20
 MAPS = ("ob_map", "h_map", "v_map", "sq_map")
 
 
@@ -779,6 +782,12 @@ def internal(out):
     iso = diagonal_internal(quintet(zoo.walking_iso()))
     for slot, bad_p in sample_mutants(iso.p, ISO_PULLBACK_MUTANTS, seed=7):
         out[f"internal iso pullback mutant {slot}"] = _report(lambda: check_internal(replace(iso, p=bad_p), registry=empty, deep=False))
+    # a product pullback, its legs into the terminal category
+    cyclic2 = bundles["cyclic2"][1]
+    for slot, bad_p in sample_mutants(cyclic2.p, MONOID_PULLBACK_MUTANTS, seed=8):
+        out[f"internal cyclic2 pullback mutant {slot}"] = _report(
+            lambda: check_internal(replace(cyclic2, p=bad_p), registry=empty, deep=False)
+        )
     _bundle_mutants(out, host, empty)
     _bundle_mutants(out, diag_s, empty)
     m = host.m
