@@ -20,6 +20,7 @@ violation rather than attempting equivalence search.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import islice
 from types import SimpleNamespace
@@ -31,13 +32,14 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    _PRESENTATION,
     _associativity,
     _bang,
+    _category_sections,
     _cell_map_sections,
     _columns,
     _compare_entries,
     _dense_rows,
-    _fiber_product_sections,
     _first_difference,
     _globular_interchange,
     _identity_functoriality,
@@ -78,12 +80,12 @@ from .weak import Bicategory, PseudoDoubleCategory, _pentagon_triangle
 class InternalCategoryData:
     """The data of a category internal to double categories.
 
-    The nested and unit-sided composites are built once per bundle and kept
-    with the fields they were built from; a later call rebuilds only when one
-    of those fields was reassigned.  So change a bundle by reassigning its
-    fields (or through ``dataclasses.replace``, which starts with no
-    composites), never by editing a functor's or a category's tables in
-    place.
+    The span's check and canonical pullback, and the nested and unit-sided
+    composites, are built once and kept with the fields they read, in a
+    memo that ``dataclasses.replace`` hands on to the copy; a copy or a later
+    call rebuilds only what reads a reassigned field.  The span is also
+    rebuilt when a leg changed by value, but the composites are not: change
+    a bundle by reassigning its fields, never by editing tables in place.
     """
 
     d0: DoubleCategory
@@ -104,19 +106,43 @@ class InternalCategoryData:
     rgt: DoubleModification | None = None
     unit_compat: DoubleModification | None = None
     extra_threecell_equations: tuple = ()  # pluggable additional checks
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def _memoized(data: InternalCategoryData, key, reads, build):
-    """``build()``, kept on ``data`` with the field objects it read and
-    reused while every one of them is still the field itself."""
+def _memoized(data: InternalCategoryData, key, reads, build, holds=lambda value: True):
+    """``build()``, kept on ``data`` (and every ``replace`` copy of it) with
+    the field objects it read, and reused while every one of them is still
+    the field itself and ``holds(value)``."""
     current = tuple(getattr(data, name) for name in reads)
     kept = data._memo.get(key)
-    if kept is not None and all(a is b for a, b in zip(kept[0], current)):
+    if kept is not None and all(a is b for a, b in zip(kept[0], current)) and holds(kept[1]):
         return kept[1]
     value = build()
     data._memo[key] = (current, value)
     return value
+
+
+def _leg_state(leg):
+    """A span leg by value: its four cell maps, then every field of the
+    presentations of its ``dom`` and ``cod`` (what :func:`same_category`
+    compares)."""
+    maps = [getattr(leg, name) for name in ("ob_map", "h_map", "v_map", "sq_map")]
+    return maps + [getattr(d, name) for d in (leg.dom, leg.cod) for name in _PRESENTATION]
+
+
+def _span(data: InternalCategoryData):
+    """``(pullback_pairs(t, s), pullback(t, s))``, or None where a leg is not
+    strict; kept while ``s`` and ``t`` are the same objects and equal by
+    value (:func:`_leg_state`) to copies taken when the entry was made."""
+    legs = (data.s,) if data.t is data.s else (data.s, data.t)
+
+    def build():
+        state = [[copy(x) for x in _leg_state(leg)] for leg in legs]
+        if not all(check_strict_functor(leg).passed for leg in legs):
+            return state, None
+        return state, (pullback_pairs(data.t, data.s), pullback(data.t, data.s))
+
+    return _memoized(data, "span", ("s", "t"), build, lambda kept: kept[0] == [_leg_state(leg) for leg in legs])[1]
 
 
 def _left_bracketed(data: InternalCategoryData):
@@ -276,9 +302,11 @@ def check_internal(
     ``(kind, id)``, or a table or structure-cell entry after the name of
     its table, with both values; two functors are compared on their
     domains and codomains first, a difference there named ``dom`` or
-    ``cod``.  The bundled pullback is compared with the fiber product of
-    the span read off ``pullback_pairs(t, s)``, never rebuilt, and the
-    projections are read off the same pairs.  The boundaries of ``u`` and
+    ``cod``.  The legs' strictness, ``pullback_pairs(t, s)`` and the
+    canonical ``pullback(t, s)`` are kept once per span, ``replace`` copies
+    included (:func:`_span`); the bundled pullback is compared with that
+    pullback's cells, then its four tables by key, then its identities, and
+    the projections are read off the pairs.  The boundaries of ``u`` and
     ``m``, those of their cell maps and then ``structure-boundary``
     (``functors._structure_boundaries``), are stated once before either is
     pasted, by the delegated pseudofunctor checks when ``deep``; where one
@@ -288,9 +316,10 @@ def check_internal(
     entry when it agrees), so under a budget cut only the entries that fit
     are compared."""
     col = Collector("internal-category", budget)
-    legs = (data.s,) if data.t is data.s else (data.s, data.t)
-    if not all(check_strict_functor(leg).passed for leg in legs):
+    span = _span(data)
+    if span is None:
         raise StructureError("span legs must be strict; pullback construction unsupported otherwise")
+    pairs, canonical = span
 
     if deep:
         from .kernel import check_double_category
@@ -305,9 +334,8 @@ def check_internal(
     # the pullback must be the canonical one; everything later is built on
     # top of it, so stop here when it is not (the constituents' violations,
     # absorbed above, say nothing about it)
-    pairs = pullback_pairs(data.t, data.s)
     found = len(col.report.violations)
-    _compare_entries(col, "pullback-canonical", _fiber_product_sections(data.p, data.t, data.s, pairs))
+    _compare_entries(col, "pullback-canonical", _category_sections(data.p, canonical))
     if len(col.report.violations) > found:
         col.assume("remaining compatibilities not evaluated over a non-canonical pullback")
         return col.done()

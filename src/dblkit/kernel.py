@@ -723,28 +723,19 @@ def _interchange(col, d, hrows, vrows):
 # constructions
 
 
+# the fields of a finite presentation, in the order they are compared
+_PRESENTATION = (
+    "n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid",
+)
+
+
 def same_category(a: DoubleCategory, b: DoubleCategory) -> bool:
     """Value equality of finite presentations (cells and all tables).
 
     Distinct construction calls produce distinct objects; operations that
     need matching categories accept either the same object or the same
     presentation."""
-    if a is b:
-        return True
-    return (
-        a.n_objects == b.n_objects
-        and a.hcells == b.hcells
-        and a.vcells == b.vcells
-        and a.squares == b.squares
-        and a.hcomp1 == b.hcomp1
-        and a.vcomp1 == b.vcomp1
-        and a.hcomp2 == b.hcomp2
-        and a.vcomp2 == b.vcomp2
-        and a.hid == b.hid
-        and a.vid == b.vid
-        and a.sq_vid == b.sq_vid
-        and a.sq_hid == b.sq_hid
-    )
+    return a is b or all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION)
 
 
 def terminal_double_category() -> DoubleCategory:
@@ -1114,31 +1105,16 @@ def _cell_map_sections(f, g, head=()):
             yield (*head, name), kind, getattr(f, name), getattr(g, name)
 
 
-def _fiber_product_sections(p, f, g, pairs):
-    """The sections comparing the category ``p`` with the fiber product of
-    the functors ``f`` and ``g``, ``pairs`` their :func:`pullback_pairs`,
-    whose cells are numbered as in :func:`pullback` (:func:`_fiber_cells`):
-    the objects; the boundaries of hcells, vcells and squares, as indices
-    of pairs; every entry of ``p``'s four tables against the index of the
-    pair of the factors' composites; and ``hid``, ``vid``, ``sq_vid``,
-    ``sq_hid``.  A boundary or composite that is no matching pair is None.
-
-    The table entries are read only after the cells agree, so the key
-    sets, the composable pairs of both, agree too and the canonical side is
-    read at ``p``'s keys."""
-    at = {kind: dict(zip(ps, range(len(ps)))) for kind, ps in pairs.items()}
-    d1, d2 = f.dom, g.dom
-    cells = _fiber_cells(pairs, d1, d2, lambda kind, what: at[kind].get)
-    yield (), OBJECT, range(p.n_objects), range(len(pairs[OBJECT]))
-    for kind, left in ((HCELL, p.hcells), (VCELL, p.vcells), (SQUARE, p.squares)):
-        yield (), kind, left, next(cells)
-    for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE)):
-        ps, look = pairs[kind], at[kind].get
-        t1, t2, table = getattr(d1, name), getattr(d2, name), getattr(p, name)
-        canonical = [look((t1[ps[i][0], ps[j][0]], t2[ps[i][1], ps[j][1]])) for i, j in table]
-        yield (name,), kind, table, dict(zip(table, canonical))
-    for name, kind in (("hid", OBJECT), ("vid", OBJECT), ("sq_vid", HCELL), ("sq_hid", VCELL)):
-        yield (name,), kind, getattr(p, name), next(cells)
+def _category_sections(a, b):
+    """The sections comparing two categories' presentations: the objects,
+    by count; the boundaries of the hcells, vcells and squares; the four
+    tables by key; then ``hid``, ``vid``, ``sq_vid`` and ``sq_hid``."""
+    yield (), OBJECT, range(a.n_objects), range(b.n_objects)
+    for name, kind in (("hcells", HCELL), ("vcells", VCELL), ("squares", SQUARE)):
+        yield (), kind, getattr(a, name), getattr(b, name)
+    for name, kind in (("hcomp1", HCELL), ("vcomp1", VCELL), ("hcomp2", SQUARE), ("vcomp2", SQUARE),
+                       ("hid", OBJECT), ("vid", OBJECT), ("sq_vid", HCELL), ("sq_hid", VCELL)):
+        yield (name,), kind, getattr(a, name), getattr(b, name)
 
 
 def transpose(d: DoubleCategory) -> DoubleCategory:

@@ -383,7 +383,7 @@ ZOO_MONOIDS = (
 def test_kept_composites_equal_a_fresh_build():
     for make in ZOO_MONOIDS:
         data = monoid_to_internal(make())
-        fresh = replace(data)  # same fields, nothing kept
+        fresh = replace(data, _memo={})  # same fields, nothing kept
         kept_nested, fresh_nested = nested_composition_functors(data), nested_composition_functors(fresh)
         assert kept_nested is not fresh_nested
         assert all(pseudo_equal(a, b) for a, b in zip(kept_nested[:2], fresh_nested[:2]))
@@ -409,12 +409,77 @@ def test_reassigned_field_forces_a_rebuild():
     assert unit_sided_functors(data) is not units
 
 
-def test_replaced_bundle_starts_with_nothing_kept():
+def test_replaced_bundle_reuses_the_entries_of_the_fields_it_shares():
     data = monoid_to_internal(zoo.min_monoid_in_dbl())
     assert data._memo
+    nested, units = nested_composition_functors(data), unit_sided_functors(data)
+    # a copy with every field shared reuses every entry
+    assert replace(data)._memo is data._memo
+    assert nested_composition_functors(replace(data)) is nested and unit_sided_functors(replace(data)) is units
+    # a new u rebuilds only what reads u
+    other_u = replace(data, u=replace(data.u))
+    assert nested_composition_functors(other_u) is nested and unit_sided_functors(other_u) is not units
+    # a new p rebuilds the nested composites, and the original then does too
     mutant = replace(data, p=pullback(data.t, data.s))
-    assert mutant._memo == {}
-    assert nested_composition_functors(mutant) is not nested_composition_functors(data)
+    assert mutant._memo is data._memo
+    rebuilt = nested_composition_functors(mutant)
+    assert rebuilt is not nested and pseudo_equal(rebuilt[0], nested[0])
+    assert nested_composition_functors(data) is not rebuilt
+    # the span entry reads only the legs, so both share it
+    check_internal(data, registry=EMPTY, deep=False)
+    span = data._memo["span"][1]
+    check_internal(mutant, registry=EMPTY, deep=False)
+    assert data._memo["span"][1] is span
+
+
+def test_shared_and_empty_memo_copies_report_alike():
+    """Every pullback mutant of the diagonal bundles of quintet(C2), also
+    over a span whose legs are equal but distinct objects, and of
+    quintet(walking iso), and every criterion-8 mutation, report the same
+    through a ``replace`` copy, which shares its host's memo, and through a
+    copy with an empty memo.  Shallow on every mutant; deep on every 12th
+    of the C2 ones and every 50th of the walking-iso ones, a deep check of
+    a mutant costing 1-2 ms."""
+    c2 = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    twin = replace(c2, t=replace(c2.s), _memo={})
+    iso = internal.diagonal_internal(quintet(zoo.walking_iso()))
+    assert twin.t is not twin.s and twin.t == twin.s
+    c2_mutants = [p for _, p in sample_mutants(c2.p, 10**6)]
+    cases = [(c2, c2_mutants, 12), (twin, c2_mutants, 12), (iso, [p for _, p in sample_mutants(iso.p, 10**6)], 50)]
+    good, mutations = internal_mutations()
+    cases += [(data, [data.p], 1) for data in (good, *mutations.values())]
+    statuses = Counter()
+    for host, ps, stride in cases:
+        check_internal(host, registry=EMPTY, deep=False)
+        for i, p in enumerate(ps):
+            for deep in (False, True) if i % stride == 0 else (False,):
+                shared, empty = replace(host, p=p), replace(host, p=p, _memo={})
+                assert shared._memo is host._memo and empty._memo is not host._memo
+                rep = check_internal(shared, registry=EMPTY, deep=deep).to_dict()
+                assert rep == check_internal(empty, registry=EMPTY, deep=deep).to_dict()
+                statuses[p is host.p, rep["status"]] += 1
+    # every pullback mutant fails; of criterion 8, only the unmutated bundle passes
+    assert statuses == Counter({(False, "fail"): 2 * (456 + 38) + 1968 + 40, (True, "fail"): 8, (True, "pass"): 2})
+
+
+def test_span_is_checked_again_when_a_leg_changes_by_value():
+    data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    assert check_internal(data, registry=EMPTY, deep=False).passed
+    good = data.s.sq_map
+    d = data.s.dom
+    off = next(x for x in range(len(d.squares)) if d.squares[x] != d.squares[good[0]])
+    # the same leg object, its square map reassigned: no longer strict
+    data.s.sq_map = (off, *good[1:])
+    with pytest.raises(StructureError, match="span legs must be strict"):
+        check_internal(data, registry=EMPTY, deep=False)
+    data.s.sq_map = good
+    assert check_internal(data, registry=EMPTY, deep=False).passed
+    # a table of the legs' category edited in place: the canonical pullback
+    # is rebuilt from it and no longer is the bundled one
+    key = min(d.hcomp2)
+    d.hcomp2[key] = (d.hcomp2[key] + 1) % len(d.squares)
+    [v] = check_internal(data, registry=EMPTY, deep=False).violations
+    assert v.axiom == "pullback-canonical" and v.witness[0] == "hcomp2"
 
 
 def test_triple_pullbacks_built_once_per_bundle(monkeypatch):
@@ -773,26 +838,33 @@ def _pullback_mutants(make, count, seed):
     return [(slot, replace(host, p=bad_p)) for slot, bad_p in sample_mutants(host.p, count, seed=seed)]
 
 
-def test_check_internal_builds_neither_pullback_nor_projections(monkeypatch):
-    bundles = [
+def test_check_internal_builds_one_pullback_per_span_and_no_projections(monkeypatch):
+    """The canonical pullback is built once per span, across a host and all
+    its ``replace`` copies, and the projections are never built."""
+    hosts = [
         monoid_to_internal(zoo.commutative_monoid_in_dbl()),
         internal.diagonal_internal(quintet(zoo.walking_iso())),
         internal.diagonal_internal(embed_two_category(zoo.sign_two_category())),
     ]
-    bundles += [data for _, data in _pullback_mutants(zoo.walking_iso, 3, seed=2)]
+    mutants = [data for _, data in _pullback_mutants(zoo.walking_iso, 3, seed=2)]
+    bundles = hosts + mutants
     calls = []
     for module in (internal, kernel, functors):
         for name in ("pullback", "pullback_projections"):
             if hasattr(module, name):
                 original = getattr(module, name)
-                monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append(_n) or _f(*args))
-    for data in bundles:
-        for deep in (True, False):
-            check_internal(data, registry=EMPTY, deep=deep)
-    assert calls == []
-    # the wrappers count: the triple pullback of a fresh bundle is built
-    check_internal(replace(bundles[0]), registry=EMPTY, deep=False)
-    assert "pullback" in calls and "pullback_projections" in calls
+                monkeypatch.setattr(module, name, lambda *args, _f=original, _n=name: calls.append((_n, *args)) or _f(*args))
+    for _ in range(2):
+        for data in bundles:
+            for deep in (True, False):
+                check_internal(data, registry=EMPTY, deep=deep)
+    spans = [(data.t, data.s) for data in hosts + mutants[:1]]
+    assert len(calls) == len(spans)
+    assert all(name == "pullback" and f is t and g is s for (name, f, g), (t, s) in zip(calls, spans))
+    # the wrappers count: the triple pullback of a bundle with nothing kept is built
+    calls.clear()
+    check_internal(replace(hosts[0], _memo={}), registry=EMPTY, deep=False)
+    assert [call[0] for call in calls].count("pullback") == 2 and "pullback_projections" in [call[0] for call in calls]
 
 
 def test_every_internal_violation_names_a_cell():
