@@ -27,7 +27,8 @@ time, each run in a fresh process importing its own checkout's ``src/``.
 Which side runs first alternates from pair to pair, this checkout first in
 the first pair; each pair's metrics go to standard error as it ends.  It
 then prints, for each end-to-end metric that this checkout's
-``BENCHMARK.json`` names, each side's median and quartiles and
+``BENCHMARK.json`` names, each side's median and quartiles, the change
+of this checkout's median from the other's in percent of the other's, and
 the number of pairs this checkout won (ties count for neither side), and
 the failed and attempted operations of both sides.  A pair whose runs do
 not both check out ``correct`` stops the comparison.
@@ -78,8 +79,8 @@ def _quartiles(values):
 
 def compare(other, name, pairs, seed):
     """Alternating pairs of runs of workload ``name`` here and in ``other``;
-    prints each end-to-end metric's quartiles on both sides and the pairs
-    this checkout won."""
+    prints each end-to-end metric's quartiles on both sides, the change of
+    the medians in percent and the pairs this checkout won."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {ROOT: [], other: []}
     for i in range(pairs):
@@ -92,17 +93,19 @@ def compare(other, name, pairs, seed):
         values = ", ".join(f"{m['name']} {here[m['name']]['value']:.4g} | {there[m['name']]['value']:.4g}" for m in metrics)
         print(f"pair {i + 1}/{pairs} ({'this' if order[0] == ROOT else 'other'} first), this | other: {values}", file=sys.stderr)
     print(f"{name}, seed {seed}, {pairs} pairs: this = {ROOT}, other = {other}")
-    print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} won")
+    print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} {'change':>8} won")
     for metric in metrics:
         key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
         here = [r["metrics"][key]["value"] for r in runs[ROOT]]
         there = [r["metrics"][key]["value"] for r in runs[other]]
         won = sum(sign * (b - a) > 0 for a, b in zip(here, there))
-        cells = []
+        cells, medians = [], []
         for values in (here, there):
             q1, median, q3 = _quartiles(values)
             cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
-        print(f"{key:16} {metric['unit']:12} {cells[0]:32} {cells[1]:32} {won}/{pairs}")
+            medians.append(median)
+        change = f"{(medians[0] - medians[1]) / medians[1]:+.1%}" if medians[1] else "n/a"
+        print(f"{key:16} {metric['unit']:12} {cells[0]:32} {cells[1]:32} {change:>8} {won}/{pairs}")
     for root, label in ((ROOT, "this"), (other, "other")):
         failed = sum(r["failed"] for r in runs[root])
         attempted = sum(r["attempted"] for r in runs[root])
