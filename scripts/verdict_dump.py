@@ -53,7 +53,9 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   diagonal bundle of ``quintet(C2)`` with the composition's first
   ``comp_h`` entry moved to square 1 (a wrong boundary), shallow and deep
   reports under the ``BUDGETS`` caps and every cap up to one past the
-  instance count, with ``budget.used``;
+  instance count, with ``budget.used``; and shallow reports of every
+  single-entry mutant of that bundle's leg ``s`` (one cell map entry, any
+  other cell of the codomain as the new value);
 - square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
   invertible 2-cell, every square word of at most 3 moves on every top
   word of at most 3 letters, with its ``rewrite`` normal form, the
@@ -794,14 +796,31 @@ def internal(out):
     moved = replace(host, m=replace(m, comp_h={**m.comp_h, min(m.comp_h): 1}))
     for flag, tag in ((False, "shallow"), (True, "deep")):
         _capped(out, f"internal cutoff {tag}", lambda budget, flag=flag: check_internal(moved, registry=empty, deep=flag, budget=budget))
+    for label, s in _leg_mutants(host.s):
+        out[f"internal leg mutant {label}"] = _report(lambda: check_internal(replace(host, s=s), registry=empty, deep=False))
+
+
+def _map_sizes(cod):
+    """The number of cells of ``cod`` each cell map takes its values in."""
+    return {"ob_map": cod.n_objects, "h_map": len(cod.hcells), "v_map": len(cod.vcells), "sq_map": len(cod.squares)}
+
+
+def _leg_mutants(f):
+    """Every mutant of ``f`` in one entry of one cell map, any other cell of
+    the codomain as the new value, as ``(label, mutant)``."""
+    for name, n in _map_sizes(f.cod).items():
+        values = getattr(f, name)
+        for i, old in enumerate(values):
+            for x in range(n):
+                if x != old:
+                    yield f"{name}[{i}]={x}", replace(f, **{name: _replace(values, i, x)})
 
 
 def _map_mutants(f, maps=MAPS):
     """Single-entry mutants of the cell maps of ``f``: in each map of
     ``maps``, its first and its middle entry moved to the next cell of the
     codomain, as ``(label, mutant)``."""
-    cod = f.cod
-    counts = {"ob_map": cod.n_objects, "h_map": len(cod.hcells), "v_map": len(cod.vcells), "sq_map": len(cod.squares)}
+    counts = _map_sizes(f.cod)
     for name in maps:
         values, n = getattr(f, name), counts[name]
         if n < 2:
