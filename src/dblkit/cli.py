@@ -4,12 +4,14 @@ tensor words, and explain axiom names.
 Exit codes: 0 all checks pass, 1 at least one violation, 2 inconclusive or
 budget exceeded, 3 usage/parse/structure error.  Defaults for --max-tuples
 and --word-cap can be overridden with the DBLKIT_MAX_TUPLES and
-DBLKIT_WORD_CAP environment variables.
+DBLKIT_WORD_CAP environment variables, read at each call of ``main`` (the
+argument parser is built once per process, at the first call).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -583,24 +585,21 @@ def _load(path) -> Document:
 
 
 def _int_env(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
     try:
-        return int(raw)
-    except ValueError:
+        return int(os.environ[name])
+    except (KeyError, ValueError):
         return default
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser; the environment defaults are not in it."""
     parser = argparse.ArgumentParser(prog="dblkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument(
-            "--max-tuples", type=int, default=_int_env("DBLKIT_MAX_TUPLES", 5_000_000)
-        )
-        p.add_argument("--word-cap", type=int, default=_int_env("DBLKIT_WORD_CAP", None))
+        p.add_argument("--max-tuples", type=int, default=None)
+        p.add_argument("--word-cap", type=int, default=None)
         p.add_argument("--format", choices=("summary", "tree"), default="summary")
 
     p = sub.add_parser("check", help="run the checker for a named declaration")
@@ -659,8 +658,15 @@ def main(argv=None) -> int:
     p.add_argument("name")
     common(p)
     p.set_defaults(func=cmd_explain)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
+    if args.max_tuples is None:
+        args.max_tuples = _int_env("DBLKIT_MAX_TUPLES", 5_000_000)
+    if args.word_cap is None:
+        args.word_cap = _int_env("DBLKIT_WORD_CAP", None)
     try:
         return args.func(args)
     except (ParseError, StructureError, FileNotFoundError) as e:

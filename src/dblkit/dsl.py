@@ -127,25 +127,38 @@ class Document:
 # any number of tokens and every other word a placeholder.  The cell kinds
 # name what each placeholder refers to; in a mapping block the placeholders
 # before ``=`` are cells of the domain and those after it of the codomain.
+# A line is read as its tokens and its text: the parser works on the tokens,
+# and finds a token's column in the text only to report an error there.
 
 _LITERALS = frozenset({":", "->", "=>", "|", "=", "on"})
 
 
 def _token_lines(text):
-    """(1-indexed line, [(token, column)]) of every line that has tokens:
-    the maximal runs of non-whitespace before a ``#``.  A token is found
-    from the end of the one before it, so its column is its first
-    occurrence there."""
+    """(1-indexed line, tokens, text) of every line that has tokens: the
+    maximal runs of non-whitespace before a ``#``, and the line up to it.
+    A token's column is found only for an error (:func:`_column`)."""
     for line, raw in enumerate(text.splitlines(), 1):
         raw = raw.split("#", 1)[0]
         words = raw.split()
         if words:
-            toks, end = [], 0
-            for word in words:
-                end = raw.find(word, end)
-                toks.append((word, end + 1))
-                end += len(word)
-            yield line, toks
+            yield line, words, raw
+
+
+def _column(src, i):
+    """The 1-indexed column of the ``i``-th token of the line ``src`` (as
+    :func:`_token_lines` yields it).  A token is found from the end of the
+    one before it, so its column is its first occurrence there."""
+    _, words, raw = src
+    end = 0
+    for word in words[:i]:
+        end = raw.find(word, end) + len(word)
+    return raw.find(words[i], end) + 1
+
+
+def _error(message, src, i=0):
+    """``message`` at the ``i``-th token of the line ``src``, or at its start
+    when ``i`` is None (then ``src`` may be ``(line,)``)."""
+    return ParseError(message, src[0], 1 if i is None else _column(src, i))
 
 
 def _expect(cond, message, line, column=1):
@@ -167,21 +180,21 @@ def _compiled(shape):
     return len(words), literals, checks, places
 
 
-def _fits(toks, shape):
-    """The tokens at the placeholders of ``shape``, or None if ``toks`` do
+def _fits(words, shape):
+    """The tokens at the placeholders of ``shape``, or None if ``words`` do
     not fit it."""
     count, literals, checks, places = _compiled(shape)
     if count is None:
-        return toks
-    if len(toks) != count:
+        return words
+    if len(words) != count:
         return None
     for i, word in literals:
-        if toks[i][0] != word:
+        if words[i] != word:
             return None
     for i, ok in checks:
-        if not ok(toks[i][0]):
+        if not ok(words[i]):
             return None
-    return [toks[i] for i in places]
+    return [words[i] for i in places]
 
 
 @functools.lru_cache(maxsize=None)
@@ -201,25 +214,27 @@ def _render(shape, words):
 
 def _block(lines, header_line, spec, unknown, once=()):
     """The lines of a block up to its ``}`` as (keyword, placeholder tokens,
-    line, column), each checked against the shape of its keyword in
-    ``spec``; ``unknown`` is the message for any other keyword.  A keyword
-    in ``once`` names a single value: a second line of it is an error."""
+    line as :func:`_token_lines` yields it), each checked against the shape
+    of its keyword in ``spec``; ``unknown`` is the message for any other
+    keyword.  A keyword in ``once`` names a single value: a second line of
+    it is an error."""
     seen = set()
-    for line, toks in lines:
-        head, col = toks[0]
+    for src in lines:
+        words = src[1]
+        head = words[0]
         if head == "}":
             return
         if head not in spec:
-            raise ParseError(unknown.format(head), line, col)
+            raise _error(unknown.format(head), src)
         if head in once:
             if head in seen:
-                raise ParseError(f"duplicate {head} line", line, col)
+                raise _error(f"duplicate {head} line", src)
             seen.add(head)
         shape = spec[head][0]
-        args = _fits(toks[1:], shape)
+        args = _fits(words[1:], shape)
         if args is None:
-            raise ParseError(f"expected: {head} {shape}", line, col)
-        yield head, args, line, col
+            raise _error(f"expected: {head} {shape}", src)
+        yield head, args, src
     raise ParseError("unterminated block", header_line)
 
 
@@ -232,29 +247,30 @@ def _flat(cells):
 
 
 def _lookups(spec, kw, dom, cod=None):
-    """Per placeholder of ``kw``: its kind and the table of that kind (name
-    -> index to parse, index -> name to write), in ``dom`` or, after an
-    ``=``, in ``cod`` when given."""
+    """Per placeholder of ``kw``: its kind, the table of that kind (name ->
+    index), in ``dom`` or, after an ``=``, in ``cod`` when given, and the
+    place of its token on the line."""
     shape, kinds = spec[kw][:2]
-    n = _template(kw, shape)[1]
-    return [(k, (dom if i < n or cod is None else cod)[k]) for i, k in enumerate(kinds)]
+    n, places = _template(kw, shape)[1], _compiled(shape)[3]
+    return [(k, (dom if i < n or cod is None else cod)[k], 1 + places[i]) for i, k in enumerate(kinds)]
 
 
-def _resolve(lookups, args, line, col=1, unresolved=None, first=0):
+def _resolve(lookups, args, src, unresolved=None, first=0):
     """The index of each token of ``args``, the tokens from ``first`` on
     looked up first.  A miss is ``unknown KIND NAME`` at the token, or the
-    message ``unresolved`` at ``col`` when one is given."""
-    found = [index.get(name) for (_, index), (name, _) in zip(lookups, args)]
+    message ``unresolved`` at the keyword when one is given."""
+    found = [index.get(name) for (_, index, _), name in zip(lookups, args)]
     if None in found:
         if unresolved is not None:
-            raise ParseError(unresolved, line, col)
+            raise _error(unresolved, src)
         i = next(i for i in [*range(first, len(args)), *range(first)] if found[i] is None)
-        raise ParseError(f"unknown {lookups[i][0]} {args[i][0]!r}", line, args[i][1])
+        kind, _, place = lookups[i]
+        raise _error(f"unknown {kind} {args[i]!r}", src, place)
     return found
 
 
 def _entry_reader(spec, dom, cod):
-    """``entry(kw, args, line, col, unresolved=None) -> (key, value)`` for
+    """``entry(kw, args, src, unresolved=None) -> (key, value)`` for
     the lines of ``spec`` with an ``=``: the key cells before it, named in
     ``dom``, and the value cells after it, named in ``cod``."""
     split = {
@@ -265,22 +281,23 @@ def _entry_reader(spec, dom, cod):
 
     seen = {kw: set() for kw in split}
 
-    def entry(kw, args, line, col, unresolved=None):
+    def entry(kw, args, src, unresolved=None):
         lookups, n = split[kw]
-        found = _resolve(lookups, args, line, col, unresolved)
+        found = _resolve(lookups, args, src, unresolved)
         key = _one(found[:n])
         if key in seen[kw]:
-            raise _repeated(kw, args[:n], line)
+            raise _repeated(kw, args[:n], src)
         seen[kw].add(key)
         return key, _one(found[n:])
 
     return entry
 
 
-def _repeated(kw, args, line):
+def _repeated(kw, args, src):
     """The error for a ``kw`` line whose key, the tokens ``args``, an
-    earlier line gave: at the key's first token."""
-    return ParseError(f"duplicate {kw} entry for {' '.join(tok for tok, _ in args)}", line, args[0][1])
+    earlier line gave: at the key's first token, the one after the keyword
+    in every shape with a key."""
+    return _error(f"duplicate {kw} entry for {' '.join(args)}", src, 1)
 
 
 def _line(spec, kw, *words):
@@ -468,9 +485,10 @@ class _NameTable:
         self.names = {k: [] for k in kinds}
         self.index = {k: {} for k in kinds}
 
-    def add(self, kind, name, line, column):
+    def add(self, kind, name, src, i=None):
+        """A name given before is an error at ``_error(..., src, i)``."""
         if name in self.index[kind]:
-            raise ParseError(f"duplicate {kind} name {name!r}", line, column)
+            raise _error(f"duplicate {kind} name {name!r}", src, i)
         self.index[kind][name] = len(self.names[kind])
         self.names[kind].append(name)
         return self.index[kind][name]
@@ -482,14 +500,14 @@ def _read_cells(lines, header_line, spec, kinds, unknown):
     lines and ``entries(kw, first=-1)``, their resolution."""
     nt = _NameTable(kinds)
     kept = {kw: [] for kw in spec}
-    for kw, args, line, col in _block(lines, header_line, spec, unknown):
+    for kw, args, src in _block(lines, header_line, spec, unknown):
         if kw == "objects":
-            for tok, c in args:
-                nt.add("object", tok, line, c)
+            for i, name in enumerate(args, 1):
+                nt.add("object", name, src, i)
             continue
         if spec[kw][1][0] == kw:
-            nt.add(kw, args[0][0], line, args[0][1])
-        kept[kw].append((args, line))
+            nt.add(kw, args[0], src, 1)
+        kept[kw].append((args, src))
     return nt, kept, functools.partial(_resolved, nt, spec, kept)
 
 
@@ -502,12 +520,12 @@ def _resolved(nt, spec, kept, kw, first=-1):
     lookups = _lookups(spec, kw, nt.index)
     n = _template(kw, spec[kw][0])[1]
     seen = set() if n < len(lookups) else None
-    for args, line in kept[kw]:
-        found = _resolve(lookups, args, line, first=first % len(args))
+    for args, src in kept[kw]:
+        found = _resolve(lookups, args, src, first=first % len(args))
         if seen is not None:
             key = _one(found[:n])
             if key in seen:
-                raise _repeated(kw, args[:n], line)
+                raise _repeated(kw, args[:n], src)
             seen.add(key)
         yield found
 
@@ -528,10 +546,11 @@ def _boundaries(nt, entries, kind):
 
 def _identities(nt, ids, of, kind, prefix, header_line, shared=()):
     """Complete ``ids``, the identity ``kind`` cell of each ``of`` cell: from
-    ``shared``, else a new cell named prefix + name."""
+    ``shared``, else a new cell named prefix + name (a name given before is
+    an error at the start of the header)."""
     for x, name in enumerate(nt.names[of]):
         if ids[x] is None:
-            ids[x] = shared[x] if x in shared else nt.add(kind, prefix + name, header_line, 1)
+            ids[x] = shared[x] if x in shared else nt.add(kind, prefix + name, (header_line,))
     return ids
 
 
@@ -570,8 +589,9 @@ def _parse_fincategory(lines, doc, name, sig, header_line):
     ids = _identities(nt, _assigned(entries("idm"), n), "object", "mor", "id_", header_line)
     mor = _fill(nt, "mor", _boundaries(nt, entries, "mor"), ids, _same)
     comp = {}
-    for (f, g, h), (args, line) in zip(entries("comp", 0), kept["comp"]):
-        _expect(mor[f][1] == mor[g][0], f"{args[0][0]} and {args[1][0]} not composable", line, args[0][1])
+    for (f, g, h), (args, src) in zip(entries("comp", 0), kept["comp"]):
+        if mor[f][1] != mor[g][0]:
+            raise _error(f"{args[0]} and {args[1]} not composable", src, 1)
         comp[(f, g)] = h
     # every unit entry first: an identity may be listed before a morphism
     # it composes with
@@ -793,12 +813,12 @@ def _parse_functor(lines, doc, name, sig, header_line):
     kind = "strict"
     entry = _entry_reader(_FUNCTOR, dom_decl.names, cod_decl.names)
     entries = {kw: {} for kw in _FUNCTOR}
-    for kw, args, line, col in _block(lines, header_line, _FUNCTOR, "unknown keyword {!r} in functor", once=("kind",)):
+    for kw, args, src in _block(lines, header_line, _FUNCTOR, "unknown keyword {!r} in functor", once=("kind",)):
         if kw == "kind":
-            kind = args[0][0]
+            kind = args[0]
             continue
         unresolved = None if kw in _FUNCTOR_MAPS else "unresolved cell in structure entry"
-        key, value = entry(kw, args, line, col, unresolved)
+        key, value = entry(kw, args, src, unresolved)
         entries[kw][key] = value
     maps = []
     for kw in _FUNCTOR_MAPS:
@@ -860,13 +880,13 @@ def _parse_transformation(lines, doc, name, sig, header_line):
     kind = None
     entry = _entry_reader(_TRANSFORMATION, dom_decl.names, cod_decl.names)
     slots = {kw: {} for kw in _TRANSFORMATION}
-    for kw, args, line, col in _block(
+    for kw, args, src in _block(
         lines, header_line, _TRANSFORMATION, "unknown keyword {!r} in transformation", once=("kind",)
     ):
         if kw == "kind":
-            kind = args[0][0]
+            kind = args[0]
             continue
-        key, value = entry(kw, args, line, col)
+        key, value = entry(kw, args, src)
         slots[kw][key] = value
     _expect(kind is not None, "transformation block needs a kind line", header_line)
 
@@ -919,8 +939,8 @@ def _parse_connection(lines, doc, name, sig, header_line):
     cat_decl = doc.get(on, "category", header_line, on_col)
     entry = _entry_reader(_CONNECTION, cat_decl.names, cat_decl.names)
     pairs = []
-    for kw, args, line, col in _block(lines, header_line, _CONNECTION, "expected: pair u = ustar eps eta"):
-        u, (f, eps, eta) = entry(kw, args, line, col, "unresolved cell in pair")
+    for kw, args, src in _block(lines, header_line, _CONNECTION, "expected: pair u = ustar eps eta"):
+        u, (f, eps, eta) = entry(kw, args, src, "unresolved cell in pair")
         pairs.append(CompanionPair(u, f, eps, eta))
     return Declaration("connection", name, _build(header_line, Connection, cat_decl.obj, pairs), meta={"on": on})
 
@@ -946,8 +966,8 @@ def _parse_modification(lines, doc, name, sig, header_line):
     cod_decl = doc.get(a_decl.meta["cod"], None, header_line)
     entry = _entry_reader(_MODIFICATION, dom_decl.names, cod_decl.names)
     comps = {kw: {} for kw in _MODIFICATION}
-    for kw, args, line, col in _block(lines, header_line, _MODIFICATION, "expected: a0 A = s"):
-        key, value = entry(kw, args, line, col, "unresolved cell in modification")
+    for kw, args, src in _block(lines, header_line, _MODIFICATION, "expected: a0 A = s"):
+        key, value = entry(kw, args, src, "unresolved cell in modification")
         comps[kw][key] = value
     objects = range(a_decl.obj.F.dom.n_objects)
     a0, a1 = (_total(comps[kw], objects, f"missing {kw} entry for object {{}}", header_line) for kw in _MODIFICATION)
@@ -990,11 +1010,11 @@ def _parse_monoid(lines, doc, name, sig, header_line):
     unit = None
     entry = _entry_reader(_MONOID, nm, nm)
     tables = {kw: {} for kw in list(_MONOID)[1:]}
-    for kw, args, line, col in _block(lines, header_line, _MONOID, "unknown keyword {!r} in monoid", once=("unit",)):
+    for kw, args, src in _block(lines, header_line, _MONOID, "unknown keyword {!r} in monoid", once=("unit",)):
         if kw == "unit":
-            (unit,) = _resolve(_lookups(_MONOID, kw, nm), args, line)
+            (unit,) = _resolve(_lookups(_MONOID, kw, nm), args, src)
             continue
-        key, value = entry(kw, args, line, col, "unresolved cell in monoid entry")
+        key, value = entry(kw, args, src, "unresolved cell in monoid entry")
         tables[kw][key] = value
     _expect(unit is not None, "monoid block needs a unit line", header_line)
     for kw, table in tables.items():
@@ -1015,18 +1035,19 @@ def _write_monoid(doc, decl):
 
 
 # ---------------------------------------------------------------------------
-# reference blocks: tensor, internal
+# reference blocks: tensor, internal; each name's column is found as it is
+# read, for ``Document.get``
 
 _TENSOR = {"left": ("NAME",), "right": ("NAME",), "cap": ("N",)}
 
 
 def _parse_tensor(lines, doc, name, sig, header_line):
     refs, cap = {}, 4
-    for kw, ((tok, col),), line, _ in _block(lines, header_line, _TENSOR, "unknown keyword {!r} in tensor", _TENSOR):
+    for kw, (tok,), src in _block(lines, header_line, _TENSOR, "unknown keyword {!r} in tensor", _TENSOR):
         if kw == "cap":
             cap = int(tok)
         else:
-            doc.get(tok, "twocategory", line, col)
+            doc.get(tok, "twocategory", src[0], _column(src, 1))
             refs[kw] = tok
     _expect(len(refs) == 2, "tensor block needs left and right", header_line)
     return Declaration("tensor", name, TensorDecl(refs["left"], refs["right"], cap))
@@ -1043,8 +1064,8 @@ _INTERNAL_REQUIRED = list(_INTERNAL)[:9]
 
 def _parse_internal(lines, doc, name, sig, header_line):
     refs = {}
-    for kw, ((tok, col),), line, _ in _block(lines, header_line, _INTERNAL, "expected: <slot> = NAME", _INTERNAL):
-        doc.get(tok, None, line, col)
+    for kw, (tok,), src in _block(lines, header_line, _INTERNAL, "expected: <slot> = NAME", _INTERNAL):
+        doc.get(tok, None, src[0], _column(src, 2))
         refs[kw] = tok
     for slot in _INTERNAL_REQUIRED:
         _expect(slot in refs, f"internal block is missing slot {slot!r}", header_line)
@@ -1078,7 +1099,10 @@ _BLOCKS = {
 def parse(text: str) -> Document:
     doc = Document()
     lines = _token_lines(text)
-    for line, toks in lines:
+    for src in lines:
+        # a header's columns are found as it is read: they feed Document.get
+        line, words = src[:2]
+        toks = [(word, _column(src, i)) for i, word in enumerate(words)]
         head, col = toks[0]
         if head not in _BLOCKS:
             raise ParseError(f"unknown block kind {head!r}", line, col)
@@ -1094,8 +1118,8 @@ def parse(text: str) -> Document:
             # the start of the line
             if shape.startswith(":"):
                 _expect(sig and sig[0][0] == ":", message, line, col)
-            sig = _fits(sig, shape)
-            _expect(sig is not None, message, line)
+            _expect(_fits(words[2:-1], shape) is not None, message, line)
+            sig = [sig[i] for i in _compiled(shape)[3]]
         doc.add(parser(lines, doc, toks[1][0], sig, line), line)
     return doc
 

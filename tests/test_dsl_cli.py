@@ -160,6 +160,31 @@ def test_tensor_check_honours_max_tuples(tmp_path, capsys):
     assert _statuses(capsys) == ["budget-exceeded"]
 
 
+def test_environment_defaults_are_read_at_each_call(tmp_path, capsys, monkeypatch):
+    # one process, several calls: a default set or cleared between calls
+    # applies to the next one, and no argument carries over
+    doc_path = write_doc(tmp_path)
+    check = ["check", doc_path, "AB", "--format", "tree"]
+    monkeypatch.setenv("DBLKIT_MAX_TUPLES", "10")
+    assert main(check) == 2
+    assert _statuses(capsys) == ["budget-exceeded"]
+    monkeypatch.delenv("DBLKIT_MAX_TUPLES")
+    assert main(check) == 0
+    assert _statuses(capsys) == ["pass"]
+    monkeypatch.setenv("DBLKIT_MAX_TUPLES", "ten")
+    assert main(check) == 0
+    assert _statuses(capsys) == ["pass"]
+    monkeypatch.setenv("DBLKIT_MAX_TUPLES", "10")
+    assert main([*check, "--max-tuples", "5000000"]) == 0
+    assert _statuses(capsys) == ["pass"]
+    monkeypatch.setenv("DBLKIT_MAX_TUPLES", "5000000")
+    assert main([*check, "--max-tuples", "10"]) == 2
+    assert _statuses(capsys) == ["budget-exceeded"]
+    assert main(["check", doc_path, "Walk", "--axioms", "X"]) == 3
+    assert "--axioms does not apply" in capsys.readouterr().err
+    assert main(["check", doc_path, "Walk"]) == 0
+
+
 def test_bicategory_sub_reports_share_one_budget(tmp_path, capsys):
     doc = dsl.Document()
     doc.add(Declaration("bicategory", "Sign", zoo.sign_bicategory()))

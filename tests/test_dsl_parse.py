@@ -4,6 +4,8 @@ document for the order of every composition table."""
 
 import re
 
+import pytest
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +43,18 @@ def test_tokens_match_the_regex_on_hand_picked_lines():
         "}",
     ])
     expected = regex_token_lines(text)
-    assert list(dsl._token_lines(text)) == expected
+    assert tokens_with_columns(text) == expected
     assert (6, [("a", 1), ("a", 3), ("=", 5), ("a", 7)]) in expected
+
+
+def tokens_with_columns(text):
+    """The tokenizer's lines as the regex oracle gives them: each line's
+    tokens, and the column function's column for every token index."""
+    out = []
+    for src in dsl._token_lines(text):
+        line, words, _ = src
+        out.append((line, [(word, dsl._column(src, i)) for i, word in enumerate(words)]))
+    return out
 
 
 @settings(max_examples=300, deadline=None)
@@ -52,7 +64,7 @@ def test_tokens_match_the_regex_on_hand_picked_lines():
 ))
 def test_tokens_match_the_regex(pieces):
     text = "".join(pieces)
-    assert list(dsl._token_lines(text)) == regex_token_lines(text)
+    assert tokens_with_columns(text) == regex_token_lines(text)
 
 
 def test_fill_implied_keeps_explicit_entries_first():
@@ -121,3 +133,45 @@ def test_grown_session_document_round_trips_with_explicit_entries_first(tmp_path
             assert list(table.items()) == list(expected.items()), (name, kw)
     assert len(doc.decls["P"].obj.squares) == 162
     assert len(dsl._unique_composites(doc.decls["P"].obj.squares, doc.decls["P"].obj.hcomp1)) == 2430
+
+
+# body-line errors, each at the regex oracle's column of its offending
+# token: (text, line, token index, message); the bad lines hold tabs, a
+# no-break space, repeated tokens and trailing comments
+FIN = "fincategory C {{\n  objects X Y\n  mor f : X -> Y\n{}\n}}\n"
+LOOP = "fincategory C {{\n  objects X\n  mor f : X -> X\n  comp f f = f\n{}\n}}\n"
+FUNCTOR = "category D {{\n  objects A\n}}\nfunctor F : D -> D {{\n  kind strict\n  ob A = A\n{}\n}}\n"
+POINT = "category D {{\n  objects A\n}}\ntwocategory T {{\n  objects A\n}}\n{}"
+BODY_ERRORS = {
+    "unknown keyword": (FIN.format("\tfoo\xa0f f = f  # comp f f = f"), 4, 0, "unknown keyword 'foo' in fincategory"),
+    "shape misfit": (FIN.format(" \t comp f f f = f # f"), 4, 0, "expected: comp f g = h"),
+    "second single-valued line": (FUNCTOR.format("\tkind\xa0pseudo # kind"), 7, 0, "duplicate kind line"),
+    "unknown value before key": (POINT.format("category E {\n  objects B\n  hcomp\tg g = g # g\n}\n"), 9, 4, "unknown hcell 'g'"),
+    "unknown key": (FIN.format("  comp\tg f = f # g"), 4, 1, "unknown mor 'g'"),
+    "unknown mapping key": (FUNCTOR.format("  hcell\xa0h = h # h"), 7, 1, "unknown hcell 'h'"),
+    "unknown mapping value": (FUNCTOR.format("  hcell 1_A = h\xa0# 1_A = h"), 7, 3, "unknown hcell 'h'"),
+    "unknown unit": (POINT.format("monoid M on D {\n\tunit\xa0B # A\n}\n"), 8, 1, "unknown object 'B'"),
+    "unresolved structure cell": (FUNCTOR.format("  comph\t1_A 1_A = s # comph"), 7, 0, "unresolved cell in structure entry"),
+    "duplicate table key": (LOOP.format("  comp\tf f = id_X # f f"), 5, 1, "duplicate comp entry for f f"),
+    "duplicate mapping key": (FUNCTOR.format("\xa0ob A = A # ob"), 7, 1, "duplicate ob entry for A"),
+    "duplicate cell name": (FIN.format("\tmor\xa0f : Y -> X # f"), 4, 1, "duplicate mor name 'f'"),
+    "duplicate object name": (FIN.format("  objects\tZ Z # Z"), 4, 2, "duplicate object name 'Z'"),
+    "not composable": (FIN.format("  comp f\xa0f = f  # f f"), 4, 1, "f and f not composable"),
+    "tensor unresolved reference": (POINT.format("tensor AB {\n  left T\n  right\tZz # T\n}\n"), 9, 1, "unresolved reference 'Zz'"),
+    "tensor wrong kind": (POINT.format("tensor AB {\n  left\xa0D # T\n}\n"), 8, 1, "'D' is a category, expected twocategory"),
+    "internal unresolved reference": (POINT.format("internal I {\n  d0 =\xa0Zz # d0 = D\n}\n"), 8, 2, "unresolved reference 'Zz'"),
+}
+
+
+def regex_column(text, line, index):
+    """The column of the ``index``-th token of ``line`` by the regex oracle."""
+    return dict(regex_token_lines(text))[line][index][1]
+
+
+@pytest.mark.parametrize("case", BODY_ERRORS.values(), ids=BODY_ERRORS.keys())
+def test_body_line_errors_are_at_the_offending_token(case):
+    text, line, index, message = case
+    with pytest.raises(dsl.ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (line, regex_column(text, line, index))
+    assert str(err.value).endswith(message)
