@@ -125,9 +125,10 @@ def _memoized(data: InternalCategoryData, key, reads, build, holds=lambda value:
 def _leg_state(leg):
     """A span leg by value: its four cell maps, then every field of the
     presentations of its ``dom`` and ``cod`` (what :func:`same_category`
-    compares)."""
+    compares), listed once when they are one object."""
     maps = [getattr(leg, name) for name in ("ob_map", "h_map", "v_map", "sq_map")]
-    return maps + [getattr(d, name) for d in (leg.dom, leg.cod) for name in _PRESENTATION]
+    ends = (leg.dom,) if leg.dom is leg.cod else (leg.dom, leg.cod)
+    return maps + [getattr(d, name) for d in ends for name in _PRESENTATION]
 
 
 def _span(data: InternalCategoryData):

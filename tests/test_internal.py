@@ -474,6 +474,17 @@ def test_span_is_checked_again_when_a_leg_changes_by_value():
         check_internal(data, registry=EMPTY, deep=False)
     data.s.sq_map = good
     assert check_internal(data, registry=EMPTY, deep=False).passed
+    # the leg's codomain, one object with its domain, reassigned to a
+    # category with another table: no longer strict
+    other = quintet(zoo.cyclic_group_cat(2))
+    key = min(other.hcomp2)
+    other.hcomp2[key] = (other.hcomp2[key] + 1) % len(other.squares)
+    assert data.s.dom is data.s.cod
+    data.s.cod = other
+    with pytest.raises(StructureError, match="span legs must be strict"):
+        check_internal(data, registry=EMPTY, deep=False)
+    data.s.cod = d
+    assert check_internal(data, registry=EMPTY, deep=False).passed
     # a table of the legs' category edited in place: the canonical pullback
     # is rebuilt from it and no longer is the bundled one
     key = min(d.hcomp2)
