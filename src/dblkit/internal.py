@@ -305,21 +305,26 @@ def check_internal(
     domains and codomains first, a difference there named ``dom`` or
     ``cod``.  The legs' strictness, ``pullback_pairs(t, s)`` and the
     canonical ``pullback(t, s)`` are kept once per span, ``replace`` copies
-    included (:func:`_span`); the bundled pullback is compared with that
-    pullback's cells, then its four tables by key, then its identities, and
-    the projections are read off the pairs.  The boundaries of ``u`` and
-    ``m``, those of their cell maps and then ``structure-boundary``
-    (``functors._structure_boundaries``), are stated once before either is
-    pasted, by the delegated pseudofunctor checks when ``deep``; where one
-    fails, the comparisons that would paste them compare only their
-    endpoints and nothing later is evaluated.  Each comparison is charged
-    once, for the entries up to and including its first difference (every
-    entry when it agrees), so under a budget cut only the entries that fit
-    are compared."""
+    included (:func:`_span`); where a leg is not strict, the legs'
+    ``check_strict_functor`` reports are absorbed (``s: ``, and ``t: `` for
+    a distinct ``t``) and nothing else is evaluated.  The bundled pullback
+    is compared with the canonical one's cells, then its four tables by key,
+    then its identities, and the projections are read off the pairs.  The
+    boundaries of ``u`` and ``m``, those of their cell maps and then
+    ``structure-boundary`` (``functors._structure_boundaries``), are stated
+    once before either is pasted, by the delegated pseudofunctor checks when
+    ``deep``; where one fails, the comparisons that would paste them compare
+    only their endpoints and nothing later is evaluated.  Each comparison is
+    charged once, for the entries up to and including its first difference
+    (every entry when it agrees), so under a budget cut only the entries
+    that fit are compared."""
     col = Collector("internal-category", budget)
     span = _span(data)
     if span is None:
-        raise StructureError("span legs must be strict; pullback construction unsupported otherwise")
+        for name in ("s",) if data.t is data.s else ("s", "t"):
+            col.report.absorb(check_strict_functor(getattr(data, name), budget=col.budget), prefix=f"{name}: ")
+        col.assume("remaining compatibilities not evaluated: the span legs did not check out as strict functors")
+        return col.done()
     pairs, canonical = span
 
     if deep:

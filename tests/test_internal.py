@@ -23,6 +23,7 @@ from dblkit.functors import (
     DoublePseudoFunctor,
     StrictDoubleFunctor,
     check_double_pseudo_functor,
+    check_strict_functor,
     product_projections,
     pseudo_equal,
     pseudo_from_strict,
@@ -42,7 +43,7 @@ from dblkit.internal import (
     unit_sided_functors,
 )
 from dblkit.mutate import sample_mutants
-from dblkit.report import BUDGET_EXCEEDED, Budget
+from dblkit.report import BUDGET_EXCEEDED, AxiomReport, Budget
 from dblkit.transform import ComponentRegistry
 from dblkit.weak import (
     as_pseudo,
@@ -462,6 +463,58 @@ def test_shared_and_empty_memo_copies_report_alike():
     assert statuses == Counter({(False, "fail"): 2 * (456 + 38) + 1968 + 40, (True, "fail"): 8, (True, "pass"): 2})
 
 
+LEG_GUARD = "remaining compatibilities not evaluated: the span legs did not check out as strict functors"
+
+
+def assert_leg_report(rep, data, budget=None):
+    """``rep`` is the report of a bundle whose span legs are not strict: the
+    legs' own reports, ``t``'s only when it is another object, and the
+    assumption that nothing else was evaluated."""
+    legs = ("s",) if data.t is data.s else ("s", "t")
+    expected = AxiomReport("internal-category")
+    for name in legs:
+        expected.absorb(check_strict_functor(getattr(data, name), budget=budget), prefix=f"{name}: ")
+    assert not rep.passed and rep.status == expected.status
+    assert rep.violations == expected.violations and rep.checked == expected.checked
+    assert rep.assumptions == [*expected.assumptions, LEG_GUARD]
+
+
+def _leg_mutants(f):
+    """Every mutant of ``f`` in one entry of one cell map, any other cell of
+    the codomain as the new value."""
+    cod = f.cod
+    sizes = {"ob_map": cod.n_objects, "h_map": len(cod.hcells), "v_map": len(cod.vcells), "sq_map": len(cod.squares)}
+    for name, n in sizes.items():
+        values = getattr(f, name)
+        for i, old in enumerate(values):
+            for x in range(n):
+                if x != old:
+                    yield replace(f, **{name: (*values[:i], x, *values[i + 1 :])})
+
+
+def test_every_single_entry_leg_mutant_gets_a_report():
+    # the leg s of the quintet(C2) diagonal bundle: 4 cell-map mutants and
+    # 56 square-map mutants, none strict; t stays the identity
+    host = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    mutants = list(_leg_mutants(host.s))
+    assert len(mutants) == 60
+    for s in mutants:
+        data = replace(host, s=s)
+        for deep in (False, True):
+            rep = check_internal(data, registry=EMPTY, deep=deep)
+            assert rep.status == "fail" and all(v.axiom.startswith("s: ") for v in rep.violations)
+            assert_leg_report(rep, data)
+
+
+def test_a_leg_report_is_charged_to_the_callers_budget(every_cap):
+    host = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    data = replace(host, s=next(_leg_mutants(host.s)))
+    full, runs = every_cap(lambda budget: check_internal(data, registry=EMPTY, deep=False, budget=budget))
+    assert_leg_report(full, data)
+    for budget, rep in runs:
+        assert_leg_report(rep, data, Budget(budget.max_tuples))
+
+
 def test_span_is_checked_again_when_a_leg_changes_by_value():
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     assert check_internal(data, registry=EMPTY, deep=False).passed
@@ -470,8 +523,7 @@ def test_span_is_checked_again_when_a_leg_changes_by_value():
     off = next(x for x in range(len(d.squares)) if d.squares[x] != d.squares[good[0]])
     # the same leg object, its square map reassigned: no longer strict
     data.s.sq_map = (off, *good[1:])
-    with pytest.raises(StructureError, match="span legs must be strict"):
-        check_internal(data, registry=EMPTY, deep=False)
+    assert_leg_report(check_internal(data, registry=EMPTY, deep=False), data)
     data.s.sq_map = good
     assert check_internal(data, registry=EMPTY, deep=False).passed
     # the leg's codomain, one object with its domain, reassigned to a
@@ -481,8 +533,7 @@ def test_span_is_checked_again_when_a_leg_changes_by_value():
     other.hcomp2[key] = (other.hcomp2[key] + 1) % len(other.squares)
     assert data.s.dom is data.s.cod
     data.s.cod = other
-    with pytest.raises(StructureError, match="span legs must be strict"):
-        check_internal(data, registry=EMPTY, deep=False)
+    assert_leg_report(check_internal(data, registry=EMPTY, deep=False), data)
     data.s.cod = d
     assert check_internal(data, registry=EMPTY, deep=False).passed
     # a table of the legs' category edited in place: the canonical pullback
@@ -1028,8 +1079,10 @@ def _capped(check):
 def test_span_leg_guard_rejects_a_capped_leg_report(monkeypatch):
     data = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     monkeypatch.setattr(internal, "check_strict_functor", _capped(internal.check_strict_functor))
-    with pytest.raises(StructureError, match="span legs must be strict"):
-        check_internal(data, registry=EMPTY, deep=False)
+    rep = check_internal(data, registry=EMPTY, deep=False)
+    # the legs' capped reports, absorbed: nothing checked, nothing evaluated
+    assert not rep.passed and rep.status == BUDGET_EXCEEDED and rep.checked == 0
+    assert rep.violations == [] and rep.assumptions[-1] == LEG_GUARD
 
 
 def test_pseudomonoid_rejects_a_capped_correspondence_report(monkeypatch):
