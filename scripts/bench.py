@@ -2,7 +2,7 @@
 """Write one benchmark record, or compare two checkouts in alternating runs.
 
 Usage: python scripts/bench.py --label L
-       python scripts/bench.py --against DIR --workload W --pairs N [--seed S]
+       python scripts/bench.py --against DIR --workload W [--workload W ...] --pairs N [--seed S]
 
 With ``--label``, the script writes ``BENCH_<label>.json`` at the root of
 the checkout it sits in.  The record holds, measured on this checkout:
@@ -31,7 +31,9 @@ then prints, for each end-to-end metric that this checkout's
 of this checkout's median from the other's in percent of the other's, and
 the number of pairs this checkout won (ties count for neither side), and
 the failed and attempted operations of both sides.  A pair whose runs do
-not both check out ``correct`` stops the comparison.
+not both check out ``correct`` stops the comparison.  Given several
+``--workload`` options, it compares each workload in turn, in the order
+given, with the same seed and number of pairs, one table each.
 """
 
 import argparse
@@ -137,7 +139,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label")
     p.add_argument("--against", type=Path, help="the root of the checkout to compare with")
-    p.add_argument("--workload", choices=WORKLOADS)
+    p.add_argument("--workload", choices=WORKLOADS, action="append", help="may be given more than once")
     p.add_argument("--pairs", type=int)
     p.add_argument("--seed", type=int, help="the seed of the --against runs (1 by default)")
     args = p.parse_args(argv)
@@ -146,7 +148,8 @@ def main(argv=None) -> int:
             p.error("--against takes --workload and a positive --pairs, and no --label")
         if args.against.resolve() == ROOT:
             p.error("--against names this checkout")
-        compare(args.against.resolve(), args.workload, args.pairs, SEED if args.seed is None else args.seed)
+        for name in args.workload:
+            compare(args.against.resolve(), name, args.pairs, SEED if args.seed is None else args.seed)
         return 0
     if args.label is None:
         p.error("give --label, or --against with --workload and --pairs")
