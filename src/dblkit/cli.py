@@ -237,8 +237,19 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
         if data.u.normalized and data.m.normalized:
             glob = derive_globular(data)
             rep = AxiomReport("derived-globular-cells", PASS)
-            families = ("chi", "delta", "mu", "tau", "chi_p", "delta_p", "mu_p", "tau_p")
-            rep.checked = sum(len(getattr(glob, name)) for name in families)
+            rep.checked = sum(
+                len(t)
+                for t in (
+                    glob.chi,
+                    glob.delta,
+                    glob.mu,
+                    glob.tau,
+                    glob.chi_p,
+                    glob.delta_p,
+                    glob.mu_p,
+                    glob.tau_p,
+                )
+            )
             reports.append(rep)
         return reports
     raise StructureError(f"no checker for declaration kind {decl.kind}")

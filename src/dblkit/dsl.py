@@ -145,9 +145,8 @@ def _token_lines(text):
 
 
 def _column(src, i):
-    """The 1-indexed column of the ``i``-th token of the line ``src`` (as
-    :func:`_token_lines` yields it).  A token is found from the end of the
-    one before it, so its column is its first occurrence there."""
+    """The 1-indexed column of the ``i``-th token of ``src``, a line of
+    :func:`_token_lines`: its first occurrence after the token before it."""
     _, words, raw = src
     end = 0
     for word in words[:i]:
@@ -214,10 +213,9 @@ def _render(shape, words):
 
 def _block(lines, header_line, spec, unknown, once=()):
     """The lines of a block up to its ``}`` as (keyword, placeholder tokens,
-    line as :func:`_token_lines` yields it), each checked against the shape
-    of its keyword in ``spec``; ``unknown`` is the message for any other
-    keyword.  A keyword in ``once`` names a single value: a second line of
-    it is an error."""
+    line from :func:`_token_lines`), each checked against the shape of its
+    keyword in ``spec``; ``unknown`` is the message for any other keyword.
+    A keyword in ``once`` names a single value: a second line is an error."""
     seen = set()
     for src in lines:
         words = src[1]
@@ -294,9 +292,8 @@ def _entry_reader(spec, dom, cod):
 
 
 def _repeated(kw, args, src):
-    """The error for a ``kw`` line whose key, the tokens ``args``, an
-    earlier line gave: at the key's first token, the one after the keyword
-    in every shape with a key."""
+    """The error for a ``kw`` line whose key, the tokens ``args``, an earlier
+    line gave: at the key's first token, which follows the keyword."""
     return _error(f"duplicate {kw} entry for {' '.join(args)}", src, 1)
 
 
@@ -486,7 +483,6 @@ class _NameTable:
         self.index = {k: {} for k in kinds}
 
     def add(self, kind, name, src, i=None):
-        """A name given before is an error at ``_error(..., src, i)``."""
         if name in self.index[kind]:
             raise _error(f"duplicate {kind} name {name!r}", src, i)
         self.index[kind][name] = len(self.names[kind])
@@ -546,8 +542,7 @@ def _boundaries(nt, entries, kind):
 
 def _identities(nt, ids, of, kind, prefix, header_line, shared=()):
     """Complete ``ids``, the identity ``kind`` cell of each ``of`` cell: from
-    ``shared``, else a new cell named prefix + name (a name given before is
-    an error at the start of the header)."""
+    ``shared``, else a new cell named prefix + name (if free, else an error)."""
     for x, name in enumerate(nt.names[of]):
         if ids[x] is None:
             ids[x] = shared[x] if x in shared else nt.add(kind, prefix + name, (header_line,))
@@ -1035,8 +1030,7 @@ def _write_monoid(doc, decl):
 
 
 # ---------------------------------------------------------------------------
-# reference blocks: tensor, internal; each name's column is found as it is
-# read, for ``Document.get``
+# reference blocks: tensor, internal; a name's column is found as read, for Document.get
 
 _TENSOR = {"left": ("NAME",), "right": ("NAME",), "cap": ("N",)}
 
