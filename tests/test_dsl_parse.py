@@ -1,6 +1,7 @@
 """The parser's tokenizer and its implied table entries, against plain
-oracles: the ``\\S+`` regex for tokens, and the lines of a grown session
-document for the order of every composition table."""
+oracles: the ``\\S+`` regex for tokens and for the columns of errors, and
+the lines of a grown session document for the order of every composition
+table."""
 
 import re
 
