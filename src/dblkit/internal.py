@@ -40,6 +40,7 @@ from .kernel import (
     _columns,
     _compare_entries,
     _dense_rows,
+    _embedding,
     _first_difference,
     _globular_interchange,
     _identity_functoriality,
@@ -511,10 +512,10 @@ def _unit_functor(term: DoubleCategory, d: DoubleCategory, unit_ob: int) -> Stri
     )
 
 
-def monoid_to_internal(monoid) -> InternalCategoryData:
-    """Internal structure of a tensor-monoid: trivial object part, the
-    carrier as arrow part, multiplication as composition, and identity
-    comparisons throughout (the strictly associative case)."""
+def _monoid_bundle(monoid) -> InternalCategoryData:
+    """The bundle of a tensor-monoid before its comparisons: the terminal
+    object part, the carrier as arrow part, both legs the bang, the unit
+    object as unit and the induced multiplication as composition."""
     from .graytensor import derive_interleaved_functor
 
     d = monoid.carrier
@@ -523,8 +524,15 @@ def monoid_to_internal(monoid) -> InternalCategoryData:
     p = pullback(t, s)
     p1, p2 = pullback_projections(t, s, p)
     u = pseudo_from_strict(_unit_functor(term, d, monoid.unit_ob))
-    m = derive_interleaved_functor(monoid, dom=p)
-    data = InternalCategoryData(term, d, s, t, u, p, p1, p2, m)
+    return InternalCategoryData(term, d, s, t, u, p, p1, p2, derive_interleaved_functor(monoid, dom=p))
+
+
+def monoid_to_internal(monoid) -> InternalCategoryData:
+    """Internal structure of a tensor-monoid: trivial object part, the
+    carrier as arrow part, multiplication as composition, and identity
+    comparisons throughout (the strictly associative case)."""
+    data = _monoid_bundle(monoid)
+    d = data.d1
     left_nested, right_nested, _ = nested_composition_functors(data)
     if not pseudo_equal(left_nested, right_nested):
         raise StructureError(
@@ -545,16 +553,9 @@ def pseudomonoid_to_internal(monoid, assoc_vertical, conn, dom_conn=None) -> Int
     comparison: a plain vertical transformation between the nested
     composites, traded for a coupled pair through the supplied companions."""
     from .companion import vertical_transformation_to_double
-    from .graytensor import derive_interleaved_functor
 
-    d = monoid.carrier
-    term = terminal_double_category()
-    s = t = StrictDoubleFunctor(**vars(_bang(d, term)), name="!")
-    p = pullback(t, s)
-    p1, p2 = pullback_projections(t, s, p)
-    u = pseudo_from_strict(_unit_functor(term, d, monoid.unit_ob))
-    m = derive_interleaved_functor(monoid, dom=p)
-    data = InternalCategoryData(term, d, s, t, u, p, p1, p2, m)
+    data = _monoid_bundle(monoid)
+    d = data.d1
     left_nested, right_nested, _ = nested_composition_functors(data)
     if not (pseudo_equal(assoc_vertical.F, right_nested) and pseudo_equal(assoc_vertical.G, left_nested)):
         raise StructureError("associativity comparison must run from the right-nested composite")
@@ -573,36 +574,12 @@ def pseudomonoid_to_internal(monoid, assoc_vertical, conn, dom_conn=None) -> Int
 
 def internalize_bicategory(b: Bicategory) -> PseudoDoubleCategory:
     """Pseudo double category with discrete object part: hcells the 1-cells,
-    squares the 2-cells placed vertically globular, constraints inherited."""
-    n1 = len(b.onecells)
-    vcells = [(a, a) for a in range(b.n_objects)]
-    squares = [(f, g, b.s1(f), b.t1(f)) for (f, g) in b.twocells]
-    vcomp1 = {(a, a): a for a in range(b.n_objects)}
-    return PseudoDoubleCategory(
-        b.n_objects,
-        list(b.onecells),
-        vcells,
-        squares,
-        dict(b.comp1),
-        vcomp1,
-        dict(b.hcomp2),
-        dict(b.vcomp2),
-        list(b.id1),
-        list(range(b.n_objects)),
-        list(b.id2),
-        [b.id2[b.id1[a]] for a in range(b.n_objects)],
-        assoc=dict(b.assoc),
-        assoc_inv=dict(b.assoc_inv),
-        lunit=list(b.lunit),
-        lunit_inv=list(b.lunit_inv),
-        runit=list(b.runit),
-        runit_inv=list(b.runit_inv),
-        names={
-            OBJECT: [b.name_of("objects", a) for a in range(b.n_objects)],
-            HCELL: [b.name_of("onecell", f) for f in range(n1)],
-            VCELL: [f"1^{b.name_of('objects', a)}" for a in range(b.n_objects)],
-            SQUARE: [b.name_of("twocell", x) for x in range(len(b.twocells))],
-        },
+    squares the 2-cells placed vertically globular, constraints inherited.
+    The body of :func:`kernel.embed_two_category`, without its strictness
+    gate."""
+    return _embedding(
+        b, PseudoDoubleCategory, assoc=b.assoc, assoc_inv=b.assoc_inv,
+        lunit=b.lunit, lunit_inv=b.lunit_inv, runit=b.runit, runit_inv=b.runit_inv,
     )
 
 

@@ -1297,32 +1297,36 @@ def embed_two_category(t: TwoCategory) -> DoubleCategory:
     law = check_two_category(t)
     if not law.passed:
         raise StructureError("embedding input is not a strict 2-category: " + law.summary())
-    n1 = len(t.onecells)
-    vcells = [(a, a) for a in range(t.n_objects)]
-    vid = list(range(t.n_objects))
-    squares = [(f, g, t.s1(f), t.t1(f)) for (f, g) in t.twocells]
-    vcomp1 = {(a, a): a for a in range(t.n_objects)}
-    vcomp2 = dict(t.vcomp2)
-    hcomp2 = dict(t.hcomp2)
-    return DoubleCategory(
-        t.n_objects,
+    return _embedding(t, DoubleCategory)
+
+
+def _embedding(t, cls, **constraints):
+    """``cls`` on the cells of the 2-category or bicategory ``t``: its
+    objects, its 1-cells as hcells, one identity vcell per object, and its
+    2-cells as vertically globular squares, with ``constraints`` passed on
+    as keywords.  Shared by :func:`embed_two_category` and
+    ``internal.internalize_bicategory``."""
+    n = t.n_objects
+    return cls(
+        n,
         list(t.onecells),
-        vcells,
-        squares,
+        [(a, a) for a in range(n)],
+        [(f, g, t.s1(f), t.t1(f)) for (f, g) in t.twocells],
         dict(t.comp1),
-        vcomp1,
-        hcomp2,
-        vcomp2,
+        {(a, a): a for a in range(n)},
+        dict(t.hcomp2),
+        dict(t.vcomp2),
         list(t.id1),
-        vid,
+        list(range(n)),
         list(t.id2),
-        [t.id2[t.id1[a]] for a in range(t.n_objects)],
+        [t.id2[t.id1[a]] for a in range(n)],
         names={
-            OBJECT: [t.name_of("objects", a) for a in range(t.n_objects)],
-            HCELL: [t.name_of("onecell", f) for f in range(n1)],
-            VCELL: [f"1^{t.name_of('objects', a)}" for a in range(t.n_objects)],
+            OBJECT: [t.name_of("objects", a) for a in range(n)],
+            HCELL: [t.name_of("onecell", f) for f in range(len(t.onecells))],
+            VCELL: [f"1^{t.name_of('objects', a)}" for a in range(n)],
             SQUARE: [t.name_of("twocell", x) for x in range(len(t.twocells))],
         },
+        **constraints,
     )
 
 

@@ -26,10 +26,9 @@ from .kernel import (
     SQUARE,
     VCELL,
     DoubleCategory,
-    NonComposable,
     StructureError,
+    TwoCategory,
     _associativity,
-    _check_globular,
     _check_index,
     _columns,
     _dense_rows,
@@ -197,9 +196,12 @@ def check_pseudo_double_category(p: PseudoDoubleCategory, budget: Budget | None 
 # bicategories
 
 
-class Bicategory:
-    """Finite bicategory: hom-categories given by globular 2-cells, weak
-    horizontal composition with stored associator/unitor isomorphisms."""
+class Bicategory(TwoCategory):
+    """Finite bicategory: a 2-category's cells and tables, with weak
+    horizontal composition made up for by stored associator/unitor
+    isomorphisms and their inverses.  Where a 2-category states a table
+    value with the wrong boundary as a law, a bicategory raises
+    StructureError on it."""
 
     def __init__(
         self,
@@ -219,46 +221,14 @@ class Bicategory:
         runit_inv,
         names=None,
     ):
-        self.n_objects = int(n_objects)
-        self.onecells = [tuple(x) for x in onecells]
-        self.twocells = [tuple(x) for x in twocells]
-        self.comp1 = dict(comp1)
-        self.vcomp2 = dict(vcomp2)
-        self.hcomp2 = dict(hcomp2)
-        self.id1 = list(id1)
-        self.id2 = list(id2)
+        super().__init__(n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=names)
         self.assoc = dict(assoc)
         self.assoc_inv = dict(assoc_inv)
         self.lunit = list(lunit)
         self.lunit_inv = list(lunit_inv)
         self.runit = list(runit)
         self.runit_inv = list(runit_inv)
-        self.names = names or {}
-        self._validate()
-
-    def s1(self, f):
-        return self.onecells[f][0]
-
-    def t1(self, f):
-        return self.onecells[f][1]
-
-    def s2(self, a):
-        return self.twocells[a][0]
-
-    def t2(self, a):
-        return self.twocells[a][1]
-
-    def then1(self, f, g):
-        try:
-            return self.comp1[(f, g)]
-        except KeyError:
-            raise NonComposable(f"1-cells {f} and {g} not composable") from None
-
-    def vert(self, a, b):
-        try:
-            return self.vcomp2[(a, b)]
-        except KeyError:
-            raise NonComposable(f"2-cells {a} and {b} not vertically composable") from None
+        self._validate_bicategory()
 
     def vert_list(self, onecell, cells):
         out = self.id2[onecell]
@@ -266,20 +236,7 @@ class Bicategory:
             out = self.vert(out, a)
         return out
 
-    def horiz(self, a, b):
-        try:
-            return self.hcomp2[(a, b)]
-        except KeyError:
-            raise NonComposable(f"2-cells {a} and {b} not horizontally composable") from None
-
-    def name_of(self, kind, index):
-        kind_names = self.names.get(kind)
-        if kind_names is not None and 0 <= index < len(kind_names):
-            return kind_names[index]
-        return f"{kind}{index}"
-
-    def _validate(self):
-        _check_globular(self)
+    def _validate_bicategory(self):
         for (f, g), h in self.comp1.items():
             if self.onecells[h] != (self.s1(f), self.t1(g)):
                 raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")

@@ -162,6 +162,31 @@ def walking_arrow_two_category() -> TwoCategory:
     )
 
 
+def _free_iso_vcomp(twocells):
+    """Vertical composition where each 2-cell is the only one on its
+    boundary, so a composite is the 2-cell from the first source to the
+    second target."""
+    index = {pair: i for i, pair in enumerate(twocells)}
+    out = {}
+    for a, (fa, ga) in enumerate(twocells):
+        for b, (fb, gb) in enumerate(twocells):
+            if ga == fb:
+                out[(a, b)] = index[(fa, gb)]
+    return out
+
+
+def _free_iso_hcomp(onecells, twocells, comp1):
+    """Horizontal composition, likewise: the 2-cell between the composites
+    of the sources and of the targets."""
+    index = {pair: i for i, pair in enumerate(twocells)}
+    out = {}
+    for a, (fa, ga) in enumerate(twocells):
+        for b, (fb, gb) in enumerate(twocells):
+            if onecells[fa][1] == onecells[fb][0]:
+                out[(a, b)] = index[(comp1[(fa, fb)], comp1[(ga, gb)])]
+    return out
+
+
 def walking_two_cell(invertible: bool = False) -> TwoCategory:
     """Two objects, parallel 1-cells f, g : 0 -> 1, one 2-cell s: f => g
     (plus its inverse when requested)."""
@@ -179,42 +204,13 @@ def walking_two_cell(invertible: bool = False) -> TwoCategory:
     if invertible:
         twocells.append((3, 2))
         names2.append("sinv")
-    n2 = len(twocells)
-    vcomp2 = {}
-    for a in range(n2):
-        for b in range(n2):
-            (fa, ga), (fb, gb) = twocells[a], twocells[b]
-            if ga != fb:
-                continue
-            if a < 4:
-                vcomp2[(a, b)] = b
-            elif b < 4:
-                vcomp2[(a, b)] = a
-            elif (fa, gb) == (2, 2):
-                vcomp2[(a, b)] = 2
-            elif (fa, gb) == (3, 3):
-                vcomp2[(a, b)] = 3
-            else:
-                vcomp2[(a, b)] = 4 if (fa, gb) == (2, 3) else 5
-    hcomp2 = {}
-    for a in range(n2):
-        for b in range(n2):
-            (fa, ga), (fb, gb) = twocells[a], twocells[b]
-            if onecells[fa][1] != onecells[fb][0]:
-                continue
-            src = comp1[(fa, fb)]
-            tgt = comp1[(ga, gb)]
-            if src == tgt:
-                hcomp2[(a, b)] = {0: 0, 1: 1, 2: 2, 3: 3}[src]
-            else:
-                hcomp2[(a, b)] = 4 if (src, tgt) == (2, 3) else 5
     return TwoCategory(
         2,
         onecells,
         twocells,
         comp1,
-        vcomp2,
-        hcomp2,
+        _free_iso_vcomp(twocells),
+        _free_iso_hcomp(onecells, twocells, comp1),
         [0, 1],
         [0, 1, 2, 3],
         names={"objects": ["0", "1"], "onecell": ["id0", "id1", "f", "g"], "twocell": names2},
@@ -297,113 +293,35 @@ def acyclic_two_category_catalog() -> list[tuple[str, TwoCategory]]:
 
 
 def sign_bicategory():
-    """One object; 1-cells the group {e, a} of order two; each 1-cell carries
-    a sign automorphism group {+1, -1} of 2-cells.  The associator at (a,a,a)
-    is the -1 cell and +1 everywhere else: the classical nontrivial
-    normalized 3-cocycle, so the pentagon holds while the associator does not
-    reduce to the identity."""
+    """The cells and tables of :func:`sign_two_category`, weakened: the
+    associator at (a,a,a) is the -1 cell and +1 everywhere else, the
+    classical nontrivial normalized 3-cocycle, so the pentagon holds while
+    the associator does not reduce to the identity."""
     from .weak import Bicategory
 
-    onecells = [(0, 0), (0, 0)]  # e, a
-    names1 = ["e", "a"]
-    # 2-cell x*2 + (0 for +, 1 for -) lives on 1-cell x
-    twocells = [(x, x) for x in (0, 0, 1, 1)]
-    names2 = ["e+", "e-", "a+", "a-"]
-
-    def cell(onecell, sign):
-        return onecell * 2 + (0 if sign > 0 else 1)
-
-    def sign_of(a):
-        return 1 if a % 2 == 0 else -1
-
-    def on(a):
-        return a // 2
-
-    comp1 = {(x, y): (x + y) % 2 for x in range(2) for y in range(2)}
-    vcomp2 = {}
-    for a in range(4):
-        for b in range(4):
-            if on(a) == on(b):
-                vcomp2[(a, b)] = cell(on(a), sign_of(a) * sign_of(b))
-    hcomp2 = {
-        (a, b): cell(comp1[(on(a), on(b))], sign_of(a) * sign_of(b))
-        for a in range(4)
-        for b in range(4)
-    }
+    t = sign_two_category()
+    # the 2-cell 2*x + (0 for +1, 1 for -1) lives on the 1-cell x
     assoc = {
-        (x, y, z): cell((x + y + z) % 2, -1 if x == y == z == 1 else 1)
-        for x in range(2)
-        for y in range(2)
-        for z in range(2)
+        (x, y, z): 2 * ((x + y + z) % 2) + (x == y == z == 1) for x in range(2) for y in range(2) for z in range(2)
     }
-    id2 = [cell(x, 1) for x in range(2)]
     return Bicategory(
-        1,
-        onecells,
-        twocells,
-        comp1,
-        vcomp2,
-        hcomp2,
-        [0],
-        id2,
-        assoc,
-        dict(assoc),
-        list(id2),
-        list(id2),
-        list(id2),
-        list(id2),
-        names={"objects": ["*"], "onecell": names1, "twocell": names2},
+        t.n_objects, t.onecells, t.twocells, t.comp1, t.vcomp2, t.hcomp2, t.id1, t.id2,
+        assoc, dict(assoc), *(t.id2,) * 4, names=t.names,
     )
 
 
 def two_object_bicategory():
     """Two objects X, Y; hom(X,Y) has parallel 1-cells p, q with an
-    invertible 2-cell between them; all other homs are units only.  Strict.
-    Used for the composable-pair counting checks."""
+    invertible 2-cell between them; all other homs are units only.  Strict:
+    the invertible walking 2-cell, renamed.  Used for the composable-pair
+    counting checks."""
     from .weak import bicategory_from_two_category
 
-    onecells = [(0, 0), (1, 1), (0, 1), (0, 1)]  # 1X, 1Y, p, q
-    comp1 = {
-        (0, 0): 0,
-        (1, 1): 1,
-        (0, 2): 2,
-        (2, 1): 2,
-        (0, 3): 3,
-        (3, 1): 3,
+    b = bicategory_from_two_category(walking_two_cell(invertible=True))
+    b.names = {
+        "objects": ["X", "Y"], "onecell": ["1X", "1Y", "p", "q"], "twocell": ["I1X", "I1Y", "Ip", "Iq", "t", "tinv"]
     }
-    twocells = [(0, 0), (1, 1), (2, 2), (3, 3), (2, 3), (3, 2)]
-    t = TwoCategory(
-        2,
-        onecells,
-        twocells,
-        comp1,
-        _free_iso_vcomp(twocells),
-        _free_iso_hcomp(onecells, twocells, comp1),
-        [0, 1],
-        [0, 1, 2, 3],
-        names={"objects": ["X", "Y"], "onecell": ["1X", "1Y", "p", "q"], "twocell": ["I1X", "I1Y", "Ip", "Iq", "t", "tinv"]},
-    )
-    return bicategory_from_two_category(t)
-
-
-def _free_iso_vcomp(twocells):
-    index = {pair: i for i, pair in enumerate(twocells)}
-    out = {}
-    for a, (fa, ga) in enumerate(twocells):
-        for b, (fb, gb) in enumerate(twocells):
-            if ga == fb:
-                out[(a, b)] = index[(fa, gb)]
-    return out
-
-
-def _free_iso_hcomp(onecells, twocells, comp1):
-    index = {pair: i for i, pair in enumerate(twocells)}
-    out = {}
-    for a, (fa, ga) in enumerate(twocells):
-        for b, (fb, gb) in enumerate(twocells):
-            if onecells[fa][1] == onecells[fb][0]:
-                out[(a, b)] = index[(comp1[(fa, fb)], comp1[(ga, gb)])]
-    return out
+    return b
 
 
 def sign_two_category() -> TwoCategory:

@@ -12,6 +12,8 @@ from dblkit.kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
+    TwoCategory,
+    check_two_category,
     embed_two_category,
     product,
     pullback,
@@ -298,6 +300,41 @@ def test_internalize_agrees_with_embedding_on_strict_input():
     assert left.hcomp2 == right.hcomp2
     assert left.assoc == right.assoc
     assert left.lunit == right.lunit
+
+
+def _in_order(x, fields):
+    """The ``fields`` of ``x``, each dict as its items in insertion order."""
+    return {k: list(v.items()) if isinstance(v, dict) else v for k in fields for v in [getattr(x, k)]}
+
+
+_GLOBULAR = ("n_objects", "onecells", "twocells", "comp1", "vcomp2", "hcomp2", "id1", "id2")
+
+
+@pytest.mark.parametrize("make_t, make_b", [
+    (zoo.sign_two_category, zoo.sign_bicategory),
+    (lambda: zoo.walking_two_cell(invertible=True), zoo.two_object_bicategory),
+], ids=["sign", "two-object"])
+def test_a_zoo_bicategory_holds_its_two_category(make_t, make_b):
+    """A bicategory is a 2-category with constraints: each zoo bicategory
+    holds the tables of the zoo 2-category it is built from, in their
+    order, and checks as that 2-category does."""
+    t, b = make_t(), make_b()
+    assert isinstance(b, TwoCategory)
+    assert _in_order(b, _GLOBULAR) == _in_order(t, _GLOBULAR)
+    assert check_two_category(b) == check_two_category(t)
+
+
+def test_sign_bicategory_is_the_strict_one_but_for_the_cocycle():
+    b, strict = zoo.sign_bicategory(), bicategory_from_two_category(zoo.sign_two_category())
+    constraints = {"assoc", "assoc_inv"}
+    rest = [k for k in vars(strict) if k not in constraints]
+    assert set(vars(b)) == set(vars(strict))
+    assert _in_order(b, rest) == _in_order(strict, rest)
+    for k in constraints:
+        ours, identity = getattr(b, k), getattr(strict, k)
+        assert set(ours) == set(identity)
+        assert [key for key in ours if ours[key] != identity[key]] == [(1, 1, 1)]
+    assert check_two_category(b).passed
 
 
 def test_pentagon_transfers_both_directions():
