@@ -35,7 +35,8 @@ leaves them out:
 - ``hcc`` of two identity 2-cells: the identity 2-cell of the composite;
 - ``hsq``/``vsq`` of two squares whose composite boundary is the boundary of
   exactly one square: that square;
-- the associator and unitors of a bicategory: identity 2-cells.
+- the associator and unitors of a bicategory: identity 2-cells.  A
+  constraint is written with its inverse when either of them is not.
 
 A missing composition entry, a missing table entry of a monoid, or a
 missing component of a functor, transformation or modification is a
@@ -762,14 +763,14 @@ def _write_twocategory(doc, decl):
         w += write(kw, _explicit(table, *rules))
     if decl.kind == "bicategory":
         assoc, lunit, runit = _identity_constraints(t.onecells, t.comp1, t.id1, t.id2)
-        keys = [key for key, s in sorted(t.assoc.items()) if s != assoc.get(key)]
+        keys = [key for key, s in sorted(t.assoc.items()) if s != assoc.get(key) or t.assoc_inv[key] != assoc.get(key)]
         w += _interleave(
             write("assoc", [(k, t.assoc[k]) for k in keys]), write("associnv", [(k, t.assoc_inv[k]) for k in keys])
         )
         unitors = (("lunit", t.lunit, t.lunit_inv, lunit), ("runit", t.runit, t.runit_inv, runit))
         for f in range(len(t.onecells)):
             for kw, cells, inverse, implied in unitors:
-                if cells[f] != implied[f]:
+                if cells[f] != implied[f] or inverse[f] != implied[f]:
                     w += write(kw, [(f, cells[f])]) + write(kw + "inv", [(f, inverse[f])])
     return w
 
