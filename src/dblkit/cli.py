@@ -189,16 +189,7 @@ def _check_declaration(doc: Document, decl: Declaration, args) -> list[AxiomRepo
         if args.cubical:
             return [_check_cubical_view(doc, decl, args)]
         if decl.meta.get("strict"):
-            strict = StrictDoubleFunctor(
-                decl.obj.dom,
-                decl.obj.cod,
-                decl.obj.ob_map,
-                decl.obj.h_map,
-                decl.obj.v_map,
-                decl.obj.sq_map,
-                name=decl.name,
-            )
-            return [check_strict_functor(strict, budget=budget)]
+            return [check_strict_functor(_as_strict(decl.obj, decl.name), budget=budget)]
         return [check_double_pseudo_functor(decl.obj, budget=budget, axioms=args.axioms)]
     if decl.kind == "transformation":
         kind = decl.meta["kind"]
@@ -259,10 +250,7 @@ def _check_cubical_view(doc: Document, decl: Declaration, args):
     d1 = doc.get(args.cubical[0], "category").obj
     d2 = doc.get(args.cubical[1], "category").obj
     f = decl.obj
-    strict = StrictDoubleFunctor(
-        f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=decl.name
-    )
-    h = cubical_from_product_functor(d1, d2, strict)
+    h = cubical_from_product_functor(d1, d2, _as_strict(f, decl.name))
     rep = check_cubical(h, budget=_budget(args), axioms=args.axioms)
     c = curry(h)
     h2 = uncurry(c, d1, d2, f.cod)
@@ -277,20 +265,15 @@ def _resolve_internal(doc: Document, decl: Declaration) -> InternalCategoryData:
     def grab(slot, kind):
         return doc.get(refs[slot], kind).obj
 
-    def strictify(pseudo, name):
-        return StrictDoubleFunctor(
-            pseudo.dom, pseudo.cod, pseudo.ob_map, pseudo.h_map, pseudo.v_map, pseudo.sq_map, name=name
-        )
-
     return InternalCategoryData(
         grab("d0", "category"),
         grab("d1", "category"),
-        strictify(grab("s", "functor"), refs["s"]),
-        strictify(grab("t", "functor"), refs["t"]),
+        _as_strict(grab("s", "functor"), refs["s"]),
+        _as_strict(grab("t", "functor"), refs["t"]),
         grab("u", "functor"),
         grab("p", "category"),
-        strictify(grab("p1", "functor"), refs["p1"]),
-        strictify(grab("p2", "functor"), refs["p2"]),
+        _as_strict(grab("p1", "functor"), refs["p1"]),
+        _as_strict(grab("p2", "functor"), refs["p2"]),
         grab("m", "functor"),
         assoc=doc.get(refs["assoc"], "transformation").obj if "assoc" in refs else None,
         lunit=doc.get(refs["lunit"], "transformation").obj if "lunit" in refs else None,
@@ -393,8 +376,8 @@ def cmd_construct(args) -> int:
     elif recipe == "pullback":
         f_decl = doc.get(args.args[0], "functor")
         g_decl = doc.get(args.args[1], "functor")
-        f = _as_strict(f_decl)
-        g = _as_strict(g_decl)
+        f = _as_strict(f_decl.obj, f_decl.name)
+        g = _as_strict(g_decl.obj, g_decl.name)
         pb = pullback(f, g)
         p1, p2 = pullback_projections(f, g, pb)
         new.append(_decl_category(name, pb))
@@ -436,9 +419,9 @@ def cmd_construct(args) -> int:
     return 0
 
 
-def _as_strict(decl):
-    f = decl.obj
-    return StrictDoubleFunctor(f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=decl.name)
+def _as_strict(f, name):
+    """The strict functor on the cell maps of the functor ``f``."""
+    return StrictDoubleFunctor(f.dom, f.cod, f.ob_map, f.h_map, f.v_map, f.sq_map, name=name)
 
 
 def _internal_bundle_decls(doc, name, data: InternalCategoryData, carrier_name):
