@@ -13,6 +13,8 @@ the checkout it sits in.  The record holds, measured on this checkout:
 - the records of the acceptance battery's ``run_all()``: each
   criterion's name, verdict, detail, elapsed seconds, time bound and
   margin (the last two null for a criterion without a bound);
+- ``src_lines``, the ``wc -l`` total of ``src/dblkit/*.py``, so that the
+  size of the library sits beside its timings;
 - the core count, the Python version and the commit (``git rev-parse
   HEAD``, and whether tracked files differ from it).
 
@@ -129,6 +131,11 @@ def acceptance():
     return run_all(verbose=False)
 
 
+def src_lines():
+    """The ``wc -l`` total of ``src/dblkit/*.py``: its newline count."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "dblkit").glob("*.py"))
+
+
 def commit():
     head = _run(["git", "rev-parse", "HEAD"]).stdout.strip()
     changed = _run(["git", "status", "--porcelain", "--untracked-files=no"]).stdout.strip()
@@ -163,6 +170,7 @@ def main(argv=None) -> int:
         "workloads": {name: workload(name) for name in WORKLOADS},
         "tier1": tier1(),
         "acceptance": acceptance(),
+        "src_lines": src_lines(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "commit": commit(),

@@ -9,8 +9,12 @@ conventions (left-argument-first tables throughout):
     lunit[f]         : 1_A . f  =>  f
     runit[f]         : f . 1_B  =>  f
 
-A bicategory is the globular special case and gets its own independent
-checker so the two can cross-validate each other.  Both checkers state
+A bicategory is the globular special case: a ``kernel.TwoCategory``'s cells
+and tables plus the six constraint fields, where a table value with the
+wrong boundary raises StructureError instead of failing a law.
+``internal.internalize_bicategory`` embeds it through the body of
+``kernel.embed_two_category``.  It gets its own independent checker so the
+two checkers can cross-validate each other.  Both checkers state
 their laws through the kernel enumerators: the strict ones for the
 vertical (hom-category) laws, ``kernel._invertibility`` and
 ``kernel._inverse_laws`` for the stored inverses, and ``kernel._laws`` for
