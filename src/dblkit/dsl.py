@@ -763,7 +763,9 @@ def _write_twocategory(doc, decl):
         w += write(kw, _explicit(table, *rules))
     if decl.kind == "bicategory":
         assoc, lunit, runit = _identity_constraints(t.onecells, t.comp1, t.id1, t.id2)
-        keys = [key for key, s in sorted(t.assoc.items()) if s != assoc.get(key) or t.assoc_inv[key] != assoc.get(key)]
+        keys = [
+            key for key, s in sorted(t.assoc.items()) if s != assoc.get(key) or t.assoc_inv[key] != assoc.get(key)
+        ]
         w += _interleave(
             write("assoc", [(k, t.assoc[k]) for k in keys]), write("associnv", [(k, t.assoc_inv[k]) for k in keys])
         )

@@ -1153,7 +1153,8 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
 
 
 class TwoCategory:
-    """Finite strict 2-category: objects, 1-cells, globular 2-cells."""
+    """Finite strict 2-category: objects, 1-cells, globular 2-cells.
+    ``weak.Bicategory`` extends it with constraint cells."""
 
     def __init__(self, n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=None):
         self.n_objects = int(n_objects)
