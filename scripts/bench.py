@@ -36,6 +36,12 @@ the failed and attempted operations of both sides.  A pair whose runs do
 not both check out ``correct`` stops the comparison.  Given several
 ``--workload`` options, it compares each workload in turn, in the order
 given, with the same seed and number of pairs, one table each.
+
+A claim compares the library under identical benchmark code, so
+``--against`` refuses two checkouts whose ``BENCHMARK.json`` or files
+under ``dblbench/`` differ byte for byte (a file in one checkout only
+included), naming the first that differs; ``dblbench/out/`` and
+``__pycache__`` directories, which runs write, are left aside.
 """
 
 import argparse
@@ -79,6 +85,22 @@ def _quartiles(values):
         return values * 3
     q1, median, q3 = statistics.quantiles(values, n=4)
     return q1, median, q3
+
+
+def bench_difference(here, there):
+    """The first path, relative to the checkout, of ``BENCHMARK.json`` and
+    the files under ``dblbench/`` that differs between the checkouts
+    ``here`` and ``there`` or is in one only; None when none does."""
+
+    def files(root):
+        under = (path.relative_to(root) for path in (root / "dblbench").rglob("*") if path.is_file())
+        return {Path("BENCHMARK.json")} | {p for p in under if p.parts[1] != "out" and "__pycache__" not in p.parts}
+
+    for rel in sorted(files(here) | files(there)):
+        a, b = here / rel, there / rel
+        if not (a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes()):
+            return rel
+    return None
 
 
 def compare(other, name, pairs, seed):
@@ -155,6 +177,9 @@ def main(argv=None) -> int:
             p.error("--against takes --workload and a positive --pairs, and no --label")
         if args.against.resolve() == ROOT:
             p.error("--against names this checkout")
+        differs = bench_difference(ROOT, args.against.resolve())
+        if differs is not None:
+            p.error(f"the benchmark differs between the checkouts at {differs}; a claim needs identical benchmark code")
         for name in args.workload:
             compare(args.against.resolve(), name, args.pairs, SEED if args.seed is None else args.seed)
         return 0

@@ -43,8 +43,11 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   category), and
   digests of every bundle's nested and unit-sided composites (cell maps,
   structure cells and the triple pullback's tables), taken after the
-  check; and, on the diagonal bundles of ``quintet(C2)`` and
-  ``embed(sign)``, shallow reports of single-entry mutants of the
+  check; digests, on the same bundles, of the square tables of the
+  transposes of the pullback and of both triple pullbacks, in insertion
+  order, and of ``hpaste`` and ``vpaste`` at every key of those tables, on
+  each pullback and on its transpose, each made anew; and, on the diagonal
+  bundles of ``quintet(C2)`` and ``embed(sign)``, shallow reports of single-entry mutants of the
   projections' cell maps, of the unit's and the composition's cell maps
   and boundary-keeping structure cells (with the comparisons given and
   defaulted), of every single-entry mutant of the unit's and the
@@ -153,6 +156,7 @@ from dblkit.functors import (
     check_cubical,
     check_double_pseudo_functor,
     check_strict_functor,
+    compose_strict,
     cubical_from_product_functor,
     identity_functor,
     identity_pseudo,
@@ -189,6 +193,7 @@ from dblkit.kernel import (
     check_two_category,
     embed_two_category,
     product,
+    pullback,
     quintet,
     transpose,
 )
@@ -741,6 +746,27 @@ def _bundle(out, key, data, empty, deep=(True, False)):
     out[f"{key} unit-sided"] = _digest(lambda: unit_sided_functors(data))
 
 
+def _square_tables(out, key, data):
+    """On the bundle's pullback and both triple pullbacks, each made anew
+    per entry: the square tables of its transpose in insertion order, and
+    every square table entry of it and of its transpose read by a single
+    ``hpaste`` or ``vpaste`` at its key, in key order."""
+    t_after_p2, s_after_p1 = compose_strict(data.t, data.p2), compose_strict(data.s, data.p1)
+    for part, pair in (("p", (data.t, data.s)), ("p3l", (t_after_p2, data.s)), ("p3r", (data.t, s_after_p1))):
+        def tables(pair=pair):
+            t = transpose(pullback(*pair))
+            return [t.hcomp2, t.vcomp2]
+
+        def pastes(pair=pair):
+            h, v = (sorted(table) for table in tables())  # the transpose's keys
+            d, t = pullback(*pair), transpose(pullback(*pair))
+            return [[d.vpaste(a, b) for a, b in h], [d.hpaste(a, b) for a, b in v],
+                    [t.hpaste(a, b) for a, b in h], [t.vpaste(a, b) for a, b in v]]
+
+        out[f"{key} transpose {part} squares"] = _digest(tables)
+        out[f"{key} {part} pastes"] = _digest(pastes)
+
+
 def internal(out):
     empty = transform.ComponentRegistry.of()
     bundles = {}
@@ -748,6 +774,7 @@ def internal(out):
         monoid = make()
         bundles[name] = (monoid, monoid_to_internal(monoid))
         _bundle(out, f"internal {name}", bundles[name][1], empty)
+        _square_tables(out, f"internal {name}", bundles[name][1])
     # acceptance criterion 8's pseudomonoid bundle, written out rather than
     # taken from the acceptance module so that the script runs on older
     # checkouts
@@ -757,6 +784,7 @@ def internal(out):
     nonid = [v for v in enumerate_plain_verticals(right, left) if any(v.comp[o] != d.vid[0] for o in range(d.n_objects))]
     pseudo = pseudomonoid_to_internal(monoid, nonid[0], find_connection(d), dom_conn=find_connection(p3l))
     _bundle(out, "internal pseudomonoid", pseudo, empty)
+    _square_tables(out, "internal pseudomonoid", pseudo)
     # criterion 8's compatibility mutations
     dq = quintet(zoo.walking_arrow())
     good = diagonal_internal(dq)

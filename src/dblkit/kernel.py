@@ -513,19 +513,18 @@ class DoubleCategory:
         try:
             return self.hcomp2[(a, b)]
         except KeyError:
-            raise NonComposable(
-                f"squares {a}:{self.squares[a]} | {b}:{self.squares[b]} do not paste horizontally",
-                ((SQUARE, a), (SQUARE, b)),
-            ) from None
+            raise self._unpasted(a, b, "|", "horizontally") from None
 
     def vpaste(self, a, b):
         try:
             return self.vcomp2[(a, b)]
         except KeyError:
-            raise NonComposable(
-                f"squares {a}:{self.squares[a]} / {b}:{self.squares[b]} do not paste vertically",
-                ((SQUARE, a), (SQUARE, b)),
-            ) from None
+            raise self._unpasted(a, b, "/", "vertically") from None
+
+    def _unpasted(self, a, b, sep, way):
+        return NonComposable(
+            f"squares {a}:{self.squares[a]} {sep} {b}:{self.squares[b]} do not paste {way}", ((SQUARE, a), (SQUARE, b))
+        )
 
     def hrow(self, *squares):
         """Left-to-right horizontal pasting of one or more squares."""
@@ -734,8 +733,17 @@ def same_category(a: DoubleCategory, b: DoubleCategory) -> bool:
 
     Distinct construction calls produce distinct objects; operations that
     need matching categories accept either the same object or the same
-    presentation."""
-    return a is b or all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION)
+    presentation.  When neither side has built its square tables yet
+    (:class:`_Pending`), equal recipes stand for equal tables, so neither
+    is built; other recipes are compared by their built tables."""
+    if a is b:
+        return True
+    joins = vars(a).get("_square_tables"), vars(b).get("_square_tables")
+    if None in joins:
+        return all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION)
+    return all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION if name not in ("hcomp2", "vcomp2")) and (
+        joins[0] == joins[1] or (a.hcomp2 == b.hcomp2 and a.vcomp2 == b.vcomp2)
+    )
 
 
 def terminal_double_category() -> DoubleCategory:
@@ -912,19 +920,86 @@ def _closes(table1, table2, map1, map2):
     return all(images.get((map1[x], map1[x2]), map1[z]) == map1[z] for (x, x2), z in table1.items())
 
 
+class _Join:
+    """How :func:`pullback` builds one table of the fiber product, from what
+    the call found: the matching pairs ``ps`` and their index ``at``, the
+    factors' rows and each pair's start and end key; ``look`` raises on a
+    composite that is not a matching pair.  Equal recipes build equal tables."""
+
+    def __init__(self, ps, at, rows1, rows2, starts, ends, look):
+        self.ps, self.at, self.rows1, self.rows2, self.starts, self.ends, self.look = ps, at, rows1, rows2, starts, ends, look
+
+    def __eq__(self, other):
+        return (self.ps, self.starts, self.ends, self.rows1, self.rows2) == (
+            other.ps, other.starts, other.ends, other.rows1, other.rows2)
+
+    def entry(self, i, j):
+        """The composite of the pairs i and j, None where they do not compose."""
+        n, ps = len(self.ps), self.ps
+        if not (0 <= i < n and 0 <= j < n) or self.ends[i] != self.starts[j]:
+            return None
+        (x, y), (x2, y2) = ps[i], ps[j]
+        p = (self.rows1[x][x2], self.rows2[y][y2])
+        k = self.at.get(p)
+        return self.look(p) if k is None else k
+
+    def table(self):
+        """The whole table, by a join on the start keys, keys in
+        lexicographic order; ``look`` reruns only on a miss."""
+        ps, at, rows1, rows2, ends, look = self.ps, self.at, self.rows1, self.rows2, self.ends, self.look
+        by_start = _by(self.starts)
+        table = {}
+        for i, (x, y) in enumerate(ps):
+            later = by_start.get(ends[i])
+            if later:
+                row1, row2 = rows1[x], rows2[y]
+                for j in later:
+                    x2, y2 = ps[j]
+                    p = (row1[x2], row2[y2])
+                    k = at.get(p)
+                    table[(i, j)] = look(p) if k is None else k
+        return table
+
+
 class _Pending(DoubleCategory):
-    """A pullback whose square tables are built at the first read of
-    either, by ``_square_tables``; the object is a plain
-    :class:`DoubleCategory` from then on.  :func:`pullback` makes one, and
-    so does :func:`product` through it."""
+    """A pullback, or the transpose of one, whose square tables are not
+    built yet: ``_square_tables`` holds a :class:`_Join` for ``hcomp2`` and
+    one for ``vcomp2``.  The first read of either table builds both, and
+    the object is a plain :class:`DoubleCategory` from then on.  Until then
+    ``hpaste`` and ``vpaste`` compute the one entry asked for, and
+    :func:`transpose` and :func:`same_category` read the recipes."""
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
         if name not in ("hcomp2", "vcomp2"):
             raise AttributeError(f"'DoubleCategory' object has no attribute '{name}'")
-        self.hcomp2, self.vcomp2 = self.__dict__.pop("_square_tables")()
+        self.hcomp2, self.vcomp2 = (join.table() for join in self.__dict__.pop("_square_tables"))
         self.__class__ = DoubleCategory
         return self.__dict__[name]
+
+    def hpaste(self, a, b):
+        return _Pending._paste(self, 0, a, b, DoubleCategory.hpaste, "|", "horizontally")
+
+    def vpaste(self, a, b):
+        return _Pending._paste(self, 1, a, b, DoubleCategory.vpaste, "/", "vertically")
+
+    def _paste(self, which, a, b, built, sep, way):
+        joins = self.__dict__.get("_square_tables")
+        if joins is None or not (isinstance(a, int) and isinstance(b, int)):
+            # built since this method was bound, or keys only a table reads
+            return built(self, a, b)
+        z = joins[which].entry(a, b)
+        if z is None:
+            raise self._unpasted(a, b, sep, way)
+        return z
+
+
+def _defer(p, joins):
+    """``p``, a :class:`_Pending` made with empty square tables, with the
+    recipes ``joins`` for them."""
+    del p.hcomp2, p.vcomp2
+    p._square_tables = joins
+    return p
 
 
 def pullback(f, g) -> DoubleCategory:
@@ -936,12 +1011,14 @@ def pullback(f, g) -> DoubleCategory:
 
     The cells, the identities, ``hcomp1`` and ``vcomp1`` are built here.
     The square tables ``hcomp2`` and ``vcomp2``, the largest by far, are
-    built at the first read of either, by the same join from the factors'
-    rows, boundaries and matching pairs as this call found them, so a later
-    edit of a factor does not reach them.  Whether they close is decided
-    here all the same, in one pass over each factor's table (``_closes``),
-    so a pullback that does not close raises from this call, naming the
-    same first pair as the join.
+    kept as recipes (:class:`_Join`) taken from the factors' rows,
+    boundaries and matching pairs as this call found them, so a later edit
+    of a factor does not reach them.  Both are built at the first read of
+    either; ``hpaste``, ``vpaste``, :func:`transpose` and
+    :func:`same_category` read the recipes without building them.  Whether
+    they close is decided here all the same, in one pass over each
+    factor's table (``_closes``), so a pullback that does not close raises
+    from this call, naming the same first pair as the join.
 
     The result is valid by construction, so it is built without
     ``_validate``: every cell boundary, identity and table value is the
@@ -972,37 +1049,18 @@ def pullback(f, g) -> DoubleCategory:
     hcells, vcells, squares = next(cells), next(cells), next(cells)
 
     def join(kind, cells1, cells2, end, start, name):
-        # pairs (i, j) of matching pairs that compose in both factors, by a
-        # join on the boundary index, in lexicographic order; the composite
-        # is read off the factors' rows, and ``look`` reruns only on a miss.
-        # What the join reads is taken now; the table is built by the call
-        ps, at = pairs[kind], index[kind]
-        rows1, rows2 = _rows(getattr(d1, name)), _rows(getattr(d2, name))
-        by_start = _by([(cells1[x][start], cells2[y][start]) for x, y in ps])
-        ends = [(cells1[x][end], cells2[y][end]) for x, y in ps]
+        # pairs (i, j) of matching pairs that compose in both factors
+        ps = pairs[kind]
+        keys = [[(cells1[x][k], cells2[y][k]) for x, y in ps] for k in (start, end)]
+        return _Join(ps, index[kind], _rows(getattr(d1, name)), _rows(getattr(d2, name)), *keys, find(kind, name))
 
-        def build():
-            table = {}
-            for i, (x, y) in enumerate(ps):
-                later = by_start.get(ends[i])
-                if later:
-                    row1, row2 = rows1[x], rows2[y]
-                    for j in later:
-                        x2, y2 = ps[j]
-                        p = (row1[x2], row2[y2])
-                        k = at.get(p)
-                        table[(i, j)] = find(kind, name)(p) if k is None else k
-            return table
-
-        return build
-
-    hcomp1 = join(HCELL, d1.hcells, d2.hcells, 1, 0, "hcomp1")()
-    vcomp1 = join(VCELL, d1.vcells, d2.vcells, 1, 0, "vcomp1")()
-    builds = []
+    hcomp1 = join(HCELL, d1.hcells, d2.hcells, 1, 0, "hcomp1").table()
+    vcomp1 = join(VCELL, d1.vcells, d2.vcells, 1, 0, "vcomp1").table()
+    joins = []
     for name, end, start in (("hcomp2", 3, 2), ("vcomp2", 1, 0)):
-        builds.append(join(SQUARE, d1.squares, d2.squares, end, start, name))
+        joins.append(join(SQUARE, d1.squares, d2.squares, end, start, name))
         if not _closes(getattr(d1, name), getattr(d2, name), f.sq_map, g.sq_map):
-            builds[-1]()  # raises at the first pair that does not match
+            joins[-1].table()  # raises at the first pair that does not match
     p = _Pending._unvalidated(
         len(pairs[OBJECT]),
         hcells,
@@ -1018,9 +1076,7 @@ def pullback(f, g) -> DoubleCategory:
             for kind, ps in pairs.items()
         },
     )
-    del p.hcomp2, p.vcomp2
-    p._square_tables = lambda: [build() for build in builds]
-    return p
+    return _defer(p, tuple(joins))
 
 
 # ---------------------------------------------------------------------------
@@ -1123,7 +1179,9 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
     Hcells and vcells trade places, square boundaries are reindexed
     (top, bottom, left, right) -> (left, right, top, bottom), and the two
     square compositions swap.  Involutive on the nose.  The transpose of a
-    valid category is valid, so it is not validated again.
+    valid category is valid, so it is not validated again.  The transpose
+    of a pullback whose square tables are not built yet (:class:`_Pending`)
+    is pending too, on the same two recipes swapped.
     """
     squares = [(l, r, t, b) for (t, b, l, r) in d.squares]
     names = None
@@ -1131,21 +1189,22 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
         names = dict(d.names)
         names[HCELL], names[VCELL] = d.names.get(VCELL), d.names.get(HCELL)
         names = {k: v for k, v in names.items() if v is not None}
-    return DoubleCategory._unvalidated(
+    joins = vars(d).get("_square_tables")
+    t = (DoubleCategory if joins is None else _Pending)._unvalidated(
         d.n_objects,
         d.vcells,
         d.hcells,
         squares,
         d.vcomp1,
         d.hcomp1,
-        d.vcomp2,
-        d.hcomp2,
+        *((d.vcomp2, d.hcomp2) if joins is None else ((), ())),
         d.vid,
         d.hid,
         d.sq_hid,
         d.sq_vid,
         names=names,
     )
+    return t if joins is None else _defer(t, joins[::-1])
 
 
 # ---------------------------------------------------------------------------

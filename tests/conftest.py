@@ -55,3 +55,23 @@ def _every_cap(check):
 def every_cap():
     """The per-cap sweep of a checker's budget cutoff (``_every_cap``)."""
     return _every_cap
+
+
+@pytest.fixture
+def square_table_builds(monkeypatch):
+    """The pullbacks whose square tables get built while the test runs, in
+    the order they are built: a pending pullback (``kernel._Pending``)
+    builds both at the first read of either."""
+    from dblkit import kernel
+
+    built, original = [], kernel._Pending.__getattr__
+
+    def counted(self, name):
+        pending = "_square_tables" in vars(self)
+        value = original(self, name)
+        if pending:
+            built.append(self)
+        return value
+
+    monkeypatch.setattr(kernel._Pending, "__getattr__", counted)
+    return built

@@ -332,6 +332,17 @@ def test_cubical_view_refuses_a_domain_one_square_composite_off_the_product(sett
         cubical_from_product_functor(d1, d2, identity_functor(bad))
 
 
+def test_cubical_domain_check_builds_no_square_table(square_table_builds):
+    """The domain of a projection of an unbuilt product is compared with a
+    second product by their recipes, so neither builds its square tables."""
+    d = quintet(zoo.cyclic_group_cat(3))
+    prod = product(d, d)
+    f = product_projections(d, d, prod)[0]
+    h = cubical_from_product_functor(d, d, f)
+    assert square_table_builds == [] and "hcomp2" not in vars(prod)
+    assert check_cubical(h).passed
+
+
 def test_cubical_unit_law_example(setting):
     d1, d2, p = setting
     h = cubical_from_product_functor(d1, d2, identity_functor(p))

@@ -709,9 +709,36 @@ def test_shallow_internalization_never_reads_the_triple_pullbacks_square_tables(
     assert check_internal(data, registry=EMPTY, deep=False).passed
     _, _, p3l = nested_composition_functors(data)
     assert "hcomp2" not in vars(p3l) and "vcomp2" not in vars(p3l)
-    # over the terminal object part the triple pullback is the product
-    assert same_category(p3l, product(data.p, data.d1))
-    assert type(p3l) is DoubleCategory and {"hcomp2", "vcomp2"} <= set(vars(p3l))
+    # over the terminal object part the triple pullback is the product; the
+    # comparison reads the recipes of both square tables, so it builds none
+    prod = product(data.p, data.d1)
+    assert same_category(p3l, prod)
+    assert type(p3l) is kernel._Pending and not {"hcomp2", "vcomp2"} & set(vars(p3l))
+    # built, the tables compare equal all the same
+    p3l.hcomp2, prod.vcomp2
+    assert type(p3l) is DoubleCategory and type(prod) is DoubleCategory
+    assert same_category(p3l, prod)
+
+
+def test_cyclic2_bundles_never_build_a_triple_pullbacks_square_tables(square_table_builds):
+    """The cyclic-2 bundle checked deep, then its pseudomonoid bundle, built
+    as the benchmark builds it, checked deep too: the transposes of the deep
+    checks, the pastes of ``find_connection`` and the comparison of the two
+    nested composites' triple pullbacks read recipes, not tables."""
+    m = zoo.commutative_monoid_in_dbl()
+    base = monoid_to_internal(m)
+    assert check_internal(base, registry=EMPTY).passed
+    d = base.d1
+    left_nested, right_nested, p3l = nested_composition_functors(base)
+    verts = enumerate_plain_verticals(right_nested, left_nested)
+    nonid = [v for v in verts if any(v.comp[o] != d.vid[0] for o in range(d.n_objects))]
+    data = pseudomonoid_to_internal(m, nonid[0], find_connection(d), dom_conn=find_connection(p3l))
+    assert check_internal(data, registry=EMPTY).passed
+    cube = len(d.squares) ** 3
+    assert len(p3l.squares) == cube
+    assert [len(p.squares) for p in square_table_builds if len(p.squares) == cube] == []
+    # the count does see builds: the binary pullbacks' tables are read
+    assert square_table_builds
 
 
 STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")

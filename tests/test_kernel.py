@@ -1,6 +1,7 @@
 import collections
 import inspect
 import itertools
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -27,10 +28,12 @@ from dblkit.kernel import (
     terminal_double_category,
     transpose,
     TwoCategory,
+    _PRESENTATION,
     _Pending,
     _check_table,
 )
-from dblkit.functors import StrictDoubleFunctor, identity_functor, product_projections, check_strict_functor
+from dblkit.functors import StrictDoubleFunctor, compose_strict, identity_functor, product_projections, check_strict_functor
+from dblkit.internal import monoid_to_internal
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
 from dblkit.weak import as_pseudo
@@ -860,6 +863,201 @@ def test_only_a_pullback_defers_its_square_tables():
     assert type(p) is _Pending and not {"hcomp2", "vcomp2"} & set(vars(p))
     p.hcomp2
     assert type(p) is DoubleCategory and {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(p))
+
+
+# a pending pullback's recipes: single pastes, transposes and comparisons
+# read them without building the square tables
+
+_MONOIDS = {
+    "braid": zoo.braid_monoid_in_dbl,
+    "cyclic2": zoo.commutative_monoid_in_dbl,
+    "min": zoo.min_monoid_in_dbl,
+    "trivial": zoo.trivial_monoid_in_dbl,
+}
+_QUINTETS = {
+    "C2xarrow": (lambda: zoo.cyclic_group_cat(2), zoo.walking_arrow),
+    "C3xiso": (lambda: zoo.cyclic_group_cat(3), zoo.walking_iso),
+    "arrowxC2": (zoo.walking_arrow, lambda: zoo.cyclic_group_cat(2)),
+}
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """``fresh(case)``, a new pullback of ``case``, its square tables not
+    built: the bundle pullback or the left-bracketed triple pullback of a
+    zoo monoid, or the product of two zoo quintets; ``T `` in front
+    transposes it.  ``fresh.bundle(name)`` is the monoid's bundle, built
+    once per module."""
+    bundles = {}
+
+    def bundle(name):
+        if name not in bundles:
+            bundles[name] = monoid_to_internal(_MONOIDS[name]())
+        return bundles[name]
+
+    def make(case):
+        if case.startswith("T "):
+            return transpose(make(case[2:]))
+        name, _, part = case.partition(" ")
+        if name in _QUINTETS:
+            return product(*(quintet(cat()) for cat in _QUINTETS[name]))
+        data = bundle(name)
+        return pullback(data.t, data.s) if part == "p" else pullback(compose_strict(data.t, data.p2), data.s)
+
+    make.bundle = bundle
+    return make
+
+
+_CASES = [f"{name} {part}" for name in _MONOIDS for part in ("p", "p3l")] + list(_QUINTETS)
+PENDING = _CASES + [f"T {case}" for case in _CASES]
+
+
+def _pending(d):
+    return type(d) is _Pending and not {"hcomp2", "vcomp2"} & set(vars(d))
+
+
+def _outcome(paste, a, b):
+    """What ``paste(a, b)`` returns, or the type, text and witness of what
+    it raises."""
+    try:
+        return paste(a, b)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def _unpastable(table, n):
+    """Keys that are not in ``table``: a few pairs of ids in range, then
+    out-of-range and negative ids."""
+    inside = [(a, b) for a in range(min(n, 6)) for b in range(n) if (a, b) not in table][:8]
+    return inside + [(n, 0), (0, n), (n + 3, n), (-1, 0), (0, -1), (-n, -1)]
+
+
+@pytest.mark.parametrize("case", PENDING)
+def test_pending_pastes_read_single_entries(fresh, case):
+    d, built = fresh(case), fresh(case)
+    assert _pending(d) and _pending(built)
+    for paste, name in ((d.hpaste, "hcomp2"), (d.vpaste, "vcomp2")):
+        table = getattr(built, name)
+        assert [paste(a, b) for a, b in table] == list(table.values())
+    assert _pending(d)
+
+
+@pytest.mark.parametrize("case", PENDING)
+def test_pending_pastes_raise_as_the_built_tables(fresh, case):
+    d, built = fresh(case), fresh(case)
+    n = len(built.squares)
+    for paste, name in (("hpaste", "hcomp2"), ("vpaste", "vcomp2")):
+        keys = _unpastable(getattr(built, name), n)
+        want = [_outcome(getattr(built, paste), a, b) for a, b in keys]
+        assert {kind for kind, *_ in want} == {NonComposable, IndexError}
+        assert [_outcome(getattr(d, paste), a, b) for a, b in keys] == want
+    assert _pending(d)
+
+
+@pytest.mark.parametrize("case", PENDING)
+def test_pastes_bound_while_pending_answer_after_the_build(fresh, case):
+    d, built = fresh(case), fresh(case)
+    hp, vp = d.hpaste, d.vpaste
+    # used while pending, they build nothing
+    for paste, table in ((hp, built.hcomp2), (vp, built.vcomp2)):
+        key = next(iter(table))
+        assert paste(*key) == table[key]
+    assert _pending(d)
+    d.hcomp2
+    assert type(d) is DoubleCategory
+    n = len(d.squares)
+    for paste, table in ((hp, d.hcomp2), (vp, d.vcomp2)):
+        assert [paste(a, b) for a, b in table] == list(table.values())
+        keys = _unpastable(table, n)
+        assert [_outcome(paste, a, b) for a, b in keys] == [_outcome(getattr(d, paste.__name__), a, b) for a, b in keys]
+
+
+@pytest.mark.parametrize("case", PENDING)
+def test_pending_transpose_builds_the_transpose_of_a_built_copy(fresh, case):
+    d = fresh(case)
+    t = transpose(d)
+    assert _pending(d) and _pending(t)
+    built = fresh(case)
+    built.hcomp2
+    want = transpose(built)
+    assert type(want) is DoubleCategory
+    assert same_category(t, want)
+    for name in ("hcomp2", "vcomp2"):
+        assert list(getattr(t, name).items()) == list(getattr(want, name).items())
+    # transposing twice gives back the category, tables in the same order
+    again = transpose(transpose(fresh(case)))
+    for name in ("hcomp2", "vcomp2"):
+        assert list(getattr(again, name).items()) == list(getattr(built, name).items())
+
+
+@pytest.mark.parametrize("name", list(_QUINTETS))
+def test_pending_transpose_ignores_later_edits_of_a_factor(name):
+    factors = [quintet(make()) for make in _QUINTETS[name]]
+    want = transpose(product(*factors))
+    want.hcomp2
+    p = product(*factors)
+    early = transpose(p)
+    for d in factors:
+        for table in (d.hcomp2, d.vcomp2):
+            key = next(iter(table))
+            table[key] = (table[key] + 1) % len(d.squares)
+    late = transpose(p)
+    for t in (early, late):
+        assert _pending(t)
+        assert [t.hpaste(a, b) for a, b in want.hcomp2] == list(want.hcomp2.values())
+        for table in ("hcomp2", "vcomp2"):
+            assert list(getattr(t, table).items()) == list(getattr(want, table).items())
+
+
+def _pointed(d, base):
+    """The pullback of the identity of ``d`` and the functor that picks the
+    object 0 of ``base`` out of the terminal double category, both into
+    ``d``, duck-typed: only the cells on 0 match."""
+    o, term = base.hid[0], terminal_double_category()
+    ident = SimpleNamespace(dom=d, cod=d, ob_map=range(d.n_objects), h_map=range(len(d.hcells)),
+                            v_map=range(len(d.vcells)), sq_map=range(len(d.squares)))
+    point = SimpleNamespace(dom=term, cod=d, ob_map=[0], h_map=[o], v_map=[base.vid[0]], sq_map=[base.sq_vid[o]])
+    return pullback(ident, point)
+
+
+def test_same_category_on_differing_recipes_agrees_with_the_built_tables(fresh):
+    def edited(d, key, value):
+        hcomp2 = dict(d.hcomp2)
+        hcomp2[key] = value
+        return DoubleCategory._unvalidated(d.n_objects, d.hcells, d.vcells, d.squares, d.hcomp1, d.vcomp1, hcomp2,
+                                           d.vcomp2, d.hid, d.vid, d.sq_vid, d.sq_hid)
+
+    d = quintet(zoo.walking_arrow())
+    ident = identity_functor(d)
+    # an hcomp2 entry the pullback reads, moved to another square: the
+    # recipes and the tables differ in that entry
+    key = next(iter(d.hcomp2))
+    moved = identity_functor(edited(d, key, (d.hcomp2[key] + 1) % len(d.squares)))
+    # an entry at a square that matches nothing: the recipes differ, the
+    # tables do not
+    unmatched = next(k for k in d.hcomp2 if k[0] != d.sq_vid[d.hid[0]])
+    quiet = edited(d, unmatched, (d.hcomp2[unmatched] + 1) % len(d.squares))
+    cyclic2 = fresh.bundle("cyclic2")
+    # (a, b, whether they are equal, whether comparing them builds the tables)
+    pairs = [
+        (lambda: pullback(ident, ident), lambda: pullback(moved, moved), False, True),
+        (lambda: _pointed(d, d), lambda: _pointed(quiet, d), True, True),
+        (lambda: fresh("min p"), lambda: fresh("cyclic2 p"), False, False),
+        (lambda: fresh("C2xarrow"), lambda: fresh("arrowxC2"), False, False),
+        (lambda: fresh("T C3xiso"), lambda: fresh("C3xiso"), False, False),
+        # over the terminal object part the triple pullback is the product
+        (lambda: fresh("cyclic2 p3l"), lambda: product(cyclic2.p, cyclic2.d1), True, False),
+    ]
+    for make_a, make_b, same, builds in pairs:
+        a, b = make_a(), make_b()
+        assert _pending(a) and _pending(b)
+        built_a, built_b = make_a(), make_b()
+        built_a.hcomp2, built_b.hcomp2
+        assert all(getattr(built_a, n) == getattr(built_b, n) for n in _PRESENTATION) is same
+        assert same_category(a, b) is same and same_category(b, a) is same
+        # the tables are built only where the other fields agree and the
+        # recipes do not
+        assert _pending(a) is _pending(b) is not builds
 
 
 # a report cut by its budget passes no guard
