@@ -125,7 +125,7 @@ import itertools
 import json
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from dblkit import dsl, modif, transform, zoo
 from dblkit.acceptance import _generators
@@ -405,7 +405,10 @@ def _data(value, decl_objs, seen):
         return [_data(v, decl_objs, seen) for v in value]
     if hasattr(value, "__dict__") and id(value) not in seen:
         seen.add(id(value))
-        return {k: _data(v, decl_objs, seen) for k, v in vars(value).items() if not callable(v)}
+        # a dataclass's fields first, read by attribute access, so that one
+        # which builds some of them at their first read dumps them too
+        read = {f.name: getattr(value, f.name) for f in fields(value)} if is_dataclass(value) else {}
+        return {k: _data(v, decl_objs, seen) for k, v in {**read, **vars(value)}.items() if not callable(v)}
     return repr(value)
 
 
