@@ -43,7 +43,9 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   category), and
   digests of every bundle's nested and unit-sided composites (cell maps,
   structure cells and the triple pullback's tables), taken after the
-  check; digests, on the same bundles, of the square tables of the
+  check; on a fresh copy of each of those five bundles, the ``vars()``
+  order of the nested and unit-sided composites and of m x 1 and 1 x m of
+  ``triple_pullbacks`` after one read of a structure family; digests, on the same bundles, of the square tables of the
   transposes of the pullback and of both triple pullbacks, in insertion
   order, and of ``hpaste`` and ``vpaste`` at every key of those tables, on
   each pullback and on its transpose, each made anew; and, on the diagonal
@@ -185,6 +187,7 @@ from dblkit.internal import (
     monoid_to_internal,
     nested_composition_functors,
     pseudomonoid_to_internal,
+    triple_pullbacks,
     unit_sided_functors,
 )
 from dblkit.kernel import (
@@ -749,6 +752,20 @@ def _bundle(out, key, data, empty, deep=(True, False)):
     out[f"{key} unit-sided"] = _digest(lambda: unit_sided_functors(data))
 
 
+def _field_order(out, key, data):
+    """The ``vars()`` order of each pseudofunctor the bundle composes after
+    one read of a structure family, on a bundle not checked yet: its nested
+    and unit-sided composites, then m x 1 and 1 x m of ``triple_pullbacks``;
+    the family read runs through the eight in turn."""
+    left, right, _ = nested_composition_functors(data)
+    _, _, m_x_id, id_x_m, _ = triple_pullbacks(data)
+    order = []
+    for i, f in enumerate((left, right, *unit_sided_functors(data), m_x_id, id_x_m)):
+        getattr(f, FUNCTOR_FIELDS[4 + i % 8])
+        order.append(list(vars(f)))
+    out[f"{key} field order"] = order
+
+
 def _square_tables(out, key, data):
     """On the bundle's pullback and both triple pullbacks, each made anew
     per entry: the square tables of its transpose in insertion order, and
@@ -774,6 +791,7 @@ def internal(out):
     empty = transform.ComponentRegistry.of()
     bundles = {}
     for name, make in INTERNAL_MONOIDS:
+        _field_order(out, f"internal {name}", monoid_to_internal(make()))
         monoid = make()
         bundles[name] = (monoid, monoid_to_internal(monoid))
         _bundle(out, f"internal {name}", bundles[name][1], empty)
@@ -786,6 +804,7 @@ def internal(out):
     left, right, p3l = nested_composition_functors(base)
     nonid = [v for v in enumerate_plain_verticals(right, left) if any(v.comp[o] != d.vid[0] for o in range(d.n_objects))]
     pseudo = pseudomonoid_to_internal(monoid, nonid[0], find_connection(d), dom_conn=find_connection(p3l))
+    _field_order(out, "internal pseudomonoid", pseudomonoid_to_internal(monoid, nonid[0], find_connection(d), dom_conn=find_connection(p3l)))
     _bundle(out, "internal pseudomonoid", pseudo, empty)
     _square_tables(out, "internal pseudomonoid", pseudo)
     # criterion 8's compatibility mutations
