@@ -31,8 +31,13 @@ the first pair; each pair's metrics go to standard error as it ends.  It
 then prints, for each end-to-end metric that this checkout's
 ``BENCHMARK.json`` names, each side's median and quartiles, the change
 of this checkout's median from the other's in percent of the other's, and
-the number of pairs this checkout won (ties count for neither side), and
-the failed and attempted operations of both sides.  A pair whose runs do
+the number of pairs this checkout won (ties count for neither side),
+whether the change meets the claim rule (``claim``: it won at least 9 in 10
+of the pairs, and its median is better than the other's by more than the
+other side's interquartile range) and whether its median is worse than
+the other's by more than the metric's ``BENCHMARK.json`` bound, a fraction
+of the other's median (``bound``: ``worse`` or ``ok``), and the failed and
+attempted operations of both sides.  A pair whose runs do
 not both check out ``correct`` stops the comparison.  Given several
 ``--workload`` options, it compares each workload in turn, in the order
 given, with the same seed and number of pairs, one table each.
@@ -103,10 +108,25 @@ def bench_difference(here, there):
     return None
 
 
+def verdicts(metric, here, there):
+    """``(won, claim, worse)`` of one end-to-end ``metric`` over the values
+    of paired runs ``here`` (this checkout) and ``there``: the pairs this
+    checkout won; whether it won at least 9 in 10 of them with its median
+    better than ``there``'s by more than ``there``'s interquartile range;
+    and whether its median is worse than ``there``'s by more than the
+    metric's bound times ``there``'s median."""
+    sign = 1 if metric["better"] == "lower" else -1
+    won = sum(sign * (b - a) > 0 for a, b in zip(here, there))
+    q1, median, q3 = _quartiles(there)
+    gain = sign * (median - _quartiles(here)[1])
+    return won, 10 * won >= 9 * len(here) and gain > q3 - q1, -gain > metric["bound"] * abs(median)
+
+
 def compare(other, name, pairs, seed):
     """Alternating pairs of runs of workload ``name`` here and in ``other``;
     prints each end-to-end metric's quartiles on both sides, the change of
-    the medians in percent and the pairs this checkout won."""
+    the medians in percent, the pairs this checkout won and its
+    :func:`verdicts`."""
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     runs = {ROOT: [], other: []}
     for i in range(pairs):
@@ -119,19 +139,21 @@ def compare(other, name, pairs, seed):
         values = ", ".join(f"{m['name']} {here[m['name']]['value']:.4g} | {there[m['name']]['value']:.4g}" for m in metrics)
         print(f"pair {i + 1}/{pairs} ({'this' if order[0] == ROOT else 'other'} first), this | other: {values}", file=sys.stderr)
     print(f"{name}, seed {seed}, {pairs} pairs: this = {ROOT}, other = {other}")
-    print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} {'change':>8} won")
+    print(f"{'metric':16} {'unit':12} {'this median [q1, q3]':32} {'other median [q1, q3]':32} {'change':>8} "
+          f"{'won':>7} claim bound")
     for metric in metrics:
-        key, sign = metric["name"], 1 if metric["better"] == "lower" else -1
+        key = metric["name"]
         here = [r["metrics"][key]["value"] for r in runs[ROOT]]
         there = [r["metrics"][key]["value"] for r in runs[other]]
-        won = sum(sign * (b - a) > 0 for a, b in zip(here, there))
+        won, claim, worse = verdicts(metric, here, there)
         cells, medians = [], []
         for values in (here, there):
             q1, median, q3 = _quartiles(values)
             cells.append(f"{median:.6g} [{q1:.6g}, {q3:.6g}]")
             medians.append(median)
         change = f"{(medians[0] - medians[1]) / medians[1]:+.1%}" if medians[1] else "n/a"
-        print(f"{key:16} {metric['unit']:12} {cells[0]:32} {cells[1]:32} {change:>8} {won}/{pairs}")
+        print(f"{key:16} {metric['unit']:12} {cells[0]:32} {cells[1]:32} {change:>8} {f'{won}/{pairs}':>7} "
+              f"{'yes' if claim else 'no':5} {'worse' if worse else 'ok'}")
     for root, label in ((ROOT, "this"), (other, "other")):
         failed = sum(r["failed"] for r in runs[root])
         attempted = sum(r["attempted"] for r in runs[root])
