@@ -36,6 +36,8 @@ from .kernel import (
     _bang,
     _columns,
     _entries,
+    _family_sides,
+    _held,
     _invertibility,
     _laws,
     _paths,
@@ -234,22 +236,53 @@ class DoublePseudoFunctor(_CellMaps):
 
 
 def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
-    return (
-        strict_equal(f, g)
-        and f.comp_h == g.comp_h
-        and f.unit_h == g.unit_h
-        and f.comp_v == g.comp_v
-        and f.unit_v == g.unit_v
-    )
+    """Equal domains, codomains, cell maps and structure cells (the inverses
+    left aside).  Two pending families (:class:`_PendingFunctor`) with equal
+    keys and values are equal without their dicts (``_family_sides``)."""
+    return strict_equal(f, g) and all(a == b for a, b in (
+        _family_sides(f, g, name) for name in ("comp_h", "unit_h", "comp_v", "unit_v")))
 
 
 # The structure families in field order, and the kind of cell each is keyed
 # on.  ``pseudo_from_strict``, ``compose_pseudo`` and
 # ``pair_pseudo_into_pullback`` each wrap a list core that takes and returns
-# them as lists aligned with their keys, so a chain of cores builds dicts
-# only for the functor it returns.
+# them as lists aligned with their keys; the functor they return keeps them
+# as lists (:class:`_PendingFunctor`) until one of them is read.
 _FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
 _KINDS = (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT)
+# the other fields, in the order a pending functor holds them
+_PLAIN = ("dom", "cod", "ob_map", "h_map", "v_map", "sq_map", "name")
+
+
+class _PendingFunctor(DoublePseudoFunctor):
+    """A pseudofunctor whose structure families are lists: ``_families``
+    maps each to a snapshot of its keys, shared with its inverse, and its
+    values.  The first read of a family builds all eight dicts in field
+    order, and the object is a plain :class:`DoublePseudoFunctor` from then
+    on; ``==``, ``repr``, ``copy`` and pickling read one first.  Only
+    :func:`_as_pseudo` makes one; calling the class makes a plain functor."""
+
+    def __new__(cls, *args, **kwargs):
+        return DoublePseudoFunctor(*args, **kwargs)
+
+    def __getattr__(self, name):
+        # called only for an attribute the instance does not hold
+        if name not in _FAMILIES:
+            raise AttributeError(f"'DoublePseudoFunctor' object has no attribute '{name}'")
+        families, own = self.__dict__.pop("_families"), self.__dict__.pop("name")
+        self.__dict__.update({n: dict(zip(*families[n])) for n in _FAMILIES}, name=own)
+        self.__class__ = DoublePseudoFunctor
+        return self.__dict__[name]
+
+    def _built(method):
+        def run(self, *args):
+            self.comp_h  # the first read builds every family
+            return getattr(self, method)(*args)
+
+        return run
+
+    __eq__, __repr__, __reduce_ex__ = map(_built, ("__eq__", "__repr__", "__reduce_ex__"))
+    del _built
 
 
 def _family_keys(dom: DoubleCategory):
@@ -260,22 +293,32 @@ def _family_keys(dom: DoubleCategory):
 
 
 def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
-    """``f``'s fields, each structure family read at its ``keys``: straight
-    off its values when it lists exactly those keys in that order, else key
-    by key (a missing key raises ``KeyError``)."""
+    """``f``'s fields, each structure family read at its ``keys``: a pending
+    family's list as it is when it holds exactly those keys, in that order;
+    a dict straight off its values when it does; else key by key (a missing
+    key raises ``KeyError``)."""
 
-    def read(family, ks):
-        ks = list(ks)
+    def read(name, ks):
+        ks, held = list(ks), _held(f, name)
+        if held is not None and held[0] == ks:
+            return held[1]
+        family = getattr(f, name)
         return list(family.values()) if list(family) == ks else [family[k] for k in ks]
 
-    return SimpleNamespace(**{**vars(f), **{n: read(getattr(f, n), ks) for n, ks in zip(_FAMILIES, keys)}})
+    return SimpleNamespace(**{n: getattr(f, n) for n in _PLAIN}, **{n: read(n, ks) for n, ks in zip(_FAMILIES, keys)})
 
 
 def _as_pseudo(f: SimpleNamespace, keys=None) -> DoublePseudoFunctor:
-    """List-level ``f`` with each family zipped with its ``keys`` (by
-    default its domain's, ``_family_keys``) into a dict of its own."""
+    """List-level ``f`` as a :class:`_PendingFunctor`, each family held with
+    a snapshot of its ``keys`` (by default its domain's, ``_family_keys``),
+    so a later edit of the domain's tables does not reach it."""
     keys = _family_keys(f.dom) if keys is None else keys
-    return DoublePseudoFunctor(**{**vars(f), **{n: dict(zip(ks, getattr(f, n))) for n, ks in zip(_FAMILIES, keys)}})
+    snapshots = {id(ks): list(ks) for ks in {id(ks): ks for ks in keys}.values()}
+    p = object.__new__(_PendingFunctor)
+    vars(p).update({n: getattr(f, n) for n in _PLAIN},
+                   _families={n: (snapshots[id(ks)], getattr(f, n)) for n, ks in zip(_FAMILIES, keys)})
+    p.__post_init__()
+    return p
 
 
 def _strict_lists(f: StrictDoubleFunctor) -> SimpleNamespace:
@@ -291,8 +334,8 @@ def _strict_lists(f: StrictDoubleFunctor) -> SimpleNamespace:
 
 def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
     """``f`` with identity squares as structure cells, each family keyed in
-    the domain's table order and a dict of its own, its inverse holding the
-    same cells; wraps the list core ``_strict_lists``."""
+    the domain's table order, its inverse holding the same cells; wraps the
+    list core ``_strict_lists``, its families dicts at their first read."""
     return _as_pseudo(_strict_lists(f))
 
 
@@ -525,7 +568,7 @@ def compose_pseudo(g: DoublePseudoFunctor, f: DoublePseudoFunctor) -> DoublePseu
     keyed in the order of ``f.dom``'s tables (``hcomp1``, ``vcomp1``, the
     objects), whatever order f's families list their keys in; one of f's
     that misses a key raises ``KeyError``.  Wraps the list core
-    ``_compose_lists``, which holds the pastings."""
+    ``_compose_lists``; its families become dicts at their first read."""
     return _as_pseudo(_compose_lists(g, _as_lists(f, _family_keys(f.dom))))
 
 
@@ -558,8 +601,8 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     pseudofunctors; structure cells pair componentwise.  Each family is
     keyed in the left arm's own key order, read straight off its values, the
     right arm's read at those keys (one that misses a key raises
-    ``KeyError``); wraps the list core ``_pair_lists``."""
-    keys = [list(getattr(left, family)) for family in _FAMILIES]
+    ``KeyError``); wraps ``_pair_lists``, its families dicts when read."""
+    keys = [_held(left, n)[0] if _held(left, n) else list(getattr(left, n)) for n in _FAMILIES]
     return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
 
 

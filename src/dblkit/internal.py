@@ -221,10 +221,10 @@ def nested_composition_functors(data: InternalCategoryData):
     Built once per bundle: the result is kept on ``data`` and returned again
     while ``d1``, ``s``, ``t``, ``p``, ``p1``, ``p2`` and ``m`` are the same
     objects.  Reassign a field to change it; a functor's tables edited in
-    place would leave the kept composites stale."""
+    place would leave the kept composites stale.  Their structure families
+    stay lists until one is read: comparing the two builds no dict."""
 
     def build():
-        # the cores chained: dicts are built for the two composites alone
         p3l, p3l_1, p3l_2, m_x_id = _left_bracketed(data)
         id_x_m = _pair_lists(
             data.t, data.s, data.p, _strict_lists(compose_strict(data.p1, p3l_1)),

@@ -1156,9 +1156,24 @@ def _cell_map_sections(f, g, head=()):
     yield head, HCELL, f.h_map, g.h_map
     yield head, VCELL, f.v_map, g.v_map
     yield head, SQUARE, f.sq_map, g.sq_map
-    if hasattr(f, "comp_h"):
+    if _held(f, "comp_h") is not None or hasattr(f, "comp_h"):  # no probe builds a pending family
         for name, kind in (("comp_h", HCELL), ("unit_h", OBJECT), ("comp_v", VCELL), ("unit_v", OBJECT)):
-            yield (*head, name), kind, getattr(f, name), getattr(g, name)
+            yield (*head, name), kind, *_family_sides(f, g, name)
+
+
+def _family_sides(f, g, name):
+    """The structure family ``name`` of pseudofunctors ``f`` and ``g``: both
+    value lists where both are pending (``functors._PendingFunctor``) with
+    equal keys and values, as unique keys make equal dicts; else both dicts."""
+    a, b = _held(f, name), _held(g, name)
+    if a is not None and a == b:
+        return a[1], b[1]
+    return getattr(f, name), getattr(g, name)
+
+
+def _held(f, name):
+    """A pending pseudofunctor's ``(keys, values)`` of family ``name``, else None."""
+    return vars(f).get("_families", {}).get(name)
 
 
 def _category_sections(a, b):

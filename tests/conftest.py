@@ -75,3 +75,24 @@ def square_table_builds(monkeypatch):
 
     monkeypatch.setattr(kernel._Pending, "__getattr__", counted)
     return built
+
+
+@pytest.fixture
+def family_builds(monkeypatch):
+    """The pending pseudofunctors whose structure families get built while
+    the test runs, in the order they are built: a pending pseudofunctor
+    (``functors._PendingFunctor``) builds all eight at the first read of
+    any."""
+    from dblkit import functors
+
+    built, original = [], functors._PendingFunctor.__getattr__
+
+    def counted(self, name):
+        pending = "_families" in vars(self)
+        value = original(self, name)
+        if pending:
+            built.append(self)
+        return value
+
+    monkeypatch.setattr(functors._PendingFunctor, "__getattr__", counted)
+    return built

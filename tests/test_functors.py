@@ -1,9 +1,11 @@
-from dataclasses import replace
+import copy
+import pickle
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import pytest
 
-from dblkit import functors, internal, zoo
+from dblkit import functors, internal, kernel, zoo
 from dblkit.internal import diagonal_internal, monoid_to_internal
 from dblkit.kernel import (
     HCELL, OBJECT, SQUARE, VCELL, StructureError, embed_two_category, product, pullback, quintet, transpose,
@@ -29,6 +31,7 @@ from dblkit.functors import (
 )
 from dblkit.mutate import apply_mutation, mutation_slots
 from dblkit.report import BUDGET_EXCEEDED, FAIL, Budget, Collector
+from dblkit.transform import ComponentRegistry
 
 
 @pytest.fixture(scope="module")
@@ -685,3 +688,141 @@ def test_strict_functor_matches_one_instance_at_a_time(host):
             assert (rep.violations, rep.assumptions) == (ref.violations, ref.assumptions), cap
     # a pass, a boundary failure and (where one exists) a preservation failure
     assert outcomes == reached
+
+
+# ---------------------------------------------------------------------------
+# structure families kept as lists until one is read
+
+FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+PLAIN = ("dom", "cod", "ob_map", "h_map", "v_map", "sq_map", "name")
+
+
+def _structure(f):
+    """Every field of ``f``, each structure family as its list of entries,
+    in insertion order."""
+    return {n: list(getattr(f, n).items()) if n in FAMILIES else getattr(f, n) for n in PLAIN + FAMILIES}
+
+
+def _bundles():
+    sign = embed_two_category(zoo.sign_two_category())
+    yield from (monoid_to_internal(make()) for make in (
+        zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl, zoo.trivial_monoid_in_dbl))
+    yield from (diagonal_internal(d) for d in (quintet(zoo.cyclic_group_cat(2)), sign))
+
+
+def test_every_producer_reads_back_as_an_eager_build(monkeypatch):
+    # each result of the list cores, recorded at the call beside the dicts
+    # the families zip into there, then read one family at a time
+    made, pending = [], functors._as_pseudo
+
+    def recorded(f, keys=None):
+        ks = functors._family_keys(f.dom) if keys is None else keys
+        eager = functors.DoublePseudoFunctor(
+            **{n: getattr(f, n) for n in PLAIN}, **{n: dict(zip(k, getattr(f, n))) for n, k in zip(FAMILIES, ks)})
+        result = pending(f, keys)
+        made.append((type(result), result, eager))
+        return result
+
+    monkeypatch.setattr(functors, "_as_pseudo", recorded)
+    monkeypatch.setattr(internal, "_as_pseudo", recorded)
+    for data in _bundles():
+        internal.triple_pullbacks(data)
+        internal.check_internal(data, registry=ComponentRegistry.of(), deep=False)
+    assert len(made) > 50
+    for i, (kind, f, eager) in enumerate(made):
+        assert kind is functors._PendingFunctor
+        getattr(f, FAMILIES[i % 8])
+        assert type(f) is functors.DoublePseudoFunctor and "_families" not in vars(f)
+        assert list(vars(f)) == list(vars(eager)) == [field.name for field in fields(eager)]
+        assert _structure(f) == _structure(eager) and f == eager
+
+
+def test_a_pending_functor_compares_prints_replaces_and_copies_as_an_eager_build(setting):
+    d = setting[0]
+    eager = identity_pseudo(d)
+    eager.comp_h
+    other = replace(eager, name="other")
+    fresh = lambda: identity_pseudo(d)  # noqa: E731
+    f = fresh()
+    # a probe for another attribute builds nothing
+    assert not hasattr(f, "names") and type(f) is functors._PendingFunctor
+    assert fresh() == eager and eager == fresh() and fresh() == fresh() and not fresh() != eager
+    assert fresh() != other and other != fresh() and not fresh() == other
+    assert repr(fresh()) == repr(eager)
+    everything = {field.name: getattr(eager, field.name) for field in fields(eager)}
+    for copied in (replace(fresh(), name="id"), replace(fresh(), **everything), copy.copy(fresh()),
+                   copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+        assert type(copied) is functors.DoublePseudoFunctor
+        assert list(vars(copied)) == list(vars(eager))
+        assert {n: list(getattr(copied, n).items()) for n in FAMILIES} == {n: list(getattr(eager, n).items()) for n in FAMILIES}
+    # a shallow copy shares the families, as an eager build's does
+    f = fresh()
+    assert copy.copy(f).comp_h is f.comp_h
+
+
+def test_editing_the_domain_tables_after_construction_does_not_reach_the_families():
+    d = quintet(zoo.cyclic_group_cat(3))
+    made = [identity_pseudo(d), compose_pseudo(identity_pseudo(d), identity_pseudo(d))]
+    want = [identity_pseudo(d), compose_pseudo(identity_pseudo(d), identity_pseudo(d))]
+    for f in want:
+        f.comp_h
+    for table in (d.hcomp1, d.vcomp1):
+        entries = list(table.items())
+        table.clear()
+        table.update(reversed(entries[1:]))
+    assert all(type(f) is functors._PendingFunctor for f in made)
+    assert [_structure(f) for f in made] == [_structure(f) for f in want]
+
+
+def _remade(f, name=None, at=None):
+    """A fresh pending copy of the pending functor ``f``, on the same key
+    snapshots; with ``name``, that family's entry ``at`` moved to the next
+    square, or with ``at`` None its keys listed in reverse beside the same
+    values."""
+    held = vars(f)["_families"]
+    keys, lists = {n: held[n][0] for n in FAMILIES}, {n: list(held[n][1]) for n in FAMILIES}
+    if name is not None and at is None:
+        keys[name] = keys[name][::-1]
+    elif name is not None:
+        lists[name][at] = (lists[name][at] + 1) % len(f.cod.squares)
+    return functors._as_pseudo(SimpleNamespace(**{n: getattr(f, n) for n in PLAIN}, **lists), list(keys.values()))
+
+
+def _built(f):
+    f.comp_h
+    return f
+
+
+def test_pending_comparisons_agree_with_the_dict_path(every_cap):
+    # equal pairs, single-entry mutants of each family's list against the
+    # unmutated functor, and equal lists on keys listed in reverse (unequal
+    # dicts), compared while pending and once built, under every cap
+    ident = identity_pseudo(quintet(zoo.cyclic_group_cat(2)))
+    left, right, _ = internal.nested_composition_functors(monoid_to_internal(zoo.min_monoid_in_dbl()))
+    middle = len(vars(left)["_families"]["comp_h"][0]) // 2
+    pairs = [(ident, None, None, None), (left, None, right, None), (left, "comp_h", right, None)]
+    pairs += [(ident, name, None, len(vars(ident)["_families"][name][0]) // 2) for name in FAMILIES]
+    pairs += [(left, name, right, middle) for name in ("comp_h", "comp_v_inv")]
+    for f, name, g, at in pairs:
+
+        def make(ready=lambda f: f):
+            return ready(_remade(f)), ready(_remade(g or f, name, at))
+
+        def sweep(ready):
+            def check(budget):
+                col = Collector("compare", budget)
+                kernel._compare_entries(col, "differ", kernel._cell_map_sections(*make(ready)))
+                return col.done()
+
+            full, runs = every_cap(check)
+            return full.to_dict(), [(budget.used, rep.to_dict()) for budget, rep in runs]
+
+        assert sweep(lambda f: f) == sweep(_built)
+        assert pseudo_equal(*make()) == pseudo_equal(*make(_built))
+        equal = name in (None, "comp_h_inv", "unit_h_inv", "comp_v_inv", "unit_v_inv")
+        assert pseudo_equal(*make()) == equal, (name, at)
+        if equal:
+            # compared by their lists, the functors stay pending
+            a, b = make()
+            assert kernel._first_difference(kernel._cell_map_sections(a, b))[1] is None and pseudo_equal(a, b)
+            assert type(a) is type(b) is functors._PendingFunctor

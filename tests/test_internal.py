@@ -741,6 +741,18 @@ def test_cyclic2_bundles_never_build_a_triple_pullbacks_square_tables(square_tab
     assert square_table_builds
 
 
+def test_braid_internalization_builds_no_family_of_the_triple_pullback(family_builds):
+    # the two nested composites are compared by their lists, in
+    # monoid_to_internal and in the shallow check's assoc-endpoints
+    data = monoid_to_internal(zoo.braid_monoid_in_dbl())
+    assert check_internal(data, registry=EMPTY, deep=False).passed
+    left, right, p3l = nested_composition_functors(data)
+    assert [f for f in family_builds if f.dom is p3l] == []
+    assert type(left) is type(right) is functors._PendingFunctor
+    # the count does see builds: the unit's and the composition's are read
+    assert family_builds
+
+
 STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
 
 
