@@ -1148,7 +1148,8 @@ def _cell_map_sections(f, g, head=()):
     functors, or pseudofunctors with their structure cells): the domains
     and the codomains, as presentations (:func:`same_category`), one entry
     each named ``dom`` and ``cod``; the four cell maps; then ``comp_h``,
-    ``unit_h``, ``comp_v`` and ``unit_v`` by key."""
+    ``unit_h``, ``comp_v`` and ``unit_v`` by key, or as their value lists
+    where both are pending and equal (:func:`_family_sides`)."""
     for end in ("dom", "cod"):
         a, b = getattr(f, end), getattr(g, end)
         yield (*head, end), None, [a], [a if same_category(a, b) else b]
