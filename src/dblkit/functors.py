@@ -334,8 +334,8 @@ def _strict_lists(f: StrictDoubleFunctor) -> SimpleNamespace:
 
 def pseudo_from_strict(f: StrictDoubleFunctor) -> DoublePseudoFunctor:
     """``f`` with identity squares as structure cells, each family keyed in
-    the domain's table order, its inverse holding the same cells; wraps the
-    list core ``_strict_lists``, its families dicts at their first read."""
+    the domain's table order, its inverse the same cells in a dict of its
+    own; wraps the list core ``_strict_lists``, dicts built when read."""
     return _as_pseudo(_strict_lists(f))
 
 
