@@ -602,7 +602,7 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     keyed in the left arm's own key order, read straight off its values, the
     right arm's read at those keys (one that misses a key raises
     ``KeyError``); wraps ``_pair_lists``, its families dicts when read."""
-    keys = [_held(left, n)[0] if _held(left, n) else list(getattr(left, n)) for n in _FAMILIES]
+    keys = [held[0] if (held := _held(left, n)) else list(getattr(left, n)) for n in _FAMILIES]
     return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
 
 
