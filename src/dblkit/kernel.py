@@ -26,7 +26,7 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import islice
 from types import SimpleNamespace
 
@@ -44,6 +44,45 @@ def _check_index(value, limit, what):
         raise StructureError(f"{what}: index {value!r} out of range 0..{limit - 1}")
 
 
+def _count(n_objects):
+    """``n_objects`` as an int, unless it is not one."""
+    if not isinstance(n_objects, int):
+        raise StructureError(f"n_objects: {n_objects!r} is not an integer")
+    return int(n_objects)
+
+
+def _check_cells(cells, what, limits, names, fits=None, misfit=""):
+    """Raise StructureError unless every boundary (a tuple) of ``cells`` has
+    one id per entry of ``limits``, the i-th, its ``names[i]``, an int below
+    ``limits[i]``, and, where ``fits`` is given, ``fits(*boundary)`` holds;
+    cell by cell, in order.  ``what`` names a cell, ``misfit`` is the message
+    of a boundary that does not fit, formatted with its id and entries."""
+    width = len(limits)
+    for x, cell in enumerate(cells):
+        if len(cell) != width:
+            raise StructureError(f"{what} {x}: boundary {cell!r} must have {width} entries")
+        for v, limit, name in zip(cell, limits, names):
+            if not isinstance(v, int) or not 0 <= v < limit:
+                _check_index(v, limit, f"{what} {x} {name}")
+        if fits is not None and not fits(*cell):
+            raise StructureError(misfit.format(x, *cell))
+
+
+def _check_ids(ids, cells, expect, what, wrong=" has wrong boundary"):
+    """Raise StructureError unless every ``ids[a]`` (an identity, a
+    component, ...) is the id of a cell of ``cells`` whose boundary is the
+    a-th of ``expect``, in order; ``expect`` is read one boundary per entry,
+    as the entries are checked.  ``what``, formatted with a, names the
+    entry; ``what + wrong`` is the message of a wrong boundary, formatted
+    with a and the boundary found."""
+    n = len(cells)
+    for a, (i, want) in enumerate(zip(ids, expect)):
+        if not isinstance(i, int) or not 0 <= i < n:
+            _check_index(i, n, what.format(a))
+        if cells[i] != want:
+            raise StructureError((what + wrong).format(a, cells[i]))
+
+
 # ---------------------------------------------------------------------------
 # composition tables
 #
@@ -51,6 +90,31 @@ def _check_index(value, limit, what):
 # first.  Which pairs compose is given by two boundary lists of the same
 # length: (x, y) is composable exactly when ends[x] == starts[y] (target and
 # source for 1-cells, right and left edge for horizontal pasting, ...).
+
+
+# A structure states its tables once, as a list of these rows: the name and
+# the kind of the cells a table keys and values, its key columns, its
+# cells, ``expect``, which maps the table's keys to the boundaries their
+# values must have, and the messages ``_check_table`` raises.  The
+# validator reads the key columns (``_check_tables``), and the boundary
+# laws (``_boundaries``) and the raising value check (``_check_values``)
+# read ``expect``.
+_Table = namedtuple("_Table", "name kind table ends starts cells expect entry wrong_keys")
+
+
+def _check_tables(rows):
+    for t in rows:
+        _check_table(t.table, t.ends, t.starts, t.entry, t.wrong_keys)
+
+
+def _check_values(rows):
+    """Raise StructureError at the first entry of a table of ``rows``, in
+    table order, whose value has not the boundary ``expect`` gives."""
+    for t in rows:
+        cells = t.cells
+        for key, z, want in zip(t.table, t.table.values(), t.expect(t.table)):
+            if cells[z] != want:
+                raise StructureError(t.entry.format(key) + " has wrong boundary")
 
 
 def _columns(rows, width):
@@ -304,11 +368,14 @@ def _invertibility(col, law, kinds, cells, invs, paste, unit, first, last):
     _laws(col, kinds, rows, *_inverse_laws(law, -2, paste, unit, first, last))
 
 
-def _boundaries(col, law, kind, table, cells, expect):
-    """Record ``cells[table[(x, y)]] == b`` for every entry (``_whole``),
-    ``expect(table)`` the list of the expected boundaries b in the order of
-    ``table``."""
-    _whole(col, (kind, kind), table, (law, lambda t: [cells[z] for z in t.values()], expect))
+def _boundaries(col, rows):
+    """Record, table by table of ``rows``, the law ``{name}-boundary``:
+    ``cells[table[key]]`` is the boundary ``expect`` gives at every key
+    (``_whole``)."""
+    for t in rows:
+        cells = t.cells
+        _whole(col, (t.kind, t.kind), t.table,
+               (f"{t.name}-boundary", lambda table: [cells[z] for z in table.values()], t.expect))
 
 
 def _associativity(col, law, kind, rows, ends, starts, side=None):
@@ -368,7 +435,7 @@ class FiniteCategory:
     """
 
     def __init__(self, n_objects, mor, comp, ids, names=None):
-        self.n_objects = int(n_objects)
+        self.n_objects = _count(n_objects)
         self.mor = [tuple(m) for m in mor]
         self.comp = dict(comp)
         self.ids = list(ids)
@@ -388,26 +455,16 @@ class FiniteCategory:
             raise NonComposable(f"morphisms {f} and {g} are not composable") from None
 
     def _validate(self):
-        if len(self.ids) != self.n_objects:
+        n = self.n_objects
+        if len(self.ids) != n:
             raise StructureError("one identity morphism per object is required")
-        for f, (a, b) in enumerate(self.mor):
-            _check_index(a, self.n_objects, f"morphism {f} source")
-            _check_index(b, self.n_objects, f"morphism {f} target")
-        for a, i in enumerate(self.ids):
-            _check_index(i, len(self.mor), f"identity of object {a}")
-            if self.mor[i] != (a, a):
-                raise StructureError(f"identity of object {a} has boundary {self.mor[i]}")
+        _check_cells(self.mor, "morphism", (n, n), ("source", "target"))
+        _check_ids(self.ids, self.mor, [(a, a) for a in range(n)], "identity of object {}", " has boundary {}")
         src, tgt = _columns(self.mor, 2)
-        _check_table(
-            self.comp,
-            tgt,
-            src,
-            "composite of {}",
-            "composition table keys wrong; extra={extra} missing={missing}",
-        )
-        for (f, g), h in self.comp.items():
-            if self.mor[h] != (self.src(f), self.tgt(g)):
-                raise StructureError(f"composite of {(f, g)} has wrong boundary")
+        rows = [_Table("comp", "mor", self.comp, tgt, src, self.mor, lambda keys: [(src[f], tgt[g]) for f, g in keys],
+                       "composite of {}", "composition table keys wrong; extra={extra} missing={missing}")]
+        _check_tables(rows)
+        _check_values(rows)
 
     def check(self, budget=None) -> AxiomReport:
         """Unit and associativity laws, by enumeration."""
@@ -453,7 +510,7 @@ class DoubleCategory:
         return d
 
     def _set(self, n_objects, hcells, vcells, squares, hcomp1, vcomp1, hcomp2, vcomp2, hid, vid, sq_vid, sq_hid, names):
-        self.n_objects = int(n_objects)
+        self.n_objects = _count(n_objects)
         self.hcells = [tuple(x) for x in hcells]
         self.vcells = [tuple(x) for x in vcells]
         self.squares = [tuple(x) for x in squares]
@@ -571,76 +628,61 @@ class DoubleCategory:
     # -- structural validation
 
     def _validate(self):
-        nh, nv, ns = len(self.hcells), len(self.vcells), len(self.squares)
-        for f, (a, b) in enumerate(self.hcells):
-            _check_index(a, self.n_objects, f"hcell {f} source")
-            _check_index(b, self.n_objects, f"hcell {f} target")
-        for u, (a, b) in enumerate(self.vcells):
-            _check_index(a, self.n_objects, f"vcell {u} source")
-            _check_index(b, self.n_objects, f"vcell {u} target")
+        n, nh, nv = self.n_objects, len(self.hcells), len(self.vcells)
+        _check_cells(self.hcells, "hcell", (n, n), ("source", "target"))
+        _check_cells(self.vcells, "vcell", (n, n), ("source", "target"))
         hs, ht = _columns(self.hcells, 2)
         vs, vt = _columns(self.vcells, 2)
-        for s, (t, b, l, r) in enumerate(self.squares):
-            _check_index(t, nh, f"square {s} top")
-            _check_index(b, nh, f"square {s} bottom")
-            _check_index(l, nv, f"square {s} left")
-            _check_index(r, nv, f"square {s} right")
-            if not (hs[t] == vs[l] and ht[t] == vs[r] and hs[b] == vt[l] and ht[b] == vt[r]):
-                raise StructureError(f"square {s} has mismatched corners {(t, b, l, r)}")
-        if len(self.hid) != self.n_objects or len(self.vid) != self.n_objects:
+        _check_cells(self.squares, "square", (nh, nh, nv, nv), ("top", "bottom", "left", "right"),
+                     lambda t, b, l, r: hs[t] == vs[l] and ht[t] == vs[r] and hs[b] == vt[l] and ht[b] == vt[r],
+                     "square {} has mismatched corners ({}, {}, {}, {})")
+        if len(self.hid) != n or len(self.vid) != n:
             raise StructureError("one horizontal and one vertical identity per object required")
-        for a in range(self.n_objects):
-            if self.hcells[self.hid[a]] != (a, a):
-                raise StructureError(f"horizontal identity of object {a} has wrong boundary")
-            if self.vcells[self.vid[a]] != (a, a):
-                raise StructureError(f"vertical identity of object {a} has wrong boundary")
+        loops = [(a, a) for a in range(n)]
+        _check_ids(self.hid, self.hcells, loops, "horizontal identity of object {}")
+        _check_ids(self.vid, self.vcells, loops, "vertical identity of object {}")
         if len(self.sq_vid) != nh or len(self.sq_hid) != nv:
             raise StructureError("one identity square per hcell and per vcell required")
-        for f, s in enumerate(self.sq_vid):
-            _check_index(s, ns, f"identity square on hcell {f}")
-            expect = (f, f, self.vid[hs[f]], self.vid[ht[f]])
-            if self.squares[s] != expect:
-                raise StructureError(f"identity square on hcell {f} has boundary {self.squares[s]}")
-        for u, s in enumerate(self.sq_hid):
-            _check_index(s, ns, f"identity square on vcell {u}")
-            expect = (self.hid[vs[u]], self.hid[vt[u]], u, u)
-            if self.squares[s] != expect:
-                raise StructureError(f"identity square on vcell {u} has boundary {self.squares[s]}")
-
+        hid, vid = self.hid, self.vid
+        _check_ids(self.sq_vid, self.squares, [(f, f, vid[hs[f]], vid[ht[f]]) for f in range(nh)],
+                   "identity square on hcell {}", " has boundary {}")
+        _check_ids(self.sq_hid, self.squares, [(hid[vs[u]], hid[vt[u]], u, u) for u in range(nv)],
+                   "identity square on vcell {}", " has boundary {}")
         # table keys must be exactly the composable pairs (an entry keyed on a
         # non-composable pair is a structural error naming the entry); value
         # boundary correctness, by contrast, is a checkable law so that a
         # flipped entry surfaces as a named violation, not a crash
+        _check_tables(self._tables())
+
+    def _tables(self):
+        """The rows (``_Table``) of ``hcomp1``, ``vcomp1``, ``hcomp2`` and ``vcomp2``."""
+        hs, ht = _columns(self.hcells, 2)
+        vs, vt = _columns(self.vcells, 2)
         top, bottom, left, right = _columns(self.squares, 4)
-        _check_table(
-            self.hcomp1, ht, hs, "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"
-        )
-        _check_table(
-            self.vcomp1, vt, vs, "vcomp1 entry {}", "vcomp1 keys must be the composable vcell pairs; first bad: {bad}"
-        )
-        _check_table(
-            self.hcomp2, right, left, "hcomp2 entry {}", "hcomp2 keys must be the pastable square pairs; first bad: {bad}"
-        )
-        _check_table(
-            self.vcomp2, bottom, top, "vcomp2 entry {}", "vcomp2 keys must be the pastable square pairs; first bad: {bad}"
-        )
+
+        def hcomp2(keys):
+            h1 = _dense_rows(self.hcomp1, len(hs))
+            return [(h1[top[a]][top[b]], h1[bottom[a]][bottom[b]], left[a], right[b]) for a, b in keys]
+
+        def vcomp2(keys):
+            v1 = _dense_rows(self.vcomp1, len(vs))
+            return [(top[a], bottom[b], v1[left[a]][left[b]], v1[right[a]][right[b]]) for a, b in keys]
+
+        return [
+            _Table("hcomp1", HCELL, self.hcomp1, ht, hs, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys],
+                   "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"),
+            _Table("vcomp1", VCELL, self.vcomp1, vt, vs, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys],
+                   "vcomp1 entry {}", "vcomp1 keys must be the composable vcell pairs; first bad: {bad}"),
+            _Table("hcomp2", SQUARE, self.hcomp2, right, left, self.squares, hcomp2,
+                   "hcomp2 entry {}", "hcomp2 keys must be the pastable square pairs; first bad: {bad}"),
+            _Table("vcomp2", SQUARE, self.vcomp2, bottom, top, self.squares, vcomp2,
+                   "vcomp2 entry {}", "vcomp2 keys must be the pastable square pairs; first bad: {bad}"),
+        ]
 
     def table_boundary_violations(self, col) -> None:
         """Record a violation for every table entry whose value has the wrong
         boundary.  Part of every checker run over this structure."""
-        hs, ht = _columns(self.hcells, 2)
-        vs, vt = _columns(self.vcells, 2)
-        top, bottom, left, right = _columns(self.squares, 4)
-        h1, v1, sq = _dense_rows(self.hcomp1, len(hs)), _dense_rows(self.vcomp1, len(vs)), self.squares
-        for law, kind, table, cells, expect in (
-            ("hcomp1-boundary", HCELL, self.hcomp1, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys]),
-            ("vcomp1-boundary", VCELL, self.vcomp1, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys]),
-            ("hcomp2-boundary", SQUARE, self.hcomp2, sq,
-             lambda keys: [(h1[top[a]][top[b]], h1[bottom[a]][bottom[b]], left[a], right[b]) for a, b in keys]),
-            ("vcomp2-boundary", SQUARE, self.vcomp2, sq,
-             lambda keys: [(top[a], bottom[b], v1[left[a]][left[b]], v1[right[a]][right[b]]) for a, b in keys]),
-        ):
-            _boundaries(col, law, kind, table, cells, expect)
+        _boundaries(col, self._tables())
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1274,7 @@ class TwoCategory:
     ``weak.Bicategory`` extends it with constraint cells."""
 
     def __init__(self, n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=None):
-        self.n_objects = int(n_objects)
+        self.n_objects = _count(n_objects)
         self.onecells = [tuple(x) for x in onecells]
         self.twocells = [tuple(x) for x in twocells]
         self.comp1 = dict(comp1)
@@ -1280,54 +1322,36 @@ class TwoCategory:
         return f"{kind}{index}"
 
     def _validate(self):
-        _check_globular(self)
+        n, n1, onecells = self.n_objects, len(self.onecells), self.onecells
+        _check_cells(onecells, "1-cell", (n, n), ("source", "target"))
+        _check_cells(self.twocells, "2-cell", (n1, n1), ("source", "target"),
+                     lambda f, g: onecells[f] == onecells[g], "2-cell {} is not globular: {} vs {}")
+        if len(self.id1) != n or len(self.id2) != n1:
+            raise StructureError("identity 1-cells per object and 2-cells per 1-cell required")
+        _check_ids(self.id1, onecells, [(a, a) for a in range(n)], "identity 1-cell of object {}")
+        _check_ids(self.id2, self.twocells, [(f, f) for f in range(n1)], "identity 2-cell of 1-cell {}")
+        _check_tables(self._tables())
 
-    def table_boundary_violations(self, col) -> None:
+    def _tables(self):
+        """The rows (``_Table``) of ``comp1``, ``vcomp2`` and ``hcomp2``."""
         s1, t1 = _columns(self.onecells, 2)
         s2, t2 = _columns(self.twocells, 2)
-        c1 = _dense_rows(self.comp1, len(s1))
-        for law, kind, table, cells, expect in (
-            ("comp1-boundary", "onecell", self.comp1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys]),
-            ("vcomp2-boundary", "twocell", self.vcomp2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys]),
-            ("hcomp2-boundary", "twocell", self.hcomp2, self.twocells,
-             lambda keys: [(c1[s2[a]][s2[b]], c1[t2[a]][t2[b]]) for a, b in keys]),
-        ):
-            _boundaries(col, law, kind, table, cells, expect)
 
+        def hcomp2(keys):
+            c1 = _dense_rows(self.comp1, len(s1))
+            return [(c1[s2[a]][s2[b]], c1[t2[a]][t2[b]]) for a, b in keys]
 
-def _check_globular(t):
-    """Cell boundaries, identities, and the key and value checks of
-    ``comp1``, ``vcomp2`` and ``hcomp2`` of a 2-category or bicategory."""
-    n1, n2 = len(t.onecells), len(t.twocells)
-    for f, (a, b) in enumerate(t.onecells):
-        _check_index(a, t.n_objects, f"1-cell {f} source")
-        _check_index(b, t.n_objects, f"1-cell {f} target")
-    for x, (f, g) in enumerate(t.twocells):
-        _check_index(f, n1, f"2-cell {x} source")
-        _check_index(g, n1, f"2-cell {x} target")
-        if t.onecells[f] != t.onecells[g]:
-            raise StructureError(f"2-cell {x} is not globular: {f} vs {g}")
-    if len(t.id1) != t.n_objects or len(t.id2) != n1:
-        raise StructureError("identity 1-cells per object and 2-cells per 1-cell required")
-    for a, i in enumerate(t.id1):
-        _check_index(i, n1, f"identity 1-cell of object {a}")
-        if t.onecells[i] != (a, a):
-            raise StructureError(f"identity 1-cell of object {a} has wrong boundary")
-    for f, i in enumerate(t.id2):
-        _check_index(i, n2, f"identity 2-cell of 1-cell {f}")
-        if t.twocells[i] != (f, f):
-            raise StructureError(f"identity 2-cell of 1-cell {f} has wrong boundary")
-    s1, t1 = _columns(t.onecells, 2)
-    s2, t2 = _columns(t.twocells, 2)
-    _check_table(t.comp1, t1, s1, "comp1 entry {}", "comp1 must be keyed on exactly the composable 1-cell pairs")
-    _check_table(t.vcomp2, t2, s2, "vcomp2 entry {}", "vcomp2 must be keyed on exactly the vertically composable pairs")
-    _check_table(
-        t.hcomp2,
-        [t1[f] for f in s2],
-        [s1[f] for f in s2],
-        "hcomp2 entry {}",
-        "hcomp2 must be keyed on exactly the horizontally composable pairs",
-    )
+        return [
+            _Table("comp1", "onecell", self.comp1, t1, s1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys],
+                   "comp1 entry {}", "comp1 must be keyed on exactly the composable 1-cell pairs"),
+            _Table("vcomp2", "twocell", self.vcomp2, t2, s2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys],
+                   "vcomp2 entry {}", "vcomp2 must be keyed on exactly the vertically composable pairs"),
+            _Table("hcomp2", "twocell", self.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2], self.twocells, hcomp2,
+                   "hcomp2 entry {}", "hcomp2 must be keyed on exactly the horizontally composable pairs"),
+        ]
+
+    def table_boundary_violations(self, col) -> None:
+        _boundaries(col, self._tables())
 
 
 def check_two_category(t: TwoCategory, budget: Budget | None = None) -> AxiomReport:

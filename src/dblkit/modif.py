@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, StructureError, _laws, same_category
+from .kernel import HCELL, OBJECT, VCELL, StructureError, _check_ids, _laws, same_category
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     DoublePNT,
@@ -61,23 +61,11 @@ def _check_modification_boundaries(m):
     dom, cod = F.dom, F.cod
     if len(m.a0) != dom.n_objects or len(m.a1) != dom.n_objects:
         raise StructureError("one component square of each kind per object required")
-    for o in range(dom.n_objects):
-        expect0 = (
-            cod.hid[F.ob(o)],
-            cod.hid[G.ob(o)],
-            m.src.v0.comp[o],
-            m.tgt.v0.comp[o],
-        )
-        if cod.squares[m.a0[o]] != expect0:
-            raise StructureError(f"vertical-side component at object {o} has wrong boundary")
-        expect1 = (
-            m.src.h1.comp[o],
-            m.tgt.h1.comp[o],
-            cod.vid[F.ob(o)],
-            cod.vid[G.ob(o)],
-        )
-        if cod.squares[m.a1[o]] != expect1:
-            raise StructureError(f"horizontal-side component at object {o} has wrong boundary")
+    n = dom.n_objects
+    _check_ids(m.a0, cod.squares, [(cod.hid[F.ob(o)], cod.hid[G.ob(o)], m.src.v0.comp[o], m.tgt.v0.comp[o]) for o in range(n)],
+               "vertical-side component at object {}")
+    _check_ids(m.a1, cod.squares, [(m.src.h1.comp[o], m.tgt.h1.comp[o], cod.vid[F.ob(o)], cod.vid[G.ob(o)]) for o in range(n)],
+               "horizontal-side component at object {}")
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .kernel import (
     StructureError,
     _OnDemand,
     _associativity,
+    _check_ids,
     _columns,
     _dense_rows,
     _invertibility,
@@ -99,48 +100,30 @@ def _check_pnt_boundaries(a, horizontal: bool):
     if horizontal:
         if len(a.nat) != len(dom.vcells) or len(a.delta) != len(dom.hcells):
             raise StructureError("missing component for some cell")
-        for o, f in enumerate(a.comp):
-            if cod.hcells[f] != (F.ob(o), G.ob(o)):
-                raise StructureError(f"component at object {o} has wrong boundary")
-        for u, s in enumerate(a.nat):
-            expect = (a.comp[dom.vs(u)], a.comp[dom.vt(u)], F.v(u), G.v(u))
-            if cod.squares[s] != expect:
-                raise StructureError(f"naturality square at vcell {u} has wrong boundary")
+        _check_ids(a.comp, cod.hcells, ((F.ob(o), G.ob(o)) for o in range(dom.n_objects)), "component at object {}")
+        _check_ids(a.nat, cod.squares, ((a.comp[A], a.comp[B], F.v(u), G.v(u)) for u, (A, B) in enumerate(dom.vcells)),
+                   "naturality square at vcell {}")
+        _check_ids(a.delta, cod.squares, ((cod.hcomp(F.h(f), a.comp[B]), cod.hcomp(a.comp[A], G.h(f)), cod.vid[F.ob(A)],
+                                           cod.vid[G.ob(B)]) for f, (A, B) in enumerate(dom.hcells)),
+                   "comparison square at hcell {}")
         for f, s in enumerate(a.delta):
-            A, B = dom.hs(f), dom.ht(f)
-            expect = (
-                cod.hcomp(F.h(f), a.comp[B]),
-                cod.hcomp(a.comp[A], G.h(f)),
-                cod.vid[F.ob(A)],
-                cod.vid[G.ob(B)],
-            )
-            if cod.squares[s] != expect:
-                raise StructureError(f"comparison square at hcell {f} has wrong boundary")
+            t, b, l, r = cod.squares[s]
             inv = a.delta_inv.get(f)
-            if inv is not None and cod.squares[inv] != (expect[1], expect[0], expect[2], expect[3]):
+            if inv is not None and cod.squares[inv] != (b, t, l, r):
                 raise StructureError(f"comparison inverse at hcell {f} has wrong boundary")
     else:
         if len(a.nat) != len(dom.hcells) or len(a.delta) != len(dom.vcells):
             raise StructureError("missing component for some cell")
-        for o, u in enumerate(a.comp):
-            if cod.vcells[u] != (F.ob(o), G.ob(o)):
-                raise StructureError(f"component at object {o} has wrong boundary")
-        for f, s in enumerate(a.nat):
-            expect = (F.h(f), G.h(f), a.comp[dom.hs(f)], a.comp[dom.ht(f)])
-            if cod.squares[s] != expect:
-                raise StructureError(f"naturality square at hcell {f} has wrong boundary")
+        _check_ids(a.comp, cod.vcells, ((F.ob(o), G.ob(o)) for o in range(dom.n_objects)), "component at object {}")
+        _check_ids(a.nat, cod.squares, ((F.h(f), G.h(f), a.comp[A], a.comp[B]) for f, (A, B) in enumerate(dom.hcells)),
+                   "naturality square at hcell {}")
+        _check_ids(a.delta, cod.squares, ((cod.hid[F.ob(A)], cod.hid[G.ob(B)], cod.vcomp(F.v(u), a.comp[B]),
+                                           cod.vcomp(a.comp[A], G.v(u))) for u, (A, B) in enumerate(dom.vcells)),
+                   "comparison square at vcell {}")
         for u, s in enumerate(a.delta):
-            A, B = dom.vs(u), dom.vt(u)
-            expect = (
-                cod.hid[F.ob(A)],
-                cod.hid[G.ob(B)],
-                cod.vcomp(F.v(u), a.comp[B]),
-                cod.vcomp(a.comp[A], G.v(u)),
-            )
-            if cod.squares[s] != expect:
-                raise StructureError(f"comparison square at vcell {u} has wrong boundary")
+            t, b, l, r = cod.squares[s]
             inv = a.delta_inv.get(u)
-            if inv is not None and cod.squares[inv] != (expect[0], expect[1], expect[3], expect[2]):
+            if inv is not None and cod.squares[inv] != (t, b, r, l):
                 raise StructureError(f"comparison inverse at vcell {u} has wrong boundary")
 
 
@@ -451,26 +434,10 @@ class DoublePNT:
         dom, cod = F.dom, F.cod
         if len(self.t) != len(dom.hcells) or len(self.r) != len(dom.vcells):
             raise StructureError("missing coupling square for some cell")
-        for f, s in enumerate(self.t):
-            A, B = dom.hs(f), dom.ht(f)
-            expect = (
-                cod.hcomp(F.h(f), self.h1.comp[B]),
-                G.h(f),
-                self.v0.comp[A],
-                cod.vid[G.ob(B)],
-            )
-            if cod.squares[s] != expect:
-                raise StructureError(f"t-square at hcell {f} has wrong boundary")
-        for u, s in enumerate(self.r):
-            A, B = dom.vs(u), dom.vt(u)
-            expect = (
-                self.h1.comp[A],
-                cod.hid[G.ob(B)],
-                cod.vcomp(F.v(u), self.v0.comp[B]),
-                G.v(u),
-            )
-            if cod.squares[s] != expect:
-                raise StructureError(f"r-square at vcell {u} has wrong boundary")
+        _check_ids(self.t, cod.squares, ((cod.hcomp(F.h(f), self.h1.comp[B]), G.h(f), self.v0.comp[A], cod.vid[G.ob(B)])
+                                          for f, (A, B) in enumerate(dom.hcells)), "t-square at hcell {}")
+        _check_ids(self.r, cod.squares, ((self.h1.comp[A], cod.hid[G.ob(B)], cod.vcomp(F.v(u), self.v0.comp[B]), G.v(u))
+                                          for u, (A, B) in enumerate(dom.vcells)), "r-square at vcell {}")
 
     @property
     def F(self):
@@ -501,15 +468,8 @@ class ThetaPNT:
         dom, cod = F.dom, F.cod
         if len(self.theta) != dom.n_objects:
             raise StructureError("one generating square per object required")
-        for o, s in enumerate(self.theta):
-            expect = (
-                self.h1.comp[o],
-                cod.hid[G.ob(o)],
-                self.v0.comp[o],
-                cod.vid[G.ob(o)],
-            )
-            if cod.squares[s] != expect:
-                raise StructureError(f"generating square at object {o} has wrong boundary")
+        _check_ids(self.theta, cod.squares, ((self.h1.comp[o], cod.hid[G.ob(o)], self.v0.comp[o], cod.vid[G.ob(o)])
+                                              for o in range(dom.n_objects)), "generating square at object {}")
 
 
 @dataclass(frozen=True)

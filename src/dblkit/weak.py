@@ -34,6 +34,7 @@ from .kernel import (
     TwoCategory,
     _associativity,
     _check_index,
+    _check_values,
     _columns,
     _dense_rows,
     _globular_interchange,
@@ -241,18 +242,9 @@ class Bicategory(TwoCategory):
         return out
 
     def _validate_bicategory(self):
-        for (f, g), h in self.comp1.items():
-            if self.onecells[h] != (self.s1(f), self.t1(g)):
-                raise StructureError(f"comp1 entry {(f, g)} has wrong boundary")
+        _check_values(self._tables())
         s1, t1 = _columns(self.onecells, 2)
         _check_constraint_cells(self, "1-cell", len(self.twocells), self.comp1, t1, s1)
-        for (a, b), c in self.vcomp2.items():
-            if self.twocells[c] != (self.s2(a), self.t2(b)):
-                raise StructureError(f"vcomp2 entry {(a, b)} has wrong boundary")
-        for (a, b), c in self.hcomp2.items():
-            expect = (self.then1(self.s2(a), self.s2(b)), self.then1(self.t2(a), self.t2(b)))
-            if self.twocells[c] != expect:
-                raise StructureError(f"hcomp2 entry {(a, b)} has wrong boundary")
         _check_constraint_boundaries(self, self.twocells, self.then1, t1, s1, self.id1, lambda x, y, a, b: (x, y))
 
 
