@@ -111,7 +111,11 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   of a bundle; and each budgeted one of these checkers, with the horizontal
   transformation and modification checkers, on its first failing input
   (or a passing one where none fails) under every cap up to one past its
-  instance count.
+  instance count;
+- constructor damage: the exception type and message (or ``accepted``) of
+  every ``DAMAGED`` case of ``tests/test_kernel.py`` in the checkout that
+  holds this script, whose imports the library under ``PYTHONPATH`` must
+  provide.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -123,11 +127,13 @@ from ``SquareCalculus._steps`` where it exists and from the older
 """
 
 import hashlib
+import importlib.util
 import itertools
 import json
 import random
 import sys
 from dataclasses import fields, is_dataclass, replace
+from pathlib import Path
 
 from dblkit import dsl, modif, transform, zoo
 from dblkit.acceptance import _generators
@@ -1264,6 +1270,21 @@ def laws(out):
         _capped(out, f"laws cutoff {name}", check)
 
 
+def constructor_damage(out):
+    path = Path(__file__).resolve().parent.parent / "tests" / "test_kernel.py"
+    spec = importlib.util.spec_from_file_location("test_kernel", path)
+    tests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tests)
+    for make, field, damage in tests.DAMAGED:
+        obj = make()
+        key = f"constructor damage {make.__name__}.{field}:{damage.__name__}"
+        try:
+            tests._rebuild(obj, field, damage(getattr(obj, field)))
+            out[key] = "accepted"
+        except Exception as e:
+            out[key] = {"type": type(e).__name__, "message": str(e)}
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -1278,6 +1299,7 @@ def main(argv) -> int:
     rewriting(out)
     functors(out)
     laws(out)
+    constructor_damage(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -26,7 +26,7 @@ vertical pasting), ``sq_hid[u]`` the horizontal identity square on a vcell u
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import Counter
 from itertools import islice
 from types import SimpleNamespace
 
@@ -52,11 +52,12 @@ def _count(n_objects):
 
 
 def _check_cells(cells, what, limits, names, fits=None, misfit=""):
-    """Raise StructureError unless every boundary (a tuple) of ``cells`` has
-    one id per entry of ``limits``, the i-th, its ``names[i]``, an int below
-    ``limits[i]``, and, where ``fits`` is given, ``fits(*boundary)`` holds;
-    cell by cell, in order.  ``what`` names a cell, ``misfit`` is the message
-    of a boundary that does not fit, formatted with its id and entries."""
+    """Raise StructureError unless, cell by cell in order, every boundary (a
+    tuple) of ``cells`` has one id per entry of ``limits``, each an int
+    below its limit, and ``fits(*boundary)`` holds where ``fits`` is given.
+    ``what`` and ``names`` name a cell and its entries; ``misfit``, formatted
+    with the cell's id and entries, is the message of a boundary that does
+    not fit."""
     width = len(limits)
     for x, cell in enumerate(cells):
         if len(cell) != width:
@@ -92,29 +93,29 @@ def _check_ids(ids, cells, expect, what, wrong=" has wrong boundary"):
 # source for 1-cells, right and left edge for horizontal pasting, ...).
 
 
-# A structure states its tables once, as a list of these rows: the name and
-# the kind of the cells a table keys and values, its key columns, its
-# cells, ``expect``, which maps the table's keys to the boundaries their
-# values must have, and the messages ``_check_table`` raises.  The
-# validator reads the key columns (``_check_tables``), and the boundary
-# laws (``_boundaries``) and the raising value check (``_check_values``)
-# read ``expect``.
-_Table = namedtuple("_Table", "name kind table ends starts cells expect entry wrong_keys")
+# A structure states its tables once, as a list of rows ``(name, kind,
+# table, ends, starts, cells, expect, entry, wrong_keys)``: the name of a
+# table and the kind of the cells it keys and values, the table, its key
+# columns, its cells, ``expect``, which maps the table's keys to the
+# boundaries their values must have, and the messages ``_check_table``
+# raises.  The validator reads the key columns (``_check_tables``), and the
+# boundary laws (``_boundaries``) and the raising value check
+# (``_check_values``) read ``expect``.  The rows are plain tuples because
+# every checker run builds them again.
 
 
 def _check_tables(rows):
-    for t in rows:
-        _check_table(t.table, t.ends, t.starts, t.entry, t.wrong_keys)
+    for _, _, table, ends, starts, _, _, entry, wrong_keys in rows:
+        _check_table(table, ends, starts, entry, wrong_keys)
 
 
 def _check_values(rows):
     """Raise StructureError at the first entry of a table of ``rows``, in
-    table order, whose value has not the boundary ``expect`` gives."""
-    for t in rows:
-        cells = t.cells
-        for key, z, want in zip(t.table, t.table.values(), t.expect(t.table)):
+    table order, whose value does not have the boundary ``expect`` gives."""
+    for _, _, table, _, _, cells, expect, entry, _ in rows:
+        for key, z, want in zip(table, table.values(), expect(table)):
             if cells[z] != want:
-                raise StructureError(t.entry.format(key) + " has wrong boundary")
+                raise StructureError(entry.format(key) + " has wrong boundary")
 
 
 def _columns(rows, width):
@@ -372,10 +373,8 @@ def _boundaries(col, rows):
     """Record, table by table of ``rows``, the law ``{name}-boundary``:
     ``cells[table[key]]`` is the boundary ``expect`` gives at every key
     (``_whole``)."""
-    for t in rows:
-        cells = t.cells
-        _whole(col, (t.kind, t.kind), t.table,
-               (f"{t.name}-boundary", lambda table: [cells[z] for z in table.values()], t.expect))
+    for name, kind, table, _, _, cells, expect, _, _ in rows:
+        _whole(col, (kind, kind), table, (f"{name}-boundary", lambda t: [cells[z] for z in t.values()], expect))
 
 
 def _associativity(col, law, kind, rows, ends, starts, side=None):
@@ -461,8 +460,8 @@ class FiniteCategory:
         _check_cells(self.mor, "morphism", (n, n), ("source", "target"))
         _check_ids(self.ids, self.mor, [(a, a) for a in range(n)], "identity of object {}", " has boundary {}")
         src, tgt = _columns(self.mor, 2)
-        rows = [_Table("comp", "mor", self.comp, tgt, src, self.mor, lambda keys: [(src[f], tgt[g]) for f, g in keys],
-                       "composite of {}", "composition table keys wrong; extra={extra} missing={missing}")]
+        rows = [("comp", "mor", self.comp, tgt, src, self.mor, lambda keys: [(src[f], tgt[g]) for f, g in keys],
+                 "composite of {}", "composition table keys wrong; extra={extra} missing={missing}")]
         _check_tables(rows)
         _check_values(rows)
 
@@ -655,7 +654,7 @@ class DoubleCategory:
         _check_tables(self._tables())
 
     def _tables(self):
-        """The rows (``_Table``) of ``hcomp1``, ``vcomp1``, ``hcomp2`` and ``vcomp2``."""
+        """The table rows of ``hcomp1``, ``vcomp1``, ``hcomp2`` and ``vcomp2``."""
         hs, ht = _columns(self.hcells, 2)
         vs, vt = _columns(self.vcells, 2)
         top, bottom, left, right = _columns(self.squares, 4)
@@ -669,14 +668,14 @@ class DoubleCategory:
             return [(top[a], bottom[b], v1[left[a]][left[b]], v1[right[a]][right[b]]) for a, b in keys]
 
         return [
-            _Table("hcomp1", HCELL, self.hcomp1, ht, hs, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys],
-                   "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"),
-            _Table("vcomp1", VCELL, self.vcomp1, vt, vs, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys],
-                   "vcomp1 entry {}", "vcomp1 keys must be the composable vcell pairs; first bad: {bad}"),
-            _Table("hcomp2", SQUARE, self.hcomp2, right, left, self.squares, hcomp2,
-                   "hcomp2 entry {}", "hcomp2 keys must be the pastable square pairs; first bad: {bad}"),
-            _Table("vcomp2", SQUARE, self.vcomp2, bottom, top, self.squares, vcomp2,
-                   "vcomp2 entry {}", "vcomp2 keys must be the pastable square pairs; first bad: {bad}"),
+            ("hcomp1", HCELL, self.hcomp1, ht, hs, self.hcells, lambda keys: [(hs[f], ht[g]) for f, g in keys],
+             "hcomp1 entry {}", "hcomp1 keys must be the composable hcell pairs; first bad: {bad}"),
+            ("vcomp1", VCELL, self.vcomp1, vt, vs, self.vcells, lambda keys: [(vs[u], vt[v]) for u, v in keys],
+             "vcomp1 entry {}", "vcomp1 keys must be the composable vcell pairs; first bad: {bad}"),
+            ("hcomp2", SQUARE, self.hcomp2, right, left, self.squares, hcomp2,
+             "hcomp2 entry {}", "hcomp2 keys must be the pastable square pairs; first bad: {bad}"),
+            ("vcomp2", SQUARE, self.vcomp2, bottom, top, self.squares, vcomp2,
+             "vcomp2 entry {}", "vcomp2 keys must be the pastable square pairs; first bad: {bad}"),
         ]
 
     def table_boundary_violations(self, col) -> None:
@@ -1333,7 +1332,7 @@ class TwoCategory:
         _check_tables(self._tables())
 
     def _tables(self):
-        """The rows (``_Table``) of ``comp1``, ``vcomp2`` and ``hcomp2``."""
+        """The table rows of ``comp1``, ``vcomp2`` and ``hcomp2``."""
         s1, t1 = _columns(self.onecells, 2)
         s2, t2 = _columns(self.twocells, 2)
 
@@ -1342,12 +1341,12 @@ class TwoCategory:
             return [(c1[s2[a]][s2[b]], c1[t2[a]][t2[b]]) for a, b in keys]
 
         return [
-            _Table("comp1", "onecell", self.comp1, t1, s1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys],
-                   "comp1 entry {}", "comp1 must be keyed on exactly the composable 1-cell pairs"),
-            _Table("vcomp2", "twocell", self.vcomp2, t2, s2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys],
-                   "vcomp2 entry {}", "vcomp2 must be keyed on exactly the vertically composable pairs"),
-            _Table("hcomp2", "twocell", self.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2], self.twocells, hcomp2,
-                   "hcomp2 entry {}", "hcomp2 must be keyed on exactly the horizontally composable pairs"),
+            ("comp1", "onecell", self.comp1, t1, s1, self.onecells, lambda keys: [(s1[f], t1[g]) for f, g in keys],
+             "comp1 entry {}", "comp1 must be keyed on exactly the composable 1-cell pairs"),
+            ("vcomp2", "twocell", self.vcomp2, t2, s2, self.twocells, lambda keys: [(s2[a], t2[b]) for a, b in keys],
+             "vcomp2 entry {}", "vcomp2 must be keyed on exactly the vertically composable pairs"),
+            ("hcomp2", "twocell", self.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2], self.twocells, hcomp2,
+             "hcomp2 entry {}", "hcomp2 must be keyed on exactly the horizontally composable pairs"),
         ]
 
     def table_boundary_violations(self, col) -> None:

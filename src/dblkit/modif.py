@@ -61,10 +61,11 @@ def _check_modification_boundaries(m):
     dom, cod = F.dom, F.cod
     if len(m.a0) != dom.n_objects or len(m.a1) != dom.n_objects:
         raise StructureError("one component square of each kind per object required")
-    n = dom.n_objects
-    _check_ids(m.a0, cod.squares, [(cod.hid[F.ob(o)], cod.hid[G.ob(o)], m.src.v0.comp[o], m.tgt.v0.comp[o]) for o in range(n)],
+    v_src, v_tgt, h_src, h_tgt = m.src.v0.comp, m.tgt.v0.comp, m.src.h1.comp, m.tgt.h1.comp
+    objects = range(dom.n_objects)
+    _check_ids(m.a0, cod.squares, [(cod.hid[F.ob(o)], cod.hid[G.ob(o)], v_src[o], v_tgt[o]) for o in objects],
                "vertical-side component at object {}")
-    _check_ids(m.a1, cod.squares, [(m.src.h1.comp[o], m.tgt.h1.comp[o], cod.vid[F.ob(o)], cod.vid[G.ob(o)]) for o in range(n)],
+    _check_ids(m.a1, cod.squares, [(h_src[o], h_tgt[o], cod.vid[F.ob(o)], cod.vid[G.ob(o)]) for o in objects],
                "horizontal-side component at object {}")
 
 

@@ -1,6 +1,7 @@
 import collections
 import inspect
 import itertools
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -36,7 +37,7 @@ from dblkit.functors import StrictDoubleFunctor, compose_strict, identity_functo
 from dblkit.internal import monoid_to_internal
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
-from dblkit.weak import as_pseudo
+from dblkit.weak import Bicategory, as_pseudo
 from dblkit import dsl, zoo
 
 
@@ -400,8 +401,21 @@ def value_out_of_range(table):
     return {**table, min(table): 99}
 
 
+def over_long(cells):
+    return cells[:-1] + [cells[-1] + (0,)]
+
+
+def last_as_text(cells):
+    return cells[:-1] + [str(cells[-1])]
+
+
+def non_integer(n):
+    return "x"
+
+
 # (constructor, field, damage): each damaged field must be rejected with a
-# StructureError, never a bare IndexError or a silent accept
+# StructureError, never a bare IndexError or a silent accept.  The verdict
+# dump (scripts/verdict_dump.py) records the error of every case
 DAMAGED = [
     (zoo.sign_two_category, "onecells", bad_boundary),
     (zoo.sign_two_category, "id1", out_of_range),
@@ -425,7 +439,17 @@ DAMAGED = [
     (_pseudo_arrow, "assoc", value_out_of_range),
     (_pseudo_arrow, "assoc_inv", value_out_of_range),
     (_pseudo_arrow, "assoc", dropped_key),
-]
+    (_quintet_arrow, "hid", out_of_range),
+    (_quintet_arrow, "vid", out_of_range),
+    (_quintet_arrow, "hid", last_as_text),
+    (_quintet_arrow, "hcells", over_long),
+    (_quintet_arrow, "vcells", over_long),
+    (_quintet_arrow, "squares", over_long),
+    (zoo.walking_arrow, "mor", over_long),
+    (zoo.sign_two_category, "onecells", over_long),
+    (zoo.sign_two_category, "twocells", over_long),
+    (zoo.sign_bicategory, "twocells", over_long),
+] + [(make, "n_objects", non_integer) for make in (zoo.walking_arrow, _quintet_arrow, zoo.sign_two_category)]
 
 
 @pytest.mark.parametrize(
@@ -436,6 +460,25 @@ def test_constructor_rejects_damaged_field(make, field, damage):
     obj = make()
     with pytest.raises(StructureError):
         _rebuild(obj, field, damage(getattr(obj, field)))
+
+
+def test_two_category_boundary_laws_agree_with_the_bicategory_raise():
+    # both read the same table rows: on every single-entry mutant of the
+    # sign tables, check_two_category reports a *-boundary violation exactly
+    # when a Bicategory on the same tables raises on a wrong entry boundary
+    sign = zoo.sign_bicategory()
+    constraints = [getattr(sign, name) for name in ("assoc", "assoc_inv", "lunit", "lunit_inv", "runit", "runit_inv")]
+    outcomes = collections.Counter()
+    for t in _two_category_mutants(zoo.sign_two_category()):
+        reported = any(v.axiom.endswith("-boundary") for v in check_two_category(t).violations)
+        try:
+            Bicategory(t.n_objects, t.onecells, t.twocells, t.comp1, t.vcomp2, t.hcomp2, t.id1, t.id2, *constraints)
+            raised = False
+        except StructureError as e:
+            raised = re.fullmatch(r"(comp1|vcomp2|hcomp2) entry \(\d+, \d+\) has wrong boundary", str(e)) is not None
+        assert reported == raised, t
+        outcomes[reported] += 1
+    assert outcomes[True] and outcomes[False]
 
 
 def test_zero_object_category_is_vacuously_fine():
