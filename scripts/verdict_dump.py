@@ -197,6 +197,7 @@ from dblkit.internal import (
     unit_sided_functors,
 )
 from dblkit.kernel import (
+    DoubleCategory,
     StructureError,
     check_double_category,
     check_two_category,
@@ -206,7 +207,7 @@ from dblkit.kernel import (
     quintet,
     transpose,
 )
-from dblkit.mutate import sample_mutants
+from dblkit.mutate import TABLES, mutation_slots, sample_mutants
 from dblkit.report import Budget
 from dblkit.weak import Bicategory, bicategory_from_two_category, check_bicategory, check_pseudo_double_category
 
@@ -734,6 +735,7 @@ INTERNAL_MONOIDS = (
 PULLBACK_MUTANTS = 40
 ISO_PULLBACK_MUTANTS = 20
 MONOID_PULLBACK_MUTANTS = 20
+MULTI_ENTRY_MUTANTS = 40
 MAPS = ("ob_map", "h_map", "v_map", "sq_map")
 
 
@@ -837,6 +839,8 @@ def internal(out):
     host = diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
     for slot, bad_p in sample_mutants(host.p, PULLBACK_MUTANTS, seed=6):
         out[f"internal pullback mutant {slot}"] = _report(lambda: check_internal(replace(host, p=bad_p), registry=empty, deep=False))
+    for label, bad_p in _multi_entry_mutants(host.p, MULTI_ENTRY_MUTANTS, seed=9):
+        out[f"internal multi-entry {label}"] = _report(lambda: check_internal(replace(host, p=bad_p), registry=empty, deep=False))
     iso = diagonal_internal(quintet(zoo.walking_iso()))
     for slot, bad_p in sample_mutants(iso.p, ISO_PULLBACK_MUTANTS, seed=7):
         out[f"internal iso pullback mutant {slot}"] = _report(lambda: check_internal(replace(iso, p=bad_p), registry=empty, deep=False))
@@ -854,6 +858,29 @@ def internal(out):
         _capped(out, f"internal cutoff {tag}", lambda budget, flag=flag: check_internal(moved, registry=empty, deep=flag, budget=budget))
     for label, s in _leg_mutants(host.s):
         out[f"internal leg mutant {label}"] = _report(lambda: check_internal(replace(host, s=s), registry=empty, deep=False))
+
+
+def _multi_entry_mutants(d, count, seed):
+    """``count`` seeded mutants of ``d``, each with two or three entries of
+    one table changed and every table re-inserted in a seeded shuffled
+    order, so that the first key changed is not the first met."""
+    rng = random.Random(seed)
+    slots = mutation_slots(d)
+    out = []
+    for _ in range(count):
+        table, want, changed = rng.choice(slots)[0], rng.choice((2, 3)), {}
+        same = [(k, a) for t, k, a in slots if t == table]
+        for k, a in rng.sample(same, len(same)):
+            changed.setdefault(k, a)
+            if len(changed) == want:
+                break
+        tables = {name: dict(getattr(d, name)) for name in TABLES}
+        tables[table].update(changed)
+        tables = {name: dict(rng.sample(list(t.items()), len(t))) for name, t in tables.items()}
+        bad = DoubleCategory(d.n_objects, d.hcells, d.vcells, d.squares, *tables.values(), d.hid, d.vid,
+                             d.sq_vid, d.sq_hid, names=d.names)
+        out.append((f"{table} {sorted(changed.items())}", bad))
+    return out
 
 
 def _map_sizes(cod):

@@ -1125,10 +1125,12 @@ def pullback(f, g) -> DoubleCategory:
 #
 # A comparison walks *sections* in a fixed order: ``(head, kind, left,
 # right)``, two sequences indexed by cell id or two dicts keyed by a cell id
-# or a pair of them, read in key order.  The witness of an entry is ``head``
-# followed by ``(kind, c)`` for each cell c of its key, or ``head`` alone
-# when ``kind`` is None (a section of one entry); an entry present on one
-# side only differs there, with None on the missing side.
+# or a pair of them, compared in key order.  The witness of an entry is
+# ``head`` followed by ``(kind, c)`` for each cell c of its key, or ``head``
+# alone when ``kind`` is None (a section of one entry); an entry present on
+# one side only differs there, with None on the missing side.  A dict
+# section's first difference is the least key whose two sides differ, at
+# its rank among the keys of both dicts; no key is sorted to find it.
 
 
 def _mismatch(left, right, stop):
@@ -1147,28 +1149,38 @@ def _first_difference(sections, room=math.inf):
     ``room`` entries (all by default) are compared.  Without a difference
     among them the witness and both sides are None and n is the number of
     entries, or ``room + 1`` when entries were left over.  A section that
-    agrees is compared as a whole; it is walked entry by entry only where it
-    differs or ``room`` cuts it."""
+    agrees within ``room`` is compared as a whole.  Otherwise a list section
+    is walked index by index; a dict section lists the keys whose sides
+    (read with ``get``) differ, over the shared keys or else their union,
+    and the least of them is the difference, its rank among those keys its
+    index, unless that rank is at or past the cut."""
     n = 0
     for head, kind, left, right in sections:
         cut = room - n
         if left == right and len(left) <= cut:
             n += len(left)
             continue
-        keys = sorted(left.keys() | right.keys()) if isinstance(left, dict) else None
-        if keys is not None:
-            left, right = [left.get(k) for k in keys], [right.get(k) for k in keys]
-        i = _mismatch(left, right, cut)
-        if i is None:
+        if isinstance(left, dict):
+            keys = left.keys() if left.keys() == right.keys() else left.keys() | right.keys()
+            lget, rget = left.get, right.get
+            differing = [k for k in keys if lget(k) != rget(k)]
+            size, i = len(keys), None
+            if differing:
+                key = min(differing)
+                i = len([k for k in keys if k < key])  # its rank among the keys
+                lhs, rhs = lget(key), rget(key)
+        else:
             size = max(len(left), len(right))
+            key = i = _mismatch(left, right, cut)
+            if i is not None:
+                lhs = left[i] if i < len(left) else None
+                rhs = right[i] if i < len(right) else None
+        if i is None or i >= cut:
             if size > cut:
                 return room + 1, None, None, None
             n += size
             continue
-        key = i if keys is None else keys[i]
         cells = () if kind is None else tuple((kind, c) for c in (key if isinstance(key, tuple) else (key,)))
-        lhs = left[i] if i < len(left) else None
-        rhs = right[i] if i < len(right) else None
         return n + i + 1, (*head, *cells), lhs, rhs
     return n, None, None, None
 

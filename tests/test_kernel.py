@@ -1,6 +1,8 @@
 import collections
 import inspect
 import itertools
+import math
+import random
 import re
 from types import SimpleNamespace
 
@@ -38,7 +40,7 @@ from dblkit.internal import monoid_to_internal
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
 from dblkit.weak import Bicategory, as_pseudo
-from dblkit import dsl, zoo
+from dblkit import dsl, kernel, zoo
 
 
 def brute_force_commuting_quadruples(c: FiniteCategory):
@@ -1193,3 +1195,87 @@ def test_check_table_rejects_a_key_that_only_unpacks_to_a_pair():
     table = _arrow_table(replace={(0, 2): (frozenset({0, 2}), 2)})
     with pytest.raises(TypeError):
         _check_table(table, ARROW_ENDS, ARROW_STARTS, "composite of {}", WRONG_KEYS)
+
+
+# ---------------------------------------------------------------------------
+# the entry-by-entry comparison against a sorted walk
+
+
+def _sorted_first_difference(sections, room=math.inf):
+    """The oracle: every dict section read into two lists over the sorted
+    union of its keys, then walked index by index like a list section."""
+    n = 0
+    for head, kind, left, right in sections:
+        cut = room - n
+        if left == right and len(left) <= cut:
+            n += len(left)
+            continue
+        keys = sorted(left.keys() | right.keys()) if isinstance(left, dict) else None
+        if keys is not None:
+            left, right = [left.get(k) for k in keys], [right.get(k) for k in keys]
+        i = kernel._mismatch(left, right, cut)
+        if i is None:
+            size = max(len(left), len(right))
+            if size > cut:
+                return room + 1, None, None, None
+            n += size
+            continue
+        key = i if keys is None else keys[i]
+        cells = () if kind is None else tuple((kind, c) for c in (key if isinstance(key, tuple) else (key,)))
+        lhs = left[i] if i < len(left) else None
+        rhs = right[i] if i < len(right) else None
+        return n + i + 1, (*head, *cells), lhs, rhs
+    return n, None, None, None
+
+
+def _shuffled(table, rng):
+    items = list(table.items())
+    rng.shuffle(items)
+    return dict(items)
+
+
+def _differing_section(rng, shape):
+    """Two dicts or lists that differ in the way ``shape`` names, the
+    dicts inserted in a seeded shuffled order."""
+    size = rng.randrange(1, 12)
+    if shape == "list":
+        left = [rng.randrange(4) for _ in range(size)]
+        right = left[: rng.randrange(size + 1)] + [rng.randrange(4) for _ in range(rng.randrange(3))]
+        return SQUARE, left, right
+    keys = rng.sample([(x, y) for x in range(5) for y in range(5)], size) if rng.random() < 0.7 else list(range(size))
+    left = {k: rng.randrange(4) for k in keys}
+    right = dict(left)
+    if shape == "values":
+        for k in rng.sample(keys, min(len(keys), rng.randrange(1, 4))):
+            right[k] = left[k] + 1 + rng.randrange(3)
+    elif shape == "one side":
+        for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
+            del (left if rng.random() < 0.5 else right)[k]
+    else:  # a None value against a missing key, maybe beside a real difference
+        for k in rng.sample(keys, min(len(keys), rng.randrange(1, 3))):
+            left[k] = None
+            del right[k]
+        if rng.random() < 0.5:
+            k = rng.choice(keys)
+            right[k] = 7
+    return HCELL, _shuffled(left, rng), _shuffled(right, rng)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_first_difference_matches_the_sorted_walk(seed):
+    rng = random.Random(seed)
+    sections = []
+    for s in range(rng.randrange(1, 5)):
+        shape = rng.choice(["equal", "values", "values", "one side", "none", "list", "head"])
+        if shape == "equal":
+            table = {(x, x + 1): rng.randrange(4) for x in range(rng.randrange(6))}
+            sections.append(((f"t{s}",), VCELL, table, _shuffled(table, rng)))
+        elif shape == "head":
+            sections.append(((f"end{s}",), None, [rng.randrange(2)], [rng.randrange(2)]))
+        else:
+            sections.append(((f"t{s}",), *_differing_section(rng, shape)))
+    total = sum(max(len(left), len(left.keys() | right.keys()) if isinstance(left, dict) else len(right))
+                for _, _, left, right in sections)
+    assert kernel._first_difference(sections) == _sorted_first_difference(sections)
+    for room in range(total + 2):
+        assert kernel._first_difference(sections, room) == _sorted_first_difference(sections, room), room
