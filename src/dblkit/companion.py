@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError, _laws
+from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError, _by, _laws
 from .functors import DoublePseudoFunctor
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
@@ -117,33 +117,17 @@ def find_connection(d: DoubleCategory, vcells=None) -> Connection:
     commuting-square categories get their canonical connection (the one with
     companion hcell equal to the vcell as a morphism)."""
     wanted = range(len(d.vcells)) if vcells is None else sorted(vcells)
+    hcells, squares = _by(d.hcells), _by(d.squares)  # each list ascending, as a scan meets them
     pairs = []
     for u in wanted:
-        found = None
         a, b = d.vcells[u]
-        for f in range(len(d.hcells)):
-            if d.hcells[f] != (a, b):
-                continue
-            etas = [
-                s
-                for s, bnd in enumerate(d.squares)
-                if bnd == (d.hid[a], f, d.vid[a], u)
-            ]
-            epss = [
-                s
-                for s, bnd in enumerate(d.squares)
-                if bnd == (f, d.hid[b], u, d.vid[b])
-            ]
-            for eta in etas:
-                for eps in epss:
-                    p = CompanionPair(u, f, eps, eta)
-                    if check_companion(d, p).passed:
-                        found = p
-                        break
-                if found:
-                    break
-            if found:
-                break
+        candidates = (
+            CompanionPair(u, f, eps, eta)
+            for f in hcells.get((a, b), ())
+            for eta in squares.get((d.hid[a], f, d.vid[a], u), ())
+            for eps in squares.get((f, d.hid[b], u, d.vid[b]), ())
+        )
+        found = next((p for p in candidates if check_companion(d, p).passed), None)
         if found is None:
             raise StructureError(f"vcell {u} admits no companion")
         pairs.append(found)

@@ -34,6 +34,7 @@ from .kernel import (
     DoubleCategory,
     StructureError,
     _bang,
+    _check_index,
     _columns,
     _entries,
     _family_sides,
@@ -64,13 +65,25 @@ PSEUDO_FUNCTOR_AXIOMS = (
     "square-vunit-naturality",
     "invertibility",
 )
+_MAPS = ("ob_map", "h_map", "v_map", "sq_map")
 
 
 class _CellMaps:
-    """The four cell maps of a functor, stored as tuples."""
+    """The four cell maps of a functor, stored as tuples: one id per cell of
+    the domain, each an int naming a cell of the codomain."""
 
     def __post_init__(self):
-        self.ob_map, self.h_map, self.v_map, self.sq_map = map(tuple, (self.ob_map, self.h_map, self.v_map, self.sq_map))
+        maps = tuple(map(tuple, (self.ob_map, self.h_map, self.v_map, self.sq_map)))
+        self.ob_map, self.h_map, self.v_map, self.sq_map = maps
+        sizes = tuple(map(len, maps))
+        if sizes[0] != self.dom.n_objects:
+            raise StructureError("object map has wrong length")
+        if sizes != _counts(self.dom):
+            raise StructureError("cell map has wrong length")
+        for name, ids, limit in zip(_MAPS, maps, _counts(self.cod)):
+            for x, i in enumerate(ids):
+                if not isinstance(i, int) or not 0 <= i < limit:
+                    _check_index(i, limit, f"{name} {x}")
 
     def ob(self, a):
         return self.ob_map[a]
@@ -94,17 +107,6 @@ class StrictDoubleFunctor(_CellMaps):
     v_map: tuple
     sq_map: tuple
     name: str = ""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if len(self.ob_map) != self.dom.n_objects:
-            raise StructureError("object map has wrong length")
-        if (
-            len(self.h_map) != len(self.dom.hcells)
-            or len(self.v_map) != len(self.dom.vcells)
-            or len(self.sq_map) != len(self.dom.squares)
-        ):
-            raise StructureError("cell map has wrong length")
 
 
 def identity_functor(d: DoubleCategory) -> StrictDoubleFunctor:

@@ -41,6 +41,7 @@ from .kernel import (
     _OnDemand,
     _associativity,
     _check_ids,
+    _check_index,
     _columns,
     _dense_rows,
     _invertibility,
@@ -109,7 +110,10 @@ def _check_pnt_boundaries(a, horizontal: bool):
         for f, s in enumerate(a.delta):
             t, b, l, r = cod.squares[s]
             inv = a.delta_inv.get(f)
-            if inv is not None and cod.squares[inv] != (b, t, l, r):
+            if inv is None:
+                continue
+            _check_index(inv, len(cod.squares), f"comparison inverse at hcell {f}")
+            if cod.squares[inv] != (b, t, l, r):
                 raise StructureError(f"comparison inverse at hcell {f} has wrong boundary")
     else:
         if len(a.nat) != len(dom.hcells) or len(a.delta) != len(dom.vcells):
@@ -123,7 +127,10 @@ def _check_pnt_boundaries(a, horizontal: bool):
         for u, s in enumerate(a.delta):
             t, b, l, r = cod.squares[s]
             inv = a.delta_inv.get(u)
-            if inv is not None and cod.squares[inv] != (t, b, r, l):
+            if inv is None:
+                continue
+            _check_index(inv, len(cod.squares), f"comparison inverse at vcell {u}")
+            if cod.squares[inv] != (t, b, r, l):
                 raise StructureError(f"comparison inverse at vcell {u} has wrong boundary")
 
 

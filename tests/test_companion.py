@@ -343,6 +343,38 @@ def test_find_connection_rejects_capped_snake_reports(monkeypatch):
         find_connection(quintet(zoo.cyclic_group_cat(2)))
 
 
+def _scanned_connection(d, wanted):
+    """The first companion pair of each vcell of ``wanted`` in a full scan:
+    the hcells on its boundary, then the binding squares eta and eps, each
+    in ascending id order."""
+    pairs = []
+    for u in wanted:
+        a, b = d.vcells[u]
+        candidates = (
+            CompanionPair(u, f, eps, eta)
+            for f, h in enumerate(d.hcells) if h == (a, b)
+            for eta, s in enumerate(d.squares) if s == (d.hid[a], f, d.vid[a], u)
+            for eps, s in enumerate(d.squares) if s == (f, d.hid[b], u, d.vid[b])
+        )
+        pairs.append(next(p for p in candidates if check_companion(d, p).passed))
+    return pairs
+
+
+def test_find_connection_picks_the_pairs_of_a_full_scan(sign_setting):
+    from dblkit.internal import diagonal_internal, monoid_to_internal, nested_composition_functors
+
+    _, sign, _ = sign_setting  # parallel binding squares: the first one found must be kept
+    diagonal = diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    monoid = zoo.commutative_monoid_in_dbl()
+    bundle = monoid_to_internal(monoid)
+    hosts = [sign, quintet(zoo.walking_iso()), diagonal.p, monoid.carrier, bundle.p, nested_composition_functors(bundle)[2]]
+    hosts += [quintet(c) for _, c in zoo.small_category_catalog()]
+    for d in hosts:
+        assert list(find_connection(d).pairs.values()) == _scanned_connection(d, range(len(d.vcells)))
+    odd = [u for u in range(len(sign.vcells)) if u % 2]
+    assert list(find_connection(sign, reversed(odd)).pairs.values()) == _scanned_connection(sign, odd)
+
+
 def test_roundtrip_cut_by_its_budget_adds_no_diagnosis(bz3_setting):
     from dblkit.report import Budget
 

@@ -35,10 +35,18 @@ from dblkit.kernel import (
     _Pending,
     _check_table,
 )
-from dblkit.functors import StrictDoubleFunctor, compose_strict, identity_functor, product_projections, check_strict_functor
+from dblkit.functors import (
+    StrictDoubleFunctor,
+    check_strict_functor,
+    compose_strict,
+    identity_functor,
+    product_projections,
+    pseudo_from_strict,
+)
 from dblkit.internal import monoid_to_internal
 from dblkit.mutate import apply_mutation, mutation_slots, sample_mutants
 from dblkit.report import Budget, Collector
+from dblkit.transform import identity_horizontal, identity_vertical
 from dblkit.weak import Bicategory, as_pseudo
 from dblkit import dsl, kernel, zoo
 
@@ -371,8 +379,24 @@ def _pseudo_arrow():
     return as_pseudo(quintet(zoo.walking_arrow()))
 
 
+def _strict_functor_arrow():
+    return identity_functor(quintet(zoo.walking_arrow()))
+
+
+def _pseudo_functor_arrow():
+    return pseudo_from_strict(_strict_functor_arrow())
+
+
+def _horizontal_arrow():
+    return identity_horizontal(_pseudo_functor_arrow())
+
+
+def _vertical_arrow():
+    return identity_vertical(_pseudo_functor_arrow())
+
+
 def out_of_range(cells):
-    return cells[:-1] + [99]
+    return [*cells[:-1], 99]
 
 
 def too_short(cells):
@@ -403,12 +427,20 @@ def value_out_of_range(table):
     return {**table, min(table): 99}
 
 
+def value_as_text(table):
+    return {**table, min(table): "x"}
+
+
+def value_as_float(table):
+    return {**table, min(table): 1.5}
+
+
 def over_long(cells):
     return cells[:-1] + [cells[-1] + (0,)]
 
 
 def last_as_text(cells):
-    return cells[:-1] + [str(cells[-1])]
+    return [*cells[:-1], str(cells[-1])]
 
 
 def non_integer(n):
@@ -451,7 +483,16 @@ DAMAGED = [
     (zoo.sign_two_category, "onecells", over_long),
     (zoo.sign_two_category, "twocells", over_long),
     (zoo.sign_bicategory, "twocells", over_long),
-] + [(make, "n_objects", non_integer) for make in (zoo.walking_arrow, _quintet_arrow, zoo.sign_two_category)]
+] + [(make, "n_objects", non_integer) for make in (zoo.walking_arrow, _quintet_arrow, zoo.sign_two_category)] + [
+    (make, field, damage)
+    for make in (_strict_functor_arrow, _pseudo_functor_arrow)
+    for field in ("ob_map", "h_map", "v_map", "sq_map")
+    for damage in (out_of_range, last_as_text)
+] + [(_pseudo_functor_arrow, "h_map", too_short)] + [
+    (make, "delta_inv", damage)
+    for make in (_horizontal_arrow, _vertical_arrow)
+    for damage in (value_out_of_range, value_as_text, value_as_float)
+]
 
 
 @pytest.mark.parametrize(
@@ -841,8 +882,9 @@ def test_exhausted_shared_budget_matches_per_instance_oracle():
 
 def _pullback_of_unequal_maps(d, h_map, sq_map):
     """The pullback of the identity of ``d`` and a cell map of ``d`` that
-    agrees with it on objects and need not preserve composition."""
-    g = StrictDoubleFunctor(d, d, range(d.n_objects), h_map, range(len(d.vcells)), sq_map, name="g")
+    agrees with it on objects and need not preserve composition; a negative
+    id sends a square to no cell, so the map is not a functor's."""
+    g = SimpleNamespace(dom=d, cod=d, ob_map=range(d.n_objects), h_map=h_map, v_map=range(len(d.vcells)), sq_map=sq_map)
     return pullback(identity_functor(d), g)
 
 
