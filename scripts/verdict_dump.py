@@ -40,7 +40,9 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   mutations and of seeded single-entry mutants of the pullbacks of the
   diagonal bundles of ``quintet(C2)`` and ``quintet(walking iso)`` and of
   the cyclic-2 monoid bundle (a product, its legs into the terminal
-  category), and
+  category), shallow reports of seeded multi-entry mutants of the first of
+  these pullbacks (two or three entries of one table changed, every table
+  re-inserted in a shuffled order), and
   digests of every bundle's nested and unit-sided composites (cell maps,
   structure cells and the triple pullback's tables), taken after the
   check; on a fresh copy of each of those five bundles, the ``vars()``

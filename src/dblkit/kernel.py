@@ -1167,7 +1167,7 @@ def _first_difference(sections, room=math.inf):
             size, i = len(keys), None
             if differing:
                 key = min(differing)
-                i = len([k for k in keys if k < key])  # its rank among the keys
+                i = len([k for k in keys if k < key])
                 lhs, rhs = lget(key), rget(key)
         else:
             size = max(len(left), len(right))
