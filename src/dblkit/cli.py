@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -650,11 +651,20 @@ def main(argv=None) -> int:
         args.max_tuples = _int_env("DBLKIT_MAX_TUPLES", 5_000_000)
     if args.word_cap is None:
         args.word_cap = _int_env("DBLKIT_WORD_CAP", None)
+    # A command's objects form no reference cycles, so reference counting
+    # frees them; the cyclic collector would only traverse the many small
+    # tuples a parse allocates.  Pause it for the command, and restore the
+    # caller's setting.
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ParseError, StructureError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":
