@@ -47,7 +47,7 @@ at the second line.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from operator import getitem
 
@@ -825,9 +825,10 @@ def _parse_functor(lines, doc, name, sig, header_line):
         maps.append(_total(entries[kw], range(count), f"missing image for {what} {{}}", header_line))
     f = pseudo_from_strict(_build(header_line, StrictDoubleFunctor, dom_decl.obj, cod_decl.obj, *maps, name=name))
     if kind == "pseudo":
-        for kw in _FUNCTOR_CELLS:
-            for k in (kw, kw + "inv"):
-                getattr(f, _FUNCTOR[k][2]).update(entries[k])
+        # the declared structure cells over the identity squares, checked
+        # by the constructor
+        f = _build(header_line, replace, f, **{_FUNCTOR[k][2]: {**getattr(f, _FUNCTOR[k][2]), **entries[k]}
+                                               for kw in _FUNCTOR_CELLS for k in (kw, kw + "inv")})
     return Declaration("functor", name, f, meta={"strict": kind == "strict", "dom": dom_name, "cod": cod_name})
 
 

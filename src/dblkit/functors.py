@@ -219,6 +219,25 @@ class DoublePseudoFunctor(_CellMaps):
     unit_v_inv: dict
     name: str = ""
 
+    def __post_init__(self):
+        """The cell maps' check, then one pass per structure family: keyed
+        on exactly its keys (``_family_keys``), each value an int naming a
+        square of the codomain."""
+        super().__post_init__()
+        limit = len(self.cod.squares)
+        for name, keys, kind in zip(_FAMILIES, _family_keys(self.dom), _KINDS):
+            family = getattr(self, name)
+            keys = keys.keys() if isinstance(keys, dict) else set(keys)
+            if family.keys() != keys:
+                key = next((k for k in keys if k not in family), None)
+                missing = key is not None
+                key = key if missing else next(k for k in family if k not in keys)
+                raise StructureError(f"{name} must be keyed on exactly the {_KEY_NOUNS[kind]}: "
+                                     f"{'missing' if missing else 'stray'} key {key!r}")
+            for key, s in family.items():
+                if not isinstance(s, int) or not 0 <= s < limit:
+                    _check_index(s, limit, f"{name} at {key!r}")
+
     @property
     def normalized(self) -> bool:
         """True when both unit-cell families are identity squares."""
@@ -252,6 +271,7 @@ def pseudo_equal(f: DoublePseudoFunctor, g: DoublePseudoFunctor) -> bool:
 # as lists (:class:`_PendingFunctor`) until one of them is read.
 _FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
 _KINDS = (HCELL, HCELL, OBJECT, OBJECT, VCELL, VCELL, OBJECT, OBJECT)
+_KEY_NOUNS = {HCELL: "composable hcell pairs", VCELL: "composable vcell pairs", OBJECT: "objects"}
 # the other fields, in the order a pending functor holds them
 _PLAIN = ("dom", "cod", "ob_map", "h_map", "v_map", "sq_map", "name")
 
@@ -313,13 +333,15 @@ def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
 def _as_pseudo(f: SimpleNamespace, keys=None) -> DoublePseudoFunctor:
     """List-level ``f`` as a :class:`_PendingFunctor`, each family held with
     a snapshot of its ``keys`` (by default its domain's, ``_family_keys``),
-    so a later edit of the domain's tables does not reach it."""
+    so a later edit of the domain's tables does not reach it.  Only the
+    cell maps are checked: the list cores key the families on snapshots of
+    the domain's tables and paste their values in the codomain."""
     keys = _family_keys(f.dom) if keys is None else keys
     snapshots = {id(ks): list(ks) for ks in {id(ks): ks for ks in keys}.values()}
     p = object.__new__(_PendingFunctor)
     vars(p).update({n: getattr(f, n) for n in _PLAIN},
                    _families={n: (snapshots[id(ks)], getattr(f, n)) for n, ks in zip(_FAMILIES, keys)})
-    p.__post_init__()
+    _CellMaps.__post_init__(p)
     return p
 
 
@@ -350,23 +372,13 @@ _BOUNDARY_LAWS = ("h-boundary", "v-boundary", "sq-boundary", "structure-boundary
 
 
 def _structure_boundaries(col, f: DoublePseudoFunctor, head=(), skipped="equational laws not evaluated") -> bool:
-    """Raise unless the structure cells are keyed on exactly their keys;
-    then state the cell maps' boundary laws (``_map_boundaries``) and, where
+    """State the cell maps' boundary laws (``_map_boundaries``) and, where
     they hold, ``structure-boundary``: each structure cell has its required
     boundary and its stored inverse the reverse one, compared as whole lists
     (``kernel._whole``), a witness led by ``head``.  True when every
     instance was evaluated and held; where one fails, an assumption says
     what is ``skipped`` of the laws that paste the structure cells."""
     dom, cod = f.dom, f.cod
-    h_pairs = set(dom.hcomp1)
-    v_pairs = set(dom.vcomp1)
-    objs = set(range(dom.n_objects))
-    if set(f.comp_h) != h_pairs or set(f.comp_h_inv) != h_pairs:
-        raise StructureError("comp_h must be keyed on exactly the composable hcell pairs")
-    if set(f.comp_v) != v_pairs or set(f.comp_v_inv) != v_pairs:
-        raise StructureError("comp_v must be keyed on exactly the composable vcell pairs")
-    if set(f.unit_h) != objs or set(f.unit_h_inv) != objs or set(f.unit_v) != objs or set(f.unit_v_inv) != objs:
-        raise StructureError("unit cells must be keyed on exactly the objects")
     if not _map_boundaries(col, f, head, skipped):
         return False
     ob, h, v, hid, vid, sq = f.ob_map, f.h_map, f.v_map, cod.hid, cod.vid, cod.squares

@@ -657,9 +657,14 @@ def check_coproduct_pullback(b: Bicategory, budget: Budget | None = None) -> Axi
 
 
 def check_enriched_over_cat(b: Bicategory, budget: Budget | None = None) -> AxiomReport:
-    """Hom-data as enrichment in categories: hom-categories, composition
-    functors, units, invertible natural constraints, and the pentagon and
-    triangle consequences of the coherence cells."""
+    """Hom-data as enrichment in categories: each hom-category associative
+    and unital under vertical composition (``hom-category``); composition a
+    functor, preserving identity 2-cells and interchanging with vertical
+    composition (``composition-functor``); each object's unit 1-cell an
+    endo-1-cell (``unit-cell``); the associator and unitor cells invertible,
+    each composed with its stored inverse either way an identity
+    (``constraint-equivalence``); and the pentagon and the triangle.  The
+    constraints' naturality is not stated."""
     col = Collector("enriched-over-categories", budget)
     s2, t2 = _columns(b.twocells, 2)
     _associativity(col, "hom-category", "twocell", _dense_rows(b.vcomp2, len(t2)), t2, s2)

@@ -1,4 +1,5 @@
 import functools
+import gc
 import json
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from dblkit.dsl import Declaration, InternalDecl, ParseError, parse, serialize
 from dblkit.functors import identity_functor, identity_pseudo, pseudo_from_strict
 from dblkit.kernel import StructureError, check_double_category, product, quintet
 from dblkit.modif import identity_modification
+from dblkit.mutate import sample_mutants
 from dblkit.transform import identity_double, identity_horizontal, identity_theta, identity_vertical
 from dblkit.weak import check_bicategory
 
@@ -284,6 +286,21 @@ def test_wrong_boundary_structure_cell_exits_1(tmp_path, capsys):
     out.write_text(serialize(doc))
     assert main(["check", str(out), "F"]) == 1
     assert "violated: structure-boundary" in capsys.readouterr().out
+
+
+def test_structure_cell_at_a_non_composable_pair_is_a_positioned_error(tmp_path, capsys):
+    d = quintet(zoo.walking_arrow())
+    doc = parse("")
+    doc.add(_decl_category("Q", d))
+    doc.add(Declaration("functor", "F", identity_pseudo(d), meta={"strict": False, "dom": "Q", "cod": "Q"}))
+    text = serialize(doc).replace("  comph id0 id0 =", "  comph f f = [f/f;id0/id1]\n  comph id0 id0 =")
+    header = text.splitlines().index("functor F : Q -> Q {") + 1
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.line == header
+    assert str(err.value).endswith("comp_h must be keyed on exactly the composable hcell pairs: stray key (2, 2)")
+    assert main(["check", write_doc(tmp_path, text), "F"]) == 3
+    capsys.readouterr()
 
 
 def test_construct_oast_and_monoid_internal(tmp_path):
@@ -654,3 +671,117 @@ def test_repeated_single_valued_line_is_a_positioned_error(block, keyword):
         parse(twice)
     assert (err.value.line, err.value.column) == (i + 2, 3)
     assert str(err.value).endswith(f"duplicate {keyword} line")
+
+
+# ---------------------------------------------------------------------------
+# the cyclic collector is paused while a command runs
+
+
+def _session_doc(tmp_path):
+    """The base document with a single-entry mutant of the walking iso's
+    quintet added as ``Bad``: its squares are unique per boundary, so the
+    mutant violates a law and ``check`` exits 1."""
+    doc = parse(BASE_DOC)
+    ((_, bad),) = sample_mutants(quintet(zoo.walking_iso()), 1, seed=0)
+    doc.add(_decl_category("Bad", bad))
+    return write_doc(tmp_path, serialize(doc))
+
+
+@pytest.fixture
+def collector_seen(monkeypatch):
+    """``gc.isenabled()`` as each command function sees it, one entry per
+    command run: the cached parser's ``parse_args`` wraps the function it
+    returns."""
+    from dblkit import cli
+
+    seen, parser = [], cli._parser()
+    parse_args = parser.parse_args
+
+    def spying(argv=None):
+        args = parse_args(argv)
+        func = args.func
+
+        def run(a):
+            seen.append(gc.isenabled())
+            return func(a)
+
+        args.func = run
+        return args
+
+    monkeypatch.setattr(parser, "parse_args", spying)
+    return seen
+
+
+def test_commands_run_with_the_collector_paused_and_restore_it(tmp_path, capsys, collector_seen, monkeypatch):
+    path = _session_doc(tmp_path)
+    malformed = write_doc(tmp_path, "category X {\n  hcell f missing arrow\n}\n", "bad.dbl")
+    assert gc.isenabled()
+    for argv, code in (
+        (["check", path, "Walk"], 0),
+        (["check", path, "Bad"], 1),
+        (["check", str(tmp_path / "missing.dbl"), "Walk"], 3),
+        (["check", malformed, "X"], 3),
+    ):
+        assert main(argv) == code, argv
+        assert gc.isenabled(), argv
+    assert collector_seen == [False] * 4
+    # an argparse usage error exits before any command runs
+    with pytest.raises(SystemExit):
+        main(["check", path])
+    assert gc.isenabled()
+    assert len(collector_seen) == 4
+    # an error no handler catches still restores it
+    def broken(text):
+        raise RuntimeError("broken parse")
+
+    monkeypatch.setattr(dsl, "parse", broken)
+    with pytest.raises(RuntimeError):
+        main(["check", path, "Walk"])
+    assert gc.isenabled()
+    assert collector_seen == [False] * 5
+    capsys.readouterr()
+
+
+def test_a_caller_that_paused_the_collector_keeps_it_paused(tmp_path, capsys, collector_seen):
+    path = _session_doc(tmp_path)
+    gc.disable()
+    try:
+        assert main(["check", path, "Walk"]) == 0
+        assert main(["check", path, "Bad"]) == 1
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    assert collector_seen == [False, False]
+    capsys.readouterr()
+
+
+def test_paused_commands_leave_no_dblkit_object_in_cyclic_garbage(tmp_path, capsys):
+    # the premise of the pause: every object a command builds is freed by
+    # reference counting, so a paused command holds no dblkit memory
+    path = _session_doc(tmp_path)
+    out = str(tmp_path / "out.dbl")
+    commands = (
+        ["construct", path, "quintet", "Walk", "--as", "WalkSq", "-o", out],
+        ["check", out, "WalkSq", "--format", "tree"],
+        ["check", out, "Bad", "--format", "tree"],
+        ["compare", out, "AB", "--start", "P,P", "L:a R:a", "R:a L:a"],
+        ["compare", out, "AB", "--start", "P,P", "--cartesian", "L:a R:a", "R:a L:a"],
+    )
+    for argv in commands:  # warm: caches and lazy imports filled
+        main(argv)
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in commands:
+            main(argv)
+        gc.collect()
+        ours = [o for o in gc.garbage if type(o).__module__.startswith("dblkit")]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert ours == []
+    capsys.readouterr()

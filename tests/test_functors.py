@@ -306,8 +306,12 @@ def test_composition_family_missing_a_key_raises_key_error(name):
     f = diagonal_internal(quintet(zoo.cyclic_group_cat(2))).m
     cells = dict(getattr(f, name))
     del cells[list(cells)[len(cells) // 2]]
+    with pytest.raises(StructureError, match=f"{name} must be keyed on exactly"):
+        replace(f, **{name: cells})
+    damaged = replace(f)
+    setattr(damaged, name, cells)  # edited after the constructor's check
     with pytest.raises(KeyError):
-        compose_pseudo(identity_pseudo(f.cod), replace(f, **{name: cells}))
+        compose_pseudo(identity_pseudo(f.cod), damaged)
 
 
 def test_pullback_projections_strict(setting):
@@ -735,6 +739,19 @@ def test_every_producer_reads_back_as_an_eager_build(monkeypatch):
         assert type(f) is functors.DoublePseudoFunctor and "_families" not in vars(f)
         assert list(vars(f)) == list(vars(eager)) == [field.name for field in fields(eager)]
         assert _structure(f) == _structure(eager) and f == eager
+
+
+def test_the_constructor_check_builds_no_pending_family(family_builds):
+    # the results of the list cores are not walked again: their keys are
+    # snapshots of the domain's tables, their values pasted in the codomain
+    d = quintet(zoo.cyclic_group_cat(3))
+    leg = identity_functor(d)
+    f = identity_pseudo(d)
+    made = [f, compose_pseudo(identity_pseudo(d), f),
+            functors.pair_pseudo_into_pullback(leg, leg, pullback(leg, leg), identity_pseudo(d), identity_pseudo(d))]
+    # the composite reads its outer factor's families, and only those
+    assert len(family_builds) == 1 and not any(g is h for g in family_builds for h in made)
+    assert all(type(g) is functors._PendingFunctor for g in made)
 
 
 def test_a_pending_functor_compares_prints_replaces_and_copies_as_an_eager_build(setting):

@@ -791,8 +791,12 @@ def test_pairing_with_a_family_missing_a_key_raises_key_error(name):
     left, right, pair = _pairing_arms(monoid_to_internal(zoo.commutative_monoid_in_dbl()))
     cells = dict(getattr(right, name))
     del cells[list(cells)[len(cells) // 2]]
+    with pytest.raises(StructureError, match=f"{name} must be keyed on exactly"):
+        replace(right, **{name: cells})
+    damaged = replace(right)
+    setattr(damaged, name, cells)  # edited after the constructor's check
     with pytest.raises(KeyError):
-        pair(left, replace(right, **{name: cells}))
+        pair(left, damaged)
 
 
 def _cell_map_mutants(f):

@@ -435,6 +435,15 @@ def value_as_float(table):
     return {**table, min(table): 1.5}
 
 
+def value_as_none(table):
+    return {**table, min(table): None}
+
+
+def stray_key(table):
+    key = min(table)
+    return {**table, (99, 99) if isinstance(key, tuple) else 99: table[key]}
+
+
 def over_long(cells):
     return cells[:-1] + [cells[-1] + (0,)]
 
@@ -492,7 +501,11 @@ DAMAGED = [
     (make, "delta_inv", damage)
     for make in (_horizontal_arrow, _vertical_arrow)
     for damage in (value_out_of_range, value_as_text, value_as_float)
-]
+] + [
+    (_pseudo_functor_arrow, family, damage)
+    for family in ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
+    for damage in (value_out_of_range, value_as_text, value_as_none, dropped_key, stray_key)
+] + [(make, "delta_inv", stray_key) for make in (_horizontal_arrow, _vertical_arrow)]
 
 
 @pytest.mark.parametrize(
