@@ -229,9 +229,8 @@ class DoublePseudoFunctor(_CellMaps):
             family = getattr(self, name)
             keys = keys.keys() if isinstance(keys, dict) else set(keys)
             if family.keys() != keys:
-                key = next((k for k in keys if k not in family), None)
-                missing = key is not None
-                key = key if missing else next(k for k in family if k not in keys)
+                missing = [k for k in keys if k not in family]
+                key = missing[0] if missing else next(k for k in family if k not in keys)
                 raise StructureError(f"{name} must be keyed on exactly the {_KEY_NOUNS[kind]}: "
                                      f"{'missing' if missing else 'stray'} key {key!r}")
             for key, s in family.items():
