@@ -115,7 +115,6 @@ def _check_pnt_boundaries(a, horizontal: bool):
             _check_index(inv, len(cod.squares), f"comparison inverse at hcell {f}")
             if cod.squares[inv] != (b, t, l, r):
                 raise StructureError(f"comparison inverse at hcell {f} has wrong boundary")
-        _check_inverse_keys(a, "hcell")
     else:
         if len(a.nat) != len(dom.hcells) or len(a.delta) != len(dom.vcells):
             raise StructureError("missing component for some cell")
@@ -133,16 +132,10 @@ def _check_pnt_boundaries(a, horizontal: bool):
             _check_index(inv, len(cod.squares), f"comparison inverse at vcell {u}")
             if cod.squares[inv] != (t, b, r, l):
                 raise StructureError(f"comparison inverse at vcell {u} has wrong boundary")
-        _check_inverse_keys(a, "vcell")
-
-
-def _check_inverse_keys(a, kind):
-    """Raise unless every stored comparison inverse is keyed by a cell that
-    has a comparison square."""
     cells = range(len(a.delta))
     stray = [key for key in a.delta_inv if key not in cells]
     if stray:
-        raise StructureError(f"comparison inverse keyed by {stray[0]!r}, which is no {kind}")
+        raise StructureError(f"comparison inverse keyed by {stray[0]!r}, which is no {'hcell' if horizontal else 'vcell'}")
 
 
 # ---------------------------------------------------------------------------
