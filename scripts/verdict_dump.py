@@ -21,7 +21,12 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   mutants of the first document (a line deleted, a token replaced or a line
   duplicated).  Each entry is ``serialize(parse(text))`` with every parsed
   table in insertion order (a digest of both for the mutants), or the
-  exception's type, line, column and message;
+  exception's type, line, column and message.  A round trip of a block of
+  each zoo double category (the quintets of the finite-category catalogue,
+  the embeddings of the zoo 2-categories and their transposes, the zoo
+  monoids' carriers and ``quintet(C3) x quintet(walking arrow)``): the text
+  ``serialize(parse(text))``, whether it is ``text``, and whether the
+  parse and the serialize built any deferred square table;
 - transformations and modifications: ``to_dict()`` of the vertical,
   horizontal, coupled and theta checkers, ``check_modification`` and both
   side checkers (all laws and a subset) on the bz3 setting (identity functor
@@ -137,7 +142,7 @@ import sys
 from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
-from dblkit import dsl, modif, transform, zoo
+from dblkit import dsl, kernel, modif, transform, zoo
 from dblkit.acceptance import _generators
 from dblkit.builders import (
     enumerate_plain_verticals,
@@ -335,6 +340,8 @@ tensor AB {
 """
 
 MUTANTS = 400
+# the fields of a double category's presentation
+PRESENTATION = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
 
 
 def every_kind_document():
@@ -417,9 +424,11 @@ def _data(value, decl_objs, seen):
         return [_data(v, decl_objs, seen) for v in value]
     if hasattr(value, "__dict__") and id(value) not in seen:
         seen.add(id(value))
-        # a dataclass's fields first, read by attribute access, so that one
-        # which builds some of them at their first read dumps them too
-        read = {f.name: getattr(value, f.name) for f in fields(value)} if is_dataclass(value) else {}
+        # a dataclass's fields or a double category's presentation first,
+        # read by attribute access, so that one which builds some of them at
+        # their first read dumps them too
+        names = [f.name for f in fields(value)] if is_dataclass(value) else PRESENTATION if isinstance(value, DoubleCategory) else ()
+        read = {name: getattr(value, name) for name in names}
         return {k: _data(v, decl_objs, seen) for k, v in {**read, **vars(value)}.items() if not callable(v)}
     return repr(value)
 
@@ -443,7 +452,49 @@ def _parsed(text):
     return {"text": again, "decls": decls}
 
 
+def zoo_categories():
+    """(name, double category) of the zoo: the quintets of the finite
+    category catalogue, the embeddings of the zoo 2-categories and their
+    transposes, the carriers of the zoo monoids and the product of the
+    quintets of C3 and of the walking arrow."""
+    out = [(f"quintet {name}", lambda c=c: quintet(c)) for name, c in zoo.small_category_catalog()]
+    twos = [*zoo.acyclic_two_category_catalog(), ("walking-iso-2cell", zoo.walking_two_cell(invertible=True)),
+            ("sign", zoo.sign_two_category()), ("collapse", zoo.collapse_monoid_two_category()),
+            ("braid", zoo.braid_monoid_two_category())]
+    for name, t in twos:
+        out += [(f"embed {name}", lambda t=t: embed_two_category(t)),
+                (f"transpose embed {name}", lambda t=t: transpose(embed_two_category(t)))]
+    for name in ("braid", "commutative", "min", "trivial"):
+        out.append((f"carrier {name}", lambda name=name: getattr(zoo, f"{name}_monoid_in_dbl")().carrier))
+    out.append(("product C3 x walking-arrow", lambda: product(quintet(zoo.cyclic_group_cat(3)), quintet(zoo.walking_arrow()))))
+    return out
+
+
+def _round_trip(d):
+    """``serialize(parse(text))`` of the text of a block of ``d``, and
+    whether that parse and serialize built any deferred square table (of a
+    ``kernel._Pending`` category)."""
+    doc = dsl.Document()
+    doc.add(_decl_category("D", d))
+    text = dsl.serialize(doc)
+    built, original = [], kernel._Pending.__getattr__
+
+    def counted(self, name):
+        if "_square_tables" in vars(self):
+            built.append(name)
+        return original(self, name)
+
+    kernel._Pending.__getattr__ = counted
+    try:
+        again = dsl.serialize(dsl.parse(text))
+    finally:
+        kernel._Pending.__getattr__ = original
+    return {"text": again, "fixpoint": again == text, "built": bool(built)}
+
+
 def dsl_section(out):
+    for name, make in zoo_categories():
+        out[f"dsl round trip {name}"] = _round_trip(make())
     inputs = [("every-kind", every_kind_document()), ("big-category", big_category_document())]
     for name, text in inputs:
         out[f"dsl {name} input"] = text
@@ -743,8 +794,7 @@ MAPS = ("ob_map", "h_map", "v_map", "sq_map")
 
 def _category(d):
     """The cells and tables of a double category, for a digest."""
-    fields = ("n_objects", "hcells", "vcells", "squares", "hcomp1", "vcomp1", "hcomp2", "vcomp2", "hid", "vid", "sq_vid", "sq_hid")
-    return {k: getattr(d, k) for k in fields}
+    return {k: getattr(d, k) for k in PRESENTATION}
 
 
 def _bundle(out, key, data, empty, deep=(True, False)):

@@ -58,6 +58,7 @@ from .kernel import (
     TwoCategory,
     _by,
     _columns,
+    _deferred,
     _rows,
 )
 from .weak import Bicategory
@@ -391,19 +392,24 @@ def _unit_entries(ids, cells):
         yield (x, ids[b]), x
 
 
+def _composite_index(squares):
+    """Boundary index of squares given as (top, bottom, left, right): left
+    -> right -> top -> bottom -> the square, None when two squares share
+    the boundary."""
+    unique = {}
+    for s, (t, b, l, r) in enumerate(squares):
+        bottoms = unique.setdefault(l, {}).setdefault(r, {}).setdefault(t, {})
+        bottoms[b] = None if b in bottoms else s
+    return unique
+
+
 def _unique_composites(squares, comp):
     """Side-by-side pastings (right edge of x = left edge of y) of squares
     given as (top, bottom, left, right), to the one square with the
     composite boundary if there is exactly one, as a list of (key, value).
     The transposed squares and the vertical 1-cell table give the vertical
     pastings."""
-    # boundary index: left -> right -> top -> bottom -> the square, None
-    # when two squares share the boundary
-    unique = {}
-    for s, (t, b, l, r) in enumerate(squares):
-        bottoms = unique.setdefault(l, {}).setdefault(r, {}).setdefault(t, {})
-        bottoms[b] = None if b in bottoms else s
-    rows, none = _rows(comp), {}
+    unique, rows, none = _composite_index(squares), _rows(comp), {}
     by_left = {}
     for y, (t, b, l, r) in enumerate(squares):
         by_left.setdefault(l, []).append((y, t, b, r))
@@ -419,6 +425,81 @@ def _unique_composites(squares, comp):
 
 def _transposed(squares):
     return [(l, r, t, b) for t, b, l, r in squares]
+
+
+class _Composites:
+    """How the parser fills a square table, kept by a parsed category
+    (``kernel._Pending``) until the table is read: the ``explicit`` entries
+    of its lines, then the unique composite (:func:`_unique_composites`) of
+    every other pastable pair of ``squares`` under the 1-cell table
+    ``comp``; ``vcomp2`` is this on the transposed squares and ``vcomp1``.
+    The recipe holds the parser's own lists, so a later edit of the
+    category does not reach it.  Equal recipes build equal tables.  The
+    serializer writes any category's square tables through one, a built
+    table taken as the explicit entries (:meth:`kept`)."""
+
+    def __init__(self, squares, comp, explicit):
+        self.squares, self.comp, self.explicit = squares, comp, explicit
+        self.index = _composite_index(squares)
+
+    def __eq__(self, other):
+        if type(other) is not _Composites:
+            return NotImplemented
+        return (self.explicit, self.squares, self.comp) == (other.explicit, other.squares, other.comp)
+
+    def implied(self, x, y):
+        """The unique composite of x and y, None where they do not paste or
+        have none."""
+        (t, b, l, r), (t2, b2, l2, r2), none = self.squares[x], self.squares[y], {}
+        if r != l2:
+            return None
+        return self.index[l].get(r2, none).get(self.comp.get((t, t2)), none).get(self.comp.get((b, b2)))
+
+    def entry(self, i, j):
+        """The entry at (i, j), None where i and j do not paste."""
+        if not (0 <= i < len(self.squares) and 0 <= j < len(self.squares)):
+            return None
+        z = self.explicit.get((i, j))
+        return self.implied(i, j) if z is None else z
+
+    def table(self):
+        """The whole table: the explicit entries in line order, then the
+        implied ones in :func:`_unique_composites` order."""
+        table = dict(self.explicit)
+        _fill_implied(table, _unique_composites(self.squares, self.comp))
+        return table
+
+    def exact(self):
+        """Whether the table's keys are exactly the pastable pairs (as
+        ``kernel._exact_table`` decides it; every value is a square): each
+        explicit key pastable, and the explicit entries and the implied
+        ones they leave as many as the pastable pairs.  One pass over the
+        pastable pairs counts them and their unique composites, and keeps
+        nothing."""
+        squares, index, rows, none = self.squares, self.index, _rows(self.comp), {}
+        by_left = {}
+        for t, b, l, r in squares:
+            by_left.setdefault(l, []).append((t, b, r))
+        pairs = implied = 0
+        for t, b, l, r in squares:
+            later = by_left.get(r)
+            if later:
+                then_t, then_b, by_right = rows.get(t, none), rows.get(b, none), index[l]
+                pairs += len(later)
+                for t2, b2, r2 in later:
+                    if by_right.get(r2, none).get(then_t.get(t2), none).get(then_b.get(b2)) is not None:
+                        implied += 1
+        for x, y in self.explicit:
+            if squares[x][3] != squares[y][2]:
+                return False
+            if self.implied(x, y) is not None:
+                implied -= 1
+        return len(self.explicit) + implied == pairs
+
+    def kept(self):
+        """The explicit entries that differ from their implied value, in
+        key order: the lines the serializer writes."""
+        return [(k, z) for k, z in sorted(self.explicit.items()) if self.implied(*k) != z]
 
 
 def _identity_composites(onecells, twocells, comp1, id2):
@@ -647,26 +728,19 @@ def _parse_category(lines, doc, name, sig, header_line):
     hcomp1, vcomp1 = _table(entries("hcomp")), _table(entries("vcomp"))
     _fill_implied(hcomp1, _unit_entries(hid, hcells))
     _fill_implied(vcomp1, _unit_entries(vid, vcells))
-    hcomp2, vcomp2 = _table(entries("hsq")), _table(entries("vsq"))
-    _fill_implied(hcomp2, _unique_composites(squares, hcomp1))
-    _fill_implied(vcomp2, _unique_composites(_transposed(squares), vcomp1))
-    cat = _build(
-        header_line,
-        DoubleCategory,
-        n,
-        hcells,
-        vcells,
-        squares,
-        hcomp1,
-        vcomp1,
-        hcomp2,
-        vcomp2,
-        hid,
-        vid,
-        sq_vid,
-        sq_hid,
-        names=dict(nt.names),
+    # the square tables are built at their first read, but whether they are
+    # exact is decided here; one that is not is built now, so that the
+    # constructor raises what it raises on it
+    recipes = (
+        _Composites(squares, hcomp1, _table(entries("hsq"))),
+        _Composites(_transposed(squares), vcomp1, _table(entries("vsq"))),
     )
+    tables = (n, hcells, vcells, squares, hcomp1, vcomp1, hid, vid, sq_vid, sq_hid)
+    if all(recipe.exact() for recipe in recipes):
+        cat = _build(header_line, _deferred, tables, recipes, names=dict(nt.names))
+    else:
+        cat = _build(header_line, DoubleCategory, *tables[:6], *(r.table() for r in recipes), *tables[6:],
+                     names=dict(nt.names))
     return Declaration("category", name, cat, names=nt.index)
 
 
@@ -680,14 +754,15 @@ def _write_category(doc, decl):
     w += _interleave(write("idh", enumerate(d.hid)), write("idv", enumerate(d.vid)))
     w += write("idsq", enumerate(d.sq_vid))
     w += write("idsqv", enumerate(d.sq_hid))
-    for kw, table, rule in (
-        ("hcomp", d.hcomp1, _unit_entries(d.hid, d.hcells)),
-        ("vcomp", d.vcomp1, _unit_entries(d.vid, d.vcells)),
-        ("hsq", d.hcomp2, _unique_composites(d.squares, d.hcomp1)),
-        ("vsq", d.vcomp2, _unique_composites(_transposed(d.squares), d.vcomp1)),
-    ):
-        w += write(kw, _explicit(table, rule))
-    return w
+    w += write("hcomp", _explicit(d.hcomp1, _unit_entries(d.hid, d.hcells)))
+    w += write("vcomp", _explicit(d.vcomp1, _unit_entries(d.vid, d.vcells)))
+    # a parsed category whose square tables are not built is written from
+    # its recipes, unless its squares or 1-cell tables were edited since
+    recipes = vars(d).get("_square_tables")
+    parsed = recipes is not None and isinstance(recipes[0], _Composites)
+    if not parsed or (recipes[0].squares, recipes[0].comp, recipes[1].comp) != (d.squares, d.hcomp1, d.vcomp1):
+        recipes = _Composites(d.squares, d.hcomp1, d.hcomp2), _Composites(_transposed(d.squares), d.vcomp1, d.vcomp2)
+    return w + write("hsq", recipes[0].kept()) + write("vsq", recipes[1].kept())
 
 
 _TWOCATEGORY = {

@@ -73,17 +73,8 @@ class _CellMaps:
     the domain, each an int naming a cell of the codomain."""
 
     def __post_init__(self):
-        maps = tuple(map(tuple, (self.ob_map, self.h_map, self.v_map, self.sq_map)))
-        self.ob_map, self.h_map, self.v_map, self.sq_map = maps
-        sizes = tuple(map(len, maps))
-        if sizes[0] != self.dom.n_objects:
-            raise StructureError("object map has wrong length")
-        if sizes != _counts(self.dom):
-            raise StructureError("cell map has wrong length")
-        for name, ids, limit in zip(_MAPS, maps, _counts(self.cod)):
-            for x, i in enumerate(ids):
-                if not isinstance(i, int) or not 0 <= i < limit:
-                    _check_index(i, limit, f"{name} {x}")
+        self.ob_map, self.h_map, self.v_map, self.sq_map = map(tuple, (self.ob_map, self.h_map, self.v_map, self.sq_map))
+        _check_maps(self)
 
     def ob(self, a):
         return self.ob_map[a]
@@ -96,6 +87,23 @@ class _CellMaps:
 
     def sq(self, s):
         return self.sq_map[s]
+
+
+def _check_maps(f):
+    """Raise StructureError unless each cell map of ``f`` has one id per
+    domain cell, each an int naming a codomain cell.  The constructor's
+    check; the checkers run it again, since the fields are plain
+    attributes and may be reassigned after construction."""
+    maps = (f.ob_map, f.h_map, f.v_map, f.sq_map)
+    sizes = tuple(map(len, maps))
+    if sizes[0] != f.dom.n_objects:
+        raise StructureError("object map has wrong length")
+    if sizes != _counts(f.dom):
+        raise StructureError("cell map has wrong length")
+    for name, ids, limit in zip(_MAPS, maps, _counts(f.cod)):
+        for x, i in enumerate(ids):
+            if not isinstance(i, int) or not 0 <= i < limit:
+                _check_index(i, limit, f"{name} {x}")
 
 
 @dataclass
@@ -172,6 +180,7 @@ def _map_boundaries(col, f, head=(), skipped="equational laws not evaluated") ->
 def check_strict_functor(f: StrictDoubleFunctor, budget: Budget | None = None) -> AxiomReport:
     """The eight strict preservation equations, over all composable pairs,
     each compared as two whole lists (``kernel._whole``)."""
+    _check_maps(f)
     col = Collector("strict-functor", budget)
     if not _map_boundaries(col, f):
         return col.done()
@@ -220,10 +229,16 @@ class DoublePseudoFunctor(_CellMaps):
     name: str = ""
 
     def __post_init__(self):
-        """The cell maps' check, then one pass per structure family: keyed
-        on exactly its keys (``_family_keys``), each value an int naming a
-        square of the codomain."""
         super().__post_init__()
+        self._check_families()
+
+    def _check_families(self):
+        """Raise StructureError unless each structure family is keyed on
+        exactly its keys (``_family_keys``), each value an int naming a
+        square of the codomain: one pass per family.  The constructor's
+        check, after the cell maps'; :func:`check_double_pseudo_functor`
+        runs it again on a functor that is not pending, whose families may
+        have been reassigned since."""
         limit = len(self.cod.squares)
         for name, keys, kind in zip(_FAMILIES, _family_keys(self.dom), _KINDS):
             family = getattr(self, name)
@@ -475,7 +490,12 @@ def check_double_pseudo_functor(
     :data:`PSEUDO_FUNCTOR_AXIOMS`; the default runs everything.  The
     boundaries come first, whatever ``axioms`` says: those of the cell maps,
     then ``structure-boundary``, each structure cell and its stored inverse
-    at one key; where one fails, nothing is pasted."""
+    at one key; where one fails, nothing is pasted.  The constructor's
+    checks run first again, on cell maps or families reassigned since; a
+    pending functor's families are left as its list core made them."""
+    _check_maps(f)
+    if not isinstance(f, _PendingFunctor):
+        f._check_families()
     live = live_axioms(PSEUDO_FUNCTOR_AXIOMS, axioms)
     col = Collector("double-pseudo-functor", budget)
     if not _structure_boundaries(col, f):

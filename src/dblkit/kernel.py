@@ -626,7 +626,7 @@ class DoubleCategory:
 
     # -- structural validation
 
-    def _validate(self):
+    def _validate(self, square_tables=True):
         n, nh, nv = self.n_objects, len(self.hcells), len(self.vcells)
         _check_cells(self.hcells, "hcell", (n, n), ("source", "target"))
         _check_cells(self.vcells, "vcell", (n, n), ("source", "target"))
@@ -650,8 +650,9 @@ class DoubleCategory:
         # table keys must be exactly the composable pairs (an entry keyed on a
         # non-composable pair is a structural error naming the entry); value
         # boundary correctness, by contrast, is a checkable law so that a
-        # flipped entry surfaces as a named violation, not a crash
-        _check_tables(self._tables())
+        # flipped entry surfaces as a named violation, not a crash; a caller
+        # that decided hcomp2 and vcomp2 itself checks only hcomp1 and vcomp1
+        _check_tables(self._tables()[: None if square_tables else 2])
 
     def _tables(self):
         """The table rows of ``hcomp1``, ``vcomp1``, ``hcomp2`` and ``vcomp2``."""
@@ -776,7 +777,9 @@ def same_category(a: DoubleCategory, b: DoubleCategory) -> bool:
     need matching categories accept either the same object or the same
     presentation.  When neither side has built its square tables yet
     (:class:`_Pending`), equal recipes stand for equal tables, so neither
-    is built; other recipes are compared by their built tables."""
+    is built; other recipes, those of different kinds included (a
+    pullback's and a parsed category's), are compared by their built
+    tables."""
     if a is b:
         return True
     joins = vars(a).get("_square_tables"), vars(b).get("_square_tables")
@@ -971,6 +974,8 @@ class _Join:
         self.ps, self.at, self.rows1, self.rows2, self.starts, self.ends, self.look = ps, at, rows1, rows2, starts, ends, look
 
     def __eq__(self, other):
+        if type(other) is not _Join:
+            return NotImplemented
         return (self.ps, self.starts, self.ends, self.rows1, self.rows2) == (
             other.ps, other.starts, other.ends, other.rows1, other.rows2)
 
@@ -1003,12 +1008,16 @@ class _Join:
 
 
 class _Pending(DoubleCategory):
-    """A pullback, or the transpose of one, whose square tables are not
-    built yet: ``_square_tables`` holds a :class:`_Join` for ``hcomp2`` and
-    one for ``vcomp2``.  The first read of either table builds both, and
-    the object is a plain :class:`DoubleCategory` from then on.  Until then
-    ``hpaste`` and ``vpaste`` compute the one entry asked for, and
-    :func:`transpose` and :func:`same_category` read the recipes."""
+    """A pullback or a parsed category, or the transpose of one, whose
+    square tables are not built yet: ``_square_tables`` holds a recipe for
+    ``hcomp2`` and one for ``vcomp2``, a :class:`_Join` or the parser's
+    ``dsl._Composites``.  A recipe's ``table()`` builds its table,
+    ``entry(i, j)`` gives one entry (None where i and j do not compose), and
+    equal recipes build equal tables; recipes of different kinds are never
+    equal.  The first read of either table builds both, and the object is
+    a plain :class:`DoubleCategory` from then on.  Until then ``hpaste`` and
+    ``vpaste`` compute the one entry asked for, and :func:`transpose` and
+    :func:`same_category` read the recipes."""
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
@@ -1041,6 +1050,16 @@ def _defer(p, joins):
     del p.hcomp2, p.vcomp2
     p._square_tables = joins
     return p
+
+
+def _deferred(tables, joins, names=None):
+    """The :class:`_Pending` category on ``tables`` (the constructor's
+    arguments but ``hcomp2`` and ``vcomp2``) whose square tables the recipes
+    ``joins`` build, validated as the constructor validates but for those
+    two tables, which the caller has decided exact."""
+    p = _Pending._unvalidated(*tables[:6], {}, {}, *tables[6:], names=names)
+    p._validate(square_tables=False)
+    return _defer(p, joins)
 
 
 def pullback(f, g) -> DoubleCategory:
@@ -1249,8 +1268,8 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
     (top, bottom, left, right) -> (left, right, top, bottom), and the two
     square compositions swap.  Involutive on the nose.  The transpose of a
     valid category is valid, so it is not validated again.  The transpose
-    of a pullback whose square tables are not built yet (:class:`_Pending`)
-    is pending too, on the same two recipes swapped.
+    of a pullback or a parsed category whose square tables are not built
+    yet (:class:`_Pending`) is pending too, on the same two recipes swapped.
     """
     squares = [(l, r, t, b) for (t, b, l, r) in d.squares]
     names = None

@@ -57,20 +57,36 @@ def every_cap():
     return _every_cap
 
 
+class _Builds(list):
+    """The categories whose square tables were built, in order; ``parsed``
+    holds those that were parsed categories."""
+
+    def __init__(self):
+        super().__init__()
+        self.parsed = []
+
+    def clear(self):
+        super().clear()
+        self.parsed.clear()
+
+
 @pytest.fixture
 def square_table_builds(monkeypatch):
-    """The pullbacks whose square tables get built while the test runs, in
-    the order they are built: a pending pullback (``kernel._Pending``)
-    builds both at the first read of either."""
-    from dblkit import kernel
+    """The pullbacks and parsed categories whose square tables get built
+    while the test runs, in the order they are built (``parsed``: the
+    parsed ones alone): a pending category (``kernel._Pending``) builds
+    both at the first read of either."""
+    from dblkit import dsl, kernel
 
-    built, original = [], kernel._Pending.__getattr__
+    built, original = _Builds(), kernel._Pending.__getattr__
 
     def counted(self, name):
-        pending = "_square_tables" in vars(self)
+        recipes = vars(self).get("_square_tables")
         value = original(self, name)
-        if pending:
+        if recipes is not None:
             built.append(self)
+            if isinstance(recipes[0], dsl._Composites):
+                built.parsed.append(self)
         return value
 
     monkeypatch.setattr(kernel._Pending, "__getattr__", counted)

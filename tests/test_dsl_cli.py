@@ -785,3 +785,65 @@ def test_paused_commands_leave_no_dblkit_object_in_cyclic_garbage(tmp_path, caps
             gc.enable()
     assert ours == []
     capsys.readouterr()
+
+
+# Malformed category blocks through the command, each message as the eager
+# parser gave it, position included; the parser decides the square tables
+# at parse time whether or not it builds them then.
+MALFORMED_CATEGORIES = {
+    "composite shared by two squares, not written": (
+        "category C {\n  objects A\n  square s : 1_A 1_A | 1^A 1^A\n  hsq I_1_A I_1_A = I_1_A\n"
+        "  hsq I_1_A s = s\n  hsq s I_1_A = s\n  vsq I_1_A I_1_A = I_1_A\n  vsq I_1_A s = s\n"
+        "  vsq s I_1_A = s\n  vsq s s = I_1_A\n}\n",
+        "line 1, column 1: hcomp2 keys must be the pastable square pairs; first bad: [(0, 0)]",
+    ),
+    "hsq on squares that do not paste": (
+        "category C {\n  objects A B\n  vcell u : A -> B\n  hsq I_1_A I_1_B = I_1_A\n}\n",
+        "line 1, column 1: hcomp2 keys must be the pastable square pairs; first bad: [(0, 1)]",
+    ),
+    "vsq entry given twice": (
+        "category C {\n  objects A B\n  vcell u : A -> B\n  vsq I_1_A I^u = I^u\n  vsq I_1_A I^u = I^u\n}\n",
+        "line 5, column 7: duplicate vsq entry for I_1_A I^u",
+    ),
+    "hcomp on hcells that do not compose": (
+        "category C {\n  objects A B\n  hcell f : A -> B\n  hcomp f f = f\n}\n",
+        "line 1, column 1: hcomp1 keys must be the composable hcell pairs; first bad: [(0, 0)]",
+    ),
+    "identity with a wrong boundary": (
+        "category C {\n  objects A B\n  hcell f : A -> B\n  idh A = f\n}\n",
+        "line 1, column 1: horizontal identity of object 0 has wrong boundary",
+    ),
+    "square with mismatched corners": (
+        "category C {\n  objects A B\n  vcell u : A -> B\n  square s : 1_A 1_A | u 1^A\n}\n",
+        "line 1, column 1: square 0 has mismatched corners (0, 0, 0, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_CATEGORIES.values(), ids=MALFORMED_CATEGORIES.keys())
+def test_malformed_category_blocks_exit_3_with_the_eager_message(tmp_path, capsys, case):
+    text, message = case
+    assert main(["check", write_doc(tmp_path, text), "C"]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_an_explicit_square_entry_equal_to_its_implied_value_is_dropped(tmp_path, capsys):
+    text = "category C {\n  objects A B\n  vcell u : A -> B\n  hsq I^u I^u = I^u\n  vsq I_1_A I^u = I^u\n}\n"
+    path, out = write_doc(tmp_path, text), str(tmp_path / "out.dbl")
+    assert main(["check", path, "C"]) == 0
+    assert main(["construct", path, "transpose", "C", "--as", "CT", "-o", out]) == 0
+    written = open(out).read()
+    assert written == (
+        "category C {\n  objects A B\n  hcell 1_A : A -> A\n  hcell 1_B : B -> B\n  vcell u : A -> B\n"
+        "  vcell 1^A : A -> A\n  vcell 1^B : B -> B\n  square I_1_A : 1_A 1_A | 1^A 1^A\n"
+        "  square I_1_B : 1_B 1_B | 1^B 1^B\n  square I^u : 1_A 1_B | u u\n  idh A = 1_A\n  idv A = 1^A\n"
+        "  idh B = 1_B\n  idv B = 1^B\n  idsq 1_A = I_1_A\n  idsq 1_B = I_1_B\n  idsqv u = I^u\n"
+        "  idsqv 1^A = I_1_A\n  idsqv 1^B = I_1_B\n}\n\n"
+        "category CT {\n  objects A B\n  hcell u : A -> B\n  hcell 1^A : A -> A\n  hcell 1^B : B -> B\n"
+        "  vcell 1_A : A -> A\n  vcell 1_B : B -> B\n  square I_1_A : 1^A 1^A | 1_A 1_A\n"
+        "  square I_1_B : 1^B 1^B | 1_B 1_B\n  square I^u : u u | 1_A 1_B\n  idh A = 1^A\n  idv A = 1_A\n"
+        "  idh B = 1^B\n  idv B = 1_B\n  idsq u = I^u\n  idsq 1^A = I_1_A\n  idsq 1^B = I_1_B\n"
+        "  idsqv 1_A = I_1_A\n  idsqv 1_B = I_1_B\n}\n"
+    )
+    assert "hsq" not in written and "vsq" not in written
+    capsys.readouterr()

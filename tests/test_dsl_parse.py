@@ -97,10 +97,10 @@ def _block(lines, name):
     return lines[start + 1:lines.index("}", start)]
 
 
-def test_grown_session_document_round_trips_with_explicit_entries_first(tmp_path):
-    # the session of the documents benchmark: P is the product of the
-    # quintets of Z3 and of the walking arrow, 162 squares and 2 x 2,430
-    # implied square composites
+def _grown(tmp_path):
+    """The session of the documents benchmark, grown in a file: P is the
+    product of the quintets of Z3 and of the walking arrow, 162 squares and
+    2 x 2,430 implied square composites."""
     path = tmp_path / "session.dbl"
     path.write_text(SESSION)
     for recipe, args, name in (
@@ -110,11 +110,34 @@ def test_grown_session_document_round_trips_with_explicit_entries_first(tmp_path
         ("transpose", ["QW"], "QWT"),
     ):
         assert main(["construct", str(path), recipe, *args, "--as", name, "-o", str(path)]) == 0
-    text = path.read_text()
+    return path
+
+
+# the walking arrow's quintet beside one more square on the identity of A,
+# of order two: the square composites among s and the identity square of A
+# share their boundary, so they are written out, and the others are implied
+MIXED = """category M {
+  objects A B
+  vcell u : A -> B
+  square s : 1_A 1_A | 1^A 1^A
+  hsq s s = I_1_A
+  hsq s I_1_A = s
+  hsq I_1_A s = s
+  hsq I_1_A I_1_A = I_1_A
+  vsq s s = I_1_A
+  vsq s I_1_A = s
+  vsq I_1_A s = s
+  vsq I_1_A I_1_A = I_1_A
+}
+"""
+
+
+def _assert_tables_in_line_order(text, names):
+    """Each composition table of the categories ``names`` of ``text``, as
+    parsed: its explicit lines in order, then its implied entries."""
     doc = parse(text)
-    assert serialize(doc) == text
     lines = text.splitlines()
-    for name in ("Q3", "QW", "P", "QWT"):
+    for name in names:
         d, index = doc.decls[name].obj, doc.decls[name].names
         transposed = dsl._transposed(d.squares)
         for kw, kind, table, rule in (
@@ -132,8 +155,94 @@ def test_grown_session_document_round_trips_with_explicit_entries_first(tmp_path
             for key, z in rule:
                 expected.setdefault(key, z)
             assert list(table.items()) == list(expected.items()), (name, kw)
+    return doc
+
+
+def test_grown_session_document_round_trips_with_explicit_entries_first(tmp_path):
+    text = _grown(tmp_path).read_text()
+    doc = _assert_tables_in_line_order(text, ("Q3", "QW", "P", "QWT"))
+    assert serialize(doc) == text
     assert len(doc.decls["P"].obj.squares) == 162
     assert len(dsl._unique_composites(doc.decls["P"].obj.squares, doc.decls["P"].obj.hcomp1)) == 2430
+
+
+def test_explicit_square_entries_come_before_the_implied_ones():
+    doc = _assert_tables_in_line_order(MIXED, ("M",))
+    d = doc.decls["M"].obj
+    assert (len(d.hcomp2), len(d.vcomp2)) == (6, 8)
+    assert serialize(parse(serialize(doc))) == serialize(doc)
+
+
+# A parsed category builds its square tables at their first read: a command
+# builds those of the categories it reads, and a round trip none.
+
+
+@pytest.fixture
+def parsed_docs(monkeypatch):
+    """The documents ``dsl.parse`` returns while the test runs, in order."""
+    docs, parse = [], dsl.parse
+
+    def kept(text):
+        docs.append(parse(text))
+        return docs[-1]
+
+    monkeypatch.setattr(dsl, "parse", kept)
+    return docs
+
+
+def _built(doc, builds):
+    """The names in ``doc`` of the categories in ``builds``, in order."""
+    names = {id(decl.obj): name for name, decl in doc.decls.items()}
+    return [names[id(d)] for d in builds]
+
+
+def test_a_check_builds_only_its_targets_square_tables(tmp_path, capsys, square_table_builds, parsed_docs):
+    path = _grown(tmp_path)
+    for target, built in (("Walk", []), ("Z3", []), ("Q3", ["Q3"]), ("QW", ["QW"]), ("QWT", ["QWT"]), ("P", ["P"])):
+        parsed_docs.clear()
+        square_table_builds.clear()
+        assert main(["check", str(path), target, "--format", "tree"]) == 0
+        (doc,) = parsed_docs
+        assert _built(doc, square_table_builds) == _built(doc, square_table_builds.parsed) == built, target
+    capsys.readouterr()
+
+
+def test_a_round_trip_builds_no_square_table(tmp_path, capsys, square_table_builds):
+    text = _grown(tmp_path).read_text()
+    square_table_builds.clear()
+    assert serialize(parse(text)) == text
+    assert square_table_builds == []
+    capsys.readouterr()
+
+
+def test_a_product_builds_only_its_arguments_square_tables(tmp_path, capsys, square_table_builds, parsed_docs):
+    path = _grown(tmp_path)
+    parsed_docs.clear()
+    square_table_builds.clear()
+    out = tmp_path / "out.dbl"
+    assert main(["construct", str(path), "product", "Q3", "QW", "--as", "P2", "-o", str(out)]) == 0
+    (doc,) = parsed_docs
+    # the new product is a pullback, built when it is written
+    assert _built(doc, square_table_builds.parsed) == ["Q3", "QW"]
+    assert _built(doc, square_table_builds) == ["Q3", "QW", "P2"]
+    assert out.read_text().startswith(path.read_text())
+    capsys.readouterr()
+
+
+def test_a_category_edited_after_the_parse_keeps_its_tables_and_is_written_as_if_built(tmp_path):
+    # a parsed category's square tables are those of its lines, however the
+    # category is edited before their first read; the serializer writes an
+    # edited category as it writes one whose tables were read first
+    text = _grown(tmp_path).read_text()
+    docs = [parse(text), parse(text)]
+    early, late = (doc.decls["Q3"].obj for doc in docs)
+    want = list(early.hcomp2.items()), list(early.vcomp2.items())
+    for d in (early, late):
+        key = next(k for k, z in d.hcomp1.items() if z != d.hid[0])
+        d.hcomp1[key] = d.hid[0]
+    assert vars(late).get("_square_tables") is not None
+    assert serialize(docs[1]) == serialize(docs[0]) != text
+    assert (list(late.hcomp2.items()), list(late.vcomp2.items())) == want
 
 
 # body-line errors, each at the regex oracle's column of its offending

@@ -754,6 +754,43 @@ def test_the_constructor_check_builds_no_pending_family(family_builds):
     assert all(type(g) is functors._PendingFunctor for g in made)
 
 
+# fields reassigned after construction, which are plain attributes: the
+# checker runs the constructor's checks again and raises what it raises
+EDITS = {
+    "stray comp_h key": (lambda g: {"comp_h": {**g.comp_h, (9, 9): 0}},
+                         "comp_h must be keyed on exactly the composable hcell pairs: stray key (9, 9)"),
+    "dropped comp_h key": (lambda g: {"comp_h": dict(list(g.comp_h.items())[1:])},
+                           "comp_h must be keyed on exactly the composable hcell pairs: missing key (0, 0)"),
+    "h_map id out of range": (lambda g: {"h_map": g.h_map[:-1] + (99,)}, "h_map 2: index 99 out of range 0..2"),
+}
+
+
+@pytest.mark.parametrize("case", EDITS.values(), ids=EDITS.keys())
+def test_a_family_or_map_edited_after_construction_raises_the_constructors_error(case):
+    edit, message = case
+    g = replace(identity_pseudo(quintet(zoo.walking_arrow())))
+    for name, value in edit(g).items():
+        setattr(g, name, value)
+    with pytest.raises(StructureError) as built:
+        replace(g)
+    with pytest.raises(StructureError) as checked:
+        check_double_pseudo_functor(g)
+    assert str(checked.value) == str(built.value) == message
+
+
+def test_a_cell_map_edited_after_construction_raises_the_constructors_error():
+    d = quintet(zoo.walking_arrow())
+    # a strict functor, and a pending pseudofunctor, whose families the
+    # checker leaves unbuilt
+    f, g = identity_functor(d), identity_pseudo(d)
+    for functor, check in ((f, check_strict_functor), (g, check_double_pseudo_functor)):
+        functor.h_map = functor.h_map[:-1] + (99,)
+        with pytest.raises(StructureError) as checked:
+            check(functor)
+        assert str(checked.value) == "h_map 2: index 99 out of range 0..2"
+    assert type(g) is functors._PendingFunctor
+
+
 def test_a_pending_functor_compares_prints_replaces_and_copies_as_an_eager_build(setting):
     d = setting[0]
     eager = identity_pseudo(d)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dblkit.acceptance import _generators, _mutants
+from dblkit.cli import _decl_category
 from dblkit.kernel import (
     DoubleCategory,
     HCELL,
@@ -943,30 +944,35 @@ def test_pullback_square_tables_ignore_later_edits_of_a_factor():
     assert type(pb) is DoubleCategory and "_square_tables" not in vars(pb)
 
 
-def test_only_a_pullback_defers_its_square_tables():
+def test_only_pullbacks_and_parsed_categories_defer_their_square_tables():
     # a plain DoubleCategory keeps ordinary attribute access
     assert "__getattr__" not in vars(DoubleCategory) and not hasattr(DoubleCategory, "__getattr__")
     d = quintet(zoo.walking_arrow())
-    doc = dsl.Document()
-    doc.add(dsl.Declaration("category", "Q", d))
     fresh = DoubleCategory(
         d.n_objects, d.hcells, d.vcells, d.squares, d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2,
         d.hid, d.vid, d.sq_vid, d.sq_hid,
     )
-    made = [d, fresh, transpose(d), dsl.parse(dsl.serialize(doc)).decls["Q"].obj]
-    for made_d in made:
+    # the constructor, quintet and the transpose of a plain category build them
+    for made_d in (d, fresh, transpose(d)):
         assert type(made_d) is DoubleCategory
         assert {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(made_d))
     # a product is the pullback over the terminal double category, so it
-    # defers them as any pullback does
-    p = product(d, d)
-    assert type(p) is _Pending and not {"hcomp2", "vcomp2"} & set(vars(p))
-    p.hcomp2
-    assert type(p) is DoubleCategory and {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(p))
+    # defers them as any pullback does; a parsed category defers them too
+    for p in (product(d, d), _parsed(d)):
+        assert type(p) is _Pending and not {"hcomp2", "vcomp2"} & set(vars(p))
+        p.hcomp2
+        assert type(p) is DoubleCategory and {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(p))
 
 
-# a pending pullback's recipes: single pastes, transposes and comparisons
-# read them without building the square tables
+def _parsed(d):
+    """``d`` written as a category block and parsed back."""
+    doc = dsl.Document()
+    doc.add(_decl_category("D", d))
+    return dsl.parse(dsl.serialize(doc)).decls["D"].obj
+
+
+# a pending pullback's or parsed category's recipes: single pastes,
+# transposes and comparisons read them without building the square tables
 
 _MONOIDS = {
     "braid": zoo.braid_monoid_in_dbl,
@@ -979,16 +985,23 @@ _QUINTETS = {
     "C3xiso": (lambda: zoo.cyclic_group_cat(3), zoo.walking_iso),
     "arrowxC2": (zoo.walking_arrow, lambda: zoo.cyclic_group_cat(2)),
 }
+# parsed categories: all square composites implied (the documents
+# benchmark's product), and some written out (parallel squares)
+_PARSED = {
+    "parsed C3xarrow": lambda: product(quintet(zoo.cyclic_group_cat(3)), quintet(zoo.walking_arrow())),
+    "parsed sign": lambda: embed_two_category(zoo.sign_two_category()),
+}
 
 
 @pytest.fixture(scope="module")
 def fresh():
-    """``fresh(case)``, a new pullback of ``case``, its square tables not
-    built: the bundle pullback or the left-bracketed triple pullback of a
-    zoo monoid, or the product of two zoo quintets; ``T `` in front
-    transposes it.  ``fresh.bundle(name)`` is the monoid's bundle, built
-    once per module."""
-    bundles = {}
+    """``fresh(case)``, a new pullback or parsed category of ``case``, its
+    square tables not built: the bundle pullback or the left-bracketed
+    triple pullback of a zoo monoid, the product of two zoo quintets, or a
+    new parse of a category's text; ``T `` in front transposes it.
+    ``fresh.bundle(name)`` is the monoid's bundle, built once per module,
+    and so is each parsed category's text."""
+    bundles, texts = {}, {}
 
     def bundle(name):
         if name not in bundles:
@@ -998,6 +1011,12 @@ def fresh():
     def make(case):
         if case.startswith("T "):
             return transpose(make(case[2:]))
+        if case in _PARSED:
+            if case not in texts:
+                doc = dsl.Document()
+                doc.add(_decl_category("D", _PARSED[case]()))
+                texts[case] = dsl.serialize(doc)
+            return dsl.parse(texts[case]).decls["D"].obj
         name, _, part = case.partition(" ")
         if name in _QUINTETS:
             return product(*(quintet(cat()) for cat in _QUINTETS[name]))
@@ -1008,7 +1027,7 @@ def fresh():
     return make
 
 
-_CASES = [f"{name} {part}" for name in _MONOIDS for part in ("p", "p3l")] + list(_QUINTETS)
+_CASES = [f"{name} {part}" for name in _MONOIDS for part in ("p", "p3l")] + list(_QUINTETS) + list(_PARSED)
 PENDING = _CASES + [f"T {case}" for case in _CASES]
 
 
@@ -1147,6 +1166,13 @@ def test_same_category_on_differing_recipes_agrees_with_the_built_tables(fresh):
         (lambda: fresh("T C3xiso"), lambda: fresh("C3xiso"), False, False),
         # over the terminal object part the triple pullback is the product
         (lambda: fresh("cyclic2 p3l"), lambda: product(cyclic2.p, cyclic2.d1), True, False),
+        # a parsed category's recipes: two parses of one text, the
+        # transpose of a parse and the parse of the transpose, and a parse
+        # against the pullback it was written from (recipes of two kinds)
+        (lambda: fresh("parsed sign"), lambda: fresh("parsed sign"), True, False),
+        (lambda: fresh("T parsed sign"), lambda: _parsed(transpose(_PARSED["parsed sign"]())), True, False),
+        (lambda: fresh("parsed C3xarrow"), _PARSED["parsed C3xarrow"], True, True),
+        (lambda: fresh("parsed sign"), lambda: fresh("parsed C3xarrow"), False, False),
     ]
     for make_a, make_b, same, builds in pairs:
         a, b = make_a(), make_b()
