@@ -295,8 +295,10 @@ class _PendingFunctor(DoublePseudoFunctor):
     maps each to a snapshot of its keys, shared with its inverse, and its
     values.  The first read of a family builds all eight dicts in field
     order, and the object is a plain :class:`DoublePseudoFunctor` from then
-    on; ``==``, ``repr``, ``copy`` and pickling read one first.  Only
-    :func:`_as_pseudo` makes one; calling the class makes a plain functor."""
+    on; ``==``, ``repr``, ``copy`` and pickling read one first, and
+    assigning one builds them all first, so the build does not overwrite
+    the assignment.  Only :func:`_as_pseudo` makes one; calling the class
+    makes a plain functor."""
 
     def __new__(cls, *args, **kwargs):
         return DoublePseudoFunctor(*args, **kwargs)
@@ -309,6 +311,11 @@ class _PendingFunctor(DoublePseudoFunctor):
         self.__dict__.update({n: dict(zip(*families[n])) for n in _FAMILIES}, name=own)
         self.__class__ = DoublePseudoFunctor
         return self.__dict__[name]
+
+    def __setattr__(self, name, value):
+        if name in _FAMILIES and "_families" in self.__dict__:
+            getattr(self, name)
+        object.__setattr__(self, name, value)
 
     def _built(method):
         def run(self, *args):

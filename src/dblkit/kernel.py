@@ -1017,7 +1017,8 @@ class _Pending(DoubleCategory):
     equal.  The first read of either table builds both, and the object is
     a plain :class:`DoubleCategory` from then on.  Until then ``hpaste`` and
     ``vpaste`` compute the one entry asked for, and :func:`transpose` and
-    :func:`same_category` read the recipes."""
+    :func:`same_category` read the recipes.  Assigning either table builds
+    both first, so the other build does not overwrite the assignment."""
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
@@ -1026,6 +1027,11 @@ class _Pending(DoubleCategory):
         self.hcomp2, self.vcomp2 = (join.table() for join in self.__dict__.pop("_square_tables"))
         self.__class__ = DoubleCategory
         return self.__dict__[name]
+
+    def __setattr__(self, name, value):
+        if name in ("hcomp2", "vcomp2") and "_square_tables" in self.__dict__:
+            getattr(self, name)
+        object.__setattr__(self, name, value)
 
     def hpaste(self, a, b):
         return _Pending._paste(self, 0, a, b, DoubleCategory.hpaste, "|", "horizontally")

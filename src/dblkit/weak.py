@@ -18,9 +18,10 @@ two checkers can cross-validate each other.  Both checkers state
 their laws through the kernel enumerators: the strict ones for the
 vertical (hom-category) laws, ``kernel._invertibility`` and
 ``kernel._inverse_laws`` for the stored inverses, and ``kernel._laws`` for
-naturality, pentagon and triangle.  The bicategory's pentagon and triangle
-(``_pentagon_triangle``) are shared with the enriched view of
-``internal.check_enriched_over_cat``.
+naturality, pentagon and triangle.  The bicategory's hom laws
+(``_hom_laws``) and its pentagon and triangle (``_pentagon_triangle``) are
+stated once: the enriched view of ``internal.check_enriched_over_cat``
+reads them under its own law names.
 """
 
 from __future__ import annotations
@@ -270,23 +271,36 @@ def bicategory_from_two_category(t) -> Bicategory:
     )
 
 
-def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport:
-    col = Collector("bicategory", budget)
-    n1, n2 = len(b.onecells), len(b.twocells)
-    s1, t1 = _columns(b.onecells, 2)
+def _hom_laws(col, b: Bicategory, names):
+    """The laws of the hom-data of ``b``, each under its name in ``names``:
+    hom-category associativity and units, composition's identity
+    functoriality and interchange, then the associator's and the left and
+    right unitors' invertibility against their stored inverses.  The
+    constructor's checks run first again, so fields reassigned since
+    construction raise its StructureError."""
+    b._validate()
+    b._validate_bicategory()
+    assoc, unit, identity, interchange, associator, left, right = names
     s2, t2 = _columns(b.twocells, 2)
-    _associativity(col, "hom-category-associativity", "twocell", _dense_rows(b.vcomp2, n2), t2, s2)
-    _units(col, "hom-category-unit", "hom-category-unit", "twocell", b.vcomp2, t2, s2, b.id2)
+    _associativity(col, assoc, "twocell", _dense_rows(b.vcomp2, len(t2)), t2, s2)
+    _units(col, unit, unit, "twocell", b.vcomp2, t2, s2, b.id2)
 
-    _identity_functoriality(col, "composition-identity-functoriality", "onecell", b.comp1, b.hcomp2, b.id2)
-    _globular_interchange(col, "composition-interchange", b)
+    _identity_functoriality(col, identity, "onecell", b.comp1, b.hcomp2, b.id2)
+    _globular_interchange(col, interchange, b)
 
     inverse = (b.vert, b.id2, b.s2, b.t2)
-    _invertibility(col, "associator-invertibility", ("onecell",) * 3, b.assoc, b.assoc_inv, *inverse)
-    _laws(col, ("onecell",), [(f, b.lunit[f], b.lunit_inv[f], b.runit[f], b.runit_inv[f]) for f in range(n1)],
-          *_inverse_laws("left-unitor-invertibility", 1, *inverse),
-          *_inverse_laws("right-unitor-invertibility", 3, *inverse))
+    _invertibility(col, associator, ("onecell",) * 3, b.assoc, b.assoc_inv, *inverse)
+    unitors = [(f, b.lunit[f], b.lunit_inv[f], b.runit[f], b.runit_inv[f]) for f in range(len(b.onecells))]
+    _laws(col, ("onecell",), unitors, *_inverse_laws(left, 1, *inverse), *_inverse_laws(right, 3, *inverse))
 
+
+def check_bicategory(b: Bicategory, budget: Budget | None = None) -> AxiomReport:
+    col = Collector("bicategory", budget)
+    _hom_laws(col, b, ("hom-category-associativity", "hom-category-unit", "composition-identity-functoriality",
+                       "composition-interchange", "associator-invertibility", "left-unitor-invertibility",
+                       "right-unitor-invertibility"))
+    s1, t1 = _columns(b.onecells, 2)
+    s2, t2 = _columns(b.twocells, 2)
     vert, horiz, assoc, id2, id1 = b.vert, b.horiz, b.assoc, b.id2, b.id1
     count, rows = _paths(b.hcomp2, [t1[f] for f in s2], [s1[f] for f in s2])
     _laws(col, ("twocell",) * 3, rows, (

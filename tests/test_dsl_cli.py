@@ -209,12 +209,15 @@ def test_bicategory_sub_reports_share_one_budget(tmp_path, capsys):
     doc.add(Declaration("bicategory", "Sign", zoo.sign_bicategory()))
     path = tmp_path / "b.dbl"
     path.write_text(serialize(doc))
-    # the four sub-reports check 216, 248, 8 and 125 instances: each fits
+    # the four sub-reports check 216, 248, 8 and 144 instances: each fits
     # under 248 alone, but not after the first has spent its share
     assert main(["check", str(path), "Sign", "--max-tuples", "248", "--format", "tree"]) == 2
     assert _statuses(capsys)[:2] == ["pass", "budget-exceeded"]
-    assert main(["check", str(path), "Sign", "--max-tuples", "597", "--format", "tree"]) == 0
+    assert main(["check", str(path), "Sign", "--max-tuples", "616", "--format", "tree"]) == 0
     assert _statuses(capsys) == ["pass"] * 4
+    # the sum is exact: one less leaves the last report one instance short
+    assert main(["check", str(path), "Sign", "--max-tuples", "615", "--format", "tree"]) == 2
+    assert _statuses(capsys) == ["pass"] * 3 + ["budget-exceeded"]
 
 
 def _meet_doc(tmp_path, monoid=None):

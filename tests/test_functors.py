@@ -791,6 +791,41 @@ def test_a_cell_map_edited_after_construction_raises_the_constructors_error():
     assert type(g) is functors._PendingFunctor
 
 
+def _functor_text(f):
+    from dblkit import dsl
+    from dblkit.cli import _decl_category
+
+    doc = dsl.Document()
+    doc.add(_decl_category("Q", f.dom))
+    doc.add(dsl.Declaration("functor", "F", f, meta={"strict": False, "dom": "Q", "cod": "Q"}))
+    return dsl.serialize(doc)
+
+
+def test_a_family_assigned_while_pending_is_the_one_read():
+    # the assignment builds every family first, so the first read of
+    # another family does not build over it; every reader then sees the
+    # family assigned, as on a functor whose families were read first
+    q = quintet(zoo.walking_arrow())
+    qt = transpose(q)
+    g, eager = identity_pseudo(q), identity_pseudo(q)
+    eager.comp_h
+    key, cell = next(iter(eager.comp_h.items()))
+    moved = {**eager.comp_h, key: next(s for s, bnd in enumerate(q.squares) if bnd != q.squares[cell])}
+    g.comp_h, eager.comp_h = moved, dict(moved)
+    assert g.comp_v == eager.comp_v and g.comp_h == moved
+    assert functors.transpose_pseudo(g, qt, qt).comp_v_inv == moved
+    assert pseudo_equal(g, eager) and not pseudo_equal(g, identity_pseudo(q))
+    assert _functor_text(g) == _functor_text(eager) != _functor_text(identity_pseudo(q))
+    rep = check_double_pseudo_functor(g)
+    assert not rep.passed and rep.to_dict() == check_double_pseudo_functor(eager).to_dict()
+    # a stray key assigned is kept, and the checker raises the constructor's error on it
+    g = identity_pseudo(q)
+    g.comp_h = {(9, 9): 0}
+    assert g.comp_v == eager.comp_v and g.comp_h == {(9, 9): 0}
+    with pytest.raises(StructureError, match="comp_h must be keyed on exactly the composable hcell pairs"):
+        check_double_pseudo_functor(g)
+
+
 def test_a_pending_functor_compares_prints_replaces_and_copies_as_an_eager_build(setting):
     d = setting[0]
     eager = identity_pseudo(d)

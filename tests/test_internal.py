@@ -376,6 +376,79 @@ def test_enriched_over_categories():
     assert any(v.axiom == "pentagon" for v in rep.violations)
 
 
+def test_a_bicategory_edited_after_construction_raises_the_constructors_error():
+    # both checkers run the constructor's checks again on reassigned fields
+    for check in (check_bicategory, check_enriched_over_cat):
+        b = zoo.two_object_bicategory()
+        b.id1[0] = 2
+        with pytest.raises(StructureError, match=r"^identity 1-cell of object 0 has wrong boundary$"):
+            check(b)
+
+
+def _dropping(monkeypatch, kind):
+    """Make ``internal.pullback_pairs`` drop the last matching pair of
+    ``kind`` from every answer."""
+    def damaged(f, g):
+        pairs = kernel.pullback_pairs(f, g)
+        return {**pairs, kind: pairs[kind][:-1]}
+
+    monkeypatch.setattr(internal, "pullback_pairs", damaged)
+
+
+DROPPED_PAIR_LAWS = {
+    OBJECT: ["pair-object-bijection", "pair-object-count", "triple-bijection", "triple-count"],
+    VCELL: ["pair-morphism-bijection", "pair-morphism-count"],
+}
+
+
+@pytest.mark.parametrize("kind", list(DROPPED_PAIR_LAWS))
+@pytest.mark.parametrize("make", [zoo.sign_bicategory, zoo.two_object_bicategory])
+def test_coproduct_check_fails_on_a_damaged_pullback(monkeypatch, make, kind):
+    # the pairs, and the bracketed triples built from them, are the
+    # kernel's pullback pairs of the source and target legs
+    b = make()
+    _dropping(monkeypatch, kind)
+    rep = check_coproduct_pullback(b)
+    assert rep.status == "fail" and rep.checked == 8
+    assert sorted({v.axiom for v in rep.violations}) == DROPPED_PAIR_LAWS[kind]
+
+
+# each law the enriched view and the coproduct check state, and the laws
+# no seeded input fails, with the reason
+ENRICHED_LAWS = {"hom-category", "composition-functor", "constraint-equivalence", "inverse-boundary", "pentagon",
+                 "triangle"}
+COPRODUCT_LAWS = {"pair-object-count", "pair-object-bijection", "pair-object-injective", "pair-morphism-count",
+                  "pair-morphism-bijection", "triple-count", "triple-bijection"}
+NEVER_FAILING = {
+    "inverse-boundary": "the constructor rejects a stored inverse with the wrong boundary, and the checker runs "
+                        "the constructor's checks again",
+    "pair-object-injective": "a 1-cell lies in one hom-set, so the coproduct's pairs are distinct however the "
+                             "pullback is damaged",
+}
+
+
+def test_every_law_of_the_enrichment_checkers_fails_on_a_seeded_input(monkeypatch):
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verdict_dump.py"
+    spec = importlib.util.spec_from_file_location("verdict_dump", path)
+    dump = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(dump)
+    sign = zoo.sign_bicategory()
+    failed = set()
+    for _, b in dump._table_mutants(sign, ("vcomp2", "hcomp2"), 40, seed=2):
+        failed |= {v.axiom for v in check_enriched_over_cat(b).violations}
+    for kind in DROPPED_PAIR_LAWS:
+        with monkeypatch.context() as m:
+            _dropping(m, kind)
+            for b in (sign, zoo.two_object_bicategory()):
+                failed |= {v.axiom for v in check_coproduct_pullback(b).violations}
+    stated = ENRICHED_LAWS | COPRODUCT_LAWS
+    assert failed <= stated
+    assert failed.isdisjoint(NEVER_FAILING) and failed | set(NEVER_FAILING) == stated
+
+
 def test_braid_deep_check_pastes_each_pair_once(monkeypatch):
     # coupling-assoc reads the t-composites of the 46,656 composable pairs
     # from the table that coupling-composite filled, not one pasting per

@@ -964,11 +964,16 @@ def test_only_pullbacks_and_parsed_categories_defer_their_square_tables():
         assert type(p) is DoubleCategory and {"hcomp1", "vcomp1", "hcomp2", "vcomp2"} <= set(vars(p))
 
 
-def _parsed(d):
-    """``d`` written as a category block and parsed back."""
+def _category_text(d):
+    """``d`` written as the category block ``D``."""
     doc = dsl.Document()
     doc.add(_decl_category("D", d))
-    return dsl.parse(dsl.serialize(doc)).decls["D"].obj
+    return dsl.serialize(doc)
+
+
+def _parsed(d):
+    """``d`` written as a category block and parsed back."""
+    return dsl.parse(_category_text(d)).decls["D"].obj
 
 
 # a pending pullback's or parsed category's recipes: single pastes,
@@ -1013,9 +1018,7 @@ def fresh():
             return transpose(make(case[2:]))
         if case in _PARSED:
             if case not in texts:
-                doc = dsl.Document()
-                doc.add(_decl_category("D", _PARSED[case]()))
-                texts[case] = dsl.serialize(doc)
+                texts[case] = _category_text(_PARSED[case]())
             return dsl.parse(texts[case]).decls["D"].obj
         name, _, part = case.partition(" ")
         if name in _QUINTETS:
@@ -1184,6 +1187,31 @@ def test_same_category_on_differing_recipes_agrees_with_the_built_tables(fresh):
         # the tables are built only where the other fields agree and the
         # recipes do not
         assert _pending(a) is _pending(b) is not builds
+
+
+@pytest.mark.parametrize("name", ["hcomp2", "vcomp2"])
+@pytest.mark.parametrize("case", ["arrowxC2", "parsed sign", "T parsed sign"])
+def test_a_square_table_assigned_while_pending_is_the_one_read(fresh, case, name):
+    # the assignment builds both tables first, so the first read of the
+    # other table does not build over it; every reader then sees the table
+    # assigned, as on a category whose tables were read before the edit
+    d, eager = fresh(case), fresh(case)
+    eager.hcomp2
+    table = dict(getattr(eager, name))
+    key = next(iter(table))
+    table[key] = (table[key] + 1) % len(eager.squares)
+    assert _pending(d)
+    setattr(d, name, table)
+    setattr(eager, name, dict(table))
+    other = "vcomp2" if name == "hcomp2" else "hcomp2"
+    assert getattr(d, other) == getattr(eager, other)
+    assert getattr(d, name) == table
+    assert (d.hpaste if name == "hcomp2" else d.vpaste)(*key) == table[key]
+    assert getattr(transpose(d), other) == table
+    assert same_category(d, eager) and not same_category(d, fresh(case))
+    assert _category_text(d) == _category_text(eager) != _category_text(fresh(case))
+    rep = check_double_category(d)
+    assert not rep.passed and rep.to_dict() == check_double_category(eager).to_dict()
 
 
 # a report cut by its budget passes no guard
