@@ -80,6 +80,11 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   every top word; and the
   ``check_monoidal_embedding`` reports of acceptance criterion 6's factor
   pairs;
+- the interleaved multiplication: digests of both readings of
+  ``derive_interleaved_functor`` (cell maps and structure families, each
+  family's entries sorted by key) on the four zoo monoids, and
+  ``compare_interleavings`` on criterion 6's factor pairs at every pair of
+  1-cells;
 - functors: ``check_double_pseudo_functor`` on all laws and on each law
   alone, on the identity pseudofunctors of ``embed(sign) x
   transpose(embed(sign))`` and of ``embed(sign) x transpose(embed(walking
@@ -186,6 +191,7 @@ from dblkit.graytensor import (
     SquareCalculus,
     check_monoid,
     check_monoidal_embedding,
+    compare_interleavings,
     derive_interleaved_functor,
     two_category_tensor_context,
 )
@@ -1091,6 +1097,24 @@ def rewriting(out):
         out[f"rewriting embedding {n1} x {n2}"] = _report(lambda: check_monoidal_embedding(a, b, cap=4))
 
 
+def _sorted_digest(f):
+    """A digest of a functor's cell maps and structure families, each
+    family's entries sorted by key."""
+    cells = {k: sorted(v.items()) if isinstance(v, dict) else v for k in FUNCTOR_FIELDS for v in [getattr(f, k)]}
+    return hashlib.sha256(json.dumps(cells, sort_keys=True).encode()).hexdigest()
+
+
+def interleaved(out):
+    for name, make in INTERNAL_MONOIDS:
+        m = make()
+        for flag, label in ((True, "first-factor-first"), (False, "second-factor-first")):
+            out[f"graytensor interleaved {name} {label}"] = _sorted_digest(derive_interleaved_functor(m, first_factor_first=flag))
+    cats = zoo.acyclic_two_category_catalog()
+    for (n1, a), (n2, b) in itertools.product(cats, repeat=2):
+        for f, g in itertools.product(range(len(a.onecells)), range(len(b.onecells))):
+            out[f"graytensor interleaved compare {n1} x {n2} {f} {g}"] = list(compare_interleavings(a, b, f, g))
+
+
 STRUCTURE_FAMILIES = ("comp_h", "comp_h_inv", "unit_h", "unit_h_inv", "comp_v", "comp_v_inv", "unit_v", "unit_v_inv")
 MIXED_FAMILIES = ("hh", "hh_inv", "vv", "vv_inv", "hv", "vh")
 
@@ -1376,6 +1400,7 @@ def main(argv) -> int:
     transformations(out)
     internal(out)
     rewriting(out)
+    interleaved(out)
     functors(out)
     laws(out)
     constructor_damage(out)

@@ -43,6 +43,7 @@ from .functors import (
 )
 from .graytensor import (
     Letter,
+    cartesian_collapse,
     check_monoid,
     check_monoidal_embedding,
     derive_interleaved_functor,
@@ -541,14 +542,7 @@ def cmd_compare(args) -> int:
         return {"equal": 0, "distinct": 1}.get(verdict, 2)
     verdict = "equal" if w1 == w2 else "distinct"
     if args.cartesian:
-        # collapse to componentwise letters: the products of each side
-        def collapse(w):
-            sides = {"L": [], "R": []}
-            for let in w.letters:
-                sides[let.side].append(let.cell)
-            return (tuple(sides["L"]), tuple(sides["R"]))
-
-        verdict = "equal" if collapse(w1) == collapse(w2) else "distinct"
+        verdict = "equal" if cartesian_collapse(w1) == cartesian_collapse(w2) else "distinct"
     print(f"{verdict}: {ctx.describe(w1)}  vs  {ctx.describe(w2)}")
     return 0 if verdict == "equal" else 1
 

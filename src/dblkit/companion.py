@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError, _by, _laws
+from .kernel import HCELL, OBJECT, VCELL, DoubleCategory, StructureError, _by, _horizontal_inverse, _laws
 from .functors import DoublePseudoFunctor
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
@@ -203,25 +203,12 @@ def horizontal_to_vertical(a1: HorizontalPNT, choices) -> VerticalPNT:
     for u in range(len(dom.vcells)):
         A, B = dom.vs(u), dom.vt(u)
         delta.append(cod.vcol(ps[A].eta, a1.nat[u], ps[B].eps))
-        inv = _delta_v_inverse_candidate(a1, ps, u)
+        # on finite instances the snake laws force the inverse when a square
+        # of the mirrored boundary exists; record it if so, by search
+        inv = _horizontal_inverse(cod, delta[u])
         if inv is not None:
             delta_inv[u] = inv
     return VerticalPNT(F, G, comp, nat, delta, delta_inv)
-
-
-def _delta_v_inverse_candidate(a1, ps, u):
-    """On finite instances the snake laws force the inverse when a square of
-    the mirrored boundary exists; record it if so, by search."""
-    F, G = a1.F, a1.G
-    dom, cod = F.dom, F.cod
-    A, B = dom.vs(u), dom.vt(u)
-    fwd = cod.vcol(ps[A].eta, a1.nat[u], ps[B].eps)
-    t_, b_, l_, r_ = cod.squares[fwd]
-    for s, bnd in enumerate(cod.squares):
-        if bnd == (t_, b_, r_, l_):
-            if cod.hpaste(fwd, s) == cod.sq_hid[l_] and cod.hpaste(s, fwd) == cod.sq_hid[r_]:
-                return s
-    return None
 
 
 def roundtrip_check(a0: VerticalPNT, conn: Connection, budget: Budget | None = None) -> AxiomReport:

@@ -18,6 +18,11 @@ order: normalization takes the first, and the local confluence test joins
 it with the others.  The system is tested for local confluence on bounded
 words rather than proven complete, so equality queries may return
 ``inconclusive``.
+
+A monoid's multiplication induces a two-variable functor on the product of
+its carrier with itself, read with either factor acting first.  The second
+reading is the first reading of the factor-swapped monoid, so each of its
+formulas is written once, in ``derive_interleaved_functor``.
 """
 
 from __future__ import annotations
@@ -182,18 +187,13 @@ class TensorContext:
             nxt = []
             for w in frontier:
                 a, b = self.coords_after(w)
-                for cell in range(len(self.a.cells)):
-                    if self.a.src(cell) == a and not self.a.is_id(cell):
-                        w2 = self.normalize(w.start, w.letters + (Letter(L, cell),))
-                        if w2 not in seen and len(w2.letters) <= cap:
-                            seen.add(w2)
-                            nxt.append(w2)
-                for cell in range(len(self.b.cells)):
-                    if self.b.src(cell) == b and not self.b.is_id(cell):
-                        w2 = self.normalize(w.start, w.letters + (Letter(R, cell),))
-                        if w2 not in seen and len(w2.letters) <= cap:
-                            seen.add(w2)
-                            nxt.append(w2)
+                for side, spec, here in ((L, self.a, a), (R, self.b, b)):
+                    for cell in range(len(spec.cells)):
+                        if spec.src(cell) == here and not spec.is_id(cell):
+                            w2 = self.normalize(w.start, w.letters + (Letter(side, cell),))
+                            if w2 not in seen and len(w2.letters) <= cap:
+                                seen.add(w2)
+                                nxt.append(w2)
                 if len(seen) > max_words:
                     raise WordCapExceeded(f"more than {max_words} words below cap {cap}")
             words.extend(nxt)
@@ -571,19 +571,25 @@ def check_monoidal_embedding(
     return col.done()
 
 
+def cartesian_collapse(word: GrayWord):
+    """The image of a word in the Cartesian product: the letters of each
+    factor, in order."""
+    return tuple(tuple(let.cell for let in word.letters if let.side == side) for side in (L, R))
+
+
 def compare_interleavings(a: TwoCategory, b: TwoCategory, f: int, g: int):
     """The two interleavings of 1-cells f (left factor) and g (right).
 
-    Returns (tensor_verdict, cartesian_verdict): distinct normal forms in
-    the tensor, equal components in the Cartesian product."""
+    Returns (tensor_verdict, cartesian_verdict): whether the two normal
+    forms are equal in the tensor, and whether their Cartesian collapses
+    are; the first are distinct and the second equal when neither cell is
+    an identity."""
     ctx = two_category_tensor_context(a, b)
     start = (a.s1(f), b.s1(g))
     w1 = ctx.normalize(start, (Letter(L, f), Letter(R, g)))
     w2 = ctx.normalize(start, (Letter(R, g), Letter(L, f)))
     tensor = "equal" if w1 == w2 else "distinct"
-    cart1 = (f, g)
-    cart2 = (f, g)
-    cartesian = "equal" if cart1 == cart2 else "distinct"
+    cartesian = "equal" if cartesian_collapse(w1) == cartesian_collapse(w2) else "distinct"
     return tensor, cartesian
 
 
@@ -689,107 +695,77 @@ def monoid_from_functor(d: DoubleCategory, mul, unit_ob: int) -> MonoidInDbl:
                        flip_vv_inv=h.vv_inv, mixed_hv=h.hv, mixed_vh=h.vh)
 
 
+def _swapped(m: MonoidInDbl) -> MonoidInDbl:
+    """The factor-swapped monoid, whose product of (x, y) is the product of
+    (y, x) in ``m``: the one-sided image tables trade places, each flip is
+    the inverse of its mirror and the two mixed families trade places."""
+
+    def swap(table):
+        return {(y, x): c for (x, y), c in table.items()}
+
+    return MonoidInDbl(
+        m.carrier, m.unit_ob, swap(m.mul_ob),
+        swap(m.mul_h_right), swap(m.mul_h_left), swap(m.mul_v_right), swap(m.mul_v_left),
+        swap(m.mul_sq_right), swap(m.mul_sq_left),
+        swap(m.flip_hh_inv), swap(m.flip_hh), swap(m.flip_vv_inv), swap(m.flip_vv),
+        swap(m.mixed_vh), swap(m.mixed_hv),
+    )
+
+
 def derive_interleaved_functor(m: MonoidInDbl, first_factor_first: bool = True, dom=None):
     """The two-variable functor induced by a monoid multiplication on the
     Cartesian product of the carrier with itself.
 
     The image of a pair of 1-cells is the composite of the two one-sided
-    images, first factor acting first by default (the other reading sits
-    behind the flag); the two readings differ exactly by the interchanger
-    image, which is what the composition structure cells are made of.  With
-    identity interchangers the result is strict."""
+    images, first factor acting first by default; the two readings differ
+    exactly by the interchanger image, which is what the composition
+    structure cells are made of.  The second-factor-first reading is the
+    first reading of the factor-swapped monoid (``_swapped``), its pair
+    (x, y) stored at the index of (y, x).  With identity interchangers the
+    result is strict."""
     d = m.carrier
-    nh, nv, ns, no = len(d.hcells), len(d.vcells), len(d.squares), d.n_objects
     p = product(d, d) if dom is None else dom
+    if not first_factor_first:
+        m = _swapped(m)
 
-    def h_first(f, g):
-        # (f at src(g)) then (g at tgt(f))
-        return d.hcomp(m.mul_h_left[(f, d.hs(g))], m.mul_h_right[(d.ht(f), g)])
+    def at(n, x, y):
+        return x * n + y if first_factor_first else y * n + x
 
-    def h_second(f, g):
-        return d.hcomp(m.mul_h_right[(d.hs(f), g)], m.mul_h_left[(f, d.ht(g))])
+    def grid(n):
+        # the pairs (x, y) of cells of m, in the order of their index
+        pairs = itertools.product(range(n), repeat=2)
+        return pairs if first_factor_first else ((y, x) for x, y in pairs)
 
-    def v_first(u, v):
-        return d.vcomp(m.mul_v_left[(u, d.vs(v))], m.mul_v_right[(d.vt(u), v)])
-
-    def v_second(u, v):
-        return d.vcomp(m.mul_v_right[(d.vs(u), v)], m.mul_v_left[(u, d.vt(v))])
-
-    h_img = h_first if first_factor_first else h_second
-    v_img = v_first if first_factor_first else v_second
-
-    ob_map = [m.mul_ob[(a, b)] for a in range(no) for b in range(no)]
-    h_map = [h_img(f, g) for f in range(nh) for g in range(nh)]
-    v_map = [v_img(u, v) for u in range(nv) for v in range(nv)]
+    ob_map = [m.mul_ob[xy] for xy in grid(d.n_objects)]
 
     def sq_img(z, w):
         zt, zb, zl, zr = d.squares[z]
         wt, wb, wl, wr = d.squares[w]
-        if first_factor_first:
-            row1 = d.hpaste(m.mul_sq_left[(z, d.hs(wt))], m.mixed_vh[(zr, wt)])
-            row2 = d.hpaste(m.mixed_hv[(zb, wl)], m.mul_sq_right[(d.ht(zb), w)])
-            return d.vpaste(row1, row2)
-        row1 = d.hpaste(m.mul_sq_right[(d.hs(zt), w)], m.mixed_hv[(zt, wr)])
-        row2 = d.hpaste(m.mixed_vh[(zl, wb)], m.mul_sq_left[(z, d.ht(wb))])
+        row1 = d.hpaste(m.mul_sq_left[(z, d.hs(wt))], m.mixed_vh[(zr, wt)])
+        row2 = d.hpaste(m.mixed_hv[(zb, wl)], m.mul_sq_right[(d.ht(zb), w)])
         return d.vpaste(row1, row2)
 
-    sq_map = [sq_img(z, w) for z in range(ns) for w in range(ns)]
+    sq_map = [sq_img(z, w) for z, w in grid(len(d.squares))]
 
-    # structure cells for the composite of a composable pair of pair-cells
-    # ((f1, g1), (f2, g2)): the image of the composite and the composite of
-    # the images differ by the flip of the middle letters (f2, g1)
-    comp_h, comp_h_inv = {}, {}
-    for (f1, f2) in d.hcomp1:
-        for (g1, g2) in d.hcomp1:
-            key = (f1 * nh + g1, f2 * nh + g2)
-            if first_factor_first:
-                left_w = d.sq_vid[m.mul_h_left[(f1, d.hs(g1))]]
-                right_w = d.sq_vid[m.mul_h_right[(d.ht(f2), g2)]]
-                comp_h[key] = d.hrow(left_w, m.flip_hh[(f2, g1)], right_w)
-                comp_h_inv[key] = d.hrow(left_w, m.flip_hh_inv[(f2, g1)], right_w)
-            else:
-                left_w = d.sq_vid[m.mul_h_right[(d.hs(f1), g1)]]
-                right_w = d.sq_vid[m.mul_h_left[(f2, d.ht(g2))]]
-                comp_h[key] = d.hrow(left_w, m.flip_hh_inv[(f1, g2)], right_w)
-                comp_h_inv[key] = d.hrow(left_w, m.flip_hh[(f1, g2)], right_w)
-    comp_v, comp_v_inv = {}, {}
-    for (u1, u2) in d.vcomp1:
-        for (v1, v2) in d.vcomp1:
-            key = (u1 * nv + v1, u2 * nv + v2)
-            if first_factor_first:
-                top_w = d.sq_hid[m.mul_v_left[(u1, d.vs(v1))]]
-                bot_w = d.sq_hid[m.mul_v_right[(d.vt(u2), v2)]]
-                comp_v[key] = d.vcol(top_w, m.flip_vv_inv[(u2, v1)], bot_w)
-                comp_v_inv[key] = d.vcol(top_w, m.flip_vv[(u2, v1)], bot_w)
-            else:
-                top_w = d.sq_hid[m.mul_v_right[(d.vs(u1), v1)]]
-                bot_w = d.sq_hid[m.mul_v_left[(u2, d.vt(v2))]]
-                comp_v[key] = d.vcol(top_w, m.flip_vv[(u1, v2)], bot_w)
-                comp_v_inv[key] = d.vcol(top_w, m.flip_vv_inv[(u1, v2)], bot_w)
-    unit_h = {
-        a * no + b: d.sq_vid[d.hid[m.mul_ob[(a, b)]]]
-        for a in range(no)
-        for b in range(no)
-    }
-    unit_v = {
-        a * no + b: d.sq_hid[d.vid[m.mul_ob[(a, b)]]]
-        for a in range(no)
-        for b in range(no)
-    }
-    return DoublePseudoFunctor(
-        p,
-        d,
-        ob_map,
-        h_map,
-        v_map,
-        sq_map,
-        comp_h,
-        comp_h_inv,
-        unit_h,
-        dict(unit_h),
-        comp_v,
-        comp_v_inv,
-        unit_v,
-        dict(unit_v),
-        name="interleaved-mul",
-    )
+    # per direction, the image of a pair (f, g) is (f at src(g)) then (g at
+    # tgt(f)); the structure cells for the composite of a composable pair of
+    # pair-cells ((f1, g1), (f2, g2)) whisker the flip of the middle letters
+    # (f2, g1), by which the image of the composite and the composite of the
+    # images differ; the units are identity squares
+    maps, families = [], []
+    for cells, comp1, compose, ids, ident, paste, left, right, flip, flip_inv in (
+        (d.hcells, d.hcomp1, d.hcomp, d.hid, d.sq_vid, d.hrow, m.mul_h_left, m.mul_h_right, m.flip_hh, m.flip_hh_inv),
+        (d.vcells, d.vcomp1, d.vcomp, d.vid, d.sq_hid, d.vcol, m.mul_v_left, m.mul_v_right, m.flip_vv_inv, m.flip_vv),
+    ):
+        n = len(cells)
+        maps.append([compose(left[(f, cells[g][0])], right[(cells[f][1], g)]) for f, g in grid(n)])
+        fwd, bwd = {}, {}
+        for (f1, f2) in comp1:
+            for (g1, g2) in comp1:
+                key = (at(n, f1, g1), at(n, f2, g2))
+                before, after = ident[left[(f1, cells[g1][0])]], ident[right[(cells[f2][1], g2)]]
+                fwd[key] = paste(before, flip[(f2, g1)], after)
+                bwd[key] = paste(before, flip_inv[(f2, g1)], after)
+        unit = {i: ident[ids[o]] for i, o in enumerate(ob_map)}
+        families += [fwd, bwd, unit, dict(unit)]
+    return DoublePseudoFunctor(p, d, ob_map, *maps, sq_map, *families, name="interleaved-mul")

@@ -605,7 +605,11 @@ def check_coproduct_pullback(b: Bicategory, budget: Budget | None = None) -> Axi
     target legs (``_leg``) of the arrow part, whose objects are the 1-cells
     and whose vcells are the 2-cells; the bracketed triples are the pairs of
     the legs after the pair projections, rebracketed as by
-    :func:`reindex_triples`.  The coproduct side is read hom-set by hom-set."""
+    :func:`reindex_triples`.  The coproduct side is read hom-set by hom-set.
+    The constructor's checks run first again, so fields reassigned since
+    construction raise its StructureError."""
+    b._validate()
+    b._validate_bicategory()
     col = Collector("coproduct-pullback", budget)
     objects = SimpleNamespace()  # the discrete object part, read only as the legs' codomain
     s1, t1 = _columns(b.onecells, 2)

@@ -790,6 +790,17 @@ def same_category(a: DoubleCategory, b: DoubleCategory) -> bool:
     )
 
 
+def _horizontal_inverse(d: DoubleCategory, s: int):
+    """The first square of the mirrored boundary of ``s`` (left and right
+    swapped) that pastes with ``s`` both ways to a horizontal identity, or
+    None."""
+    t, b, l, r = d.squares[s]
+    for x in d.squares_by_top_left().get((t, r), ()):
+        if d.squares[x] == (t, b, r, l) and d.hpaste(s, x) == d.sq_hid[l] and d.hpaste(x, s) == d.sq_hid[r]:
+            return x
+    return None
+
+
 def terminal_double_category() -> DoubleCategory:
     return DoubleCategory(
         1,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import HCELL, OBJECT, VCELL, StructureError, _check_ids, _laws, same_category
+from .kernel import HCELL, OBJECT, VCELL, StructureError, _check_ids, _horizontal_inverse, _laws, same_category
 from .report import AxiomReport, Budget, Collector, live_axioms
 from .transform import (
     DoublePNT,
@@ -255,13 +255,7 @@ def vertical_modif_to_horizontal(a0_cells, src: DoublePNT, tgt: DoublePNT, src_p
     dom, cod = F.dom, F.cod
     a0_inv = []
     for o, cell in enumerate(a0_cells):
-        t_, b_, l_, r_ = cod.squares[cell]
-        inv = None
-        for s, bnd in enumerate(cod.squares):
-            if bnd == (t_, b_, r_, l_):
-                if cod.hpaste(cell, s) == cod.sq_hid[l_] and cod.hpaste(s, cell) == cod.sq_hid[r_]:
-                    inv = s
-                    break
+        inv = _horizontal_inverse(cod, cell)
         if inv is None:
             raise StructureError(f"vertical-side component at object {o} is not invertible")
         a0_inv.append(inv)

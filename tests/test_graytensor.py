@@ -1,6 +1,6 @@
 import itertools
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,8 @@ from dblkit.graytensor import (
     SquareCalculus,
     SquareWord,
     WordCapExceeded,
+    _swapped,
+    cartesian_collapse,
     check_monoid,
     check_monoidal_embedding,
     compare_interleavings,
@@ -63,10 +65,16 @@ def test_merge_through_inverses_collapses():
 
 
 def test_interleavings_are_distinct_in_tensor_equal_in_product(arrow_pair_ctx):
-    a, b, _ = arrow_pair_ctx
+    a, b, ctx = arrow_pair_ctx
     tensor, cartesian = compare_interleavings(a, b, 2, 2)
     assert tensor == "distinct"
     assert cartesian == "equal"
+    # the Cartesian verdict reads the words: each factor's letters in order
+    w1 = ctx.normalize((0, 0), (Letter("L", 2), Letter("R", 2)))
+    w2 = ctx.normalize((0, 0), (Letter("R", 2), Letter("L", 2)))
+    assert w1 != w2 and cartesian_collapse(w1) == cartesian_collapse(w2) == ((2,), (2,))
+    # an identity letter normalizes away, leaving one word
+    assert compare_interleavings(a, b, 2, 0) == ("equal", "equal")
 
 
 def test_word_counts_shuffle_oracle():
@@ -323,6 +331,80 @@ def test_both_readings_pass():
         f = derive_interleaved_functor(mk(), first_factor_first=False)
         rep = check_double_pseudo_functor(f)
         assert rep.passed, rep.summary()
+
+
+ZOO_MONOIDS = [zoo.trivial_monoid_in_dbl, zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl,
+               zoo.braid_monoid_in_dbl]
+
+
+def _reading_oracle(m, first_factor_first):
+    """Every cell-map entry and structure cell of a reading, each from its
+    own pointwise formula."""
+    d = m.carrier
+    nh, nv, no = len(d.hcells), len(d.vcells), d.n_objects
+    hl, hr, vl, vr, sl, sr = m.mul_h_left, m.mul_h_right, m.mul_v_left, m.mul_v_right, m.mul_sq_left, m.mul_sq_right
+    out = {"ob_map": [m.mul_ob[(a, b)] for a in range(no) for b in range(no)], "sq_map": []}
+    if first_factor_first:
+        out["h_map"] = [d.hcomp(hl[(f, d.hs(g))], hr[(d.ht(f), g)]) for f in range(nh) for g in range(nh)]
+        out["v_map"] = [d.vcomp(vl[(u, d.vs(v))], vr[(d.vt(u), v)]) for u in range(nv) for v in range(nv)]
+    else:
+        out["h_map"] = [d.hcomp(hr[(d.hs(f), g)], hl[(f, d.ht(g))]) for f in range(nh) for g in range(nh)]
+        out["v_map"] = [d.vcomp(vr[(d.vs(u), v)], vl[(u, d.vt(v))]) for u in range(nv) for v in range(nv)]
+    for (z, (zt, zb, zl, zr)), (w, (wt, wb, wl, wr)) in itertools.product(enumerate(d.squares), repeat=2):
+        if first_factor_first:
+            row1 = d.hpaste(sl[(z, d.hs(wt))], m.mixed_vh[(zr, wt)])
+            row2 = d.hpaste(m.mixed_hv[(zb, wl)], sr[(d.ht(zb), w)])
+        else:
+            row1 = d.hpaste(sr[(d.hs(zt), w)], m.mixed_hv[(zt, wr)])
+            row2 = d.hpaste(m.mixed_vh[(zl, wb)], sl[(z, d.ht(wb))])
+        out["sq_map"].append(d.vpaste(row1, row2))
+    for name in ("comp_h", "comp_h_inv", "comp_v", "comp_v_inv"):
+        out[name] = {}
+    for (f1, f2), (g1, g2) in itertools.product(d.hcomp1, repeat=2):
+        key = (f1 * nh + g1, f2 * nh + g2)
+        if first_factor_first:
+            left, right = d.sq_vid[hl[(f1, d.hs(g1))]], d.sq_vid[hr[(d.ht(f2), g2)]]
+            flip, flip_inv = m.flip_hh[(f2, g1)], m.flip_hh_inv[(f2, g1)]
+        else:
+            left, right = d.sq_vid[hr[(d.hs(f1), g1)]], d.sq_vid[hl[(f2, d.ht(g2))]]
+            flip, flip_inv = m.flip_hh_inv[(f1, g2)], m.flip_hh[(f1, g2)]
+        out["comp_h"][key] = d.hrow(left, flip, right)
+        out["comp_h_inv"][key] = d.hrow(left, flip_inv, right)
+    for (u1, u2), (v1, v2) in itertools.product(d.vcomp1, repeat=2):
+        key = (u1 * nv + v1, u2 * nv + v2)
+        if first_factor_first:
+            top, bottom = d.sq_hid[vl[(u1, d.vs(v1))]], d.sq_hid[vr[(d.vt(u2), v2)]]
+            flip, flip_inv = m.flip_vv_inv[(u2, v1)], m.flip_vv[(u2, v1)]
+        else:
+            top, bottom = d.sq_hid[vr[(d.vs(u1), v1)]], d.sq_hid[vl[(u2, d.vt(v2))]]
+            flip, flip_inv = m.flip_vv[(u1, v2)], m.flip_vv_inv[(u1, v2)]
+        out["comp_v"][key] = d.vcol(top, flip, bottom)
+        out["comp_v_inv"][key] = d.vcol(top, flip_inv, bottom)
+    for name in ("unit_h", "unit_h_inv"):
+        out[name] = {a * no + b: d.sq_vid[d.hid[m.mul_ob[(a, b)]]] for a in range(no) for b in range(no)}
+    for name in ("unit_v", "unit_v_inv"):
+        out[name] = {a * no + b: d.sq_hid[d.vid[m.mul_ob[(a, b)]]] for a in range(no) for b in range(no)}
+    return out
+
+
+@pytest.mark.parametrize("first_factor_first", [True, False])
+@pytest.mark.parametrize("mk", ZOO_MONOIDS, ids=["trivial", "cyclic2", "min", "braid"])
+def test_both_readings_match_their_pointwise_formulas(mk, first_factor_first):
+    m = mk()
+    f = derive_interleaved_functor(m, first_factor_first=first_factor_first)
+    for name, table in _reading_oracle(m, first_factor_first).items():
+        got = getattr(f, name)
+        assert (got if isinstance(table, dict) else list(got)) == table, name
+        if first_factor_first:
+            assert list(got) == list(table), name  # and in the same insertion order
+
+
+@pytest.mark.parametrize("mk", ZOO_MONOIDS, ids=["trivial", "cyclic2", "min", "braid"])
+def test_swapping_factors_twice_gives_the_monoid_back(mk):
+    m = mk()
+    twice = _swapped(_swapped(m))
+    for field in fields(m):
+        assert getattr(twice, field.name) == getattr(m, field.name), field.name
 
 
 def test_braid_readings_differ_exactly_by_flip():

@@ -377,12 +377,18 @@ def test_enriched_over_categories():
 
 
 def test_a_bicategory_edited_after_construction_raises_the_constructors_error():
-    # both checkers run the constructor's checks again on reassigned fields
-    for check in (check_bicategory, check_enriched_over_cat):
-        b = zoo.two_object_bicategory()
-        b.id1[0] = 2
-        with pytest.raises(StructureError, match=r"^identity 1-cell of object 0 has wrong boundary$"):
-            check(b)
+    # every checker runs the constructor's checks again on reassigned fields
+    edits = (
+        ("onecells", 0, (0, 5), r"^1-cell 0 target: index 5 out of range 0\.\.1$"),
+        ("twocells", 0, (0, 9), r"^2-cell 0 target: index 9 out of range 0\.\.3$"),
+        ("id1", 0, 2, r"^identity 1-cell of object 0 has wrong boundary$"),
+    )
+    for check in (check_bicategory, check_enriched_over_cat, check_coproduct_pullback):
+        for field, key, value, message in edits:
+            b = zoo.two_object_bicategory()
+            getattr(b, field)[key] = value
+            with pytest.raises(StructureError, match=message):
+                check(b)
 
 
 def _dropping(monkeypatch, kind):

@@ -35,6 +35,7 @@ from dblkit.kernel import (
     _PRESENTATION,
     _Pending,
     _check_table,
+    _horizontal_inverse,
 )
 from dblkit.functors import (
     StrictDoubleFunctor,
@@ -1388,3 +1389,19 @@ def test_first_difference_matches_the_sorted_walk(seed):
     assert kernel._first_difference(sections) == _sorted_first_difference(sections)
     for room in range(total + 2):
         assert kernel._first_difference(sections, room) == _sorted_first_difference(sections, room), room
+
+
+@pytest.mark.parametrize("make", [
+    lambda: quintet(zoo.walking_iso()),
+    lambda: embed_two_category(zoo.sign_two_category()),
+    lambda: quintet(zoo.cyclic_group_cat(3)),
+], ids=["walking-iso", "sign", "C3"])
+def test_horizontal_inverse_is_the_first_match_of_a_scan_over_every_square(make):
+    d = make()
+    found = 0
+    for s, (t, b, l, r) in enumerate(d.squares):
+        scan = next((x for x, bnd in enumerate(d.squares) if bnd == (t, b, r, l)
+                     and d.hpaste(s, x) == d.sq_hid[l] and d.hpaste(x, s) == d.sq_hid[r]), None)
+        assert _horizontal_inverse(d, s) == scan
+        found += scan is not None
+    assert found
