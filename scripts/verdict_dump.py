@@ -127,7 +127,15 @@ both sides, ``checked`` and status) under a stable key.  The runs:
 - constructor damage: the exception type and message (or ``accepted``) of
   every ``DAMAGED`` case of ``tests/test_kernel.py`` in the checkout that
   holds this script, whose imports the library under ``PYTHONPATH`` must
-  provide.
+  provide;
+- pending copies: digests of ``pickle.loads(pickle.dumps(x))`` and of
+  ``copy.deepcopy(x)``, each of a new ``x`` whose largest fields are not
+  built yet: the pullback and the left-bracketed triple pullback of the
+  cyclic-2 and braid bundles, ``quintet(C3) x quintet(walking arrow)``, a
+  parse of ``embed(sign)`` and the transposes of all of these (their cells
+  and tables), and ``identity_pseudo`` of ``quintet(C3)`` and its
+  composite with itself (cell maps and structure cells), or the
+  exception's type and message.
 
 The script uses only what every version of dblkit since the composition-
 table primitive provides, so it can be run against two checkouts (point
@@ -138,10 +146,12 @@ from ``SquareCalculus._steps`` where it exists and from the older
 ``_simplify_nth`` otherwise.
 """
 
+import copy
 import hashlib
 import importlib.util
 import itertools
 import json
+import pickle
 import random
 import sys
 from dataclasses import fields, is_dataclass, replace
@@ -176,6 +186,7 @@ from dblkit.functors import (
     check_cubical,
     check_double_pseudo_functor,
     check_strict_functor,
+    compose_pseudo,
     compose_strict,
     cubical_from_product_functor,
     identity_functor,
@@ -483,18 +494,18 @@ def _round_trip(d):
     doc = dsl.Document()
     doc.add(_decl_category("D", d))
     text = dsl.serialize(doc)
-    built, original = [], kernel._Pending.__getattr__
+    built, original = [], kernel._Deferred._build
 
-    def counted(self, name):
-        if "_square_tables" in vars(self):
-            built.append(name)
-        return original(self, name)
+    def counted(self):
+        if type(self) is kernel._Pending:
+            built.append(self)
+        original(self)
 
-    kernel._Pending.__getattr__ = counted
+    kernel._Deferred._build = counted
     try:
         again = dsl.serialize(dsl.parse(text))
     finally:
-        kernel._Pending.__getattr__ = original
+        kernel._Deferred._build = original
     return {"text": again, "fixpoint": again == text, "built": bool(built)}
 
 
@@ -1090,7 +1101,7 @@ def rewriting(out):
             for e in calc.enumerate_square_words(top, 3):
                 out[f"{key} [{_moves(e.moves)}]"] = _or_error(lambda: _rewritten(calc, e))
             out[f"{key} critical-pairs"] = _or_error(lambda: [
-                [_moves(x.moves) for x in failure] for failure in calc.critical_pairs_join(top, 3)
+                [_moves(x.moves) for x in failure] for failure in calc.critical_pairs_join(top)
             ])
     cats = zoo.acyclic_two_category_catalog()
     for (n1, a), (n2, b) in itertools.product(cats, repeat=2):
@@ -1388,6 +1399,29 @@ def constructor_damage(out):
             out[key] = {"type": type(e).__name__, "message": str(e)}
 
 
+def pending_copies(out):
+    d, sign = quintet(zoo.cyclic_group_cat(3)), embed_two_category(zoo.sign_two_category())
+    doc = dsl.Document()
+    doc.add(_decl_category("D", sign))
+    text = dsl.serialize(doc)
+    cases = [("product C3 x walking-arrow", lambda: product(d, quintet(zoo.walking_arrow()))),
+             ("parsed sign", lambda: dsl.parse(text).decls["D"].obj)]
+    for name, make in INTERNAL_MONOIDS[:2]:
+        data = monoid_to_internal(make())
+        cases += [(f"{name} p", lambda data=data: pullback(data.t, data.s)),
+                  (f"{name} p3l", lambda data=data: pullback(compose_strict(data.t, data.p2), data.s))]
+    cases += [(f"transpose {name}", lambda make=make: transpose(make())) for name, make in cases]
+    cases += [("identity_pseudo C3", lambda: identity_pseudo(d)),
+              ("compose_pseudo C3", lambda: compose_pseudo(identity_pseudo(d), identity_pseudo(d)))]
+    for name, make in cases:
+        for how, copied in (("pickle", lambda x: pickle.loads(pickle.dumps(x))), ("deepcopy", copy.deepcopy)):
+            def value(make=make, copied=copied):
+                x = copied(make())
+                return _category(x) if isinstance(x, DoubleCategory) else x
+
+            out[f"pending copies {name} {how}"] = _digest(value)
+
+
 def main(argv) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -1404,6 +1438,7 @@ def main(argv) -> int:
     functors(out)
     laws(out)
     constructor_damage(out)
+    pending_copies(out)
     with open(argv[1], "w") as fh:
         json.dump(out, fh, indent=1, sort_keys=True)
         fh.write("\n")

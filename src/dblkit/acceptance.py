@@ -415,7 +415,7 @@ def criterion_7_rewriting_sanity(n_words=10_000, seed=7):
         for e in calc.enumerate_square_words(top, 3):
             calc.rewrite(e, assert_measure=True)
             rewritten += 1
-        fails = calc.critical_pairs_join(top, 3)
+        fails = calc.critical_pairs_join(top)
         if fails:
             return False, f"critical pair does not join over {ctx2.describe(top)}"
         words += 1

@@ -542,7 +542,7 @@ def cmd_compare(args) -> int:
         return {"equal": 0, "distinct": 1}.get(verdict, 2)
     verdict = "equal" if w1 == w2 else "distinct"
     if args.cartesian:
-        verdict = "equal" if cartesian_collapse(w1) == cartesian_collapse(w2) else "distinct"
+        verdict = "equal" if cartesian_collapse(ctx, w1) == cartesian_collapse(ctx, w2) else "distinct"
     print(f"{verdict}: {ctx.describe(w1)}  vs  {ctx.describe(w2)}")
     return 0 if verdict == "equal" else 1
 

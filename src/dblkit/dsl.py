@@ -59,6 +59,7 @@ from .kernel import (
     _by,
     _columns,
     _deferred,
+    _held,
     _rows,
 )
 from .weak import Bicategory
@@ -731,15 +732,15 @@ def _parse_category(lines, doc, name, sig, header_line):
     # the square tables are built at their first read, but whether they are
     # exact is decided here; one that is not is built now, so that the
     # constructor raises what it raises on it
-    recipes = (
-        _Composites(squares, hcomp1, _table(entries("hsq"))),
-        _Composites(_transposed(squares), vcomp1, _table(entries("vsq"))),
-    )
+    recipes = {
+        "hcomp2": _Composites(squares, hcomp1, _table(entries("hsq"))),
+        "vcomp2": _Composites(_transposed(squares), vcomp1, _table(entries("vsq"))),
+    }
     tables = (n, hcells, vcells, squares, hcomp1, vcomp1, hid, vid, sq_vid, sq_hid)
-    if all(recipe.exact() for recipe in recipes):
+    if all(recipe.exact() for recipe in recipes.values()):
         cat = _build(header_line, _deferred, tables, recipes, names=dict(nt.names))
     else:
-        cat = _build(header_line, DoubleCategory, *tables[:6], *(r.table() for r in recipes), *tables[6:],
+        cat = _build(header_line, DoubleCategory, *tables[:6], *(r.table() for r in recipes.values()), *tables[6:],
                      names=dict(nt.names))
     return Declaration("category", name, cat, names=nt.index)
 
@@ -758,8 +759,8 @@ def _write_category(doc, decl):
     w += write("vcomp", _explicit(d.vcomp1, _unit_entries(d.vid, d.vcells)))
     # a parsed category whose square tables are not built is written from
     # its recipes, unless its squares or 1-cell tables were edited since
-    recipes = vars(d).get("_square_tables")
-    parsed = recipes is not None and isinstance(recipes[0], _Composites)
+    recipes = _held(d, "hcomp2"), _held(d, "vcomp2")
+    parsed = isinstance(recipes[0], _Composites)
     if not parsed or (recipes[0].squares, recipes[0].comp, recipes[1].comp) != (d.squares, d.hcomp1, d.vcomp1):
         recipes = _Composites(d.squares, d.hcomp1, d.hcomp2), _Composites(_transposed(d.squares), d.vcomp1, d.vcomp2)
     return w + write("hsq", recipes[0].kept()) + write("vsq", recipes[1].kept())

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .kernel import (
     HCELL,
@@ -36,6 +37,8 @@ from .kernel import (
     _bang,
     _check_index,
     _columns,
+    _defer,
+    _Deferred,
     _entries,
     _family_sides,
     _held,
@@ -230,9 +233,9 @@ class DoublePseudoFunctor(_CellMaps):
 
     def __post_init__(self):
         super().__post_init__()
-        self._check_families()
+        self._check_structure_cells()
 
-    def _check_families(self):
+    def _check_structure_cells(self):
         """Raise StructureError unless each structure family is keyed on
         exactly its keys (``_family_keys``), each value an int naming a
         square of the codomain: one pass per family.  The constructor's
@@ -290,42 +293,26 @@ _KEY_NOUNS = {HCELL: "composable hcell pairs", VCELL: "composable vcell pairs", 
 _PLAIN = ("dom", "cod", "ob_map", "h_map", "v_map", "sq_map", "name")
 
 
-class _PendingFunctor(DoublePseudoFunctor):
-    """A pseudofunctor whose structure families are lists: ``_families``
-    maps each to a snapshot of its keys, shared with its inverse, and its
-    values.  The first read of a family builds all eight dicts in field
-    order, and the object is a plain :class:`DoublePseudoFunctor` from then
-    on; ``==``, ``repr``, ``copy`` and pickling read one first, and
-    assigning one builds them all first, so the build does not overwrite
-    the assignment.  Only :func:`_as_pseudo` makes one; calling the class
-    makes a plain functor."""
+class _Family(NamedTuple):
+    """A structure family held by a :class:`_PendingFunctor`: a snapshot of
+    its keys, shared with its inverse, and its values; equal by both."""
 
-    def __new__(cls, *args, **kwargs):
-        return DoublePseudoFunctor(*args, **kwargs)
+    keys: list
+    values: list
 
-    def __getattr__(self, name):
-        # called only for an attribute the instance does not hold
-        if name not in _FAMILIES:
-            raise AttributeError(f"'DoublePseudoFunctor' object has no attribute '{name}'")
-        families, own = self.__dict__.pop("_families"), self.__dict__.pop("name")
-        self.__dict__.update({n: dict(zip(*families[n])) for n in _FAMILIES}, name=own)
-        self.__class__ = DoublePseudoFunctor
-        return self.__dict__[name]
+    def table(self):
+        return dict(zip(self.keys, self.values))
 
-    def __setattr__(self, name, value):
-        if name in _FAMILIES and "_families" in self.__dict__:
-            getattr(self, name)
-        object.__setattr__(self, name, value)
 
-    def _built(method):
-        def run(self, *args):
-            self.comp_h  # the first read builds every family
-            return getattr(self, method)(*args)
+class _PendingFunctor(_Deferred, DoublePseudoFunctor):
+    """A pseudofunctor whose eight structure families are held as
+    :class:`_Family` recipes (``kernel._Deferred``).  The build places
+    them in field order, before ``name``.  Only :func:`_as_pseudo` makes
+    one."""
 
-        return run
-
-    __eq__, __repr__, __reduce_ex__ = map(_built, ("__eq__", "__repr__", "__reduce_ex__"))
-    del _built
+    def _place(self, families):
+        name = vars(self).pop("name")
+        vars(self).update(families, name=name)
 
 
 def _family_keys(dom: DoubleCategory):
@@ -343,8 +330,8 @@ def _as_lists(f: DoublePseudoFunctor, keys) -> SimpleNamespace:
 
     def read(name, ks):
         ks, held = list(ks), _held(f, name)
-        if held is not None and held[0] == ks:
-            return held[1]
+        if held is not None and held.keys == ks:
+            return held.values
         family = getattr(f, name)
         return list(family.values()) if list(family) == ks else [family[k] for k in ks]
 
@@ -360,8 +347,8 @@ def _as_pseudo(f: SimpleNamespace, keys=None) -> DoublePseudoFunctor:
     keys = _family_keys(f.dom) if keys is None else keys
     snapshots = {id(ks): list(ks) for ks in {id(ks): ks for ks in keys}.values()}
     p = object.__new__(_PendingFunctor)
-    vars(p).update({n: getattr(f, n) for n in _PLAIN},
-                   _families={n: (snapshots[id(ks)], getattr(f, n)) for n, ks in zip(_FAMILIES, keys)})
+    vars(p).update({n: getattr(f, n) for n in _PLAIN})
+    _defer(p, **{n: _Family(snapshots[id(ks)], getattr(f, n)) for n, ks in zip(_FAMILIES, keys)})
     _CellMaps.__post_init__(p)
     return p
 
@@ -502,7 +489,7 @@ def check_double_pseudo_functor(
     pending functor's families are left as its list core made them."""
     _check_maps(f)
     if not isinstance(f, _PendingFunctor):
-        f._check_families()
+        f._check_structure_cells()
     live = live_axioms(PSEUDO_FUNCTOR_AXIOMS, axioms)
     col = Collector("double-pseudo-functor", budget)
     if not _structure_boundaries(col, f):
@@ -642,7 +629,7 @@ def pair_pseudo_into_pullback(f, g, pb, left: DoublePseudoFunctor, right: Double
     keyed in the left arm's own key order, read straight off its values, the
     right arm's read at those keys (one that misses a key raises
     ``KeyError``); wraps ``_pair_lists``, its families dicts when read."""
-    keys = [held[0] if (held := _held(left, n)) else list(getattr(left, n)) for n in _FAMILIES]
+    keys = [held.keys if (held := _held(left, n)) else list(getattr(left, n)) for n in _FAMILIES]
     return _as_pseudo(_pair_lists(f, g, pb, _as_lists(left, keys), _as_lists(right, keys), keys, name), keys)
 
 

@@ -27,6 +27,7 @@ formulas is written once, in ``derive_interleaved_functor``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -442,12 +443,12 @@ class SquareCalculus:
                 ms.append(Move("unflip", i))
         return ms
 
-    def critical_pairs_join(self, top: GrayWord, max_moves: int = 3):
-        """Empirical local confluence: for every generated word and every
-        pair of distinct first rules the normalizer would apply, both
-        one-step reducts must normalize to the same fixpoint."""
+    def critical_pairs_join(self, top: GrayWord):
+        """Empirical local confluence: for every square word of at most 3
+        moves and every pair of distinct first rules the normalizer would
+        apply, both one-step reducts must normalize to the same fixpoint."""
         failures = []
-        for e in self.enumerate_square_words(top, max_moves):
+        for e in self.enumerate_square_words(top, 3):
             base = e
             seen = set()
             while True:
@@ -505,14 +506,15 @@ def two_category_tensor_context(a: TwoCategory, b: TwoCategory) -> TensorContext
 
 
 def check_monoidal_embedding(
-    a: TwoCategory, b: TwoCategory, cap: int = 4, max_moves: int = 2, budget: Budget | None = None
+    a: TwoCategory, b: TwoCategory, cap: int = 4, budget: Budget | None = None
 ) -> AxiomReport:
     """The identity comparison between 'tensor, then embed' and
     'embed, then tensor' is cell-for-cell the identity.
 
     0/1-cells are compared exactly as normal-form word sets with their
-    composition tables; 2-cell words are compared through rewriting normal
-    forms, with any inconclusive comparison reported as such."""
+    composition tables; 2-cell words of at most two moves, on top words of
+    at most three letters, are compared through rewriting normal forms,
+    with any inconclusive comparison reported as such."""
     from .kernel import embed_two_category
 
     col = Collector("monoidal-embedding", budget)
@@ -560,7 +562,7 @@ def check_monoidal_embedding(
     for top in words_two:
         if len(top.letters) > 3:
             continue
-        for e in calc.enumerate_square_words(top, max_moves):
+        for e in calc.enumerate_square_words(top, 2):
             if not col.take(1):
                 return col.done()
             verdict = calc.compare(e, calc.rewrite(e))
@@ -571,10 +573,11 @@ def check_monoidal_embedding(
     return col.done()
 
 
-def cartesian_collapse(word: GrayWord):
-    """The image of a word in the Cartesian product: the letters of each
-    factor, in order."""
-    return tuple(tuple(let.cell for let in word.letters if let.side == side) for side in (L, R))
+def cartesian_collapse(ctx: TensorContext, word: GrayWord):
+    """The image of a word in the Cartesian product: each factor's letters
+    composed in order, from the identity at the word's start coordinate."""
+    return tuple(functools.reduce(ctx.spec(side).then, (let.cell for let in word.letters if let.side == side),
+                                  ctx.spec(side).ids[x]) for side, x in zip((L, R), word.start))
 
 
 def compare_interleavings(a: TwoCategory, b: TwoCategory, f: int, g: int):
@@ -589,7 +592,7 @@ def compare_interleavings(a: TwoCategory, b: TwoCategory, f: int, g: int):
     w1 = ctx.normalize(start, (Letter(L, f), Letter(R, g)))
     w2 = ctx.normalize(start, (Letter(R, g), Letter(L, f)))
     tensor = "equal" if w1 == w2 else "distinct"
-    cartesian = "equal" if cartesian_collapse(w1) == cartesian_collapse(w2) else "distinct"
+    cartesian = "equal" if cartesian_collapse(ctx, w1) == cartesian_collapse(ctx, w2) else "distinct"
     return tensor, cartesian
 
 

@@ -504,7 +504,7 @@ class DoubleCategory:
     def _unvalidated(cls, *tables, names=None):
         """The category on ``tables`` without ``_validate``: only for a
         construction that keeps an already validated category valid."""
-        d = cls.__new__(cls)
+        d = object.__new__(cls)
         d._set(*tables, names)
         return d
 
@@ -775,18 +775,18 @@ def same_category(a: DoubleCategory, b: DoubleCategory) -> bool:
 
     Distinct construction calls produce distinct objects; operations that
     need matching categories accept either the same object or the same
-    presentation.  When neither side has built its square tables yet
+    presentation.  When both sides hold their square tables as recipes
     (:class:`_Pending`), equal recipes stand for equal tables, so neither
     is built; other recipes, those of different kinds included (a
     pullback's and a parsed category's), are compared by their built
     tables."""
     if a is b:
         return True
-    joins = vars(a).get("_square_tables"), vars(b).get("_square_tables")
-    if None in joins:
+    a2, b2 = ([_held(d, name) for name in ("hcomp2", "vcomp2")] for d in (a, b))
+    if None in (a2[0], b2[0]):
         return all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION)
     return all(getattr(a, name) == getattr(b, name) for name in _PRESENTATION if name not in ("hcomp2", "vcomp2")) and (
-        joins[0] == joins[1] or (a.hcomp2 == b.hcomp2 and a.vcomp2 == b.vcomp2)
+        a2 == b2 or (a.hcomp2 == b.hcomp2 and a.vcomp2 == b.vcomp2)
     )
 
 
@@ -1018,65 +1018,101 @@ class _Join:
         return table
 
 
-class _Pending(DoubleCategory):
-    """A pullback or a parsed category, or the transpose of one, whose
-    square tables are not built yet: ``_square_tables`` holds a recipe for
-    ``hcomp2`` and one for ``vcomp2``, a :class:`_Join` or the parser's
-    ``dsl._Composites``.  A recipe's ``table()`` builds its table,
-    ``entry(i, j)`` gives one entry (None where i and j do not compose), and
-    equal recipes build equal tables; recipes of different kinds are never
-    equal.  The first read of either table builds both, and the object is
-    a plain :class:`DoubleCategory` from then on.  Until then ``hpaste`` and
-    ``vpaste`` compute the one entry asked for, and :func:`transpose` and
-    :func:`same_category` read the recipes.  Assigning either table builds
-    both first, so the other build does not overwrite the assignment."""
+class _Deferred:
+    """``class P(_Deferred, Plain)``: objects of ``Plain`` that hold some
+    fields as recipes (:func:`_defer`), each recipe's ``table()`` the
+    field.  The first read of any held field builds them all and makes the
+    object a plain ``Plain``; so does assigning one, before the assignment,
+    and so do ``copy``, ``deepcopy``, pickling, and ``==`` and ``repr``
+    where ``Plain`` defines them, so each gives what an eager build gives.
+    :func:`_held` reads a recipe and builds nothing.  Calling ``P`` makes a
+    plain object."""
+
+    def __init_subclass__(cls):
+        cls._plain = plain = cls.__bases__[1]
+        for method in ("__eq__", "__repr__", "__reduce_ex__"):
+            if method == "__reduce_ex__" or getattr(plain, method) is not getattr(object, method):
+                setattr(cls, method, _on_built(method))
+
+    def __new__(cls, *args, **kwargs):
+        return cls._plain(*args, **kwargs)
 
     def __getattr__(self, name):
         # called only for an attribute the instance does not hold
-        if name not in ("hcomp2", "vcomp2"):
-            raise AttributeError(f"'DoubleCategory' object has no attribute '{name}'")
-        self.hcomp2, self.vcomp2 = (join.table() for join in self.__dict__.pop("_square_tables"))
-        self.__class__ = DoubleCategory
-        return self.__dict__[name]
+        if _held(self, name) is None:
+            raise AttributeError(f"'{self._plain.__name__}' object has no attribute '{name}'")
+        self._build()
+        return vars(self)[name]
 
     def __setattr__(self, name, value):
-        if name in ("hcomp2", "vcomp2") and "_square_tables" in self.__dict__:
-            getattr(self, name)
+        if _held(self, name) is not None:
+            self._build()
         object.__setattr__(self, name, value)
 
+    def _build(self):
+        """Build every held field and become the plain class."""
+        self._place({name: recipe.table() for name, recipe in vars(self).pop("_recipes").items()})
+        self.__class__ = self._plain
+
+    def _place(self, fields):
+        vars(self).update(fields)
+
+
+def _on_built(method):
+    def run(self, *args):
+        self._build()
+        return getattr(self, method)(*args)
+
+    return run
+
+
+def _defer(obj, **recipes):
+    """``obj``, made by a :class:`_Deferred` subclass, holding ``recipes``
+    in place of the fields they name."""
+    for name in recipes:
+        vars(obj).pop(name, None)
+    vars(obj)["_recipes"] = recipes
+    return obj
+
+
+def _held(obj, name):
+    """The recipe ``obj`` holds for its field ``name``, else None."""
+    recipes = obj.__dict__.get("_recipes")
+    return None if recipes is None else recipes.get(name)
+
+
+class _Pending(_Deferred, DoubleCategory):
+    """A pullback or a parsed category, or the transpose of one, holding
+    ``hcomp2`` and ``vcomp2`` as a :class:`_Join` or a ``dsl._Composites``
+    each.  A recipe's ``entry(i, j)`` is one entry (None where i and j do
+    not compose), so ``hpaste`` and ``vpaste`` build nothing; equal recipes
+    build equal tables, and recipes of different kinds are never equal."""
+
     def hpaste(self, a, b):
-        return _Pending._paste(self, 0, a, b, DoubleCategory.hpaste, "|", "horizontally")
+        return _Pending._paste(self, "hcomp2", a, b, DoubleCategory.hpaste, "|", "horizontally")
 
     def vpaste(self, a, b):
-        return _Pending._paste(self, 1, a, b, DoubleCategory.vpaste, "/", "vertically")
+        return _Pending._paste(self, "vcomp2", a, b, DoubleCategory.vpaste, "/", "vertically")
 
-    def _paste(self, which, a, b, built, sep, way):
-        joins = self.__dict__.get("_square_tables")
-        if joins is None or not (isinstance(a, int) and isinstance(b, int)):
+    def _paste(self, name, a, b, built, sep, way):
+        recipe = _held(self, name)
+        if recipe is None or not (isinstance(a, int) and isinstance(b, int)):
             # built since this method was bound, or keys only a table reads
             return built(self, a, b)
-        z = joins[which].entry(a, b)
+        z = recipe.entry(a, b)
         if z is None:
             raise self._unpasted(a, b, sep, way)
         return z
 
 
-def _defer(p, joins):
-    """``p``, a :class:`_Pending` made with empty square tables, with the
-    recipes ``joins`` for them."""
-    del p.hcomp2, p.vcomp2
-    p._square_tables = joins
-    return p
-
-
-def _deferred(tables, joins, names=None):
+def _deferred(tables, recipes, names=None):
     """The :class:`_Pending` category on ``tables`` (the constructor's
-    arguments but ``hcomp2`` and ``vcomp2``) whose square tables the recipes
-    ``joins`` build, validated as the constructor validates but for those
+    arguments but ``hcomp2`` and ``vcomp2``) whose square tables the
+    ``recipes`` build, validated as the constructor validates but for those
     two tables, which the caller has decided exact."""
     p = _Pending._unvalidated(*tables[:6], {}, {}, *tables[6:], names=names)
     p._validate(square_tables=False)
-    return _defer(p, joins)
+    return _defer(p, **recipes)
 
 
 def pullback(f, g) -> DoubleCategory:
@@ -1086,16 +1122,13 @@ def pullback(f, g) -> DoubleCategory:
     when the matching pairs are not closed under composition (which happens
     exactly when one of the inputs fails strictness).
 
-    The cells, the identities, ``hcomp1`` and ``vcomp1`` are built here.
-    The square tables ``hcomp2`` and ``vcomp2``, the largest by far, are
-    kept as recipes (:class:`_Join`) taken from the factors' rows,
-    boundaries and matching pairs as this call found them, so a later edit
-    of a factor does not reach them.  Both are built at the first read of
-    either; ``hpaste``, ``vpaste``, :func:`transpose` and
-    :func:`same_category` read the recipes without building them.  Whether
-    they close is decided here all the same, in one pass over each
-    factor's table (``_closes``), so a pullback that does not close raises
-    from this call, naming the same first pair as the join.
+    The cells, the identities, ``hcomp1`` and ``vcomp1`` are built here;
+    the square tables, the largest by far, are held (:class:`_Pending`) as
+    recipes taken from the factors as this call found them, so a later
+    edit of a factor does not reach them.  Whether they close is decided
+    here all the same, in one pass over each factor's table (``_closes``),
+    so a pullback that does not close raises from this call, naming the
+    same first pair as the join.
 
     The result is valid by construction, so it is built without
     ``_validate``: every cell boundary, identity and table value is the
@@ -1133,27 +1166,14 @@ def pullback(f, g) -> DoubleCategory:
 
     hcomp1 = join(HCELL, d1.hcells, d2.hcells, 1, 0, "hcomp1").table()
     vcomp1 = join(VCELL, d1.vcells, d2.vcells, 1, 0, "vcomp1").table()
-    joins = []
+    joins = {}
     for name, end, start in (("hcomp2", 3, 2), ("vcomp2", 1, 0)):
-        joins.append(join(SQUARE, d1.squares, d2.squares, end, start, name))
+        joins[name] = join(SQUARE, d1.squares, d2.squares, end, start, name)
         if not _closes(getattr(d1, name), getattr(d2, name), f.sq_map, g.sq_map):
-            joins[-1].table()  # raises at the first pair that does not match
-    p = _Pending._unvalidated(
-        len(pairs[OBJECT]),
-        hcells,
-        vcells,
-        squares,
-        hcomp1,
-        vcomp1,
-        (),
-        (),
-        *cells,
-        names={
-            kind: [f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for (x, y) in ps]
-            for kind, ps in pairs.items()
-        },
-    )
-    return _defer(p, tuple(joins))
+            joins[name].table()  # raises at the first pair that does not match
+    names = {kind: [f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for (x, y) in ps] for kind, ps in pairs.items()}
+    p = _Pending._unvalidated(len(pairs[OBJECT]), hcells, vcells, squares, hcomp1, vcomp1, (), (), *cells, names=names)
+    return _defer(p, **joins)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,17 +1273,12 @@ def _cell_map_sections(f, g, head=()):
 
 def _family_sides(f, g, name):
     """The structure family ``name`` of pseudofunctors ``f`` and ``g``: both
-    value lists where both are pending (``functors._PendingFunctor``) with
-    equal keys and values, as unique keys make equal dicts; else both dicts."""
+    value lists where both hold it (``functors._Family``) with equal keys
+    and values, as unique keys make equal dicts; else both dicts."""
     a, b = _held(f, name), _held(g, name)
     if a is not None and a == b:
-        return a[1], b[1]
+        return a.values, b.values
     return getattr(f, name), getattr(g, name)
-
-
-def _held(f, name):
-    """A pending pseudofunctor's ``(keys, values)`` of family ``name``, else None."""
-    return vars(f).get("_families", {}).get(name)
 
 
 def _category_sections(a, b):
@@ -1285,8 +1300,9 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
     (top, bottom, left, right) -> (left, right, top, bottom), and the two
     square compositions swap.  Involutive on the nose.  The transpose of a
     valid category is valid, so it is not validated again.  The transpose
-    of a pullback or a parsed category whose square tables are not built
-    yet (:class:`_Pending`) is pending too, on the same two recipes swapped.
+    of a pullback or a parsed category that holds its square tables as
+    recipes (:class:`_Pending`) is pending too, on the same two recipes
+    swapped.
     """
     squares = [(l, r, t, b) for (t, b, l, r) in d.squares]
     names = None
@@ -1294,22 +1310,11 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
         names = dict(d.names)
         names[HCELL], names[VCELL] = d.names.get(VCELL), d.names.get(HCELL)
         names = {k: v for k, v in names.items() if v is not None}
-    joins = vars(d).get("_square_tables")
-    t = (DoubleCategory if joins is None else _Pending)._unvalidated(
-        d.n_objects,
-        d.vcells,
-        d.hcells,
-        squares,
-        d.vcomp1,
-        d.hcomp1,
-        *((d.vcomp2, d.hcomp2) if joins is None else ((), ())),
-        d.vid,
-        d.hid,
-        d.sq_hid,
-        d.sq_vid,
-        names=names,
-    )
-    return t if joins is None else _defer(t, joins[::-1])
+    h, v = _held(d, "hcomp2"), _held(d, "vcomp2")
+    t = (DoubleCategory if h is None else _Pending)._unvalidated(
+        d.n_objects, d.vcells, d.hcells, squares, d.vcomp1, d.hcomp1,
+        *((d.vcomp2, d.hcomp2) if h is None else ((), ())), d.vid, d.hid, d.sq_hid, d.sq_vid, names=names)
+    return t if h is None else _defer(t, hcomp2=v, vcomp2=h)
 
 
 # ---------------------------------------------------------------------------

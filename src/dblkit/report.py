@@ -17,6 +17,7 @@ INCONCLUSIVE = "inconclusive"
 BUDGET_EXCEEDED = "budget-exceeded"
 
 DEFAULT_MAX_TUPLES = 5_000_000
+SUMMARY_LINES = 12  # the violations a summary lists before "... n more"
 
 
 class StructureError(ValueError):
@@ -50,14 +51,14 @@ class Budget:
     max_tuples: int = DEFAULT_MAX_TUPLES
     used: int = 0
 
-    def spend(self, n: int = 1) -> None:
-        """Charge ``n`` instances; raise where that crosses the cap.  An
+    def spend(self) -> None:
+        """Charge one instance; raise where that crosses the cap.  An
         exhausted budget ends at ``used == max_tuples + 1``, however often
         it is charged after that."""
-        if self.used + n > self.max_tuples:
+        if self.used >= self.max_tuples:
             self.used = max(self.used, self.max_tuples + 1)
             raise BudgetExceeded(f"enumeration budget of {self.max_tuples} tuples exceeded")
-        self.used += n
+        self.used += 1
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,13 @@ class AxiomReport:
             ],
         }
 
-    def summary(self, namer=None, max_lines: int = 12) -> str:
+    def summary(self, namer=None) -> str:
         lines = [f"[{self.status}] {self.subject} ({self.checked} instances checked)"]
         for a in self.assumptions:
             lines.append(f"  assumed: {a}")
-        for v in self.violations[:max_lines]:
+        for v in self.violations[:SUMMARY_LINES]:
             lines.append("  violated: " + v.describe(namer))
-        hidden = len(self.violations) - max_lines
+        hidden = len(self.violations) - SUMMARY_LINES
         if hidden > 0:
             lines.append(f"  ... {hidden} more violations")
         return "\n".join(lines)

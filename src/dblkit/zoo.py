@@ -478,9 +478,6 @@ def commutative_monoid_in_dbl(c=None):
     p = product(d, d)
     nm = len(c.mor)
 
-    def mor_mul(x, y):
-        return c.comp[(x, y)] if c.n_objects == 1 else None
-
     # one-object group: multiplication is composition itself
     ob_map = [0] * p.n_objects
     h_map = [c.comp[(x // nm, x % nm)] for x in range(len(p.hcells))]

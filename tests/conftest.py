@@ -75,21 +75,20 @@ def square_table_builds(monkeypatch):
     """The pullbacks and parsed categories whose square tables get built
     while the test runs, in the order they are built (``parsed``: the
     parsed ones alone): a pending category (``kernel._Pending``) builds
-    both at the first read of either."""
+    both at the first read of either, through ``kernel._Deferred._build``."""
     from dblkit import dsl, kernel
 
-    built, original = _Builds(), kernel._Pending.__getattr__
+    built, original = _Builds(), kernel._Deferred._build
 
-    def counted(self, name):
-        recipes = vars(self).get("_square_tables")
-        value = original(self, name)
-        if recipes is not None:
+    def counted(self):
+        recipe = kernel._held(self, "hcomp2") if type(self) is kernel._Pending else None
+        original(self)
+        if recipe is not None:
             built.append(self)
-            if isinstance(recipes[0], dsl._Composites):
+            if isinstance(recipe, dsl._Composites):
                 built.parsed.append(self)
-        return value
 
-    monkeypatch.setattr(kernel._Pending, "__getattr__", counted)
+    monkeypatch.setattr(kernel._Deferred, "_build", counted)
     return built
 
 
@@ -98,17 +97,16 @@ def family_builds(monkeypatch):
     """The pending pseudofunctors whose structure families get built while
     the test runs, in the order they are built: a pending pseudofunctor
     (``functors._PendingFunctor``) builds all eight at the first read of
-    any."""
-    from dblkit import functors
+    any, through ``kernel._Deferred._build``."""
+    from dblkit import functors, kernel
 
-    built, original = [], functors._PendingFunctor.__getattr__
+    built, original = [], kernel._Deferred._build
 
-    def counted(self, name):
-        pending = "_families" in vars(self)
-        value = original(self, name)
+    def counted(self):
+        pending = type(self) is functors._PendingFunctor
+        original(self)
         if pending:
             built.append(self)
-        return value
 
-    monkeypatch.setattr(functors._PendingFunctor, "__getattr__", counted)
+    monkeypatch.setattr(kernel._Deferred, "_build", counted)
     return built

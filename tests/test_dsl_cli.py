@@ -422,6 +422,18 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["explain", "definitely-not-an-axiom"]) == 3
 
 
+def test_compare_cartesian_composes_each_factors_letters(tmp_path, capsys):
+    # on sign x sign, a;a = e, so both words map to (e, a) in the Cartesian
+    # product, though they are distinct in the tensor
+    doc = dsl.Document()
+    doc.add(Declaration("twocategory", "S", zoo.sign_two_category()))
+    path = write_doc(tmp_path, serialize(doc) + "\ntensor SS {\n  left S\n  right S\n  cap 4\n}\n")
+    assert main(["compare", path, "SS", "--start", "*,*", "L:a R:a L:a", "R:a"]) == 1
+    assert main(["compare", path, "SS", "--start", "*,*", "--cartesian", "L:a R:a L:a", "R:a"]) == 0
+    assert main(["compare", path, "SS", "--start", "*,*", "--cartesian", "L:a R:a", "R:a"]) == 1
+    assert capsys.readouterr().out.splitlines()[1].startswith("equal: ")
+
+
 @pytest.mark.parametrize(
     "target,law,typo",
     [("IdQ", "hcell-assoc", "hcell-asoc"), ("Th", "pnt-naturality", "pnt-naturalty"), ("Tv", "pnt-naturality", "pnt-naturalty")],

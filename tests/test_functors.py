@@ -736,7 +736,7 @@ def test_every_producer_reads_back_as_an_eager_build(monkeypatch):
     for i, (kind, f, eager) in enumerate(made):
         assert kind is functors._PendingFunctor
         getattr(f, FAMILIES[i % 8])
-        assert type(f) is functors.DoublePseudoFunctor and "_families" not in vars(f)
+        assert type(f) is functors.DoublePseudoFunctor and kernel._held(f, "comp_h") is None
         assert list(vars(f)) == list(vars(eager)) == [field.name for field in fields(eager)]
         assert _structure(f) == _structure(eager) and f == eager
 
@@ -868,8 +868,8 @@ def _remade(f, name=None, at=None):
     snapshots; with ``name``, that family's entry ``at`` moved to the next
     square, or with ``at`` None its keys listed in reverse beside the same
     values."""
-    held = vars(f)["_families"]
-    keys, lists = {n: held[n][0] for n in FAMILIES}, {n: list(held[n][1]) for n in FAMILIES}
+    held = {n: kernel._held(f, n) for n in FAMILIES}
+    keys, lists = {n: held[n].keys for n in FAMILIES}, {n: list(held[n].values) for n in FAMILIES}
     if name is not None and at is None:
         keys[name] = keys[name][::-1]
     elif name is not None:
@@ -888,9 +888,9 @@ def test_pending_comparisons_agree_with_the_dict_path(every_cap):
     # dicts), compared while pending and once built, under every cap
     ident = identity_pseudo(quintet(zoo.cyclic_group_cat(2)))
     left, right, _ = internal.nested_composition_functors(monoid_to_internal(zoo.min_monoid_in_dbl()))
-    middle = len(vars(left)["_families"]["comp_h"][0]) // 2
+    middle = len(kernel._held(left, "comp_h").keys) // 2
     pairs = [(ident, None, None, None), (left, None, right, None), (left, "comp_h", right, None)]
-    pairs += [(ident, name, None, len(vars(ident)["_families"][name][0]) // 2) for name in FAMILIES]
+    pairs += [(ident, name, None, len(kernel._held(ident, name).keys) // 2) for name in FAMILIES]
     pairs += [(left, name, right, middle) for name in ("comp_h", "comp_v_inv")]
     for f, name, g, at in pairs:
 

@@ -69,12 +69,26 @@ def test_interleavings_are_distinct_in_tensor_equal_in_product(arrow_pair_ctx):
     tensor, cartesian = compare_interleavings(a, b, 2, 2)
     assert tensor == "distinct"
     assert cartesian == "equal"
-    # the Cartesian verdict reads the words: each factor's letters in order
+    # the Cartesian verdict reads the words: each factor's letters composed
     w1 = ctx.normalize((0, 0), (Letter("L", 2), Letter("R", 2)))
     w2 = ctx.normalize((0, 0), (Letter("R", 2), Letter("L", 2)))
-    assert w1 != w2 and cartesian_collapse(w1) == cartesian_collapse(w2) == ((2,), (2,))
+    assert w1 != w2 and cartesian_collapse(ctx, w1) == cartesian_collapse(ctx, w2) == (2, 2)
     # an identity letter normalizes away, leaving one word
     assert compare_interleavings(a, b, 2, 0) == ("equal", "equal")
+
+
+def test_the_cartesian_collapse_composes_each_factors_letters():
+    # on sign x sign, a;a = e: a word with two a's on the left and the word
+    # of its right letter alone are distinct in the tensor, but both map to
+    # (e, a) in the Cartesian product
+    sign = zoo.sign_two_category()
+    ctx = two_category_tensor_context(sign, sign)
+    e, a = sign.id1[0], 1  # the identity and the other 1-cell
+    w1 = ctx.normalize((0, 0), (Letter("L", a), Letter("R", a), Letter("L", a)))
+    w2 = ctx.normalize((0, 0), (Letter("R", a),))
+    assert w1 != w2
+    assert cartesian_collapse(ctx, w1) == cartesian_collapse(ctx, w2) == (e, a)
+    assert cartesian_collapse(ctx, ctx.normalize((0, 0), ())) == (e, e)
 
 
 def test_word_counts_shuffle_oracle():
@@ -280,7 +294,7 @@ def test_critical_pairs_join_up_to_three_moves(pair):
     ctx = two_category_tensor_context(a, b)
     calc = SquareCalculus(ctx, a, b)
     for top in ctx.enumerate_words(3):
-        fails = calc.critical_pairs_join(top, 3)
+        fails = calc.critical_pairs_join(top)
         assert not fails, fails[:2]
 
 

@@ -1,7 +1,9 @@
 import collections
+import copy
 import inspect
 import itertools
 import math
+import pickle
 import random
 import re
 from types import SimpleNamespace
@@ -34,6 +36,7 @@ from dblkit.kernel import (
     TwoCategory,
     _PRESENTATION,
     _Pending,
+    _held,
     _check_table,
     _horizontal_inverse,
 )
@@ -942,7 +945,7 @@ def test_pullback_square_tables_ignore_later_edits_of_a_factor():
         table[key] = (table[key] + 1) % len(d.squares)
     assert "hcomp2" not in vars(pb) and "vcomp2" not in vars(pb)
     assert (list(pb.hcomp2.items()), list(pb.vcomp2.items())) == (hcomp2, vcomp2)
-    assert type(pb) is DoubleCategory and "_square_tables" not in vars(pb)
+    assert type(pb) is DoubleCategory and _held(pb, "hcomp2") is None
 
 
 def test_only_pullbacks_and_parsed_categories_defer_their_square_tables():
@@ -1213,6 +1216,24 @@ def test_a_square_table_assigned_while_pending_is_the_one_read(fresh, case, name
     assert _category_text(d) == _category_text(eager) != _category_text(fresh(case))
     rep = check_double_category(d)
     assert not rep.passed and rep.to_dict() == check_double_category(eager).to_dict()
+
+
+@pytest.mark.parametrize("case", PENDING)
+def test_a_pending_category_copies_and_pickles_as_an_eager_build(fresh, case):
+    # copies and pickles build the square tables first, as those of a
+    # pending pseudofunctor build its families; identity equality and
+    # hashing read no table and build nothing
+    eager = fresh(case)
+    eager.hcomp2
+    d = fresh(case)
+    assert d != eager and d == d and hash(d) == object.__hash__(d) and _pending(d)
+    assert repr(fresh(case)) == repr(eager)
+    for copied in (copy.copy(fresh(case)), copy.deepcopy(fresh(case)), pickle.loads(pickle.dumps(fresh(case)))):
+        assert type(copied) is DoubleCategory and same_category(copied, eager)
+        for name in ("hcomp2", "vcomp2"):
+            assert list(getattr(copied, name).items()) == list(getattr(eager, name).items())
+    # a shallow copy shares the tables, as an eager build's does
+    assert copy.copy(d).hcomp2 is d.hcomp2
 
 
 # a report cut by its budget passes no guard
