@@ -68,6 +68,11 @@ both sides, ``checked`` and status) under a stable key.  The runs:
   instance count, with ``budget.used``; and shallow reports of every
   single-entry mutant of that bundle's leg ``s`` (one cell map entry, any
   other cell of the codomain as the new value);
+- deep internal: the status, ``checked`` and assumptions of a deep
+  ``check_internal`` at the default budget on the bundle of
+  ``commutative_monoid_in_dbl(monoid_cat(t))`` for each of the 12
+  commutative monoid tables ``t`` of order at most 3 with unit 0, and on
+  the braid bundle;
 - square-word rewriting: over arrow x 2-cell, sign x sign and 2-cell x
   invertible 2-cell, every square word of at most 3 moves on every top
   word of at most 3 letters, with its ``rewrite`` normal form, the
@@ -929,6 +934,29 @@ def internal(out):
         out[f"internal leg mutant {label}"] = _report(lambda: check_internal(replace(host, s=s), registry=empty, deep=False))
 
 
+def commutative_monoid_tables(order):
+    """Every commutative monoid table on ``range(order)`` with unit 0, in
+    lexicographic order of its products of nonzero elements."""
+    pairs = [(x, y) for x in range(1, order) for y in range(x, order)]
+    for values in itertools.product(range(order), repeat=len(pairs)):
+        table = [[max(x, y) if 0 in (x, y) else None for y in range(order)] for x in range(order)]
+        for (x, y), z in zip(pairs, values):
+            table[x][y] = table[y][x] = z
+        if all(table[table[x][y]][z] == table[x][table[y][z]] for x, y, z in itertools.product(range(order), repeat=3)):
+            yield table
+
+
+def deep_internal(out):
+    """The deep check of the small commutative monoids' bundles and of the
+    braid bundle, each under the default budget."""
+    empty = transform.ComponentRegistry.of()
+    cases = [(f"order {n} {t}", lambda t=t: zoo.commutative_monoid_in_dbl(zoo.monoid_cat(t)))
+             for n in (1, 2, 3) for t in commutative_monoid_tables(n)]
+    for name, make in cases + [("braid", zoo.braid_monoid_in_dbl)]:
+        rep = _report(lambda: check_internal(monoid_to_internal(make()), registry=empty))
+        out[f"deep internal {name}"] = {k: rep.get(k) for k in ("status", "checked", "assumptions", "error", "message") if k in rep}
+
+
 def _multi_entry_mutants(d, count, seed):
     """``count`` seeded mutants of ``d``, each with two or three entries of
     one table changed and every table re-inserted in a seeded shuffled
@@ -1433,6 +1461,7 @@ def main(argv) -> int:
     dsl_section(out)
     transformations(out)
     internal(out)
+    deep_internal(out)
     rewriting(out)
     interleaved(out)
     functors(out)

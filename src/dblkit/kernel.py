@@ -69,6 +69,18 @@ def _check_cells(cells, what, limits, names, fits=None, misfit=""):
             raise StructureError(misfit.format(x, *cell))
 
 
+def _tuples(cells, what):
+    """``cells`` as a list of boundary tuples; StructureError naming the
+    first cell whose boundary is not a sequence."""
+    try:
+        return [tuple(x) for x in cells]
+    except TypeError:
+        for x, cell in enumerate(cells):
+            if not hasattr(cell, "__iter__"):
+                raise StructureError(f"{what} {x}: boundary {cell!r} is not a sequence") from None
+        raise
+
+
 def _check_ids(ids, cells, expect, what, wrong=" has wrong boundary"):
     """Raise StructureError unless every ``ids[a]`` (an identity, a
     component, ...) is the id of a cell of ``cells`` whose boundary is the
@@ -206,9 +218,8 @@ def _entries(table):
 # (which depends only on the end of x), and ``_interchange`` charges the
 # grid once per pair of squares (a, b), all its rows together.  Both read
 # dense rows (``_dense_rows``: one list per left cell, indexed by cell id),
-# which a checker builds once per table and shares between them;
-# ``_associativity`` may read its two sides from a side table filled on
-# demand (``_OnDemand``).  The table boundaries read the composite 1-cells
+# which a checker builds once per table and shares between them.  The
+# table boundaries read the composite 1-cells
 # that a pasted square's boundary expects through dense rows too.  A
 # Violation is built only where the two sides differ, and nothing past a
 # budget cut is evaluated.  The enumerators assume complete tables with
@@ -230,19 +241,6 @@ def _dense_rows(table, n):
     for (x, y), z in table.items():
         rows[x][y] = z
     return rows
-
-
-class _OnDemand(dict):
-    """A table whose entry at a key is ``fill(key)``, computed at the first
-    lookup of the key and kept."""
-
-    def __init__(self, fill):
-        super().__init__()
-        self.fill = fill
-
-    def __missing__(self, key):
-        value = self[key] = self.fill(key)
-        return value
 
 
 def _charged(col, row):
@@ -377,16 +375,12 @@ def _boundaries(col, rows):
         _whole(col, (kind, kind), table, (f"{name}-boundary", lambda t: [cells[z] for z in t.values()], expect))
 
 
-def _associativity(col, law, kind, rows, ends, starts, side=None):
+def _associativity(col, law, kind, rows, ends, starts):
     """Record ``(x;y);z == x;(y;z)`` for every composable triple, ``rows``
-    the dense rows of the table.  With a ``side`` table, read like dense
-    rows (``side[x][y]``), the law is ``side[x;y][z] == side[x][y;z]``
-    instead; plain associativity is the case ``side = rows``.  The rows
-    ``(y, *)`` of a left cell x depend only on ``ends[x]``, so they are
-    listed once per end and charged together; where the budget runs out
-    inside them, only the first instances that fit are evaluated, and
-    ``side`` is read only for those."""
-    side = rows if side is None else side
+    the dense rows of the table.  The rows ``(y, *)`` of a left cell x
+    depend only on ``ends[x]``, so they are listed once per end and charged
+    together; where the budget runs out inside them, only the first
+    instances that fit are evaluated."""
     by_start, blocks = _by(starts), {}
     for x, end in enumerate(ends):
         if end not in blocks:
@@ -398,12 +392,12 @@ def _associativity(col, law, kind, rows, ends, starts, side=None):
             continue
         if k < n:
             block = _cut(block, k)
-        rx, sx = rows[x], side[x]
+        rx = rows[x]
         for y, zs in block:
-            ry, sxy = rows[y], side[rx[y]]
+            ry, rxy = rows[y], rows[rx[y]]
             for z in zs:
-                if sxy[z] != sx[ry[z]]:
-                    col.fail(law, ((kind, x), (kind, y), (kind, z)), sxy[z], sx[ry[z]])
+                if rxy[z] != rx[ry[z]]:
+                    col.fail(law, ((kind, x), (kind, y), (kind, z)), rxy[z], rx[ry[z]])
 
 
 def _units(col, left_law, right_law, kind, table, ends, starts, unit):
@@ -435,7 +429,7 @@ class FiniteCategory:
 
     def __init__(self, n_objects, mor, comp, ids, names=None):
         self.n_objects = _count(n_objects)
-        self.mor = [tuple(m) for m in mor]
+        self.mor = _tuples(mor, "morphism")
         self.comp = dict(comp)
         self.ids = list(ids)
         self.names = names or {}
@@ -510,9 +504,9 @@ class DoubleCategory:
 
     def _set(self, n_objects, hcells, vcells, squares, hcomp1, vcomp1, hcomp2, vcomp2, hid, vid, sq_vid, sq_hid, names):
         self.n_objects = _count(n_objects)
-        self.hcells = [tuple(x) for x in hcells]
-        self.vcells = [tuple(x) for x in vcells]
-        self.squares = [tuple(x) for x in squares]
+        self.hcells = _tuples(hcells, "hcell")
+        self.vcells = _tuples(vcells, "vcell")
+        self.squares = _tuples(squares, "square")
         self.hcomp1 = dict(hcomp1)
         self.vcomp1 = dict(vcomp1)
         self.hcomp2 = dict(hcomp2)
@@ -1327,8 +1321,8 @@ class TwoCategory:
 
     def __init__(self, n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=None):
         self.n_objects = _count(n_objects)
-        self.onecells = [tuple(x) for x in onecells]
-        self.twocells = [tuple(x) for x in twocells]
+        self.onecells = _tuples(onecells, "1-cell")
+        self.twocells = _tuples(twocells, "2-cell")
         self.comp1 = dict(comp1)
         self.vcomp2 = dict(vcomp2)
         self.hcomp2 = dict(hcomp2)

@@ -38,12 +38,8 @@ from .kernel import (
     VCELL,
     DoubleCategory,
     StructureError,
-    _OnDemand,
-    _associativity,
     _check_ids,
     _check_index,
-    _columns,
-    _dense_rows,
     _invertibility,
     _laws,
     _whole,
@@ -528,7 +524,6 @@ DOUBLE_PNT_AXIOMS = (
     "coupling-hcomp-r",
     "coupling-composite-t",
     "coupling-composite-r",
-    "coupling-assoc",
 ) + tuple(f"{leg}: {law}" for leg in ("v0", "h1") for law in HORIZONTAL_PNT_AXIOMS)
 
 
@@ -552,15 +547,11 @@ def _t_composite(a: DoublePNT, f, g):
 
 
 def _check_t_side(col, a: DoublePNT, suffix: str):
-    """The t-side coupling axioms; the r-side is this on the transpose.
-    Returns the table of t-composites, ``composites[f][g]`` the
-    ``_t_composite`` of a composable pair, filled on demand: its entries
-    are the pairs that ``coupling-composite`` reached within the budget."""
+    """The t-side coupling axioms; the r-side is this on the transpose."""
     F, G = a.F, a.G
     dom, cod = F.dom, F.cod
     v0, h1, t = a.v0, a.h1, a.t
     hp, vp, sq_vid = cod.hpaste, cod.vpaste, cod.sq_vid
-    composites = _OnDemand(lambda f: _OnDemand(lambda g: _t_composite(a, f, g)))
     _laws(col, (SQUARE,), [(s, *bnd) for s, bnd in enumerate(dom.squares)], (
         f"coupling-naturality-{suffix}",
         lambda s, t_, b_, l_, r_: vp(hp(F.sq(s), h1.nat[r_]), t[b_]),
@@ -575,9 +566,8 @@ def _check_t_side(col, a: DoublePNT, suffix: str):
     _laws(col, (HCELL, HCELL), pairs, (
         f"coupling-composite-{suffix}",
         lambda f, g: t[dom.hcomp(f, g)],
-        lambda f, g: composites[f][g],
+        lambda f, g: _t_composite(a, f, g),
     ))
-    return composites
 
 
 def check_double_pnt(
@@ -589,7 +579,13 @@ def check_double_pnt(
 
     Without a registry the invertibility-at-components requirement cannot be
     evaluated; the report then carries a recorded assumption and the
-    ``inconclusive`` status rather than passing silently."""
+    ``inconclusive`` status rather than passing silently.
+
+    The t-composites over the two bracketings of a triple (x, y, z) agree
+    without a law of their own: where ``coupling-composite-t`` holds at
+    (x;y, z) and at (x, y;z) they are ``t[(x;y);z]`` and ``t[x;(y;z)]``,
+    one square by the premise ``hcomp1-associativity`` of ``a.F.dom``,
+    which ``check_double_category`` states."""
     col = Collector("double-transformation", budget)
     at = transpose_double(a)
     _check_legs(col, a, at)
@@ -599,15 +595,8 @@ def check_double_pnt(
     else:
         _delta_invertibility(col, a.h1, sorted(registry.hcells), "component-invertibility")
         _on_transpose(col, _delta_invertibility, at.h1, sorted(registry.vcells), "component-invertibility")
-    composites = _check_t_side(col, a, "t")
+    _check_t_side(col, a, "t")
     _on_transpose(col, _check_t_side, at, "r")
-
-    # pasting the composite coupling square over either bracketing of a
-    # triple agrees (consequence of functor coherence, asserted): the
-    # associativity of the t-composites, each pair pasted at most once
-    dom = a.F.dom
-    hs, ht = _columns(dom.hcells, 2)
-    _associativity(col, "coupling-assoc", HCELL, _dense_rows(dom.hcomp1, len(ht)), ht, hs, composites)
     return col.done()
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from dblkit import zoo
@@ -19,6 +22,16 @@ def bz3_setting():
     verts = enumerate_plain_verticals(F, F)
     conn = find_connection(d)
     return c, d, F, verts, conn
+
+
+@pytest.fixture(scope="session")
+def verdict_dump():
+    """The module ``scripts/verdict_dump.py``, for its seeded inputs."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "verdict_dump.py"
+    spec = importlib.util.spec_from_file_location("verdict_dump", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

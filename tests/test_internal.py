@@ -31,6 +31,7 @@ from dblkit.functors import (
     pseudo_from_strict,
 )
 from dblkit.builders import enumerate_plain_verticals
+from dblkit.graytensor import check_monoid
 from dblkit.companion import find_connection
 from dblkit.internal import (
     InternalCategoryData,
@@ -45,7 +46,7 @@ from dblkit.internal import (
     unit_sided_functors,
 )
 from dblkit.mutate import sample_mutants
-from dblkit.report import BUDGET_EXCEEDED, AxiomReport, Budget
+from dblkit.report import BUDGET_EXCEEDED, PASS, AxiomReport, Budget
 from dblkit.transform import ComponentRegistry
 from dblkit.weak import (
     as_pseudo,
@@ -433,14 +434,8 @@ NEVER_FAILING = {
 }
 
 
-def test_every_law_of_the_enrichment_checkers_fails_on_a_seeded_input(monkeypatch):
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parent.parent / "scripts" / "verdict_dump.py"
-    spec = importlib.util.spec_from_file_location("verdict_dump", path)
-    dump = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(dump)
+def test_every_law_of_the_enrichment_checkers_fails_on_a_seeded_input(monkeypatch, verdict_dump):
+    dump = verdict_dump
     sign = zoo.sign_bicategory()
     failed = set()
     for _, b in dump._table_mutants(sign, ("vcomp2", "hcomp2"), 40, seed=2):
@@ -456,26 +451,92 @@ def test_every_law_of_the_enrichment_checkers_fails_on_a_seeded_input(monkeypatc
 
 
 def test_braid_deep_check_pastes_each_pair_once(monkeypatch):
-    # coupling-assoc reads the t-composites of the 46,656 composable pairs
-    # from the table that coupling-composite filled, not one pasting per
-    # side of each of the 10,077,696 triples
+    # coupling-composite pastes the t-composite of each composable pair,
+    # 46,656 of them for the associator, once, and nothing else pastes one:
+    # the deep check of the paper's principal example passes at the
+    # default budget
     data = monoid_to_internal(zoo.braid_monoid_in_dbl())
-    calls, pairs = Counter(), {}
+    calls, pairs, seen = Counter(), {}, []
     paste = transform._t_composite
 
     def counted(a, f, g):
+        seen.append(a)  # keeps each id to one transformation
         calls[id(a), f, g] += 1
         pairs[id(a)] = len(a.F.dom.hcomp1)
         return paste(a, f, g)
 
     monkeypatch.setattr(transform, "_t_composite", counted)
-    rep = check_internal(data)
-    assert rep.status == BUDGET_EXCEEDED
+    rep = check_internal(data, registry=EMPTY)
+    assert rep.status == PASS, rep.summary()
+    assert DERIVED in rep.assumptions
     assert max(calls.values()) == 1
     assert pairs[id(data.assoc)] == 46656
     reached = Counter(a for a, _, _ in calls)
-    assert all(reached[a] <= pairs[a] for a in reached)
-    assert reached[id(data.assoc)] <= 46656
+    assert all(reached[a] == pairs[a] for a in reached)
+
+
+# the assumption a deep check makes where it derives the pullback's laws
+DERIVED = "pullback laws derived from arrows: and pullback-canonical over strict legs, not enumerated"
+
+
+SMALL_MONOIDS = {
+    "trivial": [[0]],
+    "C2": [[0, 1], [1, 0]],
+    "min": [[0, 1], [1, 1]],
+    "C3": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+}
+
+
+@pytest.mark.parametrize("table", SMALL_MONOIDS.values(), ids=SMALL_MONOIDS)
+def test_small_commutative_monoids_pass_a_deep_check(table):
+    # the pullback's laws follow from the arrows' and the canonical
+    # pullback's, so even C3's pullback (52.7M instances of its own) fits
+    # the default budget
+    monoid = zoo.commutative_monoid_in_dbl(zoo.monoid_cat(table))
+    assert check_monoid(monoid).passed
+    rep = check_internal(monoid_to_internal(monoid), registry=EMPTY)
+    assert rep.status == PASS, rep.summary()
+    assert DERIVED in rep.assumptions
+
+
+def _enumerated(data, **kwargs):
+    """``check_internal`` with the pullback's laws enumerated whatever the
+    other reports say."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(internal, "_is_canonical", lambda *args: False)
+        return check_internal(data, registry=EMPTY, **kwargs)
+
+
+def test_a_derived_pullback_keeps_every_verdict_and_drops_only_its_own_laws(monoid_bundles):
+    # where the derivation applies, the report is the enumerated one without
+    # the pullback's instances and with the assumption in their place
+    host = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    m = host.m
+    moved = replace(host, m=replace(m, comp_h={**m.comp_h, min(m.comp_h): 1}))
+    for data in (monoid_bundles["cyclic2"], host, moved, internal.diagonal_internal(embed_two_category(zoo.sign_two_category()))):
+        derived, enumerated = check_internal(data, registry=EMPTY), _enumerated(data)
+        assert DERIVED in derived.assumptions
+        assert derived.checked == enumerated.checked - kernel.check_double_category(data.p).checked
+        assert (derived.status, derived.violations) == (enumerated.status, enumerated.violations)
+        assert [x for x in derived.assumptions if x != DERIVED] == enumerated.assumptions
+
+
+def test_the_pullback_laws_are_enumerated_unless_the_arrows_and_the_canonical_pullback_imply_them(monoid_bundles):
+    # a pullback that is not the canonical one, arrows that fail, legs off
+    # other arrows than the bundle's, and a budget that runs out before the
+    # arrows pass or before the comparison fits: each report is the
+    # enumerated one
+    host = internal.diagonal_internal(quintet(zoo.cyclic_group_cat(2)))
+    bad_d1 = next(d for _, d in sample_mutants(host.d1, 5, seed=3) if not kernel.check_double_category(d).passed)
+    both = kernel.check_double_category(host.d0).checked + kernel.check_double_category(host.d1).checked
+    cases = [(internal_mutations()[1]["pullback"], None), (replace(host, p=product(host.d1, host.d1)), None),
+             (replace(host, d1=bad_d1), None), (replace(host, d1=quintet(zoo.cyclic_group_cat(3))), None),
+             (host, both - 1), (host, both + 1)]
+    for data, cap in cases:
+        budget = {} if cap is None else {"budget": Budget(cap)}
+        rep = check_internal(data, registry=EMPTY, **budget)
+        assert DERIVED not in rep.assumptions
+        assert rep.to_dict() == _enumerated(data, **({} if cap is None else {"budget": Budget(cap)})).to_dict()
 
 
 def test_braid_monoid_internalizes():

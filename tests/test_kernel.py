@@ -523,6 +523,35 @@ def test_constructor_rejects_damaged_field(make, field, damage):
         _rebuild(obj, field, damage(getattr(obj, field)))
 
 
+# every list of cell boundaries, with a last entry that is not a sequence;
+# kept apart from DAMAGED, whose outcomes the verdict dump records
+NON_SEQUENCE_BOUNDARIES = [
+    (make, field, value)
+    for make, field in (
+        (zoo.walking_arrow, "mor"),
+        (_quintet_arrow, "hcells"),
+        (_quintet_arrow, "vcells"),
+        (_quintet_arrow, "squares"),
+        (zoo.sign_two_category, "onecells"),
+        (zoo.sign_two_category, "twocells"),
+        (zoo.sign_bicategory, "onecells"),
+        (zoo.sign_bicategory, "twocells"),
+    )
+    for value in (99, None)
+]
+
+
+@pytest.mark.parametrize(
+    "make,field,value",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}:{case[2]}") for case in NON_SEQUENCE_BOUNDARIES],
+)
+def test_a_boundary_that_is_not_a_sequence_is_named(make, field, value):
+    obj = make()
+    cells = [*getattr(obj, field)[:-1], value]
+    with pytest.raises(StructureError, match=rf" {len(cells) - 1}: boundary {value} is not a sequence$"):
+        _rebuild(obj, field, cells)
+
+
 def test_two_category_boundary_laws_agree_with_the_bicategory_raise():
     # both read the same table rows: on every single-entry mutant of the
     # sign tables, check_two_category reports a *-boundary violation exactly
