@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Mapping
 from itertools import islice
 from types import SimpleNamespace
 
@@ -69,16 +70,36 @@ def _check_cells(cells, what, limits, names, fits=None, misfit=""):
             raise StructureError(misfit.format(x, *cell))
 
 
-def _tuples(cells, what):
-    """``cells`` as a list of boundary tuples; StructureError naming the
-    first cell whose boundary is not a sequence."""
+def _tuples(cells, what, field):
+    """``cells``, the field ``field``, as a list of boundary tuples;
+    StructureError naming the field where it is not a sequence, else the
+    first cell (a ``what``) whose boundary is not one."""
     try:
         return [tuple(x) for x in cells]
     except TypeError:
+        if not hasattr(cells, "__iter__"):
+            raise StructureError(f"{field}: {cells!r} is not a sequence") from None
         for x, cell in enumerate(cells):
             if not hasattr(cell, "__iter__"):
                 raise StructureError(f"{what} {x}: boundary {cell!r} is not a sequence") from None
         raise
+
+
+def _list(cells, field):
+    """The sequence ``cells``, the field ``field``, as a list; StructureError
+    naming the field where it is not a sequence."""
+    try:
+        return list(cells)
+    except TypeError:
+        raise StructureError(f"{field}: {cells!r} is not a sequence") from None
+
+
+def _table(table, field):
+    """The mapping ``table``, the field ``field``, as a dict; StructureError
+    naming the field where it is not a mapping."""
+    if not isinstance(table, Mapping):
+        raise StructureError(f"{field}: {table!r} is not a table")
+    return dict(table)
 
 
 def _check_ids(ids, cells, expect, what, wrong=" has wrong boundary"):
@@ -218,7 +239,9 @@ def _entries(table):
 # (which depends only on the end of x), and ``_interchange`` charges the
 # grid once per pair of squares (a, b), all its rows together.  Both read
 # dense rows (``_dense_rows``: one list per left cell, indexed by cell id),
-# which a checker builds once per table and shares between them.  The
+# which a checker builds once per table and shares between them.  Given a
+# law the caller has proved (``check_double_category`` over a thin
+# category), both charge it alike and evaluate nothing.  The
 # table boundaries read the composite 1-cells
 # that a pasted square's boundary expects through dense rows too.  A
 # Violation is built only where the two sides differ, and nothing past a
@@ -375,12 +398,15 @@ def _boundaries(col, rows):
         _whole(col, (kind, kind), table, (f"{name}-boundary", lambda t: [cells[z] for z in t.values()], expect))
 
 
-def _associativity(col, law, kind, rows, ends, starts):
+def _associativity(col, law, kind, rows, ends, starts, derived=None):
     """Record ``(x;y);z == x;(y;z)`` for every composable triple, ``rows``
     the dense rows of the table.  The rows ``(y, *)`` of a left cell x
     depend only on ``ends[x]``, so they are listed once per end and charged
     together; where the budget runs out inside them, only the first
-    instances that fit are evaluated."""
+    instances that fit are evaluated.  Where the caller has proved the law
+    (``derived``, the assumption that says so; ``rows`` unused), the blocks
+    are charged alike and none is evaluated, and ``derived`` is recorded
+    where some instance fell within the budget."""
     by_start, blocks = _by(starts), {}
     for x, end in enumerate(ends):
         if end not in blocks:
@@ -389,6 +415,9 @@ def _associativity(col, law, kind, rows, ends, starts):
         block, n = blocks[end]
         k = col.take(n)
         if not k:
+            continue
+        if derived:
+            col.assume(derived)
             continue
         if k < n:
             block = _cut(block, k)
@@ -429,9 +458,9 @@ class FiniteCategory:
 
     def __init__(self, n_objects, mor, comp, ids, names=None):
         self.n_objects = _count(n_objects)
-        self.mor = _tuples(mor, "morphism")
-        self.comp = dict(comp)
-        self.ids = list(ids)
+        self.mor = _tuples(mor, "morphism", "mor")
+        self.comp = _table(comp, "comp")
+        self.ids = _list(ids, "ids")
         self.names = names or {}
         self._validate()
 
@@ -504,17 +533,17 @@ class DoubleCategory:
 
     def _set(self, n_objects, hcells, vcells, squares, hcomp1, vcomp1, hcomp2, vcomp2, hid, vid, sq_vid, sq_hid, names):
         self.n_objects = _count(n_objects)
-        self.hcells = _tuples(hcells, "hcell")
-        self.vcells = _tuples(vcells, "vcell")
-        self.squares = _tuples(squares, "square")
-        self.hcomp1 = dict(hcomp1)
-        self.vcomp1 = dict(vcomp1)
-        self.hcomp2 = dict(hcomp2)
-        self.vcomp2 = dict(vcomp2)
-        self.hid = list(hid)
-        self.vid = list(vid)
-        self.sq_vid = list(sq_vid)
-        self.sq_hid = list(sq_hid)
+        self.hcells = _tuples(hcells, "hcell", "hcells")
+        self.vcells = _tuples(vcells, "vcell", "vcells")
+        self.squares = _tuples(squares, "square", "squares")
+        self.hcomp1 = _table(hcomp1, "hcomp1")
+        self.vcomp1 = _table(vcomp1, "vcomp1")
+        self.hcomp2 = _table(hcomp2, "hcomp2")
+        self.vcomp2 = _table(vcomp2, "vcomp2")
+        self.hid = _list(hid, "hid")
+        self.vid = _list(vid, "vid")
+        self.sq_vid = _list(sq_vid, "sq_vid")
+        self.sq_hid = _list(sq_hid, "sq_hid")
         self.names = names or {}
         self._sq_by_top = None
         self._sq_by_tl = None
@@ -683,6 +712,15 @@ class DoubleCategory:
 # the exhaustive checker
 
 
+# the assumptions of the laws that a thin double category derives
+_DERIVED_INTERCHANGE = (
+    "interchange derived, not evaluated: each square is fixed by its boundary and every table entry has its boundary"
+)
+_DERIVED_ASSOCIATIVITY = (
+    "{0}2-associativity derived from {0}1-associativity, not evaluated: each square is fixed by its boundary"
+)
+
+
 def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> AxiomReport:
     """Verify every strict double-category law by exhaustive enumeration.
 
@@ -695,6 +733,33 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     ``(a, b)``; the cutoff is still exact: with ``budget`` the report checks
     and records exactly the instances, the interchange grid included, that
     fit under its cap, in enumeration order.
+
+    In a thin double category, where no two squares share a boundary, two
+    squares with one boundary are one square, and three laws follow from
+    laws checked before them.  By then every table entry has its boundary
+    (the table-boundary laws come first, and the run ends there if one
+    fails).  Writing ``t, b, l, r`` for a square's top, bottom, left and
+    right and ``;`` for 1-cell composition:
+
+    - interchange: by the boundaries of the ``hcomp2`` and ``vcomp2``
+      entries, ``(a/c) | (b/e)`` and ``(a|b) / (c|e)`` both have the
+      boundary ``(t_a;t_b, b_c;b_e, l_a;l_c, r_b;r_e)``;
+    - ``hcomp2-associativity``, where ``hcomp1-associativity`` recorded no
+      violation in this run: ``(a|b)|c`` has the boundary
+      ``((t_a;t_b);t_c, (b_a;b_b);b_c, l_a, r_c)`` and ``a|(b|c)`` the
+      boundary ``(t_a;(t_b;t_c), b_a;(b_b;b_c), l_a, r_c)``, which are
+      equal by ``hcomp1-associativity`` at the triples of tops and of
+      bottoms; ``vcomp2-associativity`` likewise from
+      ``vcomp1-associativity``.  The 1-cell law runs first, so a budget
+      that reaches the square law covered the 1-cell law in full.
+
+    These laws are then charged as if enumerated and none of their
+    instances is evaluated, so ``checked``, the budget, the status and the
+    violations are those of the full enumeration, whatever the cap.  Each
+    derived law that has an instance within the budget records an
+    assumption saying so.  In every other case, a category with two squares
+    on one boundary or one whose 1-cell associativity fails, the laws are
+    enumerated.
     """
     col = Collector("double-category", budget)
     d.table_boundary_violations(col)
@@ -707,41 +772,63 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
     vs, vt = _columns(d.vcells, 2)
     top, bottom, left, right = _columns(d.squares, 4)
     ns = len(d.squares)
-    hrows, vrows = _dense_rows(d.hcomp2, ns), _dense_rows(d.vcomp2, ns)
+    thin = len(set(d.squares)) == ns
     _associativity(col, "hcomp1-associativity", HCELL, _dense_rows(d.hcomp1, len(ht)), ht, hs)
+    h_thin = thin and not col.report.violations
     _units(col, "hcomp1-left-unit", "hcomp1-right-unit", HCELL, d.hcomp1, ht, hs, d.hid)
+    found = len(col.report.violations)
     _associativity(col, "vcomp1-associativity", VCELL, _dense_rows(d.vcomp1, len(vt)), vt, vs)
+    v_thin = thin and len(col.report.violations) == found
     _units(col, "vcomp1-left-unit", "vcomp1-right-unit", VCELL, d.vcomp1, vt, vs, d.vid)
-    _associativity(col, "hcomp2-associativity", SQUARE, hrows, right, left)
+    # a thin category evaluates interchange nowhere, so it reads the dense
+    # rows of a square table only for an associativity it does not derive
+    hrows = None if h_thin else _dense_rows(d.hcomp2, ns)
+    vrows = None if v_thin else _dense_rows(d.vcomp2, ns)
+    _associativity(col, "hcomp2-associativity", SQUARE, hrows, right, left,
+                   _DERIVED_ASSOCIATIVITY.format("hcomp") if h_thin else None)
     _units(col, "hcomp2-unit", "hcomp2-unit", SQUARE, d.hcomp2, right, left, d.sq_hid)
-    _associativity(col, "vcomp2-associativity", SQUARE, vrows, bottom, top)
+    _associativity(col, "vcomp2-associativity", SQUARE, vrows, bottom, top,
+                   _DERIVED_ASSOCIATIVITY.format("vcomp") if v_thin else None)
     _units(col, "vcomp2-unit", "vcomp2-unit", SQUARE, d.vcomp2, bottom, top, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-h", HCELL, d.hcomp1, d.hcomp2, d.sq_vid)
     _identity_functoriality(col, "identity-functoriality-v", VCELL, d.vcomp1, d.vcomp2, d.sq_hid)
     _whole(col, (OBJECT,), range(d.n_objects), ("identity-coincidence",
            lambda r: [d.sq_vid[d.hid[a]] for a in r], lambda r: [d.sq_hid[d.vid[a]] for a in r]))
-    _interchange(col, d, hrows, vrows)
+    _interchange(col, d, hrows, vrows, _DERIVED_INTERCHANGE if thin else None)
     return col.done()
 
 
-def _interchange(col, d, hrows, vrows):
+def _interchange(col, d, hrows, vrows, derived=None):
     """Record ``(a/c) | (b/e) == (a|b) / (c|e)`` over every 2x2 grid of
     squares, ``hrows`` and ``vrows`` the dense rows of ``hcomp2`` and
     ``vcomp2``.  The rows ``(a, b, c, *)`` of a pair ``(a, b)`` depend only
     on the bottoms of ``a`` and ``b``, so they are listed once per pair of
     bottoms.  Each pair is charged once for all its rows; where the budget
     runs out inside them, only the first instances that fit are evaluated,
-    so the cutoff is as exact as one charge per instance."""
+    so the cutoff is as exact as one charge per instance.  Where the caller
+    has proved the law (``derived``, as for :func:`_associativity`; the
+    rows unused), the whole grid is charged at once, which leaves the
+    budget and the report as the charges pair by pair would, and nothing
+    is evaluated."""
     by_top, by_tl = d.squares_by_top(), d.squares_by_top_left()
     sq = d.squares
+
+    def grid(bottoms):
+        rows = [(c, by_tl.get((bottoms[1], sq[c][3]), ())) for c in by_top.get(bottoms[0], ())]
+        return rows, sum(len(row) for _, row in rows)
+
+    if derived:
+        pairs = Counter((sq[a][1], sq[b][1]) for a, b in d.hcomp2)
+        if col.take(sum(count * grid(bottoms)[1] for bottoms, count in pairs.items())):
+            col.assume(derived)
+        return
     grids = {}
     for (a, b), ab in sorted(d.hcomp2.items()):
         bottoms = sq[a][1], sq[b][1]
-        grid = grids.get(bottoms)
-        if grid is None:
-            rows = [(c, by_tl.get((bottoms[1], sq[c][3]), ())) for c in by_top.get(bottoms[0], ())]
-            grid = grids[bottoms] = rows, sum(len(row) for _, row in rows)
-        rows, n = grid
+        rows_n = grids.get(bottoms)
+        if rows_n is None:
+            rows_n = grids[bottoms] = grid(bottoms)
+        rows, n = rows_n
         k = col.take(n)
         if k < n:
             rows = _cut(rows, k)
@@ -1166,7 +1253,7 @@ def pullback(f, g) -> DoubleCategory:
         if not _closes(getattr(d1, name), getattr(d2, name), f.sq_map, g.sq_map):
             joins[name].table()  # raises at the first pair that does not match
     names = {kind: [f"({d1.name_of(kind, x)},{d2.name_of(kind, y)})" for (x, y) in ps] for kind, ps in pairs.items()}
-    p = _Pending._unvalidated(len(pairs[OBJECT]), hcells, vcells, squares, hcomp1, vcomp1, (), (), *cells, names=names)
+    p = _Pending._unvalidated(len(pairs[OBJECT]), hcells, vcells, squares, hcomp1, vcomp1, {}, {}, *cells, names=names)
     return _defer(p, **joins)
 
 
@@ -1307,7 +1394,7 @@ def transpose(d: DoubleCategory) -> DoubleCategory:
     h, v = _held(d, "hcomp2"), _held(d, "vcomp2")
     t = (DoubleCategory if h is None else _Pending)._unvalidated(
         d.n_objects, d.vcells, d.hcells, squares, d.vcomp1, d.hcomp1,
-        *((d.vcomp2, d.hcomp2) if h is None else ((), ())), d.vid, d.hid, d.sq_hid, d.sq_vid, names=names)
+        *((d.vcomp2, d.hcomp2) if h is None else ({}, {})), d.vid, d.hid, d.sq_hid, d.sq_vid, names=names)
     return t if h is None else _defer(t, hcomp2=v, vcomp2=h)
 
 
@@ -1321,13 +1408,13 @@ class TwoCategory:
 
     def __init__(self, n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=None):
         self.n_objects = _count(n_objects)
-        self.onecells = _tuples(onecells, "1-cell")
-        self.twocells = _tuples(twocells, "2-cell")
-        self.comp1 = dict(comp1)
-        self.vcomp2 = dict(vcomp2)
-        self.hcomp2 = dict(hcomp2)
-        self.id1 = list(id1)
-        self.id2 = list(id2)
+        self.onecells = _tuples(onecells, "1-cell", "onecells")
+        self.twocells = _tuples(twocells, "2-cell", "twocells")
+        self.comp1 = _table(comp1, "comp1")
+        self.vcomp2 = _table(vcomp2, "vcomp2")
+        self.hcomp2 = _table(hcomp2, "hcomp2")
+        self.id1 = _list(id1, "id1")
+        self.id2 = _list(id2, "id2")
         self.names = names or {}
         self._validate()
 

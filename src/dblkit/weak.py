@@ -44,7 +44,9 @@ from .kernel import (
     _inverse_laws,
     _invertibility,
     _laws,
+    _list,
     _paths,
+    _table,
     _units,
     _vertical,
 )
@@ -59,12 +61,12 @@ class PseudoDoubleCategory(DoubleCategory):
         # the strict-case validation is purely structural (key sets and
         # boundaries), so it applies verbatim here
         super().__init__(*args, **kwargs)
-        self.assoc = dict(assoc)
-        self.assoc_inv = dict(assoc_inv)
-        self.lunit = list(lunit)
-        self.lunit_inv = list(lunit_inv)
-        self.runit = list(runit)
-        self.runit_inv = list(runit_inv)
+        self.assoc = _table(assoc, "assoc")
+        self.assoc_inv = _table(assoc_inv, "assoc_inv")
+        self.lunit = _list(lunit, "lunit")
+        self.lunit_inv = _list(lunit_inv, "lunit_inv")
+        self.runit = _list(runit, "runit")
+        self.runit_inv = _list(runit_inv, "runit_inv")
         self._validate_pseudo()
 
     def _validate_pseudo(self):
@@ -228,12 +230,12 @@ class Bicategory(TwoCategory):
         names=None,
     ):
         super().__init__(n_objects, onecells, twocells, comp1, vcomp2, hcomp2, id1, id2, names=names)
-        self.assoc = dict(assoc)
-        self.assoc_inv = dict(assoc_inv)
-        self.lunit = list(lunit)
-        self.lunit_inv = list(lunit_inv)
-        self.runit = list(runit)
-        self.runit_inv = list(runit_inv)
+        self.assoc = _table(assoc, "assoc")
+        self.assoc_inv = _table(assoc_inv, "assoc_inv")
+        self.lunit = _list(lunit, "lunit")
+        self.lunit_inv = _list(lunit_inv, "lunit_inv")
+        self.runit = _list(runit, "runit")
+        self.runit_inv = _list(runit_inv, "runit_inv")
         self._validate_bicategory()
 
     def vert_list(self, onecell, cells):

@@ -552,6 +552,39 @@ def test_a_boundary_that_is_not_a_sequence_is_named(make, field, value):
         _rebuild(obj, field, cells)
 
 
+def _pseudo_quintet_arrow():
+    return as_pseudo(_quintet_arrow())
+
+
+# the constraint fields of the weak structures
+_CONSTRAINTS = ("assoc", "assoc_inv", "lunit", "lunit_inv", "runit", "runit_inv")
+
+# every field of a finite presentation but n_objects, as a value that is
+# not a collection, and a table given as a list of pairs; kept apart from
+# DAMAGED, as above
+NON_COLLECTION_FIELDS = [
+    (make, field, value)
+    for make, fields, values in (
+        (zoo.walking_arrow, ("mor", "comp", "ids"), (None,)),
+        (_quintet_arrow, _PRESENTATION[1:], (None, 7)),
+        (zoo.sign_two_category, ("onecells", "twocells", "comp1", "vcomp2", "hcomp2", "id1", "id2"), (None,)),
+        (zoo.sign_bicategory, _CONSTRAINTS, (None,)),
+        (_pseudo_quintet_arrow, _CONSTRAINTS, (None,)),
+    )
+    for field in fields
+    for value in values
+] + [(zoo.walking_arrow, "comp", [(1, 2)])]
+
+
+@pytest.mark.parametrize(
+    "make,field,value",
+    [pytest.param(*case, id=f"{case[0].__name__}.{case[1]}:{case[2]}") for case in NON_COLLECTION_FIELDS],
+)
+def test_a_field_that_is_not_a_collection_is_named(make, field, value):
+    with pytest.raises(StructureError, match=rf"^{field}: {re.escape(repr(value))} is not a (sequence|table)$"):
+        _rebuild(make(), field, value)
+
+
 def test_two_category_boundary_laws_agree_with_the_bicategory_raise():
     # both read the same table rows: on every single-entry mutant of the
     # sign tables, check_two_category reports a *-boundary violation exactly
@@ -648,7 +681,13 @@ def _nested(table):
 
 
 def oracle_check_double_category(d, budget=None):
+    # where the checker derives a law (a thin category: no two squares on
+    # one boundary), the oracle still evaluates every instance of it that
+    # the budget reaches, asserts that each holds, and records the
+    # checker's assumption.  Past the budget no instance is evaluated, and
+    # the long loops stop
     col = Collector("double-category", budget)
+    thin = len(set(d.squares)) == len(d.squares)
     hs, ht = [f[0] for f in d.hcells], [f[1] for f in d.hcells]
     vs, vt = [u[0] for u in d.vcells], [u[1] for u in d.vcells]
     top, bottom, left, right = ([s[i] for s in d.squares] for i in range(4))
@@ -677,18 +716,34 @@ def oracle_check_double_category(d, budget=None):
     if col.report.violations:
         col.assume("equational laws not evaluated: table entries have wrong boundaries")
         return col.done()
+
+    def derived(line, checked):
+        # the assumption, where an instance of the law was charged
+        if col.report.checked > checked:
+            col.assume(line)
+
     tables = [
         ("hcomp1", "-left-unit", "-right-unit", HCELL, h1, ht, hs, d.hid),
         ("vcomp1", "-left-unit", "-right-unit", VCELL, v1, vt, vs, d.vid),
         ("hcomp2", "-unit", "-unit", SQUARE, h2, right, left, d.sq_hid),
         ("vcomp2", "-unit", "-unit", SQUARE, v2, bottom, top, d.sq_vid),
     ]
+    holds = {}
     for name, left_unit, right_unit, kind, table, ends, starts, unit in tables:
         after = _starting_at(starts)
+        law, one_cell = name + "-associativity", name.replace("2", "1") + "-associativity"
+        derive = thin and holds.get(one_cell, False)
+        checked, found = col.report.checked, len(col.report.violations)
         for x, y in sorted(table):
+            if col.report.status == "budget-exceeded":
+                break
             for z in after.get(ends[y], ()):
                 lhs, rhs = table[(table[(x, y)], z)], table[(x, table[(y, z)])]
-                col.eq(name + "-associativity", ((kind, x), (kind, y), (kind, z)), lhs, rhs)
+                if not col.eq(law, ((kind, x), (kind, y), (kind, z)), lhs, rhs) and derive:
+                    raise AssertionError(f"derived {law} fails at {(x, y, z)}")
+        holds[law] = len(col.report.violations) == found
+        if derive:
+            derived(f"{law} derived from {one_cell}, not evaluated: each square is fixed by its boundary", checked)
         for x in range(len(ends)):
             col.eq(name + left_unit, ((kind, x),), table[(unit[starts[x]], x)], x)
             col.eq(name + right_unit, ((kind, x),), table[(x, unit[ends[x]])], x)
@@ -703,13 +758,20 @@ def oracle_check_double_category(d, budget=None):
     # the grid is most of the instances: look its composites up one row of
     # a table at a time
     below, beside = _starting_at(top), _starting_at(list(zip(top, left)))
-    ref, eq, hrow, vrow = [(SQUARE, s) for s in range(len(d.squares))], col.eq, _nested(h2), _nested(v2)
+    ref, hrow, vrow = [(SQUARE, s) for s in range(len(d.squares))], _nested(h2), _nested(v2)
+    eq, checked = col.eq, col.report.checked
     for (a, b), ab in sorted(h2.items()):
+        if col.report.status == "budget-exceeded":
+            break
         vb, vab = vrow[b], vrow[ab]
         for c in below.get(bottom[a], ()):
             ac, hc = hrow[v2[(a, c)]], hrow[c]
             for e in beside.get((bottom[b], right[c]), ()):
-                eq("interchange", (ref[a], ref[b], ref[c], ref[e]), ac[vb[e]], vab[hc[e]])
+                if not eq("interchange", (ref[a], ref[b], ref[c], ref[e]), ac[vb[e]], vab[hc[e]]) and thin:
+                    raise AssertionError(f"derived interchange fails at {(a, b, c, e)}")
+    if thin:
+        derived("interchange derived, not evaluated: each square is fixed by its boundary and every table entry has "
+                "its boundary", checked)
     return col.done()
 
 
@@ -925,6 +987,129 @@ def test_exhausted_shared_budget_matches_per_instance_oracle():
     assert rep.checked == 0 and rep.status == "budget-exceeded"
     # the second run meets the budget exhausted and charges nothing more
     assert ours.used == 101
+
+
+def _derived_spans(d, total):
+    """Where the instances of each law that a thin ``d`` derives fall among
+    the ``total`` instances of a check that passes the table boundaries:
+    ``{law: (first, one past the last)}``, counted from the tables in the
+    order the laws run."""
+    hs, ht = [f[0] for f in d.hcells], [f[1] for f in d.hcells]
+    vs, vt = [u[0] for u in d.vcells], [u[1] for u in d.vcells]
+    top, bottom, left, right = ([s[i] for s in d.squares] for i in range(4))
+
+    def triples(table, ends, starts):
+        after = collections.Counter(starts)
+        return sum(after[ends[y]] for _, y in table)
+
+    units = 2 * len(d.squares)
+    laws = [
+        (None, sum(len(t) for t in (d.hcomp1, d.vcomp1, d.hcomp2, d.vcomp2))),
+        (None, triples(d.hcomp1, ht, hs) + 2 * len(ht) + triples(d.vcomp1, vt, vs) + 2 * len(vt)),
+        ("hcomp2-associativity", triples(d.hcomp2, right, left)),
+        (None, units),
+        ("vcomp2-associativity", triples(d.vcomp2, bottom, top)),
+        (None, units + len(d.hcomp1) + len(d.vcomp1) + d.n_objects),
+    ]
+    spans, at = {}, 0
+    for law, n in laws:
+        if law:
+            spans[law] = at, at + n
+        at += n
+    spans["interchange"] = at, total
+    return spans
+
+
+_DERIVED = {
+    "hcomp2-associativity": "hcomp2-associativity derived from hcomp1-associativity, not evaluated",
+    "vcomp2-associativity": "vcomp2-associativity derived from vcomp1-associativity, not evaluated",
+    "interchange": "interchange derived, not evaluated",
+}
+
+
+def _derived(rep):
+    """The laws whose derivation ``rep`` records."""
+    return [law for law, line in _DERIVED.items() if any(a.startswith(line) for a in rep.assumptions)]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: _C3, id="quintet(C3)"),
+    pytest.param(lambda: product(_C3, quintet(zoo.cyclic_group_cat(2))), id="quintet(C3) x quintet(C2)"),
+])
+def test_caps_inside_each_derived_law_match_the_oracle(make):
+    # a thin category derives three laws and charges them as the oracle
+    # evaluates them: caps just before the first instance of each, at the
+    # first, in the middle and at the last check and record as the oracle,
+    # and the law's assumption appears once one of its instances is within
+    # the cap.  The full run is the cap at the last instance of interchange
+    d = make()
+    full = check_double_category(d)
+    assert full.to_dict() == oracle_check_double_category(d).to_dict()
+    assert _derived(full) == list(_DERIVED)
+    for law, (start, end) in _derived_spans(d, full.checked).items():
+        for cap in sorted({start, start + 1, (start + end) // 2, end} - {full.checked}):
+            ours, theirs = Budget(cap), Budget(cap)
+            rep = check_double_category(d, budget=ours)
+            assert rep.to_dict() == oracle_check_double_category(d, budget=theirs).to_dict(), (law, cap)
+            assert ours.used == theirs.used and rep.checked == cap
+            assert (law in _derived(rep)) == (cap > start), (law, cap)
+
+
+def _doubled_square(d, s):
+    """``d`` rebuilt through the constructor with one more square on the
+    boundary of the square ``s``, which pastes as ``s`` does: the result is
+    not thin, and its tables keep their boundaries."""
+    x = len(d.squares)
+
+    def doubled(table):
+        out = dict(table)
+        for (a, b), ab in table.items():
+            for key in {(x if a == s else a, x if b == s else b)} - {(a, b)}:
+                out[key] = ab
+            if s in (a, b) and a == b:
+                out[(x, s)] = out[(s, x)] = ab
+        return out
+
+    return DoubleCategory(d.n_objects, d.hcells, d.vcells, [*d.squares, d.squares[s]], d.hcomp1, d.vcomp1,
+                          doubled(d.hcomp2), doubled(d.vcomp2), d.hid, d.vid, d.sq_vid, d.sq_hid)
+
+
+def _magma_squares():
+    """The thin double category of one object, one vcell and the unital
+    magma ``{e, a, b}`` as its hcells, with one square on each hcell: its
+    tables have their boundaries, but ``(a;a);b == a`` and ``a;(a;b) ==
+    b``, so its hcomp1 associativity fails."""
+    times = [[0, 1, 2], [1, 2, 1], [2, 1, 1]]
+    hcomp1 = {(f, g): times[f][g] for f in range(3) for g in range(3)}
+    return DoubleCategory(1, [(0, 0)] * 3, [(0, 0)], [(f, f, 0, 0) for f in range(3)], hcomp1, {(0, 0): 0},
+                          hcomp1, {(f, f): f for f in range(3)}, [0], [0], [0, 1, 2], [0])
+
+
+def test_laws_are_derived_only_over_a_thin_category_with_associative_1_cells():
+    # embed(sign) has parallel squares, and so do its mutants in acceptance
+    # criterion 1, which break interchange and square associativity; a thin
+    # quintet with one square doubled keeps its boundaries but is not thin;
+    # the magma category is thin, but its hcomp1 associativity fails, so
+    # hcomp2 associativity is evaluated (and fails) while vcomp2
+    # associativity and interchange are derived
+    sign = embed_two_category(zoo.sign_two_category())
+    _, sign_mutants = zip(*_mutants()[-20:])
+    doubled = _doubled_square(_C3, 10)
+    inputs = [sign, *sign_mutants, *_law_breaking_sign_mutants(), doubled]
+    assert all(len(set(d.squares)) < len(d.squares) for d in inputs)
+    laws = collections.Counter()
+    for d in inputs:
+        rep = check_double_category(d)
+        assert rep.to_dict() == oracle_check_double_category(d).to_dict()
+        assert _derived(rep) == []
+        laws.update(v.axiom for v in rep.violations)
+    assert min(laws["interchange"], laws["hcomp2-associativity"], laws["vcomp2-associativity"]) > 0
+    assert {v.axiom for v in check_double_category(doubled).violations} >= {"hcomp2-unit", "vcomp2-unit"}
+    magma = _magma_squares()
+    rep = check_double_category(magma)
+    assert rep.to_dict() == oracle_check_double_category(magma).to_dict()
+    assert _derived(rep) == ["vcomp2-associativity", "interchange"]
+    assert {v.axiom for v in rep.violations} == {"hcomp1-associativity", "hcomp2-associativity"}
 
 
 def _pullback_of_unequal_maps(d, h_map, sq_map):
