@@ -5,7 +5,8 @@ Exit codes: 0 all checks pass, 1 at least one violation, 2 inconclusive or
 budget exceeded, 3 usage/parse/structure error.  Defaults for --max-tuples
 and --word-cap can be overridden with the DBLKIT_MAX_TUPLES and
 DBLKIT_WORD_CAP environment variables, read at each call of ``main`` (the
-argument parser is built once per process, at the first call).
+argument parser is built once per process, at the first call); a negative
+or non-integer value is ignored there, and is a usage error as an option.
 """
 
 from __future__ import annotations
@@ -564,20 +565,34 @@ def _load(path) -> Document:
 
 def _int_env(name, default):
     try:
-        return int(os.environ[name])
-    except (KeyError, ValueError):
+        return _cap(os.environ[name])
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
         return default
+
+
+def _cap(text):
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is negative")
+    return int(text)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors, its subparsers' too, exit 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
 
 
 @functools.cache
 def _parser():
     """The argument parser; the environment defaults are not in it."""
-    parser = argparse.ArgumentParser(prog="dblkit", description=__doc__)
+    parser = _Parser(prog="dblkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--max-tuples", type=int, default=None)
-        p.add_argument("--word-cap", type=int, default=None)
+        p.add_argument("--max-tuples", type=_cap, default=None)
+        p.add_argument("--word-cap", type=_cap, default=None)
         p.add_argument("--format", choices=("summary", "tree"), default="summary")
 
     p = sub.add_parser("check", help="run the checker for a named declaration")

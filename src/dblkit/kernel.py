@@ -404,9 +404,16 @@ def _associativity(col, law, kind, rows, ends, starts, derived=None):
     depend only on ``ends[x]``, so they are listed once per end and charged
     together; where the budget runs out inside them, only the first
     instances that fit are evaluated.  Where the caller has proved the law
-    (``derived``, the assumption that says so; ``rows`` unused), the blocks
-    are charged alike and none is evaluated, and ``derived`` is recorded
-    where some instance fell within the budget."""
+    (``derived``, the assumption that says so; ``rows`` unused), its
+    ``Σ_e #{x: ends[x]=e}·B(e)`` instances, ``B(e) = Σ_{y: starts[y]=e}
+    #{z: starts[z]=ends[y]}`` the block of an end e, are charged at once,
+    as block by block (``Collector.take``), none is walked or evaluated,
+    and ``derived`` is recorded where one fell within the budget."""
+    if derived:
+        n_ends, n_starts = Counter(ends), Counter(starts)
+        if col.take(sum(n_ends[s] * n_starts[e] for s, e in zip(starts, ends))):
+            col.assume(derived)
+        return
     by_start, blocks = _by(starts), {}
     for x, end in enumerate(ends):
         if end not in blocks:
@@ -415,9 +422,6 @@ def _associativity(col, law, kind, rows, ends, starts, derived=None):
         block, n = blocks[end]
         k = col.take(n)
         if not k:
-            continue
-        if derived:
-            col.assume(derived)
             continue
         if k < n:
             block = _cut(block, k)
@@ -753,13 +757,15 @@ def check_double_category(d: DoubleCategory, budget: Budget | None = None) -> Ax
       ``vcomp1-associativity``.  The 1-cell law runs first, so a budget
       that reaches the square law covered the 1-cell law in full.
 
-    These laws are then charged as if enumerated and none of their
-    instances is evaluated, so ``checked``, the budget, the status and the
-    violations are those of the full enumeration, whatever the cap.  Each
-    derived law that has an instance within the budget records an
-    assumption saying so.  In every other case, a category with two squares
-    on one boundary or one whose 1-cell associativity fails, the laws are
-    enumerated.
+    These laws are then charged at once, counted from the squares' edges
+    (``Σ_{x,y} P(x,y)·G(x,y)`` in :func:`_interchange`, ``Σ_e #{x:
+    ends[x]=e}·B(e)`` in :func:`_associativity`), and none of their
+    instances is walked or evaluated, so ``checked``, the budget, the
+    status and the violations are those of the full enumeration, whatever
+    the cap.  Each derived law that has an instance within the budget
+    records an assumption saying so.  In every other case, a category with
+    two squares on one boundary or one whose 1-cell associativity fails,
+    the laws are enumerated.
     """
     col = Collector("double-category", budget)
     d.table_boundary_violations(col)
@@ -807,28 +813,26 @@ def _interchange(col, d, hrows, vrows, derived=None):
     runs out inside them, only the first instances that fit are evaluated,
     so the cutoff is as exact as one charge per instance.  Where the caller
     has proved the law (``derived``, as for :func:`_associativity`; the
-    rows unused), the whole grid is charged at once, which leaves the
-    budget and the report as the charges pair by pair would, and nothing
-    is evaluated."""
-    by_top, by_tl = d.squares_by_top(), d.squares_by_top_left()
+    rows unused), its ``Σ_{x,y} P(x,y)·G(x,y)`` instances are charged at
+    once, as pair by pair, and none is walked or evaluated: with ``t, b, l,
+    r`` a square's edges, ``P(x,y) = Σ_v #{a: r_a=v, b_a=x}·#{b: l_b=v,
+    b_b=y}`` keys (a, b) of ``hcomp2``, which ``_validate`` makes exactly
+    the pastable pairs, have the bottoms (x, y), each with a grid of
+    ``G(x,y) = Σ_w #{c: t_c=x, r_c=w}·#{e: t_e=y, l_e=w}`` pairs (c, e)."""
     sq = d.squares
-
-    def grid(bottoms):
-        rows = [(c, by_tl.get((bottoms[1], sq[c][3]), ())) for c in by_top.get(bottoms[0], ())]
-        return rows, sum(len(row) for _, row in rows)
-
     if derived:
-        pairs = Counter((sq[a][1], sq[b][1]) for a, b in d.hcomp2)
-        if col.take(sum(count * grid(bottoms)[1] for bottoms, count in pairs.items())):
+        top, bottom, left, right = _columns(sq, 4)
+        pairs, grid = (_meet(Counter(zip(right, ends)), Counter(zip(left, ends))) for ends in (bottom, top))
+        if col.take(sum(n * grid.get(bottoms, 0) for bottoms, n in pairs.items())):
             col.assume(derived)
         return
-    grids = {}
+    by_top, by_tl, grids = d.squares_by_top(), d.squares_by_top_left(), {}
     for (a, b), ab in sorted(d.hcomp2.items()):
-        bottoms = sq[a][1], sq[b][1]
-        rows_n = grids.get(bottoms)
-        if rows_n is None:
-            rows_n = grids[bottoms] = grid(bottoms)
-        rows, n = rows_n
+        x, y = sq[a][1], sq[b][1]
+        if (x, y) not in grids:
+            rows = [(c, by_tl.get((y, sq[c][3]), ())) for c in by_top.get(x, ())]
+            grids[x, y] = rows, sum(len(row) for _, row in rows)
+        rows, n = grids[x, y]
         k = col.take(n)
         if k < n:
             rows = _cut(rows, k)
@@ -839,6 +843,17 @@ def _interchange(col, d, hrows, vrows, derived=None):
                 if hac[vb[e]] != vab[hc[e]]:
                     witness = ((SQUARE, a), (SQUARE, b), (SQUARE, c), (SQUARE, e))
                     col.fail("interchange", witness, hac[vb[e]], vab[hc[e]])
+
+
+def _meet(first, second):
+    """``{(x, y): Σ_v first[(v, x)]·second[(v, y)]}`` for two counts of pairs."""
+    by, out = {}, Counter()
+    for (v, y), n in second.items():
+        by.setdefault(v, []).append((y, n))
+    for (v, x), m in first.items():
+        for y, n in by.get(v, ()):
+            out[x, y] += m * n
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -408,7 +408,7 @@ def test_reports_deterministic(tmp_path, capsys):
     assert payload["format_version"] == 1
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capsys, monkeypatch):
     doc_path = write_doc(tmp_path)
     out = str(tmp_path / "out.dbl")
     main(["construct", doc_path, "quintet", "Walk", "--as", "WalkSq", "-o", out])
@@ -420,6 +420,32 @@ def test_exit_codes(tmp_path, capsys):
     assert main(["compare", out, "AB", "--start", "P,P", "--cartesian", "L:a R:a", "R:a L:a"]) == 0
     assert main(["explain", "interchange"]) == 0
     assert main(["explain", "definitely-not-an-axiom"]) == 3
+    assert main(["check", out, "AB", "--word-cap", "0"]) == 0
+    # a usage error exits 3, as every other error does, not 2, the code of
+    # an inconclusive or budget-exceeded verdict; a negative cap is one
+    capsys.readouterr()
+    for argv in (
+        ["check", out],
+        ["frobnicate"],
+        ["check", out, "WalkSq", "--max-tuples", "abc"],
+        ["check", out, "WalkSq", "--format", "xml"],
+        ["check", out, "WalkSq", "--max-tuples", "-1"],
+        ["check", out, "AB", "--word-cap", "-1"],
+    ):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == 3, argv
+        assert capsys.readouterr().err.startswith("usage: dblkit"), argv
+    with pytest.raises(SystemExit) as e:
+        main(["check", "-h"])
+    assert e.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dblkit check")
+    # a negative default from the environment is ignored, as one that is
+    # not an integer is
+    monkeypatch.setenv("DBLKIT_MAX_TUPLES", "-1")
+    assert main(["check", out, "WalkSq"]) == 0
+    monkeypatch.setenv("DBLKIT_WORD_CAP", "-1")
+    assert main(["check", out, "AB"]) == 0
 
 
 def test_compare_cartesian_composes_each_factors_letters(tmp_path, capsys):
@@ -741,8 +767,9 @@ def test_commands_run_with_the_collector_paused_and_restore_it(tmp_path, capsys,
         assert gc.isenabled(), argv
     assert collector_seen == [False] * 4
     # an argparse usage error exits before any command runs
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as e:
         main(["check", path])
+    assert e.value.code == 3
     assert gc.isenabled()
     assert len(collector_seen) == 4
     # an error no handler catches still restores it

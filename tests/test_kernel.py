@@ -1032,16 +1032,29 @@ def _derived(rep):
     return [law for law, line in _DERIVED.items() if any(a.startswith(line) for a in rep.assumptions)]
 
 
+def _self_pullback():
+    """The pullback of the projection ``quintet(arrow) x quintet(C2) ->
+    quintet(arrow)`` along itself: a thin category of 4 objects."""
+    qa, q2 = quintet(zoo.walking_arrow()), quintet(zoo.cyclic_group_cat(2))
+    p1, _ = product_projections(qa, q2, product(qa, q2))
+    return pullback(p1, p1)
+
+
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: _C3, id="quintet(C3)"),
     pytest.param(lambda: product(_C3, quintet(zoo.cyclic_group_cat(2))), id="quintet(C3) x quintet(C2)"),
+    pytest.param(lambda: quintet(zoo.walking_arrow()), id="quintet(arrow)"),
+    pytest.param(_self_pullback, id="pullback(p1,p1)"),
 ])
 def test_caps_inside_each_derived_law_match_the_oracle(make):
     # a thin category derives three laws and charges them as the oracle
     # evaluates them: caps just before the first instance of each, at the
     # first, in the middle and at the last check and record as the oracle,
     # and the law's assumption appears once one of its instances is within
-    # the cap.  The full run is the cap at the last instance of interchange
+    # the cap.  The full run is the cap at the last instance of interchange.
+    # quintet(C3) and its product have one object, so all their blocks and
+    # grids have one size; the arrow and the pullback have several objects,
+    # and their blocks and grids differ in size
     d = make()
     full = check_double_category(d)
     assert full.to_dict() == oracle_check_double_category(d).to_dict()
@@ -1053,6 +1066,66 @@ def test_caps_inside_each_derived_law_match_the_oracle(make):
             assert rep.to_dict() == oracle_check_double_category(d, budget=theirs).to_dict(), (law, cap)
             assert ours.used == theirs.used and rep.checked == cap
             assert (law in _derived(rep)) == (cap > start), (law, cap)
+
+
+def _walked_counts(d):
+    """The instances of interchange and of ``hcomp2-`` and
+    ``vcomp2-associativity``, counted by walking the tables as the
+    enumeration does: the grid of each key of ``hcomp2``, and the block of
+    each left cell."""
+    top, bottom, left, right = ([s[i] for s in d.squares] for i in range(4))
+    below, beside = _starting_at(top), _starting_at(list(zip(top, left)))
+    pairs = collections.Counter((bottom[a], bottom[b]) for a, b in d.hcomp2)
+    grid = sum(n * sum(len(beside.get((y, right[c]), ())) for c in below.get(x, ())) for (x, y), n in pairs.items())
+
+    def blocks(ends, starts):
+        after = _starting_at(starts)
+        return sum(len(after.get(ends[y], ())) for x in range(len(ends)) for y in after.get(ends[x], ()))
+
+    return grid, blocks(right, left), blocks(bottom, top)
+
+
+def _counted(d):
+    """What the derived laws charge on ``d``, each run alone on a fresh
+    budget: ``(checked, assumptions)`` of interchange and of ``hcomp2-``
+    and ``vcomp2-associativity``."""
+    top, bottom, left, right = ([s[i] for s in d.squares] for i in range(4))
+    runs = [
+        lambda col: kernel._interchange(col, d, None, None, "derived"),
+        lambda col: kernel._associativity(col, "hcomp2-associativity", SQUARE, None, right, left, "derived"),
+        lambda col: kernel._associativity(col, "vcomp2-associativity", SQUARE, None, bottom, top, "derived"),
+    ]
+    out = []
+    for run in runs:
+        col = Collector("double-category")
+        run(col)
+        out.append((col.report.checked, col.report.assumptions))
+    return out
+
+
+def test_derived_laws_are_counted_as_the_tables_are_walked():
+    # on every thin input, the closed forms that charge the derived laws
+    # count what a walk over the tables counts, and a thin check builds
+    # neither square index that the enumeration reads
+    quintets = [(name, quintet(c)) for name, c in zoo.small_category_catalog()]
+    monoids = (zoo.braid_monoid_in_dbl, zoo.commutative_monoid_in_dbl, zoo.min_monoid_in_dbl, zoo.trivial_monoid_in_dbl)
+    inputs = [
+        *quintets,
+        *((f"transpose({name})", transpose(d)) for name, d in quintets),
+        ("quintet(C3) x quintet(C2)", product(quintet(zoo.cyclic_group_cat(3)), quintet(zoo.cyclic_group_cat(2)))),
+        ("pullback(p1,p1)", _self_pullback()),
+        *((make.__name__, make().carrier) for make in monoids),
+        ("empty", DoubleCategory(0, [], [], [], {}, {}, {}, {}, [], [], [], [])),
+    ]
+    counts = {}
+    for name, d in inputs:
+        assert len(set(d.squares)) == len(d.squares), name
+        walked = counts[name] = _walked_counts(d)
+        assert _counted(d) == [(n, ["derived"] if n else []) for n in walked], name
+        rep = check_double_category(d)
+        assert rep.passed and _derived(rep) == [law for law, n in zip(_DERIVED, walked) if n], name
+        assert d._sq_by_top is None and d._sq_by_tl is None, name
+    assert counts["empty"] == (0, 0, 0) and min(counts["pullback(p1,p1)"]) > 0
 
 
 def _doubled_square(d, s):
